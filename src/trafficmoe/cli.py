@@ -32,7 +32,7 @@ from .evaluation import (
     trace_dump_tsv,
 )
 from .flows import CaptureError, filter_micro_flows, parse_capture, read_flows, relabel, reassemble_sessions, write_flows
-from .model import ModelConfig, TrafficModel
+from .model import ModelConfig, TrafficModel, field_types
 from .tokenization import (
     SerializerConfig,
     Vocabulary,
@@ -100,26 +100,46 @@ def _read_kv_config(path: Optional[str]) -> dict:
     return values
 
 
-def _resolve(defaults: dict, file_values: dict, flag_values: dict) -> dict:
-    """flags > config file > defaults; values coerced to the default's type."""
-    merged = dict(defaults)
-    for key, raw in file_values.items():
-        if key in merged:
-            merged[key] = _coerce(raw, merged[key])
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
+# Config-dataclass fields the CLI exposes: flag and config-file key -> field name.
+# Each field's type and default come from its dataclass.
+_MODEL_KEYS = {k: k for k in ("n_layers", "d_model", "n_heads", "n_experts", "top_k", "ffn_hidden", "num_classes")}
+_TRAIN_KEYS = {
+    k: k for k in ("batch_size", "epochs", "base_lr", "aux_weight", "llrd_decay", "patience", "weight_decay")
+}
+_SERIALIZER_KEYS = {"k": "packets_per_flow", "j": "payload_bytes", "stride": "bigram_stride", "max_tokens": "max_tokens"}
+
+
+def _options(defaults, keys: dict) -> dict:
+    """key -> (field name, type, default) for the exposed fields of a config instance."""
+    types = field_types(type(defaults))
+    return {key: (name, types[name], getattr(defaults, name)) for key, name in keys.items()}
+
+
+def _training_options(mode: str) -> dict:
+    return {**_options(ModelConfig(), _MODEL_KEYS), **_options(TrainConfig(mode=mode), _TRAIN_KEYS)}
+
+
+def _add_option_flags(p, options: dict) -> None:
+    for key, (name, kind, default) in options.items():
+        p.add_argument(f"--{key.replace('_', '-')}", type=kind, default=None, dest=key,
+                       help=f"{name} (default {default})")
+
+
+def _resolve(options: dict, args) -> dict:
+    """flags > config file > dataclass defaults; file values take the field's type."""
+    file_values = _read_kv_config(args.config)
+    merged = {}
+    for key, (_, kind, default) in options.items():
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+        elif key in file_values:
+            try:
+                merged[key] = kind(file_values[key])
+            except ValueError:
+                raise ValueError(f"{args.config}: {key}={file_values[key]!r} is not {kind.__name__}") from None
+        else:
+            merged[key] = default
     return merged
-
-
-def _coerce(raw: str, like):
-    if isinstance(like, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(like, int):
-        return int(raw)
-    if isinstance(like, float):
-        return float(raw)
-    return raw
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -147,23 +167,14 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _serializer_from_args(args, file_values: dict) -> tuple[SerializerConfig, dict]:
-    defaults = {"k": 10, "j": 40, "stride": 2, "max_tokens": 512}
-    flags = {"k": args.k, "j": args.j, "stride": args.stride, "max_tokens": args.max_tokens}
-    merged = _resolve(defaults, file_values, flags)
-    cfg = SerializerConfig(
-        packets_per_flow=merged["k"],
-        payload_bytes=merged["j"],
-        bigram_stride=merged["stride"],
-        max_tokens=merged["max_tokens"],
-    )
-    return cfg, merged
+def _serializer_from_args(args) -> tuple[SerializerConfig, dict]:
+    merged = _resolve(_options(SerializerConfig(), _SERIALIZER_KEYS), args)
+    return SerializerConfig(**{name: merged[key] for key, name in _SERIALIZER_KEYS.items()}), merged
 
 
 def _cmd_build_vocab(args) -> int:
     t0 = time.time()
-    file_values = _read_kv_config(args.config)
-    serializer, config = _serializer_from_args(args, file_values)
+    serializer, config = _serializer_from_args(args)
     config.update({"vocab_mode": args.vocab_mode, "min_freq": args.min_freq})
     if args.vocab_mode == "full_bigram":
         vocab = build_vocabulary(mode="full_bigram")
@@ -183,8 +194,7 @@ def _cmd_build_vocab(args) -> int:
 
 def _cmd_tokenize(args) -> int:
     t0 = time.time()
-    file_values = _read_kv_config(args.config)
-    serializer, config = _serializer_from_args(args, file_values)
+    serializer, config = _serializer_from_args(args)
     config["slice_window"] = args.slice_window
     vocab = Vocabulary.load(args.vocab)
     sequences = []
@@ -206,45 +216,10 @@ def _cmd_tokenize(args) -> int:
     return 0
 
 
-def _model_defaults() -> dict:
-    return {
-        "n_layers": 4,
-        "d_model": 256,
-        "n_heads": 8,
-        "n_experts": 8,
-        "top_k": 2,
-        "ffn_hidden": 1024,
-        "num_classes": 0,
-    }
-
-
-def _train_defaults(mode: str) -> dict:
-    return {
-        "batch_size": 32,
-        "epochs": 8 if mode == "pretrain" else 40,
-        "base_lr": 3e-4 if mode == "pretrain" else 5e-5,
-        "aux_weight": 0.02,
-        "llrd_decay": 0.9,
-        "patience": 5,
-        "weight_decay": 0.01,
-    }
-
-
-def _collect_train_flags(args) -> dict:
-    keys = (
-        "n_layers", "d_model", "n_heads", "n_experts", "top_k", "ffn_hidden",
-        "num_classes", "batch_size", "epochs", "base_lr", "aux_weight",
-        "llrd_decay", "patience", "weight_decay",
-    )
-    return {k: getattr(args, k) for k in keys}
-
-
 def _run_training(args, mode: str) -> int:
     t0 = time.time()
     seed = args.seed if args.seed is not None else _default_seed()
-    file_values = _read_kv_config(args.config)
-    defaults = {**_model_defaults(), **_train_defaults(mode)}
-    merged = _resolve(defaults, file_values, _collect_train_flags(args))
+    merged = _resolve(_training_options(mode), args)
     sequences = read_corpus(args.corpus)
     if not sequences:
         raise ValueError(f"corpus {args.corpus} is empty")
@@ -252,38 +227,17 @@ def _run_training(args, mode: str) -> int:
     max_tokens = len(sequences[0].ids)
 
     labels = {s.label for s in sequences if s.label is not None}
-    num_classes = merged["num_classes"] or (max(labels) + 1 if labels else 0)
-
-    train_config = TrainConfig(
-        mode=mode,
-        batch_size=merged["batch_size"],
-        epochs=merged["epochs"],
-        base_lr=merged["base_lr"],
-        aux_weight=merged["aux_weight"],
-        llrd_decay=merged["llrd_decay"],
-        patience=merged["patience"],
-        weight_decay=merged["weight_decay"],
-        seed=seed,
-    )
+    if not merged["num_classes"]:
+        merged["num_classes"] = max(labels) + 1 if labels else None
+    train_config = TrainConfig(mode=mode, seed=seed, **{name: merged[key] for key, name in _TRAIN_KEYS.items()})
 
     if args.init:
         model = TrafficModel.load(args.init)
         if mode == "finetune" and not model.config.num_classes:
             raise ValueError("checkpoint lacks a classification head; set num_classes at pretrain")
     else:
-        model_config = ModelConfig(
-            n_layers=merged["n_layers"],
-            d_model=merged["d_model"],
-            n_heads=merged["n_heads"],
-            n_experts=merged["n_experts"],
-            top_k=merged["top_k"],
-            ffn_hidden=merged["ffn_hidden"],
-            vocab_size=len(vocab),
-            max_tokens=max_tokens,
-            aux_loss_weight=merged["aux_weight"],
-            num_classes=num_classes or None,
-        )
-        model = TrafficModel(model_config, seed=seed)
+        model_fields = {name: merged[key] for key, name in _MODEL_KEYS.items()}
+        model = TrafficModel(ModelConfig(vocab_size=len(vocab), max_tokens=max_tokens, **model_fields), seed=seed)
 
     out = Path(args.out)
     if mode == "pretrain":
@@ -314,6 +268,10 @@ def _cmd_eval(args) -> int:
     sequences = read_corpus(args.data)
     if any(s.label is None for s in sequences):
         raise ValueError("eval needs labeled sequences")
+    n_classes = model.config.num_classes or 0
+    bad = [s.label for s in sequences if not 0 <= s.label < n_classes]
+    if bad:
+        raise ValueError(f"{args.data}: label {bad[0]} outside the checkpoint's {n_classes} classes")
     _, metrics = evaluate_classifier(model, sequences, args.batch_size)
     out = Path(args.metrics_out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -474,13 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--init", default=None, help="checkpoint to start from")
-        for flag, kind in (
-            ("n-layers", int), ("d-model", int), ("n-heads", int), ("n-experts", int),
-            ("top-k", int), ("ffn-hidden", int), ("num-classes", int), ("batch-size", int),
-            ("epochs", int), ("base-lr", float), ("aux-weight", float),
-            ("llrd-decay", float), ("patience", int), ("weight-decay", float),
-        ):
-            p.add_argument(f"--{flag}", type=kind, default=None, dest=flag.replace("-", "_"))
+        _add_option_flags(p, _training_options(mode))
         p.set_defaults(func=lambda a, m=mode: _run_training(a, m))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on labeled sequences")
@@ -524,10 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_serializer_flags(p) -> None:
-    p.add_argument("--k", type=int, default=None, help="packets per flow")
-    p.add_argument("--j", type=int, default=None, help="payload bytes per packet")
-    p.add_argument("--stride", type=int, default=None, help="bigram stride (1 or 2)")
-    p.add_argument("--max-tokens", type=int, default=None, dest="max_tokens")
+    _add_option_flags(p, _options(SerializerConfig(), _SERIALIZER_KEYS))
     p.add_argument("--config", default=None, help="key=value config file")
 
 

@@ -3,6 +3,7 @@ and the sparse-vs-dense inference benchmark."""
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -234,11 +235,6 @@ def compose_shift_split(
     return train_items, test_items
 
 
-def masked_subclasses(train_fine: Sequence[int], all_fine: Sequence[int]) -> set:
-    """Sub-classes present overall but absent from the training side."""
-    return set(np.unique(all_fine)) - set(np.unique(train_fine))
-
-
 # -- routing statistics -----------------------------------------------------------
 
 
@@ -396,21 +392,7 @@ def build_dense_variant(model: TrafficModel, seed: int = 0) -> TrafficModel:
         + cfg.n_experts * 3 * cfg.d_model * cfg.expert_hidden
     )
     hidden = int(round(per_layer / (3 * cfg.d_model)))
-    dense_cfg = ModelConfig(
-        n_layers=cfg.n_layers,
-        d_model=cfg.d_model,
-        n_heads=cfg.n_heads,
-        n_experts=cfg.n_experts,
-        top_k=cfg.top_k,
-        ffn_hidden=cfg.ffn_hidden,
-        vocab_size=cfg.vocab_size,
-        max_tokens=cfg.max_tokens,
-        aux_loss_weight=cfg.aux_loss_weight,
-        num_classes=cfg.num_classes,
-        ffn_kind="dense",
-        dense_hidden=hidden,
-    )
-    dense = TrafficModel(dense_cfg, seed=seed)
+    dense = TrafficModel(dataclasses.replace(cfg, ffn_kind="dense", dense_hidden=hidden), seed=seed)
     check_parameter_match(model, dense)
     return dense
 

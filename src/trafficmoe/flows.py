@@ -328,50 +328,60 @@ def write_flows(flows: list[SessionFlow], out_dir: str | Path) -> None:
 
 
 def read_flows(in_dir: str | Path) -> list[SessionFlow]:
-    """Read back a flow list written by :func:`write_flows`."""
-    data = (Path(in_dir) / SIDECAR_NAME).read_bytes()
+    """Read back a flow list written by :func:`write_flows`.
+
+    A malformed or truncated sidecar raises :class:`CaptureError` naming
+    the file and the byte offset where reading failed.
+    """
+    path = Path(in_dir) / SIDECAR_NAME
+    data = path.read_bytes()
     if data[:4] != _SIDECAR_MAGIC:
-        raise CaptureError(f"bad sidecar magic {data[:4]!r}")
-    version, n_flows = struct.unpack_from("<II", data, 4)
-    if version != _SIDECAR_VERSION:
-        raise CaptureError(f"unsupported sidecar version {version}")
-    off = 12
+        raise CaptureError(f"{path}: bad sidecar magic {data[:4]!r}")
+    off = 4
     flows = []
-    for _ in range(n_flows):
-        n_pkts, label = struct.unpack_from("<Ii", data, off)
-        off += 8
-        packets = []
-        for _ in range(n_pkts):
-            ts, direction, ip_len = struct.unpack_from("<dBB", data, off)
-            off += 10
-            src_ip = data[off : off + ip_len]
-            off += ip_len
-            dst_ip = data[off : off + ip_len]
-            off += ip_len
-            sport, dport, proto, flags, total_len, payload_len = struct.unpack_from(
-                "<HHBBII", data, off
-            )
-            off += 14
-            payload = data[off : off + payload_len]
-            off += payload_len
-            packets.append(
-                (
-                    PacketRecord(
-                        timestamp=ts,
-                        src_ip=src_ip,
-                        dst_ip=dst_ip,
-                        src_port=sport,
-                        dst_port=dport,
-                        ip_proto=proto,
-                        tcp_flags=flags,
-                        total_length=total_len,
-                        payload=payload,
-                    ),
-                    direction,
+    try:
+        version, n_flows = struct.unpack_from("<II", data, off)
+        if version != _SIDECAR_VERSION:
+            raise ValueError(f"unsupported sidecar version {version}")
+        off = 12
+        for _ in range(n_flows):
+            n_pkts, label = struct.unpack_from("<Ii", data, off)
+            if n_pkts == 0:
+                raise ValueError("flow record has no packets")
+            off += 8
+            packets = []
+            for _ in range(n_pkts):
+                ts, direction, ip_len = struct.unpack_from("<dBB", data, off)
+                ips = off + 10
+                sport, dport, proto, flags, total_len, payload_len = struct.unpack_from(
+                    "<HHBBII", data, ips + 2 * ip_len
                 )
-            )
-        key = FiveTuple.from_packet(packets[0][0])
-        flows.append(SessionFlow(key=key, packets=packets, label=None if label < 0 else label))
+                payload_at = ips + 2 * ip_len + 14
+                if payload_at + payload_len > len(data):
+                    raise ValueError(f"payload of {payload_len} bytes runs past the end")
+                packets.append(
+                    (
+                        PacketRecord(
+                            timestamp=ts,
+                            src_ip=data[ips : ips + ip_len],
+                            dst_ip=data[ips + ip_len : ips + 2 * ip_len],
+                            src_port=sport,
+                            dst_port=dport,
+                            ip_proto=proto,
+                            tcp_flags=flags,
+                            total_length=total_len,
+                            payload=data[payload_at : payload_at + payload_len],
+                        ),
+                        direction,
+                    )
+                )
+                off = payload_at + payload_len
+            key = FiveTuple.from_packet(packets[0][0])
+            flows.append(SessionFlow(key=key, packets=packets, label=None if label < 0 else label))
+    except (struct.error, ValueError) as exc:
+        raise CaptureError(f"{path}: malformed sidecar at offset {off}: {exc}") from None
+    if off != len(data):
+        raise CaptureError(f"{path}: {len(data) - off} trailing bytes after the last flow at offset {off}")
     return flows
 
 

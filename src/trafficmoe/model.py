@@ -9,7 +9,9 @@ comparisons.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -30,7 +32,6 @@ class ModelConfig:
     ffn_hidden: int = 1024
     vocab_size: int = 65541
     max_tokens: int = 512
-    aux_loss_weight: float = 0.02
     num_classes: Optional[int] = None
     ffn_kind: str = "moe"  # "moe" or "dense"
     dense_hidden: Optional[int] = None
@@ -65,20 +66,36 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
+        """Parse ``to_text`` output; unknown keys are an error."""
+        types = field_types(cls)
         kwargs = {}
         for line in text.splitlines():
             if not line.strip():
                 continue
-            key, value = line.split("=", 1)
-            if value == "None":
-                kwargs[key] = None
-            elif key in ("aux_loss_weight",):
-                kwargs[key] = float(value)
-            elif key in ("ffn_kind",):
-                kwargs[key] = value
-            else:
-                kwargs[key] = int(value)
+            key, _, value = line.partition("=")
+            if key in RETIRED_CONFIG_KEYS:
+                continue
+            if key not in types:
+                raise ValueError(f"unknown model config key {key!r}")
+            try:
+                kwargs[key] = None if value == "None" else types[key](value)
+            except ValueError:
+                raise ValueError(f"{key}={value!r} is not {types[key].__name__}") from None
         return cls(**kwargs)
+
+
+# Keys older sidecars carry that no longer configure anything; skipped on load.
+RETIRED_CONFIG_KEYS = ("aux_loss_weight",)
+
+
+def field_types(cls) -> dict[str, type]:
+    """Dataclass field name -> its value type, with ``Optional[X]`` read as X."""
+    hints = typing.get_type_hints(cls)
+    types = {}
+    for f in dataclasses.fields(cls):
+        args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+        types[f.name] = args[0] if args else hints[f.name]
+    return types
 
 
 @dataclass
@@ -259,7 +276,11 @@ class TrafficModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrafficModel":
-        config = ModelConfig.from_text(Path(str(path) + ".config").read_text())
+        sidecar = Path(str(path) + ".config")
+        try:
+            config = ModelConfig.from_text(sidecar.read_text())
+        except ValueError as exc:
+            raise ValueError(f"{sidecar}: {exc}") from None
         model = cls(config, seed=0)
         arrays = T.load_checkpoint(path)
         if set(arrays) != set(model.params):
@@ -345,15 +366,9 @@ class TrafficModel:
         trace = RoutingTrace(n_experts=cfg.n_experts, top_k=cfg.top_k)
         row_range = np.arange(n_seqs * seq_len).reshape(n_seqs, seq_len)
         for layer in range(cfg.n_layers):
-            if n_seqs == 1:
-                h = self._attention_block(h, layer, causal)
-            else:
-                h = T.concat_rows(
-                    [
-                        self._attention_block(T.gather_rows(h, row_range[b]), layer, causal)
-                        for b in range(n_seqs)
-                    ]
-                )
+            h = T.concat_rows(
+                [self._attention_block(T.gather_rows(h, row_range[b]), layer, causal) for b in range(n_seqs)]
+            )
             if cfg.ffn_kind == "moe":
                 h = self._moe_block(h, layer, trace)
             else:
@@ -448,7 +463,3 @@ def moe_layer(h_seq: Tensor, model: TrafficModel, layer: int = 0) -> tuple[Tenso
     out = model._moe_block(h_seq, layer, trace)
     return out, trace
 
-
-def expert_forward(z: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
-    """Alias for the gated feed-forward an individual expert computes."""
-    return swiglu(z, w_gate, w_up, w_down)

@@ -34,8 +34,8 @@ def synth_flow(
     server_ip = bytes([192, 168, label % 250, 1])
     client_port = int(rng.integers(32768, 60000))
     server_port = 4000 + 7 * label
-    # class-specific payload alphabet and burst scale
-    alphabet = np.arange(16, dtype=np.uint8) * 13 + 37 * label
+    # class-specific payload alphabet (wide ints, wrapped to bytes) and burst scale
+    alphabet = ((np.arange(16) * 13 + 37 * label) % 256).astype(np.uint8)
     iat_scale = 0.001 * (1 + label)
 
     packets = []

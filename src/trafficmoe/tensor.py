@@ -120,9 +120,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -260,9 +257,15 @@ def mul(a, b) -> Tensor:
     return _build(data, (a, b), backward)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    # exp(-x) overflows to inf for very negative x, and 1/(1+inf) = 0 is the exact limit
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def silu(x) -> Tensor:
     x = as_tensor(x)
-    sig = 1.0 / (1.0 + np.exp(-x.data))
+    sig = _logistic(x.data)
     data = x.data * sig
 
     def backward(g):
@@ -274,7 +277,7 @@ def silu(x) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    sig = 1.0 / (1.0 + np.exp(-x.data))
+    sig = _logistic(x.data)
 
     def backward(g):
         if x.requires_grad:
@@ -291,14 +294,10 @@ def softmax_lastdim(x, allowed: Optional[np.ndarray] = None) -> Tensor:
     """
     x = as_tensor(x)
     logits = x.data
-    if allowed is not None:
-        mask = np.broadcast_to(allowed, logits.shape)
-        safe = np.where(mask, logits, -np.inf)
-        row_max = np.max(np.where(mask, logits, -np.inf), axis=-1, keepdims=True)
-        exps = np.where(mask, np.exp(safe - row_max), 0.0)
-    else:
-        row_max = np.max(logits, axis=-1, keepdims=True)
-        exps = np.exp(logits - row_max)
+    if allowed is not None:  # exp(-inf) is exactly 0, so masked slots get no probability
+        logits = np.where(np.broadcast_to(allowed, logits.shape), logits, -np.inf)
+    row_max = np.max(logits, axis=-1, keepdims=True)
+    exps = np.exp(logits - row_max)
     probs = exps / np.sum(exps, axis=-1, keepdims=True)
     probs = probs.astype(logits.dtype, copy=False)
 
@@ -616,25 +615,31 @@ def save_checkpoint(named_tensors: dict[str, "Tensor | np.ndarray"], path: str |
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; a malformed or truncated file raises ValueError naming the offset."""
     data = Path(path).read_bytes()
     if data[:4] != _CKPT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {data[:4]!r}")
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != _CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    off = 12
+        raise ValueError(f"{path}: bad checkpoint magic {data[:4]!r}")
+    off = 4
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<B", data, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", data, off)
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(dims).copy()
-        off += 4 * n
-        out[name] = arr
+    try:
+        version, count = struct.unpack_from("<II", data, off)
+        if version != _CKPT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        off = 12
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", data, off)
+            name_end = off + 2 + name_len
+            name = data[off + 2 : name_end].decode("utf-8")
+            (rank,) = struct.unpack_from("<B", data, name_end)
+            dims = struct.unpack_from(f"<{rank}I", data, name_end + 1)
+            off = name_end + 1 + 4 * rank
+            n = int(np.prod(dims)) if rank else 1
+            if off + 4 * n > len(data):
+                raise ValueError(f"tensor {name!r} needs {4 * n} bytes, {len(data) - off} remain")
+            out[name] = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(dims).copy()
+            off += 4 * n
+    except (struct.error, ValueError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint at offset {off}: {exc}") from None
+    if off != len(data):
+        raise ValueError(f"{path}: {len(data) - off} trailing bytes after the last tensor at offset {off}")
     return out

@@ -45,7 +45,6 @@ class SerializerConfig:
     payload_bytes: int = 40
     max_tokens: int = 512
     bigram_stride: int = 2
-    header_bytes: int = META_BYTES
 
     def __post_init__(self):
         if self.packets_per_flow < 1:
@@ -54,8 +53,6 @@ class SerializerConfig:
             raise ValueError("payload_bytes must be >= 0")
         if self.bigram_stride not in (1, 2):
             raise ValueError("bigram_stride must be 1 or 2")
-        if self.header_bytes != META_BYTES:
-            raise ValueError(f"header_bytes is fixed at {META_BYTES}")
         if self.max_tokens < self.tokens_per_packet + 1:
             raise ValueError(
                 f"max_tokens={self.max_tokens} cannot hold one packet "
@@ -170,10 +167,6 @@ class Vocabulary:
 
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
-
-    @property
-    def id_to_token(self) -> dict[int, str]:
-        return {i: t for t, i in self.token_to_id.items()}
 
     def save(self, path: str | Path) -> None:
         """Write `token<TAB>id` lines, sorted by id (markers first)."""
@@ -318,21 +311,11 @@ def write_corpus(sequences: Iterable[TokenSequence], path: str | Path) -> None:
 
 
 def read_corpus(path: str | Path) -> list[TokenSequence]:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if not line:
-            continue
-        label: Optional[int] = None
-        if line.startswith("label:"):
-            head, line = line.split("\t", 1)
-            label = int(head[len("label:") :])
-        ids = np.array([int(tok) for tok in line.split()], dtype=np.int32)
-        out.append(TokenSequence(ids=ids, valid_mask=ids != PAD_ID, label=label))
-    return out
+    return list(iter_corpus(path))
 
 
 def iter_corpus(path: str | Path) -> Iterator[TokenSequence]:
-    """Streaming variant of :func:`read_corpus`."""
+    """Stream the sequences of a corpus file, one per non-empty line."""
     with open(path) as fh:
         for line in fh:
             line = line.rstrip("\n")

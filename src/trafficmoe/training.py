@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .model import ModelConfig, TrafficModel, load_balance_loss
+from .model import TrafficModel, load_balance_loss
 from .tensor import AdamW, Tensor
 from .tokenization import TokenSequence
 
@@ -300,7 +300,7 @@ def train(
     history = History()
     best_metric = -np.inf
     best_epoch = 0
-    best_state = model.state_copy()
+    best_state = None  # copied only when validation finds a new best epoch
     step = 0
 
     for epoch in range(1, config.epochs + 1):
@@ -330,6 +330,7 @@ def train(
             aux_sum += aux.item() if isinstance(aux, Tensor) else float(aux)
             n_batches += 1
             routing.add(trace)
+            del loss, logits, task, aux, trace  # free this step's graph before the next forward
 
         task_name = "ntp_loss" if config.mode == "pretrain" else "cls_loss"
         history.add(epoch, "train", task_name, task_sum / n_batches)
@@ -347,17 +348,14 @@ def train(
                 best_state = model.state_copy()
             elif epoch - best_epoch >= config.patience:
                 break
-        else:
-            best_state = model.state_copy()
-            best_epoch = epoch
 
     if out is not None:
-        T.save_checkpoint(model.params, out / "last.ckpt")
-        Path(str(out / "last.ckpt") + ".config").write_text(model.config.to_text())
-    if config.mode == "finetune" and val_seqs:
+        model.save(out / "last.ckpt")
+    if best_state is None:  # no validation: the last epoch is the best
+        best_state = model.state_copy()
+    else:
         model.load_state(best_state)
     if out is not None:
-        T.save_checkpoint(best_state, out / "best.ckpt")
-        Path(str(out / "best.ckpt") + ".config").write_text(model.config.to_text())
+        model.save(out / "best.ckpt")
         history.to_tsv(out / "history.tsv")
     return history, best_state

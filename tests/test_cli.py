@@ -1,11 +1,18 @@
-import os
+import importlib
+import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pcap_craft as craft
+from conftest import tiny_config
 from trafficmoe.cli import main
+from trafficmoe.flows import FiveTuple, SessionFlow, write_flows
+from trafficmoe.model import ModelConfig, TrafficModel
+from trafficmoe.tokenization import TokenSequence, build_vocabulary, write_corpus
+from trafficmoe.training import TrainConfig
 
 
 def fixture_pcap(path: Path, n_flows: int = 6, packets_per_flow: int = 4, seed: int = 0) -> None:
@@ -230,3 +237,120 @@ def test_seed_env_override(tmp_path, monkeypatch, capsys):
 
 def test_selftest_command():
     assert run("selftest") == 0
+
+
+# -- malformed artifacts fail closed with exit 2 ------------------------------------------
+
+
+def test_truncated_flow_sidecar_is_data_error(tmp_path, capsys):
+    pcap = tmp_path / "f.pcap"
+    fixture_pcap(pcap, n_flows=3, packets_per_flow=4)
+    assert run("ingest", "--pcap", str(pcap), "--out", str(tmp_path / "flows")) == 0
+    sidecar = tmp_path / "flows" / "packets.bin"
+    sidecar.write_bytes(sidecar.read_bytes()[:-30])
+    build_vocabulary().save(tmp_path / "vocab.tsv")
+    assert run("tokenize", "--flows", str(tmp_path / "flows"), "--vocab", str(tmp_path / "vocab.tsv"),
+               "--out", str(tmp_path / "c.txt")) == 2
+    err = capsys.readouterr().err
+    assert "packets.bin" in err and "offset" in err
+
+
+def test_zero_packet_flow_record_is_data_error(tmp_path, capsys):
+    key = FiveTuple(bytes(4), 1, bytes(4), 2, 6)
+    write_flows([SessionFlow(key=key, packets=[], label=0)], tmp_path / "flows")
+    build_vocabulary().save(tmp_path / "vocab.tsv")
+    assert run("tokenize", "--flows", str(tmp_path / "flows"), "--vocab", str(tmp_path / "vocab.tsv"),
+               "--out", str(tmp_path / "c.txt")) == 2
+    err = capsys.readouterr().err
+    assert "offset 12" in err and "no packets" in err
+
+
+@pytest.fixture
+def tiny_eval(tmp_path):
+    """A saved tiny 2-class checkpoint plus a labeled corpus it can score."""
+    ckpt = tmp_path / "m.ckpt"
+    TrafficModel(tiny_config(), seed=0).save(ckpt)
+    ids = np.arange(1, 13) % 64
+    corpus = tmp_path / "c.txt"
+    write_corpus([TokenSequence(ids, ids != 2, label=i % 2) for i in range(4)], corpus)
+    return ckpt, corpus
+
+
+def run_eval(ckpt, corpus) -> int:
+    return run("eval", "--ckpt", str(ckpt), "--data", str(corpus),
+               "--metrics-out", str(Path(corpus).parent / "metrics.tsv"))
+
+
+@pytest.mark.parametrize("keep", [10, 200])  # cut inside a header, inside a tensor
+def test_truncated_checkpoint_is_data_error(tiny_eval, capsys, keep):
+    ckpt, corpus = tiny_eval
+    assert run_eval(ckpt, corpus) == 0
+    ckpt.write_bytes(ckpt.read_bytes()[:keep])
+    assert run_eval(ckpt, corpus) == 2
+    err = capsys.readouterr().err
+    assert "m.ckpt" in err and "offset" in err
+
+
+def test_unknown_sidecar_key_is_data_error(tiny_eval, capsys):
+    ckpt, corpus = tiny_eval
+    sidecar = Path(str(ckpt) + ".config")
+    sidecar.write_text(sidecar.read_text() + "bogus=1\n")
+    assert run_eval(ckpt, corpus) == 2
+    assert "'bogus'" in capsys.readouterr().err
+
+
+def test_eval_label_beyond_num_classes_is_data_error(tiny_eval, capsys):
+    ckpt, corpus = tiny_eval
+    ids = np.arange(1, 13)
+    write_corpus([TokenSequence(ids, ids > 0, label=5)], corpus)
+    assert run_eval(ckpt, corpus) == 2
+    err = capsys.readouterr().err
+    assert "c.txt" in err and "label 5" in err
+
+
+# -- training flags come from the config dataclasses --------------------------------------
+
+PARENT_TRAINING_FLAGS = [
+    "n-layers", "d-model", "n-heads", "n-experts", "top-k", "ffn-hidden", "num-classes",
+    "batch-size", "epochs", "base-lr", "aux-weight", "llrd-decay", "patience", "weight-decay",
+]
+
+
+@pytest.mark.parametrize("mode", ["pretrain", "finetune"])
+def test_training_help_offers_flags_with_dataclass_defaults(mode, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")
+    assert run(mode, "--help") == 0
+    text = capsys.readouterr().out
+    model, train = ModelConfig(), TrainConfig(mode=mode)
+    for flag in PARENT_TRAINING_FLAGS:
+        field = flag.replace("-", "_")
+        found = re.search(rf"--{flag} [A-Z_]+\s+{field} \(default (\S+)\)", text)
+        assert found, flag
+        expected = getattr(model, field) if hasattr(model, field) else getattr(train, field)
+        assert found.group(1) == str(expected), flag
+
+
+# -- the benchmark tracer's wrapped boundaries still exist ------------------------------------
+
+
+def test_tracer_boundaries_resolve_and_restore():
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def lookup(owner, attr):
+        mod_name, _, cls_name = owner.partition(":")
+        module = importlib.import_module(f"trafficmoe.{mod_name}")
+        return (vars(getattr(module, cls_name)) if cls_name else vars(module))[attr]
+
+    originals = {name: lookup(owner, attr) for name, owner, attr in tracer.BOUNDARIES}
+    t = tracer.Tracer()
+    try:
+        t.install()
+        for name, owner, attr in tracer.BOUNDARIES:
+            assert lookup(owner, attr) is not originals[name], name
+    finally:
+        t.uninstall()
+    for name, owner, attr in tracer.BOUNDARIES:
+        assert lookup(owner, attr) is originals[name], name

@@ -9,12 +9,12 @@ from trafficmoe.model import (
     ModelConfig,
     TrafficModel,
     causal_attention,
-    expert_forward,
     load_balance_loss,
     moe_layer,
     rmsnorm,
     rope,
     route_tokens,
+    swiglu,
 )
 from trafficmoe.tensor import Tensor
 
@@ -239,7 +239,7 @@ def test_route_rows_sum_to_one_and_k_nonzeros(rng):
 
 
 def test_expert_zero_input():
-    out = expert_forward(
+    out = swiglu(
         Tensor(np.zeros((3, 4))), Tensor(np.ones((4, 6))), Tensor(np.ones((4, 6))), Tensor(np.ones((6, 4)))
     )
     assert np.all(out.data == 0.0)
@@ -251,7 +251,7 @@ def test_expert_hand_computed_scalar_case():
     w_gate = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     w_up = Tensor(np.array([[2.0, 0.0], [0.0, 0.5]]))
     w_down = Tensor(np.array([[1.0, 1.0], [1.0, -1.0]]))
-    out = expert_forward(z, w_gate, w_up, w_down).data[0]
+    out = swiglu(z, w_gate, w_up, w_down).data[0]
     silu1 = 1.0 / (1.0 + math.exp(-1.0))          # SiLU(1)
     silu2 = 2.0 * (1.0 / (1.0 + math.exp(-2.0)))  # SiLU(2)
     h1, h2 = silu1 * 2.0, silu2 * 1.0
@@ -269,7 +269,7 @@ def test_expert_gradient_finite_difference(rng):
 
         def loss_of(arrs):
             tz, tg, tu, td = (Tensor(a, requires_grad=True) for a in arrs)
-            loss = T.tsum(T.mul(expert_forward(tz, tg, tu, td), weight))
+            loss = T.tsum(T.mul(swiglu(tz, tg, tu, td), weight))
             return loss, (tz, tg, tu, td)
 
         loss, tensors = loss_of((z, w_gate, w_up, w_down))
@@ -544,3 +544,21 @@ def test_init_is_seed_deterministic():
     b = TrafficModel(tiny_config(), seed=11)
     for name in a.params:
         assert np.array_equal(a.params[name].data, b.params[name].data)
+
+
+def test_sidecar_with_retired_aux_loss_weight_loads_bit_identical(tmp_path):
+    model = TrafficModel(tiny_config(), seed=4)
+    path = tmp_path / "m.ckpt"
+    model.save(path)
+    # the sidecar as older releases wrote it, with the since-removed aux_loss_weight key
+    (tmp_path / "m.ckpt.config").write_text(
+        "aux_loss_weight=0.02\nd_model=16\ndense_hidden=None\nffn_hidden=32\nffn_kind=moe\n"
+        "max_tokens=12\nn_experts=4\nn_heads=2\nn_layers=2\nnum_classes=2\ntop_k=2\nvocab_size=64\n"
+    )
+    loaded = TrafficModel.load(path)
+    assert loaded.config == model.config
+    ids = np.random.default_rng(1).integers(0, 64, size=(2, 12))
+    with T.no_grad():
+        want, _ = model.forward(ids, mode="lm")
+        got, _ = loaded.forward(ids, mode="lm")
+    assert np.array_equal(want.data, got.data)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,16 @@ def test_use_dtype_scopes_storage():
     with T.use_dtype(np.float64):
         assert Tensor(np.zeros(2)).data.dtype == np.float64
     assert Tensor(np.zeros(2)).data.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_and_silu_saturate_without_overflow_warning(dtype):
+    with T.use_dtype(dtype), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = Tensor(np.array([-1000.0, 0.0, 1000.0]), requires_grad=True)
+        sig = T.sigmoid(x)
+        act = T.silu(x)
+        T.tsum(T.add(sig, act)).backward()
+    assert sig.data.tolist() == [0.0, 0.5, 1.0]
+    assert act.data.tolist() == [0.0, 0.0, 1000.0]
+    assert x.grad.tolist() == [0.0, 0.75, 1.0]

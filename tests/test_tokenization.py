@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficmoe.flows import BACKWARD, FORWARD, FiveTuple, PacketRecord, SessionFlow
-from trafficmoe.synth import synth_flow, synth_flows
+from trafficmoe.synth import synth_flow, synth_flows, write_pcap
 from trafficmoe.tokenization import (
     END_ID,
     FULL_BIGRAM_VOCAB_SIZE,
@@ -359,3 +360,15 @@ def test_corpus_round_trip(tmp_path):
         assert np.array_equal(original.ids, restored.ids)
         assert np.array_equal(original.valid_mask, restored.valid_mask)
         assert original.label == restored.label
+
+
+def test_synth_labels_0_to_6_are_byte_identical_and_7_up_work():
+    flows = synth_flows(21, n_classes=7, seed=11)
+    packets = sorted((p for f in flows for p, _ in f.packets), key=lambda p: p.timestamp)
+    digest = hashlib.sha256(write_pcap(packets)).hexdigest()
+    assert digest == "90a2b968c4ccb5b966fd9a17c8293b150157366b0fc874ba068c49a7c542e574"
+    rng = np.random.default_rng(0)
+    for label in (7, 12, 40):
+        flow = synth_flow(rng, label=label, n_packets=5)
+        alphabet = {(i * 13 + 37 * label) % 256 for i in range(16)}
+        assert set(b"".join(p.payload for p, _ in flow.packets)) <= alphabet
