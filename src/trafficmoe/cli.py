@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
+from .artifacts import format_kv, parse_kv
 from .evaluation import (
     RoutingAccumulator,
     build_dense_variant,
@@ -83,21 +84,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, inputs
 
 
 def _echo_config(config: dict) -> None:
-    for key in sorted(config):
-        print(f"{key}={config[key]}")
-
-
-def _read_kv_config(path: Optional[str]) -> dict:
-    if not path:
-        return {}
-    values = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
+    print(format_kv(config), end="")
 
 
 # Config-dataclass fields the CLI exposes: flag and config-file key -> field name.
@@ -127,7 +114,7 @@ def _add_option_flags(p, options: dict) -> None:
 
 def _resolve(options: dict, args) -> dict:
     """flags > config file > dataclass defaults; file values take the field's type."""
-    file_values = _read_kv_config(args.config)
+    file_values = parse_kv(Path(args.config).read_text(), args.config) if args.config else {}
     merged = {}
     for key, (_, kind, default) in options.items():
         if getattr(args, key) is not None:

@@ -36,6 +36,8 @@ class ConfusionMatrix:
     def from_labels(cls, y_true, y_pred, n_classes: int) -> "ConfusionMatrix":
         y_true = np.asarray(y_true, dtype=np.int64)
         y_pred = np.asarray(y_pred, dtype=np.int64)
+        if np.any((y_true < 0) | (y_true >= n_classes) | (y_pred < 0) | (y_pred >= n_classes)):
+            raise ValueError(f"y_true and y_pred must lie in [0, {n_classes})")
         counts = np.zeros((n_classes, n_classes), dtype=np.int64)
         np.add.at(counts, (y_true, y_pred), 1)
         return cls(counts)
@@ -136,6 +138,8 @@ def time_shift_split(
     them is discarded. A class whose samples share one timestamp goes
     entirely to train, with a warning.
     """
+    if not (0.0 <= train_span <= 1.0 and 0.0 <= test_span <= 1.0 and train_span + test_span <= 1.0):
+        raise ValueError(f"spans must lie in [0, 1] and sum to at most 1, got {train_span} and {test_span}")
     times = np.asarray(times, dtype=float)
     labels = np.asarray(labels)
     train_items: list = []

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .artifacts import HEADER, BinaryReader, write_atomic
+
 PROTO_TCP = 6
 PROTO_UDP = 17
 
@@ -291,6 +293,9 @@ _SIDECAR_VERSION = 1
 
 MANIFEST_NAME = "flows.tsv"
 SIDECAR_NAME = "packets.bin"
+_FLOW = struct.Struct("<Ii")
+_PACKET_HEAD = struct.Struct("<dBB")
+_PACKET_TAIL = struct.Struct("<HHBBII")
 
 
 def write_flows(flows: list[SessionFlow], out_dir: str | Path) -> None:
@@ -298,90 +303,44 @@ def write_flows(flows: list[SessionFlow], out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = []
-    blob = bytearray()
-    blob += _SIDECAR_MAGIC
-    blob += struct.pack("<II", _SIDECAR_VERSION, len(flows))
+    blob = bytearray(_SIDECAR_MAGIC + HEADER.pack(_SIDECAR_VERSION, len(flows)))
     for flow in flows:
         k = flow.key
         label_txt = "-" if flow.label is None else str(flow.label)
-        lines.append(
-            f"{k.ip_a.hex()}\t{k.port_a}\t{k.ip_b.hex()}\t{k.port_b}\t{k.proto}"
-            f"\t{len(flow)}\t{label_txt}"
-        )
-        blob += struct.pack("<Ii", len(flow), -1 if flow.label is None else flow.label)
+        lines.append(f"{k.ip_a.hex()}\t{k.port_a}\t{k.ip_b.hex()}\t{k.port_b}\t{k.proto}\t{len(flow)}\t{label_txt}\n")
+        blob += _FLOW.pack(len(flow), -1 if flow.label is None else flow.label)
         for pkt, direction in flow.packets:
-            blob += struct.pack("<dBB", pkt.timestamp, direction, len(pkt.src_ip))
-            blob += pkt.src_ip
-            blob += pkt.dst_ip
-            blob += struct.pack(
-                "<HHBBII",
-                pkt.src_port,
-                pkt.dst_port,
-                pkt.ip_proto,
-                pkt.tcp_flags,
-                pkt.total_length,
-                len(pkt.payload),
-            )
+            blob += _PACKET_HEAD.pack(pkt.timestamp, direction, len(pkt.src_ip))
+            blob += pkt.src_ip + pkt.dst_ip
+            blob += _PACKET_TAIL.pack(pkt.src_port, pkt.dst_port, pkt.ip_proto, pkt.tcp_flags,
+                                      pkt.total_length, len(pkt.payload))
             blob += pkt.payload
-    (out / MANIFEST_NAME).write_text("\n".join(lines) + ("\n" if lines else ""))
-    (out / SIDECAR_NAME).write_bytes(bytes(blob))
+    write_atomic(out / MANIFEST_NAME, lines)
+    write_atomic(out / SIDECAR_NAME, blob)
 
 
 def read_flows(in_dir: str | Path) -> list[SessionFlow]:
     """Read back a flow list written by :func:`write_flows`.
 
     A malformed or truncated sidecar raises :class:`CaptureError` naming
-    the file and the byte offset where reading failed.
+    the file and the byte offset where the failing record starts.
     """
-    path = Path(in_dir) / SIDECAR_NAME
-    data = path.read_bytes()
-    if data[:4] != _SIDECAR_MAGIC:
-        raise CaptureError(f"{path}: bad sidecar magic {data[:4]!r}")
-    off = 4
     flows = []
-    try:
-        version, n_flows = struct.unpack_from("<II", data, off)
-        if version != _SIDECAR_VERSION:
-            raise ValueError(f"unsupported sidecar version {version}")
-        off = 12
-        for _ in range(n_flows):
-            n_pkts, label = struct.unpack_from("<Ii", data, off)
+    with BinaryReader.open(Path(in_dir) / SIDECAR_NAME, _SIDECAR_MAGIC, _SIDECAR_VERSION, CaptureError) as r:
+        for _ in r.records(r.count):
+            n_pkts, label = r.unpack(_FLOW)
             if n_pkts == 0:
                 raise ValueError("flow record has no packets")
-            off += 8
             packets = []
-            for _ in range(n_pkts):
-                ts, direction, ip_len = struct.unpack_from("<dBB", data, off)
-                ips = off + 10
-                sport, dport, proto, flags, total_len, payload_len = struct.unpack_from(
-                    "<HHBBII", data, ips + 2 * ip_len
-                )
-                payload_at = ips + 2 * ip_len + 14
-                if payload_at + payload_len > len(data):
-                    raise ValueError(f"payload of {payload_len} bytes runs past the end")
-                packets.append(
-                    (
-                        PacketRecord(
-                            timestamp=ts,
-                            src_ip=data[ips : ips + ip_len],
-                            dst_ip=data[ips + ip_len : ips + 2 * ip_len],
-                            src_port=sport,
-                            dst_port=dport,
-                            ip_proto=proto,
-                            tcp_flags=flags,
-                            total_length=total_len,
-                            payload=data[payload_at : payload_at + payload_len],
-                        ),
-                        direction,
-                    )
-                )
-                off = payload_at + payload_len
+            for _ in r.records(n_pkts):
+                ts, direction, ip_len = r.unpack(_PACKET_HEAD)
+                src_ip, dst_ip = r.take(ip_len), r.take(ip_len)
+                sport, dport, proto, flags, total_len, payload_len = r.unpack(_PACKET_TAIL)
+                pkt = PacketRecord(ts, src_ip, dst_ip, sport, dport, proto, flags, total_len, r.take(payload_len))
+                packets.append((pkt, direction))
             key = FiveTuple.from_packet(packets[0][0])
             flows.append(SessionFlow(key=key, packets=packets, label=None if label < 0 else label))
-    except (struct.error, ValueError) as exc:
-        raise CaptureError(f"{path}: malformed sidecar at offset {off}: {exc}") from None
-    if off != len(data):
-        raise CaptureError(f"{path}: {len(data) - off} trailing bytes after the last flow at offset {off}")
+        r.end()
     return flows
 
 

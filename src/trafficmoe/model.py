@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .artifacts import format_kv, parse_kv, write_atomic
 from .tensor import Tensor
 
 
@@ -37,6 +38,9 @@ class ModelConfig:
     dense_hidden: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("n_layers", "d_model", "n_heads", "n_experts", "ffn_hidden", "vocab_size", "max_tokens"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if self.ffn_kind == "moe":
@@ -47,8 +51,8 @@ class ModelConfig:
                     f"ffn_hidden={self.ffn_hidden} not divisible by top_k={self.top_k}"
                 )
         elif self.ffn_kind == "dense":
-            if not self.dense_hidden:
-                raise ValueError("dense variant needs dense_hidden")
+            if (self.dense_hidden or 0) < 1:
+                raise ValueError("dense variant needs dense_hidden >= 1")
         else:
             raise ValueError(f"unknown ffn_kind {self.ffn_kind!r}")
 
@@ -61,27 +65,26 @@ class ModelConfig:
         return self.ffn_hidden // self.top_k
 
     def to_text(self) -> str:
-        fields = vars(self)
-        return "".join(f"{k}={fields[k]}\n" for k in sorted(fields))
+        return format_kv(vars(self))
 
     @classmethod
-    def from_text(cls, text: str) -> "ModelConfig":
-        """Parse ``to_text`` output; unknown keys are an error."""
+    def from_text(cls, text: str, source: str | Path = "<model config>") -> "ModelConfig":
+        """Parse ``to_text`` output; unknown keys are an error, and every error names ``source``."""
         types = field_types(cls)
         kwargs = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            key, _, value = line.partition("=")
+        for key, value in parse_kv(text, source).items():
             if key in RETIRED_CONFIG_KEYS:
                 continue
             if key not in types:
-                raise ValueError(f"unknown model config key {key!r}")
+                raise ValueError(f"{source}: unknown model config key {key!r}")
             try:
                 kwargs[key] = None if value == "None" else types[key](value)
             except ValueError:
-                raise ValueError(f"{key}={value!r} is not {types[key].__name__}") from None
-        return cls(**kwargs)
+                raise ValueError(f"{source}: {key}={value!r} is not {types[key].__name__}") from None
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
 
 # Keys older sidecars carry that no longer configure anything; skipped on load.
@@ -272,21 +275,19 @@ class TrafficModel:
     def save(self, path: str | Path) -> None:
         """Write weights (binary checkpoint) plus a `.config` text sidecar."""
         T.save_checkpoint(self.params, path)
-        Path(str(path) + ".config").write_text(self.config.to_text())
+        write_atomic(str(path) + ".config", self.config.to_text())
 
     @classmethod
     def load(cls, path: str | Path) -> "TrafficModel":
+        """Rebuild a saved model; names and shapes must match what its config builds."""
         sidecar = Path(str(path) + ".config")
-        try:
-            config = ModelConfig.from_text(sidecar.read_text())
-        except ValueError as exc:
-            raise ValueError(f"{sidecar}: {exc}") from None
-        model = cls(config, seed=0)
+        model = cls(ModelConfig.from_text(sidecar.read_text(), sidecar), seed=0)
         arrays = T.load_checkpoint(path)
-        if set(arrays) != set(model.params):
-            missing = set(model.params) - set(arrays)
-            extra = set(arrays) - set(model.params)
-            raise ValueError(f"checkpoint mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        found, expected = ({name: v.shape for name, v in d.items()} for d in (arrays, model.params))
+        if found != expected:
+            name = min(set(found.items()) ^ set(expected.items()))[0]
+            raise ValueError(f"{path}: tensor {name!r} is {found.get(name, 'missing')} in the checkpoint "
+                             f"but {expected.get(name, 'absent')} in its config")
         for name, arr in arrays.items():
             model.params[name].data = arr.astype(T.default_dtype())
         return model

@@ -19,7 +19,6 @@ from .synth import synth_flow, synth_flows, write_pcap
 from .tensor import AdamW, Tensor
 from .tokenization import (
     FULL_BIGRAM_VOCAB_SIZE,
-    MARKERS,
     SerializerConfig,
     build_vocabulary,
     serialize_flow,

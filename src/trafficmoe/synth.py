@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .flows import BACKWARD, FORWARD, PROTO_TCP, PROTO_UDP, FiveTuple, PacketRecord, SessionFlow
-from .tokenization import SerializerConfig, TokenSequence, Vocabulary, serialize_flow, tokenize
 
 
 def synth_flow(
@@ -82,23 +81,6 @@ def synth_flows(
     """Balanced list of labeled synthetic flows (round-robin classes)."""
     rng = np.random.default_rng(seed)
     return [synth_flow(rng, label=i % n_classes, n_packets=n_packets) for i in range(n_flows)]
-
-
-def synth_token_dataset(
-    n_flows: int,
-    n_classes: int,
-    vocab: Vocabulary,
-    serializer: Optional[SerializerConfig] = None,
-    seed: int = 0,
-    max_tokens: Optional[int] = None,
-) -> list[TokenSequence]:
-    """Labeled token sequences from synthetic flows, ready for training."""
-    serializer = serializer or SerializerConfig()
-    max_tokens = max_tokens or serializer.max_tokens
-    out = []
-    for flow in synth_flows(n_flows, n_classes, seed):
-        out.append(tokenize(serialize_flow(flow, serializer), vocab, max_tokens, label=flow.label))
-    return out
 
 
 # -- capture writer ------------------------------------------------------------

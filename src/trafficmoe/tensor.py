@@ -8,12 +8,15 @@ are independent.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+from .artifacts import HEADER, BinaryReader, write_atomic
 
 
 class ShapeError(ValueError):
@@ -114,14 +117,8 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         tag = f" name={self.name}" if self.name else ""
@@ -553,13 +550,6 @@ class AdamW:
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
 
-    def parameters(self) -> list[Tensor]:
-        return [p for g in self.groups for p in g["params"]]
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
@@ -596,50 +586,32 @@ class AdamW:
 
 _CKPT_MAGIC = b"TMCK"
 _CKPT_VERSION = 1
+_U16 = struct.Struct("<H")
 
 
 def save_checkpoint(named_tensors: dict[str, "Tensor | np.ndarray"], path: str | Path) -> None:
-    blob = bytearray()
-    blob += _CKPT_MAGIC
-    blob += struct.pack("<II", _CKPT_VERSION, len(named_tensors))
+    blob = bytearray(_CKPT_MAGIC + HEADER.pack(_CKPT_VERSION, len(named_tensors)))
     for name, value in named_tensors.items():
         arr = value.data if isinstance(value, Tensor) else np.asarray(value)
         arr = np.ascontiguousarray(arr, dtype="<f4")
         encoded = name.encode("utf-8")
-        blob += struct.pack("<H", len(encoded))
+        blob += _U16.pack(len(encoded))
         blob += encoded
-        blob += struct.pack("<B", arr.ndim)
+        blob.append(arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint; a malformed or truncated file raises ValueError naming the offset."""
-    data = Path(path).read_bytes()
-    if data[:4] != _CKPT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {data[:4]!r}")
-    off = 4
     out: dict[str, np.ndarray] = {}
-    try:
-        version, count = struct.unpack_from("<II", data, off)
-        if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        off = 12
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", data, off)
-            name_end = off + 2 + name_len
-            name = data[off + 2 : name_end].decode("utf-8")
-            (rank,) = struct.unpack_from("<B", data, name_end)
-            dims = struct.unpack_from(f"<{rank}I", data, name_end + 1)
-            off = name_end + 1 + 4 * rank
-            n = int(np.prod(dims)) if rank else 1
-            if off + 4 * n > len(data):
-                raise ValueError(f"tensor {name!r} needs {4 * n} bytes, {len(data) - off} remain")
-            out[name] = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(dims).copy()
-            off += 4 * n
-    except (struct.error, ValueError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint at offset {off}: {exc}") from None
-    if off != len(data):
-        raise ValueError(f"{path}: {len(data) - off} trailing bytes after the last tensor at offset {off}")
+    with BinaryReader.open(path, _CKPT_MAGIC, _CKPT_VERSION) as r:
+        for _ in r.records(r.count):
+            (name_len,) = r.unpack(_U16)
+            name = r.take(name_len).decode("utf-8")
+            rank = r.take(1)[0]
+            dims = r.unpack(struct.Struct(f"<{rank}I"))
+            out[name] = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims).copy()
+        r.end()
     return out

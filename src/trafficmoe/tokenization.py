@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .flows import BACKWARD, FORWARD, PacketRecord, SessionFlow
 
 MARKERS = ("[PD]", "[PY]", "[PAD]", "[END]", "[UNK]")
@@ -171,17 +172,22 @@ class Vocabulary:
     def save(self, path: str | Path) -> None:
         """Write `token<TAB>id` lines, sorted by id (markers first)."""
         items = sorted(self.token_to_id.items(), key=lambda kv: kv[1])
-        Path(path).write_text("".join(f"{tok}\t{i}\n" for tok, i in items))
+        write_atomic(path, (f"{tok}\t{i}\n" for tok, i in items))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        """Read a saved vocabulary; a malformed line raises ValueError naming the file and line."""
         mapping = {}
-        for line in Path(path).read_text().splitlines():
-            if not line:
-                continue
-            tok, id_txt = line.split("\t")
-            mapping[tok] = int(id_txt)
-        return cls(mapping)
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+            tok, tab, id_txt = line.partition("\t")
+            if tab and id_txt.isdecimal():
+                mapping[tok] = int(id_txt)
+            elif line:
+                raise ValueError(f"{path}:{lineno}: expected token<TAB>id, got {line!r}")
+        try:
+            return cls(mapping)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def build_vocabulary(
@@ -304,10 +310,10 @@ def temporal_slice(
 
 
 def write_corpus(sequences: Iterable[TokenSequence], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for seq in sequences:
-            prefix = f"label:{seq.label}\t" if seq.label is not None else ""
-            fh.write(prefix + " ".join(str(int(i)) for i in seq.ids) + "\n")
+    write_atomic(path, (
+        (f"label:{seq.label}\t" if seq.label is not None else "") + " ".join(str(int(i)) for i in seq.ids) + "\n"
+        for seq in sequences
+    ))
 
 
 def read_corpus(path: str | Path) -> list[TokenSequence]:
@@ -315,15 +321,21 @@ def read_corpus(path: str | Path) -> list[TokenSequence]:
 
 
 def iter_corpus(path: str | Path) -> Iterator[TokenSequence]:
-    """Stream the sequences of a corpus file, one per non-empty line."""
+    """Stream the sequences of a corpus file, one per non-empty line; a label or token
+    ID that is not an integer in [0, 2**31) raises ValueError naming the file and line."""
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             label: Optional[int] = None
-            if line.startswith("label:"):
-                head, line = line.split("\t", 1)
-                label = int(head[len("label:") :])
-            ids = np.array([int(tok) for tok in line.split()], dtype=np.int32)
+            try:
+                if line.startswith("label:"):
+                    head, line = line.split("\t", 1)
+                    label = int(np.int32(head[len("label:") :]))
+                ids = np.array([int(tok) for tok in line.split()], dtype=np.int32)
+                if min(ids.min(initial=0), label or 0) < 0:
+                    raise ValueError("labels and token IDs must be >= 0")
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             yield TokenSequence(ids=ids, valid_mask=ids != PAD_ID, label=label)

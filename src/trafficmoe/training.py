@@ -7,7 +7,6 @@ on validation macro-F1.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -15,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
+from .artifacts import format_kv
 from .model import TrafficModel, load_balance_loss
 from .tensor import AdamW, Tensor
 from .tokenization import TokenSequence
@@ -193,9 +193,6 @@ def split_dataset(
         train_idx, val_idx, test_idx = [], [], []
         for cls in np.unique(labels):
             members = np.nonzero(labels == cls)[0]
-            if members.size == 0:
-                warnings.warn(f"class {cls} has no samples; skipped in stratified split")
-                continue
             tr, va, te = cut(members[rng.permutation(members.size)])
             train_idx += tr
             val_idx += va
@@ -292,10 +289,7 @@ def train(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "routing").mkdir(exist_ok=True)
-        (out / "config.txt").write_text(
-            "".join(f"{k}={v}\n" for k, v in sorted(vars(config).items()))
-            + model.config.to_text()
-        )
+        (out / "config.txt").write_text(format_kv(vars(config)) + model.config.to_text())
 
     history = History()
     best_metric = -np.inf

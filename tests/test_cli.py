@@ -8,6 +8,7 @@ import pytest
 
 import pcap_craft as craft
 from conftest import tiny_config
+from trafficmoe import tensor as T
 from trafficmoe.cli import main
 from trafficmoe.flows import FiveTuple, SessionFlow, write_flows
 from trafficmoe.model import ModelConfig, TrafficModel
@@ -306,6 +307,50 @@ def test_eval_label_beyond_num_classes_is_data_error(tiny_eval, capsys):
     assert run_eval(ckpt, corpus) == 2
     err = capsys.readouterr().err
     assert "c.txt" in err and "label 5" in err
+
+
+def test_checkpoint_shape_mismatch_is_data_error(tiny_eval, capsys):
+    ckpt, corpus = tiny_eval
+    arrays = T.load_checkpoint(ckpt)
+    arrays["head.cls.b2"] = np.zeros(5, dtype=np.float32)  # a 5-class head for a 2-class config
+    T.save_checkpoint(arrays, ckpt)
+    assert run_eval(ckpt, corpus) == 2
+    err = capsys.readouterr().err
+    assert "m.ckpt" in err and "'head.cls.b2'" in err and "(5,)" in err and "(2,)" in err
+
+
+@pytest.mark.parametrize("bad_line", ["label:0\t1 2 3 x", "label:0\t1 99999999999 3", "label:0\t1 -4 3", "label:0 1 2 3"])
+def test_malformed_corpus_line_is_data_error(tiny_eval, capsys, bad_line):
+    ckpt, corpus = tiny_eval
+    corpus.write_text("label:1\t1 2 3\n" + bad_line + "\n")
+    assert run_eval(ckpt, corpus) == 2
+    assert "c.txt:2:" in capsys.readouterr().err
+
+
+def test_vocab_line_without_tab_is_data_error(tmp_path, capsys):
+    write_flows([], tmp_path / "flows")
+    (tmp_path / "vocab.tsv").write_text("[PD]\t0\n[PY] 1\n")
+    assert run("tokenize", "--flows", str(tmp_path / "flows"), "--vocab", str(tmp_path / "vocab.tsv"),
+               "--out", str(tmp_path / "c.txt")) == 2
+    assert "vocab.tsv:2:" in capsys.readouterr().err
+
+
+def test_config_file_line_without_equals_is_data_error(tmp_path, capsys):
+    write_flows([], tmp_path / "flows")
+    build_vocabulary().save(tmp_path / "vocab.tsv")
+    (tmp_path / "s.cfg").write_text("# serializer\nk=3\nmax_tokens 48\n")
+    assert run("tokenize", "--flows", str(tmp_path / "flows"), "--vocab", str(tmp_path / "vocab.tsv"),
+               "--out", str(tmp_path / "c.txt"), "--config", str(tmp_path / "s.cfg")) == 2
+    assert "s.cfg:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--n-heads", "0"), ("--n-heads", "-8"), ("--n-layers", "-2")])
+def test_non_positive_model_size_is_data_error(tiny_eval, tmp_path, capsys, flag, value):
+    _, corpus = tiny_eval
+    build_vocabulary(mode="wordpiece", corpus=["0a0b"]).save(tmp_path / "vocab.tsv")
+    assert run("pretrain", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
+               str(tmp_path / "run"), "--d-model", "16", "--n-layers", "1", flag, value) == 2
+    assert f"{flag[2:].replace('-', '_')}={value} must be >= 1" in capsys.readouterr().err
 
 
 # -- training flags come from the config dataclasses --------------------------------------

@@ -99,6 +99,12 @@ def test_confusion_matrix_validation():
         compute_metrics(ConfusionMatrix(np.zeros((2, 2))))
 
 
+@pytest.mark.parametrize("y_true,y_pred", [([2], [0]), ([0], [2]), ([-1, 0], [0, 0]), ([0, 1], [1, -1])])
+def test_confusion_matrix_rejects_labels_out_of_range(y_true, y_pred):
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        ConfusionMatrix.from_labels(y_true, y_pred, 2)
+
+
 def test_metrics_tsv_deterministic(tmp_path):
     metrics = compute_metrics(ConfusionMatrix(np.array([[8, 2], [1, 9]])))
     metrics_to_tsv(metrics, tmp_path / "a.tsv")
@@ -140,6 +146,13 @@ def test_time_shift_matches_brute_force_oracle(rng):
         in_test = times[i] > cls_times.max() - 0.4 * span
         assert (i in train_set) == in_train
         assert (i in test_set) == in_test
+
+
+@pytest.mark.parametrize("train_span,test_span", [(0.8, 0.8), (-0.1, 0.4), (0.4, 1.5), (0.6, 0.41)])
+def test_time_shift_split_rejects_overlapping_or_out_of_range_spans(train_span, test_span):
+    with pytest.raises(ValueError, match="spans"):
+        time_shift_split(list(range(10)), np.arange(10.0), np.zeros(10, dtype=int), train_span, test_span)
+
 
 
 # -- proportion shift -------------------------------------------------------------

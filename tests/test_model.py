@@ -539,6 +539,13 @@ def test_config_validation():
         ModelConfig(ffn_kind="dense", vocab_size=10, max_tokens=4)  # needs dense_hidden
 
 
+@pytest.mark.parametrize("field,value", [("n_heads", 0), ("n_heads", -8), ("n_layers", -2), ("d_model", 0),
+                                         ("n_experts", 0), ("ffn_hidden", -4), ("vocab_size", 0), ("max_tokens", 0)])
+def test_config_rejects_non_positive_sizes(field, value):
+    with pytest.raises(ValueError, match=f"{field}={value} must be >= 1"):
+        ModelConfig(**{field: value})
+
+
 def test_init_is_seed_deterministic():
     a = TrafficModel(tiny_config(), seed=11)
     b = TrafficModel(tiny_config(), seed=11)
