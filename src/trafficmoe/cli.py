@@ -326,6 +326,9 @@ def _cmd_ood(args) -> int:
             if line.strip():
                 fine_txt, coarse_txt = line.split()
                 coarse_map[int(fine_txt)] = int(coarse_txt)
+        missing = sorted({f.label for f in flows} - coarse_map.keys())
+        if missing:
+            raise ValueError(f"{args.coarse_map}: no coarse class for flow label {missing[0]}")
         coarse = np.array([coarse_map[f.label] for f in flows])
         if args.mode == "proportion":
             train_split, test_split = proportion_shift_split(flows, coarse, labels)

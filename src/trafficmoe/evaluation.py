@@ -297,7 +297,11 @@ def routing_stats(traces: Sequence[RoutingTrace]) -> RoutingAccumulator:
 
 
 def trace_dump_tsv(trace: RoutingTrace, path: str | Path) -> None:
-    """Dump one trace at full resolution: layer, token, expert, probability."""
+    """Dump one trace at full resolution: layer, token, expert, probability.
+
+    ``token`` indexes the forward's packed rows: each sequence's tokens up to
+    its last valid one, back to back in batch order; trailing [PAD] is absent.
+    """
     with open(path, "w") as fh:
         fh.write("layer\ttoken\texpert\tprob\n")
         for layer, rec in enumerate(trace.layers):

@@ -185,6 +185,35 @@ def swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
     return T.matmul(T.mul(T.silu(T.matmul(x, w_gate)), T.matmul(x, w_up)), w_down)
 
 
+def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init) of every parameter in checkpoint order; init is normal, ones or zeros."""
+    d = cfg.d_model
+
+    def swiglu_specs(base: str, hidden: int) -> list:
+        return [(f"{base}.w_gate", (d, hidden), "normal"), (f"{base}.w_up", (d, hidden), "normal"),
+                (f"{base}.w_down", (hidden, d), "normal")]
+
+    specs = [("embed.tok", (cfg.vocab_size, d), "normal")]
+    for i in range(cfg.n_layers):
+        p = f"layers.{i}"
+        specs.append((f"{p}.attn.norm_gain", (d,), "ones"))
+        for j in range(cfg.n_heads):
+            specs += [(f"{p}.attn.head{j}.{w}", (d, cfg.head_dim), "normal") for w in ("wq", "wk", "wv")]
+        specs += [(f"{p}.attn.wo", (d, d), "normal"), (f"{p}.ffn.norm_gain", (d,), "ones")]
+        if cfg.ffn_kind == "moe":
+            specs += [(f"{p}.moe.router", (d, cfg.n_experts), "normal"), (f"{p}.moe.shared_gate", (d,), "normal")]
+            specs += swiglu_specs(f"{p}.moe.shared", cfg.ffn_hidden)
+            for e in range(cfg.n_experts):
+                specs += swiglu_specs(f"{p}.moe.expert{e}", cfg.expert_hidden)
+        else:
+            specs += swiglu_specs(f"{p}.ffn", cfg.dense_hidden)
+    specs += [("final_norm_gain", (d,), "ones"), ("head.vocab", (d, cfg.vocab_size), "normal")]
+    if cfg.num_classes:
+        specs += [("head.cls.w1", (d, d), "normal"), ("head.cls.b1", (d,), "zeros"),
+                  ("head.cls.w2", (d, cfg.num_classes), "normal"), ("head.cls.b2", (cfg.num_classes,), "zeros")]
+    return specs
+
+
 class TrafficModel:
     """Backbone network over token-ID sequences.
 
@@ -192,57 +221,16 @@ class TrafficModel:
     checkpoint contract (see ``named_parameters``).
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, weights: Optional[dict[str, np.ndarray]] = None):
+        """Random init from ``seed``, or ``weights`` named and shaped as ``parameter_specs(config)``."""
         self.config = config
-        self.params: dict[str, Tensor] = {}
-        self._rope_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._rope_cache: dict[type, tuple[np.ndarray, np.ndarray]] = {}
         rng = np.random.default_rng(seed)
-        self._init_params(rng)
-
-    # -- parameters ---------------------------------------------------------
-
-    def _add(self, name: str, array: np.ndarray) -> None:
-        self.params[name] = Tensor(array, requires_grad=True, name=name)
-
-    def _init_params(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        scale = 0.02
-
-        def normal(*shape):
-            return rng.normal(0.0, scale, size=shape)
-
-        self._add("embed.tok", normal(cfg.vocab_size, cfg.d_model))
-        for i in range(cfg.n_layers):
-            p = f"layers.{i}"
-            self._add(f"{p}.attn.norm_gain", np.ones(cfg.d_model))
-            for j in range(cfg.n_heads):
-                self._add(f"{p}.attn.head{j}.wq", normal(cfg.d_model, cfg.head_dim))
-                self._add(f"{p}.attn.head{j}.wk", normal(cfg.d_model, cfg.head_dim))
-                self._add(f"{p}.attn.head{j}.wv", normal(cfg.d_model, cfg.head_dim))
-            self._add(f"{p}.attn.wo", normal(cfg.d_model, cfg.d_model))
-            self._add(f"{p}.ffn.norm_gain", np.ones(cfg.d_model))
-            if cfg.ffn_kind == "moe":
-                self._add(f"{p}.moe.router", normal(cfg.d_model, cfg.n_experts))
-                self._add(f"{p}.moe.shared_gate", normal(cfg.d_model))
-                self._add(f"{p}.moe.shared.w_gate", normal(cfg.d_model, cfg.ffn_hidden))
-                self._add(f"{p}.moe.shared.w_up", normal(cfg.d_model, cfg.ffn_hidden))
-                self._add(f"{p}.moe.shared.w_down", normal(cfg.ffn_hidden, cfg.d_model))
-                for e in range(cfg.n_experts):
-                    q = f"{p}.moe.expert{e}"
-                    self._add(f"{q}.w_gate", normal(cfg.d_model, cfg.expert_hidden))
-                    self._add(f"{q}.w_up", normal(cfg.d_model, cfg.expert_hidden))
-                    self._add(f"{q}.w_down", normal(cfg.expert_hidden, cfg.d_model))
-            else:
-                self._add(f"{p}.ffn.w_gate", normal(cfg.d_model, cfg.dense_hidden))
-                self._add(f"{p}.ffn.w_up", normal(cfg.d_model, cfg.dense_hidden))
-                self._add(f"{p}.ffn.w_down", normal(cfg.dense_hidden, cfg.d_model))
-        self._add("final_norm_gain", np.ones(cfg.d_model))
-        self._add("head.vocab", normal(cfg.d_model, cfg.vocab_size))
-        if cfg.num_classes:
-            self._add("head.cls.w1", normal(cfg.d_model, cfg.d_model))
-            self._add("head.cls.b1", np.zeros(cfg.d_model))
-            self._add("head.cls.w2", normal(cfg.d_model, cfg.num_classes))
-            self._add("head.cls.b2", np.zeros(cfg.num_classes))
+        init = {"normal": lambda shape: rng.normal(0.0, 0.02, size=shape), "ones": np.ones, "zeros": np.zeros}
+        self.params: dict[str, Tensor] = {
+            name: Tensor(init[kind](shape) if weights is None else weights[name], requires_grad=True, name=name)
+            for name, shape, kind in parameter_specs(config)
+        }
 
     def named_parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -281,16 +269,15 @@ class TrafficModel:
     def load(cls, path: str | Path) -> "TrafficModel":
         """Rebuild a saved model; names and shapes must match what its config builds."""
         sidecar = Path(str(path) + ".config")
-        model = cls(ModelConfig.from_text(sidecar.read_text(), sidecar), seed=0)
+        config = ModelConfig.from_text(sidecar.read_text(), sidecar)
         arrays = T.load_checkpoint(path)
-        found, expected = ({name: v.shape for name, v in d.items()} for d in (arrays, model.params))
+        found = {name: v.shape for name, v in arrays.items()}
+        expected = {name: shape for name, shape, _ in parameter_specs(config)}
         if found != expected:
             name = min(set(found.items()) ^ set(expected.items()))[0]
             raise ValueError(f"{path}: tensor {name!r} is {found.get(name, 'missing')} in the checkpoint "
                              f"but {expected.get(name, 'absent')} in its config")
-        for name, arr in arrays.items():
-            model.params[name].data = arr.astype(T.default_dtype())
-        return model
+        return cls(config, weights=arrays)
 
     def state_copy(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
@@ -302,10 +289,12 @@ class TrafficModel:
     # -- forward ----------------------------------------------------------------
 
     def _rope_tables(self, seq_len: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (seq_len, self.config.head_dim, T.default_dtype())
-        if key not in self._rope_cache:
-            self._rope_cache[key] = rope_tables(seq_len, self.config.head_dim)
-        return self._rope_cache[key]
+        """The first ``seq_len`` rows of one table per dtype, built at max_tokens or longer."""
+        key = T.default_dtype()
+        if key not in self._rope_cache or len(self._rope_cache[key][0]) < seq_len:
+            self._rope_cache[key] = rope_tables(max(seq_len, self.config.max_tokens), self.config.head_dim)
+        cos, sin = self._rope_cache[key]
+        return cos[:seq_len], sin[:seq_len]
 
     def _attention_block(self, h_seq: Tensor, layer: int, causal: np.ndarray) -> Tensor:
         """One sequence's attention sublayer: pre-norm, rotary Q/K, residual."""
@@ -358,17 +347,18 @@ class TrafficModel:
         base = f"layers.{layer}.ffn"
         return T.add(h, swiglu(z, p[f"{base}.w_gate"], p[f"{base}.w_up"], p[f"{base}.w_down"]))
 
-    def _backbone(self, ids: np.ndarray) -> tuple[Tensor, RoutingTrace]:
-        """All blocks plus the final norm over flattened [batch*seq, d]."""
+    def _backbone(self, ids: np.ndarray, spans: typing.Sequence[np.ndarray]) -> tuple[Tensor, RoutingTrace]:
+        """All blocks plus the final norm over packed rows [len(ids), d]; each sequence is one
+        span (row indices) of ``ids`` and attends only within itself."""
         cfg = self.config
-        n_seqs, seq_len = ids.shape
-        causal = np.tril(np.ones((seq_len, seq_len), dtype=bool))
-        h = T.gather_rows(self.params["embed.tok"], ids.reshape(-1))
+        longest = max(rows.size for rows in spans)
+        causal = np.tril(np.ones((longest, longest), dtype=bool))
+        h = T.gather_rows(self.params["embed.tok"], ids)
         trace = RoutingTrace(n_experts=cfg.n_experts, top_k=cfg.top_k)
-        row_range = np.arange(n_seqs * seq_len).reshape(n_seqs, seq_len)
         for layer in range(cfg.n_layers):
             h = T.concat_rows(
-                [self._attention_block(T.gather_rows(h, row_range[b]), layer, causal) for b in range(n_seqs)]
+                [self._attention_block(T.gather_rows(h, rows), layer, causal[: rows.size, : rows.size])
+                 for rows in spans if rows.size]
             )
             if cfg.ffn_kind == "moe":
                 h = self._moe_block(h, layer, trace)
@@ -380,7 +370,7 @@ class TrafficModel:
         """Final-layer hidden states [batch, seq, d], without a graph."""
         ids = np.atleast_2d(np.asarray(ids))
         with T.no_grad():
-            h, _ = self._backbone(ids)
+            h, _ = self._backbone(ids.reshape(-1), np.arange(ids.size).reshape(ids.shape))
         return h.data.reshape(ids.shape[0], ids.shape[1], self.config.d_model)
 
     def forward(
@@ -391,9 +381,12 @@ class TrafficModel:
     ) -> tuple[Tensor, RoutingTrace]:
         """Run a [batch, seq] ID matrix through the backbone.
 
-        ``lm`` returns next-token logits [batch, seq, vocab]; ``classify``
-        mean-pools valid positions and returns class logits [batch,
-        num_classes]. The routing trace covers every processed token.
+        Each sequence's rows up to its last valid token (all of them without
+        a ``valid_mask``) are packed back to back and computed; trailing [PAD]
+        is not, so the routing trace holds real tokens (and interior pads) only.
+        ``lm`` returns next-token logits [batch, seq, vocab], exactly 0 past each
+        sequence's last valid token; ``classify`` mean-pools valid positions
+        and returns class logits [batch, num_classes].
         """
         cfg = self.config
         ids = np.atleast_2d(np.asarray(ids))
@@ -409,23 +402,24 @@ class TrafficModel:
                 raise ValueError("classify mode requires num_classes in the config")
             if valid_mask is None:
                 raise ValueError("classify mode requires a valid_mask")
+        lengths = np.full(n_seqs, seq_len)
         if valid_mask is not None:
             valid_mask = np.atleast_2d(np.asarray(valid_mask, dtype=bool))
-
-        h, trace = self._backbone(ids)
-        row_range = np.arange(n_seqs * seq_len).reshape(n_seqs, seq_len)
+            lengths = np.where(valid_mask.any(axis=1), seq_len - np.argmax(valid_mask[:, ::-1], axis=1), 0)
+        if not lengths.all() and (mode == "classify" or not lengths.any()):
+            raise ValueError(f"sequence {int(np.argmin(lengths))} has no valid tokens")
+        rows = np.flatnonzero(np.arange(seq_len) < lengths[:, None])
+        spans = np.split(np.arange(rows.size), np.cumsum(lengths)[:-1])
+        h, trace = self._backbone(ids.reshape(-1)[rows], spans)
 
         if mode == "lm":
-            logits = T.matmul(h, self.params["head.vocab"])
+            logits = T.matmul(T.scatter_rows(h, rows, n_seqs * seq_len), self.params["head.vocab"])
             return T.reshape(logits, (n_seqs, seq_len, cfg.vocab_size)), trace
 
         pooled_rows = []
-        for b in range(n_seqs):
-            n_valid = int(valid_mask[b].sum())
-            if n_valid == 0:
-                raise ValueError(f"sequence {b} has no valid tokens to pool")
-            weights = (valid_mask[b] / n_valid).astype(T.default_dtype())[None, :]
-            pooled_rows.append(T.matmul(Tensor(weights), T.gather_rows(h, row_range[b])))
+        for b, packed in enumerate(spans):
+            weights = valid_mask[b, : lengths[b]] / valid_mask[b].sum()
+            pooled_rows.append(T.matmul(Tensor(weights[None, :]), T.gather_rows(h, packed)))
         pooled = T.concat_rows(pooled_rows) if len(pooled_rows) > 1 else pooled_rows[0]
         p = self.params
         hidden = T.silu(T.add(T.matmul(pooled, p["head.cls.w1"]), p["head.cls.b1"]))

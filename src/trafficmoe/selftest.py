@@ -126,6 +126,20 @@ def _check_causality() -> str:
     return "prefix logits bit-identical under suffix perturbation"
 
 
+def _check_pad_invariance() -> str:
+    cfg = ModelConfig(n_layers=2, d_model=16, n_heads=2, n_experts=4, top_k=2, ffn_hidden=16, vocab_size=32,
+                      max_tokens=8, num_classes=3)
+    model = TrafficModel(cfg, seed=9)
+    valid = np.arange(8) < np.array([8, 3, 5])[:, None]
+    ids = np.where(valid, np.random.default_rng(9).integers(3, 32, size=valid.shape), 2)
+    with T.no_grad():
+        base, _ = model.forward(ids, valid, mode="classify")
+        padded, _ = model.forward(np.pad(ids, ((0, 0), (0, 24)), constant_values=2),
+                                  np.pad(valid, ((0, 0), (0, 24))), mode="classify")
+    assert np.array_equal(base.data, padded.data)
+    return "class logits bit-identical under 4x trailing [PAD]"
+
+
 def _check_tokenizer() -> str:
     vocab = build_vocabulary(mode="full_bigram")
     assert len(vocab) == FULL_BIGRAM_VOCAB_SIZE
@@ -200,6 +214,7 @@ CHECKS = [
     ("rotary_embedding", _check_rope),
     ("gradient_spot_check", _check_gradients),
     ("causality", _check_causality),
+    ("pad_invariance", _check_pad_invariance),
     ("tokenizer", _check_tokenizer),
     ("flow_assembly", _check_flows),
     ("metrics", _check_metrics),

@@ -311,7 +311,7 @@ def temporal_slice(
 
 def write_corpus(sequences: Iterable[TokenSequence], path: str | Path) -> None:
     write_atomic(path, (
-        (f"label:{seq.label}\t" if seq.label is not None else "") + " ".join(str(int(i)) for i in seq.ids) + "\n"
+        (f"label:{seq.label}\t" if seq.label is not None else "") + " ".join(map(str, seq.ids.tolist())) + "\n"
         for seq in sequences
     ))
 

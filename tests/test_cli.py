@@ -319,6 +319,30 @@ def test_checkpoint_shape_mismatch_is_data_error(tiny_eval, capsys):
     assert "m.ckpt" in err and "'head.cls.b2'" in err and "(5,)" in err and "(2,)" in err
 
 
+def test_checkpoint_load_checks_shapes_before_allocating(tiny_eval, capsys):
+    ckpt, corpus = tiny_eval
+    sidecar = Path(str(ckpt) + ".config")
+    sidecar.write_text(sidecar.read_text().replace("vocab_size=64", f"vocab_size={10**9}"))
+    assert run_eval(ckpt, corpus) == 2  # its embedding alone would be 64 GB of float32
+    err = capsys.readouterr().err
+    assert "m.ckpt" in err and "'embed.tok'" in err and "(64, 16)" in err and f"({10**9}, 16)" in err
+
+
+def test_ood_flow_label_missing_from_coarse_map_is_data_error(tmp_path, capsys):
+    for label in (0, 1, 2):
+        pcap = tmp_path / f"c{label}.pcap"
+        fixture_pcap(pcap, n_flows=4, packets_per_flow=4, seed=label)
+        run("ingest", "--pcap", str(pcap), "--out", str(tmp_path / f"flows{label}"), "--label", str(label))
+    coarse_map = tmp_path / "coarse.txt"
+    coarse_map.write_text("0 0\n1 1\n")
+    for mode in ("proportion", "compose"):
+        assert run("ood", "--mode", mode, "--flows", *(str(tmp_path / f"flows{l}") for l in range(3)),
+                   "--out", str(tmp_path / "ood"), "--coarse-map", str(coarse_map)) == 2
+        err = capsys.readouterr().err
+        assert "coarse.txt" in err and "flow label 2" in err
+    assert not (tmp_path / "ood").exists()
+
+
 @pytest.mark.parametrize("bad_line", ["label:0\t1 2 3 x", "label:0\t1 99999999999 3", "label:0\t1 -4 3", "label:0 1 2 3"])
 def test_malformed_corpus_line_is_data_error(tiny_eval, capsys, bad_line):
     ckpt, corpus = tiny_eval

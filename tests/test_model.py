@@ -472,6 +472,118 @@ def test_forward_batch_equals_individual(tiny_model, rng):
     assert np.max(np.abs(batched.data - np.concatenate(singles))) < 1e-5
 
 
+# -- packed forward: trailing [PAD] never enters the backbone ---------------------------------
+
+
+def ragged_batch(rng, lengths=(12, 5, 9), pad_to=12):
+    """Random ids with valid prefixes of the given lengths; [PAD] (id 2) fills the rest."""
+    valid = np.arange(pad_to) < np.array(lengths)[:, None]
+    ids = np.full(valid.shape, 2)
+    ids[valid] = rng.integers(3, 64, size=int(valid.sum()))
+    return ids, valid
+
+
+def pad_right(ids, valid, extra):
+    return (np.concatenate([ids, np.full((len(ids), extra), 2)], axis=1),
+            np.concatenate([valid, np.zeros((len(ids), extra), dtype=bool)], axis=1))
+
+
+def test_packed_lm_logits_match_unmasked_run(tiny_model, rng):
+    ids, valid = ragged_batch(rng)
+    valid[2, 3] = False  # an interior pad is computed like any token
+    with T.no_grad():
+        packed, _ = tiny_model.forward(ids, valid, mode="lm")
+        full, _ = tiny_model.forward(ids, mode="lm")
+    assert packed.shape == full.shape == (3, 12, 64)
+    assert np.allclose(packed.data[valid], full.data[valid], rtol=1e-5, atol=1e-6)
+    assert np.allclose(packed.data[2, 3], full.data[2, 3], rtol=1e-5, atol=1e-6)
+    assert not packed.data[1, 5:].any() and not packed.data[2, 9:].any()  # past the last valid token
+
+
+def test_packed_classify_pad_invariance_is_bitwise(tiny_model, rng):
+    ids, valid = ragged_batch(rng, lengths=(8, 3, 6), pad_to=8)
+    with T.no_grad():
+        base, _ = tiny_model.forward(ids, valid, mode="classify")
+        padded, _ = tiny_model.forward(*pad_right(ids, valid, 24), mode="classify")
+    assert np.array_equal(base.data, padded.data)
+
+
+def test_padding_adds_no_matmul_flops(tiny_model, rng):
+    ids, valid = ragged_batch(rng, lengths=(8, 3, 6), pad_to=8)
+    flops = []
+    for batch in ((ids, valid), pad_right(ids, valid, 24)):  # 8 -> 32 slots per sequence
+        T.reset_flops()
+        with T.no_grad():
+            tiny_model.forward(*batch, mode="classify")
+        flops.append(T.matmul_flops())
+    assert flops[0] == flops[1] > 0
+
+
+def test_routing_trace_covers_each_valid_prefix_only(tiny_model, rng):
+    ids, valid = ragged_batch(rng, lengths=(12, 5, 9))
+    valid[0, 6] = False  # interior: still routed
+    _, trace = tiny_model.forward(ids, valid, mode="lm")
+    assert [rec.n_tokens for rec in trace.layers] == [12 + 5 + 9] * tiny_model.config.n_layers
+    _, unmasked = tiny_model.forward(ids, mode="lm")
+    assert [rec.n_tokens for rec in unmasked.layers] == [3 * 12] * tiny_model.config.n_layers
+
+
+def test_balance_loss_ignores_trailing_pads(tiny_model, rng):
+    ids, valid = ragged_batch(rng, lengths=(9, 5, 7), pad_to=9)
+    with T.no_grad():
+        cut = load_balance_loss(tiny_model.forward(ids, valid, mode="lm")[1]).item()
+        padded = load_balance_loss(tiny_model.forward(*pad_right(ids, valid, 3), mode="lm")[1]).item()
+        same_length = ragged_batch(rng, lengths=(9, 9, 9), pad_to=9)[0]
+        unmasked = load_balance_loss(tiny_model.forward(same_length, mode="lm")[1]).item()
+        masked = load_balance_loss(
+            tiny_model.forward(*pad_right(same_length, np.ones((3, 9), dtype=bool), 3), mode="lm")[1]
+        ).item()
+    assert padded == cut
+    assert masked == unmasked
+
+
+@pytest.mark.parametrize("mode", ["lm", "classify"])
+def test_packed_forward_gradients_match_finite_differences(mode):
+    from trafficmoe.training import classification_loss, ntp_loss
+
+    with T.use_dtype(np.float64):
+        model = TrafficModel(tiny_config(n_layers=1), seed=3)
+        rng = np.random.default_rng(3)
+        ids, valid = ragged_batch(rng, lengths=(10, 4, 7))
+        valid[2, 2] = False
+        labels = np.array([0, 1, 1])
+
+        def loss_and_selection():
+            out, trace = model.forward(ids, valid, mode=mode)
+            task = ntp_loss(out, ids, valid) if mode == "lm" else classification_loss(out, labels)
+            loss = T.add(task, T.mul(load_balance_loss(trace), 0.5))
+            return loss, [rec.selected.tobytes() for rec in trace.layers]
+
+        loss, base_sel = loss_and_selection()
+        model.zero_grad()
+        loss.backward()
+        d = model.config.d_model
+        probes = [("embed.tok", ids[1, 2] * d + k) for k in range(3)]
+        for name in ("layers.0.attn.head1.wk", "layers.0.moe.router", "layers.0.moe.shared.w_up", "final_norm_gain"):
+            probes += [(name, i) for i in rng.choice(model.params[name].data.size, size=4, replace=False)]
+        assert not model.params["embed.tok"].grad[2].any()  # trailing [PAD] rows are never gathered
+        checked = 0
+        for name, idx in probes:
+            flat = model.params[name].data.reshape(-1)
+            orig, h = flat[idx], 1e-6
+            flat[idx] = orig + h
+            up, sel_up = loss_and_selection()
+            flat[idx] = orig - h
+            down, sel_down = loss_and_selection()
+            flat[idx] = orig
+            if sel_up != base_sel or sel_down != base_sel:
+                continue  # the probe flipped a top-k choice; the gradient is undefined there
+            fd = (up.item() - down.item()) / (2 * h)
+            assert fd == pytest.approx(model.params[name].grad.reshape(-1)[idx], rel=1e-4, abs=1e-9), name
+            checked += 1
+        assert checked >= len(probes) - 2
+
+
 # -- parameter layout and persistence ---------------------------------------------------------
 
 

@@ -362,6 +362,16 @@ def test_corpus_round_trip(tmp_path):
         assert original.label == restored.label
 
 
+def test_corpus_bytes_are_pinned(tmp_path):
+    ids = np.array([5, 0, 65540, 17, 2, 2], dtype=np.int32)
+    path = tmp_path / "c.txt"
+    write_corpus([TokenSequence(ids, ids != 2, label=3), TokenSequence(ids[::-1], ids[::-1] != 2)], path)
+    assert path.read_bytes() == b"label:3\t5 0 65540 17 2 2\n2 2 17 65540 0 5\n"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9a992a49042b37106ce8bbe9225922fa1f0fc717b234524e19b5e98ca273702a"
+    )
+
+
 def test_synth_labels_0_to_6_are_byte_identical_and_7_up_work():
     flows = synth_flows(21, n_classes=7, seed=11)
     packets = sorted((p for f in flows for p, _ in f.packets), key=lambda p: p.timestamp)
