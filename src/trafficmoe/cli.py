@@ -22,6 +22,7 @@ from . import __version__
 from . import tensor as T
 from .artifacts import format_kv, parse_kv
 from .evaluation import (
+    BenchReport,
     RoutingAccumulator,
     build_dense_variant,
     compose_shift_split,
@@ -289,8 +290,7 @@ def _cmd_bench(args) -> int:
     )
     out = Path(args.report)
     out.parent.mkdir(parents=True, exist_ok=True)
-    moe_report.to_tsv(out)
-    dense_report.to_tsv(out, append=True)
+    BenchReport.to_tsv([moe_report, dense_report], out)
     config = {
         "ckpt": args.ckpt,
         "dense_ckpt": args.dense_ckpt,
@@ -322,10 +322,14 @@ def _cmd_ood(args) -> int:
         train_split, test_split = time_shift_split(flows, times, labels)
     else:
         coarse_map = {}
-        for line in Path(args.coarse_map).read_text().splitlines():
+        for lineno, line in enumerate(Path(args.coarse_map).read_text().splitlines(), 1):
             if line.strip():
-                fine_txt, coarse_txt = line.split()
-                coarse_map[int(fine_txt)] = int(coarse_txt)
+                try:
+                    fine, coarse_label = map(int, line.split())
+                except ValueError:
+                    raise ValueError(f"{args.coarse_map}:{lineno}: expected `fine coarse` integer labels, "
+                                     f"got {line!r}") from None
+                coarse_map[fine] = coarse_label
         missing = sorted({f.label for f in flows} - coarse_map.keys())
         if missing:
             raise ValueError(f"{args.coarse_map}: no coarse class for flow label {missing[0]}")

@@ -4,6 +4,7 @@ and the sparse-vs-dense inference benchmark."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -13,6 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
+from .artifacts import write_atomic
 from .model import ModelConfig, RoutingTrace, TrafficModel
 from .tokenization import TokenSequence
 
@@ -88,13 +90,10 @@ def compute_metrics(cm: ConfusionMatrix) -> dict:
 
 def metrics_to_tsv(metrics: dict, path: str | Path) -> None:
     """Write scalar metrics then per-class rows, deterministically."""
-    with open(path, "w") as fh:
-        fh.write("metric\tclass\tvalue\n")
-        for key in ("accuracy", "macro_precision", "macro_recall", "macro_f1"):
-            fh.write(f"{key}\t-\t{metrics[key]:.10g}\n")
-        for key in ("precision", "recall", "f1", "fnr", "fpr"):
-            for cls, value in enumerate(metrics[key]):
-                fh.write(f"{key}\t{cls}\t{value:.10g}\n")
+    scalars = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
+    write_atomic(path, ["metric\tclass\tvalue\n"] + [f"{key}\t-\t{metrics[key]:.10g}\n" for key in scalars]
+                 + [f"{key}\t{cls}\t{value:.10g}\n" for key in ("precision", "recall", "f1", "fnr", "fpr")
+                    for cls, value in enumerate(metrics[key])])
 
 
 def predict_classes(
@@ -277,13 +276,9 @@ class RoutingAccumulator:
         return self._counts[layer] / denom
 
     def to_tsv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write("layer\texpert\tload\tprob\n")
-            for layer in range(self.n_layers):
-                load = self.load_fractions(layer)
-                prob = self.mean_probs(layer)
-                for e in range(len(load)):
-                    fh.write(f"{layer}\t{e}\t{load[e]:.10g}\t{prob[e]:.10g}\n")
+        write_atomic(path, ["layer\texpert\tload\tprob\n"] + [
+            f"{layer}\t{e}\t{load:.10g}\t{prob:.10g}\n" for layer in range(self.n_layers)
+            for e, (load, prob) in enumerate(zip(self.load_fractions(layer), self.mean_probs(layer)))])
 
 
 def routing_stats(traces: Sequence[RoutingTrace]) -> RoutingAccumulator:
@@ -302,13 +297,9 @@ def trace_dump_tsv(trace: RoutingTrace, path: str | Path) -> None:
     ``token`` indexes the forward's packed rows: each sequence's tokens up to
     its last valid one, back to back in batch order; trailing [PAD] is absent.
     """
-    with open(path, "w") as fh:
-        fh.write("layer\ttoken\texpert\tprob\n")
-        for layer, rec in enumerate(trace.layers):
-            probs = rec.probs.data
-            for tok in range(rec.n_tokens):
-                for e in range(probs.shape[1]):
-                    fh.write(f"{layer}\t{tok}\t{e}\t{probs[tok, e]:.10g}\n")
+    write_atomic(path, itertools.chain(["layer\ttoken\texpert\tprob\n"], (
+        f"{layer}\t{tok}\t{e}\t{p:.10g}\n" for layer, rec in enumerate(trace.layers)
+        for tok, row in enumerate(rec.probs.data) for e, p in enumerate(row))))
 
 
 # -- analytic FLOP accounting -------------------------------------------------------
@@ -368,20 +359,14 @@ class BenchReport:
     model_kind: str
     rows: list[BenchRow] = field(default_factory=list)
 
-    def to_tsv(self, path: str | Path, append: bool = False) -> None:
-        mode = "a" if append else "w"
-        with open(path, mode) as fh:
-            if not append:
-                fh.write(
-                    "model\tbatch_size\tthroughput_seq_per_s\tmean_latency_ms"
-                    "\tflops_per_seq\tactive_param_ratio\tactivation_bytes\n"
-                )
-            for r in self.rows:
-                fh.write(
-                    f"{self.model_kind}\t{r.batch_size}\t{r.throughput_seq_per_s:.6g}"
-                    f"\t{r.mean_latency_ms:.6g}\t{r.flops_per_seq}"
-                    f"\t{r.active_param_ratio:.6g}\t{r.activation_bytes}\n"
-                )
+    @staticmethod
+    def to_tsv(reports: Sequence["BenchReport"], path: str | Path) -> None:
+        """One table: a header, then each report's rows in order."""
+        write_atomic(path, ["model\tbatch_size\tthroughput_seq_per_s\tmean_latency_ms"
+                            "\tflops_per_seq\tactive_param_ratio\tactivation_bytes\n"] + [
+            f"{report.model_kind}\t{r.batch_size}\t{r.throughput_seq_per_s:.6g}\t{r.mean_latency_ms:.6g}"
+            f"\t{r.flops_per_seq}\t{r.active_param_ratio:.6g}\t{r.activation_bytes}\n"
+            for report in reports for r in report.rows])
 
 
 def build_dense_variant(model: TrafficModel, seed: int = 0) -> TrafficModel:

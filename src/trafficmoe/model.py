@@ -10,7 +10,6 @@ comparisons.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,10 +126,6 @@ class RoutingTrace:
         counts = np.bincount(rec.selected.ravel(), minlength=self.n_experts)
         return counts / (rec.n_tokens * self.top_k)
 
-    def mean_probs(self, layer: int) -> np.ndarray:
-        """Mean routing probability per expert; sums to 1."""
-        return self.layers[layer].probs.data.mean(axis=0)
-
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """Scale each row to unit root-mean-square, then apply the gain."""
@@ -150,14 +145,12 @@ def rope_tables(seq_len: int, head_dim: int, base: float = 10000.0) -> tuple[np.
 
 
 def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
-    """Rotate feature pairs (x_{2i}, x_{2i+1}) by position-dependent angles."""
-    head_dim = x.shape[-1]
-    cos, sin = rope_tables(int(np.max(positions)) + 1, head_dim, base)
-    return _rope_apply(x, cos[positions], sin[positions])
+    """Rotate feature pairs (x_{2i}, x_{2i+1}) by position-dependent angles.
 
-
-def _rope_apply(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    return T.add(T.mul(x, cos), T.mul(T.rotate_pairs(x), sin))
+    A constant: the model rotates q and k inside ``tensor.causal_attention``.
+    """
+    cos, sin = rope_tables(int(np.max(positions)) + 1, x.shape[-1], base)
+    return Tensor(T.rotary(x.data, cos[positions], sin[positions]))
 
 
 def route_tokens(z: Tensor, router_weight: Tensor, top_k: int) -> tuple[Tensor, Tensor, np.ndarray]:
@@ -296,24 +289,16 @@ class TrafficModel:
         cos, sin = self._rope_cache[key]
         return cos[:seq_len], sin[:seq_len]
 
-    def _attention_block(self, h_seq: Tensor, layer: int, causal: np.ndarray) -> Tensor:
-        """One sequence's attention sublayer: pre-norm, rotary Q/K, residual."""
+    def _attention_block(self, h: Tensor, layer: int, lengths: np.ndarray) -> Tensor:
+        """Attention sublayer over packed rows (sequence b is the next ``lengths[b]`` rows):
+        pre-norm, one QKV projection, rotary causal attention within each sequence, residual."""
         cfg = self.config
-        p = self.params
-        seq_len = h_seq.shape[0]
-        cos, sin = self._rope_tables(seq_len)
-        z = rmsnorm(h_seq, p[f"layers.{layer}.attn.norm_gain"])
-        scale = 1.0 / math.sqrt(cfg.head_dim)
-        heads = []
-        for j in range(cfg.n_heads):
-            base = f"layers.{layer}.attn.head{j}"
-            q = _rope_apply(T.matmul(z, p[f"{base}.wq"]), cos, sin)
-            k = _rope_apply(T.matmul(z, p[f"{base}.wk"]), cos, sin)
-            v = T.matmul(z, p[f"{base}.wv"])
-            scores = T.mul(T.matmul(q, T.transpose(k)), scale)
-            probs = T.softmax_lastdim(scores, allowed=causal)
-            heads.append(T.matmul(probs, v))
-        return T.add(h_seq, T.matmul(T.concat_cols(heads), p[f"layers.{layer}.attn.wo"]))
+        base = f"layers.{layer}.attn"
+        w_qkv = T.concat_cols([self.params[f"{base}.head{j}.{w}"] for w in ("wq", "wk", "wv")
+                               for j in range(cfg.n_heads)])
+        qkv = T.matmul(rmsnorm(h, self.params[f"{base}.norm_gain"]), w_qkv)
+        heads = T.causal_attention(qkv, lengths, cfg.n_heads, *self._rope_tables(int(max(lengths))))
+        return T.add(h, T.matmul(heads, self.params[f"{base}.wo"]))
 
     def _moe_block(self, h: Tensor, layer: int, trace: RoutingTrace) -> Tensor:
         """Shared-plus-routed expert sublayer over flattened tokens."""
@@ -347,19 +332,14 @@ class TrafficModel:
         base = f"layers.{layer}.ffn"
         return T.add(h, swiglu(z, p[f"{base}.w_gate"], p[f"{base}.w_up"], p[f"{base}.w_down"]))
 
-    def _backbone(self, ids: np.ndarray, spans: typing.Sequence[np.ndarray]) -> tuple[Tensor, RoutingTrace]:
-        """All blocks plus the final norm over packed rows [len(ids), d]; each sequence is one
-        span (row indices) of ``ids`` and attends only within itself."""
+    def _backbone(self, ids: np.ndarray, lengths: np.ndarray) -> tuple[Tensor, RoutingTrace]:
+        """All blocks plus the final norm over packed rows [len(ids), d]; sequence b is the
+        next ``lengths[b]`` (>= 1) rows of ``ids`` and attends only within itself."""
         cfg = self.config
-        longest = max(rows.size for rows in spans)
-        causal = np.tril(np.ones((longest, longest), dtype=bool))
         h = T.gather_rows(self.params["embed.tok"], ids)
         trace = RoutingTrace(n_experts=cfg.n_experts, top_k=cfg.top_k)
         for layer in range(cfg.n_layers):
-            h = T.concat_rows(
-                [self._attention_block(T.gather_rows(h, rows), layer, causal[: rows.size, : rows.size])
-                 for rows in spans if rows.size]
-            )
+            h = self._attention_block(h, layer, lengths)
             if cfg.ffn_kind == "moe":
                 h = self._moe_block(h, layer, trace)
             else:
@@ -370,7 +350,7 @@ class TrafficModel:
         """Final-layer hidden states [batch, seq, d], without a graph."""
         ids = np.atleast_2d(np.asarray(ids))
         with T.no_grad():
-            h, _ = self._backbone(ids.reshape(-1), np.arange(ids.size).reshape(ids.shape))
+            h, _ = self._backbone(ids.reshape(-1), np.full(ids.shape[0], ids.shape[1]))
         return h.data.reshape(ids.shape[0], ids.shape[1], self.config.d_model)
 
     def forward(
@@ -409,15 +389,14 @@ class TrafficModel:
         if not lengths.all() and (mode == "classify" or not lengths.any()):
             raise ValueError(f"sequence {int(np.argmin(lengths))} has no valid tokens")
         rows = np.flatnonzero(np.arange(seq_len) < lengths[:, None])
-        spans = np.split(np.arange(rows.size), np.cumsum(lengths)[:-1])
-        h, trace = self._backbone(ids.reshape(-1)[rows], spans)
+        h, trace = self._backbone(ids.reshape(-1)[rows], lengths[lengths > 0])
 
         if mode == "lm":
             logits = T.matmul(T.scatter_rows(h, rows, n_seqs * seq_len), self.params["head.vocab"])
             return T.reshape(logits, (n_seqs, seq_len, cfg.vocab_size)), trace
 
         pooled_rows = []
-        for b, packed in enumerate(spans):
+        for b, packed in enumerate(np.split(np.arange(rows.size), np.cumsum(lengths)[:-1])):
             weights = valid_mask[b, : lengths[b]] / valid_mask[b].sum()
             pooled_rows.append(T.matmul(Tensor(weights[None, :]), T.gather_rows(h, packed)))
         pooled = T.concat_rows(pooled_rows) if len(pooled_rows) > 1 else pooled_rows[0]
@@ -447,9 +426,7 @@ def load_balance_loss(trace: RoutingTrace) -> Tensor:
 
 def causal_attention(h_seq: Tensor, model: TrafficModel, layer: int = 0) -> Tensor:
     """Single-sequence attention sublayer (exposed for direct checks)."""
-    seq_len = h_seq.shape[0]
-    causal = np.tril(np.ones((seq_len, seq_len), dtype=bool))
-    return model._attention_block(h_seq, layer, causal)
+    return model._attention_block(h_seq, layer, np.array([h_seq.shape[0]]))
 
 
 def moe_layer(h_seq: Tensor, model: TrafficModel, layer: int = 0) -> tuple[Tensor, RoutingTrace]:

@@ -283,16 +283,10 @@ def sigmoid(x) -> Tensor:
     return _build(sig, (x,), backward)
 
 
-def softmax_lastdim(x, allowed: Optional[np.ndarray] = None) -> Tensor:
-    """Row softmax over the last axis, numerically stabilized.
-
-    ``allowed`` is an optional boolean array (broadcastable to x) marking
-    positions that may receive probability; the rest get exactly zero.
-    """
+def softmax_lastdim(x) -> Tensor:
+    """Row softmax over the last axis, numerically stabilized."""
     x = as_tensor(x)
     logits = x.data
-    if allowed is not None:  # exp(-inf) is exactly 0, so masked slots get no probability
-        logits = np.where(np.broadcast_to(allowed, logits.shape), logits, -np.inf)
     row_max = np.max(logits, axis=-1, keepdims=True)
     exps = np.exp(logits - row_max)
     probs = exps / np.sum(exps, axis=-1, keepdims=True)
@@ -380,18 +374,6 @@ def matmul(a, b) -> Tensor:
     return _build(data, (a, b), backward)
 
 
-def transpose(x) -> Tensor:
-    x = as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {x.shape}")
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g.T)
-
-    return _build(x.data.T.copy(), (x,), backward)
-
-
 def concat_cols(parts: Iterable[Tensor]) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     widths = [p.shape[-1] for p in parts]
@@ -468,23 +450,72 @@ def take_elems(x, row_indices, col_indices) -> Tensor:
     return _build(data, (x,), backward)
 
 
-def rotate_pairs(x) -> Tensor:
-    """Map (..., x0, x1, x2, x3, ...) to (..., -x1, x0, -x3, x2, ...)."""
-    x = as_tensor(x)
-    if x.shape[-1] % 2 != 0:
-        raise ShapeError(f"rotate_pairs needs an even last dim, got {x.shape}")
-    data = np.empty_like(x.data)
-    data[..., 0::2] = -x.data[..., 1::2]
-    data[..., 1::2] = x.data[..., 0::2]
+def rotary(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate each feature pair (x_{2i}, x_{2i+1}) by the angle whose cos/sin fill
+    columns 2i and 2i+1; ``rotary(y, cos, -sin)`` rotates back (and is the gradient)."""
+    turned = np.empty_like(x)
+    turned[..., 0::2] = -x[..., 1::2]
+    turned[..., 1::2] = x[..., 0::2]
+    return x * cos + turned * sin
 
-    def backward(g):
-        if x.requires_grad:
-            grad = np.empty_like(g)
-            grad[..., 0::2] = g[..., 1::2]
-            grad[..., 1::2] = -g[..., 0::2]
-            _accumulate(x, grad)
 
-    return _build(data, (x,), backward)
+# -- attention -------------------------------------------------------------------
+
+
+def causal_attention(qkv, lengths: Sequence[int], n_heads: int, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotary causal multi-head attention over packed sequences.
+
+    ``qkv`` is ``[N, 3d]`` = ``[q | k | v]``, heads side by side within each
+    part. Sequence b is the next ``lengths[b]`` (>= 1) rows, and each row
+    attends to itself and the earlier rows of its own sequence only. q and k
+    are rotated by ``rotary`` at each row's position in its sequence, from
+    ``cos``/``sin`` tables ``[>= max(lengths), d / n_heads]``. Returns
+    ``softmax(q k^T / sqrt(head_dim)) v`` as ``[N, d]``, one 2-D block per
+    (sequence, head), and counts its 4*L*L*d matmul FLOPs per sequence.
+    """
+    qkv = as_tensor(qkv)
+    lengths = [int(length) for length in lengths]
+    n, d = qkv.shape[0], qkv.shape[-1] // 3
+    if qkv.shape != (sum(lengths), 3 * d) or d % n_heads or min(lengths) < 1:
+        raise ShapeError(f"causal_attention: qkv {qkv.shape} does not hold {n_heads} heads over lengths {lengths}")
+    hd, scale = d // n_heads, 1.0 / math.sqrt(d // n_heads)
+    positions = np.concatenate([np.arange(length) for length in lengths])
+    cos_rows, sin_rows = (np.tile(table[positions], 2 * n_heads) for table in (cos, sin))
+    qk = rotary(qkv.data[:, : 2 * d], cos_rows, sin_rows)
+    q, k, v = qk[:, :d], qk[:, d:], qkv.data[:, 2 * d :]
+    future = np.triu(np.full((max(lengths),) * 2, -np.inf, dtype=qkv.data.dtype), 1)  # 0 on and below the diagonal
+    blocks = [(lo, lo + length, slice(j * hd, (j + 1) * hd))
+              for lo, length in zip(np.cumsum([0] + lengths[:-1]), lengths) for j in range(n_heads)]
+    keep = _grad_enabled and qkv.requires_grad
+    out, saved = np.empty((n, d), dtype=qkv.data.dtype), []
+    global _flop_count
+    _flop_count += sum(4 * length * length * d for length in lengths)
+    for lo, hi, cols in blocks:
+        probs = q[lo:hi, cols] @ k[lo:hi, cols].T
+        probs *= scale
+        probs += future[: hi - lo, : hi - lo]  # exp(-inf) is exactly 0: no weight on later rows
+        probs -= np.max(probs, axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= np.sum(probs, axis=1, keepdims=True)
+        out[lo:hi, cols] = probs @ v[lo:hi, cols]
+        if keep:
+            saved.append(probs)
+
+    def backward(g):  # runs only when qkv requires grad, so ``saved`` holds every block's probs
+        grad = np.empty_like(qkv.data)
+        dq, dk, dv = grad[:, :d], grad[:, d : 2 * d], grad[:, 2 * d :]
+        for (lo, hi, cols), probs in zip(blocks, saved):
+            dv[lo:hi, cols] = probs.T @ g[lo:hi, cols]
+            dscores = g[lo:hi, cols] @ v[lo:hi, cols].T
+            dscores -= np.sum(dscores * probs, axis=1, keepdims=True)
+            dscores *= probs
+            dscores *= scale
+            dq[lo:hi, cols] = dscores @ k[lo:hi, cols]
+            dk[lo:hi, cols] = dscores.T @ q[lo:hi, cols]
+        grad[:, : 2 * d] = rotary(grad[:, : 2 * d], cos_rows, -sin_rows)
+        _accumulate(qkv, grad)
+
+    return _build(out, (qkv,), backward)
 
 
 # -- fused losses --------------------------------------------------------------

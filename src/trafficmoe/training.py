@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .artifacts import format_kv
+from .artifacts import format_kv, write_atomic
 from .model import TrafficModel, load_balance_loss
 from .tensor import AdamW, Tensor
 from .tokenization import TokenSequence
@@ -247,10 +247,8 @@ class History:
         return [v for e, s, m, v in self.rows if s == split and m == metric]
 
     def to_tsv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write("epoch\tsplit\tmetric\tvalue\n")
-            for epoch, split, metric, value in self.rows:
-                fh.write(f"{epoch}\t{split}\t{metric}\t{value:.10g}\n")
+        write_atomic(path, ["epoch\tsplit\tmetric\tvalue\n"]
+                     + [f"{epoch}\t{split}\t{metric}\t{value:.10g}\n" for epoch, split, metric, value in self.rows])
 
 
 def train(
@@ -289,7 +287,7 @@ def train(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "routing").mkdir(exist_ok=True)
-        (out / "config.txt").write_text(format_kv(vars(config)) + model.config.to_text())
+        write_atomic(out / "config.txt", format_kv(vars(config)) + model.config.to_text())
 
     history = History()
     best_metric = -np.inf

@@ -343,6 +343,16 @@ def test_ood_flow_label_missing_from_coarse_map_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "ood").exists()
 
 
+@pytest.mark.parametrize("bad_line", ["1 0 7", "1 x", "1"])
+def test_ood_malformed_coarse_map_line_is_data_error(tmp_path, capsys, bad_line):
+    fixture_pcap(tmp_path / "c.pcap", n_flows=4, packets_per_flow=4)
+    run("ingest", "--pcap", str(tmp_path / "c.pcap"), "--out", str(tmp_path / "flows"), "--label", "0")
+    (tmp_path / "coarse.txt").write_text("0 0\n" + bad_line + "\n")
+    assert run("ood", "--mode", "proportion", "--flows", str(tmp_path / "flows"), "--out", str(tmp_path / "ood"),
+               "--coarse-map", str(tmp_path / "coarse.txt")) == 2
+    assert f"coarse.txt:2: expected `fine coarse` integer labels, got {bad_line!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad_line", ["label:0\t1 2 3 x", "label:0\t1 99999999999 3", "label:0\t1 -4 3", "label:0 1 2 3"])
 def test_malformed_corpus_line_is_data_error(tiny_eval, capsys, bad_line):
     ckpt, corpus = tiny_eval

@@ -384,8 +384,7 @@ def test_efficiency_bench_report_structure(tmp_path):
             assert row.mean_latency_ms > 0
             assert row.active_param_ratio == pytest.approx(ratio)
     out = tmp_path / "bench.tsv"
-    moe_report.to_tsv(out)
-    dense_report.to_tsv(out, append=True)
+    BenchReport.to_tsv([moe_report, dense_report], out)
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 4
     assert lines[1].startswith("moe\t2\t")

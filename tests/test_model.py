@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -540,6 +541,29 @@ def test_balance_loss_ignores_trailing_pads(tiny_model, rng):
         ).item()
     assert padded == cut
     assert masked == unmasked
+
+
+def graph_ops(out: Tensor) -> Counter:
+    """How many graph nodes each op built behind ``out``; parameters and inputs are leaves, not nodes."""
+    counts, seen, stack = Counter(), set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward_fn is not None:
+            seen.add(id(node))
+            counts[node._backward_fn.__qualname__.split(".")[0]] += 1
+            stack.extend(node._parents)
+    return counts
+
+
+def test_one_attention_node_per_layer_whatever_batch_and_heads(rng):
+    graphs = []
+    for n_heads in (1, 2, 4):
+        model = TrafficModel(tiny_config(n_heads=n_heads, top_k=4), seed=0)  # top_k = n_experts: every expert runs
+        for lengths in ((7,), (12, 5, 9, 1, 3)):
+            logits, _ = model.forward(*ragged_batch(rng, lengths), mode="lm")
+            graphs.append(graph_ops(logits))
+    assert graphs[0]["causal_attention"] == model.config.n_layers
+    assert all(graph == graphs[0] for graph in graphs)
 
 
 @pytest.mark.parametrize("mode", ["lm", "classify"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trafficmoe import tensor as T
+from trafficmoe.model import rope_tables
 from trafficmoe.tensor import AdamW, ShapeError, Tensor
 
 
@@ -58,13 +59,6 @@ def test_softmax_rows_sum_to_one(rng):
     assert (out > 0).all() and (out < 1).all()
 
 
-def test_softmax_mask_zeroes_disallowed(rng):
-    mask = np.tril(np.ones((5, 5), dtype=bool))
-    out = T.softmax_lastdim(Tensor(rng.normal(size=(5, 5))), allowed=mask).data
-    assert np.all(out[~mask] == 0.0)
-    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
-
-
 def test_silu_at_zero():
     assert T.silu(Tensor(np.array([0.0]))).data[0] == 0.0
 
@@ -83,12 +77,6 @@ def test_rsqrt_mean_square_zero_row_is_finite():
 def test_matmul_shape_error_names_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-
-
-def test_rotate_pairs_values():
-    x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
-    out = T.rotate_pairs(x)
-    assert out.data.tolist() == [[-2.0, 1.0, -4.0, 3.0]]
 
 
 def test_gather_scatter_forward(rng):
@@ -140,8 +128,6 @@ def unary_cases(rng):
         "sigmoid": lambda t: T.sigmoid(t),
         "softmax": lambda t: T.softmax_lastdim(t),
         "rsqrt_ms": lambda t: T.mul(t, T.rsqrt_mean_square(t)),
-        "rotate": lambda t: T.rotate_pairs(t),
-        "transpose": lambda t: T.transpose(t),
         "reshape": lambda t: T.reshape(t, (2, 12)),
         "mean0": lambda t: T.tmean(t, axis=0),
         "sum1k": lambda t: T.tsum(t, axis=1, keepdims=True),
@@ -149,7 +135,7 @@ def unary_cases(rng):
 
 
 @pytest.mark.parametrize(
-    "name", ["silu", "sigmoid", "softmax", "rsqrt_ms", "rotate", "transpose", "reshape", "mean0", "sum1k"]
+    "name", ["silu", "sigmoid", "softmax", "rsqrt_ms", "reshape", "mean0", "sum1k"]
 )
 def test_unary_grads_float64(name, rng):
     with T.use_dtype(np.float64):
@@ -207,17 +193,53 @@ def test_scatter_take_concat_grads(rng):
         check_grad(build, [x], 1e-6, 1e-6)
 
 
-def test_masked_softmax_grad(rng):
+# -- causal attention over packed sequences ------------------------------------------
+
+
+def attention_inputs(rng, lengths, n_heads, head_dim):
+    """Random packed qkv [sum(lengths), 3 * n_heads * head_dim] plus rotary tables."""
+    qkv = rng.normal(size=(sum(lengths), 3 * n_heads * head_dim)).astype(T.default_dtype())
+    return qkv, *rope_tables(max(lengths), head_dim)
+
+
+def test_causal_attention_grad_float64(rng):
+    lengths, n_heads, hd = (4, 2, 3), 2, 4
     with T.use_dtype(np.float64):
-        x = rng.normal(size=(4, 4))
-        mask = np.tril(np.ones((4, 4), dtype=bool))
+        qkv, cos, sin = attention_inputs(rng, lengths, n_heads, hd)
+        weight = rng.normal(size=(sum(lengths), n_heads * hd))
 
         def build():
-            t = Tensor(x, requires_grad=True)
-            out = T.softmax_lastdim(t, allowed=mask)
-            return T.tsum(T.mul(out, np.arange(16.0).reshape(4, 4))), [t]
+            t = Tensor(qkv, requires_grad=True)
+            return T.tsum(T.mul(T.causal_attention(t, lengths, n_heads, cos, sin), weight)), [t]
 
-        check_grad(build, [x], 1e-6, 1e-6)
+        loss, (t,) = build()
+        loss.backward()
+        fd = finite_diff_grad(lambda: build()[0].item(), qkv, 1e-6)
+    for block in range(3 * n_heads):  # the q, k and v columns of each head, judged on their own scale
+        cols = slice(block * hd, (block + 1) * hd)
+        assert np.abs(fd[:, cols]).max() > 1e-3, block
+        assert max_rel_err(fd[:, cols], t.grad[:, cols]) < 1e-6, block
+
+
+def test_causal_attention_ignores_later_rows_and_other_sequences(rng):
+    lengths, n_heads, d = (5, 3, 4), 2, 8
+    qkv, cos, sin = attention_inputs(rng, lengths, n_heads, d // n_heads)
+    base = T.causal_attention(Tensor(qkv), lengths, n_heads, cos, sin).data
+    starts = np.cumsum((0,) + lengths[:-1])
+    for lo, length in zip(starts, lengths):
+        for t in range(lo, lo + length):
+            later = qkv.copy()
+            later[t + 1 : lo + length] += rng.normal(size=later[t + 1 : lo + length].shape)
+            others = qkv.copy()
+            others[:lo] += 1.0
+            others[lo + length :] -= 1.0
+            for changed in (later, others):
+                out = T.causal_attention(Tensor(changed), lengths, n_heads, cos, sin).data
+                assert np.array_equal(out[lo : t + 1], base[lo : t + 1])
+            own_key = qkv.copy()
+            own_key[lo, d:] += 1.0  # the sequence's first key and value reach every row of it
+            out = T.causal_attention(Tensor(own_key), lengths, n_heads, cos, sin).data
+            assert not np.array_equal(out[t], base[t])
 
 
 def test_cross_entropy_grad(rng):
