@@ -70,7 +70,8 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, inputs: list[Path], t0: float) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, inputs: list, t0: float) -> None:
+    """Append one run record; each input path (None skipped) is keyed as given on the command line."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"command={command}",
@@ -79,9 +80,13 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, inputs
         f"wall_seconds={time.time() - t0:.3f}",
     ]
     lines += [f"config.{k}={v}" for k, v in sorted(config.items())]
-    lines += [f"input.{p.name}={_sha256(p)}" for p in inputs if p.exists()]
+    lines += [f"input.{p}={_sha256(Path(p))}" for p in inputs if p and Path(p).exists()]
     with open(out_dir / "manifest.log", "a") as fh:  # append-only run log
         fh.write("\n".join(lines) + "\n---\n")
+
+
+def _checkpoint_files(path: Optional[str]) -> list[str]:
+    return [path, f"{path}.config"] if path else []  # loading a checkpoint reads its sidecar too
 
 
 def _echo_config(config: dict) -> None:
@@ -175,7 +180,7 @@ def _cmd_build_vocab(args) -> int:
     vocab.save(out)
     _echo_config(config)
     print(f"vocab_size={len(vocab)}")
-    inputs = [Path(d) / "packets.bin" for d in (args.flows or [])]
+    inputs = [args.config] + [Path(d) / "packets.bin" for d in (args.flows or [])]
     _write_manifest(out.parent, "build-vocab", config, _default_seed(), inputs, t0)
     return 0
 
@@ -199,7 +204,7 @@ def _cmd_tokenize(args) -> int:
     write_corpus(sequences, out)
     _echo_config(config)
     print(f"sequences={len(sequences)}")
-    inputs = [Path(args.vocab)] + [Path(d) / "packets.bin" for d in args.flows]
+    inputs = [args.config, args.vocab] + [Path(d) / "packets.bin" for d in args.flows]
     _write_manifest(out.parent, "tokenize", config, _default_seed(), inputs, t0)
     return 0
 
@@ -246,7 +251,7 @@ def _run_training(args, mode: str) -> int:
     _echo_config(effective)
     final = history.rows[-1] if history.rows else (0, "-", "-", float("nan"))
     print(f"epochs_run={final[0]} last_{final[2]}={final[3]:.6g}")
-    _write_manifest(out, mode, effective, seed, [Path(args.corpus), Path(args.vocab)], t0)
+    _write_manifest(out, mode, effective, seed, [args.config, args.corpus, args.vocab, *_checkpoint_files(args.init)], t0)
     return 0
 
 
@@ -267,7 +272,7 @@ def _cmd_eval(args) -> int:
     config = {"ckpt": args.ckpt, "data": args.data, "batch_size": args.batch_size}
     _echo_config(config)
     print(f"accuracy={metrics['accuracy']:.6g} macro_f1={metrics['macro_f1']:.6g}")
-    _write_manifest(out.parent, "eval", config, _default_seed(), [Path(args.ckpt), Path(args.data)], t0)
+    _write_manifest(out.parent, "eval", config, _default_seed(), _checkpoint_files(args.ckpt) + [args.data], t0)
     return 0
 
 
@@ -306,7 +311,8 @@ def _cmd_bench(args) -> int:
                 f" throughput={row.throughput_seq_per_s:.1f}/s"
                 f" latency={row.mean_latency_ms:.1f}ms"
             )
-    _write_manifest(out.parent, "bench", config, _default_seed(), [Path(args.ckpt)], t0)
+    inputs = _checkpoint_files(args.ckpt) + _checkpoint_files(args.dense_ckpt)
+    _write_manifest(out.parent, "bench", config, _default_seed(), inputs, t0)
     return 0
 
 
@@ -347,7 +353,7 @@ def _cmd_ood(args) -> int:
     config = {"mode": args.mode, "seed": seed, "coarse_map": args.coarse_map}
     _echo_config(config)
     print(f"train_flows={len(train_split)} test_flows={len(test_split)}")
-    _write_manifest(out, "ood", config, seed, [Path(d) / "packets.bin" for d in args.flows], t0)
+    _write_manifest(out, "ood", config, seed, [Path(d) / "packets.bin" for d in args.flows] + [args.coarse_map], t0)
     return 0
 
 
@@ -373,7 +379,7 @@ def _cmd_route_trace(args) -> int:
     config = {"ckpt": args.ckpt, "data": args.data, "limit": args.limit, "mode": mode}
     _echo_config(config)
     print(f"traced_sequences={len(sequences)} layers={len(trace.layers)}")
-    _write_manifest(out.parent, "route-trace", config, _default_seed(), [Path(args.ckpt)], t0)
+    _write_manifest(out.parent, "route-trace", config, _default_seed(), _checkpoint_files(args.ckpt) + [args.data], t0)
     return 0
 
 

@@ -304,7 +304,6 @@ class TrafficModel:
         """Shared-plus-routed expert sublayer over flattened tokens."""
         cfg = self.config
         p = self.params
-        n_tokens = h.shape[0]
         z = rmsnorm(h, p[f"layers.{layer}.ffn.norm_gain"])
         scores, sparse, selected = route_tokens(z, p[f"layers.{layer}.moe.router"], cfg.top_k)
         trace.layers.append(LayerRouting(probs=scores, selected=selected))
@@ -313,18 +312,9 @@ class TrafficModel:
         gate = T.sigmoid(T.matmul(z, gate_vec))
         shared = f"layers.{layer}.moe.shared"
         out = T.add(h, T.mul(gate, swiglu(z, p[f"{shared}.w_gate"], p[f"{shared}.w_up"], p[f"{shared}.w_down"])))
-
-        # Gather-compute-scatter: each expert runs only on its tokens.
-        for e in range(cfg.n_experts):
-            idx = np.nonzero((selected == e).any(axis=1))[0]
-            if idx.size == 0:
-                continue
-            base = f"layers.{layer}.moe.expert{e}"
-            x_e = T.gather_rows(z, idx)
-            weight = T.take_elems(sparse, idx, np.full(idx.size, e))
-            y_e = T.mul(swiglu(x_e, p[f"{base}.w_gate"], p[f"{base}.w_up"], p[f"{base}.w_down"]), weight)
-            out = T.add(out, T.scatter_rows(y_e, idx, n_tokens))
-        return out
+        experts = [tuple(p[f"layers.{layer}.moe.expert{e}.{w}"] for w in ("w_gate", "w_up", "w_down"))
+                   for e in range(cfg.n_experts)]
+        return T.add(out, T.moe_experts(z, sparse, selected, experts))
 
     def _dense_block(self, h: Tensor, layer: int) -> Tensor:
         p = self.params

@@ -83,14 +83,14 @@ def _check_gradients() -> str:
         def loss_and_selection():
             logits, trace = model.forward(ids, valid, mode="lm")
             loss = T.add(ntp_loss(logits, ids, valid), T.mul(load_balance_loss(trace), 0.02))
-            selection = tuple(rec.selected.tobytes() for rec in trace.layers)
-            return loss, selection
+            return loss, [rec.selected.tolist() for rec in trace.layers]
 
         loss, base_sel = loss_and_selection()
         model.zero_grad()
         loss.backward()
         rng = np.random.default_rng(7)
-        for name in ("embed.tok", "layers.0.moe.router", "layers.0.attn.head0.wq"):
+        routed = f"layers.0.moe.expert{base_sel[0][0][0]}.w_down"  # an expert the first token was routed to
+        for name in ("embed.tok", "layers.0.moe.router", "layers.0.attn.head0.wq", routed):
             p = model.params[name]
             flat_idx = rng.integers(0, p.data.size)
             h = 1e-5

@@ -34,19 +34,13 @@ def default_dtype():
     return _default_dtype
 
 
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("dtype must be float32 or float64")
-    _default_dtype = dtype
-
-
 @contextmanager
 def use_dtype(dtype):
     """Temporarily switch the storage dtype (float64 for gradient checks)."""
     global _default_dtype
-    prev = _default_dtype
-    set_default_dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise ValueError("dtype must be float32 or float64")
+    prev, _default_dtype = _default_dtype, dtype
     try:
         yield
     finally:
@@ -150,27 +144,6 @@ class Tensor:
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
 
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -224,19 +197,6 @@ def add(a, b) -> Tensor:
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _build(data, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _build(data, (a, b), backward)
 
@@ -434,22 +394,6 @@ def scatter_rows(values, indices, num_rows: int) -> Tensor:
     return _build(data, (values,), backward)
 
 
-def take_elems(x, row_indices, col_indices) -> Tensor:
-    """Pick x[r, c] for paired index vectors; returns a column [n, 1]."""
-    x = as_tensor(x)
-    rows = np.asarray(row_indices, dtype=np.int64)
-    cols = np.asarray(col_indices, dtype=np.int64)
-    data = x.data[rows, cols][:, None]
-
-    def backward(g):
-        if x.requires_grad:
-            grad = np.zeros_like(x.data)
-            np.add.at(grad, (rows, cols), g[:, 0])
-            _accumulate(x, grad)
-
-    return _build(data, (x,), backward)
-
-
 def rotary(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate each feature pair (x_{2i}, x_{2i+1}) by the angle whose cos/sin fill
     columns 2i and 2i+1; ``rotary(y, cos, -sin)`` rotates back (and is the gradient)."""
@@ -459,7 +403,7 @@ def rotary(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return x * cos + turned * sin
 
 
-# -- attention -------------------------------------------------------------------
+# -- attention and mixture of experts ---------------------------------------------
 
 
 def causal_attention(qkv, lengths: Sequence[int], n_heads: int, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -470,8 +414,8 @@ def causal_attention(qkv, lengths: Sequence[int], n_heads: int, cos: np.ndarray,
     attends to itself and the earlier rows of its own sequence only. q and k
     are rotated by ``rotary`` at each row's position in its sequence, from
     ``cos``/``sin`` tables ``[>= max(lengths), d / n_heads]``. Returns
-    ``softmax(q k^T / sqrt(head_dim)) v`` as ``[N, d]``, one 2-D block per
-    (sequence, head), and counts its 4*L*L*d matmul FLOPs per sequence.
+    ``softmax(q k^T / sqrt(head_dim)) v`` as ``[N, d]``, one 3-D block of all
+    heads per sequence, and counts its 4*L*L*d matmul FLOPs per sequence.
     """
     qkv = as_tensor(qkv)
     lengths = [int(length) for length in lengths]
@@ -481,41 +425,98 @@ def causal_attention(qkv, lengths: Sequence[int], n_heads: int, cos: np.ndarray,
     hd, scale = d // n_heads, 1.0 / math.sqrt(d // n_heads)
     positions = np.concatenate([np.arange(length) for length in lengths])
     cos_rows, sin_rows = (np.tile(table[positions], 2 * n_heads) for table in (cos, sin))
-    qk = rotary(qkv.data[:, : 2 * d], cos_rows, sin_rows)
-    q, k, v = qk[:, :d], qk[:, d:], qkv.data[:, 2 * d :]
+
+    def by_head(x):  # [N, parts * d] -> one [n_heads, N, hd] array per part, a view where reshape allows
+        return x.reshape(n, -1, n_heads, hd).transpose(1, 2, 0, 3)
+
+    (q, k), (v,) = by_head(rotary(qkv.data[:, : 2 * d], cos_rows, sin_rows)), by_head(qkv.data[:, 2 * d :])
     future = np.triu(np.full((max(lengths),) * 2, -np.inf, dtype=qkv.data.dtype), 1)  # 0 on and below the diagonal
-    blocks = [(lo, lo + length, slice(j * hd, (j + 1) * hd))
-              for lo, length in zip(np.cumsum([0] + lengths[:-1]), lengths) for j in range(n_heads)]
+    ends = np.cumsum(lengths)
+    spans = list(zip(ends - lengths, ends))
     keep = _grad_enabled and qkv.requires_grad
     out, saved = np.empty((n, d), dtype=qkv.data.dtype), []
+    (out_heads,) = by_head(out)
     global _flop_count
     _flop_count += sum(4 * length * length * d for length in lengths)
-    for lo, hi, cols in blocks:
-        probs = q[lo:hi, cols] @ k[lo:hi, cols].T
+    for lo, hi in spans:
+        probs = q[:, lo:hi] @ k[:, lo:hi].swapaxes(1, 2)
         probs *= scale
         probs += future[: hi - lo, : hi - lo]  # exp(-inf) is exactly 0: no weight on later rows
-        probs -= np.max(probs, axis=1, keepdims=True)
+        probs -= np.max(probs, axis=-1, keepdims=True)
         np.exp(probs, out=probs)
-        probs /= np.sum(probs, axis=1, keepdims=True)
-        out[lo:hi, cols] = probs @ v[lo:hi, cols]
+        probs /= np.sum(probs, axis=-1, keepdims=True)
+        out_heads[:, lo:hi] = probs @ v[:, lo:hi]
         if keep:
             saved.append(probs)
 
-    def backward(g):  # runs only when qkv requires grad, so ``saved`` holds every block's probs
-        grad = np.empty_like(qkv.data)
-        dq, dk, dv = grad[:, :d], grad[:, d : 2 * d], grad[:, 2 * d :]
-        for (lo, hi, cols), probs in zip(blocks, saved):
-            dv[lo:hi, cols] = probs.T @ g[lo:hi, cols]
-            dscores = g[lo:hi, cols] @ v[lo:hi, cols].T
-            dscores -= np.sum(dscores * probs, axis=1, keepdims=True)
+    def backward(g):  # runs only when qkv requires grad, so ``saved`` holds every sequence's probs
+        grad = np.empty(qkv.shape, dtype=qkv.data.dtype)  # C order, so by_head returns views into it
+        (g,), (dq, dk, dv) = by_head(g), by_head(grad)
+        for (lo, hi), probs in zip(spans, saved):
+            dv[:, lo:hi] = probs.swapaxes(1, 2) @ g[:, lo:hi]
+            dscores = g[:, lo:hi] @ v[:, lo:hi].swapaxes(1, 2)
+            dscores -= np.sum(dscores * probs, axis=-1, keepdims=True)
             dscores *= probs
             dscores *= scale
-            dq[lo:hi, cols] = dscores @ k[lo:hi, cols]
-            dk[lo:hi, cols] = dscores.T @ q[lo:hi, cols]
+            dq[:, lo:hi] = dscores @ k[:, lo:hi]
+            dk[:, lo:hi] = dscores.swapaxes(1, 2) @ q[:, lo:hi]
         grad[:, : 2 * d] = rotary(grad[:, : 2 * d], cos_rows, -sin_rows)
         _accumulate(qkv, grad)
 
     return _build(out, (qkv,), backward)
+
+
+def moe_experts(z, sparse, selected: np.ndarray, experts: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
+    """Routed half of a mixture-of-experts sublayer, with sorted dropless dispatch.
+
+    Row t of the ``[N, d]`` result sums ``sparse[t, e] * SwiGLU_e(z[t])`` over the experts
+    e in row t of ``selected`` (``[N, k]``, distinct per row), ``experts[e]`` being
+    ``(w_gate, w_up, w_down)``. The N*k (row, slot) pairs are sorted by expert once, so
+    each expert runs on one contiguous slice; the results are un-sorted to ``[N, k, d]``
+    and summed over k. An expert given no pair gets no gradient. Counts its matmul FLOPs.
+    """
+    z, sparse = as_tensor(z), as_tensor(sparse)
+    n, k = selected.shape
+    if z.shape[0] != n or sparse.shape != (n, len(experts)):
+        raise ShapeError(f"moe_experts: z {z.shape}, sparse {sparse.shape} do not fit selected {selected.shape}")
+    flat = selected.reshape(-1)
+    order = np.argsort(flat, kind="stable")  # sorted pair i is row order[i] // k, slot order[i] % k
+    unsort, rows, counts = np.argsort(order), order // k, np.bincount(flat, minlength=len(experts))
+    x, scale = z.data[rows], sparse.data[rows, flat[order]][:, None]
+    parents = (z, sparse) + tuple(w for weights in experts for w in weights)
+    out, saved = np.empty((n * k, z.shape[1]), dtype=z.data.dtype), []
+    global _flop_count
+    for e, (lo, hi) in enumerate(zip(np.cumsum(counts) - counts, np.cumsum(counts))):
+        if lo == hi:
+            continue
+        w_gate, w_up, w_down = experts[e]
+        _flop_count += 2 * (hi - lo) * (w_gate.data.size + w_up.data.size + w_down.data.size)
+        pre, up = x[lo:hi] @ w_gate.data, x[lo:hi] @ w_up.data
+        sig = _logistic(pre)
+        hidden = pre * sig * up
+        y = hidden @ w_down.data
+        out[lo:hi] = y * scale[lo:hi]
+        if _grad_enabled:  # dropped with the closure when no parent requires grad
+            saved.append((e, lo, hi, pre, up, sig, hidden, y))
+
+    def backward(g):
+        g_pairs, dx, dsparse = g[rows], np.empty_like(x), np.zeros_like(sparse.data)
+        for e, lo, hi, pre, up, sig, hidden, y in saved:
+            w_gate, w_up, w_down = experts[e]
+            dsparse[rows[lo:hi], e] = np.sum(g_pairs[lo:hi] * y, axis=1)
+            dy = g_pairs[lo:hi] * scale[lo:hi]
+            dhidden = dy @ w_down.data.T
+            dup = dhidden * (pre * sig)
+            dpre = dhidden * up * (sig * (1.0 + pre * (1.0 - sig)))
+            dx[lo:hi] = dpre @ w_gate.data.T + dup @ w_up.data.T
+            for w, grad in zip(experts[e], (x[lo:hi].T @ dpre, x[lo:hi].T @ dup, hidden.T @ dy)):
+                if w.requires_grad:
+                    _accumulate(w, grad)
+        for t, grad in ((z, dx[unsort].reshape(n, k, -1).sum(axis=1)), (sparse, dsparse)):
+            if t.requires_grad:
+                _accumulate(t, grad)
+
+    return _build(out[unsort].reshape(n, k, -1).sum(axis=1), parents, backward)
 
 
 # -- fused losses --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import re
@@ -10,6 +11,7 @@ import pcap_craft as craft
 from conftest import tiny_config
 from trafficmoe import tensor as T
 from trafficmoe.cli import main
+from trafficmoe.evaluation import build_dense_variant
 from trafficmoe.flows import FiveTuple, SessionFlow, write_flows
 from trafficmoe.model import ModelConfig, TrafficModel
 from trafficmoe.tokenization import TokenSequence, build_vocabulary, write_corpus
@@ -207,6 +209,40 @@ def test_ood_cli_compose_mode_with_coarse_map(tmp_path):
     test_flows = read_flows(out / "test")
     assert {f.label for f in train_flows} <= {0, 1}   # relabeled to coarse ids
     assert {f.label for f in test_flows} == {0, 1}
+
+
+def manifest_inputs(out_dir: Path) -> dict[str, str]:
+    """The ``input.<path>=<sha256>`` lines of the last record in ``out_dir/manifest.log``."""
+    record = (out_dir / "manifest.log").read_text().split("---\n")[-2]
+    return dict(line[len("input."):].rpartition("=")[::2] for line in record.splitlines() if line.startswith("input."))
+
+
+def sha256_of(*paths) -> dict[str, str]:
+    return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+
+
+def test_manifest_keys_each_flow_input_by_its_path(tmp_path):
+    flow_dirs = [tmp_path / "a" / "flows", tmp_path / "b" / "flows"]
+    for label, flow_dir in enumerate(flow_dirs):
+        fixture_pcap(tmp_path / f"c{label}.pcap", n_flows=6, packets_per_flow=4, seed=label)
+        assert run("ingest", "--pcap", str(tmp_path / f"c{label}.pcap"), "--out", str(flow_dir),
+                   "--label", str(label)) == 0
+    assert run("ood", "--mode", "time", "--flows", *map(str, flow_dirs), "--out", str(tmp_path / "ood")) == 0
+    inputs = manifest_inputs(tmp_path / "ood")
+    assert inputs == sha256_of(*(d / "packets.bin" for d in flow_dirs))
+    assert len(set(inputs.values())) == 2
+
+
+def test_manifest_lists_every_file_read(tiny_eval):
+    ckpt, corpus = tiny_eval
+    dense = ckpt.parent / "dense.ckpt"
+    build_dense_variant(TrafficModel.load(ckpt)).save(dense)
+    out = ckpt.parent / "out"
+    assert run("route-trace", "--ckpt", str(ckpt), "--data", str(corpus), "--out", str(out / "trace.tsv")) == 0
+    assert manifest_inputs(out) == sha256_of(ckpt, f"{ckpt}.config", corpus)
+    assert run("bench", "--ckpt", str(ckpt), "--dense-ckpt", str(dense), "--batch-sizes", "1",
+               "--report", str(out / "bench.tsv"), "--batches", "1", "--warmup", "1", "--seq-len", "8") == 0
+    assert manifest_inputs(out) == sha256_of(ckpt, f"{ckpt}.config", dense, f"{dense}.config")
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

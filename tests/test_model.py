@@ -564,6 +564,9 @@ def test_one_attention_node_per_layer_whatever_batch_and_heads(rng):
             graphs.append(graph_ops(logits))
     assert graphs[0]["causal_attention"] == model.config.n_layers
     assert all(graph == graphs[0] for graph in graphs)
+    classify = graph_ops(model.forward(*ragged_batch(rng), mode="classify")[0])
+    assert classify["moe_experts"] == model.config.n_layers
+    assert classify["take_elems"] == classify["scatter_rows"] == 0
 
 
 @pytest.mark.parametrize("mode", ["lm", "classify"])

@@ -185,8 +185,7 @@ def test_scatter_take_concat_grads(rng):
         def build():
             t = Tensor(x, requires_grad=True)
             scattered = T.scatter_rows(t, np.array([1, 3, 3, 0]), 6)
-            col = T.take_elems(scattered, np.array([1, 3, 0]), np.array([0, 2, 1]))
-            joined = T.concat_cols([col, T.mul(col, 2.0)])
+            joined = T.concat_cols([scattered, T.mul(scattered, 2.0)])
             stacked = T.concat_rows([joined, T.mul(joined, -1.0)])
             return T.tsum(T.mul(stacked, np.arange(stacked.data.size).reshape(stacked.shape) * 0.05)), [t]
 
@@ -240,6 +239,29 @@ def test_causal_attention_ignores_later_rows_and_other_sequences(rng):
             own_key[lo, d:] += 1.0  # the sequence's first key and value reach every row of it
             out = T.causal_attention(Tensor(own_key), lengths, n_heads, cos, sin).data
             assert not np.array_equal(out[t], base[t])
+
+
+@pytest.mark.parametrize("top_k", [1, 2])
+def test_moe_experts_grad_float64(top_k, rng):
+    n, d, hidden, n_experts = 6, 4, 3, 4
+    selected = np.array([[0, 1], [2, 0], [1, 2], [0, 2], [2, 1], [1, 0]])[:, :top_k]  # expert 3 gets no row
+    with T.use_dtype(np.float64):
+        z = rng.normal(size=(n, d))
+        sparse = np.zeros((n, n_experts))
+        np.put_along_axis(sparse, selected, rng.uniform(0.2, 1.0, size=selected.shape), axis=1)
+        weights = [rng.normal(size=shape) for _ in range(n_experts)
+                   for shape in ((d, hidden), (d, hidden), (hidden, d))]  # w_gate, w_up, w_down per expert
+        mix = rng.normal(size=(n, d))
+
+        def build():
+            tensors = [Tensor(a, requires_grad=True) for a in [z, sparse, *weights]]
+            experts = [tuple(tensors[2 + 3 * e : 5 + 3 * e]) for e in range(n_experts)]
+            return T.tsum(T.mul(T.moe_experts(tensors[0], tensors[1], selected, experts), mix)), tensors
+
+        check_grad(build, [z, sparse, *weights[:9]], 1e-6, 1e-6)
+        loss, tensors = build()
+        loss.backward()
+    assert all(t.grad is None for t in tensors[-3:])
 
 
 def test_cross_entropy_grad(rng):
