@@ -102,6 +102,8 @@ def predict_classes(
     """Argmax class predictions, computed without building graphs."""
     from .training import batch_arrays
 
+    if batch_size < 1:
+        raise ValueError(f"batch_size={batch_size} must be >= 1")
     preds = []
     with T.no_grad():
         for start in range(0, len(sequences), batch_size):
@@ -294,8 +296,8 @@ def routing_stats(traces: Sequence[RoutingTrace]) -> RoutingAccumulator:
 def trace_dump_tsv(trace: RoutingTrace, path: str | Path) -> None:
     """Dump one trace at full resolution: layer, token, expert, probability.
 
-    ``token`` indexes the forward's packed rows: each sequence's tokens up to
-    its last valid one, back to back in batch order; trailing [PAD] is absent.
+    ``token`` indexes the forward's packed rows, ``model.packed_rows(ids.shape, valid_mask)``:
+    each sequence's slots up to its last valid one, back to back; trailing [PAD] is absent.
     """
     write_atomic(path, itertools.chain(["layer\ttoken\texpert\tprob\n"], (
         f"{layer}\t{tok}\t{e}\t{p:.10g}\n" for layer, rec in enumerate(trace.layers)

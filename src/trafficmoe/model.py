@@ -207,6 +207,15 @@ def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     return specs
 
 
+def packed_rows(shape: tuple[int, int], valid_mask=None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, lengths): flat indices of the [batch, seq] slots a forward computes, in batch order.
+    Sequence b keeps its first ``lengths[b]`` slots, up to its last valid one (all without a mask)."""
+    seq_len = shape[1]
+    valid = np.ones(shape, dtype=bool) if valid_mask is None else np.asarray(valid_mask, dtype=bool).reshape(shape)
+    lengths = np.where(valid.any(axis=1), seq_len - np.argmax(valid[:, ::-1], axis=1), 0)
+    return np.flatnonzero(np.arange(seq_len) < lengths[:, None]), lengths
+
+
 class TrafficModel:
     """Backbone network over token-ID sequences.
 
@@ -351,16 +360,14 @@ class TrafficModel:
     ) -> tuple[Tensor, RoutingTrace]:
         """Run a [batch, seq] ID matrix through the backbone.
 
-        Each sequence's rows up to its last valid token (all of them without
-        a ``valid_mask``) are packed back to back and computed; trailing [PAD]
-        is not, so the routing trace holds real tokens (and interior pads) only.
-        ``lm`` returns next-token logits [batch, seq, vocab], exactly 0 past each
-        sequence's last valid token; ``classify`` mean-pools valid positions
-        and returns class logits [batch, num_classes].
+        Only the slots ``packed_rows(ids.shape, valid_mask)`` lists are computed,
+        back to back; trailing [PAD] is not, so the routing trace holds real
+        tokens (and interior pads) only. ``lm`` returns next-token logits
+        [len(rows), vocab] in that packed order; ``classify`` mean-pools valid
+        positions and returns class logits [batch, num_classes].
         """
         cfg = self.config
         ids = np.atleast_2d(np.asarray(ids))
-        n_seqs, seq_len = ids.shape
         if ids.min() < 0 or ids.max() >= cfg.vocab_size:
             raise ValueError(
                 f"token id out of range [0, {cfg.vocab_size}): found {int(ids.min())}..{int(ids.max())}"
@@ -372,18 +379,14 @@ class TrafficModel:
                 raise ValueError("classify mode requires num_classes in the config")
             if valid_mask is None:
                 raise ValueError("classify mode requires a valid_mask")
-        lengths = np.full(n_seqs, seq_len)
-        if valid_mask is not None:
-            valid_mask = np.atleast_2d(np.asarray(valid_mask, dtype=bool))
-            lengths = np.where(valid_mask.any(axis=1), seq_len - np.argmax(valid_mask[:, ::-1], axis=1), 0)
+            valid_mask = np.asarray(valid_mask, dtype=bool).reshape(ids.shape)
+        rows, lengths = packed_rows(ids.shape, valid_mask)
         if not lengths.all() and (mode == "classify" or not lengths.any()):
             raise ValueError(f"sequence {int(np.argmin(lengths))} has no valid tokens")
-        rows = np.flatnonzero(np.arange(seq_len) < lengths[:, None])
         h, trace = self._backbone(ids.reshape(-1)[rows], lengths[lengths > 0])
 
         if mode == "lm":
-            logits = T.matmul(T.scatter_rows(h, rows, n_seqs * seq_len), self.params["head.vocab"])
-            return T.reshape(logits, (n_seqs, seq_len, cfg.vocab_size)), trace
+            return T.matmul(h, self.params["head.vocab"]), trace
 
         pooled_rows = []
         for b, packed in enumerate(np.split(np.arange(rows.size), np.cumsum(lengths)[:-1])):

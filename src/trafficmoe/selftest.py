@@ -122,7 +122,7 @@ def _check_causality() -> str:
         changed = ids.copy()
         changed[0, 5:] = rng.integers(0, 32, size=3)
         after, _ = model.forward(changed, mode="lm")
-    assert np.array_equal(base.data[0, :5], after.data[0, :5])
+    assert np.array_equal(base.data[:5], after.data[:5])
     return "prefix logits bit-identical under suffix perturbation"
 
 
@@ -130,14 +130,18 @@ def _check_pad_invariance() -> str:
     cfg = ModelConfig(n_layers=2, d_model=16, n_heads=2, n_experts=4, top_k=2, ffn_hidden=16, vocab_size=32,
                       max_tokens=8, num_classes=3)
     model = TrafficModel(cfg, seed=9)
-    valid = np.arange(8) < np.array([8, 3, 5])[:, None]
+    valid = np.arange(32) < np.array([8, 3, 5])[:, None]  # the S=8 batch plus 24 trailing [PAD]
     ids = np.where(valid, np.random.default_rng(9).integers(3, 32, size=valid.shape), 2)
-    with T.no_grad():
-        base, _ = model.forward(ids, valid, mode="classify")
-        padded, _ = model.forward(np.pad(ids, ((0, 0), (0, 24)), constant_values=2),
-                                  np.pad(valid, ((0, 0), (0, 24))), mode="classify")
-    assert np.array_equal(base.data, padded.data)
-    return "class logits bit-identical under 4x trailing [PAD]"
+    outputs = []
+    for s in (8, 32):
+        class_logits, _ = model.forward(ids[:, :s], valid[:, :s], mode="classify")
+        logits, trace = model.forward(ids[:, :s], valid[:, :s], mode="lm")
+        loss = T.add(ntp_loss(logits, ids[:, :s], valid[:, :s]), T.mul(load_balance_loss(trace), 0.02))
+        model.zero_grad()
+        loss.backward()
+        outputs.append([class_logits.data, loss.data] + [p.grad for p in model.params.values()])
+    assert all(np.array_equal(a, b) for a, b in zip(*outputs))
+    return "class logits, LM loss and gradients bit-identical under 4x trailing [PAD]"
 
 
 def _check_tokenizer() -> str:

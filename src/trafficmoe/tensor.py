@@ -121,7 +121,8 @@ class Tensor:
     # -- autodiff ----------------------------------------------------------
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Run reverse-mode accumulation from this node."""
+        """Run reverse-mode accumulation from this node. Leaves (parameters and inputs) keep
+        their gradients; each interior node's gradient is freed once its backward has used it."""
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
         topo: list[Tensor] = []
@@ -143,6 +144,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
+                node.grad = None
 
 
 def as_tensor(value) -> Tensor:
@@ -544,10 +546,11 @@ def cross_entropy_logits(logits, targets, sample_weight: Optional[np.ndarray] = 
 
     def backward(g):
         if logits.requires_grad:
-            probs = np.exp(shifted - logsumexp[:, None])
+            probs = shifted - logsumexp[:, None]
+            np.exp(probs, out=probs)
             probs[np.arange(n), tgt] -= 1.0
             probs *= (w / total_w)[:, None] * g
-            _accumulate(logits, probs.astype(logits.data.dtype))
+            _accumulate(logits, probs)
 
     return _build(np.asarray(loss, logits.data.dtype), (logits,), backward)
 

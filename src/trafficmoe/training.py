@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .artifacts import format_kv, write_atomic
-from .model import TrafficModel, load_balance_loss
+from .model import TrafficModel, load_balance_loss, packed_rows
 from .tensor import AdamW, Tensor
 from .tokenization import TokenSequence
 
@@ -54,10 +54,13 @@ class TrainConfig:
             self.epochs = 8 if self.mode == "pretrain" else 40
         if self.base_lr is None:
             self.base_lr = 3e-4 if self.mode == "pretrain" else 5e-5
+        for name, low in (("batch_size", 1), ("epochs", 1), ("patience", 1), ("aux_weight", 0), ("weight_decay", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name}={getattr(self, name)} must be >= {low}")
+        if not self.base_lr > 0:
+            raise ValueError(f"base_lr={self.base_lr} must be > 0")
         if not (0.0 < self.llrd_decay <= 1.0):
             raise ValueError("llrd_decay must lie in (0, 1]")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
         total = sum(self.split_ratios)
         if total <= 0 or any(r < 0 for r in self.split_ratios):
             raise ValueError("split ratios must be non-negative with positive sum")
@@ -70,23 +73,18 @@ class TrainConfig:
 def ntp_loss(lm_logits: Tensor, ids: np.ndarray, valid_mask: np.ndarray) -> Tensor:
     """Next-token negative log-likelihood, averaged over valid targets.
 
-    The hidden state at position t-1 predicts the token at t; padded
-    targets carry zero weight.
+    ``lm_logits`` has one row per ``packed_rows(ids.shape, valid_mask)`` slot, as
+    ``forward(mode="lm")`` returns them. Row (b, t) predicts ``ids[b, t+1]`` with
+    weight ``valid_mask[b, t+1]``, so each sequence's last row and interior pads weigh 0.
     """
     ids = np.atleast_2d(ids)
-    valid_mask = np.atleast_2d(valid_mask)
-    n_seqs, seq_len = ids.shape
+    valid_mask = np.asarray(valid_mask, dtype=bool).reshape(ids.shape)
     if np.any(valid_mask.sum(axis=1) < 2):
         raise ValueError("every sequence needs at least 2 valid tokens for next-token loss")
-    flat = T.reshape(lm_logits, (n_seqs * seq_len, lm_logits.shape[-1]))
-    # row b*T+t predicts ids[b, t+1]; the final position predicts nothing
-    targets = np.zeros(n_seqs * seq_len, dtype=np.int64)
-    weights = np.zeros(n_seqs * seq_len)
-    shifted = ids[:, 1:].reshape(-1)
-    rows = (np.arange(n_seqs)[:, None] * seq_len + np.arange(seq_len - 1)[None, :]).reshape(-1)
-    targets[rows] = shifted
-    weights[rows] = valid_mask[:, 1:].reshape(-1).astype(float)
-    return T.cross_entropy_logits(flat, targets, weights)
+    targets, weights = np.zeros(ids.shape, dtype=np.int64), np.zeros(ids.shape)
+    targets[:, :-1], weights[:, :-1] = ids[:, 1:], valid_mask[:, 1:]
+    rows, _ = packed_rows(ids.shape, valid_mask)
+    return T.cross_entropy_logits(lm_logits, np.take(targets, rows), np.take(weights, rows))
 
 
 def classification_loss(class_logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -423,6 +423,27 @@ def test_non_positive_model_size_is_data_error(tiny_eval, tmp_path, capsys, flag
     assert f"{flag[2:].replace('-', '_')}={value} must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("finetune", "--batch-size", "0"), ("eval", "--batch-size", "0"), ("finetune", "--epochs", "0"),
+    ("pretrain", "--epochs", "-2"), ("finetune", "--base-lr", "-1"), ("pretrain", "--base-lr", "0"),
+    ("finetune", "--aux-weight", "-1"), ("pretrain", "--weight-decay", "-0.5"),
+])
+def test_nonsensical_training_value_is_data_error(tiny_eval, tmp_path, capsys, command, flag, value):
+    ckpt, corpus = tiny_eval
+    build_vocabulary(mode="wordpiece", corpus=["0a0b"]).save(tmp_path / "vocab.tsv")
+    before = sorted(tmp_path.rglob("*.ckpt"))
+    if command == "eval":
+        code = run("eval", "--ckpt", str(ckpt), "--data", str(corpus), "--metrics-out",
+                   str(tmp_path / "metrics.tsv"), flag, value)
+    else:
+        code = run(command, "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
+                   str(tmp_path / "run"), "--init", str(ckpt), flag, value)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{flag[2:].replace('-', '_')}=" in err and "must be" in err
+    assert sorted(tmp_path.rglob("*.ckpt")) == before and not (tmp_path / "metrics.tsv").exists()
+
+
 # -- training flags come from the config dataclasses --------------------------------------
 
 PARENT_TRAINING_FLAGS = [

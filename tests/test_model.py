@@ -12,6 +12,7 @@ from trafficmoe.model import (
     causal_attention,
     load_balance_loss,
     moe_layer,
+    packed_rows,
     rmsnorm,
     rope,
     route_tokens,
@@ -420,7 +421,7 @@ def test_balance_loss_requires_tokens():
 def test_forward_lm_logits_shape(tiny_model, rng):
     ids = rng.integers(0, 64, size=(2, 12))
     logits, _ = tiny_model.forward(ids, mode="lm")
-    assert logits.shape == (2, 12, 64)
+    assert logits.shape == (24, 64)
 
 
 def test_forward_rejects_out_of_range_ids(tiny_model):
@@ -460,7 +461,7 @@ def test_forward_causality_end_to_end(tiny_model, rng):
             mutated = ids.copy()
             mutated[0, cut:] = rng.integers(0, 64, size=12 - cut)
             after, _ = tiny_model.forward(mutated, mode="lm")
-            assert np.array_equal(base.data[0, :cut], after.data[0, :cut])
+            assert np.array_equal(base.data[:cut], after.data[:cut])
 
 
 def test_forward_batch_equals_individual(tiny_model, rng):
@@ -495,10 +496,26 @@ def test_packed_lm_logits_match_unmasked_run(tiny_model, rng):
     with T.no_grad():
         packed, _ = tiny_model.forward(ids, valid, mode="lm")
         full, _ = tiny_model.forward(ids, mode="lm")
-    assert packed.shape == full.shape == (3, 12, 64)
-    assert np.allclose(packed.data[valid], full.data[valid], rtol=1e-5, atol=1e-6)
-    assert np.allclose(packed.data[2, 3], full.data[2, 3], rtol=1e-5, atol=1e-6)
-    assert not packed.data[1, 5:].any() and not packed.data[2, 9:].any()  # past the last valid token
+    rows, lengths = packed_rows(ids.shape, valid)
+    assert lengths.tolist() == [12, 5, 9] and packed.shape == (26, 64) and full.shape == (36, 64)
+    assert np.allclose(packed.data, full.data[rows], rtol=1e-5, atol=1e-6)
+    interior = list(rows).index(2 * 12 + 3)  # the interior pad's slot is packed
+    assert np.allclose(packed.data[interior], full.data[2 * 12 + 3], rtol=1e-5, atol=1e-6)
+
+
+def test_packed_lm_objective_pad_invariance_is_bitwise(tiny_model, rng):
+    from trafficmoe.training import ntp_loss
+
+    ids, valid = ragged_batch(rng, lengths=(8, 3, 5), pad_to=8)
+    results = []
+    for batch in ((ids, valid), pad_right(ids, valid, 24)):
+        logits, trace = tiny_model.forward(*batch, mode="lm")
+        loss = T.add(ntp_loss(logits, *batch), T.mul(load_balance_loss(trace), 0.02))
+        tiny_model.zero_grad()
+        loss.backward()
+        results.append([loss.data] + [p.grad for p in tiny_model.params.values()])
+    assert sum(g is not None for g in results[0]) == 1 + 55  # the loss and every backbone and vocab-head gradient
+    assert all(np.array_equal(a, b) for a, b in zip(*results))
 
 
 def test_packed_classify_pad_invariance_is_bitwise(tiny_model, rng):
@@ -563,6 +580,7 @@ def test_one_attention_node_per_layer_whatever_batch_and_heads(rng):
             logits, _ = model.forward(*ragged_batch(rng, lengths), mode="lm")
             graphs.append(graph_ops(logits))
     assert graphs[0]["causal_attention"] == model.config.n_layers
+    assert graphs[0]["scatter_rows"] == 0  # lm logits stay packed
     assert all(graph == graphs[0] for graph in graphs)
     classify = graph_ops(model.forward(*ragged_batch(rng), mode="classify")[0])
     assert classify["moe_experts"] == model.config.n_layers

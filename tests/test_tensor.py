@@ -349,6 +349,17 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         T.load_checkpoint(path)
 
 
+def test_backward_frees_interior_gradients_and_keeps_leaves():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    y = T.mul(x, w)  # interior
+    loss = T.tsum(T.mul(y, y))  # sum (x w)^2
+    loss.backward()
+    assert y.grad is None and loss.grad is None
+    assert x.grad.tolist() == [0.5, 4.0, 24.0]  # 2 x w^2
+    assert w.grad.tolist() == [1.0, -8.0, 36.0]  # 2 w x^2
+
+
 def test_no_grad_builds_no_graph(rng):
     x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
     with T.no_grad():

@@ -52,7 +52,7 @@ def small_model(vocab_size, max_tokens, num_classes=2, seed=0, **overrides):
 
 
 def test_ntp_loss_uniform_two_token_vocab():
-    logits = Tensor(np.zeros((2, 5, 2)))
+    logits = Tensor(np.zeros((2 * 5, 2)))  # packed rows: every slot of an unmasked batch
     ids = np.ones((2, 5), dtype=int)
     valid = np.ones((2, 5), dtype=bool)
     assert ntp_loss(logits, ids, valid).item() == pytest.approx(math.log(2), rel=1e-6)
@@ -60,23 +60,23 @@ def test_ntp_loss_uniform_two_token_vocab():
 
 def test_ntp_loss_confident_predictions_vanish():
     ids = np.array([[1, 0, 1, 0]])
-    logits = np.full((1, 4, 2), -30.0)
+    logits = np.full((4, 2), -30.0)
     for t in range(3):
-        logits[0, t, ids[0, t + 1]] = 30.0
+        logits[t, ids[0, t + 1]] = 30.0
     valid = np.ones((1, 4), dtype=bool)
     assert ntp_loss(Tensor(logits), ids, valid).item() < 1e-6
 
 
 def test_ntp_loss_matches_per_position_oracle(rng):
     vocab_size, seq_len = 7, 3
-    logits = rng.normal(size=(1, seq_len, vocab_size))
+    logits = rng.normal(size=(seq_len, vocab_size))
     ids = rng.integers(0, vocab_size, size=(1, seq_len))
     valid = np.ones((1, seq_len), dtype=bool)
     out = ntp_loss(Tensor(logits), ids, valid).item()
     # hand computation: hidden at t-1 predicts token at t
     expected = 0.0
     for t in range(1, seq_len):
-        row = logits[0, t - 1]
+        row = logits[t - 1]
         log_probs = row - (row.max() + np.log(np.exp(row - row.max()).sum()))
         expected -= log_probs[ids[0, t]]
     assert out == pytest.approx(expected / (seq_len - 1), rel=1e-5)
@@ -84,13 +84,13 @@ def test_ntp_loss_matches_per_position_oracle(rng):
 
 def test_ntp_loss_excludes_padded_targets(rng):
     vocab_size = 5
-    logits = rng.normal(size=(1, 6, vocab_size))
+    logits = rng.normal(size=(3, vocab_size))  # packed: trailing [PAD] slots have no row
     ids = rng.integers(0, vocab_size, size=(1, 6))
     valid = np.array([[True, True, True, False, False, False]])
     out = ntp_loss(Tensor(logits), ids, valid).item()
     expected = 0.0
     for t in (1, 2):
-        row = logits[0, t - 1]
+        row = logits[t - 1]
         log_probs = row - (row.max() + np.log(np.exp(row - row.max()).sum()))
         expected -= log_probs[ids[0, t]]
     assert out == pytest.approx(expected / 2, rel=1e-5)
