@@ -276,14 +276,22 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _batch_sizes(text: str) -> list[int]:
+    """Parse ``--batch-sizes``: comma-separated integers >= 1."""
+    for item in text.split(","):
+        if not item.strip().isdigit() or int(item) < 1:
+            raise ValueError(f"--batch-sizes {text!r}: {item!r} is not an integer >= 1")
+    return [int(item) for item in text.split(",")]
+
+
 def _cmd_bench(args) -> int:
     t0 = time.time()
+    batch_sizes = _batch_sizes(args.batch_sizes)
     model = TrafficModel.load(args.ckpt)
     if args.dense_ckpt:
         dense = TrafficModel.load(args.dense_ckpt)
     else:
         dense = build_dense_variant(model, seed=_default_seed())
-    batch_sizes = [int(b) for b in args.batch_sizes.split(",")]
     moe_report, dense_report = efficiency_bench(
         model,
         dense,

@@ -388,11 +388,8 @@ class TrafficModel:
         if mode == "lm":
             return T.matmul(h, self.params["head.vocab"]), trace
 
-        pooled_rows = []
-        for b, packed in enumerate(np.split(np.arange(rows.size), np.cumsum(lengths)[:-1])):
-            weights = valid_mask[b, : lengths[b]] / valid_mask[b].sum()
-            pooled_rows.append(T.matmul(Tensor(weights[None, :]), T.gather_rows(h, packed)))
-        pooled = T.concat_rows(pooled_rows) if len(pooled_rows) > 1 else pooled_rows[0]
+        weights = valid_mask.reshape(-1)[rows] / np.repeat(valid_mask.sum(axis=1), lengths)
+        pooled = T.segment_sum(h, weights, lengths)  # mean over each sequence's valid rows
         p = self.params
         hidden = T.silu(T.add(T.matmul(pooled, p["head.cls.w1"]), p["head.cls.b1"]))
         logits = T.add(T.matmul(hidden, p["head.cls.w2"]), p["head.cls.b2"])

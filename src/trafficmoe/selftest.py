@@ -209,7 +209,19 @@ def _check_optimizer() -> str:
     before = p.data.copy()
     opt.step()
     assert np.array_equal(p.data, before)
-    return "zero grad + zero decay leaves parameters bit-unchanged"
+    with T.use_dtype(np.float64):  # two steps over three blocks, the last one partial
+        rng = np.random.default_rng(10)
+        start, grads = rng.normal(size=2 * T.ADAMW_BLOCK + 7), rng.normal(size=(2, 2 * T.ADAMW_BLOCK + 7))
+        q = Tensor(start, requires_grad=True)
+        opt = AdamW([q], lr=0.1, weight_decay=0.01)
+        expected, m, v = start.copy(), 0.0, 0.0
+        for t, g in enumerate(grads, 1):
+            q.grad = g.copy()
+            opt.step()
+            m, v = 0.9 * m + 0.1 * g, 0.999 * v + 0.001 * g * g
+            expected -= 0.1 * ((m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8) + 0.01 * expected)
+        assert np.allclose(q.data, expected, rtol=1e-12, atol=1e-12)
+    return "zero grad + zero decay leaves parameters bit-unchanged; float64 steps across blocks match the formula"
 
 
 CHECKS = [

@@ -151,10 +151,18 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _accumulate(param: Tensor, grad: np.ndarray) -> None:
-    if param.grad is None:
-        param.grad = np.zeros_like(param.data)
-    param.grad += grad
+def _accumulate(param: Tensor, grad: np.ndarray, owned: bool = False) -> None:
+    """Add ``grad`` into ``param.grad``. An array kept in ``.grad`` belongs to ``param`` alone,
+    since later gradients (and ``gather_rows``) add into it in place. So a first gradient is
+    kept as it is only when ``owned`` says the backward made it for ``param`` alone; otherwise
+    (``add`` hands the same ``g`` to both parents) it is copied once."""
+    if param.grad is not None:
+        param.grad += grad
+    elif owned and grad.dtype == param.data.dtype and grad.shape == param.shape:
+        param.grad = grad
+    else:
+        param.grad = np.empty_like(param.data)
+        param.grad[...] = grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -209,9 +217,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+            _accumulate(a, _unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+            _accumulate(b, _unbroadcast(g * a.data, b.shape), owned=True)
 
     return _build(data, (a, b), backward)
 
@@ -229,7 +237,7 @@ def silu(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g * (sig * (1.0 + x.data * (1.0 - sig))))
+            _accumulate(x, g * (sig * (1.0 + x.data * (1.0 - sig))), owned=True)
 
     return _build(data, (x,), backward)
 
@@ -240,7 +248,7 @@ def sigmoid(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g * sig * (1.0 - sig))
+            _accumulate(x, g * sig * (1.0 - sig), owned=True)
 
     return _build(sig, (x,), backward)
 
@@ -257,7 +265,7 @@ def softmax_lastdim(x) -> Tensor:
     def backward(g):
         if x.requires_grad:
             inner = np.sum(g * probs, axis=-1, keepdims=True)
-            _accumulate(x, probs * (g - inner))
+            _accumulate(x, probs * (g - inner), owned=True)
 
     return _build(probs, (x,), backward)
 
@@ -271,7 +279,7 @@ def rsqrt_mean_square(x, eps: float = 1e-6) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g * (-(inv**3) * x.data / d))
+            _accumulate(x, g * (-(inv**3) * x.data / d), owned=True)
 
     return _build(inv.astype(x.data.dtype), (x,), backward)
 
@@ -285,7 +293,7 @@ def tsum(x, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
             grad = np.asarray(g)
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
-            _accumulate(x, np.broadcast_to(grad, x.shape).astype(x.data.dtype))
+            _accumulate(x, np.broadcast_to(grad, x.shape).astype(x.data.dtype), owned=True)
 
     return _build(np.asarray(data), (x,), backward)
 
@@ -300,7 +308,7 @@ def tmean(x, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
             grad = np.asarray(g) / count
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
-            _accumulate(x, np.broadcast_to(grad, x.shape).astype(x.data.dtype))
+            _accumulate(x, np.broadcast_to(grad, x.shape).astype(x.data.dtype), owned=True)
 
     return _build(np.asarray(data), (x,), backward)
 
@@ -329,9 +337,9 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, g @ b.data.T, owned=True)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, a.data.T @ g, owned=True)
 
     return _build(data, (a, b), backward)
 
@@ -368,18 +376,46 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
 
 
 def gather_rows(x, indices) -> Tensor:
-    """Select rows by integer index; duplicates accumulate in backward."""
+    """Select rows by integer index; duplicates accumulate in backward.
+
+    Backward sorts the ids once, sums the gradient rows of each distinct id and adds
+    those sums into the touched rows of ``x.grad``, creating it (zeros) only if absent.
+    """
     x = as_tensor(x)
     idx = np.asarray(indices, dtype=np.int64)
     data = x.data[idx]
 
     def backward(g):
         if x.requires_grad:
-            grad = np.zeros_like(x.data)
-            np.add.at(grad, idx, g)
-            _accumulate(x, grad)
+            flat = idx.reshape(-1)
+            order = np.argsort(flat, kind="stable")
+            ids = flat[order]
+            starts = np.flatnonzero(np.diff(ids, prepend=-1))  # first slot of each distinct id
+            sums = np.add.reduceat(g.reshape((flat.size,) + x.shape[1:])[order], starts, axis=0)
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[ids[starts]] += sums
 
     return _build(data, (x,), backward)
+
+
+def segment_sum(x, weights: np.ndarray, lengths: Sequence[int]) -> Tensor:
+    """Weighted row sums per segment: row b of the ``[len(lengths), ...]`` result sums
+    ``weights[r] * x[r]`` over segment b, the next ``lengths[b]`` (>= 1) rows of ``x``.
+    Counts the 2 * x.size FLOPs of the per-segment ``weights @ x`` products."""
+    x = as_tensor(x)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.sum() != x.shape[0] or len(weights) != x.shape[0] or lengths.min() < 1:
+        raise ShapeError(f"segment_sum: {x.shape[0]} rows, {len(weights)} weights, lengths {lengths.tolist()}")
+    scale = np.asarray(weights, x.data.dtype).reshape((-1,) + (1,) * (x.ndim - 1))
+    global _flop_count
+    _flop_count += 2 * x.data.size
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, np.repeat(g, lengths, axis=0) * scale, owned=True)
+
+    return _build(np.add.reduceat(x.data * scale, np.cumsum(lengths) - lengths, axis=0), (x,), backward)
 
 
 def scatter_rows(values, indices, num_rows: int) -> Tensor:
@@ -391,7 +427,7 @@ def scatter_rows(values, indices, num_rows: int) -> Tensor:
 
     def backward(g):
         if values.requires_grad:
-            _accumulate(values, g[idx])
+            _accumulate(values, g[idx], owned=True)
 
     return _build(data, (values,), backward)
 
@@ -463,7 +499,7 @@ def causal_attention(qkv, lengths: Sequence[int], n_heads: int, cos: np.ndarray,
             dq[:, lo:hi] = dscores @ k[:, lo:hi]
             dk[:, lo:hi] = dscores.swapaxes(1, 2) @ q[:, lo:hi]
         grad[:, : 2 * d] = rotary(grad[:, : 2 * d], cos_rows, -sin_rows)
-        _accumulate(qkv, grad)
+        _accumulate(qkv, grad, owned=True)
 
     return _build(out, (qkv,), backward)
 
@@ -513,10 +549,10 @@ def moe_experts(z, sparse, selected: np.ndarray, experts: Sequence[tuple[Tensor,
             dx[lo:hi] = dpre @ w_gate.data.T + dup @ w_up.data.T
             for w, grad in zip(experts[e], (x[lo:hi].T @ dpre, x[lo:hi].T @ dup, hidden.T @ dy)):
                 if w.requires_grad:
-                    _accumulate(w, grad)
+                    _accumulate(w, grad, owned=True)
         for t, grad in ((z, dx[unsort].reshape(n, k, -1).sum(axis=1)), (sparse, dsparse)):
             if t.requires_grad:
-                _accumulate(t, grad)
+                _accumulate(t, grad, owned=True)
 
     return _build(out[unsort].reshape(n, k, -1).sum(axis=1), parents, backward)
 
@@ -550,7 +586,7 @@ def cross_entropy_logits(logits, targets, sample_weight: Optional[np.ndarray] = 
             np.exp(probs, out=probs)
             probs[np.arange(n), tgt] -= 1.0
             probs *= (w / total_w)[:, None] * g
-            _accumulate(logits, probs)
+            _accumulate(logits, probs, owned=True)
 
     return _build(np.asarray(loss, logits.data.dtype), (logits,), backward)
 
@@ -558,12 +594,29 @@ def cross_entropy_logits(logits, targets, sample_weight: Optional[np.ndarray] = 
 # -- optimizer -----------------------------------------------------------------
 
 
+# Elements per AdamW block. A block of p, grad, m and v plus the scratch block is 640 KiB at
+# float32 (1.25 MiB at float64), inside a 4 MiB L2 cache. On one 65,541 x 256 float32 update
+# (2 vCPU, numpy 2.4), 32K and 64K tied at ~70 ms; 4K took 135 ms and 1M 105 ms.
+ADAMW_BLOCK = 1 << 15
+
+
 class AdamW:
-    """Adaptive-moment optimizer with decoupled weight decay.
+    """Adaptive-moment optimizer with decoupled weight decay (Loshchilov & Hutter, arXiv:1711.05101).
 
     Accepts a flat parameter list or param groups (dicts with ``params``
     and optional ``lr`` / ``weight_decay`` overrides) so layer-wise
     learning rates are just groups.
+
+    The update is dense: a parameter whose ``.grad`` is set moves over all of its
+    elements, so momentum and decay move rows whose gradient is zero. A parameter
+    whose ``.grad`` is None is skipped and gets no state. Each parameter is updated in
+    place, ``ADAMW_BLOCK`` elements of its flattened p, grad, m and v at a time through
+    one block-sized scratch buffer, so a step reads each of them from memory once::
+
+        m = b1 m + (1 - b1) g        v = b2 v + (1 - b2) g^2
+        p -= lr wd p                 p -= lr / bc1 * m / (sqrt(v / bc2) + eps)
+
+    with bias corrections bc1 = 1 - b1^t and bc2 = 1 - b2^t at step t.
     """
 
     def __init__(
@@ -582,34 +635,49 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
+        self._moments: dict[int, np.ndarray] = {}  # id(p) -> [2, p.size]: the flat m and v
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        b1, b2, eps = self.beta1, self.beta2, self.eps
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        scratch = None
         for group in self.groups:
             lr = group.get("lr", self.lr)
             wd = group.get("weight_decay", self.weight_decay)
             for p in group["params"]:
                 if p.grad is None:
                     continue
-                key = id(p)
-                if key not in self._m:
-                    self._m[key] = np.zeros_like(p.data)
-                    self._v[key] = np.zeros_like(p.data)
-                m, v = self._m[key], self._v[key]
-                g = p.grad
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * np.square(g)
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-                if wd:
-                    update = update + wd * p.data
-                p.data -= lr * update
+                if id(p) not in self._moments:
+                    self._moments[id(p)] = np.zeros((2, p.data.size), p.data.dtype)
+                m, v = self._moments[id(p)]
+                if not p.data.flags.c_contiguous:  # reshape(-1) must give a view, or the update is lost
+                    p.data = np.ascontiguousarray(p.data)
+                flat, grad = p.data.reshape(-1), p.grad.reshape(-1)
+                if scratch is None or scratch.dtype != flat.dtype:
+                    scratch = np.empty(ADAMW_BLOCK, flat.dtype)
+                for lo in range(0, flat.size, ADAMW_BLOCK):
+                    hi = lo + ADAMW_BLOCK
+                    pb, gb, mb, vb = flat[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi]
+                    s = scratch[: pb.size]
+                    mb *= b1
+                    np.multiply(gb, 1.0 - b1, out=s)
+                    mb += s
+                    vb *= b2
+                    np.multiply(gb, gb, out=s)
+                    s *= 1.0 - b2
+                    vb += s
+                    if wd:  # p -= lr wd p: a float32 factor 1 - lr wd would round lr wd ~ 1e-7 by up to 20%
+                        np.multiply(pb, lr * wd, out=s)
+                        pb -= s
+                    np.divide(vb, bc2, out=s)
+                    np.sqrt(s, out=s)
+                    s += eps
+                    np.divide(mb, s, out=s)
+                    s *= lr / bc1
+                    pb -= s
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -180,6 +180,15 @@ def test_bench_cli_writes_report(pipeline):
     assert len(lines) == 5  # header + 2 models x 2 batch sizes
 
 
+@pytest.mark.parametrize("sizes,bad", [("0", "0"), ("-4", "-4"), ("2,x", "x"), ("2.5", "2.5")])
+def test_bad_bench_batch_sizes_are_data_errors(tiny_eval, capsys, sizes, bad):
+    ckpt, _ = tiny_eval
+    assert run("bench", "--ckpt", str(ckpt), "--batch-sizes", sizes, "--report", str(ckpt.parent / "b.tsv")) == 2
+    err = capsys.readouterr().err
+    assert "--batch-sizes" in err and repr(bad) in err
+    assert not (ckpt.parent / "b.tsv").exists()
+
+
 def test_ood_cli_time_mode(tmp_path):
     pcap = tmp_path / "f.pcap"
     fixture_pcap(pcap, n_flows=10, packets_per_flow=4)

@@ -585,6 +585,8 @@ def test_one_attention_node_per_layer_whatever_batch_and_heads(rng):
     classify = graph_ops(model.forward(*ragged_batch(rng), mode="classify")[0])
     assert classify["moe_experts"] == model.config.n_layers
     assert classify["take_elems"] == classify["scatter_rows"] == 0
+    assert classify["gather_rows"] == 1 and classify["concat_rows"] == 0  # the embedding; pooling is one node
+    assert classify["segment_sum"] == 1
 
 
 @pytest.mark.parametrize("mode", ["lm", "classify"])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -192,6 +193,60 @@ def test_scatter_take_concat_grads(rng):
         check_grad(build, [x], 1e-6, 1e-6)
 
 
+def test_gather_twice_plus_matmul_grad_float64(rng):
+    # whichever of the three backwards runs first creates t.grad; the other two add into it
+    with T.use_dtype(np.float64):
+        x = rng.normal(size=(6, 3))
+        first, second = np.array([4, 1, 4, 4, 0]), np.array([1, 1, 5, 4])
+        proj = rng.normal(size=(3, 6))
+
+        def build():
+            t = Tensor(x, requires_grad=True)
+            a, b = T.gather_rows(t, first), T.gather_rows(t, second)
+            c = T.matmul(T.matmul(a, proj), t)  # [5, 6] @ [6, 3]
+            parts = [T.tsum(T.mul(part, part)) for part in (a, b, c)]
+            return T.add(T.add(parts[0], parts[1]), parts[2]), [t]
+
+        check_grad(build, [x], 1e-6, 1e-6)
+
+
+def test_segment_sum_forward_and_grad_float64(rng):
+    lengths = (3, 1, 4)
+    with T.use_dtype(np.float64):
+        x, weights = rng.normal(size=(8, 3)), rng.uniform(0.1, 1.0, size=8)
+        out = T.segment_sum(Tensor(x), weights, lengths).data
+        bounds = np.cumsum((0,) + lengths)
+        assert np.allclose(out, [weights[lo:hi] @ x[lo:hi] for lo, hi in zip(bounds, bounds[1:])], rtol=1e-12)
+
+        def build():
+            t = Tensor(x, requires_grad=True)
+            out = T.segment_sum(t, weights, lengths)
+            return T.tsum(T.mul(out, out)), [t]
+
+        check_grad(build, [x], 1e-6, 1e-6)
+
+
+def test_add_of_a_tensor_with_itself_doubles_and_keeps_upstream(rng):
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    upstream = rng.normal(size=(3, 4)).astype(x.data.dtype)
+    kept = upstream.copy()
+    T.add(x, x).backward(upstream)
+    assert np.array_equal(x.grad, 2 * kept)
+    assert np.array_equal(upstream, kept)
+
+
+def test_cross_entropy_backward_holds_one_logits_sized_array(rng):
+    logits = Tensor(rng.normal(size=(64, 4096)), requires_grad=True)
+    loss = T.cross_entropy_logits(logits, np.arange(64) * 7)
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert logits.data.nbytes <= peak < 1.25 * logits.data.nbytes
+
+
 # -- causal attention over packed sequences ------------------------------------------
 
 
@@ -322,6 +377,30 @@ def test_adamw_param_groups_use_their_own_lr():
     opt.step()
     assert a.data[0] == pytest.approx(-0.1, rel=1e-5)
     assert b.data[0] == pytest.approx(-0.01, rel=1e-5)
+
+
+def test_adamw_float64_matches_formula_over_blocks_and_groups(rng):
+    lr, wd, eps, b1, b2 = (0.1, 0.05), (0.0, 0.02), 1e-8, 0.9, 0.999
+    with T.use_dtype(np.float64):
+        starts = [rng.normal(size=(2, 3)), rng.normal(size=2 * T.ADAMW_BLOCK + 13)]  # 3 blocks, the last partial
+        params = [Tensor(a, requires_grad=True) for a in starts]
+        opt = AdamW([{"params": [params[0]], "lr": lr[0], "weight_decay": wd[0]},
+                     {"params": [params[1]], "lr": lr[1], "weight_decay": wd[1]}])
+        expected = [a.copy() for a in starts]
+        moments = [[0.0, 0.0], [0.0, 0.0]]
+        for t in range(1, 6):
+            grads = [rng.normal(size=a.shape) for a in starts]
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            opt.step()
+            for i, g in enumerate(grads):  # Loshchilov & Hutter, Algorithm 2, with eta = lr and alpha = 1
+                m, v = moments[i]
+                m, v = b1 * m + (1 - b1) * g, b2 * v + (1 - b2) * g * g
+                moments[i] = [m, v]
+                m_hat, v_hat = m / (1 - b1**t), v / (1 - b2**t)
+                expected[i] = expected[i] - lr[i] * (m_hat / (np.sqrt(v_hat) + eps) + wd[i] * expected[i])
+    for p, want in zip(params, expected):
+        assert np.allclose(p.data, want, rtol=1e-12, atol=1e-15)
 
 
 # -- infrastructure ---------------------------------------------------------------------
