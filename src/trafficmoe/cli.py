@@ -284,9 +284,17 @@ def _batch_sizes(text: str) -> list[int]:
     return [int(item) for item in text.split(",")]
 
 
+def _at_least_one(flag: str, value: Optional[int]) -> None:
+    """Reject a count flag below 1; None means the flag was not given."""
+    if value is not None and value < 1:
+        raise ValueError(f"{flag} {value} is not an integer >= 1")
+
+
 def _cmd_bench(args) -> int:
     t0 = time.time()
     batch_sizes = _batch_sizes(args.batch_sizes)
+    _at_least_one("--batches", args.batches)
+    _at_least_one("--seq-len", args.seq_len)
     model = TrafficModel.load(args.ckpt)
     if args.dense_ckpt:
         dense = TrafficModel.load(args.dense_ckpt)
@@ -367,6 +375,7 @@ def _cmd_ood(args) -> int:
 
 def _cmd_route_trace(args) -> int:
     t0 = time.time()
+    _at_least_one("--limit", args.limit)
     model = TrafficModel.load(args.ckpt)
     sequences = read_corpus(args.data)[: args.limit]
     if not sequences:

@@ -417,7 +417,7 @@ def efficiency_bench(
     allocations of one batch.
     """
     check_parameter_match(moe_model, dense_model)
-    seq_len = seq_len or moe_model.config.max_tokens
+    seq_len = moe_model.config.max_tokens if seq_len is None else seq_len
     mode = "classify" if moe_model.config.num_classes else "lm"
     reports = []
     for model, kind in ((moe_model, "moe"), (dense_model, "dense")):

@@ -10,6 +10,7 @@ comparisons.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .artifacts import format_kv, parse_kv, write_atomic
-from .tensor import Tensor
+from .tensor import Tensor, rope_tables
 
 
 @dataclass
@@ -132,18 +133,6 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     return T.mul(T.mul(x, T.rsqrt_mean_square(x, eps)), gain)
 
 
-def rope_tables(seq_len: int, head_dim: int, base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables [seq_len, head_dim] for pairwise rotary embedding."""
-    if head_dim % 2 != 0:
-        raise T.ShapeError(f"rotary embedding needs an even head dim, got {head_dim}")
-    pair = np.arange(head_dim // 2, dtype=np.float64)
-    inv_freq = base ** (-2.0 * pair / head_dim)
-    angles = np.arange(seq_len, dtype=np.float64)[:, None] * inv_freq[None, :]
-    cos = np.repeat(np.cos(angles), 2, axis=1).astype(T.default_dtype())
-    sin = np.repeat(np.sin(angles), 2, axis=1).astype(T.default_dtype())
-    return cos, sin
-
-
 def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
     """Rotate feature pairs (x_{2i}, x_{2i+1}) by position-dependent angles.
 
@@ -226,7 +215,6 @@ class TrafficModel:
     def __init__(self, config: ModelConfig, seed: int = 0, weights: Optional[dict[str, np.ndarray]] = None):
         """Random init from ``seed``, or ``weights`` named and shaped as ``parameter_specs(config)``."""
         self.config = config
-        self._rope_cache: dict[type, tuple[np.ndarray, np.ndarray]] = {}
         rng = np.random.default_rng(seed)
         init = {"normal": lambda shape: rng.normal(0.0, 0.02, size=shape), "ones": np.ones, "zeros": np.zeros}
         self.params: dict[str, Tensor] = {
@@ -290,14 +278,6 @@ class TrafficModel:
 
     # -- forward ----------------------------------------------------------------
 
-    def _rope_tables(self, seq_len: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first ``seq_len`` rows of one table per dtype, built at max_tokens or longer."""
-        key = T.default_dtype()
-        if key not in self._rope_cache or len(self._rope_cache[key][0]) < seq_len:
-            self._rope_cache[key] = rope_tables(max(seq_len, self.config.max_tokens), self.config.head_dim)
-        cos, sin = self._rope_cache[key]
-        return cos[:seq_len], sin[:seq_len]
-
     def _attention_block(self, h: Tensor, layer: int, lengths: np.ndarray) -> Tensor:
         """Attention sublayer over packed rows (sequence b is the next ``lengths[b]`` rows):
         pre-norm, one QKV projection, rotary causal attention within each sequence, residual."""
@@ -306,7 +286,7 @@ class TrafficModel:
         w_qkv = T.concat_cols([self.params[f"{base}.head{j}.{w}"] for w in ("wq", "wk", "wv")
                                for j in range(cfg.n_heads)])
         qkv = T.matmul(rmsnorm(h, self.params[f"{base}.norm_gain"]), w_qkv)
-        heads = T.causal_attention(qkv, lengths, cfg.n_heads, *self._rope_tables(int(max(lengths))))
+        heads = T.causal_attention(qkv, lengths, cfg.n_heads)
         return T.add(h, T.matmul(heads, self.params[f"{base}.wo"]))
 
     def _moe_block(self, h: Tensor, layer: int, trace: RoutingTrace) -> Tensor:
@@ -401,17 +381,14 @@ def load_balance_loss(trace: RoutingTrace) -> Tensor:
 
     Equals 1 at perfectly uniform routing; n_experts at full collapse
     with top_k = 1. Counts are treated as constants; gradients flow
-    through the routing probabilities only.
+    through the routing probabilities only. Both means are folded into each
+    layer's constant weight on its ``[n_tokens, n_experts]`` probabilities.
     """
     if not trace.layers or trace.layers[0].n_tokens == 0:
         raise ValueError("load balance loss needs at least one routed token")
-    total: Optional[Tensor] = None
-    for layer_idx, rec in enumerate(trace.layers):
-        load = trace.load_fractions(layer_idx).astype(rec.probs.data.dtype)
-        prob = T.tmean(rec.probs, axis=0)
-        term = T.mul(T.tsum(T.mul(prob, load)), float(trace.n_experts))
-        total = term if total is None else T.add(total, term)
-    return T.mul(total, 1.0 / len(trace.layers))
+    scale = trace.n_experts / len(trace.layers)
+    return functools.reduce(T.add, (T.tsum(T.mul(rec.probs, trace.load_fractions(i) * (scale / rec.n_tokens)))
+                                    for i, rec in enumerate(trace.layers)))
 
 
 def causal_attention(h_seq: Tensor, model: TrafficModel, layer: int = 0) -> Tensor:

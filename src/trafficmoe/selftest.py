@@ -109,6 +109,18 @@ def _check_gradients() -> str:
     return "spot finite-difference check (float64) within 1e-4"
 
 
+def _check_gradient_ownership() -> str:
+    rng = np.random.default_rng(11)
+    with T.use_dtype(np.float64):
+        w, v = rng.normal(size=(2, 3, 4))
+        for order in (1, -1):  # both backward orders of a's two consumers
+            a, b = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+            T.add(*[T.tsum(T.mul(T.add(a, b), w)), T.tsum(T.mul(a, v))][::order]).backward()
+            assert np.allclose(a.grad, w + v, rtol=1e-12, atol=0), "a.grad"
+            assert np.allclose(b.grad, w, rtol=1e-12, atol=0), "b.grad"
+    return "add's parents keep separate gradients when one also feeds another term"
+
+
 def _check_causality() -> str:
     cfg = ModelConfig(
         n_layers=2, d_model=16, n_heads=2, n_experts=4, top_k=2,
@@ -229,6 +241,7 @@ CHECKS = [
     ("balance_loss_anchors", _check_balance_anchors),
     ("rotary_embedding", _check_rope),
     ("gradient_spot_check", _check_gradients),
+    ("gradient_ownership", _check_gradient_ownership),
     ("causality", _check_causality),
     ("pad_invariance", _check_pad_invariance),
     ("tokenizer", _check_tokenizer),

@@ -140,7 +140,7 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data) if grad is None else np.asarray(grad, self.data.dtype)
+        self.grad = np.ones_like(self.data) if grad is None else np.array(grad, self.data.dtype)
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
@@ -151,18 +151,16 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _accumulate(param: Tensor, grad: np.ndarray, owned: bool = False) -> None:
-    """Add ``grad`` into ``param.grad``. An array kept in ``.grad`` belongs to ``param`` alone,
-    since later gradients (and ``gather_rows``) add into it in place. So a first gradient is
-    kept as it is only when ``owned`` says the backward made it for ``param`` alone; otherwise
-    (``add`` hands the same ``g`` to both parents) it is copied once."""
-    if param.grad is not None:
-        param.grad += grad
-    elif owned and grad.dtype == param.data.dtype and grad.shape == param.shape:
+def _accumulate(param: Tensor, grad: np.ndarray) -> None:
+    """Add ``grad`` into ``param.grad``, keeping a first gradient as it is. Later gradients (and
+    ``gather_rows``) add into it in place, so one rule holds: a backward hands each parent an array
+    no other tensor holds. ``add``, the only op that would hand one array to two parents, copies for
+    ``b``. A ``reshape`` or ``concat_cols`` view of a node's own gradient may be kept, as
+    ``Tensor.backward`` drops each interior gradient once it is used."""
+    if param.grad is None:
         param.grad = grad
     else:
-        param.grad = np.empty_like(param.data)
-        param.grad[...] = grad
+        param.grad += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -206,7 +204,8 @@ def add(a, b) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+            grad = _unbroadcast(g, b.shape)
+            _accumulate(b, grad.copy() if a.requires_grad else grad)  # a may keep g itself
 
     return _build(data, (a, b), backward)
 
@@ -217,9 +216,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape), owned=True)
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape), owned=True)
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _build(data, (a, b), backward)
 
@@ -237,7 +236,7 @@ def silu(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g * (sig * (1.0 + x.data * (1.0 - sig))), owned=True)
+            _accumulate(x, g * (sig * (1.0 + x.data * (1.0 - sig))))
 
     return _build(data, (x,), backward)
 
@@ -248,7 +247,7 @@ def sigmoid(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g * sig * (1.0 - sig), owned=True)
+            _accumulate(x, g * sig * (1.0 - sig))
 
     return _build(sig, (x,), backward)
 
@@ -265,7 +264,7 @@ def softmax_lastdim(x) -> Tensor:
     def backward(g):
         if x.requires_grad:
             inner = np.sum(g * probs, axis=-1, keepdims=True)
-            _accumulate(x, probs * (g - inner), owned=True)
+            _accumulate(x, probs * (g - inner))
 
     return _build(probs, (x,), backward)
 
@@ -279,38 +278,20 @@ def rsqrt_mean_square(x, eps: float = 1e-6) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, g * (-(inv**3) * x.data / d), owned=True)
+            _accumulate(x, g * (-(inv**3) * x.data / d))
 
     return _build(inv.astype(x.data.dtype), (x,), backward)
 
 
-def tsum(x, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
+def tsum(x) -> Tensor:
+    """Sum of all elements, as a 0-d tensor."""
     x = as_tensor(x)
-    data = np.sum(x.data, axis=axis, keepdims=keepdims)
 
     def backward(g):
         if x.requires_grad:
-            grad = np.asarray(g)
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis)
-            _accumulate(x, np.broadcast_to(grad, x.shape).astype(x.data.dtype), owned=True)
+            _accumulate(x, np.full(x.shape, g, dtype=x.data.dtype))
 
-    return _build(np.asarray(data), (x,), backward)
-
-
-def tmean(x, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    count = x.data.size if axis is None else x.shape[axis]
-    data = np.mean(x.data, axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if x.requires_grad:
-            grad = np.asarray(g) / count
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis)
-            _accumulate(x, np.broadcast_to(grad, x.shape).astype(x.data.dtype), owned=True)
-
-    return _build(np.asarray(data), (x,), backward)
+    return _build(np.asarray(np.sum(x.data)), (x,), backward)
 
 
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
@@ -337,9 +318,9 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T, owned=True)
+            _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g, owned=True)
+            _accumulate(b, a.data.T @ g)
 
     return _build(data, (a, b), backward)
 
@@ -354,20 +335,6 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 _accumulate(p, g[..., lo:hi])
-
-    return _build(data, tuple(parts), backward)
-
-
-def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    heights = [p.shape[0] for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=0)
-    offsets = np.cumsum([0] + heights)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                _accumulate(p, g[lo:hi])
 
     return _build(data, tuple(parts), backward)
 
@@ -413,7 +380,7 @@ def segment_sum(x, weights: np.ndarray, lengths: Sequence[int]) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accumulate(x, np.repeat(g, lengths, axis=0) * scale, owned=True)
+            _accumulate(x, np.repeat(g, lengths, axis=0) * scale)
 
     return _build(np.add.reduceat(x.data * scale, np.cumsum(lengths) - lengths, axis=0), (x,), backward)
 
@@ -427,9 +394,21 @@ def scatter_rows(values, indices, num_rows: int) -> Tensor:
 
     def backward(g):
         if values.requires_grad:
-            _accumulate(values, g[idx], owned=True)
+            _accumulate(values, g[idx])
 
     return _build(data, (values,), backward)
+
+
+def rope_tables(seq_len: int, head_dim: int, base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin tables [seq_len, head_dim] for pairwise rotary embedding."""
+    if head_dim % 2 != 0:
+        raise ShapeError(f"rotary embedding needs an even head dim, got {head_dim}")
+    pair = np.arange(head_dim // 2, dtype=np.float64)
+    inv_freq = base ** (-2.0 * pair / head_dim)
+    angles = np.arange(seq_len, dtype=np.float64)[:, None] * inv_freq[None, :]
+    cos = np.repeat(np.cos(angles), 2, axis=1).astype(_default_dtype)
+    sin = np.repeat(np.sin(angles), 2, axis=1).astype(_default_dtype)
+    return cos, sin
 
 
 def rotary(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -444,14 +423,14 @@ def rotary(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 # -- attention and mixture of experts ---------------------------------------------
 
 
-def causal_attention(qkv, lengths: Sequence[int], n_heads: int, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+def causal_attention(qkv, lengths: Sequence[int], n_heads: int) -> Tensor:
     """Rotary causal multi-head attention over packed sequences.
 
     ``qkv`` is ``[N, 3d]`` = ``[q | k | v]``, heads side by side within each
     part. Sequence b is the next ``lengths[b]`` (>= 1) rows, and each row
     attends to itself and the earlier rows of its own sequence only. q and k
     are rotated by ``rotary`` at each row's position in its sequence, from
-    ``cos``/``sin`` tables ``[>= max(lengths), d / n_heads]``. Returns
+    ``rope_tables(max(lengths), d / n_heads)``. Returns
     ``softmax(q k^T / sqrt(head_dim)) v`` as ``[N, d]``, one 3-D block of all
     heads per sequence, and counts its 4*L*L*d matmul FLOPs per sequence.
     """
@@ -462,7 +441,7 @@ def causal_attention(qkv, lengths: Sequence[int], n_heads: int, cos: np.ndarray,
         raise ShapeError(f"causal_attention: qkv {qkv.shape} does not hold {n_heads} heads over lengths {lengths}")
     hd, scale = d // n_heads, 1.0 / math.sqrt(d // n_heads)
     positions = np.concatenate([np.arange(length) for length in lengths])
-    cos_rows, sin_rows = (np.tile(table[positions], 2 * n_heads) for table in (cos, sin))
+    cos_rows, sin_rows = (np.tile(table[positions], 2 * n_heads) for table in rope_tables(max(lengths), hd))
 
     def by_head(x):  # [N, parts * d] -> one [n_heads, N, hd] array per part, a view where reshape allows
         return x.reshape(n, -1, n_heads, hd).transpose(1, 2, 0, 3)
@@ -499,7 +478,7 @@ def causal_attention(qkv, lengths: Sequence[int], n_heads: int, cos: np.ndarray,
             dq[:, lo:hi] = dscores @ k[:, lo:hi]
             dk[:, lo:hi] = dscores.swapaxes(1, 2) @ q[:, lo:hi]
         grad[:, : 2 * d] = rotary(grad[:, : 2 * d], cos_rows, -sin_rows)
-        _accumulate(qkv, grad, owned=True)
+        _accumulate(qkv, grad)
 
     return _build(out, (qkv,), backward)
 
@@ -549,10 +528,10 @@ def moe_experts(z, sparse, selected: np.ndarray, experts: Sequence[tuple[Tensor,
             dx[lo:hi] = dpre @ w_gate.data.T + dup @ w_up.data.T
             for w, grad in zip(experts[e], (x[lo:hi].T @ dpre, x[lo:hi].T @ dup, hidden.T @ dy)):
                 if w.requires_grad:
-                    _accumulate(w, grad, owned=True)
+                    _accumulate(w, grad)
         for t, grad in ((z, dx[unsort].reshape(n, k, -1).sum(axis=1)), (sparse, dsparse)):
             if t.requires_grad:
-                _accumulate(t, grad, owned=True)
+                _accumulate(t, grad)
 
     return _build(out[unsort].reshape(n, k, -1).sum(axis=1), parents, backward)
 
@@ -586,7 +565,7 @@ def cross_entropy_logits(logits, targets, sample_weight: Optional[np.ndarray] = 
             np.exp(probs, out=probs)
             probs[np.arange(n), tgt] -= 1.0
             probs *= (w / total_w)[:, None] * g
-            _accumulate(logits, probs, owned=True)
+            _accumulate(logits, probs)
 
     return _build(np.asarray(loss, logits.data.dtype), (logits,), backward)
 

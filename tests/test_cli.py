@@ -189,6 +189,18 @@ def test_bad_bench_batch_sizes_are_data_errors(tiny_eval, capsys, sizes, bad):
     assert not (ckpt.parent / "b.tsv").exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [("bench", "--batches", "0"), ("bench", "--seq-len", "0"),
+                                                ("bench", "--seq-len", "-3"), ("route-trace", "--limit", "-2"),
+                                                ("route-trace", "--limit", "0")])
+def test_counts_below_one_are_data_errors(tiny_eval, capsys, command, flag, value):
+    ckpt, corpus = tiny_eval
+    out = ckpt.parent / "out.tsv"
+    io = ("--report", str(out)) if command == "bench" else ("--data", str(corpus), "--out", str(out))
+    assert run(command, "--ckpt", str(ckpt), *io, flag, value) == 2
+    assert f"{flag} {value} " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ood_cli_time_mode(tmp_path):
     pcap = tmp_path / "f.pcap"
     fixture_pcap(pcap, n_flows=10, packets_per_flow=4)
