@@ -140,10 +140,10 @@ def _resolve(options: dict, args) -> dict:
 
 def _cmd_ingest(args) -> int:
     t0 = time.time()
+    _at_least("--min-packets", args.min_packets)
     pcap = Path(args.pcap)
     records = parse_capture(pcap.read_bytes())
-    flows = reassemble_sessions(records)
-    flows = filter_micro_flows(flows, args.min_packets, keep_all=args.keep_all)
+    flows = filter_micro_flows(reassemble_sessions(records), 1 if args.keep_all else args.min_packets)
     if args.label is not None:
         flows = [relabel(f, args.label) for f in flows]
     out = Path(args.out)
@@ -284,17 +284,18 @@ def _batch_sizes(text: str) -> list[int]:
     return [int(item) for item in text.split(",")]
 
 
-def _at_least_one(flag: str, value: Optional[int]) -> None:
-    """Reject a count flag below 1; None means the flag was not given."""
-    if value is not None and value < 1:
-        raise ValueError(f"{flag} {value} is not an integer >= 1")
+def _at_least(flag: str, value: Optional[int], low: int = 1) -> None:
+    """Reject a count flag below ``low``; None means the flag was not given."""
+    if value is not None and value < low:
+        raise ValueError(f"{flag} {value} is not an integer >= {low}")
 
 
 def _cmd_bench(args) -> int:
     t0 = time.time()
     batch_sizes = _batch_sizes(args.batch_sizes)
-    _at_least_one("--batches", args.batches)
-    _at_least_one("--seq-len", args.seq_len)
+    _at_least("--batches", args.batches)
+    _at_least("--seq-len", args.seq_len)
+    _at_least("--warmup", args.warmup, low=0)
     model = TrafficModel.load(args.ckpt)
     if args.dense_ckpt:
         dense = TrafficModel.load(args.dense_ckpt)
@@ -318,6 +319,7 @@ def _cmd_bench(args) -> int:
         "batch_sizes": args.batch_sizes,
         "seq_len": args.seq_len,
         "batches": args.batches,
+        "warmup": args.warmup,
     }
     _echo_config(config)
     for report in (moe_report, dense_report):
@@ -375,7 +377,7 @@ def _cmd_ood(args) -> int:
 
 def _cmd_route_trace(args) -> int:
     t0 = time.time()
-    _at_least_one("--limit", args.limit)
+    _at_least("--limit", args.limit)
     model = TrafficModel.load(args.ckpt)
     sequences = read_corpus(args.data)[: args.limit]
     if not sequences:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .artifacts import write_atomic
-from .model import ModelConfig, RoutingTrace, TrafficModel
+from .model import ModelConfig, RoutingTrace, TrafficModel, parameter_specs
 from .tokenization import TokenSequence
 
 # -- confusion matrix and derived metrics -------------------------------------
@@ -380,12 +380,7 @@ def build_dense_variant(model: TrafficModel, seed: int = 0) -> TrafficModel:
     cfg = model.config
     if cfg.ffn_kind != "moe":
         raise ValueError("model is already dense")
-    per_layer = (
-        cfg.d_model * cfg.n_experts  # router
-        + cfg.d_model  # shared-expert gate vector
-        + 3 * cfg.d_model * cfg.ffn_hidden
-        + cfg.n_experts * 3 * cfg.d_model * cfg.expert_hidden
-    )
+    per_layer = sum(int(np.prod(shape)) for name, shape, _ in parameter_specs(cfg) if name.startswith("layers.0.moe."))
     hidden = int(round(per_layer / (3 * cfg.d_model)))
     dense = TrafficModel(dataclasses.replace(cfg, ffn_kind="dense", dense_hidden=hidden), seed=seed)
     check_parameter_match(model, dense)

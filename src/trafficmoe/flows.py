@@ -259,18 +259,13 @@ def reassemble_sessions(packets: Iterable[PacketRecord]) -> list[SessionFlow]:
     return flows
 
 
-def filter_micro_flows(
-    flows: list[SessionFlow], min_packets: int = 3, keep_all: bool = False
-) -> list[SessionFlow]:
-    """Drop flows with fewer than ``min_packets`` packets.
+def filter_micro_flows(flows: list[SessionFlow], min_packets: int = 3) -> list[SessionFlow]:
+    """Drop flows with fewer than ``min_packets`` packets, preserving order.
 
-    ``keep_all`` bypasses the filter (for classes where every sample
-    counts); order is preserved either way.
+    ``min_packets=1`` keeps every flow (for classes where every sample counts).
     """
     if min_packets < 1:
         raise ValueError(f"min_packets must be >= 1, got {min_packets}")
-    if keep_all:
-        return list(flows)
     return [f for f in flows if len(f) >= min_packets]
 
 

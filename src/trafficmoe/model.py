@@ -142,24 +142,19 @@ def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
     return Tensor(T.rotary(x.data, cos[positions], sin[positions]))
 
 
-def route_tokens(z: Tensor, router_weight: Tensor, top_k: int) -> tuple[Tensor, Tensor, np.ndarray]:
-    """Softmax routing scores plus their sparse top-k restriction.
+def route_tokens(z: Tensor, router_weight: Tensor, top_k: int) -> tuple[Tensor, np.ndarray]:
+    """Softmax routing scores and the top-k experts of each row.
 
-    Kept entries retain their softmax values (no renormalization); ties
-    are broken toward the lowest expert index. Returns (dense scores,
-    sparse scores, selected indices [n, k]).
+    Selected experts keep their softmax scores (no renormalization); ties
+    are broken toward the lowest expert index. Returns (scores [n, E],
+    selected indices [n, k]).
     """
     n_experts = router_weight.shape[-1]
     if not (1 <= top_k <= n_experts):
         raise ValueError(f"top_k={top_k} outside [1, {n_experts}]")
     scores = T.softmax_lastdim(T.matmul(z, router_weight))
     # stable argsort of -p keeps the lowest index first among ties
-    order = np.argsort(-scores.data, axis=-1, kind="stable")
-    selected = order[:, :top_k]
-    keep = np.zeros(scores.shape, dtype=scores.data.dtype)
-    np.put_along_axis(keep, selected, 1.0, axis=-1)
-    sparse = T.mul(scores, keep)
-    return scores, sparse, selected
+    return scores, np.argsort(-scores.data, axis=-1, kind="stable")[:, :top_k]
 
 
 def swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
@@ -294,7 +289,7 @@ class TrafficModel:
         cfg = self.config
         p = self.params
         z = rmsnorm(h, p[f"layers.{layer}.ffn.norm_gain"])
-        scores, sparse, selected = route_tokens(z, p[f"layers.{layer}.moe.router"], cfg.top_k)
+        scores, selected = route_tokens(z, p[f"layers.{layer}.moe.router"], cfg.top_k)
         trace.layers.append(LayerRouting(probs=scores, selected=selected))
 
         gate_vec = T.reshape(p[f"layers.{layer}.moe.shared_gate"], (cfg.d_model, 1))
@@ -303,7 +298,7 @@ class TrafficModel:
         out = T.add(h, T.mul(gate, swiglu(z, p[f"{shared}.w_gate"], p[f"{shared}.w_up"], p[f"{shared}.w_down"])))
         experts = [tuple(p[f"layers.{layer}.moe.expert{e}.{w}"] for w in ("w_gate", "w_up", "w_down"))
                    for e in range(cfg.n_experts)]
-        return T.add(out, T.moe_experts(z, sparse, selected, experts))
+        return T.add(out, T.moe_experts(z, scores, selected, experts))
 
     def _dense_block(self, h: Tensor, layer: int) -> Tensor:
         p = self.params

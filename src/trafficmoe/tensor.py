@@ -483,57 +483,58 @@ def causal_attention(qkv, lengths: Sequence[int], n_heads: int) -> Tensor:
     return _build(out, (qkv,), backward)
 
 
-def moe_experts(z, sparse, selected: np.ndarray, experts: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
-    """Routed half of a mixture-of-experts sublayer, with sorted dropless dispatch.
+def moe_experts(z, scores, selected: np.ndarray, experts: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
+    """Routed half of a mixture-of-experts sublayer, with dropless dispatch.
 
-    Row t of the ``[N, d]`` result sums ``sparse[t, e] * SwiGLU_e(z[t])`` over the experts
+    Row t of the ``[N, d]`` result sums ``scores[t, e] * SwiGLU_e(z[t])`` over the experts
     e in row t of ``selected`` (``[N, k]``, distinct per row), ``experts[e]`` being
-    ``(w_gate, w_up, w_down)``. The N*k (row, slot) pairs are sorted by expert once, so
-    each expert runs on one contiguous slice; the results are un-sorted to ``[N, k, d]``
-    and summed over k. An expert given no pair gets no gradient. Counts its matmul FLOPs.
+    ``(w_gate, w_up, w_down)``; no other entry of ``scores`` is read. Each expert runs once
+    on the rows that selected it, in row order, and writes their slots of an ``[N, k, d]``
+    buffer that is summed over k. An expert given no row gets no gradient. Counts its
+    matmul FLOPs.
     """
-    z, sparse = as_tensor(z), as_tensor(sparse)
+    z, scores = as_tensor(z), as_tensor(scores)
     n, k = selected.shape
-    if z.shape[0] != n or sparse.shape != (n, len(experts)):
-        raise ShapeError(f"moe_experts: z {z.shape}, sparse {sparse.shape} do not fit selected {selected.shape}")
-    flat = selected.reshape(-1)
-    order = np.argsort(flat, kind="stable")  # sorted pair i is row order[i] // k, slot order[i] % k
-    unsort, rows, counts = np.argsort(order), order // k, np.bincount(flat, minlength=len(experts))
-    x, scale = z.data[rows], sparse.data[rows, flat[order]][:, None]
-    parents = (z, sparse) + tuple(w for weights in experts for w in weights)
-    out, saved = np.empty((n * k, z.shape[1]), dtype=z.data.dtype), []
+    if z.shape[0] != n or scores.shape != (n, len(experts)):
+        raise ShapeError(f"moe_experts: z {z.shape}, scores {scores.shape} do not fit selected {selected.shape}")
+    if np.any((selected < 0) | (selected >= len(experts))):
+        raise ShapeError(f"moe_experts: selected holds an expert outside [0, {len(experts)})")
+    parents = (z, scores) + tuple(w for weights in experts for w in weights)
+    out, saved = np.empty((n, k, z.shape[1]), dtype=z.data.dtype), []
     global _flop_count
-    for e, (lo, hi) in enumerate(zip(np.cumsum(counts) - counts, np.cumsum(counts))):
-        if lo == hi:
+    for e, (w_gate, w_up, w_down) in enumerate(experts):
+        rows, slots = np.nonzero(selected == e)
+        if not len(rows):
             continue
-        w_gate, w_up, w_down = experts[e]
-        _flop_count += 2 * (hi - lo) * (w_gate.data.size + w_up.data.size + w_down.data.size)
-        pre, up = x[lo:hi] @ w_gate.data, x[lo:hi] @ w_up.data
+        _flop_count += 2 * len(rows) * (w_gate.data.size + w_up.data.size + w_down.data.size)
+        x, scale = z.data[rows], scores.data[rows, e][:, None]
+        pre, up = x @ w_gate.data, x @ w_up.data
         sig = _logistic(pre)
         hidden = pre * sig * up
         y = hidden @ w_down.data
-        out[lo:hi] = y * scale[lo:hi]
+        out[rows, slots] = y * scale
         if _grad_enabled:  # dropped with the closure when no parent requires grad
-            saved.append((e, lo, hi, pre, up, sig, hidden, y))
+            saved.append((e, rows, slots, x, scale, pre, up, sig, hidden, y))
 
     def backward(g):
-        g_pairs, dx, dsparse = g[rows], np.empty_like(x), np.zeros_like(sparse.data)
-        for e, lo, hi, pre, up, sig, hidden, y in saved:
+        dx, dscores = np.empty((n, k, z.shape[1]), dtype=z.data.dtype), np.zeros_like(scores.data)
+        for e, rows, slots, x, scale, pre, up, sig, hidden, y in saved:
             w_gate, w_up, w_down = experts[e]
-            dsparse[rows[lo:hi], e] = np.sum(g_pairs[lo:hi] * y, axis=1)
-            dy = g_pairs[lo:hi] * scale[lo:hi]
+            g_rows = g[rows]
+            dscores[rows, e] = np.sum(g_rows * y, axis=1)
+            dy = g_rows * scale
             dhidden = dy @ w_down.data.T
             dup = dhidden * (pre * sig)
             dpre = dhidden * up * (sig * (1.0 + pre * (1.0 - sig)))
-            dx[lo:hi] = dpre @ w_gate.data.T + dup @ w_up.data.T
-            for w, grad in zip(experts[e], (x[lo:hi].T @ dpre, x[lo:hi].T @ dup, hidden.T @ dy)):
+            dx[rows, slots] = dpre @ w_gate.data.T + dup @ w_up.data.T
+            for w, grad in zip(experts[e], (x.T @ dpre, x.T @ dup, hidden.T @ dy)):
                 if w.requires_grad:
                     _accumulate(w, grad)
-        for t, grad in ((z, dx[unsort].reshape(n, k, -1).sum(axis=1)), (sparse, dsparse)):
+        for t, grad in ((z, dx.sum(axis=1)), (scores, dscores)):
             if t.requires_grad:
                 _accumulate(t, grad)
 
-    return _build(out[unsort].reshape(n, k, -1).sum(axis=1), parents, backward)
+    return _build(out.sum(axis=1), parents, backward)
 
 
 # -- fused losses --------------------------------------------------------------

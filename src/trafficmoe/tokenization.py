@@ -277,13 +277,12 @@ def temporal_slice(
     flow: SessionFlow,
     window_seconds: float = 15.0,
     min_packets: int = 3,
-    keep_all: bool = False,
 ) -> list[SessionFlow]:
     """Cut one flow into fixed-duration sub-flows inheriting its label.
 
     Packets are binned into half-open windows [t0 + i*w, t0 + (i+1)*w);
     empty windows vanish; sub-flows smaller than ``min_packets`` are
-    dropped unless ``keep_all`` is set. Directions are re-derived
+    dropped (``min_packets=1`` keeps them all). Directions are re-derived
     relative to each sub-flow's first packet.
     """
     if window_seconds <= 0:
@@ -295,7 +294,7 @@ def temporal_slice(
     out = []
     for idx in sorted(bins):
         pkts = bins[idx]
-        if len(pkts) < min_packets and not keep_all:
+        if len(pkts) < min_packets:
             continue
         origin = (pkts[0].src_ip, pkts[0].src_port)
         pairs = [

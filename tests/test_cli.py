@@ -99,6 +99,14 @@ def test_ingest_micro_flow_filter_and_bypass(tmp_path, capsys):
     assert "flows=3" in capsys.readouterr().out
 
 
+def test_keep_all_still_rejects_min_packets_below_one(tmp_path, capsys):
+    pcap = tmp_path / "fix.pcap"
+    fixture_pcap(pcap, n_flows=3, packets_per_flow=2)
+    assert run("ingest", "--pcap", str(pcap), "--out", str(tmp_path / "flows"), "--keep-all", "--min-packets", "0") == 2
+    assert "--min-packets 0 is not an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "flows").exists()
+
+
 # -- the full pipeline ------------------------------------------------------------------
 
 
@@ -191,7 +199,7 @@ def test_bad_bench_batch_sizes_are_data_errors(tiny_eval, capsys, sizes, bad):
 
 @pytest.mark.parametrize("command,flag,value", [("bench", "--batches", "0"), ("bench", "--seq-len", "0"),
                                                 ("bench", "--seq-len", "-3"), ("route-trace", "--limit", "-2"),
-                                                ("route-trace", "--limit", "0")])
+                                                ("route-trace", "--limit", "0"), ("bench", "--warmup", "-5")])
 def test_counts_below_one_are_data_errors(tiny_eval, capsys, command, flag, value):
     ckpt, corpus = tiny_eval
     out = ckpt.parent / "out.tsv"
@@ -264,6 +272,7 @@ def test_manifest_lists_every_file_read(tiny_eval):
     assert run("bench", "--ckpt", str(ckpt), "--dense-ckpt", str(dense), "--batch-sizes", "1",
                "--report", str(out / "bench.tsv"), "--batches", "1", "--warmup", "1", "--seq-len", "8") == 0
     assert manifest_inputs(out) == sha256_of(ckpt, f"{ckpt}.config", dense, f"{dense}.config")
+    assert "config.warmup=1\n" in (out / "manifest.log").read_text().split("---\n")[-2]
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

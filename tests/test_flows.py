@@ -287,11 +287,6 @@ def test_filter_min_one_is_identity():
     assert filter_micro_flows(flows, min_packets=1) == flows
 
 
-def test_filter_bypass_keeps_everything():
-    flows = [_flow_of_size(n, port=10 * n) for n in (1, 2)]
-    assert filter_micro_flows(flows, min_packets=3, keep_all=True) == flows
-
-
 def test_filter_rejects_bad_min():
     with pytest.raises(ValueError):
         filter_micro_flows([], min_packets=0)

@@ -327,6 +327,16 @@ def test_moe_experts_grad_float64(top_k, rng):
     assert all(t.grad is None for t in tensors[-3:])
 
 
+@pytest.mark.parametrize("bad", [4, -1])
+def test_moe_experts_rejects_an_expert_out_of_range(bad, rng):
+    n, d, hidden, n_experts = 3, 4, 3, 4
+    experts = [tuple(Tensor(rng.normal(size=shape)) for shape in ((d, hidden), (d, hidden), (hidden, d)))
+               for _ in range(n_experts)]
+    selected = np.array([[0, 1], [2, bad], [3, 0]])
+    with pytest.raises(ShapeError, match="moe_experts"):
+        T.moe_experts(rng.normal(size=(n, d)), np.full((n, n_experts), 0.25), selected, experts)
+
+
 def test_cross_entropy_grad(rng):
     with T.use_dtype(np.float64):
         logits = rng.normal(size=(5, 4))

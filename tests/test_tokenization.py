@@ -318,7 +318,7 @@ def test_temporal_slice_single_window_identity():
 def test_temporal_slice_discards_small_windows_unless_bypass():
     flow = _timed_flow([0, 1, 2, 30])
     assert len(temporal_slice(flow, window_seconds=5.0)) == 1
-    parts = temporal_slice(flow, window_seconds=5.0, keep_all=True)
+    parts = temporal_slice(flow, window_seconds=5.0, min_packets=1)
     assert sum(len(p) for p in parts) == 4
 
 
@@ -326,7 +326,7 @@ def test_temporal_slice_discards_small_windows_unless_bypass():
 @settings(max_examples=60)
 def test_temporal_slice_conservation(times, window):
     flow = _timed_flow(sorted(times))
-    parts = temporal_slice(flow, window_seconds=window, keep_all=True)
+    parts = temporal_slice(flow, window_seconds=window, min_packets=1)
     sliced = sorted(p.timestamp for part in parts for p, _ in part.packets)
     assert sliced == sorted(times)
     # brute-force binning oracle
