@@ -167,6 +167,7 @@ def _serializer_from_args(args) -> tuple[SerializerConfig, dict]:
 
 def _cmd_build_vocab(args) -> int:
     t0 = time.time()
+    _at_least("--min-freq", args.min_freq)
     serializer, config = _serializer_from_args(args)
     config.update({"vocab_mode": args.vocab_mode, "min_freq": args.min_freq})
     if args.vocab_mode == "full_bigram":
@@ -187,6 +188,8 @@ def _cmd_build_vocab(args) -> int:
 
 def _cmd_tokenize(args) -> int:
     t0 = time.time()
+    if not args.slice_window >= 0:  # also false for nan
+        raise ValueError(f"--slice-window {args.slice_window:g} is not a number >= 0")
     serializer, config = _serializer_from_args(args)
     config["slice_window"] = args.slice_window
     vocab = Vocabulary.load(args.vocab)
@@ -236,9 +239,7 @@ def _run_training(args, mode: str) -> int:
     if mode == "pretrain":
         history, _ = train(model, sequences, train_config, run_dir=out)
     else:
-        train_seqs, val_seqs, test_seqs = split_dataset(
-            sequences, train_config.split_ratios, seed=seed, stratified=True
-        )
+        train_seqs, val_seqs, test_seqs = split_dataset(sequences, train_config.split_ratios, seed=seed)
         if not val_seqs:
             val_seqs = train_seqs
         history, _ = train(model, train_seqs, train_config, val_seqs=val_seqs, run_dir=out)

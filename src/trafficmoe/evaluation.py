@@ -283,16 +283,6 @@ class RoutingAccumulator:
             for e, (load, prob) in enumerate(zip(self.load_fractions(layer), self.mean_probs(layer)))])
 
 
-def routing_stats(traces: Sequence[RoutingTrace]) -> RoutingAccumulator:
-    """Fold many traces into one table of per-layer Load/Prob statistics."""
-    acc = RoutingAccumulator()
-    for trace in traces:
-        acc.add(trace)
-    if acc.n_layers == 0:
-        raise ValueError("routing_stats needs at least one non-empty trace")
-    return acc
-
-
 def trace_dump_tsv(trace: RoutingTrace, path: str | Path) -> None:
     """Dump one trace at full resolution: layer, token, expert, probability.
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .artifacts import format_kv, parse_kv, write_atomic
-from .tensor import Tensor, rope_tables
+from .tensor import Tensor
 
 
 @dataclass
@@ -133,15 +133,6 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     return T.mul(T.mul(x, T.rsqrt_mean_square(x, eps)), gain)
 
 
-def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
-    """Rotate feature pairs (x_{2i}, x_{2i+1}) by position-dependent angles.
-
-    A constant: the model rotates q and k inside ``tensor.causal_attention``.
-    """
-    cos, sin = rope_tables(int(np.max(positions)) + 1, x.shape[-1], base)
-    return Tensor(T.rotary(x.data, cos[positions], sin[positions]))
-
-
 def route_tokens(z: Tensor, router_weight: Tensor, top_k: int) -> tuple[Tensor, np.ndarray]:
     """Softmax routing scores and the top-k experts of each row.
 
@@ -203,8 +194,8 @@ def packed_rows(shape: tuple[int, int], valid_mask=None) -> tuple[np.ndarray, np
 class TrafficModel:
     """Backbone network over token-ID sequences.
 
-    Parameters are held in a flat name -> Tensor map; the layout is the
-    checkpoint contract (see ``named_parameters``).
+    Parameters are held in ``params``, a flat name -> Tensor map in
+    ``parameter_specs`` order; that layout is the checkpoint contract.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, weights: Optional[dict[str, np.ndarray]] = None):
@@ -216,9 +207,6 @@ class TrafficModel:
             name: Tensor(init[kind](shape) if weights is None else weights[name], requires_grad=True, name=name)
             for name, shape, kind in parameter_specs(config)
         }
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return self.params
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -320,13 +308,6 @@ class TrafficModel:
                 h = self._dense_block(h, layer)
         return rmsnorm(h, self.params["final_norm_gain"]), trace
 
-    def encode(self, ids: np.ndarray) -> np.ndarray:
-        """Final-layer hidden states [batch, seq, d], without a graph."""
-        ids = np.atleast_2d(np.asarray(ids))
-        with T.no_grad():
-            h, _ = self._backbone(ids.reshape(-1), np.full(ids.shape[0], ids.shape[1]))
-        return h.data.reshape(ids.shape[0], ids.shape[1], self.config.d_model)
-
     def forward(
         self,
         ids: np.ndarray,
@@ -384,16 +365,4 @@ def load_balance_loss(trace: RoutingTrace) -> Tensor:
     scale = trace.n_experts / len(trace.layers)
     return functools.reduce(T.add, (T.tsum(T.mul(rec.probs, trace.load_fractions(i) * (scale / rec.n_tokens)))
                                     for i, rec in enumerate(trace.layers)))
-
-
-def causal_attention(h_seq: Tensor, model: TrafficModel, layer: int = 0) -> Tensor:
-    """Single-sequence attention sublayer (exposed for direct checks)."""
-    return model._attention_block(h_seq, layer, np.array([h_seq.shape[0]]))
-
-
-def moe_layer(h_seq: Tensor, model: TrafficModel, layer: int = 0) -> tuple[Tensor, RoutingTrace]:
-    """Single-sequence expert sublayer (exposed for direct checks)."""
-    trace = RoutingTrace(n_experts=model.config.n_experts, top_k=model.config.top_k)
-    out = model._moe_block(h_seq, layer, trace)
-    return out, trace
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .evaluation import ConfusionMatrix, compute_metrics
-from .model import ModelConfig, TrafficModel, load_balance_loss, rope, route_tokens
+from .model import ModelConfig, TrafficModel, load_balance_loss, route_tokens
 from .synth import synth_flow, synth_flows, write_pcap
 from .tensor import AdamW, Tensor
 from .tokenization import (
@@ -61,13 +61,11 @@ def _check_balance_anchors() -> str:
 
 def _check_rope() -> str:
     rng = np.random.default_rng(1)
-    x = Tensor(rng.normal(size=(5, 8)))
-    at_zero = rope(x, np.zeros(5, dtype=int))
-    assert np.allclose(at_zero.data, x.data, atol=1e-6)
-    rotated = rope(x, np.arange(5))
-    assert np.allclose(
-        np.linalg.norm(rotated.data, axis=1), np.linalg.norm(x.data, axis=1), atol=1e-5
-    )
+    x = rng.normal(size=(5, 8))
+    cos, sin = T.rope_tables(5, 8)
+    assert np.allclose(T.rotary(x, cos[[0] * 5], sin[[0] * 5]), x, atol=1e-6)
+    rotated = T.rotary(x, cos, sin)
+    assert np.allclose(np.linalg.norm(rotated, axis=1), np.linalg.norm(x, axis=1), atol=1e-5)
     return "identity at position 0; norms preserved"
 
 

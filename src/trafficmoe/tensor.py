@@ -25,7 +25,6 @@ class ShapeError(ValueError):
 
 _default_dtype = np.float32
 _grad_enabled = True
-_debug_checks = False
 _flop_count = 0
 _alloc_bytes = 0
 
@@ -59,19 +58,8 @@ def no_grad():
         _grad_enabled = prev
 
 
-def set_debug_checks(flag: bool) -> None:
-    """Toggle per-op finiteness assertions on forward outputs."""
-    global _debug_checks
-    _debug_checks = bool(flag)
-
-
-def reset_flops() -> None:
-    global _flop_count
-    _flop_count = 0
-
-
 def matmul_flops() -> int:
-    """Multiply-accumulate FLOPs (2*m*n*k) executed since the last reset."""
+    """Multiply-accumulate FLOPs (2*m*n*k) executed since import; callers take differences."""
     return _flop_count
 
 
@@ -174,8 +162,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _build(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite value produced by a forward op")
     global _alloc_bytes
     _alloc_bytes += data.nbytes
     out = Tensor.__new__(Tensor)

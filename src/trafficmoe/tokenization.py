@@ -320,8 +320,10 @@ def read_corpus(path: str | Path) -> list[TokenSequence]:
 
 
 def iter_corpus(path: str | Path) -> Iterator[TokenSequence]:
-    """Stream the sequences of a corpus file, one per non-empty line; a label or token
-    ID that is not an integer in [0, 2**31) raises ValueError naming the file and line."""
+    """Stream the sequences of a corpus file, one per non-empty line. A label or token ID that
+    is not an integer in [0, 2**31), a line with no IDs, or one whose ID count differs from the
+    first line's raises ValueError naming the file and line."""
+    first = None  # (lineno, id count) of the first sequence
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -335,6 +337,11 @@ def iter_corpus(path: str | Path) -> Iterator[TokenSequence]:
                 ids = np.array([int(tok) for tok in line.split()], dtype=np.int32)
                 if min(ids.min(initial=0), label or 0) < 0:
                     raise ValueError("labels and token IDs must be >= 0")
+                if not ids.size:
+                    raise ValueError("no token IDs")
+                first = first or (lineno, ids.size)
+                if ids.size != first[1]:
+                    raise ValueError(f"{ids.size} token IDs, but line {first[0]} has {first[1]}")
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             yield TokenSequence(ids=ids, valid_mask=ids != PAD_ID, label=label)

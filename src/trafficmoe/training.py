@@ -138,7 +138,7 @@ def build_param_groups(
     n_layers = model.config.n_layers
     rates = llrd_schedule(n_layers, base_lr, llrd_decay)
     buckets: dict[tuple[int, bool], list[Tensor]] = {}
-    for name, param in model.named_parameters().items():
+    for name, param in model.params.items():
         key = (_layer_rank(name, n_layers), not _no_decay(name))
         buckets.setdefault(key, []).append(param)
     groups = []
@@ -160,19 +160,17 @@ def split_dataset(
     sequences: Sequence,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
-    stratified: bool = False,
 ) -> tuple[list, list, list]:
-    """Shuffle and split into train/val/test by the given ratios.
+    """Shuffle and split into train/val/test, applying the ratios inside every class.
 
-    Stratified mode applies the ratios inside every class (labels read
-    from ``.label``), keeping per-class proportions within one sample.
+    Labels are read from ``.label``; unlabelled sequences form one class of
+    their own, so an all-unlabelled set is one plain shuffled split.
     """
     total = sum(ratios)
     if total <= 0 or any(r < 0 for r in ratios):
         raise ValueError("ratios must be non-negative with positive sum")
     r_train, r_val = ratios[0] / total, ratios[1] / total
     rng = np.random.default_rng(seed)
-    n = len(sequences)
 
     def cut(indices: np.ndarray) -> tuple[list[int], list[int], list[int]]:
         m = len(indices)
@@ -184,38 +182,19 @@ def split_dataset(
             list(indices[n_train + n_val :]),
         )
 
-    if not stratified:
-        train_idx, val_idx, test_idx = cut(rng.permutation(n))
-    else:
-        labels = np.array([-1 if s.label is None else s.label for s in sequences])
-        train_idx, val_idx, test_idx = [], [], []
-        for cls in np.unique(labels):
-            members = np.nonzero(labels == cls)[0]
-            tr, va, te = cut(members[rng.permutation(members.size)])
-            train_idx += tr
-            val_idx += va
-            test_idx += te
+    labels = np.array([-1 if s.label is None else s.label for s in sequences])
+    train_idx, val_idx, test_idx = [], [], []
+    for cls in np.unique(labels):
+        members = np.nonzero(labels == cls)[0]
+        tr, va, te = cut(members[rng.permutation(members.size)])
+        train_idx += tr
+        val_idx += va
+        test_idx += te
     return (
         [sequences[i] for i in sorted(train_idx)],
         [sequences[i] for i in sorted(val_idx)],
         [sequences[i] for i in sorted(test_idx)],
     )
-
-
-def few_shot_subsample(train_set: Sequence, fraction: float, seed: int = 0) -> list:
-    """Per-class subsample keeping floor(n * fraction), never below 1."""
-    if not (0.0 < fraction <= 1.0):
-        raise ValueError("fraction must lie in (0, 1]")
-    if fraction == 1.0:
-        return list(train_set)
-    rng = np.random.default_rng(seed)
-    labels = np.array([-1 if s.label is None else s.label for s in train_set])
-    chosen: list[int] = []
-    for cls in np.unique(labels):
-        members = np.nonzero(labels == cls)[0]
-        n_keep = max(1, int(len(members) * fraction))
-        chosen += list(rng.choice(members, size=n_keep, replace=False))
-    return [train_set[i] for i in sorted(chosen)]
 
 
 def batch_arrays(sequences: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:

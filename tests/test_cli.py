@@ -107,6 +107,14 @@ def test_keep_all_still_rejects_min_packets_below_one(tmp_path, capsys):
     assert not (tmp_path / "flows").exists()
 
 
+@pytest.mark.parametrize("label", ["-1", "3000000000"])
+def test_ingest_label_outside_int32_is_data_error(tmp_path, capsys, label):
+    fixture_pcap(tmp_path / "f.pcap", n_flows=3, packets_per_flow=4)
+    assert run("ingest", "--pcap", str(tmp_path / "f.pcap"), "--out", str(tmp_path / "flows"), "--label", label) == 2
+    assert f"flow 0 (0a000001:10000 <-> 0a000909:80): label {label} is outside [0, 2**31)" in capsys.readouterr().err
+    assert not (tmp_path / "flows").exists()
+
+
 # -- the full pipeline ------------------------------------------------------------------
 
 
@@ -209,6 +217,17 @@ def test_counts_below_one_are_data_errors(tiny_eval, capsys, command, flag, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [("build-vocab", "--min-freq", "-3"),
+                                                ("tokenize", "--slice-window", "-5"),
+                                                ("tokenize", "--slice-window", "nan")])
+def test_out_of_range_flow_flags_are_data_errors_before_any_input_is_read(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out" / "v.tsv"
+    extra = ("--vocab-mode", "wordpiece") if command == "build-vocab" else ("--vocab", str(tmp_path / "none.tsv"))
+    assert run(command, "--flows", str(tmp_path / "missing"), "--out", str(out), *extra, flag, value) == 2
+    assert f"{flag} {value} is not " in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_ood_cli_time_mode(tmp_path):
     pcap = tmp_path / "f.pcap"
     fixture_pcap(pcap, n_flows=10, packets_per_flow=4)
@@ -238,6 +257,19 @@ def test_ood_cli_compose_mode_with_coarse_map(tmp_path):
     test_flows = read_flows(out / "test")
     assert {f.label for f in train_flows} <= {0, 1}   # relabeled to coarse ids
     assert {f.label for f in test_flows} == {0, 1}
+
+
+def test_ood_coarse_label_outside_int32_is_data_error(tmp_path, capsys):
+    for label in (0, 1, 2, 3):
+        fixture_pcap(tmp_path / f"c{label}.pcap", n_flows=6, packets_per_flow=4, seed=label)
+        assert run("ingest", "--pcap", str(tmp_path / f"c{label}.pcap"), "--out", str(tmp_path / f"flows{label}"),
+                   "--label", str(label)) == 0
+    coarse_map = tmp_path / "coarse.txt"
+    coarse_map.write_text("0 3000000000\n1 3000000000\n2 1\n3 1\n")
+    assert run("ood", "--mode", "compose", "--flows", *(str(tmp_path / f"flows{l}") for l in range(4)),
+               "--out", str(tmp_path / "ood"), "--coarse-map", str(coarse_map), "--seed", "2") == 2
+    assert re.search(r"flow \d+ \(.*\): label 3000000000 is outside \[0, 2\*\*31\)", capsys.readouterr().err)
+    assert not (tmp_path / "ood").exists()
 
 
 def manifest_inputs(out_dir: Path) -> dict[str, str]:
@@ -302,8 +334,13 @@ def test_seed_env_override(tmp_path, monkeypatch, capsys):
     assert "seed=777" in manifest
 
 
-def test_selftest_command():
+def test_selftest_command(capsys):
     assert run("selftest") == 0
+    out = capsys.readouterr().out
+    for name in ("routing_invariants", "balance_loss_anchors", "rotary_embedding", "gradient_spot_check",
+                 "gradient_ownership", "causality", "pad_invariance", "tokenizer", "flow_assembly", "metrics",
+                 "llrd_schedule", "checkpoint_roundtrip", "optimizer_isolation"):
+        assert f"[  ok] {name}: " in out
 
 
 # -- malformed artifacts fail closed with exit 2 ------------------------------------------
@@ -425,6 +462,20 @@ def test_malformed_corpus_line_is_data_error(tiny_eval, capsys, bad_line):
     corpus.write_text("label:1\t1 2 3\n" + bad_line + "\n")
     assert run_eval(ckpt, corpus) == 2
     assert "c.txt:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("finetune", "label:0\t1 2 3\nlabel:1\t1 2 3 4\n", "c.txt:2: 4 token IDs, but line 1 has 3"),
+    ("pretrain", "label:0\t\nlabel:1\t1 2 3\n", "c.txt:1: no token IDs"),
+], ids=["uneven", "empty"])
+def test_ragged_corpus_is_data_error(tiny_eval, tmp_path, capsys, command, text, message):
+    _, corpus = tiny_eval
+    corpus.write_text(text)
+    build_vocabulary(mode="wordpiece", corpus=["0a0b"]).save(tmp_path / "vocab.tsv")
+    assert run(command, "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
+               str(tmp_path / "run"), *TINY_FLAGS) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_vocab_line_without_tab_is_data_error(tmp_path, capsys):

@@ -8,13 +8,11 @@ from conftest import tiny_config
 from trafficmoe import tensor as T
 from trafficmoe.model import (
     ModelConfig,
+    RoutingTrace,
     TrafficModel,
-    causal_attention,
     load_balance_loss,
-    moe_layer,
     packed_rows,
     rmsnorm,
-    rope,
     route_tokens,
     swiglu,
 )
@@ -99,6 +97,17 @@ def moe_oracle(h: np.ndarray, model: TrafficModel, layer: int, top_k: int) -> np
     return out
 
 
+def rope(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The rotation ``tensor.causal_attention`` applies to q and k, at the given positions."""
+    cos, sin = T.rope_tables(int(np.max(positions)) + 1, x.shape[-1])
+    return T.rotary(x, cos[positions], sin[positions])
+
+
+def moe_block(model: TrafficModel, h: Tensor, layer: int) -> tuple[Tensor, RoutingTrace]:
+    trace = RoutingTrace(n_experts=model.config.n_experts, top_k=model.config.top_k)
+    return model._moe_block(h, layer, trace), trace
+
+
 # -- rmsnorm --------------------------------------------------------------------
 
 
@@ -124,21 +133,21 @@ def test_rmsnorm_matches_reference(rng):
 
 
 def test_rope_identity_at_position_zero(rng):
-    x = Tensor(rng.normal(size=(4, 8)).astype(np.float32))
+    x = rng.normal(size=(4, 8)).astype(np.float32)
     out = rope(x, np.zeros(4, dtype=int))
-    assert np.allclose(out.data, x.data, atol=1e-7)
+    assert np.allclose(out, x, atol=1e-7)
 
 
 def test_rope_preserves_norms(rng):
     x = rng.normal(size=(6, 16)).astype(np.float32)
-    out = rope(Tensor(x), np.arange(6) * 3)
-    assert np.allclose(np.linalg.norm(out.data, axis=1), np.linalg.norm(x, axis=1), atol=1e-5)
+    out = rope(x, np.arange(6) * 3)
+    assert np.allclose(np.linalg.norm(out, axis=1), np.linalg.norm(x, axis=1), atol=1e-5)
 
 
 def test_rope_matches_reference(rng):
     x = rng.normal(size=(5, 8)).astype(np.float32)
     positions = np.array([0, 1, 2, 5, 9])
-    out = rope(Tensor(x), positions).data
+    out = rope(x, positions)
     assert np.max(np.abs(out - rope_ref(x, positions))) < 1e-5
 
 
@@ -150,8 +159,8 @@ def test_rope_relative_offset_property(rng):
         for p1 in range(0, 12, 2):
             for offset in (0, 1, 3):
                 p2 = p1 + offset
-                rq = rope(Tensor(q[None, :]), np.array([p1])).data[0]
-                rk = rope(Tensor(k[None, :]), np.array([p2])).data[0]
+                rq = rope(q[None, :], np.array([p1]))[0]
+                rk = rope(k[None, :], np.array([p2]))[0]
                 inner.setdefault(offset, []).append(float(rq @ rk))
         for offset, values in inner.items():
             assert max(values) - min(values) < 1e-4
@@ -159,7 +168,7 @@ def test_rope_relative_offset_property(rng):
 
 def test_rope_rejects_odd_dim():
     with pytest.raises(T.ShapeError):
-        rope(Tensor(np.zeros((2, 3))), np.arange(2))
+        T.rope_tables(2, 3)
 
 
 # -- attention ------------------------------------------------------------------------
@@ -167,7 +176,7 @@ def test_rope_rejects_odd_dim():
 
 def test_attention_single_token(tiny_model):
     h = np.random.default_rng(1).normal(size=(1, 16)).astype(np.float32)
-    out = causal_attention(Tensor(h), tiny_model, layer=0).data
+    out = tiny_model._attention_block(Tensor(h), 0, np.array([len(h)])).data
     # with T=1 the attention weight is 1 on self: output = h + concat(v) @ wo
     p = {k: v.data for k, v in tiny_model.params.items()}
     z = rmsnorm_ref(h, p["layers.0.attn.norm_gain"])
@@ -178,17 +187,17 @@ def test_attention_single_token(tiny_model):
 
 def test_attention_matches_loop_oracle(tiny_model, rng):
     h = rng.normal(size=(3, 16)).astype(np.float32)
-    out = causal_attention(Tensor(h), tiny_model, layer=1).data
+    out = tiny_model._attention_block(Tensor(h), 1, np.array([len(h)])).data
     expected = attention_oracle(h, tiny_model, 1)
     assert np.max(np.abs(out - expected)) < 1e-5
 
 
 def test_attention_causality_bitwise(tiny_model, rng):
     h = rng.normal(size=(6, 16)).astype(np.float32)
-    base = causal_attention(Tensor(h), tiny_model, layer=0).data.copy()
+    base = tiny_model._attention_block(Tensor(h), 0, np.array([len(h)])).data.copy()
     perturbed = h.copy()
     perturbed[4:] += rng.normal(size=(2, 16)).astype(np.float32)
-    after = causal_attention(Tensor(perturbed), tiny_model, layer=0).data
+    after = tiny_model._attention_block(Tensor(perturbed), 0, np.array([len(h)])).data
     assert np.array_equal(base[:4], after[:4])
 
 
@@ -293,7 +302,7 @@ def test_moe_layer_matches_dense_oracle_k_equals_n(rng):
     cfg = tiny_config(top_k=4, ffn_hidden=32)  # k = N: dense mixture
     model = TrafficModel(cfg, seed=2)
     h = rng.normal(size=(6, 16)).astype(np.float32)
-    out, _ = moe_layer(Tensor(h), model, layer=0)
+    out, _ = moe_block(model, Tensor(h), 0)
     expected = moe_oracle(h, model, 0, top_k=4)
     assert np.max(np.abs(out.data - expected)) < 1e-5
 
@@ -301,7 +310,7 @@ def test_moe_layer_matches_dense_oracle_k_equals_n(rng):
 def test_moe_layer_matches_masked_oracle_top_k(rng):
     model = TrafficModel(tiny_config(), seed=3)
     h = rng.normal(size=(8, 16)).astype(np.float32)
-    out, trace = moe_layer(Tensor(h), model, layer=1)
+    out, trace = moe_block(model, Tensor(h), 1)
     expected = moe_oracle(h, model, 1, top_k=2)
     assert np.max(np.abs(out.data - expected)) < 1e-5
     assert trace.layers[0].selected.shape == (8, 2)
@@ -328,7 +337,7 @@ def test_moe_layer_forced_single_expert(rng):
     model = TrafficModel(tiny_config(top_k=1), seed=4)
     h = rng.normal(size=(5, 16)).astype(np.float32)
     _force_router_to(model, 0, 2, h)
-    out, trace = moe_layer(Tensor(h), model, layer=0)
+    out, trace = moe_block(model, Tensor(h), 0)
     assert (trace.layers[0].selected == 2).all()
     expected = moe_oracle(h, model, 0, top_k=1)
     assert np.max(np.abs(out.data - expected)) < 1e-5
@@ -342,7 +351,7 @@ def test_moe_layer_zero_gate_pure_residual(rng):
     for e in range(4):
         model.params[f"layers.0.moe.expert{e}.w_down"].data[:] = 0.0
     h = rng.normal(size=(4, 16)).astype(np.float32)
-    out, _ = moe_layer(Tensor(h), model, layer=0)
+    out, _ = moe_block(model, Tensor(h), 0)
     assert np.max(np.abs(out.data - h)) < 1e-6
 
 
@@ -351,7 +360,7 @@ def test_unselected_experts_get_no_gradient(rng):
     h_data = rng.normal(size=(3, 16)).astype(np.float32)
     _force_router_to(model, 0, 1, h_data)
     h = Tensor(h_data, requires_grad=True)
-    out, trace = moe_layer(h, model, layer=0)
+    out, trace = moe_block(model, h, 0)
     assert (trace.layers[0].selected == 1).all()
     T.tsum(out).backward()
     assert model.params["layers.0.moe.expert1.w_gate"].grad is not None
@@ -431,7 +440,9 @@ def test_forward_classify_single_valid_token_equals_mlp_of_hidden(tiny_model, rn
     valid = np.zeros((1, 12), dtype=bool)
     valid[0, 0] = True
     logits, _ = tiny_model.forward(ids, valid, mode="classify")
-    hidden = tiny_model.encode(ids)[0, 0]
+    with T.no_grad():
+        hidden, _ = tiny_model._backbone(ids[0], np.array([12]))  # the whole row; slot 0 sees only itself
+    hidden = hidden.data[0]
     p = {k: v.data for k, v in tiny_model.params.items()}
     pre = hidden @ p["head.cls.w1"] + p["head.cls.b1"]
     act = pre / (1.0 + np.exp(-pre))
@@ -526,10 +537,10 @@ def test_padding_adds_no_matmul_flops(tiny_model, rng):
     ids, valid = ragged_batch(rng, lengths=(8, 3, 6), pad_to=8)
     flops = []
     for batch in ((ids, valid), pad_right(ids, valid, 24)):  # 8 -> 32 slots per sequence
-        T.reset_flops()
+        before = T.matmul_flops()
         with T.no_grad():
             tiny_model.forward(*batch, mode="classify")
-        flops.append(T.matmul_flops())
+        flops.append(T.matmul_flops() - before)
     assert flops[0] == flops[1] > 0
 
 

@@ -22,7 +22,6 @@ from trafficmoe.training import (
     build_param_groups,
     classification_loss,
     composite_loss,
-    few_shot_subsample,
     llrd_schedule,
     ntp_loss,
     split_dataset,
@@ -226,7 +225,7 @@ def test_split_all_train():
 
 def test_split_stratified_keeps_class_ratios():
     items = [_Item(0) for _ in range(90)] + [_Item(1) for _ in range(10)]
-    train_s, val_s, test_s = split_dataset(items, (0.8, 0.1, 0.1), seed=3, stratified=True)
+    train_s, val_s, test_s = split_dataset(items, (0.8, 0.1, 0.1), seed=3)
     for part, expected in ((train_s, 0.9), (val_s, 0.9), (test_s, 0.9)):
         zero = sum(1 for item in part if item.label == 0)
         assert abs(zero - expected * len(part)) <= 1.0
@@ -235,22 +234,9 @@ def test_split_stratified_keeps_class_ratios():
 
 def test_split_deterministic_given_seed():
     items = [_Item(i % 3) for i in range(50)]
-    a = split_dataset(items, (0.8, 0.1, 0.1), seed=9, stratified=True)
-    b = split_dataset(items, (0.8, 0.1, 0.1), seed=9, stratified=True)
+    a = split_dataset(items, (0.8, 0.1, 0.1), seed=9)
+    b = split_dataset(items, (0.8, 0.1, 0.1), seed=9)
     assert all([x is y for xs, ys in zip(a, b) for x, y in zip(xs, ys)])
-
-
-def test_few_shot_identity_and_floor():
-    items = [_Item(0) for _ in range(100)] + [_Item(1) for _ in range(100)]
-    assert few_shot_subsample(items, 1.0, seed=0) == items
-    sub = few_shot_subsample(items, 0.05, seed=0)
-    assert sum(1 for s in sub if s.label == 0) == 5
-    assert sum(1 for s in sub if s.label == 1) == 5
-    minority = [_Item(0) for _ in range(3)] + [_Item(1) for _ in range(100)]
-    sub = few_shot_subsample(minority, 0.05, seed=0)
-    assert sum(1 for s in sub if s.label == 0) == 1  # floor keeps one sample
-    with pytest.raises(ValueError):
-        few_shot_subsample(items, 0.0)
 
 
 def test_batch_arrays_stacks():
