@@ -231,9 +231,15 @@ def _run_training(args, mode: str) -> int:
         model = TrafficModel.load(args.init)
         if mode == "finetune" and not model.config.num_classes:
             raise ValueError("checkpoint lacks a classification head; set num_classes at pretrain")
+        if model.config.vocab_size != len(vocab):
+            raise ValueError(f"vocab {args.vocab} has {len(vocab)} ids, but checkpoint {args.init} has "
+                             f"vocab_size={model.config.vocab_size}")
     else:
         model_fields = {name: merged[key] for key, name in _MODEL_KEYS.items()}
         model = TrafficModel(ModelConfig(vocab_size=len(vocab), max_tokens=max_tokens, **model_fields), seed=seed)
+    top_id = max(int(s.ids.max()) for s in sequences)
+    if top_id >= len(vocab):
+        raise ValueError(f"corpus {args.corpus} holds token id {top_id}, but vocab {args.vocab} has {len(vocab)} ids")
 
     out = Path(args.out)
     if mode == "pretrain":

@@ -415,9 +415,9 @@ def efficiency_bench(
             with T.no_grad():
                 for _ in range(warmup):
                     model.forward(ids, valid, mode=mode)
-                T.reset_alloc_bytes()
+                before = T.alloc_bytes()
                 model.forward(ids, valid, mode=mode)
-                batch_bytes = T.alloc_bytes()
+                batch_bytes = T.alloc_bytes() - before
                 times = []
                 for _ in range(n_batches):
                     t0 = time.perf_counter()

@@ -18,7 +18,11 @@ from .model import ModelConfig, TrafficModel, load_balance_loss, route_tokens
 from .synth import synth_flow, synth_flows, write_pcap
 from .tensor import AdamW, Tensor
 from .tokenization import (
+    END_ID,
     FULL_BIGRAM_VOCAB_SIZE,
+    PAD_ID,
+    PD_ID,
+    UNK_ID,
     SerializerConfig,
     build_vocabulary,
     serialize_flow,
@@ -160,13 +164,12 @@ def _check_tokenizer() -> str:
     assert len(vocab) == FULL_BIGRAM_VOCAB_SIZE
     cfg = SerializerConfig(packets_per_flow=10, payload_bytes=40, max_tokens=512)
     flow = synth_flow(np.random.default_rng(2), label=1, n_packets=6)
-    serialized = serialize_flow(flow, cfg)
-    seq = tokenize(serialized, vocab, cfg.max_tokens)
-    tokens = serialized.split()
-    assert all(vocab.id_of(t) != 4 or t == "[UNK]" for t in tokens)
-    assert tokens[0] == "[PD]" and tokens[-1] == "[END]"
-    assert seq.n_valid == len(tokens)
-    return f"vocab size {FULL_BIGRAM_VOCAB_SIZE}; no [UNK]; markers intact"
+    codes = serialize_flow(flow, cfg)
+    seq = tokenize(codes, vocab, cfg.max_tokens)
+    assert codes[0] == PD_ID and codes[-1] == END_ID and UNK_ID not in codes
+    assert seq.n_valid == len(codes) and np.array_equal(seq.ids[: len(codes)], codes)
+    assert np.all(seq.ids[len(codes) :] == PAD_ID)
+    return f"vocab size {FULL_BIGRAM_VOCAB_SIZE}; no [UNK]; markers intact; ids pass through unchanged"
 
 
 def _check_flows() -> str:

@@ -63,13 +63,8 @@ def matmul_flops() -> int:
     return _flop_count
 
 
-def reset_alloc_bytes() -> None:
-    global _alloc_bytes
-    _alloc_bytes = 0
-
-
 def alloc_bytes() -> int:
-    """Bytes of forward activations allocated since the last reset."""
+    """Bytes of forward activations allocated since import; callers take differences."""
     return _alloc_bytes
 
 

@@ -1,8 +1,9 @@
-"""Flow serialization into hex bigram tokens and token-ID sequences.
+"""Flow serialization into bigram codes and fixed-length token-ID sequences.
 
 Each packet becomes an 11-byte metadata block plus a sampled payload
-prefix; flows become marker-delimited bigram streams; a vocabulary maps
-bigrams and markers to dense integer IDs.
+prefix. A flow becomes one ``int32`` code sequence: the markers have
+codes 0-4, and each 2-byte window of a region is one bigram code. A
+vocabulary maps codes to dense IDs; hex text appears only in its file.
 
 Wire contract for the 11 metadata bytes (big-endian):
 
@@ -18,7 +19,6 @@ Wire contract for the 11 metadata bytes (big-endian):
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -34,8 +34,11 @@ MARKERS = ("[PD]", "[PY]", "[PAD]", "[END]", "[UNK]")
 # vocabulary, in MARKERS order.
 PD_ID, PY_ID, PAD_ID, END_ID, UNK_ID = range(5)
 
+# The window (b[i], b[i+1]) has code BIGRAM_BASE + (b[i] << 8 | b[i+1]).
+BIGRAM_BASE = len(MARKERS)
+FULL_BIGRAM_VOCAB_SIZE = BIGRAM_BASE + 256 * 256
+
 META_BYTES = 11
-FULL_BIGRAM_VOCAB_SIZE = 256 * 256 + len(MARKERS)
 
 
 @dataclass
@@ -111,24 +114,15 @@ def serialize_packet(
     return PacketByteRecord(meta=meta, payload_sample=pkt.payload[:payload_bytes])
 
 
-def region_bigrams(data: bytes, stride: int) -> list[str]:
-    """Split one byte region into 2-byte windows at the given stride.
-
-    Windows start at offsets 0, stride, 2*stride, ...; a lone trailing
-    byte is zero-padded so every token covers exactly two bytes. Windows
-    never cross region boundaries because regions are split first.
-    """
-    out = []
-    for i in range(0, len(data), stride):
-        pair = data[i : i + 2]
-        if len(pair) == 1:
-            pair = pair + b"\x00"
-        out.append(pair.hex())
-    return out
+def _bigram_codes(data: bytes, stride: int) -> list[int]:
+    """Codes of one byte region's 2-byte windows at offsets 0, stride, 2*stride, ...; a lone
+    trailing byte pairs with 0. Windows never cross regions, because regions are split first."""
+    n, padded = len(data), data + b"\x00"
+    return [BIGRAM_BASE + (hi << 8 | lo) for hi, lo in zip(padded[:n:stride], padded[1 : n + 1 : stride])]
 
 
-def serialize_flow(flow: SessionFlow, cfg: SerializerConfig) -> str:
-    """Serialize a flow into a space-separated token string.
+def serialize_flow(flow: SessionFlow, cfg: SerializerConfig) -> np.ndarray:
+    """Serialize a flow into its ``int32`` code sequence.
 
     The first ``packets_per_flow`` packets each contribute
     ``[PD] <meta bigrams> [PY] <payload bigrams>``; the whole flow is
@@ -136,96 +130,98 @@ def serialize_flow(flow: SessionFlow, cfg: SerializerConfig) -> str:
     """
     if len(flow) == 0:
         raise ValueError("cannot serialize an empty flow")
-    tokens: list[str] = []
+    codes: list[int] = []
     prev_ts: Optional[float] = None
     for pkt, direction in flow.packets[: cfg.packets_per_flow]:
         rec = serialize_packet(pkt, direction, prev_ts, cfg.payload_bytes)
         prev_ts = pkt.timestamp
-        tokens.append("[PD]")
-        tokens.extend(region_bigrams(rec.meta, cfg.bigram_stride))
-        tokens.append("[PY]")
-        tokens.extend(region_bigrams(rec.payload_sample, cfg.bigram_stride))
-    tokens.append("[END]")
-    return " ".join(tokens)
+        codes.append(PD_ID)
+        codes += _bigram_codes(rec.meta, cfg.bigram_stride)
+        codes.append(PY_ID)
+        codes += _bigram_codes(rec.payload_sample, cfg.bigram_stride)
+    codes.append(END_ID)
+    return np.array(codes, dtype=np.int32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Vocabulary:
-    """Token-to-ID map: the five markers first, then bigram tokens."""
+    """Code-to-ID table over all 65,541 codes: markers keep IDs 0-4, kept
+    bigrams take the dense IDs after them, and every other bigram maps to [UNK]."""
 
-    token_to_id: dict[str, int]
-
-    def __post_init__(self):
-        for i, marker in enumerate(MARKERS):
-            if self.token_to_id.get(marker) != i:
-                raise ValueError(f"marker {marker} must map to id {i}")
-        ids = sorted(self.token_to_id.values())
-        if ids != list(range(len(ids))):
-            raise ValueError("vocabulary ids must be dense in [0, size)")
+    table: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.token_to_id)
-
-    def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
+        return int(self.table.max()) + 1
 
     def save(self, path: str | Path) -> None:
-        """Write `token<TAB>id` lines, sorted by id (markers first)."""
-        items = sorted(self.token_to_id.items(), key=lambda kv: kv[1])
-        write_atomic(path, (f"{tok}\t{i}\n" for tok, i in items))
+        """Write `token<TAB>id` lines, sorted by id: the markers, then each kept bigram in hex."""
+        codes = np.flatnonzero(self.table >= BIGRAM_BASE)
+        codes = codes[np.argsort(self.table[codes])].tolist()
+        tokens = list(MARKERS) + [f"{code - BIGRAM_BASE:04x}" for code in codes]
+        write_atomic(path, (f"{tok}\t{i}\n" for i, tok in enumerate(tokens)))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        """Read a saved vocabulary; a malformed line raises ValueError naming the file and line."""
-        mapping = {}
+        """Read a saved vocabulary. A malformed line, a token that is neither a marker nor four
+        lowercase hex digits, or a repeated token raises ValueError naming the file and line."""
+        line_of = [0] * FULL_BIGRAM_VOCAB_SIZE  # code -> the line that defined it
+        codes, ids = [], []
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             tok, tab, id_txt = line.partition("\t")
-            if tab and id_txt.isdecimal():
-                mapping[tok] = int(id_txt)
-            elif line:
-                raise ValueError(f"{path}:{lineno}: expected token<TAB>id, got {line!r}")
-        try:
-            return cls(mapping)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            if not (tab and id_txt.isdecimal()):
+                if line:
+                    raise ValueError(f"{path}:{lineno}: expected token<TAB>id, got {line!r}")
+                continue
+            if len(tok) == 4 and not tok.strip("0123456789abcdef"):  # four lowercase hex digits
+                code = BIGRAM_BASE + int(tok, 16)
+            elif tok in MARKERS:
+                code = MARKERS.index(tok)
+            else:
+                raise ValueError(f"{path}:{lineno}: token {tok!r} is neither a marker nor four lowercase hex digits")
+            if line_of[code]:
+                raise ValueError(f"{path}:{lineno}: token {tok!r} repeats line {line_of[code]}")
+            line_of[code] = lineno
+            codes.append(code)
+            ids.append(int(id_txt))
+        if sorted(ids) != list(range(len(ids))):
+            raise ValueError(f"{path}: vocabulary ids must be dense in [0, size)")
+        table = np.full(FULL_BIGRAM_VOCAB_SIZE, -1, dtype=np.int32)
+        table[codes] = ids
+        if table[:BIGRAM_BASE].tolist() != list(range(BIGRAM_BASE)):
+            raise ValueError(f"{path}: markers {' '.join(MARKERS)} must map to ids 0-4")
+        table[table < 0] = UNK_ID
+        return cls(table)
 
 
 def build_vocabulary(
-    corpus: Iterable[str] | None = None,
+    corpus: Iterable[np.ndarray] | None = None,
     mode: str = "full_bigram",
     min_freq: int = 1,
 ) -> Vocabulary:
     """Build a bigram vocabulary.
 
-    ``full_bigram`` enumerates all 65,536 byte pairs (size 65,541 with
-    markers) and needs no corpus. ``wordpiece`` keeps only bigrams whose
-    corpus frequency reaches ``min_freq``; everything else falls back to
-    [UNK] at tokenize time.
+    ``full_bigram`` keeps all 65,536 byte pairs (size 65,541 with markers):
+    every code is its own ID, and it needs no corpus. ``wordpiece`` counts
+    the bigram codes of a corpus of ``serialize_flow`` outputs and keeps
+    those seen at least ``min_freq`` times (a bigram never seen is never
+    kept), by descending count, then ascending code; everything else falls
+    back to [UNK] at tokenize time.
     """
-    mapping = {m: i for i, m in enumerate(MARKERS)}
     if mode == "full_bigram":
-        next_id = len(MARKERS)
-        for hi in range(256):
-            for lo in range(256):
-                mapping[f"{hi:02x}{lo:02x}"] = next_id
-                next_id += 1
-        return Vocabulary(mapping)
+        return Vocabulary(np.arange(FULL_BIGRAM_VOCAB_SIZE, dtype=np.int32))
     if mode != "wordpiece":
         raise ValueError(f"unknown vocabulary mode {mode!r}")
-
-    counts: Counter[str] = Counter()
-    n_flows = 0
-    for serialized in corpus or ():
-        n_flows += 1
-        for token in serialized.split():
-            if token not in MARKERS:
-                counts[token] += 1
-    if n_flows == 0:
+    flows = list(corpus or ())
+    if not flows:
         raise ValueError("wordpiece mode requires a non-empty corpus")
-    kept = sorted((t for t, c in counts.items() if c >= min_freq), key=lambda t: (-counts[t], t))
-    for token in kept:
-        mapping[token] = len(mapping)
-    return Vocabulary(mapping)
+    counts = np.bincount(np.concatenate(flows), minlength=FULL_BIGRAM_VOCAB_SIZE)
+    counts[:BIGRAM_BASE] = 0
+    kept = np.flatnonzero(counts >= max(min_freq, 1))
+    kept = kept[np.argsort(-counts[kept], kind="stable")]
+    table = np.full(FULL_BIGRAM_VOCAB_SIZE, UNK_ID, dtype=np.int32)
+    table[:BIGRAM_BASE] = np.arange(BIGRAM_BASE)
+    table[kept] = np.arange(BIGRAM_BASE, BIGRAM_BASE + kept.size)
+    return Vocabulary(table)
 
 
 @dataclass
@@ -251,26 +247,23 @@ class TokenSequence:
 
 
 def tokenize(
-    hex_with_markers: str,
+    codes: np.ndarray,
     vocab: Vocabulary,
     max_tokens: int,
     label: Optional[int] = None,
 ) -> TokenSequence:
-    """Map a serialized flow to a fixed-length ID sequence.
+    """Map a flow's code sequence to a fixed-length ID sequence.
 
-    Out-of-vocabulary bigrams become [UNK]. Overlong streams are cut to
-    ``max_tokens`` with the final kept slot rewritten to [END]; short
-    streams are padded with [PAD].
+    Bigrams outside the vocabulary become [UNK]. Overlong sequences are
+    cut to ``max_tokens`` with the final kept slot rewritten to [END];
+    short ones are padded with [PAD].
     """
-    ids = [vocab.id_of(tok) for tok in hex_with_markers.split()]
-    if len(ids) > max_tokens:
-        ids = ids[:max_tokens]
+    n_valid = min(len(codes), max_tokens)
+    ids = np.full(max_tokens, PAD_ID, dtype=np.int32)
+    ids[:n_valid] = vocab.table[codes[:n_valid]]
+    if len(codes) > max_tokens:
         ids[-1] = END_ID
-    n_valid = len(ids)
-    ids = ids + [PAD_ID] * (max_tokens - n_valid)
-    mask = np.zeros(max_tokens, dtype=bool)
-    mask[:n_valid] = True
-    return TokenSequence(ids=np.array(ids, dtype=np.int32), valid_mask=mask, label=label)
+    return TokenSequence(ids=ids, valid_mask=np.arange(max_tokens) < n_valid, label=label)
 
 
 def temporal_slice(

@@ -119,7 +119,7 @@ def valid(fuzz_dir):
     write_flows(synth_flows(2, 2, seed=1), fuzz_dir)
     ids = np.array([0, 5, 17, 300, 2, 2])
     write_corpus([TokenSequence(ids, ids != 2, label=1), TokenSequence(ids, ids != 2)], fuzz_dir / "corpus")
-    build_vocabulary(["0a0b 0c0d 0a0b"], mode="wordpiece").save(fuzz_dir / "vocab")
+    build_vocabulary([np.array([5 + 0x0A0B, 5 + 0x0C0D, 5 + 0x0A0B])], mode="wordpiece").save(fuzz_dir / "vocab")
     TrafficModel(tiny_config(), seed=0).save(fuzz_dir / "m.ckpt")
     names = {"ckpt": "ckpt", "flows": "packets.bin", "corpus": "corpus", "vocab": "vocab", "config": "m.ckpt.config"}
     return {kind: (fuzz_dir / name).read_bytes() for kind, name in names.items()}

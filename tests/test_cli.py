@@ -14,6 +14,7 @@ from trafficmoe.cli import main
 from trafficmoe.evaluation import build_dense_variant
 from trafficmoe.flows import FiveTuple, SessionFlow, write_flows
 from trafficmoe.model import ModelConfig, TrafficModel
+from trafficmoe.synth import flows_to_pcap, synth_flows
 from trafficmoe.tokenization import TokenSequence, build_vocabulary, write_corpus
 from trafficmoe.training import TrainConfig
 
@@ -43,6 +44,11 @@ def fixture_pcap(path: Path, n_flows: int = 6, packets_per_flow: int = 4, seed: 
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def save_six_entry_vocab(path: Path) -> None:
+    """A wordpiece vocabulary of the five markers and the one bigram 0a0b."""
+    build_vocabulary([np.array([5 + 0x0A0B], dtype=np.int32)], mode="wordpiece").save(path)
 
 
 # -- exit codes -------------------------------------------------------------------
@@ -134,6 +140,23 @@ def pipeline(tmp_path):
     assert run("tokenize", "--flows", *flow_dirs, "--vocab", str(vocab),
                "--out", str(corpus), "--k", "4", "--j", "12", "--max-tokens", "64") == 0
     return tmp_path, vocab, corpus
+
+
+@pytest.mark.parametrize("stride,vocab_sha,corpus_sha", [
+    ("1", "7195aa72ee761c249c3a04e2b63e22cf40d49d95b7e0299a78a6362ba437e510",
+     "ceeda18be5706e8eeb9cefb80c44638d4e02c07941126a43b3bf6669819221b6"),
+    ("2", "94618d7d927806e9012b56811c7175adb2a11e566613b025d17bf484c096c75c",
+     "7bdc22897800fb1f20974145a37822a5ab462d17cf2f8ee561fc4d34d5b27bdb"),
+])
+def test_wordpiece_vocab_and_corpus_bytes_are_pinned(tmp_path, capsys, stride, vocab_sha, corpus_sha):
+    flows_to_pcap(synth_flows(24, n_classes=3, seed=5), tmp_path / "c.pcap")
+    flows, vocab, corpus = tmp_path / "flows", tmp_path / "vocab.tsv", tmp_path / "corpus.txt"
+    assert run("ingest", "--pcap", str(tmp_path / "c.pcap"), "--out", str(flows), "--label", "2") == 0
+    serializer = ["--stride", stride, "--k", "5", "--j", "24", "--max-tokens", "96"]
+    assert run("build-vocab", "--flows", str(flows), "--out", str(vocab), "--vocab-mode", "wordpiece",
+               "--min-freq", "3", *serializer) == 0
+    assert run("tokenize", "--flows", str(flows), "--vocab", str(vocab), "--out", str(corpus), *serializer) == 0
+    assert sha256_of(vocab, corpus) == {str(vocab): vocab_sha, str(corpus): corpus_sha}
 
 
 TINY_FLAGS = [
@@ -471,7 +494,7 @@ def test_malformed_corpus_line_is_data_error(tiny_eval, capsys, bad_line):
 def test_ragged_corpus_is_data_error(tiny_eval, tmp_path, capsys, command, text, message):
     _, corpus = tiny_eval
     corpus.write_text(text)
-    build_vocabulary(mode="wordpiece", corpus=["0a0b"]).save(tmp_path / "vocab.tsv")
+    save_six_entry_vocab(tmp_path / "vocab.tsv")
     assert run(command, "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
                str(tmp_path / "run"), *TINY_FLAGS) == 2
     assert message in capsys.readouterr().err
@@ -486,6 +509,39 @@ def test_vocab_line_without_tab_is_data_error(tmp_path, capsys):
     assert "vocab.tsv:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines,message", [
+    ("AABB\t5\n", "vocab.tsv:6: token 'AABB' is neither a marker nor four lowercase hex digits"),
+    ("0x1f\t5\n", "vocab.tsv:6: token '0x1f' is neither a marker nor four lowercase hex digits"),
+    ("abc\t5\n", "vocab.tsv:6: token 'abc' is neither a marker nor four lowercase hex digits"),
+    ("[CLS]\t5\n", "vocab.tsv:6: token '[CLS]' is neither a marker nor four lowercase hex digits"),
+    ("aabb\t5\naabb\t6\n", "vocab.tsv:7: token 'aabb' repeats line 6"),
+    ("[END]\t5\n", "vocab.tsv:6: token '[END]' repeats line 4"),
+], ids=["uppercase", "0x-prefix", "three-digits", "unknown-marker", "repeated-bigram", "repeated-marker"])
+def test_vocab_bad_token_is_data_error(tmp_path, capsys, lines, message):
+    write_flows([], tmp_path / "flows")
+    markers = "".join(f"{m}\t{i}\n" for i, m in enumerate(("[PD]", "[PY]", "[PAD]", "[END]", "[UNK]")))
+    (tmp_path / "vocab.tsv").write_text(markers + lines)
+    assert run("tokenize", "--flows", str(tmp_path / "flows"), "--vocab", str(tmp_path / "vocab.tsv"),
+               "--out", str(tmp_path / "c.txt")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c.txt").exists()
+
+
+@pytest.mark.parametrize("command,message", [
+    ("pretrain", "corpus {corpus} holds token id 12, but vocab {vocab} has 6 ids"),
+    ("finetune", "vocab {vocab} has 6 ids, but checkpoint {ckpt} has vocab_size=64"),
+], ids=["corpus-ids-beyond-vocab", "init-vocab-size-mismatch"])
+def test_training_vocab_mismatch_is_data_error_before_any_write(tiny_eval, tmp_path, capsys, command, message):
+    ckpt, corpus = tiny_eval  # token ids 1..12; checkpoint vocab_size=64
+    vocab = tmp_path / "vocab.tsv"
+    save_six_entry_vocab(vocab)
+    init = ("--init", str(ckpt)) if command == "finetune" else ()
+    assert run(command, "--corpus", str(corpus), "--vocab", str(vocab), "--out", str(tmp_path / "run"),
+               *init, *TINY_FLAGS) == 2
+    assert message.format(corpus=corpus, vocab=vocab, ckpt=ckpt) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_file_line_without_equals_is_data_error(tmp_path, capsys):
     write_flows([], tmp_path / "flows")
     build_vocabulary().save(tmp_path / "vocab.tsv")
@@ -498,7 +554,7 @@ def test_config_file_line_without_equals_is_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value", [("--n-heads", "0"), ("--n-heads", "-8"), ("--n-layers", "-2")])
 def test_non_positive_model_size_is_data_error(tiny_eval, tmp_path, capsys, flag, value):
     _, corpus = tiny_eval
-    build_vocabulary(mode="wordpiece", corpus=["0a0b"]).save(tmp_path / "vocab.tsv")
+    save_six_entry_vocab(tmp_path / "vocab.tsv")
     assert run("pretrain", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
                str(tmp_path / "run"), "--d-model", "16", "--n-layers", "1", flag, value) == 2
     assert f"{flag[2:].replace('-', '_')}={value} must be >= 1" in capsys.readouterr().err
@@ -511,7 +567,7 @@ def test_non_positive_model_size_is_data_error(tiny_eval, tmp_path, capsys, flag
 ])
 def test_nonsensical_training_value_is_data_error(tiny_eval, tmp_path, capsys, command, flag, value):
     ckpt, corpus = tiny_eval
-    build_vocabulary(mode="wordpiece", corpus=["0a0b"]).save(tmp_path / "vocab.tsv")
+    save_six_entry_vocab(tmp_path / "vocab.tsv")
     before = sorted(tmp_path.rglob("*.ckpt"))
     if command == "eval":
         code = run("eval", "--ckpt", str(ckpt), "--data", str(corpus), "--metrics-out",

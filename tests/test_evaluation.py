@@ -373,12 +373,17 @@ def test_efficiency_bench_report_structure(tmp_path):
     moe_report, dense_report = efficiency_bench(
         model, dense, batch_sizes=(2, 4), seq_len=16, n_batches=2, warmup=1
     )
-    for report, ratio in ((moe_report, 0.4), (dense_report, 1.0)):
+    for report, ratio, bench_model in ((moe_report, 0.4, model), (dense_report, 1.0, dense)):
         assert [r.batch_size for r in report.rows] == [2, 4]
         for row in report.rows:
             assert row.throughput_seq_per_s > 0
             assert row.mean_latency_ms > 0
             assert row.active_param_ratio == pytest.approx(ratio)
+            ids = np.random.default_rng(0).integers(0, bench_model.config.vocab_size, size=(row.batch_size, 16))
+            with T.no_grad():
+                before = T.alloc_bytes()
+                bench_model.forward(ids, np.ones(ids.shape, dtype=bool), mode="classify")
+                assert row.activation_bytes == T.alloc_bytes() - before > 0
     out = tmp_path / "bench.tsv"
     BenchReport.to_tsv([moe_report, dense_report], out)
     lines = out.read_text().splitlines()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from trafficmoe.flows import BACKWARD, FORWARD, FiveTuple, PacketRecord, SessionFlow
 from trafficmoe.synth import synth_flow, synth_flows, write_pcap
 from trafficmoe.tokenization import (
+    BIGRAM_BASE,
     END_ID,
     FULL_BIGRAM_VOCAB_SIZE,
     MARKERS,
@@ -22,7 +23,6 @@ from trafficmoe.tokenization import (
     Vocabulary,
     build_vocabulary,
     read_corpus,
-    region_bigrams,
     serialize_flow,
     serialize_packet,
     temporal_slice,
@@ -47,6 +47,18 @@ def make_packet(ts=0.0, length=60, flags=0x02, proto=6, payload=b"", sport=1, dp
 
 def flow_from_packets(pairs, label=None):
     return SessionFlow(key=FiveTuple.from_packet(pairs[0][0]), packets=pairs, label=label)
+
+
+def codes(text):
+    """Oracle: the codes of a space-separated stream of markers and hex bigrams."""
+    return np.array([MARKERS.index(t) if t in MARKERS else 5 + int(t, 16) for t in text.split()], dtype=np.int32)
+
+
+def payload_codes(payload, stride):
+    """The codes between [PY] and [END] of a one-packet flow carrying ``payload``."""
+    cfg = SerializerConfig(payload_bytes=40, bigram_stride=stride)
+    out = serialize_flow(flow_from_packets([(make_packet(payload=payload), FORWARD)]), cfg).tolist()
+    return out[out.index(PY_ID) + 1 : -1]
 
 
 # -- serialize_packet ------------------------------------------------------------
@@ -87,15 +99,15 @@ def test_packet_byte_record_requires_11_meta_bytes():
 
 
 def test_region_bigrams_stride2_pads_lone_byte():
-    assert region_bigrams(bytes.fromhex("aabbcc"), 2) == ["aabb", "cc00"]
+    assert payload_codes(bytes.fromhex("aabbcc"), 2) == codes("aabb cc00").tolist()
 
 
 def test_region_bigrams_stride1_slides():
-    assert region_bigrams(bytes.fromhex("aabbcc"), 1) == ["aabb", "bbcc", "cc00"]
+    assert payload_codes(bytes.fromhex("aabbcc"), 1) == codes("aabb bbcc cc00").tolist()
 
 
 def test_region_bigrams_empty():
-    assert region_bigrams(b"", 2) == []
+    assert payload_codes(b"", 2) == []
 
 
 # -- serialize_flow ---------------------------------------------------------------
@@ -104,19 +116,16 @@ def test_region_bigrams_empty():
 def test_serialize_single_packet_empty_payload_structure():
     flow = flow_from_packets([(make_packet(), FORWARD)])
     cfg = SerializerConfig(packets_per_flow=10, payload_bytes=40, max_tokens=512, bigram_stride=2)
-    tokens = serialize_flow(flow, cfg).split()
-    assert tokens[0] == "[PD]"
-    assert tokens[1:7] == ["003c", "0002", "0000", "0000", "0600", "0000"]
-    assert tokens[7] == "[PY]"
-    assert tokens[8] == "[END]"
-    assert len(tokens) == 9
+    tokens = serialize_flow(flow, cfg)
+    assert tokens.dtype == np.int32
+    assert tokens.tolist() == codes("[PD] 003c 0002 0000 0000 0600 0000 [PY] [END]").tolist()
 
 
 def test_serialize_caps_at_k_packets():
     pairs = [(make_packet(ts=float(i)), FORWARD) for i in range(12)]
     cfg = SerializerConfig(packets_per_flow=10, payload_bytes=40, max_tokens=512)
-    tokens = serialize_flow(flow_from_packets(pairs), cfg).split()
-    assert tokens.count("[PD]") == 10
+    tokens = serialize_flow(flow_from_packets(pairs), cfg)
+    assert np.count_nonzero(tokens == PD_ID) == 10
 
 
 def test_serialize_empty_flow_rejected():
@@ -125,30 +134,32 @@ def test_serialize_empty_flow_rejected():
 
 
 def recover_regions(tokens):
-    """Inverse mapper oracle: rebuild per-packet byte regions from tokens."""
+    """Inverse mapper oracle: rebuild per-packet byte regions from codes."""
+    def region(window_codes):
+        return b"".join((c - 5).to_bytes(2, "big") for c in window_codes)
+
     packets = []
     i = 0
-    while tokens[i] == "[PD]":
+    while tokens[i] == PD_ID:
         i += 1
         meta = []
-        while tokens[i] != "[PY]":
+        while tokens[i] != PY_ID:
             meta.append(tokens[i])
             i += 1
         i += 1
         payload = []
-        while tokens[i] not in ("[PD]", "[END]"):
+        while tokens[i] not in (PD_ID, END_ID):
             payload.append(tokens[i])
             i += 1
-        packets.append((bytes.fromhex("".join(meta)), bytes.fromhex("".join(payload))))
-    assert tokens[i] == "[END]"
+        packets.append((region(meta), region(payload)))
+    assert tokens[i] == END_ID
     return packets
 
 
 def test_stride2_round_trip_recovers_bytes(rng):
     cfg = SerializerConfig(packets_per_flow=10, payload_bytes=40, max_tokens=512)
     flow = synth_flow(rng, label=1, n_packets=6)
-    tokens = serialize_flow(flow, cfg).split()
-    recovered = recover_regions(tokens)
+    recovered = recover_regions(serialize_flow(flow, cfg).tolist())
     assert len(recovered) == 6
     prev_ts = None
     for (meta, payload), (pkt, direction) in zip(recovered, flow.packets):
@@ -169,14 +180,18 @@ def test_full_bigram_vocab_size():
     assert len(vocab) == 65541 == FULL_BIGRAM_VOCAB_SIZE
 
 
-def test_marker_ids_are_stable():
+def test_marker_ids_are_stable(tmp_path):
     vocab = build_vocabulary(mode="full_bigram")
-    assert [vocab.token_to_id[m] for m in MARKERS] == [PD_ID, PY_ID, PAD_ID, END_ID, UNK_ID]
+    vocab.save(tmp_path / "vocab.tsv")
+    head = [line.split("\t") for line in (tmp_path / "vocab.tsv").read_text().splitlines()[:5]]
+    assert head == [[m, str(i)] for m, i in zip(MARKERS, [PD_ID, PY_ID, PAD_ID, END_ID, UNK_ID])]
+    assert vocab.table[: len(MARKERS)].tolist() == [PD_ID, PY_ID, PAD_ID, END_ID, UNK_ID]
 
 
 def test_wordpiece_single_bigram_vocab():
-    vocab = build_vocabulary(["0000 [END]", "0000"], mode="wordpiece", min_freq=1)
+    vocab = build_vocabulary([codes("0000 [END]"), codes("0000")], mode="wordpiece", min_freq=1)
     assert len(vocab) == 6
+    assert len(build_vocabulary([codes("0000")], mode="wordpiece", min_freq=0)) == 6  # unseen bigrams stay out
 
 
 def test_wordpiece_counts_match_brute_force(rng):
@@ -185,11 +200,12 @@ def test_wordpiece_counts_match_brute_force(rng):
     min_freq = 4
     vocab = build_vocabulary(corpus, mode="wordpiece", min_freq=min_freq)
     counter = Counter()
-    for line in corpus:
-        counter.update(t for t in line.split() if t not in MARKERS)
-    expected = {t for t, c in counter.items() if c >= min_freq}
-    in_vocab = set(vocab.token_to_id) - set(MARKERS)
-    assert in_vocab == expected
+    for flow_codes in corpus:
+        counter.update(c for c in flow_codes.tolist() if c >= len(MARKERS))
+    expected = sorted((c for c, n in counter.items() if n >= min_freq), key=lambda c: (-counter[c], c))
+    by_id = [int(np.flatnonzero(vocab.table == i)[0]) for i in range(len(MARKERS), len(vocab))]
+    assert by_id == expected
+    assert np.count_nonzero(vocab.table == UNK_ID) == 1 + FULL_BIGRAM_VOCAB_SIZE - len(vocab)
 
 
 def test_wordpiece_empty_corpus_is_error():
@@ -198,12 +214,12 @@ def test_wordpiece_empty_corpus_is_error():
 
 
 def test_vocab_save_load_round_trip(tmp_path):
-    vocab = build_vocabulary(["aabb ccdd aabb"], mode="wordpiece", min_freq=1)
+    vocab = build_vocabulary([codes("ccdd aabb ccdd")], mode="wordpiece", min_freq=1)
     path = tmp_path / "vocab.tsv"
     vocab.save(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "[PD]\t0"
-    assert Vocabulary.load(path).token_to_id == vocab.token_to_id
+    assert lines == [f"{m}\t{i}" for i, m in enumerate(MARKERS)] + ["ccdd\t5", "aabb\t6"]
+    assert np.array_equal(Vocabulary.load(path).table, vocab.table)
 
 
 # -- tokenize ----------------------------------------------------------------------------
@@ -211,17 +227,17 @@ def test_vocab_save_load_round_trip(tmp_path):
 
 def test_tokenize_end_only_padded():
     vocab = build_vocabulary(mode="full_bigram")
-    seq = tokenize("[END]", vocab, max_tokens=8)
+    seq = tokenize(codes("[END]"), vocab, max_tokens=8)
     assert seq.ids.tolist() == [END_ID] + [PAD_ID] * 7
     assert seq.valid_mask.tolist() == [True] + [False] * 7
 
 
 def test_tokenize_exact_length_unchanged():
     vocab = build_vocabulary(mode="full_bigram")
-    stream = " ".join(["[PD]", "0001", "[PY]", "aabb", "ccdd", "eeff", "0102", "[END]"])
+    stream = codes("[PD] 0001 [PY] aabb ccdd eeff 0102 [END]")
     seq = tokenize(stream, vocab, max_tokens=8)
     assert seq.n_valid == 8
-    assert seq.ids[-1] == END_ID
+    assert seq.ids.tolist() == stream.tolist()  # the full-bigram table is the identity
 
 
 def test_tokenize_truncation_rewrites_end(rng):
@@ -230,7 +246,7 @@ def test_tokenize_truncation_rewrites_end(rng):
     payload = bytes(rng.integers(0, 256, size=40))
     pairs = [(make_packet(ts=float(i), flags=0x18, payload=payload), FORWARD) for i in range(10)]
     stream = serialize_flow(flow_from_packets(pairs), cfg)
-    n_tokens = len(stream.split())
+    n_tokens = len(stream)
     assert n_tokens == 10 * (1 + 11 + 1 + 40) + 1  # 531: full packets at stride 1
     seq = tokenize(stream, vocab, max_tokens=512)
     assert len(seq) == 512
@@ -240,9 +256,9 @@ def test_tokenize_truncation_rewrites_end(rng):
 
 
 def test_tokenize_oov_becomes_unk():
-    vocab = build_vocabulary(["aabb"], mode="wordpiece", min_freq=1)
-    seq = tokenize("[PD] aabb ffff [END]", vocab, max_tokens=6)
-    assert seq.ids.tolist()[:4] == [PD_ID, vocab.token_to_id["aabb"], UNK_ID, END_ID]
+    vocab = build_vocabulary([codes("aabb")], mode="wordpiece", min_freq=1)
+    seq = tokenize(codes("[PD] aabb ffff [END]"), vocab, max_tokens=6)
+    assert seq.ids.tolist() == [PD_ID, BIGRAM_BASE, UNK_ID, END_ID, PAD_ID, PAD_ID]
 
 
 def test_full_bigram_mode_never_emits_unk(rng):
