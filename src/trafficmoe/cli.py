@@ -212,6 +212,13 @@ def _cmd_tokenize(args) -> int:
     return 0
 
 
+def _check_corpus_ids(sequences, corpus: str, n_ids: int, owner: str) -> None:
+    """Reject a corpus holding a token id >= ``n_ids``, the id count of ``owner`` (a vocab or checkpoint)."""
+    top_id = max((int(s.ids.max()) for s in sequences), default=-1)
+    if top_id >= n_ids:
+        raise ValueError(f"corpus {corpus} holds token id {top_id}, but {owner} has {n_ids} ids")
+
+
 def _run_training(args, mode: str) -> int:
     t0 = time.time()
     seed = args.seed if args.seed is not None else _default_seed()
@@ -237,9 +244,7 @@ def _run_training(args, mode: str) -> int:
     else:
         model_fields = {name: merged[key] for key, name in _MODEL_KEYS.items()}
         model = TrafficModel(ModelConfig(vocab_size=len(vocab), max_tokens=max_tokens, **model_fields), seed=seed)
-    top_id = max(int(s.ids.max()) for s in sequences)
-    if top_id >= len(vocab):
-        raise ValueError(f"corpus {args.corpus} holds token id {top_id}, but vocab {args.vocab} has {len(vocab)} ids")
+    _check_corpus_ids(sequences, args.corpus, len(vocab), f"vocab {args.vocab}")
 
     out = Path(args.out)
     if mode == "pretrain":
@@ -264,8 +269,10 @@ def _run_training(args, mode: str) -> int:
 
 def _cmd_eval(args) -> int:
     t0 = time.time()
+    _at_least("--batch-size", args.batch_size)
     model = TrafficModel.load(args.ckpt)
     sequences = read_corpus(args.data)
+    _check_corpus_ids(sequences, args.data, model.config.vocab_size, f"checkpoint {args.ckpt}")
     if any(s.label is None for s in sequences):
         raise ValueError("eval needs labeled sequences")
     n_classes = model.config.num_classes or 0
@@ -343,6 +350,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_ood(args) -> int:
     t0 = time.time()
+    if args.mode != "time" and args.coarse_map is None:
+        raise UsageExit(f"--mode {args.mode} needs --coarse-map")
     seed = args.seed if args.seed is not None else _default_seed()
     flows = [f for d in args.flows for f in read_flows(d)]
     if any(f.label is None for f in flows):
@@ -389,6 +398,7 @@ def _cmd_route_trace(args) -> int:
     sequences = read_corpus(args.data)[: args.limit]
     if not sequences:
         raise ValueError("no sequences to trace")
+    _check_corpus_ids(sequences, args.data, model.config.vocab_size, f"checkpoint {args.ckpt}")
     from .training import batch_arrays
 
     acc = RoutingAccumulator()
@@ -509,21 +519,17 @@ def _add_serializer_flags(p) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         args = parser.parse_args(argv)
-    except UsageExit as exc:
+        if not getattr(args, "command", None):
+            parser.print_usage(sys.stderr)
+            return 1
+        return args.func(args)
+    except UsageExit as exc:  # from the parser, or a flag combination a command rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        return args.func(args)
     except (CaptureError, DivergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,9 @@ Each block runs (RMSNorm -> rotary Q/K -> causal multi-head attention ->
 residual) then (RMSNorm -> always-on shared expert + top-k routed
 specialized experts -> residual). A dense-FFN variant of the same
 backbone (single wide SwiGLU per block) exists for efficiency
-comparisons.
+comparisons. Layer i's ``attn.wqkv`` is one ``[d, 3d]`` matrix with columns
+``[q | k | v]``, heads side by side within each part (the layout
+``causal_attention`` reads), and its ``moe.shared_gate`` is a ``[d, 1]`` column.
 """
 
 from __future__ import annotations
@@ -91,6 +93,22 @@ class ModelConfig:
 RETIRED_CONFIG_KEYS = ("aux_loss_weight",)
 
 
+def upgrade_legacy_layout(arrays: dict[str, np.ndarray], config: ModelConfig) -> dict[str, np.ndarray]:
+    """Convert a checkpoint of per-head ``[d, head_dim]`` matrices: layer i's ``head{j}.wq/wk/wv``
+    become ``attn.wqkv``'s columns (every wq by head, then every wk, then every wv), and a ``[d]``
+    ``moe.shared_gate`` a column. Anything else passes through to the name and shape check."""
+    out = dict(arrays)
+    for i in range(config.n_layers):
+        base = f"layers.{i}.attn"
+        heads = [f"{base}.head{j}.{w}" for w in ("wq", "wk", "wv") for j in range(config.n_heads)]
+        if all(name in out and out[name].shape == (config.d_model, config.head_dim) for name in heads):
+            out[f"{base}.wqkv"] = np.concatenate([out.pop(name) for name in heads], axis=1)
+        gate = f"layers.{i}.moe.shared_gate"
+        if gate in out and out[gate].shape == (config.d_model,):
+            out[gate] = out[gate].reshape(-1, 1)
+    return out
+
+
 def field_types(cls) -> dict[str, type]:
     """Dataclass field name -> its value type, with ``Optional[X]`` read as X."""
     hints = typing.get_type_hints(cls)
@@ -154,7 +172,8 @@ def swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
 
 
 def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
-    """(name, shape, init) of every parameter in checkpoint order; init is normal, ones or zeros."""
+    """(name, shape, init) of every parameter in checkpoint order; init is normal, ones or zeros.
+    Each layer's ``attn.wqkv`` is one ``[d, 3d]`` tensor in the layout the module docstring states."""
     d = cfg.d_model
 
     def swiglu_specs(base: str, hidden: int) -> list:
@@ -164,12 +183,10 @@ def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     specs = [("embed.tok", (cfg.vocab_size, d), "normal")]
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
-        specs.append((f"{p}.attn.norm_gain", (d,), "ones"))
-        for j in range(cfg.n_heads):
-            specs += [(f"{p}.attn.head{j}.{w}", (d, cfg.head_dim), "normal") for w in ("wq", "wk", "wv")]
-        specs += [(f"{p}.attn.wo", (d, d), "normal"), (f"{p}.ffn.norm_gain", (d,), "ones")]
+        specs += [(f"{p}.attn.norm_gain", (d,), "ones"), (f"{p}.attn.wqkv", (d, 3 * d), "normal"),
+                  (f"{p}.attn.wo", (d, d), "normal"), (f"{p}.ffn.norm_gain", (d,), "ones")]
         if cfg.ffn_kind == "moe":
-            specs += [(f"{p}.moe.router", (d, cfg.n_experts), "normal"), (f"{p}.moe.shared_gate", (d,), "normal")]
+            specs += [(f"{p}.moe.router", (d, cfg.n_experts), "normal"), (f"{p}.moe.shared_gate", (d, 1), "normal")]
             specs += swiglu_specs(f"{p}.moe.shared", cfg.ffn_hidden)
             for e in range(cfg.n_experts):
                 specs += swiglu_specs(f"{p}.moe.expert{e}", cfg.expert_hidden)
@@ -240,10 +257,10 @@ class TrafficModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrafficModel":
-        """Rebuild a saved model; names and shapes must match what its config builds."""
+        """Rebuild a saved model; upgraded names and shapes must match what its config builds."""
         sidecar = Path(str(path) + ".config")
         config = ModelConfig.from_text(sidecar.read_text(), sidecar)
-        arrays = T.load_checkpoint(path)
+        arrays = upgrade_legacy_layout(T.load_checkpoint(path), config)
         found = {name: v.shape for name, v in arrays.items()}
         expected = {name: shape for name, shape, _ in parameter_specs(config)}
         if found != expected:
@@ -264,12 +281,9 @@ class TrafficModel:
     def _attention_block(self, h: Tensor, layer: int, lengths: np.ndarray) -> Tensor:
         """Attention sublayer over packed rows (sequence b is the next ``lengths[b]`` rows):
         pre-norm, one QKV projection, rotary causal attention within each sequence, residual."""
-        cfg = self.config
         base = f"layers.{layer}.attn"
-        w_qkv = T.concat_cols([self.params[f"{base}.head{j}.{w}"] for w in ("wq", "wk", "wv")
-                               for j in range(cfg.n_heads)])
-        qkv = T.matmul(rmsnorm(h, self.params[f"{base}.norm_gain"]), w_qkv)
-        heads = T.causal_attention(qkv, lengths, cfg.n_heads)
+        qkv = T.matmul(rmsnorm(h, self.params[f"{base}.norm_gain"]), self.params[f"{base}.wqkv"])
+        heads = T.causal_attention(qkv, lengths, self.config.n_heads)
         return T.add(h, T.matmul(heads, self.params[f"{base}.wo"]))
 
     def _moe_block(self, h: Tensor, layer: int, trace: RoutingTrace) -> Tensor:
@@ -280,8 +294,7 @@ class TrafficModel:
         scores, selected = route_tokens(z, p[f"layers.{layer}.moe.router"], cfg.top_k)
         trace.layers.append(LayerRouting(probs=scores, selected=selected))
 
-        gate_vec = T.reshape(p[f"layers.{layer}.moe.shared_gate"], (cfg.d_model, 1))
-        gate = T.sigmoid(T.matmul(z, gate_vec))
+        gate = T.sigmoid(T.matmul(z, p[f"layers.{layer}.moe.shared_gate"]))
         shared = f"layers.{layer}.moe.shared"
         out = T.add(h, T.mul(gate, swiglu(z, p[f"{shared}.w_gate"], p[f"{shared}.w_up"], p[f"{shared}.w_down"])))
         experts = [tuple(p[f"layers.{layer}.moe.expert{e}.{w}"] for w in ("w_gate", "w_up", "w_down"))

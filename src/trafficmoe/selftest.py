@@ -93,7 +93,7 @@ def _check_gradients() -> str:
         loss.backward()
         rng = np.random.default_rng(7)
         routed = f"layers.0.moe.expert{base_sel[0][0][0]}.w_down"  # an expert the first token was routed to
-        for name in ("embed.tok", "layers.0.moe.router", "layers.0.attn.head0.wq", routed):
+        for name in ("embed.tok", "layers.0.moe.router", "layers.0.attn.wqkv", routed):
             p = model.params[name]
             flat_idx = rng.integers(0, p.data.size)
             h = 1e-5

@@ -12,7 +12,7 @@ import math
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -138,8 +138,7 @@ def _accumulate(param: Tensor, grad: np.ndarray) -> None:
     """Add ``grad`` into ``param.grad``, keeping a first gradient as it is. Later gradients (and
     ``gather_rows``) add into it in place, so one rule holds: a backward hands each parent an array
     no other tensor holds. ``add``, the only op that would hand one array to two parents, copies for
-    ``b``. A ``reshape`` or ``concat_cols`` view of a node's own gradient may be kept, as
-    ``Tensor.backward`` drops each interior gradient once it is used."""
+    ``b``."""
     if param.grad is None:
         param.grad = grad
     else:
@@ -275,17 +274,6 @@ def tsum(x) -> Tensor:
     return _build(np.asarray(np.sum(x.data)), (x,), backward)
 
 
-def reshape(x, shape: tuple[int, ...]) -> Tensor:
-    x = as_tensor(x)
-    data = x.data.reshape(shape)
-
-    def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g.reshape(x.shape))
-
-    return _build(data, (x,), backward)
-
-
 # -- linear algebra ----------------------------------------------------------
 
 
@@ -304,20 +292,6 @@ def matmul(a, b) -> Tensor:
             _accumulate(b, a.data.T @ g)
 
     return _build(data, (a, b), backward)
-
-
-def concat_cols(parts: Iterable[Tensor]) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    widths = [p.shape[-1] for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=-1)
-    offsets = np.cumsum([0] + widths)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                _accumulate(p, g[..., lo:hi])
-
-    return _build(data, tuple(parts), backward)
 
 
 # -- indexing ----------------------------------------------------------------

@@ -230,11 +230,13 @@ def test_bad_bench_batch_sizes_are_data_errors(tiny_eval, capsys, sizes, bad):
 
 @pytest.mark.parametrize("command,flag,value", [("bench", "--batches", "0"), ("bench", "--seq-len", "0"),
                                                 ("bench", "--seq-len", "-3"), ("route-trace", "--limit", "-2"),
-                                                ("route-trace", "--limit", "0"), ("bench", "--warmup", "-5")])
+                                                ("route-trace", "--limit", "0"), ("bench", "--warmup", "-5"),
+                                                ("eval", "--batch-size", "0")])
 def test_counts_below_one_are_data_errors(tiny_eval, capsys, command, flag, value):
     ckpt, corpus = tiny_eval
     out = ckpt.parent / "out.tsv"
-    io = ("--report", str(out)) if command == "bench" else ("--data", str(corpus), "--out", str(out))
+    io = {"bench": ("--report", str(out)), "eval": ("--data", str(corpus), "--metrics-out", str(out))}.get(
+        command, ("--data", str(corpus), "--out", str(out)))
     assert run(command, "--ckpt", str(ckpt), *io, flag, value) == 2
     assert f"{flag} {value} " in capsys.readouterr().err
     assert not out.exists()
@@ -280,6 +282,14 @@ def test_ood_cli_compose_mode_with_coarse_map(tmp_path):
     test_flows = read_flows(out / "test")
     assert {f.label for f in train_flows} <= {0, 1}   # relabeled to coarse ids
     assert {f.label for f in test_flows} == {0, 1}
+
+
+@pytest.mark.parametrize("mode", ["proportion", "compose"])
+def test_ood_coarse_mode_without_coarse_map_is_usage_error(tmp_path, capsys, mode):
+    out = tmp_path / "ood"
+    assert run("ood", "--mode", mode, "--flows", str(tmp_path / "missing"), "--out", str(out)) == 1
+    assert f"error: --mode {mode} needs --coarse-map" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ood_coarse_label_outside_int32_is_data_error(tmp_path, capsys):
@@ -542,6 +552,18 @@ def test_training_vocab_mismatch_is_data_error_before_any_write(tiny_eval, tmp_p
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "route-trace"])
+def test_corpus_ids_beyond_checkpoint_vocab_are_data_error_before_any_write(tiny_eval, tmp_path, capsys, command):
+    ckpt, corpus = tiny_eval  # checkpoint vocab_size=64
+    ids = np.arange(59, 71)
+    write_corpus([TokenSequence(ids, ids > 0, label=i % 2) for i in range(2)], corpus)
+    out = tmp_path / "out" / "o.tsv"
+    io = ("--metrics-out", str(out)) if command == "eval" else ("--out", str(out))
+    assert run(command, "--ckpt", str(ckpt), "--data", str(corpus), *io) == 2
+    assert f"corpus {corpus} holds token id 70, but checkpoint {ckpt} has 64 ids" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_config_file_line_without_equals_is_data_error(tmp_path, capsys):
     write_flows([], tmp_path / "flows")
     build_vocabulary().save(tmp_path / "vocab.tsv")
@@ -561,7 +583,7 @@ def test_non_positive_model_size_is_data_error(tiny_eval, tmp_path, capsys, flag
 
 
 @pytest.mark.parametrize("command,flag,value", [
-    ("finetune", "--batch-size", "0"), ("eval", "--batch-size", "0"), ("finetune", "--epochs", "0"),
+    ("finetune", "--batch-size", "0"), ("finetune", "--epochs", "0"),
     ("pretrain", "--epochs", "-2"), ("finetune", "--base-lr", "-1"), ("pretrain", "--base-lr", "0"),
     ("finetune", "--aux-weight", "-1"), ("pretrain", "--weight-decay", "-0.5"),
 ])
@@ -569,16 +591,11 @@ def test_nonsensical_training_value_is_data_error(tiny_eval, tmp_path, capsys, c
     ckpt, corpus = tiny_eval
     save_six_entry_vocab(tmp_path / "vocab.tsv")
     before = sorted(tmp_path.rglob("*.ckpt"))
-    if command == "eval":
-        code = run("eval", "--ckpt", str(ckpt), "--data", str(corpus), "--metrics-out",
-                   str(tmp_path / "metrics.tsv"), flag, value)
-    else:
-        code = run(command, "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
-                   str(tmp_path / "run"), "--init", str(ckpt), flag, value)
-    assert code == 2
+    assert run(command, "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
+               str(tmp_path / "run"), "--init", str(ckpt), flag, value) == 2
     err = capsys.readouterr().err
     assert f"{flag[2:].replace('-', '_')}=" in err and "must be" in err
-    assert sorted(tmp_path.rglob("*.ckpt")) == before and not (tmp_path / "metrics.tsv").exists()
+    assert sorted(tmp_path.rglob("*.ckpt")) == before
 
 
 # -- training flags come from the config dataclasses --------------------------------------

@@ -53,6 +53,13 @@ def swiglu_ref(z: np.ndarray, w_gate, w_up, w_down) -> np.ndarray:
     return (gate * (z @ w_up)) @ w_down
 
 
+def head_weights(model: TrafficModel, layer: int, head: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(wq, wk, wv) of one head: its ``head_dim`` columns in each of the q, k and v parts of ``wqkv``."""
+    d, hd = model.config.d_model, model.config.head_dim
+    w = model.params[f"layers.{layer}.attn.wqkv"].data
+    return tuple(w[:, part * d + head * hd : part * d + (head + 1) * hd] for part in range(3))
+
+
 def attention_oracle(h: np.ndarray, model: TrafficModel, layer: int) -> np.ndarray:
     """Loop re-computation of the attention sublayer."""
     cfg = model.config
@@ -62,10 +69,10 @@ def attention_oracle(h: np.ndarray, model: TrafficModel, layer: int) -> np.ndarr
     positions = np.arange(seq_len)
     heads = []
     for j in range(cfg.n_heads):
-        base = f"layers.{layer}.attn.head{j}"
-        q = rope_ref(z @ p[f"{base}.wq"], positions)
-        k = rope_ref(z @ p[f"{base}.wk"], positions)
-        v = z @ p[f"{base}.wv"]
+        wq, wk, wv = head_weights(model, layer, j)
+        q = rope_ref(z @ wq, positions)
+        k = rope_ref(z @ wk, positions)
+        v = z @ wv
         out = np.zeros_like(v)
         for t in range(seq_len):
             scores = np.array([q[t] @ k[pos] / math.sqrt(cfg.head_dim) for pos in range(t + 1)])
@@ -83,7 +90,7 @@ def moe_oracle(h: np.ndarray, model: TrafficModel, layer: int, top_k: int) -> np
     scores = np.stack([softmax_ref(row) for row in z @ p[f"layers.{layer}.moe.router"]])
     gate = 1.0 / (1.0 + np.exp(-(z @ p[f"layers.{layer}.moe.shared_gate"])))
     shared = f"layers.{layer}.moe.shared"
-    out = h + gate[:, None] * swiglu_ref(
+    out = h + gate * swiglu_ref(
         z, p[f"{shared}.w_gate"], p[f"{shared}.w_up"], p[f"{shared}.w_down"]
     )
     for t in range(h.shape[0]):
@@ -180,7 +187,7 @@ def test_attention_single_token(tiny_model):
     # with T=1 the attention weight is 1 on self: output = h + concat(v) @ wo
     p = {k: v.data for k, v in tiny_model.params.items()}
     z = rmsnorm_ref(h, p["layers.0.attn.norm_gain"])
-    v = np.concatenate([z @ p[f"layers.0.attn.head{j}.wv"] for j in range(2)], axis=1)
+    v = np.concatenate([z @ head_weights(tiny_model, 0, j)[2] for j in range(2)], axis=1)
     expected = h + v @ p["layers.0.attn.wo"]
     assert np.max(np.abs(out - expected)) < 1e-6
 
@@ -346,7 +353,7 @@ def test_moe_layer_forced_single_expert(rng):
 def test_moe_layer_zero_gate_pure_residual(rng):
     model = TrafficModel(tiny_config(), seed=5)
     # drive the shared gate to 0 and null every expert's output projection
-    model.params["layers.0.moe.shared_gate"].data = np.full(16, -50.0, dtype=np.float32)
+    model.params["layers.0.moe.shared_gate"].data = np.full((16, 1), -50.0, dtype=np.float32)
     model.params["layers.0.moe.shared.w_down"].data[:] = 0.0
     for e in range(4):
         model.params[f"layers.0.moe.expert{e}.w_down"].data[:] = 0.0
@@ -521,7 +528,7 @@ def test_packed_lm_objective_pad_invariance_is_bitwise(tiny_model, rng):
         tiny_model.zero_grad()
         loss.backward()
         results.append([loss.data] + [p.grad for p in tiny_model.params.values()])
-    assert sum(g is not None for g in results[0]) == 1 + 55  # the loss and every backbone and vocab-head gradient
+    assert sum(g is not None for g in results[0]) == 1 + 45  # the loss and every backbone and vocab-head gradient
     assert all(np.array_equal(a, b) for a, b in zip(*results))
 
 
@@ -630,7 +637,7 @@ def test_packed_forward_gradients_match_finite_differences(mode):
         loss.backward()
         d = model.config.d_model
         probes = [("embed.tok", ids[1, 2] * d + k) for k in range(3)]
-        for name in ("layers.0.attn.head1.wk", "layers.0.moe.router", "layers.0.moe.shared.w_up", "final_norm_gain"):
+        for name in ("layers.0.attn.wqkv", "layers.0.moe.router", "layers.0.moe.shared.w_up", "final_norm_gain"):
             probes += [(name, i) for i in rng.choice(model.params[name].data.size, size=4, replace=False)]
         assert not model.params["embed.tok"].grad[2].any()  # trailing [PAD] rows are never gathered
         checked = 0
@@ -657,16 +664,13 @@ def test_parameter_shapes_match_contract():
     cfg = tiny_config()
     model = TrafficModel(cfg, seed=0)
     p = {k: v.shape for k, v in model.params.items()}
-    d, dm, dff, dex = cfg.d_model, cfg.head_dim, cfg.ffn_hidden, cfg.expert_hidden
+    d, dff, dex = cfg.d_model, cfg.ffn_hidden, cfg.expert_hidden
     assert p["embed.tok"] == (cfg.vocab_size, d)
     for i in range(cfg.n_layers):
-        for j in range(cfg.n_heads):
-            assert p[f"layers.{i}.attn.head{j}.wq"] == (d, dm)
-            assert p[f"layers.{i}.attn.head{j}.wk"] == (d, dm)
-            assert p[f"layers.{i}.attn.head{j}.wv"] == (d, dm)
+        assert p[f"layers.{i}.attn.wqkv"] == (d, 3 * d)
         assert p[f"layers.{i}.attn.wo"] == (d, d)
         assert p[f"layers.{i}.moe.router"] == (d, cfg.n_experts)
-        assert p[f"layers.{i}.moe.shared_gate"] == (d,)
+        assert p[f"layers.{i}.moe.shared_gate"] == (d, 1)
         assert p[f"layers.{i}.moe.shared.w_gate"] == (d, dff)
         assert p[f"layers.{i}.moe.shared.w_down"] == (dff, d)
         for e in range(cfg.n_experts):
@@ -747,3 +751,31 @@ def test_sidecar_with_retired_aux_loss_weight_loads_bit_identical(tmp_path):
         want, _ = model.forward(ids, mode="lm")
         got, _ = loaded.forward(ids, mode="lm")
     assert np.array_equal(want.data, got.data)
+
+
+def test_checkpoint_with_per_head_attention_loads_bit_identical(tmp_path):
+    model = TrafficModel(tiny_config(), seed=4)
+    path = tmp_path / "m.ckpt"
+    model.save(path)
+    # the tensors as older releases wrote them: per-head q/k/v matrices and a [d] shared gate
+    arrays = {}
+    for name, p in model.params.items():
+        if name.endswith(".attn.wqkv"):
+            layer = int(name.split(".")[1])
+            for j in range(model.config.n_heads):
+                arrays.update(zip([f"layers.{layer}.attn.head{j}.{w}" for w in ("wq", "wk", "wv")],
+                                  head_weights(model, layer, j)))
+        else:
+            arrays[name] = p.data.reshape(-1) if name.endswith(".moe.shared_gate") else p.data
+    T.save_checkpoint(arrays, path)
+    loaded = TrafficModel.load(path)
+    assert {k: v.shape for k, v in loaded.params.items()} == {k: v.shape for k, v in model.params.items()}
+    ids = np.random.default_rng(1).integers(0, 64, size=(2, 12))
+    valid = np.ones(ids.shape, dtype=bool)
+    with T.no_grad():
+        for mode in ("lm", "classify"):
+            want, _ = model.forward(ids, valid, mode=mode)
+            got, _ = loaded.forward(ids, valid, mode=mode)
+            assert np.array_equal(want.data, got.data), mode
+    loaded.save(tmp_path / "again.ckpt")
+    assert set(T.load_checkpoint(tmp_path / "again.ckpt")) == set(model.params)

@@ -128,12 +128,11 @@ def unary_cases(rng):
         "sigmoid": lambda t: T.sigmoid(t),
         "softmax": lambda t: T.softmax_lastdim(t),
         "rsqrt_ms": lambda t: T.mul(t, T.rsqrt_mean_square(t)),
-        "reshape": lambda t: T.reshape(t, (2, 12)),
     }, x, weight
 
 
 @pytest.mark.parametrize(
-    "name", ["silu", "sigmoid", "softmax", "rsqrt_ms", "reshape"]
+    "name", ["silu", "sigmoid", "softmax", "rsqrt_ms"]
 )
 def test_unary_grads_float64(name, rng):
     with T.use_dtype(np.float64):
@@ -176,15 +175,14 @@ def test_gather_with_duplicates_grad(rng):
         check_grad(build, [x], 1e-6, 1e-6)
 
 
-def test_scatter_take_concat_grads(rng):
+def test_scatter_rows_grad(rng):
     with T.use_dtype(np.float64):
         x = rng.normal(size=(4, 3))
 
         def build():
             t = Tensor(x, requires_grad=True)
             scattered = T.scatter_rows(t, np.array([1, 3, 3, 0]), 6)
-            joined = T.concat_cols([scattered, T.mul(scattered, 2.0)])
-            return T.tsum(T.mul(joined, np.arange(joined.data.size).reshape(joined.shape) * 0.05)), [t]
+            return T.tsum(T.mul(scattered, np.arange(scattered.data.size).reshape(scattered.shape) * 0.05)), [t]
 
         check_grad(build, [x], 1e-6, 1e-6)
 
