@@ -219,6 +219,14 @@ def _check_corpus_ids(sequences, corpus: str, n_ids: int, owner: str) -> None:
         raise ValueError(f"corpus {corpus} holds token id {top_id}, but {owner} has {n_ids} ids")
 
 
+def _check_corpus_width(sequences, corpus: str, max_tokens: int, ckpt: str) -> None:
+    """Reject a corpus whose rows are wider than the ``max_tokens`` of checkpoint ``ckpt``."""
+    width = max((len(s.ids) for s in sequences), default=0)
+    if width > max_tokens:
+        raise ValueError(f"corpus {corpus} rows are {width} tokens wide, but checkpoint {ckpt} has "
+                         f"max_tokens={max_tokens}")
+
+
 def _run_training(args, mode: str) -> int:
     t0 = time.time()
     seed = args.seed if args.seed is not None else _default_seed()
@@ -241,6 +249,7 @@ def _run_training(args, mode: str) -> int:
         if model.config.vocab_size != len(vocab):
             raise ValueError(f"vocab {args.vocab} has {len(vocab)} ids, but checkpoint {args.init} has "
                              f"vocab_size={model.config.vocab_size}")
+        _check_corpus_width(sequences, args.corpus, model.config.max_tokens, args.init)
     else:
         model_fields = {name: merged[key] for key, name in _MODEL_KEYS.items()}
         model = TrafficModel(ModelConfig(vocab_size=len(vocab), max_tokens=max_tokens, **model_fields), seed=seed)
@@ -272,7 +281,10 @@ def _cmd_eval(args) -> int:
     _at_least("--batch-size", args.batch_size)
     model = TrafficModel.load(args.ckpt)
     sequences = read_corpus(args.data)
+    if not sequences:
+        raise ValueError(f"corpus {args.data} is empty")
     _check_corpus_ids(sequences, args.data, model.config.vocab_size, f"checkpoint {args.ckpt}")
+    _check_corpus_width(sequences, args.data, model.config.max_tokens, args.ckpt)
     if any(s.label is None for s in sequences):
         raise ValueError("eval needs labeled sequences")
     n_classes = model.config.num_classes or 0
@@ -399,10 +411,11 @@ def _cmd_route_trace(args) -> int:
     if not sequences:
         raise ValueError("no sequences to trace")
     _check_corpus_ids(sequences, args.data, model.config.vocab_size, f"checkpoint {args.ckpt}")
+    _check_corpus_width(sequences, args.data, model.config.max_tokens, args.ckpt)
     from .training import batch_arrays
 
     acc = RoutingAccumulator()
-    mode = "classify" if model.config.num_classes and sequences[0].label is not None else "lm"
+    mode = "classify" if model.config.num_classes and sequences[0].label is not None else "hidden"
     with T.no_grad():
         ids, valid, _ = batch_arrays(sequences)
         _, trace = model.forward(ids, valid, mode=mode)

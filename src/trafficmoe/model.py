@@ -331,8 +331,10 @@ class TrafficModel:
 
         Only the slots ``packed_rows(ids.shape, valid_mask)`` lists are computed,
         back to back; trailing [PAD] is not, so the routing trace holds real
-        tokens (and interior pads) only. ``lm`` returns next-token logits
-        [len(rows), vocab] in that packed order; ``classify`` mean-pools valid
+        tokens (and interior pads) only. ``hidden`` returns the final-norm
+        states [len(rows), d] in that packed order, and ``lm`` their next-token
+        logits [len(rows), vocab] (training feeds ``hidden`` to
+        ``tensor.lm_head_loss`` instead); ``classify`` mean-pools valid
         positions and returns class logits [batch, num_classes].
         """
         cfg = self.config
@@ -341,7 +343,7 @@ class TrafficModel:
             raise ValueError(
                 f"token id out of range [0, {cfg.vocab_size}): found {int(ids.min())}..{int(ids.max())}"
             )
-        if mode not in ("lm", "classify"):
+        if mode not in ("hidden", "lm", "classify"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "classify":
             if not cfg.num_classes:
@@ -354,6 +356,8 @@ class TrafficModel:
             raise ValueError(f"sequence {int(np.argmin(lengths))} has no valid tokens")
         h, trace = self._backbone(ids.reshape(-1)[rows], lengths[lengths > 0])
 
+        if mode == "hidden":
+            return h, trace
         if mode == "lm":
             return T.matmul(h, self.params["head.vocab"]), trace
 

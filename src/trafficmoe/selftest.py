@@ -84,8 +84,8 @@ def _check_gradients() -> str:
         valid = np.ones((2, 6), dtype=bool)
 
         def loss_and_selection():
-            logits, trace = model.forward(ids, valid, mode="lm")
-            loss = T.add(ntp_loss(logits, ids, valid), T.mul(load_balance_loss(trace), 0.02))
+            h, trace = model.forward(ids, valid, mode="hidden")
+            loss = T.add(ntp_loss(h, model.params["head.vocab"], ids, valid), T.mul(load_balance_loss(trace), 0.02))
             return loss, [rec.selected.tolist() for rec in trace.layers]
 
         loss, base_sel = loss_and_selection()
@@ -93,7 +93,7 @@ def _check_gradients() -> str:
         loss.backward()
         rng = np.random.default_rng(7)
         routed = f"layers.0.moe.expert{base_sel[0][0][0]}.w_down"  # an expert the first token was routed to
-        for name in ("embed.tok", "layers.0.moe.router", "layers.0.attn.wqkv", routed):
+        for name in ("embed.tok", "layers.0.moe.router", "layers.0.attn.wqkv", routed, "head.vocab"):
             p = model.params[name]
             flat_idx = rng.integers(0, p.data.size)
             h = 1e-5
@@ -150,8 +150,9 @@ def _check_pad_invariance() -> str:
     outputs = []
     for s in (8, 32):
         class_logits, _ = model.forward(ids[:, :s], valid[:, :s], mode="classify")
-        logits, trace = model.forward(ids[:, :s], valid[:, :s], mode="lm")
-        loss = T.add(ntp_loss(logits, ids[:, :s], valid[:, :s]), T.mul(load_balance_loss(trace), 0.02))
+        h, trace = model.forward(ids[:, :s], valid[:, :s], mode="hidden")
+        task = ntp_loss(h, model.params["head.vocab"], ids[:, :s], valid[:, :s])
+        loss = T.add(task, T.mul(load_balance_loss(trace), 0.02))
         model.zero_grad()
         loss.backward()
         outputs.append([class_logits.data, loss.data] + [p.grad for p in model.params.values()])

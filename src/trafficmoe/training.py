@@ -70,11 +70,11 @@ class TrainConfig:
 # -- losses -----------------------------------------------------------------
 
 
-def ntp_loss(lm_logits: Tensor, ids: np.ndarray, valid_mask: np.ndarray) -> Tensor:
-    """Next-token negative log-likelihood, averaged over valid targets.
+def ntp_loss(h: Tensor, head_vocab: Tensor, ids: np.ndarray, valid_mask: np.ndarray) -> Tensor:
+    """Next-token negative log-likelihood of the vocab head ``h @ head_vocab``, averaged over valid targets.
 
-    ``lm_logits`` has one row per ``packed_rows(ids.shape, valid_mask)`` slot, as
-    ``forward(mode="lm")`` returns them. Row (b, t) predicts ``ids[b, t+1]`` with
+    ``h`` has one row per ``packed_rows(ids.shape, valid_mask)`` slot, as
+    ``forward(mode="hidden")`` returns them. Row (b, t) predicts ``ids[b, t+1]`` with
     weight ``valid_mask[b, t+1]``, so each sequence's last row and interior pads weigh 0.
     """
     ids = np.atleast_2d(ids)
@@ -84,7 +84,7 @@ def ntp_loss(lm_logits: Tensor, ids: np.ndarray, valid_mask: np.ndarray) -> Tens
     targets, weights = np.zeros(ids.shape, dtype=np.int64), np.zeros(ids.shape)
     targets[:, :-1], weights[:, :-1] = ids[:, 1:], valid_mask[:, 1:]
     rows, _ = packed_rows(ids.shape, valid_mask)
-    return T.cross_entropy_logits(lm_logits, np.take(targets, rows), np.take(weights, rows))
+    return T.lm_head_loss(h, head_vocab, np.take(targets, rows), np.take(weights, rows))
 
 
 def classification_loss(class_logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -271,6 +271,7 @@ def train(
     best_epoch = 0
     best_state = None  # copied only when validation finds a new best epoch
     step = 0
+    model.zero_grad()
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_seqs))
@@ -282,8 +283,8 @@ def train(
             ids, valid, labels = batch_arrays(batch)
             step += 1
             if config.mode == "pretrain":
-                logits, trace = model.forward(ids, valid, mode="lm")
-                task = ntp_loss(logits, ids, valid)
+                h, trace = model.forward(ids, valid, mode="hidden")
+                task = ntp_loss(h, model.params["head.vocab"], ids, valid)
             else:
                 logits, trace = model.forward(ids, valid, mode="classify")
                 task = classification_loss(logits, labels)
@@ -292,14 +293,13 @@ def train(
             value = loss.item()
             if not np.isfinite(value):
                 raise DivergenceError(step, value)
-            model.zero_grad()
             loss.backward()
             optimizer.step()
+            model.zero_grad()  # no gradient stays alive through the next forward or a state copy
             task_sum += task.item()
             aux_sum += aux.item() if isinstance(aux, Tensor) else float(aux)
             n_batches += 1
             routing.add(trace)
-            del loss, logits, task, aux, trace  # free this step's graph before the next forward
 
         task_name = "ntp_loss" if config.mode == "pretrain" else "cls_loss"
         history.add(epoch, "train", task_name, task_sum / n_batches)

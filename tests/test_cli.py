@@ -564,6 +564,34 @@ def test_corpus_ids_beyond_checkpoint_vocab_are_data_error_before_any_write(tiny
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["finetune", "pretrain", "eval", "route-trace"])
+def test_corpus_wider_than_checkpoint_max_tokens_is_data_error(tiny_eval, tmp_path, capsys, command):
+    ckpt, corpus = tiny_eval
+    TrafficModel(tiny_config(vocab_size=6), seed=0).save(ckpt)  # max_tokens=12
+    ids = np.arange(40) % 6
+    write_corpus([TokenSequence(ids, ids != 2, label=i % 2) for i in range(4)], corpus)
+    out = tmp_path / "out" / "o.tsv"
+    if command in ("finetune", "pretrain"):
+        save_six_entry_vocab(tmp_path / "vocab.tsv")
+        args = ("--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--init", str(ckpt),
+                "--out", str(out.parent))
+    else:
+        args = ("--ckpt", str(ckpt), "--data", str(corpus), "--metrics-out" if command == "eval" else "--out", str(out))
+    assert run(command, *args) == 2
+    err = capsys.readouterr().err
+    assert f"corpus {corpus} rows are 40 tokens wide, but checkpoint {ckpt} has max_tokens=12" in err
+    assert not out.parent.exists()
+
+
+def test_eval_on_an_empty_corpus_is_data_error(tiny_eval, tmp_path, capsys):
+    ckpt, corpus = tiny_eval
+    corpus.write_text("")
+    out = tmp_path / "out" / "metrics.tsv"
+    assert run("eval", "--ckpt", str(ckpt), "--data", str(corpus), "--metrics-out", str(out)) == 2
+    assert f"corpus {corpus} is empty" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_config_file_line_without_equals_is_data_error(tmp_path, capsys):
     write_flows([], tmp_path / "flows")
     build_vocabulary().save(tmp_path / "vocab.tsv")

@@ -523,13 +523,41 @@ def test_packed_lm_objective_pad_invariance_is_bitwise(tiny_model, rng):
     ids, valid = ragged_batch(rng, lengths=(8, 3, 5), pad_to=8)
     results = []
     for batch in ((ids, valid), pad_right(ids, valid, 24)):
-        logits, trace = tiny_model.forward(*batch, mode="lm")
-        loss = T.add(ntp_loss(logits, *batch), T.mul(load_balance_loss(trace), 0.02))
+        h, trace = tiny_model.forward(*batch, mode="hidden")
+        loss = T.add(ntp_loss(h, tiny_model.params["head.vocab"], *batch), T.mul(load_balance_loss(trace), 0.02))
         tiny_model.zero_grad()
         loss.backward()
         results.append([loss.data] + [p.grad for p in tiny_model.params.values()])
     assert sum(g is not None for g in results[0]) == 1 + 45  # the loss and every backbone and vocab-head gradient
     assert all(np.array_equal(a, b) for a, b in zip(*results))
+
+
+def test_fused_lm_objective_matches_unfused_head_for_every_parameter(rng, monkeypatch):
+    from trafficmoe.training import ntp_loss
+
+    monkeypatch.setattr(T, "LM_HEAD_CHUNK", 8)  # 26 packed rows: four chunks, the last partial
+    with T.use_dtype(np.float64):
+        model = TrafficModel(tiny_config(), seed=4)
+        ids, valid = ragged_batch(rng)
+        valid[2, 3] = False  # an interior pad: a packed row whose target weighs 0
+        targets, weights = np.zeros_like(ids), np.zeros(ids.shape)
+        targets[:, :-1], weights[:, :-1] = ids[:, 1:], valid[:, 1:]
+        rows, _ = packed_rows(ids.shape, valid)
+        results = []
+        for fused in (True, False):
+            if fused:
+                h, trace = model.forward(ids, valid, mode="hidden")
+                task = ntp_loss(h, model.params["head.vocab"], ids, valid)
+            else:
+                logits, trace = model.forward(ids, valid, mode="lm")
+                task = T.cross_entropy_logits(logits, targets.reshape(-1)[rows], weights.reshape(-1)[rows])
+            loss = T.add(task, T.mul(load_balance_loss(trace), 0.02))
+            model.zero_grad()
+            loss.backward()
+            results.append([loss.data] + [p.grad for p in model.params.values() if p.grad is not None])
+    assert len(results[0]) == len(results[1]) == 1 + 45
+    for fused, unfused in zip(*results):
+        assert np.allclose(fused, unfused, rtol=1e-10, atol=1e-18)
 
 
 def test_packed_classify_pad_invariance_is_bitwise(tiny_model, rng):
@@ -627,8 +655,12 @@ def test_packed_forward_gradients_match_finite_differences(mode):
         labels = np.array([0, 1, 1])
 
         def loss_and_selection():
-            out, trace = model.forward(ids, valid, mode=mode)
-            task = ntp_loss(out, ids, valid) if mode == "lm" else classification_loss(out, labels)
+            if mode == "lm":
+                h, trace = model.forward(ids, valid, mode="hidden")
+                task = ntp_loss(h, model.params["head.vocab"], ids, valid)
+            else:
+                out, trace = model.forward(ids, valid, mode=mode)
+                task = classification_loss(out, labels)
             loss = T.add(task, T.mul(load_balance_loss(trace), 0.5))
             return loss, [rec.selected.tobytes() for rec in trace.layers]
 

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import warnings
 
@@ -348,6 +349,100 @@ def test_cross_entropy_grad(rng):
         check_grad(build, [logits], 1e-6, 1e-6)
 
 
+def head_inputs(rng, n, d, vocab):
+    """float64 (h, w_vocab, targets, weights) for ``lm_head_loss``; weights include zeros."""
+    weights = rng.uniform(0.0, 2.0, size=n) * (rng.uniform(size=n) > 0.25)
+    weights[0] = 1.0
+    return rng.normal(size=(n, d)), rng.normal(size=(d, vocab)), rng.integers(0, vocab, size=n), weights
+
+
+def test_lm_head_loss_grad_float64_across_chunks(rng, monkeypatch):
+    monkeypatch.setattr(T, "LM_HEAD_CHUNK", 3)  # 7 rows: chunks of 3, 3 and 1
+    with T.use_dtype(np.float64):
+        h, w_vocab, targets, weights = head_inputs(rng, 7, 4, 5)
+
+        def build():
+            tensors = [Tensor(h, requires_grad=True), Tensor(w_vocab, requires_grad=True)]
+            return T.lm_head_loss(*tensors, targets, weights), tensors
+
+        check_grad(build, [h, w_vocab], 1e-6, 1e-7)
+
+
+def test_lm_head_loss_matches_unfused_head_float64(rng):
+    n = 2 * T.LM_HEAD_CHUNK + 37  # not a multiple of the chunk; the second chunk weighs 0
+    with T.use_dtype(np.float64):
+        h, w_vocab, targets, weights = head_inputs(rng, n, 6, 11)
+        weights[T.LM_HEAD_CHUNK : 2 * T.LM_HEAD_CHUNK] = 0.0
+        results = []
+        for fused in (True, False):
+            tensors = [Tensor(h, requires_grad=True), Tensor(w_vocab, requires_grad=True)]
+            if fused:
+                loss = T.lm_head_loss(*tensors, targets, weights)
+            else:
+                loss = T.cross_entropy_logits(T.matmul(*tensors), targets, weights)
+            T.mul(loss, 0.5).backward()  # an upstream gradient other than 1
+            results.append([loss.data] + [t.grad for t in tensors])
+    for fused, unfused in zip(*results):
+        assert np.allclose(fused, unfused, rtol=1e-10, atol=0)
+    assert not results[0][1][T.LM_HEAD_CHUNK : 2 * T.LM_HEAD_CHUNK].any()
+
+
+def test_lm_head_loss_keeps_no_gradient_without_grad(rng):
+    h, w_vocab = rng.normal(size=(8, 512)), rng.normal(size=(512, 2048))  # dW would be 4 MB at float32
+    targets, weights = rng.integers(0, 2048, size=8), np.ones(8)
+    params = [Tensor(h, requires_grad=True), Tensor(w_vocab, requires_grad=True)]
+    results = []
+    for grad_mode, inputs in ((T.no_grad, params), (contextlib.nullcontext, (Tensor(h), Tensor(w_vocab)))):
+        tracemalloc.start()
+        try:
+            with grad_mode():
+                loss = T.lm_head_loss(*inputs, targets, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not loss.requires_grad and loss._backward_fn is None and loss._parents == ()
+        assert peak < w_vocab.size  # a quarter of dW's float32 bytes: neither dW nor dh was built
+        results.append(loss.item())
+    results.append(T.lm_head_loss(*params, targets, weights).item())  # the gradient path's loss
+    assert results[0] == results[1] == results[2]
+
+
+def test_lm_head_loss_counts_the_logits_product_once(rng):
+    n, d, vocab = T.LM_HEAD_CHUNK + 5, 4, 9
+    h, w_vocab, targets, weights = head_inputs(rng, n, d, vocab)
+    params = [Tensor(h, requires_grad=True), Tensor(w_vocab, requires_grad=True)]
+    before = T.matmul_flops()
+    loss = T.lm_head_loss(*params, targets, weights)
+    assert T.matmul_flops() - before == 2 * n * d * vocab
+    loss.backward()
+    assert T.matmul_flops() - before == 2 * n * d * vocab
+
+
+def test_lm_head_loss_holds_one_chunk_of_logits(rng):
+    n, d, vocab = 4 * T.LM_HEAD_CHUNK, 8, 2048
+    h = Tensor(rng.normal(size=(n, d)).astype(np.float32), requires_grad=True)
+    w_vocab = Tensor(rng.normal(size=(d, vocab)).astype(np.float32), requires_grad=True)
+    targets = rng.integers(0, vocab, size=n)
+    chunk_bytes = T.LM_HEAD_CHUNK * vocab * 4
+    tracemalloc.start()
+    try:
+        T.lm_head_loss(h, w_vocab, targets, np.ones(n)).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * chunk_bytes < 0.5 * n * vocab * 4
+
+
+def test_lm_head_loss_rejects_mismatched_shapes(rng):
+    h, w_vocab, targets, weights = head_inputs(rng, 5, 3, 4)
+    with pytest.raises(ShapeError, match="lm_head_loss"):
+        T.lm_head_loss(h, w_vocab.T, targets, weights)
+    with pytest.raises(ShapeError, match="lm_head_loss"):
+        T.lm_head_loss(h, w_vocab, targets[:4], weights)
+    with pytest.raises(ValueError, match="weighted row"):
+        T.lm_head_loss(h, w_vocab, targets, np.zeros(5))
+
+
 # -- optimizer ----------------------------------------------------------------------
 
 
@@ -453,6 +548,27 @@ def test_backward_frees_interior_gradients_and_keeps_leaves():
     assert y.grad is None and loss.grad is None
     assert x.grad.tolist() == [0.5, 4.0, 24.0]  # 2 x w^2
     assert w.grad.tolist() == [1.0, -8.0, 36.0]  # 2 w x^2
+
+
+def test_backward_drops_each_interior_node_from_the_graph(rng):
+    x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    y = T.mul(x, x)
+    loss = T.tsum(y)
+    loss.backward()
+    for node in (y, loss):
+        assert node._parents == ()
+    assert x.grad is not None
+
+
+def test_second_backward_through_a_freed_graph_raises(rng):
+    x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    y = T.mul(x, x)
+    T.tsum(y).backward()
+    first = x.grad.copy()
+    for root in (T.tsum(y), T.tsum(T.mul(y, 2.0))):  # the freed node as root's parent, and deeper
+        with pytest.raises(RuntimeError, match="freed"):
+            root.backward()
+    assert np.array_equal(x.grad, first)  # nothing ran before the error
 
 
 def test_no_grad_builds_no_graph(rng):

@@ -50,11 +50,16 @@ def small_model(vocab_size, max_tokens, num_classes=2, seed=0, **overrides):
 # -- losses ------------------------------------------------------------------
 
 
+def head_of(logits: np.ndarray) -> tuple[Tensor, Tensor]:
+    """(h, head_vocab) whose product is ``logits``: the rows themselves times an identity head."""
+    return Tensor(logits), Tensor(np.eye(logits.shape[-1]))
+
+
 def test_ntp_loss_uniform_two_token_vocab():
-    logits = Tensor(np.zeros((2 * 5, 2)))  # packed rows: every slot of an unmasked batch
+    logits = np.zeros((2 * 5, 2))  # packed rows: every slot of an unmasked batch
     ids = np.ones((2, 5), dtype=int)
     valid = np.ones((2, 5), dtype=bool)
-    assert ntp_loss(logits, ids, valid).item() == pytest.approx(math.log(2), rel=1e-6)
+    assert ntp_loss(*head_of(logits), ids, valid).item() == pytest.approx(math.log(2), rel=1e-6)
 
 
 def test_ntp_loss_confident_predictions_vanish():
@@ -63,7 +68,7 @@ def test_ntp_loss_confident_predictions_vanish():
     for t in range(3):
         logits[t, ids[0, t + 1]] = 30.0
     valid = np.ones((1, 4), dtype=bool)
-    assert ntp_loss(Tensor(logits), ids, valid).item() < 1e-6
+    assert ntp_loss(*head_of(logits), ids, valid).item() < 1e-6
 
 
 def test_ntp_loss_matches_per_position_oracle(rng):
@@ -71,7 +76,7 @@ def test_ntp_loss_matches_per_position_oracle(rng):
     logits = rng.normal(size=(seq_len, vocab_size))
     ids = rng.integers(0, vocab_size, size=(1, seq_len))
     valid = np.ones((1, seq_len), dtype=bool)
-    out = ntp_loss(Tensor(logits), ids, valid).item()
+    out = ntp_loss(*head_of(logits), ids, valid).item()
     # hand computation: hidden at t-1 predicts token at t
     expected = 0.0
     for t in range(1, seq_len):
@@ -86,7 +91,7 @@ def test_ntp_loss_excludes_padded_targets(rng):
     logits = rng.normal(size=(3, vocab_size))  # packed: trailing [PAD] slots have no row
     ids = rng.integers(0, vocab_size, size=(1, 6))
     valid = np.array([[True, True, True, False, False, False]])
-    out = ntp_loss(Tensor(logits), ids, valid).item()
+    out = ntp_loss(*head_of(logits), ids, valid).item()
     expected = 0.0
     for t in (1, 2):
         row = logits[t - 1]
@@ -97,8 +102,7 @@ def test_ntp_loss_excludes_padded_targets(rng):
 
 def test_ntp_loss_needs_two_valid_tokens():
     with pytest.raises(ValueError):
-        ntp_loss(Tensor(np.zeros((1, 3, 2))), np.zeros((1, 3), int),
-                 np.array([[True, False, False]]))
+        ntp_loss(*head_of(np.zeros((3, 2))), np.zeros((1, 3), int), np.array([[True, False, False]]))
 
 
 def test_classification_loss_uniform_and_confident():
