@@ -106,7 +106,7 @@ def _check_gradients() -> str:
             if sel_up != base_sel or sel_down != base_sel:
                 continue  # probe flipped a top-k choice; gradient is undefined there
             fd = (up.item() - down.item()) / (2 * h)
-            an = p.grad.reshape(-1)[flat_idx]
+            an = (p.grad.dense() if isinstance(p.grad, T.RowGrad) else p.grad).reshape(-1)[flat_idx]
             denom = max(abs(fd), abs(an), 1e-8)
             assert abs(fd - an) / denom < 1e-4, f"{name}: fd={fd} analytic={an}"
     return "spot finite-difference check (float64) within 1e-4"
@@ -155,7 +155,8 @@ def _check_pad_invariance() -> str:
         loss = T.add(task, T.mul(load_balance_loss(trace), 0.02))
         model.zero_grad()
         loss.backward()
-        outputs.append([class_logits.data, loss.data] + [p.grad for p in model.params.values()])
+        grads = [p.grad.dense() if isinstance(p.grad, T.RowGrad) else p.grad for p in model.params.values()]
+        outputs.append([class_logits.data, loss.data] + grads)
     assert all(np.array_equal(a, b) for a, b in zip(*outputs))
     return "class logits, LM loss and gradients bit-identical under 4x trailing [PAD]"
 
@@ -236,7 +237,23 @@ def _check_optimizer() -> str:
             m, v = 0.9 * m + 0.1 * g, 0.999 * v + 0.001 * g * g
             expected -= 0.1 * ((m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8) + 0.01 * expected)
         assert np.allclose(q.data, expected, rtol=1e-12, atol=1e-12)
-    return "zero grad + zero decay leaves parameters bit-unchanged; float64 steps across blocks match the formula"
+        start = rng.normal(size=(9, 3))  # row-sparse: listed rows follow the formula, the others stay put
+        r = Tensor(start, requires_grad=True)
+        opt = AdamW([r], lr=0.1, weight_decay=0.01)
+        expected, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        for t, rows in enumerate((np.array([1, 4, 7]), np.array([0, 4, 8])), 1):
+            g = rng.normal(size=(len(rows), 3))
+            before = r.data.copy()
+            r.grad = T.RowGrad(rows, g.copy(), start.shape)
+            opt.step()
+            m[rows], v[rows] = 0.9 * m[rows] + 0.1 * g, 0.999 * v[rows] + 0.001 * g * g
+            step = (m[rows] / (1 - 0.9**t)) / (np.sqrt(v[rows] / (1 - 0.999**t)) + 1e-8)
+            expected[rows] -= 0.1 * (step + 0.01 * expected[rows])
+            assert np.allclose(r.data[rows], expected[rows], rtol=1e-12, atol=1e-12)
+            others = np.setdiff1d(np.arange(len(start)), rows)
+            assert np.array_equal(r.data[others], before[others])
+    return ("zero grad + zero decay leaves parameters bit-unchanged; float64 steps across blocks match the formula; "
+            "a row-sparse step moves only its rows")
 
 
 CHECKS = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -78,7 +79,7 @@ class Tensor:
         if arr.dtype != _default_dtype:
             arr = arr.astype(_default_dtype)
         self.data = arr
-        self.grad: Optional[np.ndarray] = None
+        self.grad: Optional[np.ndarray | RowGrad] = None
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
@@ -143,13 +144,35 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _accumulate(param: Tensor, grad: np.ndarray) -> None:
-    """Add ``grad`` into ``param.grad``, keeping a first gradient as it is. Later gradients (and
-    ``gather_rows``) add into it in place, so one rule holds: a backward hands each parent an array
-    no other tensor holds. ``add``, the only op that would hand one array to two parents, copies for
-    ``b``."""
+@dataclass(eq=False)
+class RowGrad:
+    """A gradient that is zero outside ``rows``: ``values[i]`` is the gradient of row ``rows[i]`` of
+    a ``shape`` parameter. ``rows`` are sorted, distinct int64 ids and ``values`` is
+    ``[len(rows), *shape[1:]]``. ``gather_rows`` builds one; ``AdamW`` updates only its rows."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, ...]
+
+    def dense(self) -> np.ndarray:
+        """The full gradient array, zero outside ``rows``."""
+        out = np.zeros(self.shape, self.values.dtype)
+        out[self.rows] = self.values
+        return out
+
+
+def _accumulate(param: Tensor, grad: np.ndarray | RowGrad) -> None:
+    """Add ``grad`` into ``param.grad``. A first gradient is kept as it is, array or ``RowGrad``; a
+    second one densifies ``param.grad`` and is added into it in place. So one rule holds: a backward
+    hands each parent an array no other tensor holds. ``add``, the only op that would hand one array
+    to two parents, copies for ``b``."""
     if param.grad is None:
         param.grad = grad
+        return
+    if isinstance(param.grad, RowGrad):
+        param.grad = param.grad.dense()
+    if isinstance(grad, RowGrad):
+        param.grad[grad.rows] += grad.values
     else:
         param.grad += grad
 
@@ -309,8 +332,9 @@ def matmul(a, b) -> Tensor:
 def gather_rows(x, indices) -> Tensor:
     """Select rows by integer index; duplicates accumulate in backward.
 
-    Backward sorts the ids once, sums the gradient rows of each distinct id and adds
-    those sums into the touched rows of ``x.grad``, creating it (zeros) only if absent.
+    Backward sorts the ids once, sums the gradient rows of each distinct id and hands ``x``
+    those sums as a ``RowGrad`` over the distinct ids, so no array of ``x``'s size is built
+    unless ``x`` gets a second gradient.
     """
     x = as_tensor(x)
     idx = np.asarray(indices, dtype=np.int64)
@@ -323,9 +347,7 @@ def gather_rows(x, indices) -> Tensor:
             ids = flat[order]
             starts = np.flatnonzero(np.diff(ids, prepend=-1))  # first slot of each distinct id
             sums = np.add.reduceat(g.reshape((flat.size,) + x.shape[1:])[order], starts, axis=0)
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[ids[starts]] += sums
+            _accumulate(x, RowGrad(ids[starts], sums, x.shape))
 
     return _build(data, (x,), backward)
 
@@ -600,9 +622,35 @@ def lm_head_loss(h, w_vocab, targets, weights) -> Tensor:
 
 
 # Elements per AdamW block. A block of p, grad, m and v plus the scratch block is 640 KiB at
-# float32 (1.25 MiB at float64), inside a 4 MiB L2 cache. On one 65,541 x 256 float32 update
-# (2 vCPU, numpy 2.4), 32K and 64K tied at ~70 ms; 4K took 135 ms and 1M 105 ms.
+# float32 (1.25 MiB at float64), inside a core's 2 MiB L2 cache (4 MiB over 2 instances). On one
+# 65,541 x 256 float32 update (2 vCPU, numpy 2.4), 32K and 64K tied at ~70 ms; 4K took 135 ms and
+# 1M 105 ms.
 ADAMW_BLOCK = 1 << 15
+
+
+def _adamw_update(p, g, m, v, scratch, lr, wd, b1, b2, bc1, bc2, eps) -> None:
+    """Update the flat, equal-sized p, m and v in place from g, ``ADAMW_BLOCK`` elements at a time
+    through one block-sized ``scratch``, so each of them is read from memory once."""
+    for lo in range(0, p.size, ADAMW_BLOCK):
+        hi = lo + ADAMW_BLOCK
+        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        s = scratch[: pb.size]
+        mb *= b1
+        np.multiply(gb, 1.0 - b1, out=s)
+        mb += s
+        vb *= b2
+        np.multiply(gb, gb, out=s)
+        s *= 1.0 - b2
+        vb += s
+        if wd:  # p -= lr wd p: a float32 factor 1 - lr wd would round lr wd ~ 1e-7 by up to 20%
+            np.multiply(pb, lr * wd, out=s)
+            pb -= s
+        np.divide(vb, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(mb, s, out=s)
+        s *= lr / bc1
+        pb -= s
 
 
 class AdamW:
@@ -612,16 +660,18 @@ class AdamW:
     and optional ``lr`` / ``weight_decay`` overrides) so layer-wise
     learning rates are just groups.
 
-    The update is dense: a parameter whose ``.grad`` is set moves over all of its
-    elements, so momentum and decay move rows whose gradient is zero. A parameter
-    whose ``.grad`` is None is skipped and gets no state. Each parameter is updated in
-    place, ``ADAMW_BLOCK`` elements of its flattened p, grad, m and v at a time through
-    one block-sized scratch buffer, so a step reads each of them from memory once::
+    A parameter whose ``.grad`` is None is skipped and gets no state. A dense ``.grad``
+    moves every element of the parameter under momentum and decay. A ``RowGrad`` moves
+    only its rows: their p, m and v are copied out, updated as a dense gradient would
+    update them, and written back, while every other row keeps its p, m and v this step,
+    with no momentum step and no decay (the lazy update of PyTorch's ``SparseAdam``). Each
+    update runs ``ADAMW_BLOCK`` elements of the flattened p, grad, m and v at a time::
 
         m = b1 m + (1 - b1) g        v = b2 v + (1 - b2) g^2
         p -= lr wd p                 p -= lr / bc1 * m / (sqrt(v / bc2) + eps)
 
-    with bias corrections bc1 = 1 - b1^t and bc2 = 1 - b2^t at step t.
+    with bias corrections bc1 = 1 - b1^t and bc2 = 1 - b2^t at step t, the optimizer's
+    step count.
     """
 
     def __init__(
@@ -652,37 +702,25 @@ class AdamW:
         for group in self.groups:
             lr = group.get("lr", self.lr)
             wd = group.get("weight_decay", self.weight_decay)
+            hyper = (lr, wd, b1, b2, bc1, bc2, eps)
             for p in group["params"]:
                 if p.grad is None:
                     continue
                 if id(p) not in self._moments:
                     self._moments[id(p)] = np.zeros((2, p.data.size), p.data.dtype)
                 m, v = self._moments[id(p)]
-                if not p.data.flags.c_contiguous:  # reshape(-1) must give a view, or the update is lost
-                    p.data = np.ascontiguousarray(p.data)
-                flat, grad = p.data.reshape(-1), p.grad.reshape(-1)
-                if scratch is None or scratch.dtype != flat.dtype:
-                    scratch = np.empty(ADAMW_BLOCK, flat.dtype)
-                for lo in range(0, flat.size, ADAMW_BLOCK):
-                    hi = lo + ADAMW_BLOCK
-                    pb, gb, mb, vb = flat[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi]
-                    s = scratch[: pb.size]
-                    mb *= b1
-                    np.multiply(gb, 1.0 - b1, out=s)
-                    mb += s
-                    vb *= b2
-                    np.multiply(gb, gb, out=s)
-                    s *= 1.0 - b2
-                    vb += s
-                    if wd:  # p -= lr wd p: a float32 factor 1 - lr wd would round lr wd ~ 1e-7 by up to 20%
-                        np.multiply(pb, lr * wd, out=s)
-                        pb -= s
-                    np.divide(vb, bc2, out=s)
-                    np.sqrt(s, out=s)
-                    s += eps
-                    np.divide(mb, s, out=s)
-                    s *= lr / bc1
-                    pb -= s
+                if scratch is None or scratch.dtype != p.data.dtype:
+                    scratch = np.empty(ADAMW_BLOCK, p.data.dtype)
+                if isinstance(p.grad, RowGrad):  # update compact copies of the listed rows, then write them back
+                    rows, m, v = p.grad.rows, m.reshape(p.shape), v.reshape(p.shape)
+                    pr, mr, vr = p.data[rows], m[rows], v[rows]
+                    _adamw_update(pr.reshape(-1), p.grad.values.reshape(-1), mr.reshape(-1), vr.reshape(-1),
+                                  scratch, *hyper)
+                    p.data[rows], m[rows], v[rows] = pr, mr, vr
+                else:
+                    if not p.data.flags.c_contiguous:  # reshape(-1) must give a view, or the update is lost
+                        p.data = np.ascontiguousarray(p.data)
+                    _adamw_update(p.data.reshape(-1), p.grad.reshape(-1), m, v, scratch, *hyper)
 
 
 # -- checkpoints ---------------------------------------------------------------

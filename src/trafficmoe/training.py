@@ -234,14 +234,17 @@ def train(
     config: TrainConfig,
     val_seqs: Optional[Sequence[TokenSequence]] = None,
     run_dir: Optional[str | Path] = None,
-) -> tuple[History, dict[str, np.ndarray]]:
+) -> tuple[History, Optional[dict[str, np.ndarray]]]:
     """Run one training job and return (history, best parameter state).
 
     Pretraining runs a fixed number of epochs on the next-token
     objective. Fine-tuning trains the classifier with layer-wise decayed
     learning rates, evaluates macro-F1 on ``val_seqs`` each epoch, and
     stops once ``patience`` epochs pass without improvement; the best
-    epoch's parameters are restored into the model and returned.
+    epoch's parameters are restored into the model and returned. Without a
+    validation epoch (all of pretraining, and fine-tuning without
+    ``val_seqs``) the model keeps its last-epoch parameters and the state
+    returned is None.
     """
     from .evaluation import RoutingAccumulator, evaluate_classifier  # local: avoids cycle
 
@@ -320,9 +323,7 @@ def train(
 
     if out is not None:
         model.save(out / "last.ckpt")
-    if best_state is None:  # no validation: the last epoch is the best
-        best_state = model.state_copy()
-    else:
+    if best_state is not None:
         model.load_state(best_state)
     if out is not None:
         model.save(out / "best.ckpt")

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from trafficmoe.model import ModelConfig, TrafficModel
+from trafficmoe.tensor import RowGrad
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -23,6 +24,11 @@ def tiny_config(**overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def grad_array(t):
+    """``t.grad`` as an array: a ``RowGrad`` densified, None kept."""
+    return t.grad.dense() if isinstance(t.grad, RowGrad) else t.grad
 
 
 @pytest.fixture

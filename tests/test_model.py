@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import grad_array, tiny_config
 from trafficmoe import tensor as T
 from trafficmoe.model import (
     ModelConfig,
@@ -527,7 +527,7 @@ def test_packed_lm_objective_pad_invariance_is_bitwise(tiny_model, rng):
         loss = T.add(ntp_loss(h, tiny_model.params["head.vocab"], *batch), T.mul(load_balance_loss(trace), 0.02))
         tiny_model.zero_grad()
         loss.backward()
-        results.append([loss.data] + [p.grad for p in tiny_model.params.values()])
+        results.append([loss.data] + [grad_array(p) for p in tiny_model.params.values()])
     assert sum(g is not None for g in results[0]) == 1 + 45  # the loss and every backbone and vocab-head gradient
     assert all(np.array_equal(a, b) for a, b in zip(*results))
 
@@ -554,7 +554,7 @@ def test_fused_lm_objective_matches_unfused_head_for_every_parameter(rng, monkey
             loss = T.add(task, T.mul(load_balance_loss(trace), 0.02))
             model.zero_grad()
             loss.backward()
-            results.append([loss.data] + [p.grad for p in model.params.values() if p.grad is not None])
+            results.append([loss.data] + [grad_array(p) for p in model.params.values() if p.grad is not None])
     assert len(results[0]) == len(results[1]) == 1 + 45
     for fused, unfused in zip(*results):
         assert np.allclose(fused, unfused, rtol=1e-10, atol=1e-18)
@@ -671,7 +671,10 @@ def test_packed_forward_gradients_match_finite_differences(mode):
         probes = [("embed.tok", ids[1, 2] * d + k) for k in range(3)]
         for name in ("layers.0.attn.wqkv", "layers.0.moe.router", "layers.0.moe.shared.w_up", "final_norm_gain"):
             probes += [(name, i) for i in rng.choice(model.params[name].data.size, size=4, replace=False)]
-        assert not model.params["embed.tok"].grad[2].any()  # trailing [PAD] rows are never gathered
+        rows, _ = packed_rows(ids.shape, valid)
+        grad = model.params["embed.tok"].grad  # trailing [PAD] slots are never gathered, so id 2 is absent
+        assert isinstance(grad, T.RowGrad) and np.array_equal(grad.rows, np.unique(ids.reshape(-1)[rows]))
+        assert 2 not in grad.rows and grad.values.shape == (len(grad.rows), d)
         checked = 0
         for name, idx in probes:
             flat = model.params[name].data.reshape(-1)
@@ -684,7 +687,7 @@ def test_packed_forward_gradients_match_finite_differences(mode):
             if sel_up != base_sel or sel_down != base_sel:
                 continue  # the probe flipped a top-k choice; the gradient is undefined there
             fd = (up.item() - down.item()) / (2 * h)
-            assert fd == pytest.approx(model.params[name].grad.reshape(-1)[idx], rel=1e-4, abs=1e-9), name
+            assert fd == pytest.approx(grad_array(model.params[name]).reshape(-1)[idx], rel=1e-4, abs=1e-9), name
             checked += 1
         assert checked >= len(probes) - 2
 

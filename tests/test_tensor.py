@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import grad_array
 from trafficmoe import tensor as T
-from trafficmoe.tensor import AdamW, ShapeError, Tensor
+from trafficmoe.tensor import AdamW, RowGrad, ShapeError, Tensor
 
 
 def finite_diff_grad(make_scalar, param: np.ndarray, h: float) -> np.ndarray:
@@ -41,7 +42,7 @@ def check_grad(build_loss, params: list[np.ndarray], h: float, tol: float):
     for arr, tensor in zip(params, tensors):
         fd = finite_diff_grad(lambda: build_loss()[0].item(), arr, h)
         assert tensor.grad is not None
-        err = max_rel_err(fd, tensor.grad)
+        err = max_rel_err(fd, grad_array(tensor))
         assert err < tol, f"rel err {err} exceeds {tol}"
 
 
@@ -174,6 +175,10 @@ def test_gather_with_duplicates_grad(rng):
             return T.tsum(T.mul(out, np.linspace(0.1, 1.0, out.data.size).reshape(out.shape))), [t]
 
         check_grad(build, [x], 1e-6, 1e-6)
+        loss, (t,) = build()
+        loss.backward()
+    assert isinstance(t.grad, RowGrad) and t.grad.rows.tolist() == [0, 2, 3] and t.grad.shape == x.shape
+    assert t.grad.values.shape == (3, 3) and not t.grad.dense()[1].any()
 
 
 def test_scatter_rows_grad(rng):
@@ -203,6 +208,27 @@ def test_gather_twice_plus_matmul_grad_float64(rng):
             return T.add(T.add(parts[0], parts[1]), parts[2]), [t]
 
         check_grad(build, [x], 1e-6, 1e-6)
+
+
+@pytest.mark.parametrize("second", ["gather", "matmul"])
+@pytest.mark.parametrize("gather_first", [True, False])
+def test_a_second_gradient_densifies_to_the_sum(second, gather_first, rng):
+    with T.use_dtype(np.float64):
+        x, a = rng.normal(size=(6, 3)), rng.normal(size=(2, 6))
+        first, other_ids = np.array([4, 1, 4]), np.array([1, 5])
+        w_first, w_other = rng.normal(size=(3, 3)), rng.normal(size=(2, 3))
+        t = Tensor(x, requires_grad=True)
+        other = T.gather_rows(t, other_ids) if second == "gather" else T.matmul(Tensor(a), t)
+        terms = [T.tsum(T.mul(T.gather_rows(t, first), w_first)), T.tsum(T.mul(other, w_other))]
+        T.add(*(terms if gather_first else terms[::-1])).backward()
+    expected = np.zeros_like(x)
+    np.add.at(expected, first, w_first)
+    if second == "gather":
+        np.add.at(expected, other_ids, w_other)
+    else:
+        expected += a.T @ w_other
+    assert isinstance(t.grad, np.ndarray)
+    assert np.allclose(t.grad, expected, rtol=1e-12, atol=0)
 
 
 def test_segment_sum_forward_and_grad_float64(rng):
@@ -512,6 +538,37 @@ def test_adamw_float64_matches_formula_over_blocks_and_groups(rng):
                 expected[i] = expected[i] - lr[i] * (m_hat / (np.sqrt(v_hat) + eps) + wd[i] * expected[i])
     for p, want in zip(params, expected):
         assert np.allclose(p.data, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.05])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_row_grad_step_matches_dense_step_on_its_rows(dtype, wd, rng):
+    n, d = 3000, 64
+    rows = np.sort(rng.choice(n, size=1100, replace=False))  # 70,400 elements: two full blocks and a partial one
+    assert len(rows) * d > 2 * T.ADAMW_BLOCK
+    with T.use_dtype(dtype):
+        start = rng.normal(size=(n, d))
+        params = [Tensor(start.copy(), requires_grad=True) for _ in range(2)]
+        opts = [AdamW([p], lr=0.01, weight_decay=wd) for p in params]
+        for _ in range(3):  # the same dense history on both sides: prior p, m and v
+            g = rng.normal(size=(n, d)).astype(dtype)
+            for p, opt in zip(params, opts):
+                p.grad = g.copy()
+                opt.step()
+        sparse = RowGrad(rows, rng.normal(size=(len(rows), d)).astype(dtype), (n, d))
+        (p_row, p_dense), (opt_row, opt_dense) = params, opts
+        p_row.grad, p_dense.grad = sparse, sparse.dense()
+        before = [p_row.data.copy()] + [a.reshape(n, d).copy() for a in opt_row._moments[id(p_row)]]
+        for opt in opts:
+            opt.step()
+    after_row = [p_row.data] + [a.reshape(n, d) for a in opt_row._moments[id(p_row)]]
+    after_dense = [p_dense.data] + [a.reshape(n, d) for a in opt_dense._moments[id(p_dense)]]
+    others = np.setdiff1d(np.arange(n), rows)
+    for row_side, dense_side, old in zip(after_row, after_dense, before):  # p, m and v
+        assert row_side.dtype == dtype
+        assert np.array_equal(row_side[rows], dense_side[rows])
+        assert np.array_equal(row_side[others], old[others])
+        assert not np.array_equal(row_side[rows], old[rows])
 
 
 # -- infrastructure ---------------------------------------------------------------------

@@ -306,6 +306,29 @@ def test_early_stopping_returns_best_state(monkeypatch):
         assert np.array_equal(arr, best[name]), name
 
 
+@pytest.mark.parametrize("mode", ["pretrain", "finetune"])
+def test_train_without_validation_copies_no_state(mode, monkeypatch):
+    seqs, vocab = small_dataset(12, seed=8)
+    model = small_model(len(vocab), 64, seed=4)
+    last = {}
+    step = T.AdamW.step
+
+    def step_and_snapshot(optimizer):
+        step(optimizer)
+        last.update({name: p.data.copy() for name, p in model.params.items()})
+
+    def no_copy(self):
+        raise AssertionError("state_copy ran without a validation epoch")
+
+    monkeypatch.setattr(T.AdamW, "step", step_and_snapshot)
+    monkeypatch.setattr(TrafficModel, "state_copy", no_copy)
+    config = TrainConfig(mode=mode, batch_size=8, epochs=1, base_lr=1e-3, seed=0)
+    history, best = train(model, seqs, config)
+    assert best is None and history.rows
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, last[name]), name
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_aborts_with_step():
     seqs, vocab = small_dataset(8, seed=9)
