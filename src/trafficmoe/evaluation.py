@@ -248,22 +248,20 @@ class RoutingAccumulator:
 
     def __init__(self):
         self._prob_sums: list[np.ndarray] = []
-        self._counts: list[np.ndarray] = []
+        self._load_sums: list[np.ndarray] = []  # per layer: each trace's load fractions times its token count
         self._tokens: list[int] = []
-        self.top_k = None
 
     def add(self, trace: RoutingTrace) -> None:
         if not trace.layers:
             return
-        self.top_k = trace.top_k
         if not self._prob_sums:
             n = trace.n_experts
             self._prob_sums = [np.zeros(n) for _ in trace.layers]
-            self._counts = [np.zeros(n) for _ in trace.layers]
+            self._load_sums = [np.zeros(n) for _ in trace.layers]
             self._tokens = [0 for _ in trace.layers]
         for i, rec in enumerate(trace.layers):
             self._prob_sums[i] += rec.probs.data.sum(axis=0)
-            self._counts[i] += np.bincount(rec.selected.ravel(), minlength=len(self._counts[i]))
+            self._load_sums[i] += trace.load_fractions(i) * rec.n_tokens
             self._tokens[i] += rec.n_tokens
 
     @property
@@ -274,8 +272,8 @@ class RoutingAccumulator:
         return self._prob_sums[layer] / max(self._tokens[layer], 1)
 
     def load_fractions(self, layer: int) -> np.ndarray:
-        denom = max(self._tokens[layer] * (self.top_k or 1), 1)
-        return self._counts[layer] / denom
+        """``RoutingTrace.load_fractions`` over every token added."""
+        return self._load_sums[layer] / max(self._tokens[layer], 1)
 
     def to_tsv(self, path: str | Path) -> None:
         write_atomic(path, ["layer\texpert\tload\tprob\n"] + [
@@ -316,7 +314,7 @@ def dense_ffn_flops_per_token(d_model: int, hidden: int) -> int:
 
 
 def analytic_flops_per_sequence(config: ModelConfig, seq_len: int, mode: str = "classify") -> int:
-    """Matmul FLOPs to run one sequence forward, matching the implementation."""
+    """Matmul FLOPs to run one sequence forward in ``mode``, matching the implementation."""
     d = config.d_model
     attn = 8 * seq_len * d * d + 4 * seq_len * seq_len * d
     if config.ffn_kind == "moe":
@@ -328,7 +326,7 @@ def analytic_flops_per_sequence(config: ModelConfig, seq_len: int, mode: str = "
     total = config.n_layers * (attn + ffn)
     if mode == "lm":
         total += 2 * seq_len * d * config.vocab_size
-    else:
+    elif mode == "classify":
         total += 2 * seq_len * d + 2 * d * d + 2 * d * config.num_classes
     return total
 
@@ -398,12 +396,13 @@ def efficiency_bench(
 
     Both models see identical random batches; timing uses a monotonic
     clock over ``n_batches`` measured batches after ``warmup`` unmeasured
-    ones. FLOPs are analytic; activation bytes are the forward
+    ones. A model without a class head runs ``hidden`` mode, so no vocab
+    head runs. FLOPs are analytic; activation bytes are the forward
     allocations of one batch.
     """
     check_parameter_match(moe_model, dense_model)
     seq_len = moe_model.config.max_tokens if seq_len is None else seq_len
-    mode = "classify" if moe_model.config.num_classes else "lm"
+    mode = "classify" if moe_model.config.num_classes else "hidden"
     reports = []
     for model, kind in ((moe_model, "moe"), (dense_model, "dense")):
         report = BenchReport(model_kind=kind)

@@ -148,7 +148,7 @@ class RoutingTrace:
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """Scale each row to unit root-mean-square, then apply the gain."""
-    return T.mul(T.mul(x, T.rsqrt_mean_square(x, eps)), gain)
+    return T.rmsnorm(x, gain, eps)
 
 
 def route_tokens(z: Tensor, router_weight: Tensor, top_k: int) -> tuple[Tensor, np.ndarray]:
@@ -168,7 +168,7 @@ def route_tokens(z: Tensor, router_weight: Tensor, top_k: int) -> tuple[Tensor, 
 
 def swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
     """Gated feed-forward: (SiLU(x W_gate) * (x W_up)) W_down."""
-    return T.matmul(T.mul(T.silu(T.matmul(x, w_gate)), T.matmul(x, w_up)), w_down)
+    return T.swiglu(x, w_gate, w_up, w_down)
 
 
 def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -208,6 +208,9 @@ def packed_rows(shape: tuple[int, int], valid_mask=None) -> tuple[np.ndarray, np
     return np.flatnonzero(np.arange(seq_len) < lengths[:, None]), lengths
 
 
+INIT_BLOCK = 1 << 16  # values per block of a random ``normal`` init: 512 KiB of float64 draws at a time
+
+
 class TrafficModel:
     """Backbone network over token-ID sequences.
 
@@ -219,7 +222,14 @@ class TrafficModel:
         """Random init from ``seed``, or ``weights`` named and shaped as ``parameter_specs(config)``."""
         self.config = config
         rng = np.random.default_rng(seed)
-        init = {"normal": lambda shape: rng.normal(0.0, 0.02, size=shape), "ones": np.ones, "zeros": np.zeros}
+
+        def normal(shape):  # rng.normal(0, 0.02, shape), drawn INIT_BLOCK values at a time: no float64 copy of it
+            flat = np.empty(int(np.prod(shape)), T.default_dtype())
+            for block in np.split(flat, range(INIT_BLOCK, flat.size, INIT_BLOCK)):
+                block[:] = rng.normal(0.0, 0.02, size=block.size)
+            return flat.reshape(shape)
+
+        init = {"normal": normal, "ones": np.ones, "zeros": np.zeros}
         self.params: dict[str, Tensor] = {
             name: Tensor(init[kind](shape) if weights is None else weights[name], requires_grad=True, name=name)
             for name, shape, kind in parameter_specs(config)

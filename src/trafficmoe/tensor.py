@@ -271,7 +271,6 @@ def softmax_lastdim(x) -> Tensor:
     row_max = np.max(logits, axis=-1, keepdims=True)
     exps = np.exp(logits - row_max)
     probs = exps / np.sum(exps, axis=-1, keepdims=True)
-    probs = probs.astype(logits.dtype, copy=False)
 
     def backward(g):
         if x.requires_grad:
@@ -281,18 +280,23 @@ def softmax_lastdim(x) -> Tensor:
     return _build(probs, (x,), backward)
 
 
-def rsqrt_mean_square(x, eps: float = 1e-6) -> Tensor:
-    """Per-row 1/sqrt(mean(x^2) + eps) over the last axis, keepdims."""
-    x = as_tensor(x)
-    d = x.shape[-1]
-    ms = np.mean(np.square(x.data), axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(ms + eps)
+def rmsnorm(x, gain, eps: float = 1e-6) -> Tensor:
+    """``x / sqrt(mean(x^2) + eps) * gain``, each row normalized over the last axis."""
+    x, gain = as_tensor(x), as_tensor(gain)
+    inv = 1.0 / np.sqrt(np.mean(np.square(x.data), axis=-1, keepdims=True) + eps)
+    out = x.data * inv
+    out *= gain.data
 
     def backward(g):
+        if gain.requires_grad:
+            _accumulate(gain, (g * x.data * inv).reshape(-1, gain.shape[0]).sum(axis=0))
         if x.requires_grad:
-            _accumulate(x, g * (-(inv**3) * x.data / d))
+            gx = g * gain.data
+            gx -= x.data * (inv**2 * np.sum(gx * x.data, axis=-1, keepdims=True) / gain.shape[0])
+            gx *= inv
+            _accumulate(x, gx)
 
-    return _build(inv.astype(x.data.dtype), (x,), backward)
+    return _build(out, (x, gain), backward)
 
 
 def tsum(x) -> Tensor:
@@ -385,25 +389,12 @@ def scatter_rows(values, indices, num_rows: int) -> Tensor:
     return _build(data, (values,), backward)
 
 
-def rope_tables(seq_len: int, head_dim: int, base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables [seq_len, head_dim] for pairwise rotary embedding."""
+def rope_tables(seq_len: int, head_dim: int, base: float = 10000.0) -> np.ndarray:
+    """[seq_len, head_dim / 2] complex table of e^{i p theta_j}: multiplying feature pair
+    (x_{2j}, x_{2j+1}), read as x_{2j} + i x_{2j+1}, by row p rotates it to position p."""
     if head_dim % 2 != 0:
         raise ShapeError(f"rotary embedding needs an even head dim, got {head_dim}")
-    pair = np.arange(head_dim // 2, dtype=np.float64)
-    inv_freq = base ** (-2.0 * pair / head_dim)
-    angles = np.arange(seq_len, dtype=np.float64)[:, None] * inv_freq[None, :]
-    cos = np.repeat(np.cos(angles), 2, axis=1).astype(_default_dtype)
-    sin = np.repeat(np.sin(angles), 2, axis=1).astype(_default_dtype)
-    return cos, sin
-
-
-def rotary(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate each feature pair (x_{2i}, x_{2i+1}) by the angle whose cos/sin fill
-    columns 2i and 2i+1; ``rotary(y, cos, -sin)`` rotates back (and is the gradient)."""
-    turned = np.empty_like(x)
-    turned[..., 0::2] = -x[..., 1::2]
-    turned[..., 1::2] = x[..., 0::2]
-    return x * cos + turned * sin
+    return np.exp(1j * np.arange(seq_len)[:, None] * base ** (-2.0 * np.arange(head_dim // 2) / head_dim))
 
 
 # -- attention and mixture of experts ---------------------------------------------
@@ -415,58 +406,100 @@ def causal_attention(qkv, lengths: Sequence[int], n_heads: int) -> Tensor:
     ``qkv`` is ``[N, 3d]`` = ``[q | k | v]``, heads side by side within each
     part. Sequence b is the next ``lengths[b]`` (>= 1) rows, and each row
     attends to itself and the earlier rows of its own sequence only. q and k
-    are rotated by ``rotary`` at each row's position in its sequence, from
-    ``rope_tables(max(lengths), d / n_heads)``. Returns
-    ``softmax(q k^T / sqrt(head_dim)) v`` as ``[N, d]``, one 3-D block of all
-    heads per sequence, and counts its 4*L*L*d matmul FLOPs per sequence.
+    are rotated to each row's position in its sequence by one complex multiply
+    with ``rope_tables(max(lengths), d / n_heads)``, q's factor also carrying
+    1/sqrt(head_dim). Returns ``softmax(q k^T / sqrt(head_dim)) v`` as ``[N, d]``,
+    one 3-D block of all heads per sequence, and counts its 4*L*L*d matmul FLOPs.
     """
     qkv = as_tensor(qkv)
     lengths = [int(length) for length in lengths]
     n, d = qkv.shape[0], qkv.shape[-1] // 3
     if qkv.shape != (sum(lengths), 3 * d) or d % n_heads or min(lengths) < 1:
         raise ShapeError(f"causal_attention: qkv {qkv.shape} does not hold {n_heads} heads over lengths {lengths}")
-    hd, scale = d // n_heads, 1.0 / math.sqrt(d // n_heads)
+    hd, data = d // n_heads, np.ascontiguousarray(qkv.data)
+    pairs = np.result_type(data.dtype, np.complex64)  # (x_2j, x_2j+1) as one number; turn: [N, 2 (q, k), 1, hd/2]
     positions = np.concatenate([np.arange(length) for length in lengths])
-    cos_rows, sin_rows = (np.tile(table[positions], 2 * n_heads) for table in rope_tables(max(lengths), hd))
+    turn = (rope_tables(max(lengths), hd)[positions][:, None, None] * [[[1 / math.sqrt(hd)]], [[1]]]).astype(pairs)
 
     def by_head(x):  # [N, parts * d] -> one [n_heads, N, hd] array per part, a view where reshape allows
         return x.reshape(n, -1, n_heads, hd).transpose(1, 2, 0, 3)
 
-    (q, k), (v,) = by_head(rotary(qkv.data[:, : 2 * d], cos_rows, sin_rows)), by_head(qkv.data[:, 2 * d :])
-    future = np.triu(np.full((max(lengths),) * 2, -np.inf, dtype=qkv.data.dtype), 1)  # 0 on and below the diagonal
+    qk = data.view(pairs)[:, :d].reshape(n, 2, n_heads, hd // 2) * turn
+    (q, k), (v,) = by_head(qk.view(data.dtype).reshape(n, 2 * d)), by_head(data[:, 2 * d :])
+    future = np.triu(np.full((max(lengths),) * 2, -np.inf, dtype=data.dtype), 1)  # 0 on and below the diagonal
     ends = np.cumsum(lengths)
     spans = list(zip(ends - lengths, ends))
     keep = _grad_enabled and qkv.requires_grad
-    out, saved = np.empty((n, d), dtype=qkv.data.dtype), []
+    out, saved = np.empty((n, d), dtype=data.dtype), []
     (out_heads,) = by_head(out)
     global _flop_count
     _flop_count += sum(4 * length * length * d for length in lengths)
     for lo, hi in spans:
         probs = q[:, lo:hi] @ k[:, lo:hi].swapaxes(1, 2)
-        probs *= scale
         probs += future[: hi - lo, : hi - lo]  # exp(-inf) is exactly 0: no weight on later rows
         probs -= np.max(probs, axis=-1, keepdims=True)
         np.exp(probs, out=probs)
-        probs /= np.sum(probs, axis=-1, keepdims=True)
-        out_heads[:, lo:hi] = probs @ v[:, lo:hi]
+        sums = np.sum(probs, axis=-1, keepdims=True)
+        np.divide(probs @ v[:, lo:hi], sums, out=out_heads[:, lo:hi])
         if keep:
-            saved.append(probs)
+            saved.append((probs, sums))
 
-    def backward(g):  # runs only when qkv requires grad, so ``saved`` holds every sequence's probs
-        grad = np.empty(qkv.shape, dtype=qkv.data.dtype)  # C order, so by_head returns views into it
+    def backward(g):  # runs only when qkv requires grad, so ``saved`` holds every sequence's exps and sums
+        grad = np.empty(qkv.shape, dtype=data.dtype)  # C order, so by_head returns views into it
         (g,), (dq, dk, dv) = by_head(g), by_head(grad)
-        for (lo, hi), probs in zip(spans, saved):
+        for (lo, hi), (probs, sums) in zip(spans, saved):
+            probs /= sums
             dv[:, lo:hi] = probs.swapaxes(1, 2) @ g[:, lo:hi]
             dscores = g[:, lo:hi] @ v[:, lo:hi].swapaxes(1, 2)
             dscores -= np.sum(dscores * probs, axis=-1, keepdims=True)
             dscores *= probs
-            dscores *= scale
             dq[:, lo:hi] = dscores @ k[:, lo:hi]
             dk[:, lo:hi] = dscores.swapaxes(1, 2) @ q[:, lo:hi]
-        grad[:, : 2 * d] = rotary(grad[:, : 2 * d], cos_rows, -sin_rows)
+        dqk = grad.view(pairs)[:, :d].reshape(n, 2, n_heads, hd // 2)
+        np.multiply(dqk, turn.conj(), out=dqk)
         _accumulate(qkv, grad)
 
     return _build(out, (qkv,), backward)
+
+
+def _swiglu_forward(x, w_gate, w_up, w_down, keep: bool):
+    """``(SiLU(x w_gate) * (x w_up)) w_down`` on arrays, with SiLU(a) = a / (1 + exp(-a)). Returns
+    the output and, when ``keep``, the (pre, up, act, hidden) that ``_swiglu_backward`` reads."""
+    pre, up = x @ w_gate, x @ w_up
+    act = np.negative(pre)
+    with np.errstate(over="ignore"):  # exp(-a) = inf for very negative a, and a / inf = 0 is the exact limit
+        np.exp(act, out=act)
+    np.divide(pre, np.add(act, 1.0, out=act), out=act)
+    hidden = np.multiply(act, up, out=None if keep else up)
+    return hidden @ w_down, (pre, up, act, hidden) if keep else None
+
+
+def _swiglu_backward(dy, x, w_gate, w_up, w_down, saved):
+    """Gradients (dx, d w_gate, d w_up, d w_down) of ``_swiglu_forward``'s output, given ``dy``."""
+    pre, up, act, hidden = saved
+    dhidden = dy @ w_down.T
+    dup = dhidden * act
+    sig = _logistic(pre)
+    dhidden *= up
+    dhidden *= sig + act * (1.0 - sig)  # SiLU'(a) = sig + SiLU(a) (1 - sig)
+    return dhidden @ w_gate.T + dup @ w_up.T, x.T @ dhidden, x.T @ dup, hidden.T @ dy
+
+
+def swiglu(x, w_gate, w_up, w_down) -> Tensor:
+    """Gated feed-forward ``(SiLU(x w_gate) * (x w_up)) w_down`` as one node; counts its matmul FLOPs."""
+    parents = x, w_gate, w_up, w_down = tuple(as_tensor(t) for t in (x, w_gate, w_up, w_down))
+    if x.ndim != 2 or w_gate.shape != w_up.shape or w_down.shape != w_gate.shape[::-1] or x.shape[1] != w_gate.shape[0]:
+        raise ShapeError(f"swiglu: x {x.shape}, w_gate {w_gate.shape}, w_up {w_up.shape}, w_down {w_down.shape}")
+    global _flop_count
+    _flop_count += 2 * x.shape[0] * (w_gate.data.size + w_up.data.size + w_down.data.size)
+    y, saved = _swiglu_forward(*(t.data for t in parents), _grad_enabled and any(t.requires_grad for t in parents))
+
+    def backward(g):
+        for t, grad in zip(parents, _swiglu_backward(g, *(t.data for t in parents), saved)):
+            if t.requires_grad:
+                _accumulate(t, grad)
+
+    return _build(y, parents, backward)
 
 
 def moe_experts(z, scores, selected: np.ndarray, experts: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
@@ -488,32 +521,24 @@ def moe_experts(z, scores, selected: np.ndarray, experts: Sequence[tuple[Tensor,
     parents = (z, scores) + tuple(w for weights in experts for w in weights)
     out, saved = np.empty((n, k, z.shape[1]), dtype=z.data.dtype), []
     global _flop_count
-    for e, (w_gate, w_up, w_down) in enumerate(experts):
+    for e, weights in enumerate(experts):
         rows, slots = np.nonzero(selected == e)
         if not len(rows):
             continue
-        _flop_count += 2 * len(rows) * (w_gate.data.size + w_up.data.size + w_down.data.size)
+        _flop_count += 2 * len(rows) * sum(w.data.size for w in weights)
         x, scale = z.data[rows], scores.data[rows, e][:, None]
-        pre, up = x @ w_gate.data, x @ w_up.data
-        sig = _logistic(pre)
-        hidden = pre * sig * up
-        y = hidden @ w_down.data
+        y, acts = _swiglu_forward(x, *(w.data for w in weights), _grad_enabled)
         out[rows, slots] = y * scale
         if _grad_enabled:  # dropped with the closure when no parent requires grad
-            saved.append((e, rows, slots, x, scale, pre, up, sig, hidden, y))
+            saved.append((e, rows, slots, x, scale, acts, y))
 
     def backward(g):
         dx, dscores = np.empty((n, k, z.shape[1]), dtype=z.data.dtype), np.zeros_like(scores.data)
-        for e, rows, slots, x, scale, pre, up, sig, hidden, y in saved:
-            w_gate, w_up, w_down = experts[e]
+        for e, rows, slots, x, scale, acts, y in saved:
             g_rows = g[rows]
             dscores[rows, e] = np.sum(g_rows * y, axis=1)
-            dy = g_rows * scale
-            dhidden = dy @ w_down.data.T
-            dup = dhidden * (pre * sig)
-            dpre = dhidden * up * (sig * (1.0 + pre * (1.0 - sig)))
-            dx[rows, slots] = dpre @ w_gate.data.T + dup @ w_up.data.T
-            for w, grad in zip(experts[e], (x.T @ dpre, x.T @ dup, hidden.T @ dy)):
+            dx[rows, slots], *grads = _swiglu_backward(g_rows * scale, x, *(w.data for w in experts[e]), acts)
+            for w, grad in zip(experts[e], grads):
                 if w.requires_grad:
                     _accumulate(w, grad)
         for t, grad in ((z, dx.sum(axis=1)), (scores, dscores)):
@@ -526,32 +551,21 @@ def moe_experts(z, scores, selected: np.ndarray, experts: Sequence[tuple[Tensor,
 # -- fused losses --------------------------------------------------------------
 
 
-def cross_entropy_logits(logits, targets, sample_weight: Optional[np.ndarray] = None) -> Tensor:
-    """Weighted mean of -log softmax(logits)[target] over rows.
-
-    ``sample_weight`` defaults to all-ones; rows with weight zero are
-    excluded from both the mean and the gradient.
-    """
+def cross_entropy_logits(logits, targets) -> Tensor:
+    """Mean of -log softmax(logits)[target] over rows."""
     logits = as_tensor(logits)
     tgt = np.asarray(targets, dtype=np.int64)
     n = logits.shape[0]
-    w = np.ones(n, logits.data.dtype) if sample_weight is None else np.asarray(
-        sample_weight, logits.data.dtype
-    )
-    total_w = float(w.sum())
-    if total_w <= 0:
-        raise ValueError("cross_entropy_logits needs at least one weighted row")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.sum(np.exp(shifted), axis=-1))
-    logp = shifted[np.arange(n), tgt] - logsumexp
-    loss = -float(np.sum(w * logp)) / total_w
+    loss = -float(np.sum(shifted[np.arange(n), tgt] - logsumexp)) / n
 
     def backward(g):
         if logits.requires_grad:
             probs = shifted - logsumexp[:, None]
             np.exp(probs, out=probs)
             probs[np.arange(n), tgt] -= 1.0
-            probs *= (w / total_w)[:, None] * g
+            probs *= g / n
             _accumulate(logits, probs)
 
     return _build(np.asarray(loss, logits.data.dtype), (logits,), backward)
@@ -565,7 +579,7 @@ LM_HEAD_CHUNK = 256
 
 
 def lm_head_loss(h, w_vocab, targets, weights) -> Tensor:
-    """``cross_entropy_logits(matmul(h, w_vocab), targets, weights)`` without holding its logits.
+    """Weighted mean of -log softmax(h w_vocab)[target] over rows, without holding the logits.
 
     Walks ``LM_HEAD_CHUNK`` rows of ``h`` at a time: each chunk's logits give that chunk's loss
     and, when a gradient is wanted, its rows of ``dh`` and its share of ``dW``, so no array the

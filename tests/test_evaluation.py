@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,27 @@ def test_analytic_flops_match_instrumented_counter(rng):
                 model.forward(ids, valid, mode=mode)
                 measured = T.matmul_flops() - before
             assert measured == batch * analytic_flops_per_sequence(cfg, cfg.max_tokens, mode)
+
+
+def test_efficiency_bench_without_a_class_head_builds_no_vocab_sized_logits():
+    cfg = bench_config(num_classes=None, vocab_size=4096)
+    model = TrafficModel(cfg, seed=0)
+    dense = build_dense_variant(model)
+    batch, seq_len = 8, 16
+    logits_bytes = batch * seq_len * cfg.vocab_size * 4  # one float32 [B*S, V] array: 2 MiB
+    tracemalloc.start()
+    try:
+        moe_report, _ = efficiency_bench(model, dense, batch_sizes=(batch,), seq_len=seq_len, n_batches=1, warmup=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < logits_bytes / 2
+    ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(1, seq_len))
+    with T.no_grad():
+        before = T.matmul_flops()
+        model.forward(ids, mode="hidden")
+        measured = T.matmul_flops() - before
+    assert moe_report.rows[0].flops_per_seq == measured == analytic_flops_per_sequence(cfg, seq_len, "hidden")
 
 
 def test_dense_variant_flops_match_counter(rng):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import grad_array, tiny_config
+from reference_ops import weighted_cross_entropy_ref
+from trafficmoe import model as model_module
 from trafficmoe import tensor as T
 from trafficmoe.model import (
     ModelConfig,
@@ -12,6 +14,7 @@ from trafficmoe.model import (
     TrafficModel,
     load_balance_loss,
     packed_rows,
+    parameter_specs,
     rmsnorm,
     route_tokens,
     swiglu,
@@ -105,9 +108,10 @@ def moe_oracle(h: np.ndarray, model: TrafficModel, layer: int, top_k: int) -> np
 
 
 def rope(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """The rotation ``tensor.causal_attention`` applies to q and k, at the given positions."""
-    cos, sin = T.rope_tables(int(np.max(positions)) + 1, x.shape[-1])
-    return T.rotary(x, cos[positions], sin[positions])
+    """The rotation ``tensor.causal_attention`` applies to k (and, times 1/sqrt(head_dim), to q):
+    feature pairs read as complex numbers, times the ``rope_tables`` rows of the given positions."""
+    pairs = np.ascontiguousarray(x).view(np.result_type(x.dtype, np.complex64))
+    return (pairs * T.rope_tables(int(np.max(positions)) + 1, x.shape[-1])[positions].astype(pairs.dtype)).view(x.dtype)
 
 
 def moe_block(model: TrafficModel, h: Tensor, layer: int) -> tuple[Tensor, RoutingTrace]:
@@ -550,7 +554,7 @@ def test_fused_lm_objective_matches_unfused_head_for_every_parameter(rng, monkey
                 task = ntp_loss(h, model.params["head.vocab"], ids, valid)
             else:
                 logits, trace = model.forward(ids, valid, mode="lm")
-                task = T.cross_entropy_logits(logits, targets.reshape(-1)[rows], weights.reshape(-1)[rows])
+                task = weighted_cross_entropy_ref(logits, targets.reshape(-1)[rows], weights.reshape(-1)[rows])
             loss = T.add(task, T.mul(load_balance_loss(trace), 0.02))
             model.zero_grad()
             loss.backward()
@@ -761,6 +765,18 @@ def test_config_validation():
 def test_config_rejects_non_positive_sizes(field, value):
     with pytest.raises(ValueError, match=f"{field}={value} must be >= 1"):
         ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_matches_one_float64_draw_per_tensor_cast_to_the_dtype(dtype, monkeypatch):
+    monkeypatch.setattr(model_module, "INIT_BLOCK", 7)  # blocks that end inside rows, the last one partial
+    cfg = tiny_config()
+    with T.use_dtype(dtype):
+        model = TrafficModel(cfg, seed=5)
+    rng = np.random.default_rng(5)
+    for name, shape, kind in parameter_specs(cfg):
+        old = rng.normal(0.0, 0.02, size=shape) if kind == "normal" else getattr(np, kind)(shape)
+        assert model.params[name].data.tobytes() == old.astype(dtype).tobytes(), name
 
 
 def test_init_is_seed_deterministic():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import grad_array
+from reference_ops import rmsnorm_chain_ref, rotary_attention_ref, swiglu_chain_ref, weighted_cross_entropy_ref
 from trafficmoe import tensor as T
 from trafficmoe.tensor import AdamW, RowGrad, ShapeError, Tensor
 
@@ -65,15 +66,14 @@ def test_silu_at_zero():
     assert T.silu(Tensor(np.array([0.0]))).data[0] == 0.0
 
 
-def test_rsqrt_mean_square_constant_rows():
-    x = Tensor(np.full((3, 8), 2.0))
-    out = T.rsqrt_mean_square(x, eps=0.0)
-    assert np.allclose(out.data, 0.5)
+def test_rmsnorm_op_gives_unit_rms_rows_times_the_gain():
+    out = T.rmsnorm(Tensor(np.full((3, 8), 2.0)), Tensor(np.arange(8.0)), eps=0.0)
+    assert np.allclose(out.data, np.arange(8.0))
 
 
-def test_rsqrt_mean_square_zero_row_is_finite():
-    out = T.rsqrt_mean_square(Tensor(np.zeros((1, 4))), eps=1e-6)
-    assert np.isfinite(out.data).all()
+def test_rmsnorm_op_maps_a_zero_row_to_zero():
+    out = T.rmsnorm(Tensor(np.zeros((1, 4))), Tensor(np.ones(4)), eps=1e-6)
+    assert np.all(out.data == 0.0)
 
 
 def test_matmul_shape_error_names_shapes():
@@ -129,12 +129,11 @@ def unary_cases(rng):
         "silu": lambda t: T.silu(t),
         "sigmoid": lambda t: T.sigmoid(t),
         "softmax": lambda t: T.softmax_lastdim(t),
-        "rsqrt_ms": lambda t: T.mul(t, T.rsqrt_mean_square(t)),
     }, x, weight
 
 
 @pytest.mark.parametrize(
-    "name", ["silu", "sigmoid", "softmax", "rsqrt_ms"]
+    "name", ["silu", "sigmoid", "softmax"]
 )
 def test_unary_grads_float64(name, rng):
     with T.use_dtype(np.float64):
@@ -362,15 +361,83 @@ def test_moe_experts_rejects_an_expert_out_of_range(bad, rng):
         T.moe_experts(rng.normal(size=(n, d)), np.full((n, n_experts), 0.25), selected, experts)
 
 
+# -- fused SwiGLU and RMSNorm, and every rewritten op against its reference copy -----------
+
+
+def swiglu_inputs(rng, n=5, d=4, hidden=3):
+    """float64 (x, w_gate, w_up, w_down) with some pre-activations far below zero."""
+    x, w_gate, w_up, w_down = (rng.normal(size=s) for s in ((n, d), (d, hidden), (d, hidden), (hidden, d)))
+    x[0] *= 40.0
+    return [x, w_gate, w_up, w_down]
+
+
+def test_swiglu_grad_float64(rng):
+    with T.use_dtype(np.float64):
+        arrays, weight = swiglu_inputs(rng), rng.normal(size=(5, 4))
+
+        def build():
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            return T.tsum(T.mul(T.swiglu(*tensors), weight)), tensors
+
+        check_grad(build, arrays, 1e-6, 1e-6)
+
+
+def test_swiglu_keeps_four_arrays_for_backward_and_none_without(rng):
+    arrays = swiglu_inputs(rng)
+    assert [a.shape for a in T._swiglu_forward(*arrays, keep=True)[1]] == [(5, 3)] * 4  # pre, up, act, hidden
+    assert T._swiglu_forward(*arrays, keep=False)[1] is None
+
+
+def test_swiglu_rejects_mismatched_shapes(rng):
+    x, w_gate, w_up, w_down = swiglu_inputs(rng)
+    with pytest.raises(ShapeError, match="swiglu"):
+        T.swiglu(x, w_gate, w_up[:, :2], w_down)
+
+
+def test_rmsnorm_grad_float64(rng):
+    with T.use_dtype(np.float64):
+        x, gain, weight = rng.normal(size=(4, 6)), rng.normal(size=6), rng.normal(size=(4, 6))
+
+        def build():
+            tensors = [Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True)]
+            return T.tsum(T.mul(T.rmsnorm(*tensors), weight)), tensors
+
+        check_grad(build, [x, gain], 1e-6, 1e-6)
+
+
+def reference_cases(rng):
+    """name -> (op, its reference copy, the float64 arrays both take as inputs)."""
+    lengths, n_heads = (5, 1, 3), 2
+    return {
+        "attention": (lambda t: T.causal_attention(t, lengths, n_heads),
+                      lambda t: rotary_attention_ref(t, lengths, n_heads), [rng.normal(size=(9, 3 * 2 * 6))]),
+        "swiglu": (T.swiglu, swiglu_chain_ref, swiglu_inputs(rng)),
+        "rmsnorm": (T.rmsnorm, rmsnorm_chain_ref, [rng.normal(size=(7, 6)), rng.normal(size=6)]),
+    }
+
+
+@pytest.mark.parametrize("name", ["attention", "swiglu", "rmsnorm"])
+def test_rewritten_op_matches_its_reference_copy_float64(name, rng):
+    results = []
+    with T.use_dtype(np.float64):
+        op, ref, arrays = reference_cases(rng)[name]
+        for fn in (op, ref):
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            out = fn(*tensors)
+            T.tsum(T.mul(out, np.sin(np.arange(out.data.size)).reshape(out.shape))).backward()
+            results.append([out.data] + [t.grad for t in tensors])
+    for new, old in zip(*results):
+        assert np.max(np.abs(new - old)) <= 1e-10 * np.max(np.abs(old)), name
+
+
 def test_cross_entropy_grad(rng):
     with T.use_dtype(np.float64):
         logits = rng.normal(size=(5, 4))
         targets = np.array([0, 3, 1, 2, 2])
-        weights = np.array([1.0, 0.0, 1.0, 1.0, 1.0])
 
         def build():
             t = Tensor(logits, requires_grad=True)
-            return T.cross_entropy_logits(t, targets, weights), [t]
+            return T.cross_entropy_logits(t, targets), [t]
 
         check_grad(build, [logits], 1e-6, 1e-6)
 
@@ -405,7 +472,7 @@ def test_lm_head_loss_matches_unfused_head_float64(rng):
             if fused:
                 loss = T.lm_head_loss(*tensors, targets, weights)
             else:
-                loss = T.cross_entropy_logits(T.matmul(*tensors), targets, weights)
+                loss = weighted_cross_entropy_ref(T.matmul(*tensors), targets, weights)
             T.mul(loss, 0.5).backward()  # an upstream gradient other than 1
             results.append([loss.data] + [t.grad for t in tensors])
     for fused, unfused in zip(*results):
