@@ -22,8 +22,8 @@ from . import __version__
 from . import tensor as T
 from .artifacts import format_kv, parse_kv
 from .evaluation import (
-    BenchReport,
     RoutingAccumulator,
+    bench_to_tsv,
     build_dense_variant,
     compose_shift_split,
     efficiency_bench,
@@ -327,7 +327,7 @@ def _cmd_bench(args) -> int:
         dense = TrafficModel.load(args.dense_ckpt)
     else:
         dense = build_dense_variant(model, seed=_default_seed())
-    moe_report, dense_report = efficiency_bench(
+    rows = efficiency_bench(
         model,
         dense,
         batch_sizes=batch_sizes,
@@ -338,7 +338,7 @@ def _cmd_bench(args) -> int:
     )
     out = Path(args.report)
     out.parent.mkdir(parents=True, exist_ok=True)
-    BenchReport.to_tsv([moe_report, dense_report], out)
+    bench_to_tsv(rows, out)
     config = {
         "ckpt": args.ckpt,
         "dense_ckpt": args.dense_ckpt,
@@ -348,13 +348,12 @@ def _cmd_bench(args) -> int:
         "warmup": args.warmup,
     }
     _echo_config(config)
-    for report in (moe_report, dense_report):
-        for row in report.rows:
-            print(
-                f"{report.model_kind} batch={row.batch_size}"
-                f" throughput={row.throughput_seq_per_s:.1f}/s"
-                f" latency={row.mean_latency_ms:.1f}ms"
-            )
+    for row in rows:
+        print(
+            f"{row.model} batch={row.batch_size}"
+            f" throughput={row.throughput_seq_per_s:.1f}/s"
+            f" latency={row.mean_latency_ms:.1f}ms"
+        )
     inputs = _checkpoint_files(args.ckpt) + _checkpoint_files(args.dense_ckpt)
     _write_manifest(out.parent, "bench", config, _default_seed(), inputs, t0)
     return 0

@@ -1,21 +1,22 @@
-"""Classification metrics, distribution-shift splits, routing statistics,
-and the sparse-vs-dense inference benchmark."""
+"""Classification metrics, distribution-shift splits, routing statistics, and the
+sparse-vs-dense inference benchmark, which reads FLOPs and peak memory off its forward."""
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
 import time
+import tracemalloc
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .artifacts import write_atomic
-from .model import ModelConfig, RoutingTrace, TrafficModel, parameter_specs
+from .model import RoutingTrace, TrafficModel, parameter_specs
 from .tokenization import TokenSequence
 
 # -- confusion matrix and derived metrics -------------------------------------
@@ -292,71 +293,26 @@ def trace_dump_tsv(trace: RoutingTrace, path: str | Path) -> None:
         for tok, row in enumerate(rec.probs.data) for e, p in enumerate(row))))
 
 
-# -- analytic FLOP accounting -------------------------------------------------------
-
-
-def ffn_flops_per_token(
-    d_model: int,
-    shared_hidden: int,
-    expert_hidden: int,
-    n_experts: int,
-    top_k: int,
-) -> int:
-    """Matmul FLOPs one token spends in a routed FFN sublayer."""
-    router = 2 * d_model * n_experts + 2 * d_model
-    shared = 6 * d_model * shared_hidden
-    routed = 6 * d_model * expert_hidden * top_k
-    return router + shared + routed
-
-
-def dense_ffn_flops_per_token(d_model: int, hidden: int) -> int:
-    return 6 * d_model * hidden
-
-
-def analytic_flops_per_sequence(config: ModelConfig, seq_len: int, mode: str = "classify") -> int:
-    """Matmul FLOPs to run one sequence forward in ``mode``, matching the implementation."""
-    d = config.d_model
-    attn = 8 * seq_len * d * d + 4 * seq_len * seq_len * d
-    if config.ffn_kind == "moe":
-        ffn = seq_len * ffn_flops_per_token(
-            d, config.ffn_hidden, config.expert_hidden, config.n_experts, config.top_k
-        )
-    else:
-        ffn = seq_len * dense_ffn_flops_per_token(d, config.dense_hidden)
-    total = config.n_layers * (attn + ffn)
-    if mode == "lm":
-        total += 2 * seq_len * d * config.vocab_size
-    elif mode == "classify":
-        total += 2 * seq_len * d + 2 * d * d + 2 * d * config.num_classes
-    return total
-
-
 # -- sparse-vs-dense benchmark -----------------------------------------------------
 
 
 @dataclass
 class BenchRow:
+    model: str
     batch_size: int
     throughput_seq_per_s: float
     mean_latency_ms: float
     flops_per_seq: int
     active_param_ratio: float
-    activation_bytes: int
+    peak_bytes: int
 
 
-@dataclass
-class BenchReport:
-    model_kind: str
-    rows: list[BenchRow] = field(default_factory=list)
-
-    @staticmethod
-    def to_tsv(reports: Sequence["BenchReport"], path: str | Path) -> None:
-        """One table: a header, then each report's rows in order."""
-        write_atomic(path, ["model\tbatch_size\tthroughput_seq_per_s\tmean_latency_ms"
-                            "\tflops_per_seq\tactive_param_ratio\tactivation_bytes\n"] + [
-            f"{report.model_kind}\t{r.batch_size}\t{r.throughput_seq_per_s:.6g}\t{r.mean_latency_ms:.6g}"
-            f"\t{r.flops_per_seq}\t{r.active_param_ratio:.6g}\t{r.activation_bytes}\n"
-            for report in reports for r in report.rows])
+def bench_to_tsv(rows: Sequence[BenchRow], path: str | Path) -> None:
+    """One table: a header, then one line per row in order."""
+    write_atomic(path, ["model\tbatch_size\tthroughput_seq_per_s\tmean_latency_ms"
+                        "\tflops_per_seq\tactive_param_ratio\tpeak_bytes\n"] + [
+        f"{r.model}\t{r.batch_size}\t{r.throughput_seq_per_s:.6g}\t{r.mean_latency_ms:.6g}"
+        f"\t{r.flops_per_seq}\t{r.active_param_ratio:.6g}\t{r.peak_bytes}\n" for r in rows])
 
 
 def build_dense_variant(model: TrafficModel, seed: int = 0) -> TrafficModel:
@@ -391,21 +347,23 @@ def efficiency_bench(
     n_batches: int = 50,
     warmup: int = 5,
     seed: int = 0,
-) -> tuple[BenchReport, BenchReport]:
+) -> list[BenchRow]:
     """Wall-clock throughput/latency of the routed model vs its dense twin.
 
     Both models see identical random batches; timing uses a monotonic
     clock over ``n_batches`` measured batches after ``warmup`` unmeasured
     ones. A model without a class head runs ``hidden`` mode, so no vocab
-    head runs. FLOPs are analytic; activation bytes are the forward
-    allocations of one batch.
+    head runs. One more untimed forward per (model, batch size) runs under
+    ``tracemalloc``: ``flops_per_seq`` is its ``T.matmul_flops()`` difference
+    per sequence, and ``peak_bytes`` its traced peak, which counts every
+    numpy allocation, fused-op internals included. Rows come moe first,
+    then dense, each in ``batch_sizes`` order.
     """
     check_parameter_match(moe_model, dense_model)
     seq_len = moe_model.config.max_tokens if seq_len is None else seq_len
     mode = "classify" if moe_model.config.num_classes else "hidden"
-    reports = []
+    rows = []
     for model, kind in ((moe_model, "moe"), (dense_model, "dense")):
-        report = BenchReport(model_kind=kind)
         active, total = model.ffn_parameter_counts()
         for batch_size in batch_sizes:
             rng = np.random.default_rng(seed)
@@ -414,24 +372,28 @@ def efficiency_bench(
             with T.no_grad():
                 for _ in range(warmup):
                     model.forward(ids, valid, mode=mode)
-                before = T.alloc_bytes()
-                model.forward(ids, valid, mode=mode)
-                batch_bytes = T.alloc_bytes() - before
+                before = T.matmul_flops()
+                tracemalloc.start()
+                try:
+                    model.forward(ids, valid, mode=mode)
+                    flops, peak = T.matmul_flops() - before, tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
                 times = []
                 for _ in range(n_batches):
                     t0 = time.perf_counter()
                     model.forward(ids, valid, mode=mode)
                     times.append(time.perf_counter() - t0)
             mean_t = float(np.mean(times))
-            report.rows.append(
+            rows.append(
                 BenchRow(
+                    model=kind,
                     batch_size=batch_size,
                     throughput_seq_per_s=batch_size / mean_t,
                     mean_latency_ms=mean_t * 1e3,
-                    flops_per_seq=analytic_flops_per_sequence(model.config, seq_len, mode),
+                    flops_per_seq=flops // batch_size,
                     active_param_ratio=active / total,
-                    activation_bytes=batch_bytes,
+                    peak_bytes=peak,
                 )
             )
-        reports.append(report)
-    return reports[0], reports[1]
+    return rows

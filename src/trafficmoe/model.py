@@ -335,17 +335,16 @@ class TrafficModel:
         self,
         ids: np.ndarray,
         valid_mask: Optional[np.ndarray] = None,
-        mode: str = "lm",
+        mode: str = "hidden",
     ) -> tuple[Tensor, RoutingTrace]:
         """Run a [batch, seq] ID matrix through the backbone.
 
         Only the slots ``packed_rows(ids.shape, valid_mask)`` lists are computed,
         back to back; trailing [PAD] is not, so the routing trace holds real
         tokens (and interior pads) only. ``hidden`` returns the final-norm
-        states [len(rows), d] in that packed order, and ``lm`` their next-token
-        logits [len(rows), vocab] (training feeds ``hidden`` to
-        ``tensor.lm_head_loss`` instead); ``classify`` mean-pools valid
-        positions and returns class logits [batch, num_classes].
+        states [len(rows), d] in that packed order (training feeds them to
+        ``tensor.lm_head_loss`` for next-token logits); ``classify`` mean-pools
+        valid positions and returns class logits [batch, num_classes].
         """
         cfg = self.config
         ids = np.atleast_2d(np.asarray(ids))
@@ -353,8 +352,8 @@ class TrafficModel:
             raise ValueError(
                 f"token id out of range [0, {cfg.vocab_size}): found {int(ids.min())}..{int(ids.max())}"
             )
-        if mode not in ("hidden", "lm", "classify"):
-            raise ValueError(f"unknown mode {mode!r}")
+        if mode not in ("hidden", "classify"):
+            raise ValueError(f"unknown mode {mode!r}; expected 'hidden' or 'classify'")
         if mode == "classify":
             if not cfg.num_classes:
                 raise ValueError("classify mode requires num_classes in the config")
@@ -368,8 +367,6 @@ class TrafficModel:
 
         if mode == "hidden":
             return h, trace
-        if mode == "lm":
-            return T.matmul(h, self.params["head.vocab"]), trace
 
         weights = valid_mask.reshape(-1)[rows] / np.repeat(valid_mask.sum(axis=1), lengths)
         pooled = T.segment_sum(h, weights, lengths)  # mean over each sequence's valid rows

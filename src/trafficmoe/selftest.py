@@ -129,11 +129,11 @@ def _check_causality() -> str:
     model = TrafficModel(cfg, seed=5)
     rng = np.random.default_rng(5)
     ids = rng.integers(0, 32, size=(1, 8))
+    changed = ids.copy()
+    changed[0, 5:] = rng.integers(0, 32, size=3)
     with T.no_grad():
-        base, _ = model.forward(ids, mode="lm")
-        changed = ids.copy()
-        changed[0, 5:] = rng.integers(0, 32, size=3)
-        after, _ = model.forward(changed, mode="lm")
+        base, after = (T.matmul(model.forward(x, mode="hidden")[0], model.params["head.vocab"])
+                       for x in (ids, changed))
     assert np.array_equal(base.data[:5], after.data[:5])
     return "prefix logits bit-identical under suffix perturbation"
 

@@ -65,7 +65,8 @@ def matmul_flops() -> int:
 
 
 def alloc_bytes() -> int:
-    """Bytes of forward activations allocated since import; callers take differences."""
+    """Bytes of the arrays ``_build`` has wrapped since import (a fused op's internal arrays are not
+    counted); callers take differences. Only perfbench's ``tensor.alloc_mb`` reads it."""
     return _alloc_bytes
 
 

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from trafficmoe import tensor as T
 from trafficmoe.model import ModelConfig, TrafficModel
 from trafficmoe.tensor import RowGrad
 
@@ -24,6 +25,12 @@ def tiny_config(**overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def lm_logits(model: TrafficModel, ids, valid_mask=None):
+    """Next-token logits [packed rows, vocab]: the ``hidden`` states times the vocab head, plus the trace."""
+    h, trace = model.forward(ids, valid_mask, mode="hidden")
+    return T.matmul(h, model.params["head.vocab"]), trace
 
 
 def grad_array(t):

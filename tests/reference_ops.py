@@ -101,3 +101,23 @@ def weighted_cross_entropy_ref(logits, targets, weights):
         T._accumulate(logits, probs * (w / w.sum())[:, None] * g)
 
     return T._build(np.asarray(loss, logits.data.dtype), (logits,), backward)
+
+
+def flops_per_sequence_ref(config, seq_len: int, mode: str = "classify") -> int:
+    """Closed-form matmul FLOPs of one sequence's forward, an oracle for ``T.matmul_flops()``.
+
+    ``mode`` is a forward mode, or ``lm`` for the ``hidden`` states times the vocab head.
+    """
+    d = config.d_model
+    attn = 8 * seq_len * d * d + 4 * seq_len * seq_len * d
+    if config.ffn_kind == "moe":
+        router = 2 * d * config.n_experts + 2 * d
+        ffn = router + 6 * d * config.ffn_hidden + 6 * d * config.expert_hidden * config.top_k
+    else:
+        ffn = 6 * d * config.dense_hidden
+    total = config.n_layers * (attn + seq_len * ffn)
+    if mode == "lm":
+        total += 2 * seq_len * d * config.vocab_size
+    elif mode == "classify":
+        total += 2 * seq_len * d + 2 * d * d + 2 * d * config.num_classes
+    return total

@@ -215,8 +215,12 @@ def test_bench_cli_writes_report(pipeline):
                "--report", str(report), "--batches", "2", "--warmup", "1",
                "--seq-len", "32") == 0
     lines = report.read_text().splitlines()
-    assert lines[0].startswith("model\tbatch_size")
+    assert lines[0] == ("model\tbatch_size\tthroughput_seq_per_s\tmean_latency_ms"
+                        "\tflops_per_seq\tactive_param_ratio\tpeak_bytes")
     assert len(lines) == 5  # header + 2 models x 2 batch sizes
+    for line in lines[1:]:
+        fields = line.split("\t")
+        assert int(fields[4]) > 0 and int(fields[6]) > 0, line
 
 
 @pytest.mark.parametrize("sizes,bad", [("0", "0"), ("-4", "-4"), ("2,x", "x"), ("2.5", "2.5")])

@@ -1,22 +1,18 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import lm_logits, tiny_config
+from reference_ops import flops_per_sequence_ref
 from trafficmoe import tensor as T
 from trafficmoe.evaluation import (
-    BenchReport,
     ConfusionMatrix,
     RoutingAccumulator,
-    analytic_flops_per_sequence,
+    bench_to_tsv,
     build_dense_variant,
     check_parameter_match,
     compose_shift_split,
     compute_metrics,
-    dense_ffn_flops_per_token,
     efficiency_bench,
-    ffn_flops_per_token,
     metrics_to_tsv,
     proportion_shift_split,
     time_shift_split,
@@ -278,7 +274,7 @@ def test_routing_stats_one_hot(tiny_model, rng):
 
 def test_routing_stats_match_trace_dump(tmp_path, tiny_model, rng):
     ids = rng.integers(0, 64, size=(3, 12))
-    _, trace = tiny_model.forward(ids, mode="lm")
+    _, trace = tiny_model.forward(ids, mode="hidden")
     acc = RoutingAccumulator()
     acc.add(trace)
     dump = tmp_path / "trace.tsv"
@@ -309,18 +305,25 @@ def bench_config(**overrides):
     return ModelConfig(**base)
 
 
+def forward_flops(model, ids, mode="hidden"):
+    """``T.matmul_flops()`` difference over one all-valid ``no_grad`` forward (``lm``: hidden times the head)."""
+    valid = np.ones(ids.shape, dtype=bool)
+    with T.no_grad():
+        before = T.matmul_flops()
+        if mode == "lm":
+            lm_logits(model, ids, valid)
+        else:
+            model.forward(ids, valid, mode=mode)
+        return T.matmul_flops() - before
+
+
 def test_analytic_flops_match_instrumented_counter(rng):
     cfg = bench_config()
     model = TrafficModel(cfg, seed=0)
-    for mode in ("lm", "classify"):
+    for mode in ("hidden", "lm", "classify"):
         for batch in (1, 2):
             ids = rng.integers(0, cfg.vocab_size, size=(batch, cfg.max_tokens))
-            valid = np.ones((batch, cfg.max_tokens), dtype=bool)
-            with T.no_grad():
-                before = T.matmul_flops()
-                model.forward(ids, valid, mode=mode)
-                measured = T.matmul_flops() - before
-            assert measured == batch * analytic_flops_per_sequence(cfg, cfg.max_tokens, mode)
+            assert forward_flops(model, ids, mode) == batch * flops_per_sequence_ref(cfg, cfg.max_tokens, mode)
 
 
 def test_efficiency_bench_without_a_class_head_builds_no_vocab_sized_logits():
@@ -329,56 +332,40 @@ def test_efficiency_bench_without_a_class_head_builds_no_vocab_sized_logits():
     dense = build_dense_variant(model)
     batch, seq_len = 8, 16
     logits_bytes = batch * seq_len * cfg.vocab_size * 4  # one float32 [B*S, V] array: 2 MiB
-    tracemalloc.start()
-    try:
-        moe_report, _ = efficiency_bench(model, dense, batch_sizes=(batch,), seq_len=seq_len, n_batches=1, warmup=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < logits_bytes / 2
+    moe_row = efficiency_bench(model, dense, batch_sizes=(batch,), seq_len=seq_len, n_batches=1, warmup=0)[0]
+    assert moe_row.model == "moe"
+    assert 0 < moe_row.peak_bytes < logits_bytes / 2
     ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(1, seq_len))
-    with T.no_grad():
-        before = T.matmul_flops()
-        model.forward(ids, mode="hidden")
-        measured = T.matmul_flops() - before
-    assert moe_report.rows[0].flops_per_seq == measured == analytic_flops_per_sequence(cfg, seq_len, "hidden")
+    assert moe_row.flops_per_seq == forward_flops(model, ids) == flops_per_sequence_ref(cfg, seq_len, "hidden")
 
 
 def test_dense_variant_flops_match_counter(rng):
     model = TrafficModel(bench_config(), seed=0)
     dense = build_dense_variant(model)
     ids = rng.integers(0, 256, size=(2, 16))
-    valid = np.ones((2, 16), dtype=bool)
-    with T.no_grad():
-        before = T.matmul_flops()
-        dense.forward(ids, valid, mode="classify")
-        measured = T.matmul_flops() - before
-    assert measured == 2 * analytic_flops_per_sequence(dense.config, 16, "classify")
+    assert forward_flops(dense, ids, "classify") == 2 * flops_per_sequence_ref(dense.config, 16, "classify")
 
 
-def test_ffn_flops_strictly_increase_with_k():
-    flops = [ffn_flops_per_token(64, 256, 128, 8, k) for k in range(1, 9)]
+def test_ffn_flops_strictly_increase_with_k(rng):
+    ids = rng.integers(0, 256, size=(2, 16))
+    flops = []
+    for k in range(1, 9):
+        cfg = bench_config(top_k=k, ffn_hidden=32 * k)
+        assert cfg.expert_hidden == 32
+        flops.append(forward_flops(TrafficModel(cfg, seed=0), ids))
     assert all(b > a for a, b in zip(flops, flops[1:]))
 
 
-def test_moe_ffn_flops_beat_matched_dense_for_sparse_k():
-    cfg = bench_config()
-    model = TrafficModel(cfg, seed=0)
-    dense = build_dense_variant(model)
-    moe_ffn = ffn_flops_per_token(cfg.d_model, cfg.ffn_hidden, cfg.expert_hidden,
-                                  cfg.n_experts, cfg.top_k)
-    dense_ffn = dense_ffn_flops_per_token(cfg.d_model, dense.config.dense_hidden)
-    assert moe_ffn < dense_ffn
+def test_moe_ffn_flops_beat_matched_dense_for_sparse_k(rng):
+    model = TrafficModel(bench_config(), seed=0)
+    ids = rng.integers(0, 256, size=(2, 16))
+    assert forward_flops(model, ids) < forward_flops(build_dense_variant(model), ids)
 
 
-def test_dense_limit_k_equals_n_no_sparsity_win():
-    cfg = bench_config(top_k=8, ffn_hidden=64)
-    model = TrafficModel(cfg, seed=0)
-    dense = build_dense_variant(model)
-    moe_ffn = ffn_flops_per_token(cfg.d_model, cfg.ffn_hidden, cfg.expert_hidden,
-                                  cfg.n_experts, cfg.top_k)
-    dense_ffn = dense_ffn_flops_per_token(cfg.d_model, dense.config.dense_hidden)
-    assert moe_ffn >= dense_ffn
+def test_dense_limit_k_equals_n_no_sparsity_win(rng):
+    model = TrafficModel(bench_config(top_k=8, ffn_hidden=64), seed=0)
+    ids = rng.integers(0, 256, size=(2, 16))
+    assert forward_flops(model, ids) >= forward_flops(build_dense_variant(model), ids)
 
 
 def test_dense_variant_parameter_match_and_mismatch_error():
@@ -393,22 +380,27 @@ def test_dense_variant_parameter_match_and_mismatch_error():
 def test_efficiency_bench_report_structure(tmp_path):
     model = TrafficModel(bench_config(), seed=0)
     dense = build_dense_variant(model)
-    moe_report, dense_report = efficiency_bench(
-        model, dense, batch_sizes=(2, 4), seq_len=16, n_batches=2, warmup=1
-    )
-    for report, ratio, bench_model in ((moe_report, 0.4, model), (dense_report, 1.0, dense)):
-        assert [r.batch_size for r in report.rows] == [2, 4]
-        for row in report.rows:
-            assert row.throughput_seq_per_s > 0
-            assert row.mean_latency_ms > 0
-            assert row.active_param_ratio == pytest.approx(ratio)
-            ids = np.random.default_rng(0).integers(0, bench_model.config.vocab_size, size=(row.batch_size, 16))
-            with T.no_grad():
-                before = T.alloc_bytes()
-                bench_model.forward(ids, np.ones(ids.shape, dtype=bool), mode="classify")
-                assert row.activation_bytes == T.alloc_bytes() - before > 0
+    rows = efficiency_bench(model, dense, batch_sizes=(2, 4), seq_len=16, n_batches=2, warmup=1)
+    assert [(r.model, r.batch_size) for r in rows] == [("moe", 2), ("moe", 4), ("dense", 2), ("dense", 4)]
+    for row in rows:
+        bench_model, ratio = (model, 0.4) if row.model == "moe" else (dense, 1.0)
+        assert row.throughput_seq_per_s > 0
+        assert row.mean_latency_ms > 0
+        assert row.active_param_ratio == pytest.approx(ratio)
+        assert row.peak_bytes > 0
+        ids = np.random.default_rng(0).integers(0, bench_model.config.vocab_size, size=(row.batch_size, 16))
+        assert row.flops_per_seq * row.batch_size == forward_flops(bench_model, ids, "classify") > 0
     out = tmp_path / "bench.tsv"
-    BenchReport.to_tsv([moe_report, dense_report], out)
+    bench_to_tsv(rows, out)
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 4
     assert lines[1].startswith("moe\t2\t")
+    assert lines[3].startswith("dense\t2\t")
+
+
+def test_routed_model_peaks_below_its_dense_twin():
+    model = TrafficModel(bench_config(), seed=0)
+    moe_row, dense_row = efficiency_bench(model, build_dense_variant(model), batch_sizes=(4,), seq_len=16,
+                                          n_batches=1, warmup=0)
+    assert (moe_row.model, dense_row.model) == ("moe", "dense")
+    assert 0 < moe_row.peak_bytes < dense_row.peak_bytes

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import grad_array, tiny_config
+from conftest import grad_array, lm_logits, tiny_config
 from reference_ops import weighted_cross_entropy_ref
 from trafficmoe import model as model_module
 from trafficmoe import tensor as T
@@ -407,7 +407,7 @@ def test_balance_loss_collapse_equals_n():
 def test_balance_loss_matches_recomputation(rng, tiny_model):
     h = rng.normal(size=(2, 12)) * 0  # any ids; use a real forward for traces
     ids = rng.integers(0, 64, size=(2, 12))
-    _, trace = tiny_model.forward(ids, mode="lm")
+    _, trace = tiny_model.forward(ids, mode="hidden")
     loss = load_balance_loss(trace).item()
     # independent recomputation from the raw probability matrices
     expected = 0.0
@@ -436,14 +436,20 @@ def test_balance_loss_requires_tokens():
 
 def test_forward_lm_logits_shape(tiny_model, rng):
     ids = rng.integers(0, 64, size=(2, 12))
-    logits, _ = tiny_model.forward(ids, mode="lm")
-    assert logits.shape == (24, 64)
+    hidden, _ = tiny_model.forward(ids)  # the default mode is hidden
+    logits, _ = lm_logits(tiny_model, ids)
+    assert hidden.shape == (24, 16) and logits.shape == (24, 64)
 
 
 def test_forward_rejects_out_of_range_ids(tiny_model):
     ids = np.full((1, 12), 64)
     with pytest.raises(ValueError, match="out of range"):
-        tiny_model.forward(ids, mode="lm")
+        tiny_model.forward(ids, mode="hidden")
+
+
+def test_forward_rejects_unknown_mode(tiny_model):
+    with pytest.raises(ValueError, match="unknown mode 'lm'"):
+        tiny_model.forward(np.zeros((1, 12), dtype=int), mode="lm")
 
 
 def test_forward_classify_single_valid_token_equals_mlp_of_hidden(tiny_model, rng):
@@ -474,11 +480,11 @@ def test_forward_classify_pad_invariance(tiny_model, rng):
 def test_forward_causality_end_to_end(tiny_model, rng):
     ids = rng.integers(0, 64, size=(1, 12))
     with T.no_grad():
-        base, _ = tiny_model.forward(ids, mode="lm")
+        base, _ = lm_logits(tiny_model, ids)
         for cut in (3, 7, 11):
             mutated = ids.copy()
             mutated[0, cut:] = rng.integers(0, 64, size=12 - cut)
-            after, _ = tiny_model.forward(mutated, mode="lm")
+            after, _ = lm_logits(tiny_model, mutated)
             assert np.array_equal(base.data[:cut], after.data[:cut])
 
 
@@ -512,8 +518,8 @@ def test_packed_lm_logits_match_unmasked_run(tiny_model, rng):
     ids, valid = ragged_batch(rng)
     valid[2, 3] = False  # an interior pad is computed like any token
     with T.no_grad():
-        packed, _ = tiny_model.forward(ids, valid, mode="lm")
-        full, _ = tiny_model.forward(ids, mode="lm")
+        packed, _ = lm_logits(tiny_model, ids, valid)
+        full, _ = lm_logits(tiny_model, ids)
     rows, lengths = packed_rows(ids.shape, valid)
     assert lengths.tolist() == [12, 5, 9] and packed.shape == (26, 64) and full.shape == (36, 64)
     assert np.allclose(packed.data, full.data[rows], rtol=1e-5, atol=1e-6)
@@ -553,7 +559,7 @@ def test_fused_lm_objective_matches_unfused_head_for_every_parameter(rng, monkey
                 h, trace = model.forward(ids, valid, mode="hidden")
                 task = ntp_loss(h, model.params["head.vocab"], ids, valid)
             else:
-                logits, trace = model.forward(ids, valid, mode="lm")
+                logits, trace = lm_logits(model, ids, valid)
                 task = weighted_cross_entropy_ref(logits, targets.reshape(-1)[rows], weights.reshape(-1)[rows])
             loss = T.add(task, T.mul(load_balance_loss(trace), 0.02))
             model.zero_grad()
@@ -586,21 +592,21 @@ def test_padding_adds_no_matmul_flops(tiny_model, rng):
 def test_routing_trace_covers_each_valid_prefix_only(tiny_model, rng):
     ids, valid = ragged_batch(rng, lengths=(12, 5, 9))
     valid[0, 6] = False  # interior: still routed
-    _, trace = tiny_model.forward(ids, valid, mode="lm")
+    _, trace = tiny_model.forward(ids, valid, mode="hidden")
     assert [rec.n_tokens for rec in trace.layers] == [12 + 5 + 9] * tiny_model.config.n_layers
-    _, unmasked = tiny_model.forward(ids, mode="lm")
+    _, unmasked = tiny_model.forward(ids, mode="hidden")
     assert [rec.n_tokens for rec in unmasked.layers] == [3 * 12] * tiny_model.config.n_layers
 
 
 def test_balance_loss_ignores_trailing_pads(tiny_model, rng):
     ids, valid = ragged_batch(rng, lengths=(9, 5, 7), pad_to=9)
     with T.no_grad():
-        cut = load_balance_loss(tiny_model.forward(ids, valid, mode="lm")[1]).item()
-        padded = load_balance_loss(tiny_model.forward(*pad_right(ids, valid, 3), mode="lm")[1]).item()
+        cut = load_balance_loss(tiny_model.forward(ids, valid, mode="hidden")[1]).item()
+        padded = load_balance_loss(tiny_model.forward(*pad_right(ids, valid, 3), mode="hidden")[1]).item()
         same_length = ragged_batch(rng, lengths=(9, 9, 9), pad_to=9)[0]
-        unmasked = load_balance_loss(tiny_model.forward(same_length, mode="lm")[1]).item()
+        unmasked = load_balance_loss(tiny_model.forward(same_length, mode="hidden")[1]).item()
         masked = load_balance_loss(
-            tiny_model.forward(*pad_right(same_length, np.ones((3, 9), dtype=bool), 3), mode="lm")[1]
+            tiny_model.forward(*pad_right(same_length, np.ones((3, 9), dtype=bool), 3), mode="hidden")[1]
         ).item()
     assert padded == cut
     assert masked == unmasked
@@ -632,7 +638,7 @@ def test_one_attention_node_per_layer_whatever_batch_and_heads(rng):
     for n_heads in (1, 2, 4):
         model = TrafficModel(tiny_config(n_heads=n_heads, top_k=4), seed=0)  # top_k = n_experts: every expert runs
         for lengths in ((7,), (12, 5, 9, 1, 3)):
-            logits, _ = model.forward(*ragged_batch(rng, lengths), mode="lm")
+            logits, _ = lm_logits(model, *ragged_batch(rng, lengths))
             graphs.append(graph_ops(logits))
     assert graphs[0]["causal_attention"] == model.config.n_layers
     assert graphs[0]["scatter_rows"] == 0  # lm logits stay packed
@@ -744,8 +750,8 @@ def test_model_save_load_round_trip(tmp_path, tiny_model, rng):
     assert restored.config == tiny_model.config
     ids = rng.integers(0, 64, size=(2, 12))
     with T.no_grad():
-        a, _ = tiny_model.forward(ids, mode="lm")
-        b, _ = restored.forward(ids, mode="lm")
+        a, _ = lm_logits(tiny_model, ids)
+        b, _ = lm_logits(restored, ids)
     assert np.array_equal(a.data, b.data)
 
 
@@ -799,8 +805,8 @@ def test_sidecar_with_retired_aux_loss_weight_loads_bit_identical(tmp_path):
     assert loaded.config == model.config
     ids = np.random.default_rng(1).integers(0, 64, size=(2, 12))
     with T.no_grad():
-        want, _ = model.forward(ids, mode="lm")
-        got, _ = loaded.forward(ids, mode="lm")
+        want, _ = lm_logits(model, ids)
+        got, _ = lm_logits(loaded, ids)
     assert np.array_equal(want.data, got.data)
 
 
@@ -824,9 +830,9 @@ def test_checkpoint_with_per_head_attention_loads_bit_identical(tmp_path):
     ids = np.random.default_rng(1).integers(0, 64, size=(2, 12))
     valid = np.ones(ids.shape, dtype=bool)
     with T.no_grad():
-        for mode in ("lm", "classify"):
-            want, _ = model.forward(ids, valid, mode=mode)
-            got, _ = loaded.forward(ids, valid, mode=mode)
-            assert np.array_equal(want.data, got.data), mode
+        assert np.array_equal(lm_logits(model, ids)[0].data, lm_logits(loaded, ids)[0].data)
+        want, _ = model.forward(ids, valid, mode="classify")
+        got, _ = loaded.forward(ids, valid, mode="classify")
+        assert np.array_equal(want.data, got.data)
     loaded.save(tmp_path / "again.ckpt")
     assert set(T.load_checkpoint(tmp_path / "again.ckpt")) == set(model.params)
