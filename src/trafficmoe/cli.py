@@ -21,31 +21,16 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .artifacts import format_kv, parse_kv
-from .evaluation import (
-    RoutingAccumulator,
-    bench_to_tsv,
-    build_dense_variant,
-    compose_shift_split,
-    efficiency_bench,
-    evaluate_classifier,
-    metrics_to_tsv,
-    proportion_shift_split,
-    time_shift_split,
-    trace_dump_tsv,
-)
+from .evaluation import (RoutingAccumulator, bench_to_tsv, build_dense_variant, compose_shift_split, efficiency_bench,
+                         evaluate_classifier, metrics_to_tsv, proportion_shift_split, time_shift_split, trace_dump_tsv)
 from .flows import CaptureError, filter_micro_flows, parse_capture, read_flows, relabel, reassemble_sessions, write_flows
 from .model import ModelConfig, TrafficModel, field_types
-from .tokenization import (
-    SerializerConfig,
-    Vocabulary,
-    build_vocabulary,
-    read_corpus,
-    serialize_flow,
-    temporal_slice,
-    tokenize,
-    write_corpus,
-)
+from .tokenization import (SerializerConfig, Vocabulary, build_vocabulary, read_corpus, serialize_flows, temporal_slice,
+                           tokenize, write_corpus)
 from .training import DivergenceError, TrainConfig, split_dataset, train
+
+
+SERIALIZE_CHUNK = 256  # flows per serialize_flows call: numpy overhead amortised, batch arrays a few MB
 
 
 class UsageExit(Exception):
@@ -165,6 +150,18 @@ def _serializer_from_args(args) -> tuple[SerializerConfig, dict]:
     return SerializerConfig(**{name: merged[key] for key, name in _SERIALIZER_KEYS.items()}), merged
 
 
+def _serialized(flow_dirs, serializer: SerializerConfig, slice_window: float = 0.0):
+    """Yield ``(flow, codes)`` for each flow of each directory, or for each of its temporal slices
+    when ``slice_window`` > 0, serialized ``SERIALIZE_CHUNK`` flows at a time."""
+    for flow_dir in flow_dirs:
+        flows = read_flows(flow_dir)
+        if slice_window > 0:
+            flows = [part for flow in flows for part in temporal_slice(flow, slice_window)]
+        for lo in range(0, len(flows), SERIALIZE_CHUNK):
+            chunk = flows[lo : lo + SERIALIZE_CHUNK]
+            yield from zip(chunk, serialize_flows(chunk, serializer))
+
+
 def _cmd_build_vocab(args) -> int:
     t0 = time.time()
     _at_least("--min-freq", args.min_freq)
@@ -173,8 +170,7 @@ def _cmd_build_vocab(args) -> int:
     if args.vocab_mode == "full_bigram":
         vocab = build_vocabulary(mode="full_bigram")
     else:
-        flow_dirs = [Path(d) for d in args.flows]
-        corpus = (serialize_flow(f, serializer) for d in flow_dirs for f in read_flows(d))
+        corpus = (codes for _, codes in _serialized(args.flows, serializer))
         vocab = build_vocabulary(corpus, mode="wordpiece", min_freq=args.min_freq)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -193,20 +189,13 @@ def _cmd_tokenize(args) -> int:
     serializer, config = _serializer_from_args(args)
     config["slice_window"] = args.slice_window
     vocab = Vocabulary.load(args.vocab)
-    sequences = []
-    for flow_dir in args.flows:
-        for flow in read_flows(flow_dir):
-            parts = (
-                temporal_slice(flow, args.slice_window) if args.slice_window > 0 else [flow]
-            )
-            for part in parts:
-                serialized = serialize_flow(part, serializer)
-                sequences.append(tokenize(serialized, vocab, serializer.max_tokens, label=part.label))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_corpus(sequences, out)
+    sequences = (tokenize(codes, vocab, serializer.max_tokens, label=part.label)
+                 for part, codes in _serialized(args.flows, serializer, args.slice_window))
+    n_sequences = write_corpus(sequences, out)
     _echo_config(config)
-    print(f"sequences={len(sequences)}")
+    print(f"sequences={n_sequences}")
     inputs = [args.config, args.vocab] + [Path(d) / "packets.bin" for d in args.flows]
     _write_manifest(out.parent, "tokenize", config, _default_seed(), inputs, t0)
     return 0

@@ -11,6 +11,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -241,22 +242,22 @@ def reassemble_sessions(packets: Iterable[PacketRecord]) -> list[SessionFlow]:
     are assigned relative to the first packet's sender. Flows are
     returned in order of first appearance in the capture.
     """
-    groups: dict[FiveTuple, list[tuple[float, int, PacketRecord]]] = {}
-    for idx, pkt in enumerate(packets):
-        key = FiveTuple.from_packet(pkt)
-        groups.setdefault(key, []).append((pkt.timestamp, idx, pkt))
+    groups: dict[tuple, list[PacketRecord]] = {}  # ((ip, port), (ip, port), proto), lower end first
+    for pkt in packets:
+        a, b = (pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port)
+        groups.setdefault((a, b, pkt.ip_proto) if a <= b else (b, a, pkt.ip_proto), []).append(pkt)
 
     flows = []
-    for key, entries in groups.items():
-        entries.sort(key=lambda e: (e[0], e[1]))
-        first = entries[0][2]
-        origin = (first.src_ip, first.src_port)
-        pkts = [
-            (pkt, FORWARD if (pkt.src_ip, pkt.src_port) == origin else BACKWARD)
-            for _, _, pkt in entries
-        ]
-        flows.append(SessionFlow(key=key, packets=pkts))
+    for ((ip_a, port_a), (ip_b, port_b), proto), pkts in groups.items():
+        pkts.sort(key=attrgetter("timestamp"))  # stable, so capture order breaks ties
+        flows.append(SessionFlow(key=FiveTuple(ip_a, port_a, ip_b, port_b, proto), packets=directed(pkts)))
     return flows
+
+
+def directed(pkts: list[PacketRecord]) -> list[tuple[PacketRecord, int]]:
+    """Pair each packet with its direction: FORWARD when sent by the first packet's sender."""
+    origin_ip, origin_port = pkts[0].src_ip, pkts[0].src_port
+    return [(p, FORWARD if p.src_port == origin_port and p.src_ip == origin_ip else BACKWARD) for p in pkts]
 
 
 def filter_micro_flows(flows: list[SessionFlow], min_packets: int = 3) -> list[SessionFlow]:

@@ -18,15 +18,16 @@ Wire contract for the 11 metadata bytes (big-endian):
 
 from __future__ import annotations
 
-import struct
+import functools
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .artifacts import write_atomic
-from .flows import BACKWARD, FORWARD, PacketRecord, SessionFlow
+from .flows import FORWARD, PacketRecord, SessionFlow, directed
 
 MARKERS = ("[PD]", "[PY]", "[PAD]", "[END]", "[UNK]")
 
@@ -68,79 +69,67 @@ class SerializerConfig:
         s = self.bigram_stride
         return 1 + _ceil_div(META_BYTES, s) + 1 + _ceil_div(self.payload_bytes, s)
 
-    @property
-    def max_valid_tokens(self) -> int:
-        """Upper bound on non-[PAD] tokens a serialized flow can produce."""
-        return self.packets_per_flow * self.tokens_per_packet + 1
-
-
-@dataclass(frozen=True)
-class PacketByteRecord:
-    """The serialized form of one packet: 11 meta bytes + payload sample."""
-
-    meta: bytes
-    payload_sample: bytes
-
-    def __post_init__(self):
-        if len(self.meta) != META_BYTES:
-            raise ValueError(f"meta must be exactly {META_BYTES} bytes")
-
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def serialize_packet(
-    pkt: PacketRecord,
-    direction: int,
-    prev_timestamp: Optional[float] = None,
-    payload_bytes: int = 40,
-) -> PacketByteRecord:
-    """Encode one packet's six attributes into the fixed 11-byte layout."""
-    if prev_timestamp is None:
-        iat_us = 0
-    else:
-        iat_us = int(round(max(pkt.timestamp - prev_timestamp, 0.0) * 1e6))
-        iat_us = min(iat_us, 2**32 - 1)
-    meta = struct.pack(
-        ">HBBIBH",
-        min(pkt.total_length, 0xFFFF),
-        0 if direction == FORWARD else 1,
-        pkt.tcp_flags & 0xFF,
-        iat_us,
-        pkt.ip_proto & 0xFF,
-        min(len(pkt.payload), 0xFFFF),
-    )
-    return PacketByteRecord(meta=meta, payload_sample=pkt.payload[:payload_bytes])
+# The packet attributes the metadata block is built from, as read off each PacketRecord.
+_PACKET_FIELDS = np.dtype([("ts", "f8"), ("length", "i8"), ("dir", "i8"), ("flags", "i8"), ("proto", "i8"),
+                           ("plen", "i8")])
+# One packet's metadata block, in the wire order of the module docstring.
+_META = np.dtype([("frame_len", ">u2"), ("direction", "u1"), ("tcp_flags", "u1"), ("iat_us", ">u4"),
+                  ("ip_proto", "u1"), ("payload_len", ">u2")])
 
 
-def _bigram_codes(data: bytes, stride: int) -> list[int]:
-    """Codes of one byte region's 2-byte windows at offsets 0, stride, 2*stride, ...; a lone
-    trailing byte pairs with 0. Windows never cross regions, because regions are split first."""
-    n, padded = len(data), data + b"\x00"
-    return [BIGRAM_BASE + (hi << 8 | lo) for hi, lo in zip(padded[:n:stride], padded[1 : n + 1 : stride])]
+def _window_codes(regions: np.ndarray, stride: int) -> np.ndarray:
+    """Codes of the 2-byte windows at offsets 0, stride, ... of each row of ``regions`` ``[P, n]``
+    uint8; a window that starts on a row's last byte pairs it with 0."""
+    padded = np.concatenate([regions, np.zeros((len(regions), 1), np.uint8)], axis=1).astype(np.int32)
+    return BIGRAM_BASE + (padded[:, :-1:stride] << 8 | padded[:, 1::stride])
+
+
+def serialize_flows(flows: Sequence[SessionFlow], cfg: SerializerConfig) -> list[np.ndarray]:
+    """Serialize flows into their ``int32`` code sequences, one array per flow. The first
+    ``packets_per_flow`` packets of a flow each contribute ``[PD] <meta bigrams> [PY] <payload
+    bigrams>`` (the payload's first ``payload_bytes`` bytes), and ``[END]`` ends the flow."""
+    k, j, stride = cfg.packets_per_flow, cfg.payload_bytes, cfg.bigram_stride
+    heads = [f.packets[:k] for f in flows]
+    counts = np.array([len(h) for h in heads], dtype=np.int64)
+    if not counts.all():
+        raise ValueError("cannot serialize an empty flow")
+    pairs = [pair for head in heads for pair in head]
+    fields = np.fromiter(((p.timestamp, p.total_length, d, p.tcp_flags, p.ip_proto, len(p.payload)) for p, d in pairs),
+                         _PACKET_FIELDS, len(pairs))
+    firsts = np.cumsum(counts) - counts  # each flow's first packet
+    iat_us = np.rint(np.maximum(np.diff(fields["ts"], prepend=0.0), 0.0) * 1e6)
+    iat_us[firsts] = 0
+    meta = np.zeros(len(pairs), _META)
+    for name, column in zip(_META.names, (
+        np.minimum(fields["length"], 0xFFFF), fields["dir"] != FORWARD, fields["flags"] & 0xFF,
+        np.minimum(iat_us, 2**32 - 1), fields["proto"] & 0xFF, np.minimum(fields["plen"], 0xFFFF),
+    )):
+        meta[name] = column
+    payloads = np.frombuffer(b"".join([p.payload[:j].ljust(j, b"\0") for p, _ in pairs]), np.uint8)
+
+    # One row per packet: [PD] meta [PY] payload, then [END], kept on each flow's last packet only.
+    n_meta = _ceil_div(META_BYTES, stride)
+    rows = np.empty((len(pairs), n_meta + _ceil_div(j, stride) + 3), dtype=np.int32)
+    rows[:, 0], rows[:, n_meta + 1], rows[:, -1] = PD_ID, PY_ID, END_ID
+    rows[:, 1 : n_meta + 1] = _window_codes(meta.view(np.uint8).reshape(len(pairs), META_BYTES), stride)
+    rows[:, n_meta + 2 : -1] = _window_codes(payloads.reshape(len(pairs), j), stride)
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, n_meta + 2 : -1] = np.arange(0, j, stride) < np.minimum(fields["plen"], j)[:, None]
+    keep[:, -1] = False
+    keep[firsts + counts - 1, -1] = True
+    codes = rows[keep]
+    ends = np.cumsum(np.add.reduceat(keep.sum(axis=1), firsts)).tolist()
+    return [codes[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def serialize_flow(flow: SessionFlow, cfg: SerializerConfig) -> np.ndarray:
-    """Serialize a flow into its ``int32`` code sequence.
-
-    The first ``packets_per_flow`` packets each contribute
-    ``[PD] <meta bigrams> [PY] <payload bigrams>``; the whole flow is
-    terminated by ``[END]``.
-    """
-    if len(flow) == 0:
-        raise ValueError("cannot serialize an empty flow")
-    codes: list[int] = []
-    prev_ts: Optional[float] = None
-    for pkt, direction in flow.packets[: cfg.packets_per_flow]:
-        rec = serialize_packet(pkt, direction, prev_ts, cfg.payload_bytes)
-        prev_ts = pkt.timestamp
-        codes.append(PD_ID)
-        codes += _bigram_codes(rec.meta, cfg.bigram_stride)
-        codes.append(PY_ID)
-        codes += _bigram_codes(rec.payload_sample, cfg.bigram_stride)
-    codes.append(END_ID)
-    return np.array(codes, dtype=np.int32)
+    """Serialize one flow into its ``int32`` code sequence (see :func:`serialize_flows`)."""
+    return serialize_flows([flow], cfg)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,31 +151,42 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        """Read a saved vocabulary. A malformed line, a token that is neither a marker nor four
-        lowercase hex digits, or a repeated token raises ValueError naming the file and line."""
-        line_of = [0] * FULL_BIGRAM_VOCAB_SIZE  # code -> the line that defined it
-        codes, ids = [], []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            tok, tab, id_txt = line.partition("\t")
-            if not (tab and id_txt.isdecimal()):
-                if line:
-                    raise ValueError(f"{path}:{lineno}: expected token<TAB>id, got {line!r}")
-                continue
-            if len(tok) == 4 and not tok.strip("0123456789abcdef"):  # four lowercase hex digits
-                code = BIGRAM_BASE + int(tok, 16)
-            elif tok in MARKERS:
-                code = MARKERS.index(tok)
-            else:
-                raise ValueError(f"{path}:{lineno}: token {tok!r} is neither a marker nor four lowercase hex digits")
-            if line_of[code]:
-                raise ValueError(f"{path}:{lineno}: token {tok!r} repeats line {line_of[code]}")
-            line_of[code] = lineno
-            codes.append(code)
-            ids.append(int(id_txt))
-        if sorted(ids) != list(range(len(ids))):
+        """Read a saved vocabulary with numpy string ops over all its lines at once (each ending at
+        LF or CR LF; blank ones skipped). A line without a tab or whose id is not ASCII digits, a
+        token that is neither a marker nor four lowercase hex digits, or a repeated token raises
+        ValueError naming the file and the first such line."""
+        data = Path(path).read_bytes().replace(b"\r\n", b"\n")
+        # numpy drops a bytes item's trailing NULs, so NUL becomes a byte that no valid line holds
+        lines = np.array(data.replace(b"\0", b"\xff").split(b"\n"))
+        tokens, tabs, id_txt = np.strings.partition(lines, b"\t")
+        formed = (tabs == b"\t") & np.strings.isdigit(id_txt)
+        hexed = (np.strings.str_len(tokens) == 4) & (np.strings.strip(tokens, b"0123456789abcdef") == b"")
+        codes = np.full(lines.size, -1, dtype=np.int64)
+        codes[hexed] = np.frombuffer(bytes.fromhex(tokens[hexed].astype("S4").tobytes().decode()), ">u2")
+        codes[hexed] += BIGRAM_BASE
+        for code, marker in enumerate(MARKERS):
+            codes[tokens == marker.encode()] = code
+        good = np.flatnonzero(formed & (codes >= 0))
+        seen, first = np.unique(codes[good], return_index=True)
+        first_line = np.zeros(FULL_BIGRAM_VOCAB_SIZE, dtype=np.int64)  # code -> its first line
+        first_line[seen] = good[first]
+        bad = (lines != b"") & ~(formed & (codes >= 0))
+        bad[good[first_line[codes[good]] != good]] = True
+        if bad.any():
+            i = int(np.argmax(bad))
+            line = data.split(b"\n")[i].decode(errors="replace")
+            tok = line.partition("\t")[0]
+            raise ValueError(f"{path}:{i + 1}: " + (
+                f"expected token<TAB>id, got {line!r}" if not formed[i] else
+                f"token {tok!r} is neither a marker nor four lowercase hex digits" if codes[i] < 0 else
+                f"token {tok!r} repeats line {first_line[codes[i]] + 1}"))
+        ids = np.zeros(good.size, dtype=np.int64)
+        for digit in id_txt[good].view(np.uint8).reshape(good.size, id_txt.itemsize).T:  # NUL-padded
+            ids = np.where(digit > 0, ids * 10 + digit - ord("0"), ids)
+        if id_txt.itemsize > 18 or not np.array_equal(np.sort(ids), np.arange(ids.size)):  # 19 digits wrap
             raise ValueError(f"{path}: vocabulary ids must be dense in [0, size)")
         table = np.full(FULL_BIGRAM_VOCAB_SIZE, -1, dtype=np.int32)
-        table[codes] = ids
+        table[codes[good]] = ids
         if table[:BIGRAM_BASE].tolist() != list(range(BIGRAM_BASE)):
             raise ValueError(f"{path}: markers {' '.join(MARKERS)} must map to ids 0-4")
         table[table < 0] = UNK_ID
@@ -284,28 +284,40 @@ def temporal_slice(
     bins: dict[int, list[PacketRecord]] = {}
     for pkt, _ in flow.packets:
         bins.setdefault(int((pkt.timestamp - t0) // window_seconds), []).append(pkt)
-    out = []
-    for idx in sorted(bins):
-        pkts = bins[idx]
-        if len(pkts) < min_packets:
-            continue
-        origin = (pkts[0].src_ip, pkts[0].src_port)
-        pairs = [
-            (p, FORWARD if (p.src_ip, p.src_port) == origin else BACKWARD) for p in pkts
-        ]
-        out.append(SessionFlow(key=flow.key, packets=pairs, label=flow.label))
-    return out
+    return [SessionFlow(key=flow.key, packets=directed(pkts), label=flow.label)
+            for _, pkts in sorted(bins.items()) if len(pkts) >= min_packets]
 
 
 # --- corpus files: one sequence per line, space-separated IDs, optional
 # --- `label:<int><TAB>` prefix.
 
+_CORPUS_LINE = re.compile(r"(?:label:([0-9]+)\t)?([0-9\s]*)", re.ASCII)  # groups: label, ids
 
-def write_corpus(sequences: Iterable[TokenSequence], path: str | Path) -> None:
-    write_atomic(path, (
-        (f"label:{seq.label}\t" if seq.label is not None else "") + " ".join(map(str, seq.ids.tolist())) + "\n"
-        for seq in sequences
-    ))
+
+@functools.cache
+def _id_text() -> np.ndarray:
+    """``S6`` table, built on first use: id -> its decimal digits and a space, NUL-padded on the
+    left, for the 65,541 full-bigram ids. NULs are dropped from the text it builds."""
+    ids, place = np.arange(FULL_BIGRAM_VOCAB_SIZE)[:, None], 10 ** np.arange(4, -1, -1)
+    digits = np.where((ids >= place) | (place == 1), ids // place % 10 + ord("0"), 0)
+    return np.hstack([digits, np.full_like(ids, ord(" "))]).astype(np.uint8).view("S6").ravel()
+
+
+def write_corpus(sequences: Iterable[TokenSequence], path: str | Path) -> int:
+    """Write one line per sequence, streamed as ``sequences`` yields them; return the line count."""
+    table, count = _id_text(), 0
+
+    def lines():
+        nonlocal count
+        for count, seq in enumerate(sequences, 1):
+            head = f"label:{seq.label}\t" if seq.label is not None else ""
+            if seq.ids.size and seq.ids.min() >= 0 and seq.ids.max() < table.size:
+                yield head + table[seq.ids].tobytes().translate(None, b"\0")[:-1].decode() + "\n"
+            else:
+                yield head + " ".join(map(str, seq.ids.tolist())) + "\n"
+
+    write_atomic(path, lines())
+    return count
 
 
 def read_corpus(path: str | Path) -> list[TokenSequence]:
@@ -314,22 +326,20 @@ def read_corpus(path: str | Path) -> list[TokenSequence]:
 
 def iter_corpus(path: str | Path) -> Iterator[TokenSequence]:
     """Stream the sequences of a corpus file, one per non-empty line. A label or token ID that
-    is not an integer in [0, 2**31), a line with no IDs, or one whose ID count differs from the
-    first line's raises ValueError naming the file and line."""
+    is not ASCII digits or not below 2**31, a line with no IDs, or one whose ID count differs
+    from the first line's raises ValueError naming the file and line."""
     first = None  # (lineno, id count) of the first sequence
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            label: Optional[int] = None
             try:
-                if line.startswith("label:"):
-                    head, line = line.split("\t", 1)
-                    label = int(np.int32(head[len("label:") :]))
-                ids = np.array([int(tok) for tok in line.split()], dtype=np.int32)
-                if min(ids.min(initial=0), label or 0) < 0:
-                    raise ValueError("labels and token IDs must be >= 0")
+                match = _CORPUS_LINE.fullmatch(line)
+                if not match:
+                    raise ValueError("expected an optional `label:<id><TAB>`, then ids, all in ASCII digits")
+                label = None if match[1] is None else int(np.int32(match[1]))
+                ids = np.array([int(tok) for tok in match[2].split()], dtype=np.int32)
                 if not ids.size:
                     raise ValueError("no token IDs")
                 first = first or (lineno, ids.size)

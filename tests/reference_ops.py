@@ -1,14 +1,19 @@
-"""Reference copies of ops the engine has since fused or rewritten, kept for equivalence tests.
+"""Reference copies of ops the package has since fused or rewritten, kept for equivalence tests.
 
-Each builds the same graph node (or chain of nodes) the engine used to build, from the engine's
-own primitives, so a test can check a fused op's output and gradients against it in float64.
+The engine references build the same graph node (or chain of nodes) the engine used to build, from
+the engine's own primitives, so a test can check a fused op's output and gradients against it in
+float64. The tokenizer references serialize one packet and parse one vocabulary line at a time.
 """
 
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
 from trafficmoe import tensor as T
+from trafficmoe.flows import FORWARD
+from trafficmoe.tokenization import BIGRAM_BASE, END_ID, FULL_BIGRAM_VOCAB_SIZE, MARKERS, PD_ID, PY_ID, UNK_ID
 
 
 def rope_tables_ref(seq_len: int, head_dim: int, base: float = 10000.0):
@@ -121,3 +126,69 @@ def flops_per_sequence_ref(config, seq_len: int, mode: str = "classify") -> int:
     elif mode == "classify":
         total += 2 * seq_len * d + 2 * d * d + 2 * d * config.num_classes
     return total
+
+
+def serialize_packet_ref(pkt, direction, prev_timestamp=None, payload_bytes=40):
+    """One packet's 11 metadata bytes and payload sample, packed field by field with ``struct``."""
+    if prev_timestamp is None:
+        iat_us = 0
+    else:
+        iat_us = int(round(max(pkt.timestamp - prev_timestamp, 0.0) * 1e6))
+        iat_us = min(iat_us, 2**32 - 1)
+    meta = struct.pack(
+        ">HBBIBH",
+        min(pkt.total_length, 0xFFFF),
+        0 if direction == FORWARD else 1,
+        pkt.tcp_flags & 0xFF,
+        iat_us,
+        pkt.ip_proto & 0xFF,
+        min(len(pkt.payload), 0xFFFF),
+    )
+    return meta, pkt.payload[:payload_bytes]
+
+
+def bigram_codes_ref(data: bytes, stride: int) -> list[int]:
+    """Codes of one region's 2-byte windows at offsets 0, stride, ...; a lone trailing byte pairs with 0."""
+    n, padded = len(data), data + b"\x00"
+    return [BIGRAM_BASE + (hi << 8 | lo) for hi, lo in zip(padded[:n:stride], padded[1 : n + 1 : stride])]
+
+
+def serialize_flow_ref(flow, cfg) -> np.ndarray:
+    """``serialize_flow`` one packet at a time: ``[PD] <meta> [PY] <payload>`` per packet, then ``[END]``."""
+    codes, prev_ts = [], None
+    for pkt, direction in flow.packets[: cfg.packets_per_flow]:
+        meta, sample = serialize_packet_ref(pkt, direction, prev_ts, cfg.payload_bytes)
+        prev_ts = pkt.timestamp
+        codes += [PD_ID, *bigram_codes_ref(meta, cfg.bigram_stride), PY_ID, *bigram_codes_ref(sample, cfg.bigram_stride)]
+    return np.array(codes + [END_ID], dtype=np.int32)
+
+
+def load_vocabulary_ref(path) -> np.ndarray:
+    """``Vocabulary.load``'s code -> id table, parsed one line at a time with str methods."""
+    line_of = [0] * FULL_BIGRAM_VOCAB_SIZE  # code -> the line that defined it
+    codes, ids = [], []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        tok, tab, id_txt = line.partition("\t")
+        if not (tab and id_txt.isascii() and id_txt.isdecimal()):
+            if line:
+                raise ValueError(f"{path}:{lineno}: expected token<TAB>id, got {line!r}")
+            continue
+        if len(tok) == 4 and not tok.strip("0123456789abcdef"):  # four lowercase hex digits
+            code = BIGRAM_BASE + int(tok, 16)
+        elif tok in MARKERS:
+            code = MARKERS.index(tok)
+        else:
+            raise ValueError(f"{path}:{lineno}: token {tok!r} is neither a marker nor four lowercase hex digits")
+        if line_of[code]:
+            raise ValueError(f"{path}:{lineno}: token {tok!r} repeats line {line_of[code]}")
+        line_of[code] = lineno
+        codes.append(code)
+        ids.append(int(id_txt))
+    if sorted(ids) != list(range(len(ids))):
+        raise ValueError(f"{path}: vocabulary ids must be dense in [0, size)")
+    table = np.full(FULL_BIGRAM_VOCAB_SIZE, -1, dtype=np.int32)
+    table[codes] = ids
+    if table[:BIGRAM_BASE].tolist() != list(range(BIGRAM_BASE)):
+        raise ValueError(f"{path}: markers {' '.join(MARKERS)} must map to ids 0-4")
+    table[table < 0] = UNK_ID
+    return table

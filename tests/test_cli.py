@@ -159,6 +159,21 @@ def test_wordpiece_vocab_and_corpus_bytes_are_pinned(tmp_path, capsys, stride, v
     assert sha256_of(vocab, corpus) == {str(vocab): vocab_sha, str(corpus): corpus_sha}
 
 
+@pytest.mark.parametrize("extra,sequences,corpus_sha", [
+    ((), 24, "fa0d1316f8876f3830f51aea6161e7171ac8c75ec98395fe1960d29d33c30ced"),
+    (("--slice-window", "0.01"), 35, "ec7975aa3c51005195d57e7eb8c4b2bfb1af55940a8aaf7695797a0fe9414287"),
+], ids=["default-serializer", "slice-window"])
+def test_full_bigram_corpus_bytes_are_pinned(tmp_path, capsys, extra, sequences, corpus_sha):
+    flows_to_pcap(synth_flows(24, n_classes=3, seed=5), tmp_path / "c.pcap")
+    flows, vocab, corpus = tmp_path / "flows", tmp_path / "vocab.tsv", tmp_path / "corpus.txt"
+    assert run("ingest", "--pcap", str(tmp_path / "c.pcap"), "--out", str(flows), "--label", "2") == 0
+    assert run("build-vocab", "--out", str(vocab)) == 0
+    assert run("tokenize", "--flows", str(flows), "--vocab", str(vocab), "--out", str(corpus), *extra) == 0
+    assert f"sequences={sequences}\n" in capsys.readouterr().out
+    assert sha256_of(vocab, corpus) == {
+        str(vocab): "fc6064d9f7e93d42541195b30da3e0acd28e1999c4053493d1e233b8e682fc72", str(corpus): corpus_sha}
+
+
 TINY_FLAGS = [
     "--d-model", "16", "--n-layers", "1", "--n-heads", "2", "--n-experts", "4",
     "--top-k", "2", "--ffn-hidden", "32", "--batch-size", "8",
@@ -493,7 +508,11 @@ def test_ood_malformed_coarse_map_line_is_data_error(tmp_path, capsys, bad_line)
     assert f"coarse.txt:2: expected `fine coarse` integer labels, got {bad_line!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad_line", ["label:0\t1 2 3 x", "label:0\t1 99999999999 3", "label:0\t1 -4 3", "label:0 1 2 3"])
+@pytest.mark.parametrize("bad_line", [
+    "label:0\t1 2 3 x", "label:0\t1 99999999999 3", "label:0\t1 -4 3", "label:0 1 2 3",
+    "label:0\t0 1_0 +3 \u0663 2", "label:0\t1 1_0 3", "label:0\t1 +3 3", "label:0\t1 \u0663 3",
+    "label:+1\t1 2 3", "label:\u0663\t1 2 3", "label:\t1 2 3",
+])
 def test_malformed_corpus_line_is_data_error(tiny_eval, capsys, bad_line):
     ckpt, corpus = tiny_eval
     corpus.write_text("label:1\t1 2 3\n" + bad_line + "\n")
@@ -530,7 +549,9 @@ def test_vocab_line_without_tab_is_data_error(tmp_path, capsys):
     ("[CLS]\t5\n", "vocab.tsv:6: token '[CLS]' is neither a marker nor four lowercase hex digits"),
     ("aabb\t5\naabb\t6\n", "vocab.tsv:7: token 'aabb' repeats line 6"),
     ("[END]\t5\n", "vocab.tsv:6: token '[END]' repeats line 4"),
-], ids=["uppercase", "0x-prefix", "three-digits", "unknown-marker", "repeated-bigram", "repeated-marker"])
+    ("aabb\t\u0665\n", "vocab.tsv:6: expected token<TAB>id, got 'aabb\\t\u0665'"),
+], ids=["uppercase", "0x-prefix", "three-digits", "unknown-marker", "repeated-bigram", "repeated-marker",
+        "non-ascii-id"])
 def test_vocab_bad_token_is_data_error(tmp_path, capsys, lines, message):
     write_flows([], tmp_path / "flows")
     markers = "".join(f"{m}\t{i}\n" for i, m in enumerate(("[PD]", "[PY]", "[PAD]", "[END]", "[UNK]")))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_ops import load_vocabulary_ref, serialize_flow_ref, serialize_packet_ref
 
 from trafficmoe.flows import BACKWARD, FORWARD, FiveTuple, PacketRecord, SessionFlow
 from trafficmoe.synth import synth_flow, synth_flows, write_pcap
@@ -13,18 +14,18 @@ from trafficmoe.tokenization import (
     END_ID,
     FULL_BIGRAM_VOCAB_SIZE,
     MARKERS,
+    META_BYTES,
     PAD_ID,
     PD_ID,
     PY_ID,
     UNK_ID,
-    PacketByteRecord,
     SerializerConfig,
     TokenSequence,
     Vocabulary,
     build_vocabulary,
     read_corpus,
     serialize_flow,
-    serialize_packet,
+    serialize_flows,
     temporal_slice,
     tokenize,
     write_corpus,
@@ -61,38 +62,72 @@ def payload_codes(payload, stride):
     return out[out.index(PY_ID) + 1 : -1]
 
 
-# -- serialize_packet ------------------------------------------------------------
+def recover_regions(tokens):
+    """Inverse mapper oracle: rebuild per-packet byte regions from codes."""
+    def region(window_codes):
+        return b"".join((c - 5).to_bytes(2, "big") for c in window_codes)
+
+    packets = []
+    i = 0
+    while tokens[i] == PD_ID:
+        i += 1
+        meta = []
+        while tokens[i] != PY_ID:
+            meta.append(tokens[i])
+            i += 1
+        i += 1
+        payload = []
+        while tokens[i] not in (PD_ID, END_ID):
+            payload.append(tokens[i])
+            i += 1
+        packets.append((region(meta), region(payload)))
+    assert tokens[i] == END_ID
+    return packets
+
+
+def meta_and_payload(pkt, direction=FORWARD, prev=None, payload_bytes=40):
+    """The 11 meta bytes and the payload region that ``serialize_flow`` writes for ``pkt`` at
+    stride 2, recovered from its codes; ``prev`` is the packet before it in the flow."""
+    pairs = ([(prev, FORWARD)] if prev is not None else []) + [(pkt, direction)]
+    cfg = SerializerConfig(payload_bytes=payload_bytes)
+    meta, payload = recover_regions(serialize_flow(flow_from_packets(pairs), cfg).tolist())[-1]
+    return meta[:META_BYTES], payload
+
+
+# -- the 11 metadata bytes ----------------------------------------------------------
 
 
 def test_serialize_first_syn_meta_layout():
-    rec = serialize_packet(make_packet(length=60, flags=0x02), FORWARD, None)
-    assert rec.meta.hex() == "003c" + "00" + "02" + "00000000" + "06" + "0000"
-    assert rec.payload_sample == b""
+    meta, payload = meta_and_payload(make_packet(length=60, flags=0x02))
+    assert meta.hex() == "003c" + "00" + "02" + "00000000" + "06" + "0000"
+    assert payload == b""
 
 
 def test_serialize_one_millisecond_iat():
-    rec = serialize_packet(make_packet(ts=1.001), FORWARD, prev_timestamp=1.0)
-    assert rec.meta[4:8].hex() == "000003e8"
+    meta, _ = meta_and_payload(make_packet(ts=1.001), prev=make_packet(ts=1.0))
+    assert meta[4:8].hex() == "000003e8"
 
 
 def test_serialize_payload_sample_is_first_j_bytes():
     payload = bytes(range(100))
-    rec = serialize_packet(make_packet(payload=payload), FORWARD, None, payload_bytes=40)
-    assert rec.payload_sample == payload[:40]
-    assert rec.meta[9:11].hex() == "0064"  # full payload length, not the sample
+    meta, sample = meta_and_payload(make_packet(payload=payload), payload_bytes=40)
+    assert sample == payload[:40]
+    assert meta[9:11].hex() == "0064"  # full payload length, not the sample
 
 
 def test_serialize_direction_and_clamps():
-    rec = serialize_packet(make_packet(length=100_000), BACKWARD, None)
-    assert rec.meta[0:2] == b"\xff\xff"
-    assert rec.meta[2] == 1
-    huge_gap = serialize_packet(make_packet(ts=1e7), FORWARD, prev_timestamp=0.0)
-    assert huge_gap.meta[4:8] == b"\xff\xff\xff\xff"
+    meta, _ = meta_and_payload(make_packet(length=100_000), BACKWARD)
+    assert meta[0:2] == b"\xff\xff"
+    assert meta[2] == 1
+    huge_gap, _ = meta_and_payload(make_packet(ts=1e7), prev=make_packet(ts=0.0))
+    assert huge_gap[4:8] == b"\xff\xff\xff\xff"
 
 
-def test_packet_byte_record_requires_11_meta_bytes():
-    with pytest.raises(ValueError):
-        PacketByteRecord(meta=b"\x00" * 10, payload_sample=b"")
+def test_meta_region_is_11_bytes():
+    flow = flow_from_packets([(make_packet(), FORWARD)])
+    for stride, windows in ((1, 11), (2, 6)):
+        out = serialize_flow(flow, SerializerConfig(bigram_stride=stride)).tolist()
+        assert out.index(PY_ID) - out.index(PD_ID) - 1 == windows
 
 
 # -- bigram windows ----------------------------------------------------------------
@@ -133,29 +168,6 @@ def test_serialize_empty_flow_rejected():
         serialize_flow(SessionFlow(key=None, packets=[], label=None), SerializerConfig())
 
 
-def recover_regions(tokens):
-    """Inverse mapper oracle: rebuild per-packet byte regions from codes."""
-    def region(window_codes):
-        return b"".join((c - 5).to_bytes(2, "big") for c in window_codes)
-
-    packets = []
-    i = 0
-    while tokens[i] == PD_ID:
-        i += 1
-        meta = []
-        while tokens[i] != PY_ID:
-            meta.append(tokens[i])
-            i += 1
-        i += 1
-        payload = []
-        while tokens[i] not in (PD_ID, END_ID):
-            payload.append(tokens[i])
-            i += 1
-        packets.append((region(meta), region(payload)))
-    assert tokens[i] == END_ID
-    return packets
-
-
 def test_stride2_round_trip_recovers_bytes(rng):
     cfg = SerializerConfig(packets_per_flow=10, payload_bytes=40, max_tokens=512)
     flow = synth_flow(rng, label=1, n_packets=6)
@@ -163,13 +175,59 @@ def test_stride2_round_trip_recovers_bytes(rng):
     assert len(recovered) == 6
     prev_ts = None
     for (meta, payload), (pkt, direction) in zip(recovered, flow.packets):
-        expected = serialize_packet(pkt, direction, prev_ts, cfg.payload_bytes)
+        expected_meta, sample = serialize_packet_ref(pkt, direction, prev_ts, cfg.payload_bytes)
         prev_ts = pkt.timestamp
-        assert meta[:11] == expected.meta
+        assert meta[:11] == expected_meta
         assert meta[11:] == b"\x00"  # stride-2 pad byte on the odd meta region
-        sample = expected.payload_sample
         assert payload[: len(sample)] == sample
         assert all(b == 0 for b in payload[len(sample) :])
+
+
+# -- the batch serializer against the per-packet reference --------------------------------
+
+
+@st.composite
+def packets(draw):
+    proto = draw(st.sampled_from([6, 17, 1, 58]))
+    payload = draw(st.binary(max_size=50))
+    ip_len = draw(st.sampled_from([4, 16]))  # IPv4 or IPv6
+    return PacketRecord(
+        timestamp=draw(st.one_of(st.floats(0, 5), st.floats(0, 1e5))),  # gaps past 2**32 us, and backwards
+        src_ip=draw(st.binary(min_size=ip_len, max_size=ip_len)),
+        dst_ip=draw(st.binary(min_size=ip_len, max_size=ip_len)),
+        src_port=draw(st.integers(0, 65535)),
+        dst_port=draw(st.integers(0, 65535)),
+        ip_proto=proto,
+        tcp_flags=draw(st.integers(0, 255)) if proto == 6 else 0,
+        total_length=draw(st.integers(len(payload), 200_000)),
+        payload=payload,
+    )
+
+
+@given(
+    st.lists(st.lists(st.tuples(packets(), st.sampled_from([FORWARD, BACKWARD])), min_size=1, max_size=8),
+             min_size=1, max_size=5),
+    st.sampled_from([1, 2]),
+    st.sampled_from([0, 7, 40, 64]),
+    st.integers(1, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_serialize_flows_matches_per_packet_reference(flows, stride, j, k):
+    cfg = SerializerConfig(packets_per_flow=k, payload_bytes=j, max_tokens=1024, bigram_stride=stride)
+    flows = [SessionFlow(key=None, packets=pairs) for pairs in flows]
+    got = serialize_flows(flows, cfg)
+    assert len(got) == len(flows)
+    for codes_got, flow in zip(got, flows):
+        assert codes_got.dtype == np.int32
+        assert codes_got.tolist() == serialize_flow_ref(flow, cfg).tolist()
+        assert serialize_flow(flow, cfg).tolist() == codes_got.tolist()
+
+
+def test_serialize_flows_rejects_an_empty_flow_and_takes_no_flows():
+    flow = flow_from_packets([(make_packet(), FORWARD)])
+    with pytest.raises(ValueError, match="empty flow"):
+        serialize_flows([flow, SessionFlow(key=None, packets=[])], SerializerConfig())
+    assert serialize_flows([], SerializerConfig()) == []
 
 
 # -- vocabulary -----------------------------------------------------------------------
@@ -220,6 +278,50 @@ def test_vocab_save_load_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines == [f"{m}\t{i}" for i, m in enumerate(MARKERS)] + ["ccdd\t5", "aabb\t6"]
     assert np.array_equal(Vocabulary.load(path).table, vocab.table)
+
+
+@pytest.mark.parametrize("lines,lineno,got", [
+    ("[UNK]\t\u0664\n", 5, "'[UNK]\\t\u0664'"),  # ARABIC-INDIC DIGIT FOUR
+    ("[UNK]\t4\naabb\t+5\n", 6, "'aabb\\t+5'"),
+    ("[UNK]\t4\naabb\t5\tx\n", 6, "'aabb\\t5\\tx'"),
+])
+def test_vocab_ids_must_be_ascii_digits(tmp_path, lines, lineno, got):
+    path = tmp_path / "v.tsv"
+    path.write_text("".join(f"{m}\t{i}\n" for i, m in enumerate(MARKERS[:4])) + lines, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        Vocabulary.load(path)
+    assert str(err.value) == f"{path}:{lineno}: expected token<TAB>id, got {got}"
+
+
+VOCAB_TOKENS = list(MARKERS) + ["aabb", "0000", "ffff", "aabb", "AABB", "abc", "abcde", "[CLS]", "", "0x1f", "\u00e9bc"]
+VOCAB_IDS = ["0", "1", "2", "3", "4", "5", "6", "07", "", "x", "+1", "-1", "\u0664", "99999999999999999999"]
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.sampled_from(VOCAB_TOKENS), st.sampled_from(VOCAB_IDS)).map("\t".join),
+    st.sampled_from(["", "aabb", "aabb 5", "\t5"]),
+), max_size=12), st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_vocab_load_matches_line_by_line_reference(tmp_path_factory, lines, markers_first, crlf):
+    if markers_first:
+        lines = [f"{m}\t{i}" for i, m in enumerate(MARKERS)] + lines
+    path = tmp_path_factory.getbasetemp() / "v.tsv"
+    path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode())
+    try:
+        expected = load_vocabulary_ref(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            Vocabulary.load(path)
+        assert str(err.value) == str(exc)
+    else:
+        assert np.array_equal(Vocabulary.load(path).table, expected)
+
+
+def test_full_bigram_vocab_file_round_trips(tmp_path):
+    vocab = build_vocabulary(mode="full_bigram")
+    vocab.save(tmp_path / "v.tsv")
+    assert np.array_equal(Vocabulary.load(tmp_path / "v.tsv").table, vocab.table)
+    assert np.array_equal(load_vocabulary_ref(tmp_path / "v.tsv"), vocab.table)
 
 
 # -- tokenize ----------------------------------------------------------------------------
@@ -296,7 +398,7 @@ def test_marker_structure_and_length_bound_on_synthetic_flows():
         for flow in synth_flows(40, n_classes=3, seed=stride):
             seq = tokenize(serialize_flow(flow, cfg), vocab, cfg.max_tokens)
             check_marker_structure(seq)
-            assert seq.n_valid <= cfg.max_valid_tokens
+            assert seq.n_valid <= cfg.packets_per_flow * cfg.tokens_per_packet + 1
 
 
 def test_serializer_config_validation():
@@ -386,6 +488,22 @@ def test_corpus_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "9a992a49042b37106ce8bbe9225922fa1f0fc717b234524e19b5e98ca273702a"
     )
+
+
+@given(st.lists(st.tuples(
+    st.lists(st.one_of(st.integers(-3, 70_000), st.sampled_from([0, 65_540, 65_541, 2**31 - 1, -(2**31)])), max_size=12),
+    st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+), max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_write_corpus_matches_str_join(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "c.txt"
+    sequences = [TokenSequence(np.array(ids, dtype=np.int32), np.ones(len(ids), bool), label) for ids, label in rows]
+    assert write_corpus(iter(sequences), path) == len(sequences)
+    expected = "".join(
+        (f"label:{s.label}\t" if s.label is not None else "") + " ".join(map(str, s.ids.tolist())) + "\n"
+        for s in sequences
+    )
+    assert path.read_text() == expected
 
 
 def test_synth_labels_0_to_6_are_byte_identical_and_7_up_work():
