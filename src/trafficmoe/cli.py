@@ -25,8 +25,9 @@ from .evaluation import (RoutingAccumulator, bench_to_tsv, build_dense_variant, 
                          evaluate_classifier, metrics_to_tsv, proportion_shift_split, time_shift_split, trace_dump_tsv)
 from .flows import CaptureError, filter_micro_flows, parse_capture, read_flows, relabel, reassemble_sessions, write_flows
 from .model import ModelConfig, TrafficModel, field_types
-from .tokenization import (SerializerConfig, Vocabulary, build_vocabulary, read_corpus, serialize_flows, temporal_slice,
-                           tokenize, write_corpus)
+from .selftest import run_selftest
+from .tokenization import (SerializerConfig, Vocabulary, batch_arrays, build_vocabulary, read_corpus, serialize_flows,
+                           temporal_slice, tokenize, write_corpus)
 from .training import DivergenceError, TrainConfig, split_dataset, train
 
 
@@ -128,7 +129,7 @@ def _cmd_ingest(args) -> int:
     _at_least("--min-packets", args.min_packets)
     pcap = Path(args.pcap)
     records = parse_capture(pcap.read_bytes())
-    flows = filter_micro_flows(reassemble_sessions(records), 1 if args.keep_all else args.min_packets)
+    flows = filter_micro_flows(reassemble_sessions(records), args.min_packets)
     if args.label is not None:
         flows = [relabel(f, args.label) for f in flows]
     out = Path(args.out)
@@ -136,7 +137,6 @@ def _cmd_ingest(args) -> int:
     config = {
         "pcap": str(pcap),
         "min_packets": args.min_packets,
-        "keep_all": args.keep_all,
         "label": args.label,
     }
     _echo_config(config)
@@ -248,7 +248,7 @@ def _run_training(args, mode: str) -> int:
     if mode == "pretrain":
         history, _ = train(model, sequences, train_config, run_dir=out)
     else:
-        train_seqs, val_seqs, test_seqs = split_dataset(sequences, train_config.split_ratios, seed=seed)
+        train_seqs, val_seqs, test_seqs = split_dataset(sequences, seed=seed)
         if not val_seqs:
             val_seqs = train_seqs
         history, _ = train(model, train_seqs, train_config, val_seqs=val_seqs, run_dir=out)
@@ -312,13 +312,9 @@ def _cmd_bench(args) -> int:
     _at_least("--seq-len", args.seq_len)
     _at_least("--warmup", args.warmup, low=0)
     model = TrafficModel.load(args.ckpt)
-    if args.dense_ckpt:
-        dense = TrafficModel.load(args.dense_ckpt)
-    else:
-        dense = build_dense_variant(model, seed=_default_seed())
     rows = efficiency_bench(
         model,
-        dense,
+        build_dense_variant(model, seed=_default_seed()),
         batch_sizes=batch_sizes,
         seq_len=args.seq_len,
         n_batches=args.batches,
@@ -330,7 +326,6 @@ def _cmd_bench(args) -> int:
     bench_to_tsv(rows, out)
     config = {
         "ckpt": args.ckpt,
-        "dense_ckpt": args.dense_ckpt,
         "batch_sizes": args.batch_sizes,
         "seq_len": args.seq_len,
         "batches": args.batches,
@@ -343,8 +338,7 @@ def _cmd_bench(args) -> int:
             f" throughput={row.throughput_seq_per_s:.1f}/s"
             f" latency={row.mean_latency_ms:.1f}ms"
         )
-    inputs = _checkpoint_files(args.ckpt) + _checkpoint_files(args.dense_ckpt)
-    _write_manifest(out.parent, "bench", config, _default_seed(), inputs, t0)
+    _write_manifest(out.parent, "bench", config, _default_seed(), _checkpoint_files(args.ckpt), t0)
     return 0
 
 
@@ -400,8 +394,6 @@ def _cmd_route_trace(args) -> int:
         raise ValueError("no sequences to trace")
     _check_corpus_ids(sequences, args.data, model.config.vocab_size, f"checkpoint {args.ckpt}")
     _check_corpus_width(sequences, args.data, model.config.max_tokens, args.ckpt)
-    from .training import batch_arrays
-
     acc = RoutingAccumulator()
     mode = "classify" if model.config.num_classes and sequences[0].label is not None else "hidden"
     with T.no_grad():
@@ -421,8 +413,6 @@ def _cmd_route_trace(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .selftest import run_selftest
-
     return 0 if run_selftest(verbose=True) else 2
 
 
@@ -438,9 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pcap", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--label", type=int, default=None, help="class label stamped on every flow")
-    p.add_argument("--min-packets", type=int, default=3, dest="min_packets")
-    p.add_argument("--keep-all", action="store_true", dest="keep_all",
-                   help="bypass the micro-flow filter (scarce classes)")
+    p.add_argument("--min-packets", type=int, default=3, dest="min_packets",
+                   help="drop flows with fewer packets (default 3; 1 keeps every flow)")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("build-vocab", help="build a bigram vocabulary file")
@@ -481,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="sparse-vs-dense inference benchmark")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--dense-ckpt", default=None, dest="dense_ckpt")
     p.add_argument("--batch-sizes", default="8,16,32,64", dest="batch_sizes")
     p.add_argument("--report", required=True)
     p.add_argument("--seq-len", type=int, default=None, dest="seq_len")

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .artifacts import write_atomic
 from .model import RoutingTrace, TrafficModel, parameter_specs
-from .tokenization import TokenSequence
+from .tokenization import TokenSequence, batch_arrays
 
 # -- confusion matrix and derived metrics -------------------------------------
 
@@ -101,8 +101,6 @@ def predict_classes(
     model: TrafficModel, sequences: Sequence[TokenSequence], batch_size: int = 32
 ) -> np.ndarray:
     """Argmax class predictions, computed without building graphs."""
-    from .training import batch_arrays
-
     if batch_size < 1:
         raise ValueError(f"batch_size={batch_size} must be >= 1")
     preds = []
@@ -126,22 +124,14 @@ def evaluate_classifier(
 # -- distribution-shift split constructors --------------------------------------
 
 
-def time_shift_split(
-    items: Sequence,
-    times: Sequence[float],
-    labels: Sequence[int],
-    train_span: float = 0.4,
-    test_span: float = 0.4,
-) -> tuple[list, list]:
+def time_shift_split(items: Sequence, times: Sequence[float], labels: Sequence[int]) -> tuple[list, list]:
     """Past-predicts-future split on each class's time span.
 
-    Per class, the earliest ``train_span`` fraction of the span goes to
-    train, the latest ``test_span`` fraction to test; the buffer between
-    them is discarded. A class whose samples share one timestamp goes
-    entirely to train, with a warning.
+    Per class, samples in the earliest 40% of the span go to train and
+    those in the latest 40% to test; the 20% buffer between them is
+    discarded. A class whose samples share one timestamp goes entirely to
+    train, with a warning.
     """
-    if not (0.0 <= train_span <= 1.0 and 0.0 <= test_span <= 1.0 and train_span + test_span <= 1.0):
-        raise ValueError(f"spans must lie in [0, 1] and sum to at most 1, got {train_span} and {test_span}")
     times = np.asarray(times, dtype=float)
     labels = np.asarray(labels)
     train_items: list = []
@@ -154,27 +144,21 @@ def time_shift_split(
             warnings.warn(f"class {cls} spans zero time; all samples assigned to train")
             train_items += [items[i] for i in members]
             continue
-        lo = t.min() + train_span * span
-        hi = t.max() - test_span * span
+        lo = t.min() + 0.4 * span
+        hi = t.max() - 0.4 * span
         train_items += [items[i] for i in members[t < lo]]
         test_items += [items[i] for i in members[t > hi]]
     return train_items, test_items
 
 
-def proportion_shift_split(
-    items: Sequence,
-    coarse: Sequence[int],
-    fine: Sequence[int],
-    dominant: Optional[dict[int, int]] = None,
-    budget: Optional[int] = None,
-) -> tuple[list, list]:
+def proportion_shift_split(items: Sequence, coarse: Sequence[int], fine: Sequence[int]) -> tuple[list, list]:
     """Invert dominant/minor composition between train and test.
 
-    Within each coarse class the dominant sub-class outnumbers the
-    aggregated minor pool 4:1 in train and 1:4 in test, sampled
-    disjointly in stable order. ``dominant`` maps coarse class to the
-    dominant fine sub-class (default: the most frequent one);
-    ``budget``, when given, fixes each side's per-class size.
+    Within each coarse class the dominant sub-class (the most frequent
+    one, the lowest label among ties) outnumbers the aggregated minor pool
+    4:1 in train and 1:4 in test, sampled disjointly in stable order. With
+    ``unit`` = min(dominant pool, minor pool) // 5, each side holds
+    5 * ``unit`` samples of the class.
     """
     coarse = np.asarray(coarse)
     fine = np.asarray(fine)
@@ -186,13 +170,11 @@ def proportion_shift_split(
         sub_ids, counts = np.unique(sub, return_counts=True)
         if sub_ids.size < 2:
             raise ValueError(f"coarse class {cls} needs >= 2 fine sub-classes")
-        dom = dominant[cls] if dominant else int(sub_ids[np.argmax(counts)])
+        dom = sub_ids[np.argmax(counts)]
         dom_pool = members[sub == dom]
         min_pool = members[sub != dom]
-        unit = min(len(dom_pool), len(min_pool)) // 5 if budget is None else budget // 5
-        if budget is not None and budget % 5 != 0:
-            raise ValueError(f"budget {budget} for class {cls} must be divisible by 5")
-        if unit < 1 or len(dom_pool) < 5 * unit or len(min_pool) < 5 * unit:
+        unit = min(len(dom_pool), len(min_pool)) // 5
+        if unit < 1:
             raise ValueError(
                 f"coarse class {cls} has too few samples to realize the 4:1 ratios "
                 f"(dominant {len(dom_pool)}, minor {len(min_pool)})"
@@ -204,18 +186,13 @@ def proportion_shift_split(
     return train_items, test_items
 
 
-def compose_shift_split(
-    items: Sequence,
-    coarse: Sequence[int],
-    fine: Sequence[int],
-    seed: int = 0,
-    holdout_fraction: float = 0.2,
-) -> tuple[list, list]:
+def compose_shift_split(items: Sequence, coarse: Sequence[int], fine: Sequence[int],
+                        seed: int = 0) -> tuple[list, list]:
     """Hide half of each coarse class's sub-classes from training.
 
     Per coarse class, a seeded random ceil(s/2) of its s sub-classes go
-    only to test; each remaining sub-class holds out a fraction of its
-    samples (at least one) so test covers every sub-class.
+    only to test; each remaining sub-class holds out a seeded random 20%
+    of its samples (at least one) so test covers every sub-class.
     """
     coarse = np.asarray(coarse)
     fine = np.asarray(fine)
@@ -234,7 +211,7 @@ def compose_shift_split(
             if sub in masked:
                 test_items += [items[i] for i in pool]
             else:
-                n_test = max(1, int(len(pool) * holdout_fraction))
+                n_test = max(1, int(len(pool) * 0.2))
                 picked = set(rng.choice(pool, size=n_test, replace=False).tolist())
                 test_items += [items[i] for i in pool if i in picked]
                 train_items += [items[i] for i in pool if i not in picked]

@@ -75,8 +75,6 @@ class ModelConfig:
         types = field_types(cls)
         kwargs = {}
         for key, value in parse_kv(text, source).items():
-            if key in RETIRED_CONFIG_KEYS:
-                continue
             if key not in types:
                 raise ValueError(f"{source}: unknown model config key {key!r}")
             try:
@@ -87,26 +85,6 @@ class ModelConfig:
             return cls(**kwargs)
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
-
-
-# Keys older sidecars carry that no longer configure anything; skipped on load.
-RETIRED_CONFIG_KEYS = ("aux_loss_weight",)
-
-
-def upgrade_legacy_layout(arrays: dict[str, np.ndarray], config: ModelConfig) -> dict[str, np.ndarray]:
-    """Convert a checkpoint of per-head ``[d, head_dim]`` matrices: layer i's ``head{j}.wq/wk/wv``
-    become ``attn.wqkv``'s columns (every wq by head, then every wk, then every wv), and a ``[d]``
-    ``moe.shared_gate`` a column. Anything else passes through to the name and shape check."""
-    out = dict(arrays)
-    for i in range(config.n_layers):
-        base = f"layers.{i}.attn"
-        heads = [f"{base}.head{j}.{w}" for w in ("wq", "wk", "wv") for j in range(config.n_heads)]
-        if all(name in out and out[name].shape == (config.d_model, config.head_dim) for name in heads):
-            out[f"{base}.wqkv"] = np.concatenate([out.pop(name) for name in heads], axis=1)
-        gate = f"layers.{i}.moe.shared_gate"
-        if gate in out and out[gate].shape == (config.d_model,):
-            out[gate] = out[gate].reshape(-1, 1)
-    return out
 
 
 def field_types(cls) -> dict[str, type]:
@@ -267,10 +245,10 @@ class TrafficModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrafficModel":
-        """Rebuild a saved model; upgraded names and shapes must match what its config builds."""
+        """Rebuild a saved model; tensor names and shapes must match what its config builds."""
         sidecar = Path(str(path) + ".config")
         config = ModelConfig.from_text(sidecar.read_text(), sidecar)
-        arrays = upgrade_legacy_layout(T.load_checkpoint(path), config)
+        arrays = T.load_checkpoint(path)
         found = {name: v.shape for name, v in arrays.items()}
         expected = {name: shape for name, shape, _ in parameter_specs(config)}
         if found != expected:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .evaluation import ConfusionMatrix, compute_metrics
-from .model import ModelConfig, TrafficModel, load_balance_loss, route_tokens
+from .model import LayerRouting, ModelConfig, RoutingTrace, TrafficModel, load_balance_loss, route_tokens
 from .synth import synth_flow, synth_flows, write_pcap
 from .tensor import AdamW, Tensor
 from .tokenization import (
@@ -46,8 +46,6 @@ def _check_routing() -> str:
 
 
 def _check_balance_anchors() -> str:
-    from .model import LayerRouting, RoutingTrace
-
     n, n_experts, k = 64, 8, 2
     uniform = RoutingTrace(n_experts=n_experts, top_k=k)
     probs = np.full((n, n_experts), 1.0 / n_experts)

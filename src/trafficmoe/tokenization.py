@@ -246,6 +246,17 @@ class TokenSequence:
         return int(self.valid_mask.sum())
 
 
+def batch_arrays(sequences: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Stack a list of token sequences into (ids, valid_mask, labels)."""
+    ids = np.stack([s.ids for s in sequences])
+    valid = np.stack([s.valid_mask for s in sequences])
+    if all(s.label is not None for s in sequences):
+        labels = np.array([s.label for s in sequences], dtype=np.int64)
+    else:
+        labels = None
+    return ids, valid, labels
+
+
 def tokenize(
     codes: np.ndarray,
     vocab: Vocabulary,
@@ -268,7 +279,7 @@ def tokenize(
 
 def temporal_slice(
     flow: SessionFlow,
-    window_seconds: float = 15.0,
+    window_seconds: float,
     min_packets: int = 3,
 ) -> list[SessionFlow]:
     """Cut one flow into fixed-duration sub-flows inheriting its label.

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import tensor as T
 from .artifacts import format_kv, write_atomic
+from .evaluation import RoutingAccumulator, evaluate_classifier
 from .model import TrafficModel, load_balance_loss, packed_rows
 from .tensor import AdamW, Tensor
-from .tokenization import TokenSequence
+from .tokenization import TokenSequence, batch_arrays
 
 
 class DivergenceError(RuntimeError):
@@ -43,7 +44,6 @@ class TrainConfig:
     aux_weight: float = 0.02
     llrd_decay: float = 0.9
     patience: int = 5
-    split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     seed: int = 0
     weight_decay: float = 0.01
 
@@ -61,10 +61,6 @@ class TrainConfig:
             raise ValueError(f"base_lr={self.base_lr} must be > 0")
         if not (0.0 < self.llrd_decay <= 1.0):
             raise ValueError("llrd_decay must lie in (0, 1]")
-        total = sum(self.split_ratios)
-        if total <= 0 or any(r < 0 for r in self.split_ratios):
-            raise ValueError("split ratios must be non-negative with positive sum")
-        self.split_ratios = tuple(r / total for r in self.split_ratios)
 
 
 # -- losses -----------------------------------------------------------------
@@ -156,20 +152,16 @@ def build_param_groups(
 # -- dataset handling ------------------------------------------------------------
 
 
-def split_dataset(
-    sequences: Sequence,
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
-) -> tuple[list, list, list]:
-    """Shuffle and split into train/val/test, applying the ratios inside every class.
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train / val / test
+
+
+def split_dataset(sequences: Sequence, seed: int = 0) -> tuple[list, list, list]:
+    """Shuffle and split into train/val/test at ``SPLIT_RATIOS`` (80/10/10) inside every class.
 
     Labels are read from ``.label``; unlabelled sequences form one class of
     their own, so an all-unlabelled set is one plain shuffled split.
     """
-    total = sum(ratios)
-    if total <= 0 or any(r < 0 for r in ratios):
-        raise ValueError("ratios must be non-negative with positive sum")
-    r_train, r_val = ratios[0] / total, ratios[1] / total
+    r_train, r_val, _ = SPLIT_RATIOS
     rng = np.random.default_rng(seed)
 
     def cut(indices: np.ndarray) -> tuple[list[int], list[int], list[int]]:
@@ -195,17 +187,6 @@ def split_dataset(
         [sequences[i] for i in sorted(val_idx)],
         [sequences[i] for i in sorted(test_idx)],
     )
-
-
-def batch_arrays(sequences: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Stack a list of token sequences into (ids, valid_mask, labels)."""
-    ids = np.stack([s.ids for s in sequences])
-    valid = np.stack([s.valid_mask for s in sequences])
-    if all(s.label is not None for s in sequences):
-        labels = np.array([s.label for s in sequences], dtype=np.int64)
-    else:
-        labels = None
-    return ids, valid, labels
 
 
 # -- the training loop --------------------------------------------------------------
@@ -246,8 +227,6 @@ def train(
     ``val_seqs``) the model keeps its last-epoch parameters and the state
     returned is None.
     """
-    from .evaluation import RoutingAccumulator, evaluate_classifier  # local: avoids cycle
-
     if len(train_seqs) == 0:
         raise ValueError("empty training set")
     if config.mode == "finetune":

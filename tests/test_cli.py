@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -9,13 +10,13 @@ import pytest
 
 import pcap_craft as craft
 from conftest import tiny_config
+from trafficmoe import cli
 from trafficmoe import tensor as T
 from trafficmoe.cli import main
-from trafficmoe.evaluation import build_dense_variant
 from trafficmoe.flows import FiveTuple, SessionFlow, write_flows
 from trafficmoe.model import ModelConfig, TrafficModel
 from trafficmoe.synth import flows_to_pcap, synth_flows
-from trafficmoe.tokenization import TokenSequence, build_vocabulary, write_corpus
+from trafficmoe.tokenization import SerializerConfig, TokenSequence, build_vocabulary, write_corpus
 from trafficmoe.training import TrainConfig
 
 
@@ -101,14 +102,14 @@ def test_ingest_micro_flow_filter_and_bypass(tmp_path, capsys):
     out = tmp_path / "flows"
     run("ingest", "--pcap", str(pcap), "--out", str(out))
     assert "flows=0" in capsys.readouterr().out
-    run("ingest", "--pcap", str(pcap), "--out", str(out), "--keep-all")
+    run("ingest", "--pcap", str(pcap), "--out", str(out), "--min-packets", "1")
     assert "flows=3" in capsys.readouterr().out
 
 
-def test_keep_all_still_rejects_min_packets_below_one(tmp_path, capsys):
+def test_min_packets_below_one_is_data_error(tmp_path, capsys):
     pcap = tmp_path / "fix.pcap"
     fixture_pcap(pcap, n_flows=3, packets_per_flow=2)
-    assert run("ingest", "--pcap", str(pcap), "--out", str(tmp_path / "flows"), "--keep-all", "--min-packets", "0") == 2
+    assert run("ingest", "--pcap", str(pcap), "--out", str(tmp_path / "flows"), "--min-packets", "0") == 2
     assert "--min-packets 0 is not an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "flows").exists()
 
@@ -348,14 +349,12 @@ def test_manifest_keys_each_flow_input_by_its_path(tmp_path):
 
 def test_manifest_lists_every_file_read(tiny_eval):
     ckpt, corpus = tiny_eval
-    dense = ckpt.parent / "dense.ckpt"
-    build_dense_variant(TrafficModel.load(ckpt)).save(dense)
     out = ckpt.parent / "out"
     assert run("route-trace", "--ckpt", str(ckpt), "--data", str(corpus), "--out", str(out / "trace.tsv")) == 0
     assert manifest_inputs(out) == sha256_of(ckpt, f"{ckpt}.config", corpus)
-    assert run("bench", "--ckpt", str(ckpt), "--dense-ckpt", str(dense), "--batch-sizes", "1",
+    assert run("bench", "--ckpt", str(ckpt), "--batch-sizes", "1",
                "--report", str(out / "bench.tsv"), "--batches", "1", "--warmup", "1", "--seq-len", "8") == 0
-    assert manifest_inputs(out) == sha256_of(ckpt, f"{ckpt}.config", dense, f"{dense}.config")
+    assert manifest_inputs(out) == sha256_of(ckpt, f"{ckpt}.config")
     assert "config.warmup=1\n" in (out / "manifest.log").read_text().split("---\n")[-2]
 
 
@@ -481,6 +480,39 @@ def test_checkpoint_load_checks_shapes_before_allocating(tiny_eval, capsys):
     assert run_eval(ckpt, corpus) == 2  # its embedding alone would be 64 GB of float32
     err = capsys.readouterr().err
     assert "m.ckpt" in err and "'embed.tok'" in err and "(64, 16)" in err and f"({10**9}, 16)" in err
+
+
+def _per_head_layout(ckpt: Path) -> None:
+    """Rewrite a checkpoint in the layout older releases wrote: each layer's q, k and v as per-head
+    ``[d, head_dim]`` tensors ``attn.head{j}.wq/wk/wv`` and ``moe.shared_gate`` as a ``[d]`` vector."""
+    cfg, arrays = tiny_config(), T.load_checkpoint(ckpt)
+    d, hd = cfg.d_model, cfg.head_dim
+    for layer in range(cfg.n_layers):
+        wqkv = arrays.pop(f"layers.{layer}.attn.wqkv")
+        for part, w in enumerate(("wq", "wk", "wv")):
+            for j in range(cfg.n_heads):
+                arrays[f"layers.{layer}.attn.head{j}.{w}"] = wqkv[:, part * d + j * hd : part * d + (j + 1) * hd]
+        gate = f"layers.{layer}.moe.shared_gate"
+        arrays[gate] = arrays[gate].reshape(-1)
+    T.save_checkpoint(arrays, ckpt)
+
+
+def _retired_sidecar_key(ckpt: Path) -> None:
+    """Add the ``aux_loss_weight`` key that sidecars of older releases carried."""
+    sidecar = Path(str(ckpt) + ".config")
+    sidecar.write_text("aux_loss_weight=0.02\n" + sidecar.read_text())
+
+
+@pytest.mark.parametrize("rewrite,message", [
+    (_per_head_layout, "tensor 'layers.0.attn.head0.wk' is (16, 8) in the checkpoint but absent in its config"),
+    (_retired_sidecar_key, "unknown model config key 'aux_loss_weight'"),
+], ids=["per_head_attention", "retired_sidecar_key"])
+def test_legacy_checkpoint_formats_are_data_errors(tiny_eval, capsys, rewrite, message):
+    ckpt, corpus = tiny_eval
+    rewrite(ckpt)
+    assert run_eval(ckpt, corpus) == 2
+    err = capsys.readouterr().err
+    assert message in err and "m.ckpt" in err and "Traceback" not in err
 
 
 def test_ood_flow_label_missing_from_coarse_map_is_data_error(tmp_path, capsys):
@@ -671,6 +703,15 @@ def test_training_help_offers_flags_with_dataclass_defaults(mode, monkeypatch, c
         assert found, flag
         expected = getattr(model, field) if hasattr(model, field) else getattr(train, field)
         assert found.group(1) == str(expected), flag
+
+
+def test_every_config_field_is_a_cli_key_or_set_by_code():
+    """A field no flag or config-file key reaches and no code sets only ever holds its default."""
+    exposed = {*cli._MODEL_KEYS.values(), *cli._TRAIN_KEYS.values(), *cli._SERIALIZER_KEYS.values()}
+    set_by_code = {"mode", "seed", "vocab_size", "max_tokens", "ffn_kind", "dense_hidden"}
+    for config in (ModelConfig, TrainConfig, SerializerConfig):
+        dead = {f.name for f in dataclasses.fields(config)} - exposed - set_by_code
+        assert not dead, f"{config.__name__} fields nothing sets: {sorted(dead)}"
 
 
 # -- the benchmark tracer's wrapped boundaries still exist ------------------------------------

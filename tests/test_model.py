@@ -790,49 +790,3 @@ def test_init_is_seed_deterministic():
     b = TrafficModel(tiny_config(), seed=11)
     for name in a.params:
         assert np.array_equal(a.params[name].data, b.params[name].data)
-
-
-def test_sidecar_with_retired_aux_loss_weight_loads_bit_identical(tmp_path):
-    model = TrafficModel(tiny_config(), seed=4)
-    path = tmp_path / "m.ckpt"
-    model.save(path)
-    # the sidecar as older releases wrote it, with the since-removed aux_loss_weight key
-    (tmp_path / "m.ckpt.config").write_text(
-        "aux_loss_weight=0.02\nd_model=16\ndense_hidden=None\nffn_hidden=32\nffn_kind=moe\n"
-        "max_tokens=12\nn_experts=4\nn_heads=2\nn_layers=2\nnum_classes=2\ntop_k=2\nvocab_size=64\n"
-    )
-    loaded = TrafficModel.load(path)
-    assert loaded.config == model.config
-    ids = np.random.default_rng(1).integers(0, 64, size=(2, 12))
-    with T.no_grad():
-        want, _ = lm_logits(model, ids)
-        got, _ = lm_logits(loaded, ids)
-    assert np.array_equal(want.data, got.data)
-
-
-def test_checkpoint_with_per_head_attention_loads_bit_identical(tmp_path):
-    model = TrafficModel(tiny_config(), seed=4)
-    path = tmp_path / "m.ckpt"
-    model.save(path)
-    # the tensors as older releases wrote them: per-head q/k/v matrices and a [d] shared gate
-    arrays = {}
-    for name, p in model.params.items():
-        if name.endswith(".attn.wqkv"):
-            layer = int(name.split(".")[1])
-            for j in range(model.config.n_heads):
-                arrays.update(zip([f"layers.{layer}.attn.head{j}.{w}" for w in ("wq", "wk", "wv")],
-                                  head_weights(model, layer, j)))
-        else:
-            arrays[name] = p.data.reshape(-1) if name.endswith(".moe.shared_gate") else p.data
-    T.save_checkpoint(arrays, path)
-    loaded = TrafficModel.load(path)
-    assert {k: v.shape for k, v in loaded.params.items()} == {k: v.shape for k, v in model.params.items()}
-    ids = np.random.default_rng(1).integers(0, 64, size=(2, 12))
-    valid = np.ones(ids.shape, dtype=bool)
-    with T.no_grad():
-        assert np.array_equal(lm_logits(model, ids)[0].data, lm_logits(loaded, ids)[0].data)
-        want, _ = model.forward(ids, valid, mode="classify")
-        got, _ = loaded.forward(ids, valid, mode="classify")
-        assert np.array_equal(want.data, got.data)
-    loaded.save(tmp_path / "again.ckpt")
-    assert set(T.load_checkpoint(tmp_path / "again.ckpt")) == set(model.params)

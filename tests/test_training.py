@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from trafficmoe import evaluation
+from trafficmoe import evaluation, training
 from trafficmoe import tensor as T
 from trafficmoe.model import TrafficModel
 from trafficmoe.synth import synth_flows
@@ -216,20 +216,14 @@ class _Item:
 
 def test_split_sizes_8_1_1():
     items = [_Item(0) for _ in range(100)]
-    train_s, val_s, test_s = split_dataset(items, (0.8, 0.1, 0.1), seed=1)
+    train_s, val_s, test_s = split_dataset(items, seed=1)
     assert (len(train_s), len(val_s), len(test_s)) == (80, 10, 10)
     assert set(map(id, train_s)) | set(map(id, val_s)) | set(map(id, test_s)) == set(map(id, items))
 
 
-def test_split_all_train():
-    items = [_Item(0) for _ in range(10)]
-    train_s, val_s, test_s = split_dataset(items, (1.0, 0.0, 0.0), seed=0)
-    assert len(train_s) == 10 and not val_s and not test_s
-
-
 def test_split_stratified_keeps_class_ratios():
     items = [_Item(0) for _ in range(90)] + [_Item(1) for _ in range(10)]
-    train_s, val_s, test_s = split_dataset(items, (0.8, 0.1, 0.1), seed=3)
+    train_s, val_s, test_s = split_dataset(items, seed=3)
     for part, expected in ((train_s, 0.9), (val_s, 0.9), (test_s, 0.9)):
         zero = sum(1 for item in part if item.label == 0)
         assert abs(zero - expected * len(part)) <= 1.0
@@ -238,8 +232,8 @@ def test_split_stratified_keeps_class_ratios():
 
 def test_split_deterministic_given_seed():
     items = [_Item(i % 3) for i in range(50)]
-    a = split_dataset(items, (0.8, 0.1, 0.1), seed=9)
-    b = split_dataset(items, (0.8, 0.1, 0.1), seed=9)
+    a = split_dataset(items, seed=9)
+    b = split_dataset(items, seed=9)
     assert all([x is y for xs, ys in zip(a, b) for x, y in zip(xs, ys)])
 
 
@@ -280,7 +274,7 @@ def test_early_stopping_halts_at_best_plus_patience(monkeypatch):
     def frozen_eval(model, seqs, batch_size=32):
         return None, {"macro_f1": 0.5, "accuracy": 0.5}
 
-    monkeypatch.setattr(evaluation, "evaluate_classifier", frozen_eval)
+    monkeypatch.setattr(training, "evaluate_classifier", frozen_eval)
     config = TrainConfig(mode="finetune", batch_size=8, epochs=40, base_lr=1e-4, patience=5, seed=0)
     history, _ = train(model, seqs, config, val_seqs=seqs[:4])
     epochs_run = max(e for e, *_ in history.rows)
@@ -298,7 +292,7 @@ def test_early_stopping_returns_best_state(monkeypatch):
         snapshots[f1] = m.state_copy()
         return None, {"macro_f1": f1, "accuracy": f1}
 
-    monkeypatch.setattr(evaluation, "evaluate_classifier", scripted_eval)
+    monkeypatch.setattr(training, "evaluate_classifier", scripted_eval)
     config = TrainConfig(mode="finetune", batch_size=8, epochs=40, base_lr=1e-4, patience=5, seed=0)
     train(model, seqs, config, val_seqs=seqs[:4])
     best = snapshots[0.9]
