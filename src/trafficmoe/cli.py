@@ -26,8 +26,8 @@ from .evaluation import (RoutingAccumulator, bench_to_tsv, build_dense_variant, 
 from .flows import CaptureError, filter_micro_flows, parse_capture, read_flows, relabel, reassemble_sessions, write_flows
 from .model import ModelConfig, TrafficModel, field_types
 from .selftest import run_selftest
-from .tokenization import (SerializerConfig, Vocabulary, batch_arrays, build_vocabulary, read_corpus, serialize_flows,
-                           temporal_slice, tokenize, write_corpus)
+from .tokenization import (SerializerConfig, TokenSequence, Vocabulary, batch_arrays, build_vocabulary, read_corpus,
+                           serialize_flows, temporal_slice, tokenize, write_corpus)
 from .training import DivergenceError, TrainConfig, split_dataset, train
 
 
@@ -126,7 +126,7 @@ def _resolve(options: dict, args) -> dict:
 
 def _cmd_ingest(args) -> int:
     t0 = time.time()
-    _at_least("--min-packets", args.min_packets)
+    _at_least_one("--min-packets", args.min_packets)
     pcap = Path(args.pcap)
     records = parse_capture(pcap.read_bytes())
     flows = filter_micro_flows(reassemble_sessions(records), args.min_packets)
@@ -164,7 +164,7 @@ def _serialized(flow_dirs, serializer: SerializerConfig, slice_window: float = 0
 
 def _cmd_build_vocab(args) -> int:
     t0 = time.time()
-    _at_least("--min-freq", args.min_freq)
+    _at_least_one("--min-freq", args.min_freq)
     serializer, config = _serializer_from_args(args)
     config.update({"vocab_mode": args.vocab_mode, "min_freq": args.min_freq})
     if args.vocab_mode == "full_bigram":
@@ -214,6 +214,17 @@ def _check_corpus_width(sequences, corpus: str, max_tokens: int, ckpt: str) -> N
     if width > max_tokens:
         raise ValueError(f"corpus {corpus} rows are {width} tokens wide, but checkpoint {ckpt} has "
                          f"max_tokens={max_tokens}")
+
+
+def _checked_inputs(ckpt: str, corpus: str) -> tuple[TrafficModel, list[TokenSequence]]:
+    """Load a checkpoint and a non-empty corpus whose token ids and row width the checkpoint takes."""
+    model = TrafficModel.load(ckpt)
+    sequences = read_corpus(corpus)
+    if not sequences:
+        raise ValueError(f"corpus {corpus} is empty")
+    _check_corpus_ids(sequences, corpus, model.config.vocab_size, f"checkpoint {ckpt}")
+    _check_corpus_width(sequences, corpus, model.config.max_tokens, ckpt)
+    return model, sequences
 
 
 def _run_training(args, mode: str) -> int:
@@ -267,13 +278,8 @@ def _run_training(args, mode: str) -> int:
 
 def _cmd_eval(args) -> int:
     t0 = time.time()
-    _at_least("--batch-size", args.batch_size)
-    model = TrafficModel.load(args.ckpt)
-    sequences = read_corpus(args.data)
-    if not sequences:
-        raise ValueError(f"corpus {args.data} is empty")
-    _check_corpus_ids(sequences, args.data, model.config.vocab_size, f"checkpoint {args.ckpt}")
-    _check_corpus_width(sequences, args.data, model.config.max_tokens, args.ckpt)
+    _at_least_one("--batch-size", args.batch_size)
+    model, sequences = _checked_inputs(args.ckpt, args.data)
     if any(s.label is None for s in sequences):
         raise ValueError("eval needs labeled sequences")
     n_classes = model.config.num_classes or 0
@@ -299,38 +305,21 @@ def _batch_sizes(text: str) -> list[int]:
     return [int(item) for item in text.split(",")]
 
 
-def _at_least(flag: str, value: Optional[int], low: int = 1) -> None:
-    """Reject a count flag below ``low``; None means the flag was not given."""
-    if value is not None and value < low:
-        raise ValueError(f"{flag} {value} is not an integer >= {low}")
+def _at_least_one(flag: str, value: int) -> None:
+    """Reject a count flag below 1."""
+    if value < 1:
+        raise ValueError(f"{flag} {value} is not an integer >= 1")
 
 
 def _cmd_bench(args) -> int:
     t0 = time.time()
     batch_sizes = _batch_sizes(args.batch_sizes)
-    _at_least("--batches", args.batches)
-    _at_least("--seq-len", args.seq_len)
-    _at_least("--warmup", args.warmup, low=0)
-    model = TrafficModel.load(args.ckpt)
-    rows = efficiency_bench(
-        model,
-        build_dense_variant(model, seed=_default_seed()),
-        batch_sizes=batch_sizes,
-        seq_len=args.seq_len,
-        n_batches=args.batches,
-        warmup=args.warmup,
-        seed=_default_seed(),
-    )
+    model, sequences = _checked_inputs(args.ckpt, args.data)
+    rows = efficiency_bench(model, build_dense_variant(model, seed=_default_seed()), sequences, batch_sizes)
     out = Path(args.report)
     out.parent.mkdir(parents=True, exist_ok=True)
     bench_to_tsv(rows, out)
-    config = {
-        "ckpt": args.ckpt,
-        "batch_sizes": args.batch_sizes,
-        "seq_len": args.seq_len,
-        "batches": args.batches,
-        "warmup": args.warmup,
-    }
+    config = {"ckpt": args.ckpt, "data": args.data, "batch_sizes": args.batch_sizes}
     _echo_config(config)
     for row in rows:
         print(
@@ -338,7 +327,7 @@ def _cmd_bench(args) -> int:
             f" throughput={row.throughput_seq_per_s:.1f}/s"
             f" latency={row.mean_latency_ms:.1f}ms"
         )
-    _write_manifest(out.parent, "bench", config, _default_seed(), _checkpoint_files(args.ckpt), t0)
+    _write_manifest(out.parent, "bench", config, _default_seed(), _checkpoint_files(args.ckpt) + [args.data], t0)
     return 0
 
 
@@ -387,13 +376,9 @@ def _cmd_ood(args) -> int:
 
 def _cmd_route_trace(args) -> int:
     t0 = time.time()
-    _at_least("--limit", args.limit)
-    model = TrafficModel.load(args.ckpt)
-    sequences = read_corpus(args.data)[: args.limit]
-    if not sequences:
-        raise ValueError("no sequences to trace")
-    _check_corpus_ids(sequences, args.data, model.config.vocab_size, f"checkpoint {args.ckpt}")
-    _check_corpus_width(sequences, args.data, model.config.max_tokens, args.ckpt)
+    _at_least_one("--limit", args.limit)
+    model, sequences = _checked_inputs(args.ckpt, args.data)
+    sequences = sequences[: args.limit]
     acc = RoutingAccumulator()
     mode = "classify" if model.config.num_classes and sequences[0].label is not None else "hidden"
     with T.no_grad():
@@ -468,13 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="sparse-vs-dense inference benchmark")
+    p = sub.add_parser("bench", help="sparse-vs-dense inference benchmark on a token corpus")
     p.add_argument("--ckpt", required=True)
+    p.add_argument("--data", required=True, help="token corpus, run in file order at each batch size")
     p.add_argument("--batch-sizes", default="8,16,32,64", dest="batch_sizes")
     p.add_argument("--report", required=True)
-    p.add_argument("--seq-len", type=int, default=None, dest="seq_len")
-    p.add_argument("--batches", type=int, default=50)
-    p.add_argument("--warmup", type=int, default=5)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("ood", help="build a distribution-shift train/test split")
@@ -522,7 +505,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (CaptureError, DivergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,7 +10,7 @@ import tracemalloc
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -319,56 +319,45 @@ def check_parameter_match(a: TrafficModel, b: TrafficModel, tolerance: float = 0
 def efficiency_bench(
     moe_model: TrafficModel,
     dense_model: TrafficModel,
+    sequences: Sequence[TokenSequence],
     batch_sizes: Sequence[int] = (8, 16, 32, 64),
-    seq_len: Optional[int] = None,
-    n_batches: int = 50,
-    warmup: int = 5,
-    seed: int = 0,
 ) -> list[BenchRow]:
-    """Wall-clock throughput/latency of the routed model vs its dense twin.
+    """Wall-clock throughput/latency of the routed model vs its dense twin on a token corpus.
 
-    Both models see identical random batches; timing uses a monotonic
-    clock over ``n_batches`` measured batches after ``warmup`` unmeasured
-    ones. A model without a class head runs ``hidden`` mode, so no vocab
-    head runs. One more untimed forward per (model, batch size) runs under
-    ``tracemalloc``: ``flops_per_seq`` is its ``T.matmul_flops()`` difference
-    per sequence, and ``peak_bytes`` its traced peak, which counts every
-    numpy allocation, fused-op internals included. Rows come moe first,
-    then dense, each in ``batch_sizes`` order.
+    Each (model, batch size) runs ``sequences`` in order, ``batch_size`` at a time, twice. The
+    untimed pass runs under ``tracemalloc``: ``flops_per_seq`` is its ``T.matmul_flops()`` difference
+    over ``len(sequences)``, floored, and ``peak_bytes`` its traced peak, fused-op internals included.
+    The timed pass times each batch. A model without a class head runs ``hidden`` mode, so no vocab
+    head runs. Rows come moe first, then dense, each in ``batch_sizes`` order.
     """
     check_parameter_match(moe_model, dense_model)
-    seq_len = moe_model.config.max_tokens if seq_len is None else seq_len
     mode = "classify" if moe_model.config.num_classes else "hidden"
     rows = []
     for model, kind in ((moe_model, "moe"), (dense_model, "dense")):
         active, total = model.ffn_parameter_counts()
         for batch_size in batch_sizes:
-            rng = np.random.default_rng(seed)
-            ids = rng.integers(0, model.config.vocab_size, size=(batch_size, seq_len))
-            valid = np.ones((batch_size, seq_len), dtype=bool)
+            batches = [batch_arrays(sequences[lo : lo + batch_size])[:2] for lo in range(0, len(sequences), batch_size)]
             with T.no_grad():
-                for _ in range(warmup):
-                    model.forward(ids, valid, mode=mode)
                 before = T.matmul_flops()
                 tracemalloc.start()
                 try:
-                    model.forward(ids, valid, mode=mode)
+                    for ids, valid in batches:
+                        model.forward(ids, valid, mode=mode)
                     flops, peak = T.matmul_flops() - before, tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
                 times = []
-                for _ in range(n_batches):
+                for ids, valid in batches:
                     t0 = time.perf_counter()
                     model.forward(ids, valid, mode=mode)
                     times.append(time.perf_counter() - t0)
-            mean_t = float(np.mean(times))
             rows.append(
                 BenchRow(
                     model=kind,
                     batch_size=batch_size,
-                    throughput_seq_per_s=batch_size / mean_t,
-                    mean_latency_ms=mean_t * 1e3,
-                    flops_per_seq=flops // batch_size,
+                    throughput_seq_per_s=len(sequences) / sum(times),
+                    mean_latency_ms=float(np.mean(times)) * 1e3,
+                    flops_per_seq=flops // len(sequences),
                     active_param_ratio=active / total,
                     peak_bytes=peak,
                 )

@@ -277,17 +277,13 @@ def tokenize(
     return TokenSequence(ids=ids, valid_mask=np.arange(max_tokens) < n_valid, label=label)
 
 
-def temporal_slice(
-    flow: SessionFlow,
-    window_seconds: float,
-    min_packets: int = 3,
-) -> list[SessionFlow]:
+def temporal_slice(flow: SessionFlow, window_seconds: float) -> list[SessionFlow]:
     """Cut one flow into fixed-duration sub-flows inheriting its label.
 
-    Packets are binned into half-open windows [t0 + i*w, t0 + (i+1)*w);
-    empty windows vanish; sub-flows smaller than ``min_packets`` are
-    dropped (``min_packets=1`` keeps them all). Directions are re-derived
-    relative to each sub-flow's first packet.
+    Packets are binned into half-open windows [t0 + i*w, t0 + (i+1)*w), and
+    each non-empty window becomes one sub-flow, however few its packets: the
+    sub-flows partition the flow. Directions are re-derived relative to each
+    sub-flow's first packet.
     """
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive")
@@ -296,7 +292,7 @@ def temporal_slice(
     for pkt, _ in flow.packets:
         bins.setdefault(int((pkt.timestamp - t0) // window_seconds), []).append(pkt)
     return [SessionFlow(key=flow.key, packets=directed(pkts), label=flow.label)
-            for _, pkts in sorted(bins.items()) if len(pkts) >= min_packets]
+            for _, pkts in sorted(bins.items())]
 
 
 # --- corpus files: one sequence per line, space-separated IDs, optional
@@ -315,17 +311,26 @@ def _id_text() -> np.ndarray:
 
 
 def write_corpus(sequences: Iterable[TokenSequence], path: str | Path) -> int:
-    """Write one line per sequence, streamed as ``sequences`` yields them; return the line count."""
+    """Write one line per sequence, streamed as ``sequences`` yields them; return the line count.
+    An empty sequence, a token id outside [0, 65,541) or an id count unlike the first sequence's
+    raises ValueError naming the sequence, and any previous file at ``path`` stays."""
     table, count = _id_text(), 0
 
     def lines():
         nonlocal count
-        for count, seq in enumerate(sequences, 1):
+        width = 0  # the first sequence's id count
+        for i, seq in enumerate(sequences):
+            ids, width = seq.ids, width or seq.ids.size
+            if not ids.size:
+                raise ValueError(f"sequence {i} has no token IDs")
+            if ids.size != width:
+                raise ValueError(f"sequence {i} has {ids.size} token IDs, but sequence 0 has {width}")
+            low, high = ids.min(), ids.max()
+            if low < 0 or high >= table.size:
+                raise ValueError(f"sequence {i} holds token id {low if low < 0 else high}, outside [0, {table.size})")
             head = f"label:{seq.label}\t" if seq.label is not None else ""
-            if seq.ids.size and seq.ids.min() >= 0 and seq.ids.max() < table.size:
-                yield head + table[seq.ids].tobytes().translate(None, b"\0")[:-1].decode() + "\n"
-            else:
-                yield head + " ".join(map(str, seq.ids.tolist())) + "\n"
+            yield head + table[ids].tobytes().translate(None, b"\0")[:-1].decode() + "\n"
+            count += 1
 
     write_atomic(path, lines())
     return count

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +50,9 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
+OUT_FLAG = {"eval": "--metrics-out", "route-trace": "--out", "bench": "--report"}  # each command's output flag
+
+
 def save_six_entry_vocab(path: Path) -> None:
     """A wordpiece vocabulary of the five markers and the one bigram 0a0b."""
     build_vocabulary([np.array([5 + 0x0A0B], dtype=np.int32)], mode="wordpiece").save(path)
@@ -76,6 +82,17 @@ def test_bad_capture_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.pcap"
     bad.write_bytes(b"\x00" * 64)
     assert run("ingest", "--pcap", str(bad), "--out", str(tmp_path / "o")) == 2
+
+
+def test_process_exit_code_of_a_data_error_is_2_without_a_traceback(tmp_path):
+    TrafficModel(tiny_config(), seed=0).save(tmp_path / "m.ckpt")
+    src = Path(__file__).parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "trafficmoe", "bench", "--ckpt", str(tmp_path / "m.ckpt"), "--data",
+                           str(tmp_path / "missing.txt"), "--report", str(tmp_path / "out" / "b.tsv")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "missing.txt" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # -- ingest --------------------------------------------------------------------------
@@ -162,7 +179,7 @@ def test_wordpiece_vocab_and_corpus_bytes_are_pinned(tmp_path, capsys, stride, v
 
 @pytest.mark.parametrize("extra,sequences,corpus_sha", [
     ((), 24, "fa0d1316f8876f3830f51aea6161e7171ac8c75ec98395fe1960d29d33c30ced"),
-    (("--slice-window", "0.01"), 35, "ec7975aa3c51005195d57e7eb8c4b2bfb1af55940a8aaf7695797a0fe9414287"),
+    (("--slice-window", "0.01"), 48, "1a1d23b651ad7f8e6c627f3850ee138dfbb2d6b680772b7fba6c0d3ffa35b5d3"),
 ], ids=["default-serializer", "slice-window"])
 def test_full_bigram_corpus_bytes_are_pinned(tmp_path, capsys, extra, sequences, corpus_sha):
     flows_to_pcap(synth_flows(24, n_classes=3, seed=5), tmp_path / "c.pcap")
@@ -173,6 +190,19 @@ def test_full_bigram_corpus_bytes_are_pinned(tmp_path, capsys, extra, sequences,
     assert f"sequences={sequences}\n" in capsys.readouterr().out
     assert sha256_of(vocab, corpus) == {
         str(vocab): "fc6064d9f7e93d42541195b30da3e0acd28e1999c4053493d1e233b8e682fc72", str(corpus): corpus_sha}
+
+
+def test_slicing_with_a_window_wider_than_any_flow_keeps_every_flow(tmp_path, capsys):
+    fixture_pcap(tmp_path / "c.pcap", n_flows=4, packets_per_flow=2)
+    flows, vocab = tmp_path / "flows", tmp_path / "vocab.tsv"
+    assert run("ingest", "--pcap", str(tmp_path / "c.pcap"), "--out", str(flows), "--min-packets", "1") == 0
+    assert run("build-vocab", "--out", str(vocab)) == 0
+    counts = []
+    for extra in ((), ("--slice-window", "1e6")):
+        assert run("tokenize", "--flows", str(flows), "--vocab", str(vocab), "--out", str(tmp_path / "c.txt"),
+                   *extra) == 0
+        counts.append(re.search(r"sequences=(\d+)", capsys.readouterr().out).group(1))
+    assert counts == ["4", "4"]
 
 
 TINY_FLAGS = [
@@ -227,9 +257,8 @@ def test_bench_cli_writes_report(pipeline):
     run("finetune", "--corpus", str(corpus), "--vocab", str(vocab), "--out", str(run_dir),
         "--seed", "3", "--epochs", "1", "--base-lr", "1e-3", *TINY_FLAGS)
     report = tmp_path / "bench.tsv"
-    assert run("bench", "--ckpt", str(run_dir / "best.ckpt"), "--batch-sizes", "2,4",
-               "--report", str(report), "--batches", "2", "--warmup", "1",
-               "--seq-len", "32") == 0
+    assert run("bench", "--ckpt", str(run_dir / "best.ckpt"), "--data", str(corpus), "--batch-sizes", "2,4",
+               "--report", str(report)) == 0
     lines = report.read_text().splitlines()
     assert lines[0] == ("model\tbatch_size\tthroughput_seq_per_s\tmean_latency_ms"
                         "\tflops_per_seq\tactive_param_ratio\tpeak_bytes")
@@ -241,23 +270,20 @@ def test_bench_cli_writes_report(pipeline):
 
 @pytest.mark.parametrize("sizes,bad", [("0", "0"), ("-4", "-4"), ("2,x", "x"), ("2.5", "2.5")])
 def test_bad_bench_batch_sizes_are_data_errors(tiny_eval, capsys, sizes, bad):
-    ckpt, _ = tiny_eval
-    assert run("bench", "--ckpt", str(ckpt), "--batch-sizes", sizes, "--report", str(ckpt.parent / "b.tsv")) == 2
+    ckpt, corpus = tiny_eval
+    assert run("bench", "--ckpt", str(ckpt), "--data", str(corpus), "--batch-sizes", sizes,
+               "--report", str(ckpt.parent / "b.tsv")) == 2
     err = capsys.readouterr().err
     assert "--batch-sizes" in err and repr(bad) in err
     assert not (ckpt.parent / "b.tsv").exists()
 
 
-@pytest.mark.parametrize("command,flag,value", [("bench", "--batches", "0"), ("bench", "--seq-len", "0"),
-                                                ("bench", "--seq-len", "-3"), ("route-trace", "--limit", "-2"),
-                                                ("route-trace", "--limit", "0"), ("bench", "--warmup", "-5"),
+@pytest.mark.parametrize("command,flag,value", [("route-trace", "--limit", "-2"), ("route-trace", "--limit", "0"),
                                                 ("eval", "--batch-size", "0")])
 def test_counts_below_one_are_data_errors(tiny_eval, capsys, command, flag, value):
     ckpt, corpus = tiny_eval
     out = ckpt.parent / "out.tsv"
-    io = {"bench": ("--report", str(out)), "eval": ("--data", str(corpus), "--metrics-out", str(out))}.get(
-        command, ("--data", str(corpus), "--out", str(out)))
-    assert run(command, "--ckpt", str(ckpt), *io, flag, value) == 2
+    assert run(command, "--ckpt", str(ckpt), "--data", str(corpus), OUT_FLAG[command], str(out), flag, value) == 2
     assert f"{flag} {value} " in capsys.readouterr().err
     assert not out.exists()
 
@@ -352,10 +378,10 @@ def test_manifest_lists_every_file_read(tiny_eval):
     out = ckpt.parent / "out"
     assert run("route-trace", "--ckpt", str(ckpt), "--data", str(corpus), "--out", str(out / "trace.tsv")) == 0
     assert manifest_inputs(out) == sha256_of(ckpt, f"{ckpt}.config", corpus)
-    assert run("bench", "--ckpt", str(ckpt), "--batch-sizes", "1",
-               "--report", str(out / "bench.tsv"), "--batches", "1", "--warmup", "1", "--seq-len", "8") == 0
-    assert manifest_inputs(out) == sha256_of(ckpt, f"{ckpt}.config")
-    assert "config.warmup=1\n" in (out / "manifest.log").read_text().split("---\n")[-2]
+    assert run("bench", "--ckpt", str(ckpt), "--data", str(corpus), "--batch-sizes", "1",
+               "--report", str(out / "bench.tsv")) == 0
+    assert manifest_inputs(out) == sha256_of(ckpt, f"{ckpt}.config", corpus)
+    assert f"config.data={corpus}\n" in (out / "manifest.log").read_text().split("---\n")[-2]
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -609,19 +635,18 @@ def test_training_vocab_mismatch_is_data_error_before_any_write(tiny_eval, tmp_p
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "route-trace"])
+@pytest.mark.parametrize("command", ["eval", "route-trace", "bench"])
 def test_corpus_ids_beyond_checkpoint_vocab_are_data_error_before_any_write(tiny_eval, tmp_path, capsys, command):
     ckpt, corpus = tiny_eval  # checkpoint vocab_size=64
     ids = np.arange(59, 71)
     write_corpus([TokenSequence(ids, ids > 0, label=i % 2) for i in range(2)], corpus)
     out = tmp_path / "out" / "o.tsv"
-    io = ("--metrics-out", str(out)) if command == "eval" else ("--out", str(out))
-    assert run(command, "--ckpt", str(ckpt), "--data", str(corpus), *io) == 2
+    assert run(command, "--ckpt", str(ckpt), "--data", str(corpus), OUT_FLAG[command], str(out)) == 2
     assert f"corpus {corpus} holds token id 70, but checkpoint {ckpt} has 64 ids" in capsys.readouterr().err
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("command", ["finetune", "pretrain", "eval", "route-trace"])
+@pytest.mark.parametrize("command", ["finetune", "pretrain", "eval", "route-trace", "bench"])
 def test_corpus_wider_than_checkpoint_max_tokens_is_data_error(tiny_eval, tmp_path, capsys, command):
     ckpt, corpus = tiny_eval
     TrafficModel(tiny_config(vocab_size=6), seed=0).save(ckpt)  # max_tokens=12
@@ -633,7 +658,7 @@ def test_corpus_wider_than_checkpoint_max_tokens_is_data_error(tiny_eval, tmp_pa
         args = ("--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--init", str(ckpt),
                 "--out", str(out.parent))
     else:
-        args = ("--ckpt", str(ckpt), "--data", str(corpus), "--metrics-out" if command == "eval" else "--out", str(out))
+        args = ("--ckpt", str(ckpt), "--data", str(corpus), OUT_FLAG[command], str(out))
     assert run(command, *args) == 2
     err = capsys.readouterr().err
     assert f"corpus {corpus} rows are 40 tokens wide, but checkpoint {ckpt} has max_tokens=12" in err
@@ -641,12 +666,14 @@ def test_corpus_wider_than_checkpoint_max_tokens_is_data_error(tiny_eval, tmp_pa
 
 
 def test_eval_on_an_empty_corpus_is_data_error(tiny_eval, tmp_path, capsys):
+    """eval, and the two other commands that read a corpus through the same loader."""
     ckpt, corpus = tiny_eval
     corpus.write_text("")
-    out = tmp_path / "out" / "metrics.tsv"
-    assert run("eval", "--ckpt", str(ckpt), "--data", str(corpus), "--metrics-out", str(out)) == 2
-    assert f"corpus {corpus} is empty" in capsys.readouterr().err
-    assert not out.parent.exists()
+    out = tmp_path / "out" / "o.tsv"
+    for command in ("eval", "route-trace", "bench"):
+        assert run(command, "--ckpt", str(ckpt), "--data", str(corpus), OUT_FLAG[command], str(out)) == 2, command
+        assert f"corpus {corpus} is empty" in capsys.readouterr().err, command
+        assert not out.parent.exists(), command
 
 
 def test_config_file_line_without_equals_is_data_error(tmp_path, capsys):

@@ -19,6 +19,7 @@ from trafficmoe.evaluation import (
     trace_dump_tsv,
 )
 from trafficmoe.model import ModelConfig, TrafficModel
+from trafficmoe.tokenization import PAD_ID, TokenSequence
 
 
 # -- metrics ------------------------------------------------------------------
@@ -315,6 +316,12 @@ def forward_flops(model, ids, mode="hidden"):
         return T.matmul_flops() - before
 
 
+def valid_corpus(n, seq_len, vocab_size, seed=0):
+    """``n`` sequences of ``seq_len`` random ids in [PAD_ID + 1, vocab_size), every slot valid."""
+    ids = np.random.default_rng(seed).integers(PAD_ID + 1, vocab_size, size=(n, seq_len))
+    return [TokenSequence(row, np.ones(seq_len, dtype=bool)) for row in ids]
+
+
 def test_analytic_flops_match_instrumented_counter(rng):
     cfg = bench_config()
     model = TrafficModel(cfg, seed=0)
@@ -330,10 +337,11 @@ def test_efficiency_bench_without_a_class_head_builds_no_vocab_sized_logits():
     dense = build_dense_variant(model)
     batch, seq_len = 8, 16
     logits_bytes = batch * seq_len * cfg.vocab_size * 4  # one float32 [B*S, V] array: 2 MiB
-    moe_row = efficiency_bench(model, dense, batch_sizes=(batch,), seq_len=seq_len, n_batches=1, warmup=0)[0]
+    corpus = valid_corpus(batch, seq_len, cfg.vocab_size)
+    moe_row = efficiency_bench(model, dense, corpus, batch_sizes=(batch,))[0]
     assert moe_row.model == "moe"
     assert 0 < moe_row.peak_bytes < logits_bytes / 2
-    ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(1, seq_len))
+    ids = corpus[0].ids[None]
     assert moe_row.flops_per_seq == forward_flops(model, ids) == flops_per_sequence_ref(cfg, seq_len, "hidden")
 
 
@@ -378,7 +386,8 @@ def test_dense_variant_parameter_match_and_mismatch_error():
 def test_efficiency_bench_report_structure(tmp_path):
     model = TrafficModel(bench_config(), seed=0)
     dense = build_dense_variant(model)
-    rows = efficiency_bench(model, dense, batch_sizes=(2, 4), seq_len=16, n_batches=2, warmup=1)
+    corpus = valid_corpus(6, 16, model.config.vocab_size)  # batch size 4 ends on a short batch of 2
+    rows = efficiency_bench(model, dense, corpus, batch_sizes=(2, 4))
     assert [(r.model, r.batch_size) for r in rows] == [("moe", 2), ("moe", 4), ("dense", 2), ("dense", 4)]
     for row in rows:
         bench_model, ratio = (model, 0.4) if row.model == "moe" else (dense, 1.0)
@@ -386,8 +395,7 @@ def test_efficiency_bench_report_structure(tmp_path):
         assert row.mean_latency_ms > 0
         assert row.active_param_ratio == pytest.approx(ratio)
         assert row.peak_bytes > 0
-        ids = np.random.default_rng(0).integers(0, bench_model.config.vocab_size, size=(row.batch_size, 16))
-        assert row.flops_per_seq * row.batch_size == forward_flops(bench_model, ids, "classify") > 0
+        assert row.flops_per_seq == flops_per_sequence_ref(bench_model.config, 16, "classify") > 0
     out = tmp_path / "bench.tsv"
     bench_to_tsv(rows, out)
     lines = out.read_text().splitlines()
@@ -398,7 +406,29 @@ def test_efficiency_bench_report_structure(tmp_path):
 
 def test_routed_model_peaks_below_its_dense_twin():
     model = TrafficModel(bench_config(), seed=0)
-    moe_row, dense_row = efficiency_bench(model, build_dense_variant(model), batch_sizes=(4,), seq_len=16,
-                                          n_batches=1, warmup=0)
+    corpus = valid_corpus(4, 16, model.config.vocab_size)
+    moe_row, dense_row = efficiency_bench(model, build_dense_variant(model), corpus, batch_sizes=(4,))
     assert (moe_row.model, dense_row.model) == ("moe", "dense")
     assert 0 < moe_row.peak_bytes < dense_row.peak_bytes
+
+
+def test_efficiency_bench_flops_are_the_corpus_forward_flops():
+    """On a ragged corpus, ``flops_per_seq`` is the sum of each sequence's own forward FLOPs over the
+    sequence count, floored to the column's integer: every batch size, short last batch or not."""
+    model = TrafficModel(bench_config(), seed=0)
+    dense = build_dense_variant(model)
+    rng = np.random.default_rng(1)
+    corpus = []
+    for n_valid in (16, 3, 9, 1, 12, 5, 16):
+        ids = np.full(16, PAD_ID)
+        ids[:n_valid] = rng.integers(PAD_ID + 1, model.config.vocab_size, size=n_valid)
+        corpus.append(TokenSequence(ids, ids != PAD_ID))
+    for row in efficiency_bench(model, dense, corpus, batch_sizes=(1, 3, 7)):
+        bench_model = model if row.model == "moe" else dense
+        total = 0
+        with T.no_grad():
+            for seq in corpus:
+                before = T.matmul_flops()
+                bench_model.forward(seq.ids[None], seq.valid_mask[None], mode="classify")
+                total += T.matmul_flops() - before
+        assert row.flops_per_seq == total // len(corpus), (row.model, row.batch_size)

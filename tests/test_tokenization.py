@@ -434,17 +434,16 @@ def test_temporal_slice_single_window_identity():
 
 
 def test_temporal_slice_discards_small_windows_unless_bypass():
+    """Slicing discards no window however small, and has no bypass: ingest alone decides flow size."""
     flow = _timed_flow([0, 1, 2, 30])
-    assert len(temporal_slice(flow, window_seconds=5.0)) == 1
-    parts = temporal_slice(flow, window_seconds=5.0, min_packets=1)
-    assert sum(len(p) for p in parts) == 4
+    assert [len(p) for p in temporal_slice(flow, window_seconds=5.0)] == [3, 1]
 
 
 @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=30), st.floats(0.5, 20))
 @settings(max_examples=60)
 def test_temporal_slice_conservation(times, window):
     flow = _timed_flow(sorted(times))
-    parts = temporal_slice(flow, window_seconds=window, min_packets=1)
+    parts = temporal_slice(flow, window_seconds=window)
     sliced = sorted(p.timestamp for part in parts for p, _ in part.packets)
     assert sliced == sorted(times)
     # brute-force binning oracle
@@ -490,14 +489,40 @@ def test_corpus_bytes_are_pinned(tmp_path):
     )
 
 
-@given(st.lists(st.tuples(
-    st.lists(st.one_of(st.integers(-3, 70_000), st.sampled_from([0, 65_540, 65_541, 2**31 - 1, -(2**31)])), max_size=12),
-    st.one_of(st.none(), st.integers(0, 2**31 - 1)),
-), max_size=6))
-@settings(max_examples=40, deadline=None)
+_VALID_ID = st.integers(0, 65_540) | st.sampled_from([0, 65_540])
+_LABEL = st.none() | st.integers(0, 2**31 - 1)
+
+
+@st.composite
+def _corpus_rows(draw):
+    """Rows of one width and valid ids, then maybe one row swapped for an empty one, one of
+    another width, or one holding an id outside [0, 65,541)."""
+    width = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.tuples(st.lists(_VALID_ID, min_size=width, max_size=width), _LABEL), max_size=6))
+    if rows and draw(st.booleans()):
+        at = draw(st.integers(0, len(rows) - 1))
+        ids, bad_id = rows[at][0], draw(st.sampled_from([65_541, 70_000, -1, 2**31 - 1, -(2**31)]))
+        slot = draw(st.integers(0, width - 1))
+        defects = [[], ids + ids[:1], ids[:slot] + [bad_id] + ids[slot + 1 :]]
+        rows[at] = (draw(st.sampled_from(defects)), rows[at][1])
+    return rows
+
+
+@given(_corpus_rows())
+@settings(max_examples=60, deadline=None)
 def test_write_corpus_matches_str_join(tmp_path_factory, rows):
+    """Valid rows are written as their str-join; the first empty row, row of another width than
+    the first, or id outside [0, 65,541) raises ValueError naming it and leaves the old file."""
     path = tmp_path_factory.getbasetemp() / "c.txt"
     sequences = [TokenSequence(np.array(ids, dtype=np.int32), np.ones(len(ids), bool), label) for ids, label in rows]
+    bad = [i for i, (ids, _) in enumerate(rows)
+           if not ids or len(ids) != len(rows[0][0]) or not all(0 <= t < 65_541 for t in ids)]
+    if bad:
+        before = path.read_bytes() if path.exists() else None
+        with pytest.raises(ValueError, match=rf"^sequence {bad[0]} "):
+            write_corpus(iter(sequences), path)
+        assert (path.read_bytes() if path.exists() else None) == before
+        return
     assert write_corpus(iter(sequences), path) == len(sequences)
     expected = "".join(
         (f"label:{s.label}\t" if s.label is not None else "") + " ".join(map(str, s.ids.tolist())) + "\n"
