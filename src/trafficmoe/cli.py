@@ -3,7 +3,10 @@ finetune, eval, bench, ood, route-trace, selftest.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Config precedence is
 flags > config file > built-in defaults, and the effective configuration
-is echoed on every run. TRAFFICMOE_SEED overrides the default seed.
+is echoed on every run. The seed is --seed, else TRAFFICMOE_SEED, else 0.
+Every flag and input, a corpus row by row, is checked before any output is
+written; only tokenize (flows streamed into the corpus) can leave an empty
+directory, and ood its train split when a test flow's label is bad.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import hashlib
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -44,8 +48,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageExit(message)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("TRAFFICMOE_SEED", "0"))
+def _seed(args) -> int:
+    """--seed if the command has it and it is given, else TRAFFICMOE_SEED, else 0."""
+    if getattr(args, "seed", None) is not None:
+        return args.seed
+    text = os.environ.get("TRAFFICMOE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"TRAFFICMOE_SEED={text!r} is not an integer") from None
 
 
 def _sha256(path: Path) -> str:
@@ -75,16 +86,13 @@ def _checkpoint_files(path: Optional[str]) -> list[str]:
     return [path, f"{path}.config"] if path else []  # loading a checkpoint reads its sidecar too
 
 
-def _echo_config(config: dict) -> None:
-    print(format_kv(config), end="")
-
-
 # Config-dataclass fields the CLI exposes: flag and config-file key -> field name.
 # Each field's type and default come from its dataclass.
 _MODEL_KEYS = {k: k for k in ("n_layers", "d_model", "n_heads", "n_experts", "top_k", "ffn_hidden", "num_classes")}
 _TRAIN_KEYS = {
     k: k for k in ("batch_size", "epochs", "base_lr", "aux_weight", "llrd_decay", "patience", "weight_decay")
 }
+_FINETUNE_ONLY_KEYS = ("llrd_decay", "patience")  # pretraining reads neither
 _SERIALIZER_KEYS = {"k": "packets_per_flow", "j": "payload_bytes", "stride": "bigram_stride", "max_tokens": "max_tokens"}
 
 
@@ -95,7 +103,8 @@ def _options(defaults, keys: dict) -> dict:
 
 
 def _training_options(mode: str) -> dict:
-    return {**_options(ModelConfig(), _MODEL_KEYS), **_options(TrainConfig(mode=mode), _TRAIN_KEYS)}
+    train_keys = {k: name for k, name in _TRAIN_KEYS.items() if mode == "finetune" or k not in _FINETUNE_ONLY_KEYS}
+    return {**_options(ModelConfig(), _MODEL_KEYS), **_options(TrainConfig(mode=mode), train_keys)}
 
 
 def _add_option_flags(p, options: dict) -> None:
@@ -121,28 +130,19 @@ def _resolve(options: dict, args) -> dict:
     return merged
 
 
-# -- subcommand implementations ---------------------------------------------
+# -- subcommand implementations: each returns its run record to main -----------
 
 
-def _cmd_ingest(args) -> int:
-    t0 = time.time()
+def _cmd_ingest(args) -> tuple:
     _at_least_one("--min-packets", args.min_packets)
     pcap = Path(args.pcap)
     records = parse_capture(pcap.read_bytes())
     flows = filter_micro_flows(reassemble_sessions(records), args.min_packets)
     if args.label is not None:
         flows = [relabel(f, args.label) for f in flows]
-    out = Path(args.out)
-    write_flows(flows, out)
-    config = {
-        "pcap": str(pcap),
-        "min_packets": args.min_packets,
-        "label": args.label,
-    }
-    _echo_config(config)
-    print(f"packets={len(records)} flows={len(flows)}")
-    _write_manifest(out, "ingest", config, _default_seed(), [pcap], t0)
-    return 0
+    write_flows(flows, Path(args.out))
+    config = {"pcap": str(pcap), "min_packets": args.min_packets, "label": args.label}
+    return Path(args.out), config, f"packets={len(records)} flows={len(flows)}", [pcap]
 
 
 def _serializer_from_args(args) -> tuple[SerializerConfig, dict]:
@@ -162,8 +162,7 @@ def _serialized(flow_dirs, serializer: SerializerConfig, slice_window: float = 0
             yield from zip(chunk, serialize_flows(chunk, serializer))
 
 
-def _cmd_build_vocab(args) -> int:
-    t0 = time.time()
+def _cmd_build_vocab(args) -> tuple:
     _at_least_one("--min-freq", args.min_freq)
     serializer, config = _serializer_from_args(args)
     config.update({"vocab_mode": args.vocab_mode, "min_freq": args.min_freq})
@@ -175,15 +174,10 @@ def _cmd_build_vocab(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     vocab.save(out)
-    _echo_config(config)
-    print(f"vocab_size={len(vocab)}")
-    inputs = [args.config] + [Path(d) / "packets.bin" for d in (args.flows or [])]
-    _write_manifest(out.parent, "build-vocab", config, _default_seed(), inputs, t0)
-    return 0
+    return out.parent, config, f"vocab_size={len(vocab)}", [args.config] + [Path(d) / "packets.bin" for d in args.flows]
 
 
-def _cmd_tokenize(args) -> int:
-    t0 = time.time()
+def _cmd_tokenize(args) -> tuple:
     if not args.slice_window >= 0:  # also false for nan
         raise ValueError(f"--slice-window {args.slice_window:g} is not a number >= 0")
     serializer, config = _serializer_from_args(args)
@@ -194,72 +188,72 @@ def _cmd_tokenize(args) -> int:
     sequences = (tokenize(codes, vocab, serializer.max_tokens, label=part.label)
                  for part, codes in _serialized(args.flows, serializer, args.slice_window))
     n_sequences = write_corpus(sequences, out)
-    _echo_config(config)
-    print(f"sequences={n_sequences}")
     inputs = [args.config, args.vocab] + [Path(d) / "packets.bin" for d in args.flows]
-    _write_manifest(out.parent, "tokenize", config, _default_seed(), inputs, t0)
-    return 0
+    return out.parent, config, f"sequences={n_sequences}", inputs
 
 
-def _check_corpus_ids(sequences, corpus: str, n_ids: int, owner: str) -> None:
-    """Reject a corpus holding a token id >= ``n_ids``, the id count of ``owner`` (a vocab or checkpoint)."""
-    top_id = max((int(s.ids.max()) for s in sequences), default=-1)
+def _checked_corpus(path: str, n_ids: int, owner: str, ckpt: Optional[str] = None, max_tokens: int = 0,
+                    min_valid: int = 1, n_classes: Optional[int] = None) -> list[TokenSequence]:
+    """Read corpus ``path`` and check it before any batch runs: not empty, token ids below ``n_ids``
+    (the id count of ``owner``, a vocab or checkpoint), rows no wider than the ``max_tokens`` of
+    checkpoint ``ckpt`` if one is given. Each row needs ``min_valid`` non-[PAD] ids and, if
+    ``n_classes`` is given, a label below it; an error for a row names its file and line."""
+    sequences = read_corpus(path)
+    if not sequences:
+        raise ValueError(f"corpus {path} is empty")
+    top_id = max(int(s.ids.max()) for s in sequences)
     if top_id >= n_ids:
-        raise ValueError(f"corpus {corpus} holds token id {top_id}, but {owner} has {n_ids} ids")
-
-
-def _check_corpus_width(sequences, corpus: str, max_tokens: int, ckpt: str) -> None:
-    """Reject a corpus whose rows are wider than the ``max_tokens`` of checkpoint ``ckpt``."""
-    width = max((len(s.ids) for s in sequences), default=0)
-    if width > max_tokens:
-        raise ValueError(f"corpus {corpus} rows are {width} tokens wide, but checkpoint {ckpt} has "
+        raise ValueError(f"corpus {path} holds token id {top_id}, but {owner} has {n_ids} ids")
+    if ckpt and len(sequences[0]) > max_tokens:
+        raise ValueError(f"corpus {path} rows are {len(sequences[0])} tokens wide, but checkpoint {ckpt} has "
                          f"max_tokens={max_tokens}")
+    for line, seq in enumerate(sequences, 1):  # read_corpus keeps sequence i on line i + 1
+        if seq.n_valid < min_valid:
+            raise ValueError(f"{path}:{line}: {seq.n_valid} non-[PAD] token ID, but next-token loss needs {min_valid}")
+        if n_classes is not None and seq.label is None:
+            raise ValueError(f"{path}:{line}: no label")
+        if n_classes is not None and seq.label >= n_classes:
+            raise ValueError(f"{path}:{line}: label {seq.label} is not below num_classes={n_classes}")
+    return sequences
 
 
-def _checked_inputs(ckpt: str, corpus: str) -> tuple[TrafficModel, list[TokenSequence]]:
-    """Load a checkpoint and a non-empty corpus whose token ids and row width the checkpoint takes."""
+def _checked_inputs(ckpt: str, corpus: str, labeled: bool = False) -> tuple[TrafficModel, list[TokenSequence]]:
+    """Load a checkpoint and the corpus checked against it; ``labeled`` rows need one of its classes."""
     model = TrafficModel.load(ckpt)
-    sequences = read_corpus(corpus)
-    if not sequences:
-        raise ValueError(f"corpus {corpus} is empty")
-    _check_corpus_ids(sequences, corpus, model.config.vocab_size, f"checkpoint {ckpt}")
-    _check_corpus_width(sequences, corpus, model.config.max_tokens, ckpt)
-    return model, sequences
+    cfg = model.config
+    return model, _checked_corpus(corpus, cfg.vocab_size, f"checkpoint {ckpt}", ckpt, cfg.max_tokens,
+                                  n_classes=(cfg.num_classes or 0) if labeled else None)
 
 
-def _run_training(args, mode: str) -> int:
-    t0 = time.time()
-    seed = args.seed if args.seed is not None else _default_seed()
+def _run_training(args, mode: str) -> tuple:
     merged = _resolve(_training_options(mode), args)
-    sequences = read_corpus(args.corpus)
-    if not sequences:
-        raise ValueError(f"corpus {args.corpus} is empty")
+    train_config = TrainConfig(mode=mode, seed=args.seed,
+                               **{name: merged[key] for key, name in _TRAIN_KEYS.items() if key in merged})
     vocab = Vocabulary.load(args.vocab)
-    max_tokens = len(sequences[0].ids)
-
+    init = TrafficModel.load(args.init) if args.init else None
+    if init is None:  # size flags are checked before the corpus, which sets max_tokens and maybe num_classes
+        model_config = ModelConfig(vocab_size=len(vocab), **{name: merged[key] for key, name in _MODEL_KEYS.items()})
+    elif mode == "finetune" and not init.config.num_classes:
+        raise ValueError("checkpoint lacks a classification head; set num_classes at pretrain")
+    elif init.config.vocab_size != len(vocab):
+        raise ValueError(f"vocab {args.vocab} has {len(vocab)} ids, but checkpoint {args.init} has "
+                         f"vocab_size={init.config.vocab_size}")
+    min_valid, n_classes = 2, None  # next-token loss needs 2 valid ids a row
+    if mode == "finetune":  # rows need a label below --init's or --num-classes' count, else any (< 2**31)
+        min_valid, n_classes = 1, init.config.num_classes if init else merged["num_classes"] or 2**31
+    sequences = _checked_corpus(args.corpus, len(vocab), f"vocab {args.vocab}", args.init,
+                                init.config.max_tokens if init else 0, min_valid=min_valid, n_classes=n_classes)
     labels = {s.label for s in sequences if s.label is not None}
     if not merged["num_classes"]:
         merged["num_classes"] = max(labels) + 1 if labels else None
-    train_config = TrainConfig(mode=mode, seed=seed, **{name: merged[key] for key, name in _TRAIN_KEYS.items()})
-
-    if args.init:
-        model = TrafficModel.load(args.init)
-        if mode == "finetune" and not model.config.num_classes:
-            raise ValueError("checkpoint lacks a classification head; set num_classes at pretrain")
-        if model.config.vocab_size != len(vocab):
-            raise ValueError(f"vocab {args.vocab} has {len(vocab)} ids, but checkpoint {args.init} has "
-                             f"vocab_size={model.config.vocab_size}")
-        _check_corpus_width(sequences, args.corpus, model.config.max_tokens, args.init)
-    else:
-        model_fields = {name: merged[key] for key, name in _MODEL_KEYS.items()}
-        model = TrafficModel(ModelConfig(vocab_size=len(vocab), max_tokens=max_tokens, **model_fields), seed=seed)
-    _check_corpus_ids(sequences, args.corpus, len(vocab), f"vocab {args.vocab}")
+    model = init or TrafficModel(replace(model_config, max_tokens=len(sequences[0]), num_classes=merged["num_classes"]),
+                                 seed=args.seed)
 
     out = Path(args.out)
     if mode == "pretrain":
         history, _ = train(model, sequences, train_config, run_dir=out)
     else:
-        train_seqs, val_seqs, test_seqs = split_dataset(sequences, seed=seed)
+        train_seqs, val_seqs, test_seqs = split_dataset(sequences, seed=args.seed)
         if not val_seqs:
             val_seqs = train_seqs
         history, _ = train(model, train_seqs, train_config, val_seqs=val_seqs, run_dir=out)
@@ -268,33 +262,22 @@ def _run_training(args, mode: str) -> int:
             metrics_to_tsv(metrics, out / "test_metrics.tsv")
 
     effective = dict(merged)
-    effective.update({"seed": seed, "mode": mode, "corpus": args.corpus, "vocab": args.vocab})
-    _echo_config(effective)
+    effective.update({"seed": args.seed, "mode": mode, "corpus": args.corpus, "vocab": args.vocab})
     final = history.rows[-1] if history.rows else (0, "-", "-", float("nan"))
-    print(f"epochs_run={final[0]} last_{final[2]}={final[3]:.6g}")
-    _write_manifest(out, mode, effective, seed, [args.config, args.corpus, args.vocab, *_checkpoint_files(args.init)], t0)
-    return 0
+    summary = f"epochs_run={final[0]} last_{final[2]}={final[3]:.6g}"
+    return out, effective, summary, [args.config, args.corpus, args.vocab, *_checkpoint_files(args.init)]
 
 
-def _cmd_eval(args) -> int:
-    t0 = time.time()
+def _cmd_eval(args) -> tuple:
     _at_least_one("--batch-size", args.batch_size)
-    model, sequences = _checked_inputs(args.ckpt, args.data)
-    if any(s.label is None for s in sequences):
-        raise ValueError("eval needs labeled sequences")
-    n_classes = model.config.num_classes or 0
-    bad = [s.label for s in sequences if not 0 <= s.label < n_classes]
-    if bad:
-        raise ValueError(f"{args.data}: label {bad[0]} outside the checkpoint's {n_classes} classes")
+    model, sequences = _checked_inputs(args.ckpt, args.data, labeled=True)
     _, metrics = evaluate_classifier(model, sequences, args.batch_size)
     out = Path(args.metrics_out)
     out.parent.mkdir(parents=True, exist_ok=True)
     metrics_to_tsv(metrics, out)
     config = {"ckpt": args.ckpt, "data": args.data, "batch_size": args.batch_size}
-    _echo_config(config)
-    print(f"accuracy={metrics['accuracy']:.6g} macro_f1={metrics['macro_f1']:.6g}")
-    _write_manifest(out.parent, "eval", config, _default_seed(), _checkpoint_files(args.ckpt) + [args.data], t0)
-    return 0
+    summary = f"accuracy={metrics['accuracy']:.6g} macro_f1={metrics['macro_f1']:.6g}"
+    return out.parent, config, summary, _checkpoint_files(args.ckpt) + [args.data]
 
 
 def _batch_sizes(text: str) -> list[int]:
@@ -311,31 +294,22 @@ def _at_least_one(flag: str, value: int) -> None:
         raise ValueError(f"{flag} {value} is not an integer >= 1")
 
 
-def _cmd_bench(args) -> int:
-    t0 = time.time()
+def _cmd_bench(args) -> tuple:
     batch_sizes = _batch_sizes(args.batch_sizes)
     model, sequences = _checked_inputs(args.ckpt, args.data)
-    rows = efficiency_bench(model, build_dense_variant(model, seed=_default_seed()), sequences, batch_sizes)
+    rows = efficiency_bench(model, build_dense_variant(model, seed=args.seed), sequences, batch_sizes)
     out = Path(args.report)
     out.parent.mkdir(parents=True, exist_ok=True)
     bench_to_tsv(rows, out)
     config = {"ckpt": args.ckpt, "data": args.data, "batch_sizes": args.batch_sizes}
-    _echo_config(config)
-    for row in rows:
-        print(
-            f"{row.model} batch={row.batch_size}"
-            f" throughput={row.throughput_seq_per_s:.1f}/s"
-            f" latency={row.mean_latency_ms:.1f}ms"
-        )
-    _write_manifest(out.parent, "bench", config, _default_seed(), _checkpoint_files(args.ckpt) + [args.data], t0)
-    return 0
+    summary = "\n".join(f"{row.model} batch={row.batch_size} throughput={row.throughput_seq_per_s:.1f}/s"
+                        f" latency={row.mean_latency_ms:.1f}ms" for row in rows)
+    return out.parent, config, summary, _checkpoint_files(args.ckpt) + [args.data]
 
 
-def _cmd_ood(args) -> int:
-    t0 = time.time()
+def _cmd_ood(args) -> tuple:
     if args.mode != "time" and args.coarse_map is None:
         raise UsageExit(f"--mode {args.mode} needs --coarse-map")
-    seed = args.seed if args.seed is not None else _default_seed()
     flows = [f for d in args.flows for f in read_flows(d)]
     if any(f.label is None for f in flows):
         raise ValueError("ood splits need labeled flows")
@@ -360,22 +334,19 @@ def _cmd_ood(args) -> int:
         if args.mode == "proportion":
             train_split, test_split = proportion_shift_split(flows, coarse, labels)
         else:
-            train_split, test_split = compose_shift_split(flows, coarse, labels, seed=seed)
+            train_split, test_split = compose_shift_split(flows, coarse, labels, seed=args.seed)
         # coarse-level task: relabel both sides with the coarse class
         train_split = [relabel(f, coarse_map[f.label]) for f in train_split]
         test_split = [relabel(f, coarse_map[f.label]) for f in test_split]
     out = Path(args.out)
     write_flows(train_split, out / "train")
     write_flows(test_split, out / "test")
-    config = {"mode": args.mode, "seed": seed, "coarse_map": args.coarse_map}
-    _echo_config(config)
-    print(f"train_flows={len(train_split)} test_flows={len(test_split)}")
-    _write_manifest(out, "ood", config, seed, [Path(d) / "packets.bin" for d in args.flows] + [args.coarse_map], t0)
-    return 0
+    config = {"mode": args.mode, "seed": args.seed, "coarse_map": args.coarse_map}
+    summary = f"train_flows={len(train_split)} test_flows={len(test_split)}"
+    return out, config, summary, [Path(d) / "packets.bin" for d in args.flows] + [args.coarse_map]
 
 
-def _cmd_route_trace(args) -> int:
-    t0 = time.time()
+def _cmd_route_trace(args) -> tuple:
     _at_least_one("--limit", args.limit)
     model, sequences = _checked_inputs(args.ckpt, args.data)
     sequences = sequences[: args.limit]
@@ -391,14 +362,8 @@ def _cmd_route_trace(args) -> int:
     stats_out = Path(args.stats_out) if args.stats_out else Path(str(out) + ".stats.tsv")
     acc.to_tsv(stats_out)
     config = {"ckpt": args.ckpt, "data": args.data, "limit": args.limit, "mode": mode}
-    _echo_config(config)
-    print(f"traced_sequences={len(sequences)} layers={len(trace.layers)}")
-    _write_manifest(out.parent, "route-trace", config, _default_seed(), _checkpoint_files(args.ckpt) + [args.data], t0)
-    return 0
-
-
-def _cmd_selftest(args) -> int:
-    return 0 if run_selftest(verbose=True) else 2
+    summary = f"traced_sequences={len(sequences)} layers={len(trace.layers)}"
+    return out.parent, config, summary, _checkpoint_files(args.ckpt) + [args.data]
 
 
 # -- parser wiring --------------------------------------------------------------
@@ -477,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=8)
     p.set_defaults(func=_cmd_route_trace)
 
-    p = sub.add_parser("selftest", help="run the built-in invariant battery")
-    p.set_defaults(func=_cmd_selftest)
+    sub.add_parser("selftest", help="run the built-in invariant battery")
 
     return parser
 
@@ -496,7 +460,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        return args.func(args)
+        if args.command == "selftest":
+            return 0 if run_selftest(verbose=True) else 2
+        t0, args.seed = time.time(), _seed(args)
+        out_dir, config, summary, inputs = args.func(args)  # summary: the lines printed after the config
+        print(format_kv(config) + summary)
+        _write_manifest(out_dir, args.command, config, args.seed, inputs, t0)
+        return 0
     except UsageExit as exc:  # from the parser, or a flag combination a command rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -296,7 +296,8 @@ def temporal_slice(flow: SessionFlow, window_seconds: float) -> list[SessionFlow
 
 
 # --- corpus files: one sequence per line, space-separated IDs, optional
-# --- `label:<int><TAB>` prefix.
+# --- `label:<int><TAB>` prefix. No line is blank, every line has the first
+# --- line's ID count, and at least one of its IDs is not [PAD].
 
 _CORPUS_LINE = re.compile(r"(?:label:([0-9]+)\t)?([0-9\s]*)", re.ASCII)  # groups: label, ids
 
@@ -312,8 +313,9 @@ def _id_text() -> np.ndarray:
 
 def write_corpus(sequences: Iterable[TokenSequence], path: str | Path) -> int:
     """Write one line per sequence, streamed as ``sequences`` yields them; return the line count.
-    An empty sequence, a token id outside [0, 65,541) or an id count unlike the first sequence's
-    raises ValueError naming the sequence, and any previous file at ``path`` stays."""
+    An empty sequence, a token id outside [0, 65,541), an id count unlike the first sequence's or
+    a sequence of only [PAD] ids raises ValueError naming the sequence, and any previous file at
+    ``path`` stays."""
     table, count = _id_text(), 0
 
     def lines():
@@ -328,6 +330,8 @@ def write_corpus(sequences: Iterable[TokenSequence], path: str | Path) -> int:
             low, high = ids.min(), ids.max()
             if low < 0 or high >= table.size:
                 raise ValueError(f"sequence {i} holds token id {low if low < 0 else high}, outside [0, {table.size})")
+            if high == PAD_ID == low:
+                raise ValueError(f"sequence {i} has only [PAD] token IDs")
             head = f"label:{seq.label}\t" if seq.label is not None else ""
             yield head + table[ids].tobytes().translate(None, b"\0")[:-1].decode() + "\n"
             count += 1
@@ -337,30 +341,27 @@ def write_corpus(sequences: Iterable[TokenSequence], path: str | Path) -> int:
 
 
 def read_corpus(path: str | Path) -> list[TokenSequence]:
-    return list(iter_corpus(path))
-
-
-def iter_corpus(path: str | Path) -> Iterator[TokenSequence]:
-    """Stream the sequences of a corpus file, one per non-empty line. A label or token ID that
-    is not ASCII digits or not below 2**31, a line with no IDs, or one whose ID count differs
-    from the first line's raises ValueError naming the file and line."""
-    first = None  # (lineno, id count) of the first sequence
+    """Read the sequences of a corpus file; sequence i is line i + 1. A label or token ID that is
+    not ASCII digits or not below 2**31, a line with no IDs (a blank line is one), a line of only
+    [PAD] IDs, or one whose ID count differs from the first line's raises ValueError naming the
+    file and line."""
+    sequences = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
             try:
-                match = _CORPUS_LINE.fullmatch(line)
+                match = _CORPUS_LINE.fullmatch(line.rstrip("\n"))
                 if not match:
                     raise ValueError("expected an optional `label:<id><TAB>`, then ids, all in ASCII digits")
                 label = None if match[1] is None else int(np.int32(match[1]))
                 ids = np.array([int(tok) for tok in match[2].split()], dtype=np.int32)
                 if not ids.size:
                     raise ValueError("no token IDs")
-                first = first or (lineno, ids.size)
-                if ids.size != first[1]:
-                    raise ValueError(f"{ids.size} token IDs, but line {first[0]} has {first[1]}")
+                if sequences and ids.size != len(sequences[0]):
+                    raise ValueError(f"{ids.size} token IDs, but line 1 has {len(sequences[0])}")
+                valid = ids != PAD_ID
+                if not valid.any():
+                    raise ValueError("every token ID is [PAD]")
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            yield TokenSequence(ids=ids, valid_mask=ids != PAD_ID, label=label)
+            sequences.append(TokenSequence(ids=ids, valid_mask=valid, label=label))
+    return sequences

@@ -411,6 +411,200 @@ def test_seed_env_override(tmp_path, monkeypatch, capsys):
     assert "seed=777" in manifest
 
 
+# -- the run record of every command ------------------------------------------------------------
+
+# (run directory, argv): every command that writes a run record, on one fixture, in pipeline order
+RECORDED_RUNS = [
+    ("flows0", ["ingest", "--pcap", "c0.pcap", "--out", "flows0", "--label", "0"]),
+    ("flows1", ["ingest", "--pcap", "c1.pcap", "--out", "flows1", "--label", "1"]),
+    ("vocab", ["build-vocab", "--flows", "flows0", "flows1", "--out", "vocab/v.tsv", "--vocab-mode", "wordpiece"]),
+    ("corpus", ["tokenize", "--flows", "flows0", "flows1", "--vocab", "vocab/v.tsv", "--out", "corpus/c.txt",
+                "--k", "4", "--j", "12", "--max-tokens", "64"]),
+    ("pre", ["pretrain", "--corpus", "corpus/c.txt", "--vocab", "vocab/v.tsv", "--out", "pre", "--seed", "1",
+             "--epochs", "1", "--num-classes", "2", *TINY_FLAGS]),
+    ("fine", ["finetune", "--corpus", "corpus/c.txt", "--vocab", "vocab/v.tsv", "--out", "fine", "--epochs", "2",
+              "--init", "pre/last.ckpt", *TINY_FLAGS]),
+    ("eval", ["eval", "--ckpt", "fine/best.ckpt", "--data", "corpus/c.txt", "--metrics-out", "eval/m.tsv"]),
+    ("bench", ["bench", "--ckpt", "fine/best.ckpt", "--data", "corpus/c.txt", "--batch-sizes", "4",
+               "--report", "bench/b.tsv"]),
+    ("trace", ["route-trace", "--ckpt", "fine/best.ckpt", "--data", "corpus/c.txt", "--out", "trace/t.tsv",
+               "--limit", "3"]),
+    ("ood", ["ood", "--mode", "time", "--flows", "flows0", "flows1", "--out", "ood"]),
+]
+
+RECORDED_TRANSCRIPT = """\
+$ ingest --pcap c0.pcap --out flows0 --label 0
+label=0
+min_packets=3
+pcap=c0.pcap
+packets=40 flows=10
+command=ingest
+version=0.1.0
+seed=4
+input.c0.pcap=f5998180528df56f817083e32a3e333fd4b96ec1e59d6c0b71b4584693da492a
+$ ingest --pcap c1.pcap --out flows1 --label 1
+label=1
+min_packets=3
+pcap=c1.pcap
+packets=40 flows=10
+command=ingest
+version=0.1.0
+seed=4
+input.c1.pcap=31aac7efa5b5d3b7484124e2f872d0e6b10cd1ed4aafcbc1c48fd3f3d043d8fb
+$ build-vocab --flows flows0 flows1 --out vocab/v.tsv --vocab-mode wordpiece
+j=40
+k=10
+max_tokens=512
+min_freq=1
+stride=2
+vocab_mode=wordpiece
+vocab_size=490
+command=build-vocab
+version=0.1.0
+seed=4
+input.flows0/packets.bin=82300b7f1262e25171ed30a9e7a42aa0384d2d1f75f688f7bd253fa766864079
+input.flows1/packets.bin=40a3b8a7c0a726bed694ce10ea96121e21dd0b8da806f845ce2057ceabc41799
+$ tokenize --flows flows0 flows1 --vocab vocab/v.tsv --out corpus/c.txt --k 4 --j 12 --max-tokens 64
+j=12
+k=4
+max_tokens=64
+slice_window=0.0
+stride=2
+sequences=20
+command=tokenize
+version=0.1.0
+seed=4
+input.vocab/v.tsv=a1dbdf9b47084eb4740fc8cf106a62dcb02e03bb529568e198729e5d00750626
+input.flows0/packets.bin=82300b7f1262e25171ed30a9e7a42aa0384d2d1f75f688f7bd253fa766864079
+input.flows1/packets.bin=40a3b8a7c0a726bed694ce10ea96121e21dd0b8da806f845ce2057ceabc41799
+$ pretrain --corpus corpus/c.txt --vocab vocab/v.tsv --out pre --seed 1 --epochs 1 --num-classes 2 --d-model 16 --n-layers 1 --n-heads 2 --n-experts 4 --top-k 2 --ffn-hidden 32 --batch-size 8
+aux_weight=0.02
+base_lr=0.0003
+batch_size=8
+corpus=corpus/c.txt
+d_model=16
+epochs=1
+ffn_hidden=32
+mode=pretrain
+n_experts=4
+n_heads=2
+n_layers=1
+num_classes=2
+seed=1
+top_k=2
+vocab=vocab/v.tsv
+weight_decay=0.01
+epochs_run=1 last_aux_loss=1.00038
+command=pretrain
+version=0.1.0
+seed=1
+input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
+input.vocab/v.tsv=a1dbdf9b47084eb4740fc8cf106a62dcb02e03bb529568e198729e5d00750626
+$ finetune --corpus corpus/c.txt --vocab vocab/v.tsv --out fine --epochs 2 --init pre/last.ckpt --d-model 16 --n-layers 1 --n-heads 2 --n-experts 4 --top-k 2 --ffn-hidden 32 --batch-size 8
+aux_weight=0.02
+base_lr=5e-05
+batch_size=8
+corpus=corpus/c.txt
+d_model=16
+epochs=2
+ffn_hidden=32
+llrd_decay=0.9
+mode=finetune
+n_experts=4
+n_heads=2
+n_layers=1
+num_classes=2
+patience=5
+seed=4
+top_k=2
+vocab=vocab/v.tsv
+weight_decay=0.01
+epochs_run=2 last_accuracy=0.5
+command=finetune
+version=0.1.0
+seed=4
+input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
+input.vocab/v.tsv=a1dbdf9b47084eb4740fc8cf106a62dcb02e03bb529568e198729e5d00750626
+input.pre/last.ckpt=*
+input.pre/last.ckpt.config=c87240ad85c7a26c12494de75c5969991fba08383b0b4d2cd8200ae40b1db780
+$ eval --ckpt fine/best.ckpt --data corpus/c.txt --metrics-out eval/m.tsv
+batch_size=32
+ckpt=fine/best.ckpt
+data=corpus/c.txt
+accuracy=0.5 macro_f1=0.333333
+command=eval
+version=0.1.0
+seed=4
+input.fine/best.ckpt=*
+input.fine/best.ckpt.config=c87240ad85c7a26c12494de75c5969991fba08383b0b4d2cd8200ae40b1db780
+input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
+$ bench --ckpt fine/best.ckpt --data corpus/c.txt --batch-sizes 4 --report bench/b.tsv
+batch_sizes=4
+ckpt=fine/best.ckpt
+data=corpus/c.txt
+moe batch=4 throughput=*/s latency=*ms
+dense batch=4 throughput=*/s latency=*ms
+command=bench
+version=0.1.0
+seed=4
+input.fine/best.ckpt=*
+input.fine/best.ckpt.config=c87240ad85c7a26c12494de75c5969991fba08383b0b4d2cd8200ae40b1db780
+input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
+$ route-trace --ckpt fine/best.ckpt --data corpus/c.txt --out trace/t.tsv --limit 3
+ckpt=fine/best.ckpt
+data=corpus/c.txt
+limit=3
+mode=classify
+traced_sequences=3 layers=1
+command=route-trace
+version=0.1.0
+seed=4
+input.fine/best.ckpt=*
+input.fine/best.ckpt.config=c87240ad85c7a26c12494de75c5969991fba08383b0b4d2cd8200ae40b1db780
+input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
+$ ood --mode time --flows flows0 flows1 --out ood
+coarse_map=None
+mode=time
+seed=4
+train_flows=8 test_flows=8
+command=ood
+version=0.1.0
+seed=4
+input.flows0/packets.bin=82300b7f1262e25171ed30a9e7a42aa0384d2d1f75f688f7bd253fa766864079
+input.flows1/packets.bin=40a3b8a7c0a726bed694ce10ea96121e21dd0b8da806f845ce2057ceabc41799
+"""
+
+
+def test_every_command_echoes_and_records_a_pinned_run(tmp_path, monkeypatch, capsys):
+    """Each command's stdout and manifest.log record on a fixed fixture. The record's config lines must be the
+    echoed config; they, wall_seconds, bench's timings and the hashes of trained checkpoints (their last bits
+    move with the BLAS thread count) are left out of the pinned text."""
+    monkeypatch.chdir(tmp_path)  # relative paths keep the temporary directory's name out of the text
+    monkeypatch.setenv("TRAFFICMOE_SEED", "4")
+    for label in (0, 1):
+        fixture_pcap(tmp_path / f"c{label}.pcap", n_flows=10, packets_per_flow=4, seed=label)
+    transcript = []
+    for run_dir, argv in RECORDED_RUNS:
+        assert run(*argv) == 0, argv
+        stdout = re.sub(r"(throughput|latency)=[0-9.]+", r"\1=*", capsys.readouterr().out)
+        record = (tmp_path / run_dir / "manifest.log").read_text().split("---\n")[-2].splitlines()
+        config = [line[len("config."):] for line in record if line.startswith("config.")]
+        assert stdout.startswith("".join(line + "\n" for line in config)), argv
+        transcript += ["$ " + " ".join(argv), stdout.rstrip("\n")]
+        transcript += [re.sub(r"\.ckpt=\w+$", ".ckpt=*", line) for line in record
+                       if not line.startswith(("config.", "wall_seconds="))]
+    assert "\n".join(transcript) + "\n" == RECORDED_TRANSCRIPT
+
+
+def test_seed_env_that_is_not_an_integer_is_data_error_before_any_work(tmp_path, monkeypatch, capsys):
+    fixture_pcap(tmp_path / "f.pcap", n_flows=4, packets_per_flow=4)
+    monkeypatch.setenv("TRAFFICMOE_SEED", "abc")
+    assert run("ingest", "--pcap", str(tmp_path / "f.pcap"), "--out", str(tmp_path / "flows")) == 2
+    captured = capsys.readouterr()
+    assert "TRAFFICMOE_SEED='abc' is not an integer" in captured.err and captured.out == ""
+    assert not (tmp_path / "flows").exists()
+
+
 def test_selftest_command(capsys):
     assert run("selftest") == 0
     out = capsys.readouterr().out
@@ -676,6 +870,56 @@ def test_eval_on_an_empty_corpus_is_data_error(tiny_eval, tmp_path, capsys):
         assert not out.parent.exists(), command
 
 
+SIX_ID_ROW = " ".join(["1", "3", "4", "5", "0", "5"] * 2)  # 12 ids a six-entry vocab holds, none of them [PAD]
+
+
+def run_on_corpus(command: str, ckpt: Path, corpus: Path, out_dir: Path, *extra) -> int:
+    """Run a command that reads ``corpus`` and writes under ``out_dir``; pretrain and finetune get a six-entry vocab."""
+    if command in ("pretrain", "finetune"):
+        save_six_entry_vocab(out_dir.parent / "vocab.tsv")
+        args = ("--corpus", str(corpus), "--vocab", str(out_dir.parent / "vocab.tsv"), "--out", str(out_dir))
+    else:
+        args = ("--ckpt", str(ckpt), "--data", str(corpus), OUT_FLAG[command], str(out_dir / "o.tsv"))
+    return run(command, *args, *extra)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("eval", ()), ("bench", ("--batch-sizes", "4")), ("route-trace", ()), ("finetune", TINY_FLAGS),
+    ("pretrain", TINY_FLAGS),
+])
+def test_all_pad_corpus_row_is_data_error_naming_its_line(tiny_eval, tmp_path, capsys, command, extra):
+    ckpt, corpus = tiny_eval
+    corpus.write_text("".join(f"label:{i % 2}\t{SIX_ID_ROW}\n" for i in range(5)) + "label:1\t" + "2 " * 11 + "2\n")
+    assert run_on_corpus(command, ckpt, corpus, tmp_path / "out", *extra) == 2
+    assert "c.txt:6: every token ID is [PAD]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pretrain_row_with_one_valid_token_is_data_error_naming_its_line(tiny_eval, tmp_path, capsys):
+    ckpt, corpus = tiny_eval
+    corpus.write_text(f"{SIX_ID_ROW}\n{SIX_ID_ROW}\n1" + " 2" * 11 + "\n")
+    assert run_on_corpus("pretrain", ckpt, corpus, tmp_path / "out", *TINY_FLAGS) == 2
+    assert "c.txt:3: 1 non-[PAD] token ID, but next-token loss needs 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,label,extra,message", [
+    ("finetune", "label:2\t", ("--num-classes", "2", *TINY_FLAGS), "label 2 is not below num_classes=2"),
+    ("finetune", "label:2\t", ("--init", "{ckpt}"), "label 2 is not below num_classes=2"),
+    ("finetune", "", TINY_FLAGS, "no label"),
+    ("eval", "", (), "no label"),
+], ids=["num-classes-flag", "init-checkpoint", "unlabeled-finetune", "unlabeled-eval"])
+def test_row_without_one_of_the_models_labels_is_data_error_naming_its_line(tiny_eval, tmp_path, capsys, command,
+                                                                             label, extra, message):
+    ckpt, corpus = tiny_eval
+    TrafficModel(tiny_config(vocab_size=6), seed=0).save(ckpt)  # num_classes=2
+    corpus.write_text(f"label:0\t{SIX_ID_ROW}\nlabel:1\t{SIX_ID_ROW}\nlabel:0\t{SIX_ID_ROW}\n{label}{SIX_ID_ROW}\n")
+    extra = [arg.format(ckpt=ckpt) for arg in extra]
+    assert run_on_corpus(command, ckpt, corpus, tmp_path / "out", *extra) == 2
+    assert f"c.txt:4: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_line_without_equals_is_data_error(tmp_path, capsys):
     write_flows([], tmp_path / "flows")
     build_vocabulary().save(tmp_path / "vocab.tsv")
@@ -716,6 +960,7 @@ PARENT_TRAINING_FLAGS = [
     "n-layers", "d-model", "n-heads", "n-experts", "top-k", "ffn-hidden", "num-classes",
     "batch-size", "epochs", "base-lr", "aux-weight", "llrd-decay", "patience", "weight-decay",
 ]
+FINETUNE_ONLY_FLAGS = ["llrd-decay", "patience"]  # pretraining reads neither, so it does not offer them
 
 
 @pytest.mark.parametrize("mode", ["pretrain", "finetune"])
@@ -724,7 +969,10 @@ def test_training_help_offers_flags_with_dataclass_defaults(mode, monkeypatch, c
     assert run(mode, "--help") == 0
     text = capsys.readouterr().out
     model, train = ModelConfig(), TrainConfig(mode=mode)
-    for flag in PARENT_TRAINING_FLAGS:
+    unused = FINETUNE_ONLY_FLAGS if mode == "pretrain" else []
+    for flag in unused:
+        assert f"--{flag}" not in text, flag
+    for flag in (f for f in PARENT_TRAINING_FLAGS if f not in unused):
         field = flag.replace("-", "_")
         found = re.search(rf"--{flag} [A-Z_]+\s+{field} \(default (\S+)\)", text)
         assert found, flag

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -489,6 +490,25 @@ def test_corpus_bytes_are_pinned(tmp_path):
     )
 
 
+def test_write_corpus_refuses_a_row_of_only_pad(tmp_path):
+    ids = np.array([5, 17, 2], dtype=np.int32)
+    with pytest.raises(ValueError, match=r"^sequence 1 has only \[PAD\] token IDs$"):
+        write_corpus([TokenSequence(ids, ids != 2), TokenSequence(np.full(3, 2), np.zeros(3, bool))], tmp_path / "c.txt")
+    assert not (tmp_path / "c.txt").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("5 17\n\n5 17\n", ":2: no token IDs"),
+    ("label:1\t5 17\nlabel:0\t2 2\n", ":2: every token ID is [PAD]"),
+], ids=["blank-line", "only-pad"])
+def test_read_corpus_rejects_a_line_write_corpus_never_writes(tmp_path, text, message):
+    """Sequence i is line i + 1, so a blank line is an error, not skipped."""
+    path = tmp_path / "c.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+        read_corpus(path)
+
+
 _VALID_ID = st.integers(0, 65_540) | st.sampled_from([0, 65_540])
 _LABEL = st.none() | st.integers(0, 2**31 - 1)
 
@@ -496,14 +516,14 @@ _LABEL = st.none() | st.integers(0, 2**31 - 1)
 @st.composite
 def _corpus_rows(draw):
     """Rows of one width and valid ids, then maybe one row swapped for an empty one, one of
-    another width, or one holding an id outside [0, 65,541)."""
+    another width, one holding an id outside [0, 65,541), or one of only [PAD] ids."""
     width = draw(st.integers(1, 12))
     rows = draw(st.lists(st.tuples(st.lists(_VALID_ID, min_size=width, max_size=width), _LABEL), max_size=6))
     if rows and draw(st.booleans()):
         at = draw(st.integers(0, len(rows) - 1))
         ids, bad_id = rows[at][0], draw(st.sampled_from([65_541, 70_000, -1, 2**31 - 1, -(2**31)]))
         slot = draw(st.integers(0, width - 1))
-        defects = [[], ids + ids[:1], ids[:slot] + [bad_id] + ids[slot + 1 :]]
+        defects = [[], ids + ids[:1], ids[:slot] + [bad_id] + ids[slot + 1 :], [PAD_ID] * width]
         rows[at] = (draw(st.sampled_from(defects)), rows[at][1])
     return rows
 
@@ -512,11 +532,13 @@ def _corpus_rows(draw):
 @settings(max_examples=60, deadline=None)
 def test_write_corpus_matches_str_join(tmp_path_factory, rows):
     """Valid rows are written as their str-join; the first empty row, row of another width than
-    the first, or id outside [0, 65,541) raises ValueError naming it and leaves the old file."""
+    the first, id outside [0, 65,541) or row of only [PAD] ids raises ValueError naming it and
+    leaves the old file."""
     path = tmp_path_factory.getbasetemp() / "c.txt"
     sequences = [TokenSequence(np.array(ids, dtype=np.int32), np.ones(len(ids), bool), label) for ids, label in rows]
     bad = [i for i, (ids, _) in enumerate(rows)
-           if not ids or len(ids) != len(rows[0][0]) or not all(0 <= t < 65_541 for t in ids)]
+           if not ids or len(ids) != len(rows[0][0]) or not all(0 <= t < 65_541 for t in ids)
+           or set(ids) == {PAD_ID}]
     if bad:
         before = path.read_bytes() if path.exists() else None
         with pytest.raises(ValueError, match=rf"^sequence {bad[0]} "):
