@@ -6,7 +6,7 @@ flags > config file > built-in defaults, and the effective configuration
 is echoed on every run. The seed is --seed, else TRAFFICMOE_SEED, else 0.
 Every flag and input, a corpus row by row, is checked before any output is
 written; only tokenize (flows streamed into the corpus) can leave an empty
-directory, and ood its train split when a test flow's label is bad.
+directory. A config-file key the command does not read is an error.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from . import tensor as T
 from .artifacts import format_kv, parse_kv
 from .evaluation import (RoutingAccumulator, bench_to_tsv, build_dense_variant, compose_shift_split, efficiency_bench,
                          evaluate_classifier, metrics_to_tsv, proportion_shift_split, time_shift_split, trace_dump_tsv)
-from .flows import CaptureError, filter_micro_flows, parse_capture, read_flows, relabel, reassemble_sessions, write_flows
+from .flows import (CaptureError, check_labels, filter_micro_flows, parse_capture, read_flows, relabel,
+                    reassemble_sessions, write_flows)
 from .model import ModelConfig, TrafficModel, field_types
 from .selftest import run_selftest
 from .tokenization import (SerializerConfig, TokenSequence, Vocabulary, batch_arrays, build_vocabulary, read_corpus,
                            serialize_flows, temporal_slice, tokenize, write_corpus)
-from .training import DivergenceError, TrainConfig, split_dataset, train
+from .training import TASK_LOSS, DivergenceError, TrainConfig, split_dataset, train
 
 
 SERIALIZE_CHUNK = 256  # flows per serialize_flows call: numpy overhead amortised, batch arrays a few MB
@@ -114,8 +115,11 @@ def _add_option_flags(p, options: dict) -> None:
 
 
 def _resolve(options: dict, args) -> dict:
-    """flags > config file > dataclass defaults; file values take the field's type."""
+    """flags > config file > dataclass defaults; file values take the field's type; other file keys are errors."""
     file_values = parse_kv(Path(args.config).read_text(), args.config) if args.config else {}
+    unknown = [key for key in file_values if key not in options]
+    if unknown:
+        raise ValueError(f"{args.config}: unknown key {unknown[0]!r}")
     merged = {}
     for key, (_, kind, default) in options.items():
         if getattr(args, key) is not None:
@@ -263,8 +267,8 @@ def _run_training(args, mode: str) -> tuple:
 
     effective = dict(merged)
     effective.update({"seed": args.seed, "mode": mode, "corpus": args.corpus, "vocab": args.vocab})
-    final = history.rows[-1] if history.rows else (0, "-", "-", float("nan"))
-    summary = f"epochs_run={final[0]} last_{final[2]}={final[3]:.6g}"
+    losses = history.series("train", TASK_LOSS[mode])  # one row per epoch run
+    summary = f"epochs_run={len(losses)} last_{TASK_LOSS[mode]}={losses[-1]:.6g}"
     return out, effective, summary, [args.config, args.corpus, args.vocab, *_checkpoint_files(args.init)]
 
 
@@ -338,6 +342,7 @@ def _cmd_ood(args) -> tuple:
         # coarse-level task: relabel both sides with the coarse class
         train_split = [relabel(f, coarse_map[f.label]) for f in train_split]
         test_split = [relabel(f, coarse_map[f.label]) for f in test_split]
+    check_labels(test_split)  # before train_split is written; write_flows checks the split it writes
     out = Path(args.out)
     write_flows(train_split, out / "train")
     write_flows(test_split, out / "test")
@@ -354,15 +359,15 @@ def _cmd_route_trace(args) -> tuple:
     mode = "classify" if model.config.num_classes and sequences[0].label is not None else "hidden"
     with T.no_grad():
         ids, valid, _ = batch_arrays(sequences)
-        _, trace = model.forward(ids, valid, mode=mode)
-    acc.add(trace)
+        _, routing = model.forward(ids, valid, mode=mode)
+    acc.add(routing)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    trace_dump_tsv(trace, out)
+    trace_dump_tsv(routing, out)
     stats_out = Path(args.stats_out) if args.stats_out else Path(str(out) + ".stats.tsv")
     acc.to_tsv(stats_out)
     config = {"ckpt": args.ckpt, "data": args.data, "limit": args.limit, "mode": mode}
-    summary = f"traced_sequences={len(sequences)} layers={len(trace.layers)}"
+    summary = f"traced_sequences={len(sequences)} layers={len(routing)}"
     return out.parent, config, summary, _checkpoint_files(args.ckpt) + [args.data]
 
 

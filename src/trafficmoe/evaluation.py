@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .artifacts import write_atomic
-from .model import RoutingTrace, TrafficModel, parameter_specs
+from .model import LayerRouting, TrafficModel, parameter_specs
 from .tokenization import TokenSequence, batch_arrays
 
 # -- confusion matrix and derived metrics -------------------------------------
@@ -222,51 +222,45 @@ def compose_shift_split(items: Sequence, coarse: Sequence[int], fine: Sequence[i
 
 
 class RoutingAccumulator:
-    """Aggregates routing traces into per-layer load and probability tables."""
+    """Aggregates forwards' routing lists into per-layer load and probability tables;
+    the first list added sets the layer and expert counts."""
 
     def __init__(self):
         self._prob_sums: list[np.ndarray] = []
-        self._load_sums: list[np.ndarray] = []  # per layer: each trace's load fractions times its token count
+        self._load_sums: list[np.ndarray] = []  # per layer: each record's load fractions times its token count
         self._tokens: list[int] = []
 
-    def add(self, trace: RoutingTrace) -> None:
-        if not trace.layers:
-            return
-        if not self._prob_sums:
-            n = trace.n_experts
-            self._prob_sums = [np.zeros(n) for _ in trace.layers]
-            self._load_sums = [np.zeros(n) for _ in trace.layers]
-            self._tokens = [0 for _ in trace.layers]
-        for i, rec in enumerate(trace.layers):
+    def add(self, routing: list[LayerRouting]) -> None:
+        if not self._tokens:
+            self._prob_sums = [np.zeros(rec.probs.shape[1]) for rec in routing]
+            self._load_sums = [np.zeros(rec.probs.shape[1]) for rec in routing]
+            self._tokens = [0] * len(routing)
+        for i, rec in enumerate(routing):
             self._prob_sums[i] += rec.probs.data.sum(axis=0)
-            self._load_sums[i] += trace.load_fractions(i) * rec.n_tokens
+            self._load_sums[i] += rec.load_fractions() * rec.n_tokens
             self._tokens[i] += rec.n_tokens
-
-    @property
-    def n_layers(self) -> int:
-        return len(self._prob_sums)
 
     def mean_probs(self, layer: int) -> np.ndarray:
         return self._prob_sums[layer] / max(self._tokens[layer], 1)
 
     def load_fractions(self, layer: int) -> np.ndarray:
-        """``RoutingTrace.load_fractions`` over every token added."""
+        """``LayerRouting.load_fractions`` over every token added."""
         return self._load_sums[layer] / max(self._tokens[layer], 1)
 
     def to_tsv(self, path: str | Path) -> None:
         write_atomic(path, ["layer\texpert\tload\tprob\n"] + [
-            f"{layer}\t{e}\t{load:.10g}\t{prob:.10g}\n" for layer in range(self.n_layers)
+            f"{layer}\t{e}\t{load:.10g}\t{prob:.10g}\n" for layer in range(len(self._tokens))
             for e, (load, prob) in enumerate(zip(self.load_fractions(layer), self.mean_probs(layer)))])
 
 
-def trace_dump_tsv(trace: RoutingTrace, path: str | Path) -> None:
-    """Dump one trace at full resolution: layer, token, expert, probability.
+def trace_dump_tsv(routing: list[LayerRouting], path: str | Path) -> None:
+    """Dump one forward's routing list at full resolution: layer, token, expert, probability.
 
     ``token`` indexes the forward's packed rows, ``model.packed_rows(ids.shape, valid_mask)``:
     each sequence's slots up to its last valid one, back to back; trailing [PAD] is absent.
     """
     write_atomic(path, itertools.chain(["layer\ttoken\texpert\tprob\n"], (
-        f"{layer}\t{tok}\t{e}\t{p:.10g}\n" for layer, rec in enumerate(trace.layers)
+        f"{layer}\t{tok}\t{e}\t{p:.10g}\n" for layer, rec in enumerate(routing)
         for tok, row in enumerate(rec.probs.data) for e, p in enumerate(row))))
 
 

@@ -294,16 +294,22 @@ _PACKET_HEAD = struct.Struct("<dBB")
 _PACKET_TAIL = struct.Struct("<HHBBII")
 
 
-def write_flows(flows: list[SessionFlow], out_dir: str | Path) -> None:
-    """Write the manifest/sidecar pair for a flow list; a label outside [0, 2**31) raises
-    ValueError naming the flow, before anything is written."""
-    lines = []
-    blob = bytearray(_SIDECAR_MAGIC + HEADER.pack(_SIDECAR_VERSION, len(flows)))
+def check_labels(flows: list[SessionFlow]) -> None:
+    """Raise ValueError naming the first flow whose label is outside [0, 2**31), the sidecar's range."""
     for i, flow in enumerate(flows):
         k = flow.key
         if flow.label is not None and not 0 <= flow.label < 2**31:
             raise ValueError(f"flow {i} ({k.ip_a.hex()}:{k.port_a} <-> {k.ip_b.hex()}:{k.port_b}): "
                              f"label {flow.label} is outside [0, 2**31)")
+
+
+def write_flows(flows: list[SessionFlow], out_dir: str | Path) -> None:
+    """Write the manifest/sidecar pair for a flow list; ``check_labels`` runs before anything is written."""
+    check_labels(flows)
+    lines = []
+    blob = bytearray(_SIDECAR_MAGIC + HEADER.pack(_SIDECAR_VERSION, len(flows)))
+    for flow in flows:
+        k = flow.key
         label_txt = "-" if flow.label is None else str(flow.label)
         lines.append(f"{k.ip_a.hex()}\t{k.port_a}\t{k.ip_b.hex()}\t{k.port_b}\t{k.proto}\t{len(flow)}\t{label_txt}\n")
         blob += _FLOW.pack(len(flow), -1 if flow.label is None else flow.label)

@@ -7,6 +7,8 @@ backbone (single wide SwiGLU per block) exists for efficiency
 comparisons. Layer i's ``attn.wqkv`` is one ``[d, 3d]`` matrix with columns
 ``[q | k | v]``, heads side by side within each part (the layout
 ``causal_attention`` reads), and its ``moe.shared_gate`` is a ``[d, 1]`` column.
+``TrafficModel.forward`` returns its output and a list of one ``LayerRouting`` per MoE layer (empty
+for the dense variant); ``LayerRouting.load_fractions`` is the one expert-load rule.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -99,29 +101,18 @@ def field_types(cls) -> dict[str, type]:
 
 @dataclass
 class LayerRouting:
-    """Routing record for one layer: full probabilities plus selections."""
+    """Routing record for one layer: every token's expert probabilities plus its selections."""
 
-    probs: Tensor
+    probs: Tensor  # [n_tokens, n_experts]
     selected: np.ndarray  # [n_tokens, k] expert indices
 
     @property
     def n_tokens(self) -> int:
         return self.probs.shape[0]
 
-
-@dataclass
-class RoutingTrace:
-    """Per-layer routing records for one forward pass."""
-
-    n_experts: int
-    top_k: int
-    layers: list[LayerRouting] = field(default_factory=list)
-
-    def load_fractions(self, layer: int) -> np.ndarray:
-        """Fraction of expert slots assigned to each expert; sums to 1."""
-        rec = self.layers[layer]
-        counts = np.bincount(rec.selected.ravel(), minlength=self.n_experts)
-        return counts / (rec.n_tokens * self.top_k)
+    def load_fractions(self) -> np.ndarray:
+        """Fraction of the layer's expert slots assigned to each expert; sums to 1."""
+        return np.bincount(self.selected.ravel(), minlength=self.probs.shape[1]) / self.selected.size
 
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
@@ -274,13 +265,13 @@ class TrafficModel:
         heads = T.causal_attention(qkv, lengths, self.config.n_heads)
         return T.add(h, T.matmul(heads, self.params[f"{base}.wo"]))
 
-    def _moe_block(self, h: Tensor, layer: int, trace: RoutingTrace) -> Tensor:
-        """Shared-plus-routed expert sublayer over flattened tokens."""
+    def _moe_block(self, h: Tensor, layer: int, routing: list[LayerRouting]) -> Tensor:
+        """Shared-plus-routed expert sublayer over flattened tokens; appends its record to ``routing``."""
         cfg = self.config
         p = self.params
         z = rmsnorm(h, p[f"layers.{layer}.ffn.norm_gain"])
         scores, selected = route_tokens(z, p[f"layers.{layer}.moe.router"], cfg.top_k)
-        trace.layers.append(LayerRouting(probs=scores, selected=selected))
+        routing.append(LayerRouting(probs=scores, selected=selected))
 
         gate = T.sigmoid(T.matmul(z, p[f"layers.{layer}.moe.shared_gate"]))
         shared = f"layers.{layer}.moe.shared"
@@ -295,34 +286,35 @@ class TrafficModel:
         base = f"layers.{layer}.ffn"
         return T.add(h, swiglu(z, p[f"{base}.w_gate"], p[f"{base}.w_up"], p[f"{base}.w_down"]))
 
-    def _backbone(self, ids: np.ndarray, lengths: np.ndarray) -> tuple[Tensor, RoutingTrace]:
+    def _backbone(self, ids: np.ndarray, lengths: np.ndarray) -> tuple[Tensor, list[LayerRouting]]:
         """All blocks plus the final norm over packed rows [len(ids), d]; sequence b is the
         next ``lengths[b]`` (>= 1) rows of ``ids`` and attends only within itself."""
         cfg = self.config
         h = T.gather_rows(self.params["embed.tok"], ids)
-        trace = RoutingTrace(n_experts=cfg.n_experts, top_k=cfg.top_k)
+        routing: list[LayerRouting] = []
         for layer in range(cfg.n_layers):
             h = self._attention_block(h, layer, lengths)
             if cfg.ffn_kind == "moe":
-                h = self._moe_block(h, layer, trace)
+                h = self._moe_block(h, layer, routing)
             else:
                 h = self._dense_block(h, layer)
-        return rmsnorm(h, self.params["final_norm_gain"]), trace
+        return rmsnorm(h, self.params["final_norm_gain"]), routing
 
     def forward(
         self,
         ids: np.ndarray,
         valid_mask: Optional[np.ndarray] = None,
         mode: str = "hidden",
-    ) -> tuple[Tensor, RoutingTrace]:
-        """Run a [batch, seq] ID matrix through the backbone.
+    ) -> tuple[Tensor, list[LayerRouting]]:
+        """Run a [batch, seq] ID matrix through the backbone; return (output, routing).
 
         Only the slots ``packed_rows(ids.shape, valid_mask)`` lists are computed,
-        back to back; trailing [PAD] is not, so the routing trace holds real
+        back to back; trailing [PAD] is not, so each routing record holds real
         tokens (and interior pads) only. ``hidden`` returns the final-norm
         states [len(rows), d] in that packed order (training feeds them to
         ``tensor.lm_head_loss`` for next-token logits); ``classify`` mean-pools
-        valid positions and returns class logits [batch, num_classes].
+        valid positions and returns class logits [batch, num_classes]. ``routing``
+        holds one ``LayerRouting`` per layer, in layer order; it is empty for the dense variant.
         """
         cfg = self.config
         ids = np.atleast_2d(np.asarray(ids))
@@ -341,30 +333,29 @@ class TrafficModel:
         rows, lengths = packed_rows(ids.shape, valid_mask)
         if not lengths.all() and (mode == "classify" or not lengths.any()):
             raise ValueError(f"sequence {int(np.argmin(lengths))} has no valid tokens")
-        h, trace = self._backbone(ids.reshape(-1)[rows], lengths[lengths > 0])
+        h, routing = self._backbone(ids.reshape(-1)[rows], lengths[lengths > 0])
 
         if mode == "hidden":
-            return h, trace
+            return h, routing
 
         weights = valid_mask.reshape(-1)[rows] / np.repeat(valid_mask.sum(axis=1), lengths)
         pooled = T.segment_sum(h, weights, lengths)  # mean over each sequence's valid rows
         p = self.params
         hidden = T.silu(T.add(T.matmul(pooled, p["head.cls.w1"]), p["head.cls.b1"]))
         logits = T.add(T.matmul(hidden, p["head.cls.w2"]), p["head.cls.b2"])
-        return logits, trace
+        return logits, routing
 
 
-def load_balance_loss(trace: RoutingTrace) -> Tensor:
-    """Mean over layers of n_experts * sum_e load_e * mean_prob_e.
-
-    Equals 1 at perfectly uniform routing; n_experts at full collapse
-    with top_k = 1. Counts are treated as constants; gradients flow
-    through the routing probabilities only. Both means are folded into each
-    layer's constant weight on its ``[n_tokens, n_experts]`` probabilities.
+def load_balance_loss(routing: list[LayerRouting]) -> Tensor:
+    """Mean over a forward's routing list of n_experts * sum_e load_e * mean_prob_e, load_e from
+    ``LayerRouting.load_fractions``. Equals 1 at perfectly uniform routing; n_experts at full collapse
+    with top_k = 1. Loads are treated as constants; gradients flow through the routing probabilities
+    only. Both means are folded into each layer's constant weight on its ``[n_tokens, n_experts]``
+    probabilities.
     """
-    if not trace.layers or trace.layers[0].n_tokens == 0:
+    if not routing or routing[0].n_tokens == 0:
         raise ValueError("load balance loss needs at least one routed token")
-    scale = trace.n_experts / len(trace.layers)
-    return functools.reduce(T.add, (T.tsum(T.mul(rec.probs, trace.load_fractions(i) * (scale / rec.n_tokens)))
-                                    for i, rec in enumerate(trace.layers)))
+    scale = routing[0].probs.shape[1] / len(routing)
+    return functools.reduce(T.add, (T.tsum(T.mul(rec.probs, rec.load_fractions() * (scale / rec.n_tokens)))
+                                    for rec in routing))
 

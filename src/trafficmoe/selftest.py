@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .evaluation import ConfusionMatrix, compute_metrics
-from .model import LayerRouting, ModelConfig, RoutingTrace, TrafficModel, load_balance_loss, route_tokens
+from .model import LayerRouting, ModelConfig, TrafficModel, load_balance_loss, route_tokens
 from .synth import synth_flow, synth_flows, write_pcap
 from .tensor import AdamW, Tensor
 from .tokenization import (
@@ -46,17 +46,15 @@ def _check_routing() -> str:
 
 
 def _check_balance_anchors() -> str:
-    n, n_experts, k = 64, 8, 2
-    uniform = RoutingTrace(n_experts=n_experts, top_k=k)
+    n, n_experts = 64, 8
     probs = np.full((n, n_experts), 1.0 / n_experts)
     selected = np.stack([np.arange(n) % n_experts, (np.arange(n) + 1) % n_experts], axis=1)
-    uniform.layers.append(LayerRouting(probs=Tensor(probs), selected=selected))
+    uniform = [LayerRouting(probs=Tensor(probs), selected=selected)]
     assert abs(load_balance_loss(uniform).item() - 1.0) < 1e-6
 
-    collapse = RoutingTrace(n_experts=n_experts, top_k=1)
     one_hot = np.zeros((n, n_experts))
     one_hot[:, 0] = 1.0
-    collapse.layers.append(LayerRouting(probs=Tensor(one_hot), selected=np.zeros((n, 1), int)))
+    collapse = [LayerRouting(probs=Tensor(one_hot), selected=np.zeros((n, 1), int))]
     assert abs(load_balance_loss(collapse).item() - n_experts) < 1e-6
     return "uniform -> 1.0, collapse -> N"
 
@@ -79,9 +77,9 @@ def _check_gradients() -> str:
         valid = np.ones((2, 6), dtype=bool)
 
         def loss_and_selection():
-            h, trace = model.forward(ids, valid, mode="hidden")
-            loss = T.add(ntp_loss(h, model.params["head.vocab"], ids, valid), T.mul(load_balance_loss(trace), 0.02))
-            return loss, [rec.selected.tolist() for rec in trace.layers]
+            h, routing = model.forward(ids, valid, mode="hidden")
+            loss = T.add(ntp_loss(h, model.params["head.vocab"], ids, valid), T.mul(load_balance_loss(routing), 0.02))
+            return loss, [rec.selected.tolist() for rec in routing]
 
         loss, base_sel = loss_and_selection()
         model.zero_grad()
@@ -145,9 +143,9 @@ def _check_pad_invariance() -> str:
     outputs = []
     for s in (8, 32):
         class_logits, _ = model.forward(ids[:, :s], valid[:, :s], mode="classify")
-        h, trace = model.forward(ids[:, :s], valid[:, :s], mode="hidden")
+        h, routing = model.forward(ids[:, :s], valid[:, :s], mode="hidden")
         task = ntp_loss(h, model.params["head.vocab"], ids[:, :s], valid[:, :s])
-        loss = T.add(task, T.mul(load_balance_loss(trace), 0.02))
+        loss = T.add(task, T.mul(load_balance_loss(routing), 0.02))
         model.zero_grad()
         loss.backward()
         grads = [p.grad.dense() if isinstance(p.grad, T.RowGrad) else p.grad for p in model.params.values()]

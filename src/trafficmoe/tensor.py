@@ -509,44 +509,45 @@ def moe_experts(z, scores, selected: np.ndarray, experts: Sequence[tuple[Tensor,
     Row t of the ``[N, d]`` result sums ``scores[t, e] * SwiGLU_e(z[t])`` over the experts
     e in row t of ``selected`` (``[N, k]``, distinct per row), ``experts[e]`` being
     ``(w_gate, w_up, w_down)``; no other entry of ``scores`` is read. Each expert runs once
-    on the rows that selected it, in row order, and writes their slots of an ``[N, k, d]``
-    buffer that is summed over k. An expert given no row gets no gradient. Counts its
-    matmul FLOPs.
+    on the rows that selected it, in row order, and adds its scaled rows into the ``[N, d]``
+    result, so a row's terms are summed in expert order. An expert given no row gets no
+    gradient. Counts its matmul FLOPs.
     """
     z, scores = as_tensor(z), as_tensor(scores)
-    n, k = selected.shape
+    n = selected.shape[0]
     if z.shape[0] != n or scores.shape != (n, len(experts)):
         raise ShapeError(f"moe_experts: z {z.shape}, scores {scores.shape} do not fit selected {selected.shape}")
     if np.any((selected < 0) | (selected >= len(experts))):
         raise ShapeError(f"moe_experts: selected holds an expert outside [0, {len(experts)})")
     parents = (z, scores) + tuple(w for weights in experts for w in weights)
-    out, saved = np.empty((n, k, z.shape[1]), dtype=z.data.dtype), []
+    out, saved = np.zeros_like(z.data), []
     global _flop_count
     for e, weights in enumerate(experts):
-        rows, slots = np.nonzero(selected == e)
+        rows = np.nonzero(selected == e)[0]  # each row at most once: its experts are distinct
         if not len(rows):
             continue
         _flop_count += 2 * len(rows) * sum(w.data.size for w in weights)
         x, scale = z.data[rows], scores.data[rows, e][:, None]
         y, acts = _swiglu_forward(x, *(w.data for w in weights), _grad_enabled)
-        out[rows, slots] = y * scale
+        out[rows] += y * scale
         if _grad_enabled:  # dropped with the closure when no parent requires grad
-            saved.append((e, rows, slots, x, scale, acts, y))
+            saved.append((e, rows, x, scale, acts, y))
 
     def backward(g):
-        dx, dscores = np.empty((n, k, z.shape[1]), dtype=z.data.dtype), np.zeros_like(scores.data)
-        for e, rows, slots, x, scale, acts, y in saved:
+        dx, dscores = np.zeros_like(z.data), np.zeros_like(scores.data)
+        for e, rows, x, scale, acts, y in saved:
             g_rows = g[rows]
             dscores[rows, e] = np.sum(g_rows * y, axis=1)
-            dx[rows, slots], *grads = _swiglu_backward(g_rows * scale, x, *(w.data for w in experts[e]), acts)
+            dx_rows, *grads = _swiglu_backward(g_rows * scale, x, *(w.data for w in experts[e]), acts)
+            dx[rows] += dx_rows
             for w, grad in zip(experts[e], grads):
                 if w.requires_grad:
                     _accumulate(w, grad)
-        for t, grad in ((z, dx.sum(axis=1)), (scores, dscores)):
+        for t, grad in ((z, dx), (scores, dscores)):
             if t.requires_grad:
                 _accumulate(t, grad)
 
-    return _build(out.sum(axis=1), parents, backward)
+    return _build(out, parents, backward)
 
 
 # -- fused losses --------------------------------------------------------------

@@ -192,6 +192,9 @@ def split_dataset(sequences: Sequence, seed: int = 0) -> tuple[list, list, list]
 # -- the training loop --------------------------------------------------------------
 
 
+TASK_LOSS = {"pretrain": "ntp_loss", "finetune": "cls_loss"}  # each mode's objective as a History metric
+
+
 @dataclass
 class History:
     """Flat (epoch, split, metric, value) records for a run."""
@@ -259,18 +262,18 @@ def train(
         order = rng.permutation(len(train_seqs))
         task_sum = aux_sum = 0.0
         n_batches = 0
-        routing = RoutingAccumulator()
+        routing_stats = RoutingAccumulator()
         for start in range(0, len(order), config.batch_size):
             batch = [train_seqs[i] for i in order[start : start + config.batch_size]]
             ids, valid, labels = batch_arrays(batch)
             step += 1
             if config.mode == "pretrain":
-                h, trace = model.forward(ids, valid, mode="hidden")
+                h, routing = model.forward(ids, valid, mode="hidden")
                 task = ntp_loss(h, model.params["head.vocab"], ids, valid)
             else:
-                logits, trace = model.forward(ids, valid, mode="classify")
+                logits, routing = model.forward(ids, valid, mode="classify")
                 task = classification_loss(logits, labels)
-            aux = load_balance_loss(trace) if trace.layers else 0.0
+            aux = load_balance_loss(routing) if routing else 0.0
             loss = composite_loss(task, aux, config.aux_weight)
             value = loss.item()
             if not np.isfinite(value):
@@ -281,13 +284,12 @@ def train(
             task_sum += task.item()
             aux_sum += aux.item() if isinstance(aux, Tensor) else float(aux)
             n_batches += 1
-            routing.add(trace)
+            routing_stats.add(routing)
 
-        task_name = "ntp_loss" if config.mode == "pretrain" else "cls_loss"
-        history.add(epoch, "train", task_name, task_sum / n_batches)
+        history.add(epoch, "train", TASK_LOSS[config.mode], task_sum / n_batches)
         history.add(epoch, "train", "aux_loss", aux_sum / n_batches)
         if out is not None:
-            routing.to_tsv(out / "routing" / f"epoch{epoch}.tsv")
+            routing_stats.to_tsv(out / "routing" / f"epoch{epoch}.tsv")
 
         if config.mode == "finetune" and val_seqs:
             _, metrics = evaluate_classifier(model, val_seqs, config.batch_size)

@@ -28,9 +28,9 @@ def tiny_config(**overrides) -> ModelConfig:
 
 
 def lm_logits(model: TrafficModel, ids, valid_mask=None):
-    """Next-token logits [packed rows, vocab]: the ``hidden`` states times the vocab head, plus the trace."""
-    h, trace = model.forward(ids, valid_mask, mode="hidden")
-    return T.matmul(h, model.params["head.vocab"]), trace
+    """Next-token logits [packed rows, vocab]: the ``hidden`` states times the vocab head, plus the routing list."""
+    h, routing = model.forward(ids, valid_mask, mode="hidden")
+    return T.matmul(h, model.params["head.vocab"]), routing
 
 
 def grad_array(t):

@@ -75,6 +75,38 @@ def swiglu_chain_ref(x, w_gate, w_up, w_down):
     return T.matmul(T.mul(T.silu(T.matmul(x, w_gate)), T.matmul(x, w_up)), w_down)
 
 
+def moe_experts_ref(z, scores, selected, experts):
+    """``moe_experts`` as it was first fused: each expert writes its rows' slots of an ``[N, k, d]`` buffer
+    that is summed over k, and backward sums an ``[N, k, d]`` input gradient the same way."""
+    z, scores = T.as_tensor(z), T.as_tensor(scores)
+    n, k = selected.shape
+    parents = (z, scores) + tuple(w for weights in experts for w in weights)
+    out, saved = np.empty((n, k, z.shape[1]), dtype=z.data.dtype), []
+    for e, weights in enumerate(experts):
+        rows, slots = np.nonzero(selected == e)
+        if not len(rows):
+            continue
+        x, scale = z.data[rows], scores.data[rows, e][:, None]
+        y, acts = T._swiglu_forward(x, *(w.data for w in weights), True)
+        out[rows, slots] = y * scale
+        saved.append((e, rows, slots, x, scale, acts, y))
+
+    def backward(g):
+        dx, dscores = np.empty((n, k, z.shape[1]), dtype=z.data.dtype), np.zeros_like(scores.data)
+        for e, rows, slots, x, scale, acts, y in saved:
+            g_rows = g[rows]
+            dscores[rows, e] = np.sum(g_rows * y, axis=1)
+            dx[rows, slots], *grads = T._swiglu_backward(g_rows * scale, x, *(w.data for w in experts[e]), acts)
+            for w, grad in zip(experts[e], grads):
+                if w.requires_grad:
+                    T._accumulate(w, grad)
+        for t, grad in ((z, dx.sum(axis=1)), (scores, dscores)):
+            if t.requires_grad:
+                T._accumulate(t, grad)
+
+    return T._build(out.sum(axis=1), parents, backward)
+
+
 def rsqrt_mean_square_ref(x, eps: float = 1e-6):
     """Per-row 1/sqrt(mean(x^2) + eps) over the last axis, keepdims, as one node."""
     x = T.as_tensor(x)

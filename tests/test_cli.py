@@ -351,6 +351,20 @@ def test_ood_coarse_label_outside_int32_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "ood").exists()
 
 
+@pytest.mark.parametrize("seed", [0, 3, 4, 5])  # seeds at which every bad label lands in the test split
+def test_ood_bad_label_only_in_the_test_split_writes_neither_split(tmp_path, capsys, seed):
+    for label, n_flows in enumerate((4, 4, 4, 1)):
+        fixture_pcap(tmp_path / f"c{label}.pcap", n_flows=n_flows, packets_per_flow=4, seed=label)
+        assert run("ingest", "--pcap", str(tmp_path / f"c{label}.pcap"), "--out", str(tmp_path / f"flows{label}"),
+                   "--label", str(label)) == 0
+    coarse_map = tmp_path / "coarse.txt"
+    coarse_map.write_text("0 0\n1 0\n2 3000000000\n3 3000000000\n")
+    assert run("ood", "--mode", "compose", "--flows", *(str(tmp_path / f"flows{l}") for l in range(4)),
+               "--out", str(tmp_path / "ood"), "--coarse-map", str(coarse_map), "--seed", str(seed)) == 2
+    assert re.search(r"flow \d+ \(.*\): label 3000000000 is outside \[0, 2\*\*31\)", capsys.readouterr().err)
+    assert not (tmp_path / "ood").exists()
+
+
 def manifest_inputs(out_dir: Path) -> dict[str, str]:
     """The ``input.<path>=<sha256>`` lines of the last record in ``out_dir/manifest.log``."""
     record = (out_dir / "manifest.log").read_text().split("---\n")[-2]
@@ -494,7 +508,7 @@ seed=1
 top_k=2
 vocab=vocab/v.tsv
 weight_decay=0.01
-epochs_run=1 last_aux_loss=1.00038
+epochs_run=1 last_ntp_loss=6.20229
 command=pretrain
 version=0.1.0
 seed=1
@@ -519,7 +533,7 @@ seed=4
 top_k=2
 vocab=vocab/v.tsv
 weight_decay=0.01
-epochs_run=2 last_accuracy=0.5
+epochs_run=2 last_cls_loss=0.693135
 command=finetune
 version=0.1.0
 seed=4
@@ -917,6 +931,16 @@ def test_row_without_one_of_the_models_labels_is_data_error_naming_its_line(tiny
     extra = [arg.format(ckpt=ckpt) for arg in extra]
     assert run_on_corpus(command, ckpt, corpus, tmp_path / "out", *extra) == 2
     assert f"c.txt:4: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_key_the_command_does_not_read_is_data_error(tmp_path, capsys):
+    save_six_entry_vocab(tmp_path / "vocab.tsv")
+    (tmp_path / "c.txt").write_text(f"{SIX_ID_ROW}\n" * 2)
+    (tmp_path / "t.cfg").write_text("epochs=1\nepoch=3\n")  # a typo for epochs
+    assert run("pretrain", "--corpus", str(tmp_path / "c.txt"), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
+               str(tmp_path / "out"), "--config", str(tmp_path / "t.cfg"), *TINY_FLAGS) == 2
+    assert f"{tmp_path / 't.cfg'}: unknown key 'epoch'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

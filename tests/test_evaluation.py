@@ -258,29 +258,27 @@ def test_compose_shift_masking_rate_over_seeds():
 
 
 def test_routing_stats_one_hot(tiny_model, rng):
-    from trafficmoe.model import LayerRouting, RoutingTrace
+    from trafficmoe.model import LayerRouting
     from trafficmoe.tensor import Tensor
 
-    trace = RoutingTrace(n_experts=4, top_k=1)
     probs = np.zeros((1, 4))
     probs[0, 2] = 1.0
-    trace.layers.append(LayerRouting(probs=Tensor(probs), selected=np.array([[2]])))
     acc = RoutingAccumulator()
-    acc.add(trace)
+    acc.add([LayerRouting(probs=Tensor(probs), selected=np.array([[2]]))])
     assert acc.mean_probs(0).tolist() == [0.0, 0.0, 1.0, 0.0]
     assert acc.load_fractions(0).tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
 def test_routing_stats_match_trace_dump(tmp_path, tiny_model, rng):
     ids = rng.integers(0, 64, size=(3, 12))
-    _, trace = tiny_model.forward(ids, mode="hidden")
+    _, routing = tiny_model.forward(ids, mode="hidden")
     acc = RoutingAccumulator()
-    acc.add(trace)
+    acc.add(routing)
     dump = tmp_path / "trace.tsv"
-    trace_dump_tsv(trace, dump)
+    trace_dump_tsv(routing, dump)
     # recompute the stats from the dumped text
     rows = [line.split("\t") for line in dump.read_text().splitlines()[1:]]
-    for layer in range(len(trace.layers)):
+    for layer in range(len(routing)):
         sums = np.zeros(4)
         count = 0
         for layer_txt, tok, expert, prob in rows:

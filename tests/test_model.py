@@ -9,8 +9,8 @@ from reference_ops import weighted_cross_entropy_ref
 from trafficmoe import model as model_module
 from trafficmoe import tensor as T
 from trafficmoe.model import (
+    LayerRouting,
     ModelConfig,
-    RoutingTrace,
     TrafficModel,
     load_balance_loss,
     packed_rows,
@@ -114,9 +114,9 @@ def rope(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return (pairs * T.rope_tables(int(np.max(positions)) + 1, x.shape[-1])[positions].astype(pairs.dtype)).view(x.dtype)
 
 
-def moe_block(model: TrafficModel, h: Tensor, layer: int) -> tuple[Tensor, RoutingTrace]:
-    trace = RoutingTrace(n_experts=model.config.n_experts, top_k=model.config.top_k)
-    return model._moe_block(h, layer, trace), trace
+def moe_block(model: TrafficModel, h: Tensor, layer: int) -> tuple[Tensor, list[LayerRouting]]:
+    routing = []
+    return model._moe_block(h, layer, routing), routing
 
 
 # -- rmsnorm --------------------------------------------------------------------
@@ -321,10 +321,10 @@ def test_moe_layer_matches_dense_oracle_k_equals_n(rng):
 def test_moe_layer_matches_masked_oracle_top_k(rng):
     model = TrafficModel(tiny_config(), seed=3)
     h = rng.normal(size=(8, 16)).astype(np.float32)
-    out, trace = moe_block(model, Tensor(h), 1)
+    out, routing = moe_block(model, Tensor(h), 1)
     expected = moe_oracle(h, model, 1, top_k=2)
     assert np.max(np.abs(out.data - expected)) < 1e-5
-    assert trace.layers[0].selected.shape == (8, 2)
+    assert routing[0].selected.shape == (8, 2)
 
 
 def _force_router_to(model, layer: int, expert: int, h: np.ndarray) -> None:
@@ -348,8 +348,8 @@ def test_moe_layer_forced_single_expert(rng):
     model = TrafficModel(tiny_config(top_k=1), seed=4)
     h = rng.normal(size=(5, 16)).astype(np.float32)
     _force_router_to(model, 0, 2, h)
-    out, trace = moe_block(model, Tensor(h), 0)
-    assert (trace.layers[0].selected == 2).all()
+    out, routing = moe_block(model, Tensor(h), 0)
+    assert (routing[0].selected == 2).all()
     expected = moe_oracle(h, model, 0, top_k=1)
     assert np.max(np.abs(out.data - expected)) < 1e-5
 
@@ -371,8 +371,8 @@ def test_unselected_experts_get_no_gradient(rng):
     h_data = rng.normal(size=(3, 16)).astype(np.float32)
     _force_router_to(model, 0, 1, h_data)
     h = Tensor(h_data, requires_grad=True)
-    out, trace = moe_block(model, h, 0)
-    assert (trace.layers[0].selected == 1).all()
+    out, routing = moe_block(model, h, 0)
+    assert (routing[0].selected == 1).all()
     T.tsum(out).backward()
     assert model.params["layers.0.moe.expert1.w_gate"].grad is not None
     for e in (0, 2, 3):
@@ -383,52 +383,44 @@ def test_unselected_experts_get_no_gradient(rng):
 
 
 def test_balance_loss_uniform_equals_one():
-    from trafficmoe.model import LayerRouting, RoutingTrace
-
     n, n_experts = 48, 6
-    trace = RoutingTrace(n_experts=n_experts, top_k=2)
     probs = np.full((n, n_experts), 1.0 / n_experts)
     selected = np.stack([np.arange(n) % n_experts, (np.arange(n) + 1) % n_experts], axis=1)
-    trace.layers.append(LayerRouting(probs=Tensor(probs), selected=selected))
-    assert load_balance_loss(trace).item() == pytest.approx(1.0, abs=1e-6)
+    routing = [LayerRouting(probs=Tensor(probs), selected=selected)]
+    assert load_balance_loss(routing).item() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_balance_loss_collapse_equals_n():
-    from trafficmoe.model import LayerRouting, RoutingTrace
-
     n, n_experts = 32, 4
-    trace = RoutingTrace(n_experts=n_experts, top_k=1)
     probs = np.zeros((n, n_experts))
     probs[:, 0] = 1.0
-    trace.layers.append(LayerRouting(probs=Tensor(probs), selected=np.zeros((n, 1), dtype=int)))
-    assert load_balance_loss(trace).item() == pytest.approx(n_experts, abs=1e-6)
+    routing = [LayerRouting(probs=Tensor(probs), selected=np.zeros((n, 1), dtype=int))]
+    assert load_balance_loss(routing).item() == pytest.approx(n_experts, abs=1e-6)
 
 
 def test_balance_loss_matches_recomputation(rng, tiny_model):
-    h = rng.normal(size=(2, 12)) * 0  # any ids; use a real forward for traces
+    h = rng.normal(size=(2, 12)) * 0  # any ids; use a real forward for routing records
     ids = rng.integers(0, 64, size=(2, 12))
-    _, trace = tiny_model.forward(ids, mode="hidden")
-    loss = load_balance_loss(trace).item()
+    _, routing = tiny_model.forward(ids, mode="hidden")
+    loss = load_balance_loss(routing).item()
     # independent recomputation from the raw probability matrices
     expected = 0.0
-    for layer_idx, rec in enumerate(trace.layers):
+    for rec in routing:
         probs = rec.probs.data
         n_tok, n_exp = probs.shape
         counts = np.zeros(n_exp)
         for row in rec.selected:
             for e in row:
                 counts[e] += 1
-        load = counts / (n_tok * trace.top_k)
+        load = counts / (n_tok * tiny_model.config.top_k)
         expected += n_exp * float(np.sum(load * probs.mean(axis=0)))
-    expected /= len(trace.layers)
+    expected /= len(routing)
     assert loss == pytest.approx(expected, rel=1e-6)
 
 
 def test_balance_loss_requires_tokens():
-    from trafficmoe.model import RoutingTrace
-
     with pytest.raises(ValueError):
-        load_balance_loss(RoutingTrace(n_experts=4, top_k=2))
+        load_balance_loss([])
 
 
 # -- full forward -------------------------------------------------------------------------
@@ -592,10 +584,10 @@ def test_padding_adds_no_matmul_flops(tiny_model, rng):
 def test_routing_trace_covers_each_valid_prefix_only(tiny_model, rng):
     ids, valid = ragged_batch(rng, lengths=(12, 5, 9))
     valid[0, 6] = False  # interior: still routed
-    _, trace = tiny_model.forward(ids, valid, mode="hidden")
-    assert [rec.n_tokens for rec in trace.layers] == [12 + 5 + 9] * tiny_model.config.n_layers
+    _, routing = tiny_model.forward(ids, valid, mode="hidden")
+    assert [rec.n_tokens for rec in routing] == [12 + 5 + 9] * tiny_model.config.n_layers
     _, unmasked = tiny_model.forward(ids, mode="hidden")
-    assert [rec.n_tokens for rec in unmasked.layers] == [3 * 12] * tiny_model.config.n_layers
+    assert [rec.n_tokens for rec in unmasked] == [3 * 12] * tiny_model.config.n_layers
 
 
 def test_balance_loss_ignores_trailing_pads(tiny_model, rng):
@@ -666,13 +658,13 @@ def test_packed_forward_gradients_match_finite_differences(mode):
 
         def loss_and_selection():
             if mode == "lm":
-                h, trace = model.forward(ids, valid, mode="hidden")
+                h, routing = model.forward(ids, valid, mode="hidden")
                 task = ntp_loss(h, model.params["head.vocab"], ids, valid)
             else:
-                out, trace = model.forward(ids, valid, mode=mode)
+                out, routing = model.forward(ids, valid, mode=mode)
                 task = classification_loss(out, labels)
-            loss = T.add(task, T.mul(load_balance_loss(trace), 0.5))
-            return loss, [rec.selected.tobytes() for rec in trace.layers]
+            loss = T.add(task, T.mul(load_balance_loss(routing), 0.5))
+            return loss, [rec.selected.tobytes() for rec in routing]
 
         loss, base_sel = loss_and_selection()
         model.zero_grad()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import grad_array
-from reference_ops import rmsnorm_chain_ref, rotary_attention_ref, swiglu_chain_ref, weighted_cross_entropy_ref
+from reference_ops import (moe_experts_ref, rmsnorm_chain_ref, rotary_attention_ref, swiglu_chain_ref,
+                           weighted_cross_entropy_ref)
 from trafficmoe import tensor as T
 from trafficmoe.tensor import AdamW, RowGrad, ShapeError, Tensor
 
@@ -359,6 +360,30 @@ def test_moe_experts_rejects_an_expert_out_of_range(bad, rng):
     selected = np.array([[0, 1], [2, bad], [3, 0]])
     with pytest.raises(ShapeError, match="moe_experts"):
         T.moe_experts(rng.normal(size=(n, d)), np.full((n, n_experts), 0.25), selected, experts)
+
+
+@pytest.mark.parametrize("top_k, dtype", [(1, np.float32), (2, np.float32), (3, np.float64)])
+def test_moe_experts_matches_the_slot_buffer_reference(top_k, dtype, rng):
+    """Bitwise at k <= 2, where adding a row's terms in expert order gives its slot sum exactly; at k = 3
+    the three terms are added in another order, so they agree to 1e-12 relative in float64."""
+    n, d, hidden, n_experts = 40, 16, 8, 6
+    selected = np.argsort(rng.uniform(size=(n, n_experts)), axis=1)[:, :top_k]  # distinct experts per row
+    arrays = [rng.normal(size=(n, d)), rng.uniform(size=(n, n_experts))] + [
+        rng.normal(size=shape) for _ in range(n_experts) for shape in ((d, hidden), (d, hidden), (hidden, d))]
+    mix = np.sin(np.arange(n * d)).reshape(n, d)
+    results = []
+    with T.use_dtype(dtype):
+        for op in (T.moe_experts, moe_experts_ref):
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            out = op(tensors[0], tensors[1], selected, [tuple(tensors[i : i + 3]) for i in range(2, len(tensors), 3)])
+            T.tsum(T.mul(out, mix)).backward()
+            results.append([out.data] + [t.grad for t in tensors])
+    assert all(g is not None and g.dtype == dtype for g in results[0])  # every expert served a row
+    for new, old in zip(*results):
+        if top_k <= 2:
+            assert np.array_equal(new, old)
+        else:
+            assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
 
 # -- fused SwiGLU and RMSNorm, and every rewritten op against its reference copy -----------

@@ -360,6 +360,18 @@ def test_run_directory_layout(tmp_path):
     assert header == "epoch\tsplit\tmetric\tvalue"
 
 
+def test_dense_twin_finetunes_with_no_routing(tmp_path):
+    seqs, vocab = small_dataset(12, seed=11)
+    dense = evaluation.build_dense_variant(small_model(len(vocab), 64, seed=7))
+    _, routing = dense.forward(*batch_arrays(seqs[:2])[:2], mode="classify")
+    assert routing == []
+    config = TrainConfig(mode="finetune", batch_size=6, epochs=1, base_lr=1e-3, seed=0)
+    history, _ = train(dense, seqs, config, val_seqs=seqs[:4], run_dir=tmp_path / "run")
+    assert history.series("train", "aux_loss") == [0.0]
+    assert np.isfinite(history.series("train", "cls_loss")[0])
+    assert (tmp_path / "run" / "routing" / "epoch1.tsv").read_text() == "layer\texpert\tload\tprob\n"
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(mode="nonsense")
