@@ -27,7 +27,7 @@ from . import tensor as T
 from .artifacts import format_kv, parse_kv
 from .evaluation import (RoutingAccumulator, bench_to_tsv, build_dense_variant, compose_shift_split, efficiency_bench,
                          evaluate_classifier, metrics_to_tsv, proportion_shift_split, time_shift_split, trace_dump_tsv)
-from .flows import (CaptureError, check_labels, filter_micro_flows, parse_capture, read_flows, relabel,
+from .flows import (CaptureError, FlowTable, check_labels, filter_micro_flows, parse_capture, read_flows, relabel,
                     reassemble_sessions, write_flows)
 from .model import ModelConfig, TrafficModel, field_types
 from .selftest import run_selftest
@@ -143,7 +143,7 @@ def _cmd_ingest(args) -> tuple:
     records = parse_capture(pcap.read_bytes())
     flows = filter_micro_flows(reassemble_sessions(records), args.min_packets)
     if args.label is not None:
-        flows = [relabel(f, args.label) for f in flows]
+        flows = replace(flows, labels=[args.label] * len(flows))
     write_flows(flows, Path(args.out))
     config = {"pcap": str(pcap), "min_packets": args.min_packets, "label": args.label}
     return Path(args.out), config, f"packets={len(records)} flows={len(flows)}", [pcap]
@@ -155,15 +155,15 @@ def _serializer_from_args(args) -> tuple[SerializerConfig, dict]:
 
 
 def _serialized(flow_dirs, serializer: SerializerConfig, slice_window: float = 0.0):
-    """Yield ``(flow, codes)`` for each flow of each directory, or for each of its temporal slices
+    """Yield ``(label, codes)`` for each flow of each directory, or for each of its temporal slices
     when ``slice_window`` > 0, serialized ``SERIALIZE_CHUNK`` flows at a time."""
     for flow_dir in flow_dirs:
         flows = read_flows(flow_dir)
         if slice_window > 0:
-            flows = [part for flow in flows for part in temporal_slice(flow, slice_window)]
+            flows = FlowTable.of(part for flow in flows.sessions() for part in temporal_slice(flow, slice_window))
         for lo in range(0, len(flows), SERIALIZE_CHUNK):
             chunk = flows[lo : lo + SERIALIZE_CHUNK]
-            yield from zip(chunk, serialize_flows(chunk, serializer))
+            yield from zip(chunk.labels, serialize_flows(chunk, serializer))
 
 
 def _cmd_build_vocab(args) -> tuple:
@@ -189,8 +189,8 @@ def _cmd_tokenize(args) -> tuple:
     vocab = Vocabulary.load(args.vocab)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    sequences = (tokenize(codes, vocab, serializer.max_tokens, label=part.label)
-                 for part, codes in _serialized(args.flows, serializer, args.slice_window))
+    sequences = (tokenize(codes, vocab, serializer.max_tokens, label=label)
+                 for label, codes in _serialized(args.flows, serializer, args.slice_window))
     n_sequences = write_corpus(sequences, out)
     inputs = [args.config, args.vocab] + [Path(d) / "packets.bin" for d in args.flows]
     return out.parent, config, f"sequences={n_sequences}", inputs
@@ -314,7 +314,7 @@ def _cmd_bench(args) -> tuple:
 def _cmd_ood(args) -> tuple:
     if args.mode != "time" and args.coarse_map is None:
         raise UsageExit(f"--mode {args.mode} needs --coarse-map")
-    flows = [f for d in args.flows for f in read_flows(d)]
+    flows = [f for d in args.flows for f in read_flows(d).sessions()]
     if any(f.label is None for f in flows):
         raise ValueError("ood splits need labeled flows")
     labels = np.array([f.label for f in flows])
@@ -342,6 +342,7 @@ def _cmd_ood(args) -> tuple:
         # coarse-level task: relabel both sides with the coarse class
         train_split = [relabel(f, coarse_map[f.label]) for f in train_split]
         test_split = [relabel(f, coarse_map[f.label]) for f in test_split]
+    test_split = FlowTable.of(test_split)
     check_labels(test_split)  # before train_split is written; write_flows checks the split it writes
     out = Path(args.out)
     write_flows(train_split, out / "train")

@@ -1,8 +1,19 @@
-"""Classic-PCAP parsing and bidirectional session-flow reassembly.
+"""Classic-PCAP parsing and bidirectional session-flow reassembly, one column at a time.
 
 A session flow is the set of packets sharing a canonical five-tuple
 (both directions), time-ordered. Flows are the unit every later stage
 consumes.
+
+The stages pass tables, not one object per packet. A :class:`PacketTable`
+is one ``PACKET_COLUMNS`` row per packet beside the byte buffer it was
+decoded from (a capture, or a flow store's sidecar): each address and
+payload is an offset and a length into that buffer. A :class:`FlowTable` is
+a packet table in flow order, whose ``dir`` column holds each packet's
+direction, plus each flow's packet count and label. Every stage takes a
+table or the objects and converts once, on entry: ``PacketTable.of`` and
+``FlowTable.of`` build tables from :class:`PacketRecord` and
+:class:`SessionFlow` lists, and ``PacketTable.records()`` and
+``FlowTable.sessions()`` build those objects back.
 """
 
 from __future__ import annotations
@@ -10,10 +21,13 @@ from __future__ import annotations
 import math
 import struct
 import warnings
+from array import array
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Union
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifacts import HEADER, BinaryReader, write_atomic
 
@@ -106,13 +120,156 @@ class SessionFlow:
         return self.packets[0][0].timestamp
 
 
-def parse_capture(capture_bytes: bytes) -> list[PacketRecord]:
-    """Parse a classic capture stream into packet records.
+# One row per packet: src, dst and payload are byte offsets into the table's buffer and src_len, dst_len
+# and plen their lengths; length is the frame size on the wire and dir the direction within a flow.
+PACKET_COLUMNS = np.dtype([(name, "f8" if name == "ts" else "i8") for name in (
+    "ts", "src", "src_len", "dst", "dst_len", "sport", "dport", "proto", "flags", "length", "payload", "plen", "dir")])
+_SPAN_CHUNK = 1 << 15  # bytes per gather in _copy_spans: its index arrays stay under a megabyte
+
+
+def run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i], ..., starts[i] + lengths[i] - 1`` of every run i, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _copy_spans(dst: np.ndarray, dst_at, src: np.ndarray, src_at, lengths) -> None:
+    """``dst[dst_at[i]:][:lengths[i]] = src[src_at[i]:][:lengths[i]]`` for every i, gathering about
+    ``_SPAN_CHUNK`` bytes at a time."""
+    ends = np.cumsum(lengths)
+    cuts = np.searchsorted(ends, np.arange(_SPAN_CHUNK, ends[-1] if len(ends) else 0, _SPAN_CHUNK)).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(ends)]):
+        dst[run_indices(dst_at[lo:hi], lengths[lo:hi])] = src[run_indices(src_at[lo:hi], lengths[lo:hi])]
+
+
+def _spans(data: bytes, at: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """``[len(at), width]`` uint8: the span of ``data`` at each offset, zero-padded on the right."""
+    out = np.zeros((len(at), width), np.uint8)
+    _copy_spans(out.reshape(-1), np.arange(len(at)) * width, np.frombuffer(data, np.uint8), at, lengths)
+    return out
+
+
+@dataclass(eq=False)
+class PacketTable:
+    """Packets as ``PACKET_COLUMNS`` rows over ``data``, the buffer holding their addresses and payloads."""
+
+    data: bytes
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @classmethod
+    def of(cls, packets: Union["PacketTable", Iterable[PacketRecord]]) -> "PacketTable":
+        """A table as it is; packet records as a table over their joined bytes."""
+        return packets if isinstance(packets, PacketTable) else cls._of_pairs([(p, FORWARD) for p in packets])
+
+    @classmethod
+    def _of_pairs(cls, pairs: list[tuple[PacketRecord, int]]) -> "PacketTable":
+        parts = [part for p, _ in pairs for part in (p.src_ip, p.dst_ip, p.payload)]
+        sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+        at, sizes = (np.cumsum(sizes) - sizes).reshape(-1, 3), sizes.reshape(-1, 3)
+        try:
+            rows = np.fromiter(((p.timestamp, 0, 0, 0, 0, p.src_port, p.dst_port, p.ip_proto, p.tcp_flags,
+                                 p.total_length, 0, 0, direction) for p, direction in pairs), PACKET_COLUMNS, len(pairs))
+        except OverflowError:
+            raise ValueError("a packet field or direction does not fit in 64 bits") from None
+        for i, (offset, length) in enumerate((("src", "src_len"), ("dst", "dst_len"), ("payload", "plen"))):
+            rows[offset], rows[length] = at[:, i], sizes[:, i]
+        return cls(b"".join(parts), rows)
+
+    def records(self) -> list[PacketRecord]:
+        """Each packet as a PacketRecord."""
+        d = self.data
+        return [PacketRecord(ts, d[src : src + n_src], d[dst : dst + n_dst], sport, dport, proto, flags, length,
+                             d[pay : pay + n_pay])
+                for ts, src, n_src, dst, n_dst, sport, dport, proto, flags, length, pay, n_pay, _ in self.rows.tolist()]
+
+    def payload_heads(self, width: int) -> np.ndarray:
+        """``[len(self), width]`` uint8: each payload's first ``width`` bytes, zero-padded."""
+        return _spans(self.data, self.rows["payload"], np.minimum(self.rows["plen"], width), width)
+
+
+@dataclass(eq=False)
+class FlowTable:
+    """Flows as one packet table in flow order, each flow's packet ``counts`` and ``labels`` (None when
+    absent). ``keys`` holds the flows' keys when the table was built from SessionFlow objects; otherwise
+    a flow's key is the canonical five-tuple of its first packet."""
+
+    packets: PacketTable
+    counts: np.ndarray
+    labels: list
+    keys: Optional[list] = None
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self) -> Iterator[SessionFlow]:
+        """The flows as SessionFlow objects."""
+        return iter(self.sessions())
+
+    @property
+    def firsts(self) -> np.ndarray:
+        """Each flow's first row."""
+        return np.cumsum(self.counts) - self.counts
+
+    def __getitem__(self, which) -> "FlowTable":
+        """The flows at ``which``, a slice or an array of flow indices, in that order."""
+        idx = np.arange(len(self))[which]
+        rows = self.packets.rows[run_indices(self.firsts[idx], self.counts[idx])]
+        pick = idx.tolist()
+        return FlowTable(PacketTable(self.packets.data, rows), self.counts[idx], [self.labels[i] for i in pick],
+                         None if self.keys is None else [self.keys[i] for i in pick])
+
+    @classmethod
+    def of(cls, flows: Union["FlowTable", Iterable[SessionFlow]]) -> "FlowTable":
+        """A table as it is; session flows as a table that keeps their keys and labels."""
+        if isinstance(flows, FlowTable):
+            return flows
+        flows = list(flows)
+        return cls(PacketTable._of_pairs([pair for f in flows for pair in f.packets]),
+                   np.array([len(f) for f in flows], dtype=np.int64), [f.label for f in flows], [f.key for f in flows])
+
+    def key_fields(self) -> list[tuple]:
+        """``(ip_a, port_a, ip_b, port_b, proto)`` of each flow."""
+        if self.keys is not None:
+            return [(k.ip_a, k.port_a, k.ip_b, k.port_b, k.proto) for k in self.keys]
+        first, d = self.packets.rows[self.firsts], self.packets.data
+        swap = _swapped(first, *_endpoints(d, first))
+
+        def side(x, y):
+            return np.where(swap, first[y], first[x]).tolist()
+
+        return [(d[a : a + n_a], port_a, d[b : b + n_b], port_b, proto) for a, n_a, port_a, b, n_b, port_b, proto in zip(
+            side("src", "dst"), side("src_len", "dst_len"), side("sport", "dport"),
+            side("dst", "src"), side("dst_len", "src_len"), side("dport", "sport"), first["proto"].tolist())]
+
+    def sessions(self) -> list[SessionFlow]:
+        """Each flow as a SessionFlow."""
+        pairs = list(zip(self.packets.records(), self.packets.rows["dir"].tolist()))
+        keys = self.keys if self.keys is not None else [FiveTuple(*k) for k in self.key_fields()]
+        ends = np.cumsum(self.counts).tolist()
+        return [SessionFlow(key, pairs[end - n : end], label)
+                for key, n, end, label in zip(keys, self.counts.tolist(), ends, self.labels)]
+
+
+def _be(buf: np.ndarray, at: np.ndarray, width: int = 1) -> np.ndarray:
+    """The big-endian unsigned ``width``-byte field at each offset. An offset past the end reads the
+    last byte, so every row can be read and masked out afterwards."""
+    value = np.zeros(len(at), np.int64)
+    for i in range(width):
+        value = value << 8 | buf[np.minimum(at + i, len(buf) - 1)]
+    return value
+
+
+def parse_capture(capture_bytes: bytes) -> PacketTable:
+    """Decode a classic capture stream into a packet table over ``capture_bytes``.
 
     Accepts both byte orders and both timestamp resolutions. Non-IP
     frames (ARP etc.) are skipped. A malformed global header or an
     unsupported link type is a hard error; a truncated trailing record
-    is dropped with a warning.
+    is dropped with a warning. Only the record headers are walked one by
+    one, as the format requires; every frame is then decoded at once.
     """
     if len(capture_bytes) < 24:
         raise CaptureError(
@@ -133,108 +290,80 @@ def parse_capture(capture_bytes: bytes) -> list[PacketRecord]:
     if linktype not in (_LINKTYPE_ETHERNET, _LINKTYPE_RAW_IP):
         raise CaptureError(f"unsupported link type {linktype}")
 
-    records: list[PacketRecord] = []
-    offset = 24
-    total = len(capture_bytes)
-    frac_div = 1e9 if ns else 1e6
-    while offset < total:
-        if offset + 16 > total:
+    starts, offset, total = array("q"), 24, len(capture_bytes)
+    caplen_at = struct.Struct(endian + "I").unpack_from
+    while offset + 16 <= total:
+        end = offset + 16 + caplen_at(capture_bytes, offset + 8)[0]
+        if end > total:
+            warnings.warn(f"truncated record data at offset {offset + 16}; record dropped")
+            break
+        starts.append(offset)
+        offset = end
+    else:
+        if offset < total:
             warnings.warn(f"truncated record header at offset {offset}; record dropped")
-            break
-        ts_sec, ts_frac, incl_len, orig_len = struct.unpack_from(endian + "IIII", capture_bytes, offset)
-        offset += 16
-        if offset + incl_len > total:
-            warnings.warn(f"truncated record data at offset {offset}; record dropped")
-            break
-        frame = capture_bytes[offset : offset + incl_len]
-        offset += incl_len
-        rec = _parse_frame(frame, linktype, ts_sec + ts_frac / frac_div, orig_len)
-        if rec is not None:
-            records.append(rec)
-    return records
+    buf, at = np.frombuffer(capture_bytes, np.uint8), np.frombuffer(starts, np.int64)
+    sec, frac, caplen, orig = sliding_window_view(buf, 16)[at].view(endian + "u4").astype(np.int64).T
+    frame, ts = at + 16, sec + frac / (1e9 if ns else 1e6)
 
-
-def _parse_frame(frame: bytes, linktype: int, timestamp: float, orig_len: int) -> Optional[PacketRecord]:
     if linktype == _LINKTYPE_ETHERNET:
-        if len(frame) < 14:
-            return None
-        ethertype = struct.unpack_from(">H", frame, 12)[0]
-        ip_off = 14
-        # Traverse one VLAN tag if present.
-        if ethertype in (0x8100, 0x88A8):
-            if len(frame) < 18:
-                return None
-            ethertype = struct.unpack_from(">H", frame, 16)[0]
-            ip_off = 18
-        if ethertype == 0x0800:
-            return _parse_ip(frame[ip_off:], 4, timestamp, orig_len)
-        if ethertype == 0x86DD:
-            return _parse_ip(frame[ip_off:], 6, timestamp, orig_len)
-        return None  # non-IP frame
-    # Raw-IP link: version nibble decides the family.
-    if not frame:
-        return None
-    version = frame[0] >> 4
-    if version in (4, 6):
-        return _parse_ip(frame, version, timestamp, orig_len)
-    return None
+        ethertype = _be(buf, frame + 12, 2)
+        tagged = (ethertype == 0x8100) | (ethertype == 0x88A8)  # one VLAN tag is traversed
+        link = np.where(tagged, 18, 14)
+        ethertype = np.where(tagged, _be(buf, frame + 16, 2), ethertype)
+        version = np.select([caplen < link, ethertype == 0x0800, ethertype == 0x86DD], [0, 4, 6], 0)
+    else:  # raw IP: the version nibble decides the family
+        link = np.zeros_like(frame)
+        version = np.where(caplen > 0, _be(buf, frame) >> 4, 0)
+    ip, size = frame + link, caplen - link  # each datagram's offset and captured size
+    ihl = (_be(buf, ip) & 0x0F) * 4
+    v4 = (version == 4) & (size >= 20) & (ihl >= 20) & (size >= ihl)
+    v6 = (version == 6) & (size >= 40)
+    # The IP length field bounds the datagram; bytes beyond it are link-layer padding, not payload.
+    header = np.where(v4, ihl, 40)
+    stated = np.where(v4, _be(buf, ip + 2, 2), 40 + _be(buf, ip + 4, 2))
+    size = np.where((header <= stated) & (stated < size), stated, size)
+    proto = np.where(v4, _be(buf, ip + 9), _be(buf, ip + 6))  # IPv6 extension headers are not traversed
+    src, n_addr = ip + np.where(v4, 12, 8), np.where(v4, 4, 16)
+    seg, seg_size = ip + header, size - header  # the transport segment
+
+    tcp = (proto == PROTO_TCP) & (seg_size >= 20)
+    ported = tcp | ((proto == PROTO_UDP) & (seg_size >= 8))
+    data_off = (_be(buf, seg + 12) >> 4) * 4
+    # The payload follows the TCP header (none if its data offset is below 20) or the UDP header;
+    # a portless protocol's payload is the whole segment.
+    skip = np.minimum(np.where(tcp, np.where(data_off >= 20, data_off, seg_size), np.where(ported, 8, 0)), seg_size)
+    keep = np.flatnonzero(v4 | v6)
+    rows = np.zeros(len(keep), PACKET_COLUMNS)
+    for name, column in (("ts", ts), ("src", src), ("src_len", n_addr), ("dst", src + n_addr), ("dst_len", n_addr),
+                         ("sport", np.where(ported, _be(buf, seg, 2), 0)),
+                         ("dport", np.where(ported, _be(buf, seg + 2, 2), 0)), ("proto", proto),
+                         ("flags", np.where(tcp, _be(buf, seg + 13), 0)), ("length", np.maximum(orig, seg_size - skip)),
+                         ("payload", seg + skip), ("plen", seg_size - skip)):
+        rows[name] = column[keep]
+    return PacketTable(capture_bytes, rows)
 
 
-def _parse_ip(dgram: bytes, version: int, timestamp: float, orig_len: int) -> Optional[PacketRecord]:
-    if version == 4:
-        if len(dgram) < 20:
-            return None
-        header_len = (dgram[0] & 0x0F) * 4
-        if header_len < 20 or len(dgram) < header_len:
-            return None
-        # The IP total-length field bounds the datagram; bytes beyond it
-        # are link-layer padding, not payload.
-        ip_total = struct.unpack_from(">H", dgram, 2)[0]
-        if header_len <= ip_total < len(dgram):
-            dgram = dgram[:ip_total]
-        proto = dgram[9]
-        src_ip, dst_ip = dgram[12:16], dgram[16:20]
-        transport = dgram[header_len:]
-    else:
-        if len(dgram) < 40:
-            return None
-        # Extension headers are not traversed; proto comes from Next Header.
-        payload_len = struct.unpack_from(">H", dgram, 4)[0]
-        if 40 + payload_len < len(dgram):
-            dgram = dgram[: 40 + payload_len]
-        proto = dgram[6]
-        src_ip, dst_ip = dgram[8:24], dgram[24:40]
-        transport = dgram[40:]
-
-    src_port = dst_port = 0
-    tcp_flags = 0
-    payload = b""
-    if proto == PROTO_TCP and len(transport) >= 20:
-        src_port, dst_port = struct.unpack_from(">HH", transport, 0)
-        data_off = (transport[12] >> 4) * 4
-        tcp_flags = transport[13]
-        if data_off >= 20:
-            payload = transport[data_off:]
-    elif proto == PROTO_UDP and len(transport) >= 8:
-        src_port, dst_port = struct.unpack_from(">HH", transport, 0)
-        payload = transport[8:]
-    else:
-        payload = transport
-
-    return PacketRecord(
-        timestamp=timestamp,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=src_port,
-        dst_port=dst_port,
-        ip_proto=proto,
-        tcp_flags=tcp_flags,
-        total_length=max(orig_len, len(payload)),
-        payload=payload,
-    )
+def _endpoints(data: bytes, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's source and destination address, zero-padded to the longest rounded up to 8 bytes:
+    ``[n, width]`` uint8 each."""
+    width = 8 * max(1, -(-int(max(rows["src_len"].max(initial=0), rows["dst_len"].max(initial=0))) // 8))
+    return _spans(data, rows["src"], rows["src_len"], width), _spans(data, rows["dst"], rows["dst_len"], width)
 
 
-def reassemble_sessions(packets: Iterable[PacketRecord]) -> list[SessionFlow]:
+def _swapped(rows: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Where ``(dst_ip, dst_port) < (src_ip, src_port)`` in Python's order, given the padded addresses:
+    addresses compare at their first differing byte, else the shorter (a prefix) comes first, else
+    the ports compare."""
+    differ = src != dst
+    col = differ.argmax(axis=1)[:, None]
+    by_byte = np.take_along_axis(dst, col, 1)[:, 0] < np.take_along_axis(src, col, 1)[:, 0]
+    n_src, n_dst = rows["src_len"], rows["dst_len"]
+    by_length = (n_dst < n_src) | ((n_dst == n_src) & (rows["dport"] < rows["sport"]))
+    return np.where(differ.any(axis=1), by_byte, by_length)
+
+
+def reassemble_sessions(packets: Union[PacketTable, Iterable[PacketRecord]]) -> FlowTable:
     """Group packets into bidirectional flows keyed by canonical five-tuple.
 
     Every input packet lands in exactly one flow. Within a flow, packets
@@ -242,16 +371,29 @@ def reassemble_sessions(packets: Iterable[PacketRecord]) -> list[SessionFlow]:
     are assigned relative to the first packet's sender. Flows are
     returned in order of first appearance in the capture.
     """
-    groups: dict[tuple, list[PacketRecord]] = {}  # ((ip, port), (ip, port), proto), lower end first
-    for pkt in packets:
-        a, b = (pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port)
-        groups.setdefault((a, b, pkt.ip_proto) if a <= b else (b, a, pkt.ip_proto), []).append(pkt)
-
-    flows = []
-    for ((ip_a, port_a), (ip_b, port_b), proto), pkts in groups.items():
-        pkts.sort(key=attrgetter("timestamp"))  # stable, so capture order breaks ties
-        flows.append(SessionFlow(key=FiveTuple(ip_a, port_a, ip_b, port_b, proto), packets=directed(pkts)))
-    return flows
+    table = PacketTable.of(packets)
+    rows = table.rows
+    if not len(rows):
+        return FlowTable(table, np.zeros(0, np.int64), [])
+    src, dst = _endpoints(table.data, rows)
+    swap = _swapped(rows, src, dst)
+    # One row of 64-bit words per packet: proto, then the lower endpoint's address length, port and
+    # address, then the higher one's. Sorting the rows brings each flow's packets together.
+    ints = np.stack([rows["proto"]] + [np.where(swap, rows[y], rows[x]) for x, y in (
+        ("src_len", "dst_len"), ("sport", "dport"), ("dst_len", "src_len"), ("dport", "sport"))], axis=1)
+    key = np.hstack([ints.view(np.uint64)] + [np.where(swap[:, None], b, a).view(np.uint64) for a, b in ((src, dst), (dst, src))])
+    by_key = np.lexsort(key.T)  # stable, so each flow's first packet leads its run
+    starts = np.concatenate([[True], (key[by_key[1:]] != key[by_key[:-1]]).any(axis=1)])
+    first = by_key[starts]
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))  # flows in order of first appearance
+    flow = np.empty_like(by_key)
+    flow[by_key] = rank[np.cumsum(starts) - 1]
+    order = np.lexsort((rows["ts"], flow))  # stable, so capture order breaks ties
+    counts = np.bincount(flow, minlength=len(first))
+    rows, swap = rows[order], swap[order]
+    rows["dir"] = np.where(swap == np.repeat(swap[np.cumsum(counts) - counts], counts), FORWARD, BACKWARD)
+    return FlowTable(PacketTable(table.data, rows), counts, [None] * len(counts))
 
 
 def directed(pkts: list[PacketRecord]) -> list[tuple[PacketRecord, int]]:
@@ -260,14 +402,16 @@ def directed(pkts: list[PacketRecord]) -> list[tuple[PacketRecord, int]]:
     return [(p, FORWARD if p.src_port == origin_port and p.src_ip == origin_ip else BACKWARD) for p in pkts]
 
 
-def filter_micro_flows(flows: list[SessionFlow], min_packets: int = 3) -> list[SessionFlow]:
+def filter_micro_flows(flows: Union[FlowTable, Iterable[SessionFlow]], min_packets: int = 3) -> FlowTable:
     """Drop flows with fewer than ``min_packets`` packets, preserving order.
 
     ``min_packets=1`` keeps every flow (for classes where every sample counts).
     """
     if min_packets < 1:
         raise ValueError(f"min_packets must be >= 1, got {min_packets}")
-    return [f for f in flows if len(f) >= min_packets]
+    flows = FlowTable.of(flows)
+    keep = flows.counts >= min_packets
+    return flows if keep.all() else flows[np.flatnonzero(keep)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,64 +434,150 @@ _SIDECAR_VERSION = 1
 MANIFEST_NAME = "flows.tsv"
 SIDECAR_NAME = "packets.bin"
 _FLOW = struct.Struct("<Ii")
-_PACKET_HEAD = struct.Struct("<dBB")
-_PACKET_TAIL = struct.Struct("<HHBBII")
+_PACKET_HEAD = np.dtype([("ts", "<f8"), ("dir", "u1"), ("ip_len", "u1")])  # 10 bytes, then src_ip and dst_ip
+_PACKET_TAIL = np.dtype([("sport", "<u2"), ("dport", "<u2"), ("proto", "u1"), ("flags", "u1"), ("length", "<u4"),
+                         ("plen", "<u4")])  # 14 bytes, then the payload
+# The packet columns the sidecar stores in fixed widths, as (column, name in errors, bound): each value
+# must lie in [0, bound).
+_WIDTHS = (("src_len", "address length", 1 << 8), ("sport", "src_port", 1 << 16), ("dport", "dst_port", 1 << 16),
+           ("proto", "ip_proto", 1 << 8), ("flags", "tcp_flags", 1 << 8), ("length", "total_length", 1 << 32),
+           ("plen", "payload length", 1 << 32), ("dir", "direction", 1 << 8))
 
 
-def check_labels(flows: list[SessionFlow]) -> None:
+def check_labels(flows: Union[FlowTable, Iterable[SessionFlow]]) -> None:
     """Raise ValueError naming the first flow whose label is outside [0, 2**31), the sidecar's range."""
-    for i, flow in enumerate(flows):
-        k = flow.key
-        if flow.label is not None and not 0 <= flow.label < 2**31:
-            raise ValueError(f"flow {i} ({k.ip_a.hex()}:{k.port_a} <-> {k.ip_b.hex()}:{k.port_b}): "
-                             f"label {flow.label} is outside [0, 2**31)")
+    flows = FlowTable.of(flows)
+    for i, label in enumerate(flows.labels):
+        if label is not None and not 0 <= label < 2**31:
+            ip_a, port_a, ip_b, port_b, _ = flows[i : i + 1].key_fields()[0]
+            raise ValueError(f"flow {i} ({ip_a.hex()}:{port_a} <-> {ip_b.hex()}:{port_b}): "
+                             f"label {label} is outside [0, 2**31)")
 
 
-def write_flows(flows: list[SessionFlow], out_dir: str | Path) -> None:
-    """Write the manifest/sidecar pair for a flow list; ``check_labels`` runs before anything is written."""
+def _check_fields(flows: FlowTable) -> None:
+    """Raise ValueError naming the first packet the sidecar cannot hold as it is: one whose two
+    addresses differ in length, or with a field outside its width."""
+    rows = flows.packets.rows
+    bad = rows["src_len"] != rows["dst_len"]
+    for column, _, bound in _WIDTHS:
+        bad |= (rows[column] < 0) | (rows[column] >= bound)
+    if bad.any():
+        p = int(bad.argmax())
+        f = int(np.searchsorted(np.cumsum(flows.counts), p, side="right"))
+        row, where = rows[p], f"flow {f} packet {p - int(flows.firsts[f])}"
+        if row["src_len"] != row["dst_len"]:
+            raise ValueError(f"{where}: src_ip has {row['src_len']} bytes but dst_ip has {row['dst_len']}")
+        column, name, bound = next(w for w in _WIDTHS if not 0 <= row[w[0]] < w[2])
+        raise ValueError(f"{where}: {name} {row[column]} is outside [0, {bound})")
+
+
+def _put(buf: np.ndarray, at: np.ndarray, record: np.dtype, *columns) -> None:
+    """Write one ``record``, filled from ``columns`` in field order, at each byte offset ``at`` of ``buf``."""
+    if not len(at):  # the buffer may be shorter than one record
+        return
+    packed = np.empty(len(at), record)
+    for name, column in zip(record.names, columns):
+        packed[name] = column
+    sliding_window_view(buf, record.itemsize, writeable=True)[at] = packed.view(np.uint8).reshape(-1, record.itemsize)
+
+
+def _get(buf: np.ndarray, at: np.ndarray, record: np.dtype) -> np.ndarray:
+    """The ``record`` at each byte offset ``at`` of ``buf``."""
+    if not len(at):  # the buffer may be shorter than one record
+        return np.empty(0, record)
+    return sliding_window_view(buf, record.itemsize)[at].view(record)[:, 0]
+
+
+def write_flows(flows: Union[FlowTable, Iterable[SessionFlow]], out_dir: str | Path) -> None:
+    """Write the manifest/sidecar pair for a flow table or list. ``check_labels``, then a check of every
+    packet field against its width in the sidecar, run before anything is written."""
+    flows = FlowTable.of(flows)
     check_labels(flows)
-    lines = []
-    blob = bytearray(_SIDECAR_MAGIC + HEADER.pack(_SIDECAR_VERSION, len(flows)))
-    for flow in flows:
-        k = flow.key
-        label_txt = "-" if flow.label is None else str(flow.label)
-        lines.append(f"{k.ip_a.hex()}\t{k.port_a}\t{k.ip_b.hex()}\t{k.port_b}\t{k.proto}\t{len(flow)}\t{label_txt}\n")
-        blob += _FLOW.pack(len(flow), -1 if flow.label is None else flow.label)
-        for pkt, direction in flow.packets:
-            blob += _PACKET_HEAD.pack(pkt.timestamp, direction, len(pkt.src_ip))
-            blob += pkt.src_ip + pkt.dst_ip
-            blob += _PACKET_TAIL.pack(pkt.src_port, pkt.dst_port, pkt.ip_proto, pkt.tcp_flags,
-                                      pkt.total_length, len(pkt.payload))
-            blob += pkt.payload
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_atomic(out / MANIFEST_NAME, lines)
-    write_atomic(out / SIDECAR_NAME, blob)
+    _check_fields(flows)
+    rows, counts, labels = flows.packets.rows, flows.counts, flows.labels
+    lines = [f"{ip_a.hex()}\t{port_a}\t{ip_b.hex()}\t{port_b}\t{proto}\t{n}\t{'-' if label is None else label}\n"
+             for (ip_a, port_a, ip_b, port_b, proto), n, label in zip(flows.key_fields(), counts.tolist(), labels)]
+    # Flow i's record follows the file header, i earlier flow records and every earlier packet record;
+    # a packet record is 24 fixed bytes, its two addresses and its payload.
+    n_addr = rows["src_len"]
+    before = np.concatenate([[0], np.cumsum(24 + 2 * n_addr + rows["plen"])])  # packet bytes before each packet
+    flow_at = 4 + HEADER.size + _FLOW.size * np.arange(len(flows)) + before[flows.firsts]
+    at = np.repeat(flow_at + _FLOW.size - before[flows.firsts], counts) + before[:-1]
+    blob = bytearray(4 + HEADER.size + _FLOW.size * len(flows) + int(before[-1]))
+    blob[: 4 + HEADER.size] = _SIDECAR_MAGIC + HEADER.pack(_SIDECAR_VERSION, len(flows))
+    for offset, n, label in zip(flow_at.tolist(), counts.tolist(), labels):
+        _FLOW.pack_into(blob, offset, n, -1 if label is None else label)
+    out, data = np.frombuffer(blob, np.uint8), np.frombuffer(flows.packets.data, np.uint8)
+    _put(out, at, _PACKET_HEAD, rows["ts"], rows["dir"], n_addr)
+    _put(out, at + 10 + 2 * n_addr, _PACKET_TAIL, *(rows[c] for c in _PACKET_TAIL.names))
+    for dest, column, length in ((at + 10, "src", "src_len"), (at + 10 + n_addr, "dst", "dst_len"),
+                                 (at + 24 + 2 * n_addr, "payload", "plen")):
+        _copy_spans(out, dest, data, rows[column], rows[length])
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
+    write_atomic(out_path / MANIFEST_NAME, lines)
+    write_atomic(out_path / SIDECAR_NAME, blob)
 
 
-def read_flows(in_dir: str | Path) -> list[SessionFlow]:
-    """Read back a flow list written by :func:`write_flows`.
+def _step_packet(r: BinaryReader) -> None:
+    """Read one packet record field by field, as the format lays it out: the read that runs past the
+    end of the file raises."""
+    n_addr = r.take(_PACKET_HEAD.itemsize)[-1]
+    r.take(n_addr)
+    r.take(n_addr)
+    r.take(int.from_bytes(r.take(_PACKET_TAIL.itemsize)[-4:], "little"))
+
+
+def read_flows(in_dir: str | Path) -> FlowTable:
+    """Read back the flows written by :func:`write_flows`, as a table over the sidecar's bytes.
 
     A malformed or truncated sidecar raises :class:`CaptureError` naming
-    the file and the byte offset where the failing record starts.
+    the file and the byte offset where the failing record starts. Only
+    the two length fields of each packet are walked one by one; every
+    other field is decoded at once.
     """
-    flows = []
     with BinaryReader.open(Path(in_dir) / SIDECAR_NAME, _SIDECAR_MAGIC, _SIDECAR_VERSION, CaptureError) as r:
-        for _ in r.records(r.count):
-            n_pkts, label = r.unpack(_FLOW)
-            if n_pkts == 0:
-                raise ValueError("flow record has no packets")
-            packets = []
-            for _ in r.records(n_pkts):
-                ts, direction, ip_len = r.unpack(_PACKET_HEAD)
-                src_ip, dst_ip = r.take(ip_len), r.take(ip_len)
-                sport, dport, proto, flags, total_len, payload_len = r.unpack(_PACKET_TAIL)
-                pkt = PacketRecord(ts, src_ip, dst_ip, sport, dport, proto, flags, total_len, r.take(payload_len))
-                packets.append((pkt, direction))
-            key = FiveTuple.from_packet(packets[0][0])
-            flows.append(SessionFlow(key=key, packets=packets, label=None if label < 0 else label))
+        data, size = r.data, len(r.data)
+        counts, labels, starts, broken = array("q"), [], array("q"), None
+        payload_len = struct.Struct("<I").unpack_from
+        try:
+            for _ in r.records(r.count):
+                n_packets, label = r.unpack(_FLOW)
+                if n_packets == 0:
+                    raise ValueError("flow record has no packets")
+                counts.append(n_packets)
+                labels.append(None if label < 0 else label)
+                for _ in r.records(n_packets):
+                    tail = r.pos + 10 + 2 * data[r.pos + 9] if r.pos + 10 <= size else size
+                    end = tail + 14 + payload_len(data, tail + 10)[0] if tail + 14 <= size else size + 1
+                    if end > size:
+                        _step_packet(r)
+                    starts.append(r.pos)
+                    r.pos = end
+        except ValueError as exc:  # raised below, unless a packet read before it is refused first
+            broken = (r.start, exc)
+        buf, at = np.frombuffer(data, np.uint8), np.frombuffer(starts, np.int64)
+        head = _get(buf, at, _PACKET_HEAD)
+        n_addr = head["ip_len"].astype(np.int64)
+        tail = _get(buf, at + 10 + 2 * n_addr, _PACKET_TAIL)
+        rows = np.empty(len(at), PACKET_COLUMNS)
+        for name, column in (("ts", head["ts"]), ("src", at + 10), ("src_len", n_addr), ("dst", at + 10 + n_addr),
+                             ("dst_len", n_addr), ("payload", at + 24 + 2 * n_addr), ("dir", head["dir"])):
+            rows[name] = column
+        for name in _PACKET_TAIL.names:
+            rows[name] = tail[name]
+        ts = rows["ts"]
+        refused = ~(np.isfinite(ts) & (ts >= 0)) | (rows["length"] < rows["plen"]) | (
+            (rows["flags"] != 0) & (rows["proto"] != PROTO_TCP))
+        if refused.any():  # building the first refused packet's record raises PacketRecord's error
+            i = int(refused.argmax())
+            r.start = int(at[i])
+            PacketTable(data, rows[i : i + 1]).records()
+        if broken:
+            r.start = broken[0]
+            raise broken[1]
         r.end()
-    return flows
+    return FlowTable(PacketTable(data, rows), np.frombuffer(counts, np.int64), labels)
 
 
 def relabel(flow: SessionFlow, label: Optional[int]) -> SessionFlow:

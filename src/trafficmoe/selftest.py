@@ -174,7 +174,7 @@ def _check_flows() -> str:
     parsed = parse_capture(blob)
     assert len(parsed) == len(packets)
     reassembled = reassemble_sessions(parsed)
-    assert sum(len(f) for f in reassembled) == len(parsed)
+    assert reassembled.counts.sum() == len(parsed)
     return "capture round trip preserves the packet partition"
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -27,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .artifacts import write_atomic
-from .flows import FORWARD, PacketRecord, SessionFlow, directed
+from .flows import FORWARD, FlowTable, PacketRecord, PacketTable, SessionFlow, directed, run_indices
 
 MARKERS = ("[PD]", "[PY]", "[PAD]", "[END]", "[UNK]")
 
@@ -74,9 +75,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-# The packet attributes the metadata block is built from, as read off each PacketRecord.
-_PACKET_FIELDS = np.dtype([("ts", "f8"), ("length", "i8"), ("dir", "i8"), ("flags", "i8"), ("proto", "i8"),
-                           ("plen", "i8")])
 # One packet's metadata block, in the wire order of the module docstring.
 _META = np.dtype([("frame_len", ">u2"), ("direction", "u1"), ("tcp_flags", "u1"), ("iat_us", ">u4"),
                   ("ip_proto", "u1"), ("payload_len", ">u2")])
@@ -89,35 +87,34 @@ def _window_codes(regions: np.ndarray, stride: int) -> np.ndarray:
     return BIGRAM_BASE + (padded[:, :-1:stride] << 8 | padded[:, 1::stride])
 
 
-def serialize_flows(flows: Sequence[SessionFlow], cfg: SerializerConfig) -> list[np.ndarray]:
-    """Serialize flows into their ``int32`` code sequences, one array per flow. The first
-    ``packets_per_flow`` packets of a flow each contribute ``[PD] <meta bigrams> [PY] <payload
+def serialize_flows(flows: FlowTable | Sequence[SessionFlow], cfg: SerializerConfig) -> list[np.ndarray]:
+    """Serialize flows (a table or a list) into their ``int32`` code sequences, one array per flow. The
+    first ``packets_per_flow`` packets of a flow each contribute ``[PD] <meta bigrams> [PY] <payload
     bigrams>`` (the payload's first ``payload_bytes`` bytes), and ``[END]`` ends the flow."""
+    flows = FlowTable.of(flows)
     k, j, stride = cfg.packets_per_flow, cfg.payload_bytes, cfg.bigram_stride
-    heads = [f.packets[:k] for f in flows]
-    counts = np.array([len(h) for h in heads], dtype=np.int64)
+    counts = np.minimum(flows.counts, k)
     if not counts.all():
         raise ValueError("cannot serialize an empty flow")
-    pairs = [pair for head in heads for pair in head]
-    fields = np.fromiter(((p.timestamp, p.total_length, d, p.tcp_flags, p.ip_proto, len(p.payload)) for p, d in pairs),
-                         _PACKET_FIELDS, len(pairs))
+    heads = PacketTable(flows.packets.data, flows.packets.rows[run_indices(flows.firsts, counts)])
+    fields = heads.rows
     firsts = np.cumsum(counts) - counts  # each flow's first packet
     iat_us = np.rint(np.maximum(np.diff(fields["ts"], prepend=0.0), 0.0) * 1e6)
     iat_us[firsts] = 0
-    meta = np.zeros(len(pairs), _META)
+    meta = np.zeros(len(fields), _META)
     for name, column in zip(_META.names, (
         np.minimum(fields["length"], 0xFFFF), fields["dir"] != FORWARD, fields["flags"] & 0xFF,
         np.minimum(iat_us, 2**32 - 1), fields["proto"] & 0xFF, np.minimum(fields["plen"], 0xFFFF),
     )):
         meta[name] = column
-    payloads = np.frombuffer(b"".join([p.payload[:j].ljust(j, b"\0") for p, _ in pairs]), np.uint8)
+    payloads = heads.payload_heads(j)
 
     # One row per packet: [PD] meta [PY] payload, then [END], kept on each flow's last packet only.
     n_meta = _ceil_div(META_BYTES, stride)
-    rows = np.empty((len(pairs), n_meta + _ceil_div(j, stride) + 3), dtype=np.int32)
+    rows = np.empty((len(fields), n_meta + _ceil_div(j, stride) + 3), dtype=np.int32)
     rows[:, 0], rows[:, n_meta + 1], rows[:, -1] = PD_ID, PY_ID, END_ID
-    rows[:, 1 : n_meta + 1] = _window_codes(meta.view(np.uint8).reshape(len(pairs), META_BYTES), stride)
-    rows[:, n_meta + 2 : -1] = _window_codes(payloads.reshape(len(pairs), j), stride)
+    rows[:, 1 : n_meta + 1] = _window_codes(meta.view(np.uint8).reshape(len(fields), META_BYTES), stride)
+    rows[:, n_meta + 2 : -1] = _window_codes(payloads, stride)
     keep = np.ones(rows.shape, dtype=bool)
     keep[:, n_meta + 2 : -1] = np.arange(0, j, stride) < np.minimum(fields["plen"], j)[:, None]
     keep[:, -1] = False
@@ -353,7 +350,13 @@ def read_corpus(path: str | Path) -> list[TokenSequence]:
                 if not match:
                     raise ValueError("expected an optional `label:<id><TAB>`, then ids, all in ASCII digits")
                 label = None if match[1] is None else int(np.int32(match[1]))
-                ids = np.array([int(tok) for tok in match[2].split()], dtype=np.int32)
+                ids = np.fromstring(match[2], np.int64, sep=" ") if match[2].strip() else np.zeros(0, np.int64)
+                # fromstring clamps past int64 and ignores int()'s digit limit, so a line holding an
+                # id >= 2**31, or one that may be longer than that limit, is parsed again with int()
+                limit = sys.get_int_max_str_digits()
+                if ids.max(initial=0) >= 2**31 or limit and len(match[2]) - 2 * (ids.size - 1) > limit:
+                    ids = np.array([int(tok) for tok in match[2].split()], dtype=np.int32)
+                ids = ids.astype(np.int32)
                 if not ids.size:
                     raise ValueError("no token IDs")
                 if sequences and ids.size != len(sequences[0]):

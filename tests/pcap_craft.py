@@ -11,8 +11,10 @@ ETH_IPV6 = 0x86DD
 ETH_ARP = 0x0806
 
 
-def ethernet(payload: bytes, ethertype: int = ETH_IPV4) -> bytes:
-    return b"\xaa" * 6 + b"\xbb" * 6 + struct.pack(">H", ethertype) + payload
+def ethernet(payload: bytes, ethertype: int = ETH_IPV4, vlan: int | None = None) -> bytes:
+    """An Ethernet II frame, with one 802.1Q tag carrying VLAN id ``vlan`` if it is given."""
+    tag = b"" if vlan is None else struct.pack(">HH", 0x8100, vlan)
+    return b"\xaa" * 6 + b"\xbb" * 6 + tag + struct.pack(">H", ethertype) + payload
 
 
 def ipv4(

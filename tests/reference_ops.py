@@ -2,18 +2,36 @@
 
 The engine references build the same graph node (or chain of nodes) the engine used to build, from
 the engine's own primitives, so a test can check a fused op's output and gradients against it in
-float64. The tokenizer references serialize one packet and parse one vocabulary line at a time.
+float64. The tokenizer references serialize one packet and parse one vocabulary line at a time. The
+flow references decode, group, store and read one ``PacketRecord`` at a time, and the corpus
+reference parses one line at a time with a regular expression and ``int``.
 """
 
 import math
 import struct
+import warnings
+from operator import attrgetter
 from pathlib import Path
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from trafficmoe import tensor as T
-from trafficmoe.flows import FORWARD
-from trafficmoe.tokenization import BIGRAM_BASE, END_ID, FULL_BIGRAM_VOCAB_SIZE, MARKERS, PD_ID, PY_ID, UNK_ID
+from trafficmoe.artifacts import HEADER, BinaryReader, write_atomic
+from trafficmoe.flows import (_LINKTYPE_ETHERNET, _LINKTYPE_RAW_IP, _MAGIC_NS_BE, _MAGIC_NS_LE, _MAGIC_US_BE,
+                              _MAGIC_US_LE, _SIDECAR_MAGIC, _SIDECAR_VERSION, FORWARD, MANIFEST_NAME, PROTO_TCP,
+                              PROTO_UDP, SIDECAR_NAME, CaptureError, FiveTuple, PacketRecord, SessionFlow,
+                              check_labels, directed)
+from trafficmoe.tokenization import (_CORPUS_LINE, _META, BIGRAM_BASE, END_ID, FULL_BIGRAM_VOCAB_SIZE, MARKERS,
+                                     META_BYTES, PAD_ID, PD_ID, PY_ID, UNK_ID, SerializerConfig, TokenSequence,
+                                     _ceil_div, _window_codes)
+
+_FLOW = struct.Struct("<Ii")
+_PACKET_HEAD = struct.Struct("<dBB")
+_PACKET_TAIL = struct.Struct("<HHBBII")
+# The packet attributes the metadata block is built from, as read off each PacketRecord.
+_PACKET_FIELDS = np.dtype([("ts", "f8"), ("length", "i8"), ("dir", "i8"), ("flags", "i8"), ("proto", "i8"),
+                           ("plen", "i8")])
 
 
 def rope_tables_ref(seq_len: int, head_dim: int, base: float = 10000.0):
@@ -224,3 +242,263 @@ def load_vocabulary_ref(path) -> np.ndarray:
         raise ValueError(f"{path}: markers {' '.join(MARKERS)} must map to ids 0-4")
     table[table < 0] = UNK_ID
     return table
+
+
+def parse_capture_ref(capture_bytes: bytes) -> list[PacketRecord]:
+    """Parse a classic capture stream into packet records.
+
+    Accepts both byte orders and both timestamp resolutions. Non-IP
+    frames (ARP etc.) are skipped. A malformed global header or an
+    unsupported link type is a hard error; a truncated trailing record
+    is dropped with a warning.
+    """
+    if len(capture_bytes) < 24:
+        raise CaptureError(
+            f"malformed global header at offset 0: need 24 bytes, have {len(capture_bytes)}"
+        )
+    magic = struct.unpack_from(">I", capture_bytes, 0)[0]
+    if magic == _MAGIC_US_BE:
+        endian, ns = ">", False
+    elif magic == _MAGIC_US_LE:
+        endian, ns = "<", False
+    elif magic == _MAGIC_NS_BE:
+        endian, ns = ">", True
+    elif magic == _MAGIC_NS_LE:
+        endian, ns = "<", True
+    else:
+        raise CaptureError(f"malformed global header at offset 0: unknown magic 0x{magic:08X}")
+    linktype = struct.unpack_from(endian + "I", capture_bytes, 20)[0]
+    if linktype not in (_LINKTYPE_ETHERNET, _LINKTYPE_RAW_IP):
+        raise CaptureError(f"unsupported link type {linktype}")
+
+    records: list[PacketRecord] = []
+    offset = 24
+    total = len(capture_bytes)
+    frac_div = 1e9 if ns else 1e6
+    while offset < total:
+        if offset + 16 > total:
+            warnings.warn(f"truncated record header at offset {offset}; record dropped")
+            break
+        ts_sec, ts_frac, incl_len, orig_len = struct.unpack_from(endian + "IIII", capture_bytes, offset)
+        offset += 16
+        if offset + incl_len > total:
+            warnings.warn(f"truncated record data at offset {offset}; record dropped")
+            break
+        frame = capture_bytes[offset : offset + incl_len]
+        offset += incl_len
+        rec = _parse_frame_ref(frame, linktype, ts_sec + ts_frac / frac_div, orig_len)
+        if rec is not None:
+            records.append(rec)
+    return records
+
+
+def _parse_frame_ref(frame: bytes, linktype: int, timestamp: float, orig_len: int) -> Optional[PacketRecord]:
+    if linktype == _LINKTYPE_ETHERNET:
+        if len(frame) < 14:
+            return None
+        ethertype = struct.unpack_from(">H", frame, 12)[0]
+        ip_off = 14
+        # Traverse one VLAN tag if present.
+        if ethertype in (0x8100, 0x88A8):
+            if len(frame) < 18:
+                return None
+            ethertype = struct.unpack_from(">H", frame, 16)[0]
+            ip_off = 18
+        if ethertype == 0x0800:
+            return _parse_ip_ref(frame[ip_off:], 4, timestamp, orig_len)
+        if ethertype == 0x86DD:
+            return _parse_ip_ref(frame[ip_off:], 6, timestamp, orig_len)
+        return None  # non-IP frame
+    # Raw-IP link: version nibble decides the family.
+    if not frame:
+        return None
+    version = frame[0] >> 4
+    if version in (4, 6):
+        return _parse_ip_ref(frame, version, timestamp, orig_len)
+    return None
+
+
+def _parse_ip_ref(dgram: bytes, version: int, timestamp: float, orig_len: int) -> Optional[PacketRecord]:
+    if version == 4:
+        if len(dgram) < 20:
+            return None
+        header_len = (dgram[0] & 0x0F) * 4
+        if header_len < 20 or len(dgram) < header_len:
+            return None
+        # The IP total-length field bounds the datagram; bytes beyond it
+        # are link-layer padding, not payload.
+        ip_total = struct.unpack_from(">H", dgram, 2)[0]
+        if header_len <= ip_total < len(dgram):
+            dgram = dgram[:ip_total]
+        proto = dgram[9]
+        src_ip, dst_ip = dgram[12:16], dgram[16:20]
+        transport = dgram[header_len:]
+    else:
+        if len(dgram) < 40:
+            return None
+        # Extension headers are not traversed; proto comes from Next Header.
+        payload_len = struct.unpack_from(">H", dgram, 4)[0]
+        if 40 + payload_len < len(dgram):
+            dgram = dgram[: 40 + payload_len]
+        proto = dgram[6]
+        src_ip, dst_ip = dgram[8:24], dgram[24:40]
+        transport = dgram[40:]
+
+    src_port = dst_port = 0
+    tcp_flags = 0
+    payload = b""
+    if proto == PROTO_TCP and len(transport) >= 20:
+        src_port, dst_port = struct.unpack_from(">HH", transport, 0)
+        data_off = (transport[12] >> 4) * 4
+        tcp_flags = transport[13]
+        if data_off >= 20:
+            payload = transport[data_off:]
+    elif proto == PROTO_UDP and len(transport) >= 8:
+        src_port, dst_port = struct.unpack_from(">HH", transport, 0)
+        payload = transport[8:]
+    else:
+        payload = transport
+
+    return PacketRecord(
+        timestamp=timestamp,
+        src_ip=src_ip,
+        dst_ip=dst_ip,
+        src_port=src_port,
+        dst_port=dst_port,
+        ip_proto=proto,
+        tcp_flags=tcp_flags,
+        total_length=max(orig_len, len(payload)),
+        payload=payload,
+    )
+
+
+def reassemble_sessions_ref(packets: Iterable[PacketRecord]) -> list[SessionFlow]:
+    """Group packets into bidirectional flows keyed by canonical five-tuple.
+
+    Every input packet lands in exactly one flow. Within a flow, packets
+    are sorted by timestamp (capture order breaks ties) and directions
+    are assigned relative to the first packet's sender. Flows are
+    returned in order of first appearance in the capture.
+    """
+    groups: dict[tuple, list[PacketRecord]] = {}  # ((ip, port), (ip, port), proto), lower end first
+    for pkt in packets:
+        a, b = (pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port)
+        groups.setdefault((a, b, pkt.ip_proto) if a <= b else (b, a, pkt.ip_proto), []).append(pkt)
+
+    flows = []
+    for ((ip_a, port_a), (ip_b, port_b), proto), pkts in groups.items():
+        pkts.sort(key=attrgetter("timestamp"))  # stable, so capture order breaks ties
+        flows.append(SessionFlow(key=FiveTuple(ip_a, port_a, ip_b, port_b, proto), packets=directed(pkts)))
+    return flows
+
+
+def write_flows_ref(flows: list[SessionFlow], out_dir: str | Path) -> None:
+    """Write the manifest/sidecar pair for a flow list; ``check_labels`` runs before anything is written."""
+    check_labels(flows)
+    lines = []
+    blob = bytearray(_SIDECAR_MAGIC + HEADER.pack(_SIDECAR_VERSION, len(flows)))
+    for flow in flows:
+        k = flow.key
+        label_txt = "-" if flow.label is None else str(flow.label)
+        lines.append(f"{k.ip_a.hex()}\t{k.port_a}\t{k.ip_b.hex()}\t{k.port_b}\t{k.proto}\t{len(flow)}\t{label_txt}\n")
+        blob += _FLOW.pack(len(flow), -1 if flow.label is None else flow.label)
+        for pkt, direction in flow.packets:
+            blob += _PACKET_HEAD.pack(pkt.timestamp, direction, len(pkt.src_ip))
+            blob += pkt.src_ip + pkt.dst_ip
+            blob += _PACKET_TAIL.pack(pkt.src_port, pkt.dst_port, pkt.ip_proto, pkt.tcp_flags,
+                                      pkt.total_length, len(pkt.payload))
+            blob += pkt.payload
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_atomic(out / MANIFEST_NAME, lines)
+    write_atomic(out / SIDECAR_NAME, blob)
+
+
+def read_flows_ref(in_dir: str | Path) -> list[SessionFlow]:
+    """Read back a flow list written by :func:`write_flows`.
+
+    A malformed or truncated sidecar raises :class:`CaptureError` naming
+    the file and the byte offset where the failing record starts.
+    """
+    flows = []
+    with BinaryReader.open(Path(in_dir) / SIDECAR_NAME, _SIDECAR_MAGIC, _SIDECAR_VERSION, CaptureError) as r:
+        for _ in r.records(r.count):
+            n_pkts, label = r.unpack(_FLOW)
+            if n_pkts == 0:
+                raise ValueError("flow record has no packets")
+            packets = []
+            for _ in r.records(n_pkts):
+                ts, direction, ip_len = r.unpack(_PACKET_HEAD)
+                src_ip, dst_ip = r.take(ip_len), r.take(ip_len)
+                sport, dport, proto, flags, total_len, payload_len = r.unpack(_PACKET_TAIL)
+                pkt = PacketRecord(ts, src_ip, dst_ip, sport, dport, proto, flags, total_len, r.take(payload_len))
+                packets.append((pkt, direction))
+            key = FiveTuple.from_packet(packets[0][0])
+            flows.append(SessionFlow(key=key, packets=packets, label=None if label < 0 else label))
+        r.end()
+    return flows
+
+
+def serialize_flows_ref(flows: Sequence[SessionFlow], cfg: SerializerConfig) -> list[np.ndarray]:
+    """Serialize flows into their ``int32`` code sequences, one array per flow. The first
+    ``packets_per_flow`` packets of a flow each contribute ``[PD] <meta bigrams> [PY] <payload
+    bigrams>`` (the payload's first ``payload_bytes`` bytes), and ``[END]`` ends the flow."""
+    k, j, stride = cfg.packets_per_flow, cfg.payload_bytes, cfg.bigram_stride
+    heads = [f.packets[:k] for f in flows]
+    counts = np.array([len(h) for h in heads], dtype=np.int64)
+    if not counts.all():
+        raise ValueError("cannot serialize an empty flow")
+    pairs = [pair for head in heads for pair in head]
+    fields = np.fromiter(((p.timestamp, p.total_length, d, p.tcp_flags, p.ip_proto, len(p.payload)) for p, d in pairs),
+                         _PACKET_FIELDS, len(pairs))
+    firsts = np.cumsum(counts) - counts  # each flow's first packet
+    iat_us = np.rint(np.maximum(np.diff(fields["ts"], prepend=0.0), 0.0) * 1e6)
+    iat_us[firsts] = 0
+    meta = np.zeros(len(pairs), _META)
+    for name, column in zip(_META.names, (
+        np.minimum(fields["length"], 0xFFFF), fields["dir"] != FORWARD, fields["flags"] & 0xFF,
+        np.minimum(iat_us, 2**32 - 1), fields["proto"] & 0xFF, np.minimum(fields["plen"], 0xFFFF),
+    )):
+        meta[name] = column
+    payloads = np.frombuffer(b"".join([p.payload[:j].ljust(j, b"\0") for p, _ in pairs]), np.uint8)
+
+    # One row per packet: [PD] meta [PY] payload, then [END], kept on each flow's last packet only.
+    n_meta = _ceil_div(META_BYTES, stride)
+    rows = np.empty((len(pairs), n_meta + _ceil_div(j, stride) + 3), dtype=np.int32)
+    rows[:, 0], rows[:, n_meta + 1], rows[:, -1] = PD_ID, PY_ID, END_ID
+    rows[:, 1 : n_meta + 1] = _window_codes(meta.view(np.uint8).reshape(len(pairs), META_BYTES), stride)
+    rows[:, n_meta + 2 : -1] = _window_codes(payloads.reshape(len(pairs), j), stride)
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, n_meta + 2 : -1] = np.arange(0, j, stride) < np.minimum(fields["plen"], j)[:, None]
+    keep[:, -1] = False
+    keep[firsts + counts - 1, -1] = True
+    codes = rows[keep]
+    ends = np.cumsum(np.add.reduceat(keep.sum(axis=1), firsts)).tolist()
+    return [codes[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def read_corpus_ref(path: str | Path) -> list[TokenSequence]:
+    """Read the sequences of a corpus file; sequence i is line i + 1. A label or token ID that is
+    not ASCII digits or not below 2**31, a line with no IDs (a blank line is one), a line of only
+    [PAD] IDs, or one whose ID count differs from the first line's raises ValueError naming the
+    file and line."""
+    sequences = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                match = _CORPUS_LINE.fullmatch(line.rstrip("\n"))
+                if not match:
+                    raise ValueError("expected an optional `label:<id><TAB>`, then ids, all in ASCII digits")
+                label = None if match[1] is None else int(np.int32(match[1]))
+                ids = np.array([int(tok) for tok in match[2].split()], dtype=np.int32)
+                if not ids.size:
+                    raise ValueError("no token IDs")
+                if sequences and ids.size != len(sequences[0]):
+                    raise ValueError(f"{ids.size} token IDs, but line 1 has {len(sequences[0])}")
+                valid = ids != PAD_ID
+                if not valid.any():
+                    raise ValueError("every token ID is [PAD]")
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            sequences.append(TokenSequence(ids=ids, valid_mask=valid, label=label))
+    return sequences

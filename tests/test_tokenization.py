@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_ops import load_vocabulary_ref, serialize_flow_ref, serialize_packet_ref
+from reference_ops import load_vocabulary_ref, read_corpus_ref, serialize_flow_ref, serialize_packet_ref
 
 from trafficmoe.flows import BACKWARD, FORWARD, FiveTuple, PacketRecord, SessionFlow
 from trafficmoe.synth import synth_flow, synth_flows, write_pcap
@@ -563,3 +563,28 @@ def test_synth_labels_0_to_6_are_byte_identical_and_7_up_work():
         flow = synth_flow(rng, label=label, n_packets=5)
         alphabet = {(i * 13 + 37 * label) % 256 for i in range(16)}
         assert set(b"".join(p.payload for p, _ in flow.packets)) <= alphabet
+
+
+# Pieces of corpus text: ids a valid corpus holds, leading zeros, ids at and past 2**31 and past int64,
+# one past int()'s digit limit, every ASCII space the line format takes, labels, and text it refuses.
+_CORPUS_PIECES = st.sampled_from([
+    "5", "17", "2", "2", "0", "65540", "007", "0000000005", "2147483647", "2147483648", "99999999999999999999",
+    "0" * 4301 + "5", " ", " ", "  ", "\t", "\x0b", "\x0c", "\r", "label:", "label:3\t", "label:2147483648\t",
+    "label:\t", "x", "é", "-1", "+5", " ", "١",
+])
+
+
+@given(st.lists(st.lists(_CORPUS_PIECES, max_size=8).map("".join), max_size=5), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.booleans(), st.sampled_from([b"", b"", b"\xff", b"\xc3"]))
+@settings(max_examples=200, deadline=None)
+def test_read_corpus_matches_the_per_line_reference(tmp_path_factory, lines, newline, trailing, tail):
+    path = tmp_path_factory.getbasetemp() / "corpus-ref.txt"
+    path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode() + tail)
+
+    def outcome(reader):
+        try:
+            return [(s.ids.dtype, s.ids.tolist(), s.valid_mask.tolist(), s.label) for s in reader(path)]
+        except ValueError as exc:
+            return type(exc).__name__, str(exc)
+
+    assert outcome(read_corpus) == outcome(read_corpus_ref)
