@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from contextlib import contextmanager
@@ -12,13 +13,15 @@ from typing import Iterable, Iterator
 HEADER = struct.Struct("<II")  # version, record count; follows the 4-byte magic
 
 
-def write_atomic(path: str | Path, data: bytes | bytearray | str | Iterable[str]) -> None:
-    """Write ``data`` (bytes, text, or text chunks streamed as they come) to a sibling temp
-    file, flush it to disk and rename it over ``path``: readers see the old file or the new one."""
+def write_atomic(path: str | Path, data: bytes | bytearray | str | Iterable[str] | Iterable[bytes]) -> None:
+    """Write ``data`` (bytes, text, or text or bytes chunks streamed as they come, none before the first)
+    to a sibling temp file, flush it to disk and rename it over ``path``: readers see the old or new file."""
+    chunks = iter([data] if isinstance(data, (bytes, bytearray, str)) else data)
+    first = next(chunks, b"")
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb" if isinstance(data, (bytes, bytearray)) else "w") as fh:
-            fh.writelines([data] if isinstance(data, (bytes, bytearray, str)) else data)
+        with open(tmp, "w" if isinstance(first, str) else "wb") as fh:
+            fh.writelines(itertools.chain([first], chunks))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

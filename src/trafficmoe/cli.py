@@ -31,12 +31,9 @@ from .flows import (CaptureError, FlowTable, check_labels, filter_micro_flows, p
                     reassemble_sessions, write_flows)
 from .model import ModelConfig, TrafficModel, field_types
 from .selftest import run_selftest
-from .tokenization import (SerializerConfig, TokenSequence, Vocabulary, batch_arrays, build_vocabulary, read_corpus,
-                           serialize_flows, temporal_slice, tokenize, write_corpus)
+from .tokenization import (SerializerConfig, TokenSequence, Vocabulary, batch_arrays, build_vocabulary, chunk_rows,
+                           read_corpus, serialize_codes, temporal_slice, token_matrix, write_corpus)
 from .training import TASK_LOSS, DivergenceError, TrainConfig, split_dataset, train
-
-
-SERIALIZE_CHUNK = 256  # flows per serialize_flows call: numpy overhead amortised, batch arrays a few MB
 
 
 class UsageExit(Exception):
@@ -154,16 +151,15 @@ def _serializer_from_args(args) -> tuple[SerializerConfig, dict]:
     return SerializerConfig(**{name: merged[key] for key, name in _SERIALIZER_KEYS.items()}), merged
 
 
-def _serialized(flow_dirs, serializer: SerializerConfig, slice_window: float = 0.0):
-    """Yield ``(label, codes)`` for each flow of each directory, or for each of its temporal slices
-    when ``slice_window`` > 0, serialized ``SERIALIZE_CHUNK`` flows at a time."""
+def _flow_chunks(flow_dirs, rows: int, slice_window: float = 0.0):
+    """Yield the flows of each directory, or their temporal slices when ``slice_window`` > 0, as
+    tables of ``rows`` flows."""
     for flow_dir in flow_dirs:
         flows = read_flows(flow_dir)
         if slice_window > 0:
             flows = FlowTable.of(part for flow in flows.sessions() for part in temporal_slice(flow, slice_window))
-        for lo in range(0, len(flows), SERIALIZE_CHUNK):
-            chunk = flows[lo : lo + SERIALIZE_CHUNK]
-            yield from zip(chunk.labels, serialize_flows(chunk, serializer))
+        for lo in range(0, len(flows), rows):
+            yield flows[lo : lo + rows]
 
 
 def _cmd_build_vocab(args) -> tuple:
@@ -173,7 +169,8 @@ def _cmd_build_vocab(args) -> tuple:
     if args.vocab_mode == "full_bigram":
         vocab = build_vocabulary(mode="full_bigram")
     else:
-        corpus = (codes for _, codes in _serialized(args.flows, serializer))
+        width = serializer.packets_per_flow * serializer.tokens_per_packet + 1  # codes per flow at most
+        corpus = (serialize_codes(chunk, serializer)[0] for chunk in _flow_chunks(args.flows, chunk_rows(width)))
         vocab = build_vocabulary(corpus, mode="wordpiece", min_freq=args.min_freq)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -189,9 +186,9 @@ def _cmd_tokenize(args) -> tuple:
     vocab = Vocabulary.load(args.vocab)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    sequences = (tokenize(codes, vocab, serializer.max_tokens, label=label)
-                 for label, codes in _serialized(args.flows, serializer, args.slice_window))
-    n_sequences = write_corpus(sequences, out)
+    chunks = ((token_matrix(*serialize_codes(chunk, serializer), vocab, serializer.max_tokens), chunk.labels)
+              for chunk in _flow_chunks(args.flows, chunk_rows(serializer.max_tokens), args.slice_window))
+    n_sequences = write_corpus(chunks, out)
     inputs = [args.config, args.vocab] + [Path(d) / "packets.bin" for d in args.flows]
     return out.parent, config, f"sequences={n_sequences}", inputs
 

@@ -4,6 +4,9 @@ Each packet becomes an 11-byte metadata block plus a sampled payload
 prefix. A flow becomes one ``int32`` code sequence: the markers have
 codes 0-4, and each 2-byte window of a region is one bigram code. A
 vocabulary maps codes to dense IDs; hex text appears only in its file.
+``token_matrix`` owns the id rule (codes to a fixed-width id matrix) and
+``_corpus_text`` the text rule (checks and corpus lines of one id matrix);
+``tokenize`` and ``write_corpus`` are thin entries over them.
 
 Wire contract for the 11 metadata bytes (big-endian):
 
@@ -19,11 +22,12 @@ Wire contract for the 11 metadata bytes (big-endian):
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -87,10 +91,10 @@ def _window_codes(regions: np.ndarray, stride: int) -> np.ndarray:
     return BIGRAM_BASE + (padded[:, :-1:stride] << 8 | padded[:, 1::stride])
 
 
-def serialize_flows(flows: FlowTable | Sequence[SessionFlow], cfg: SerializerConfig) -> list[np.ndarray]:
-    """Serialize flows (a table or a list) into their ``int32`` code sequences, one array per flow. The
-    first ``packets_per_flow`` packets of a flow each contribute ``[PD] <meta bigrams> [PY] <payload
-    bigrams>`` (the payload's first ``payload_bytes`` bytes), and ``[END]`` ends the flow."""
+def serialize_codes(flows: FlowTable | Sequence[SessionFlow], cfg: SerializerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Serialize flows (a table or a list) into their ``int32`` code sequences, back to back, and their
+    lengths. The first ``packets_per_flow`` packets of a flow each contribute ``[PD] <meta bigrams> [PY]
+    <payload bigrams>`` (the payload's first ``payload_bytes`` bytes), and ``[END]`` ends the flow."""
     flows = FlowTable.of(flows)
     k, j, stride = cfg.packets_per_flow, cfg.payload_bytes, cfg.bigram_stride
     counts = np.minimum(flows.counts, k)
@@ -119,14 +123,12 @@ def serialize_flows(flows: FlowTable | Sequence[SessionFlow], cfg: SerializerCon
     keep[:, n_meta + 2 : -1] = np.arange(0, j, stride) < np.minimum(fields["plen"], j)[:, None]
     keep[:, -1] = False
     keep[firsts + counts - 1, -1] = True
-    codes = rows[keep]
-    ends = np.cumsum(np.add.reduceat(keep.sum(axis=1), firsts)).tolist()
-    return [codes[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    return rows[keep], np.add.reduceat(keep.sum(axis=1), firsts)
 
 
 def serialize_flow(flow: SessionFlow, cfg: SerializerConfig) -> np.ndarray:
-    """Serialize one flow into its ``int32`` code sequence (see :func:`serialize_flows`)."""
-    return serialize_flows([flow], cfg)[0]
+    """Serialize one flow into its ``int32`` code sequence (see :func:`serialize_codes`)."""
+    return serialize_codes([flow], cfg)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,24 +256,23 @@ def batch_arrays(sequences: Sequence[TokenSequence]) -> tuple[np.ndarray, np.nda
     return ids, valid, labels
 
 
-def tokenize(
-    codes: np.ndarray,
-    vocab: Vocabulary,
-    max_tokens: int,
-    label: Optional[int] = None,
-) -> TokenSequence:
-    """Map a flow's code sequence to a fixed-length ID sequence.
+def token_matrix(codes: np.ndarray, lengths: np.ndarray, vocab: Vocabulary, max_tokens: int) -> np.ndarray:
+    """The id rule: map code sequences, back to back in ``codes`` with ``lengths``, to an ``int32``
+    ``[rows, max_tokens]`` id matrix. Bigrams outside the vocabulary become [UNK]. Overlong sequences
+    are cut to ``max_tokens`` with the final kept slot rewritten to [END]; short ones are padded with
+    [PAD]."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    kept = np.minimum(lengths, max_tokens)
+    ids = np.full((len(lengths), max_tokens), PAD_ID, dtype=np.int32)
+    ids[np.arange(max_tokens) < kept[:, None]] = vocab.table[codes[run_indices(np.cumsum(lengths) - lengths, kept)]]
+    ids[lengths > max_tokens, -1] = END_ID
+    return ids
 
-    Bigrams outside the vocabulary become [UNK]. Overlong sequences are
-    cut to ``max_tokens`` with the final kept slot rewritten to [END];
-    short ones are padded with [PAD].
-    """
-    n_valid = min(len(codes), max_tokens)
-    ids = np.full(max_tokens, PAD_ID, dtype=np.int32)
-    ids[:n_valid] = vocab.table[codes[:n_valid]]
-    if len(codes) > max_tokens:
-        ids[-1] = END_ID
-    return TokenSequence(ids=ids, valid_mask=np.arange(max_tokens) < n_valid, label=label)
+
+def tokenize(codes: np.ndarray, vocab: Vocabulary, max_tokens: int, label: Optional[int] = None) -> TokenSequence:
+    """Map one flow's code sequence to a fixed-length ID sequence: a one-row :func:`token_matrix`."""
+    ids = token_matrix(np.asarray(codes, dtype=np.int64), [len(codes)], vocab, max_tokens)[0]
+    return TokenSequence(ids=ids, valid_mask=np.arange(max_tokens) < len(codes), label=label)
 
 
 def temporal_slice(flow: SessionFlow, window_seconds: float) -> list[SessionFlow]:
@@ -297,43 +298,81 @@ def temporal_slice(flow: SessionFlow, window_seconds: float) -> list[SessionFlow
 # --- line's ID count, and at least one of its IDs is not [PAD].
 
 _CORPUS_LINE = re.compile(r"(?:label:([0-9]+)\t)?([0-9\s]*)", re.ASCII)  # groups: label, ids
+CHUNK_IDS = 1 << 17  # ids per corpus chunk: 256 rows at the default max_tokens, about 1 MB of text
 
 
 @functools.cache
 def _id_text() -> np.ndarray:
-    """``S6`` table, built on first use: id -> its decimal digits and a space, NUL-padded on the
-    left, for the 65,541 full-bigram ids. NULs are dropped from the text it builds."""
-    ids, place = np.arange(FULL_BIGRAM_VOCAB_SIZE)[:, None], 10 ** np.arange(4, -1, -1)
-    digits = np.where((ids >= place) | (place == 1), ids // place % 10 + ord("0"), 0)
-    return np.hstack([digits, np.full_like(ids, ord(" "))]).astype(np.uint8).view("S6").ravel()
+    """``uint64`` table, built on first use: id -> 8 bytes, its decimal digits and a space,
+    NUL-padded on the left, for the 65,541 full-bigram ids. NULs are dropped from the text it builds."""
+    ids, text = np.arange(FULL_BIGRAM_VOCAB_SIZE), np.full((FULL_BIGRAM_VOCAB_SIZE, 8), ord(" "), dtype=np.uint8)
+    for col, place in enumerate(10 ** np.arange(6, -1, -1)):  # a column at a time: a 2 MB peak, not 8
+        text[:, col] = np.where((ids >= place) | (place == 1), ids // place % 10 + ord("0"), 0)
+    return text.view(np.uint64).ravel()
 
 
-def write_corpus(sequences: Iterable[TokenSequence], path: str | Path) -> int:
-    """Write one line per sequence, streamed as ``sequences`` yields them; return the line count.
-    An empty sequence, a token id outside [0, 65,541), an id count unlike the first sequence's or
-    a sequence of only [PAD] ids raises ValueError naming the sequence, and any previous file at
-    ``path`` stays."""
-    table, count = _id_text(), 0
+def chunk_rows(width: int) -> int:
+    """Rows per id matrix of ``width`` ids: ``CHUNK_IDS`` ids, and at least one row."""
+    return max(1, CHUNK_IDS // max(width, 1))
 
-    def lines():
+
+def _corpus_text(ids: np.ndarray, labels: Sequence, first: int, width: int) -> bytes:
+    """The text rule: the corpus lines of id matrix ``ids``, whose rows are sequences ``first``,
+    ``first + 1``, ... with ``labels``, after checking them against ``width``, sequence 0's id count."""
+    table, (rows, n) = _id_text(), ids.shape
+    if not n:
+        raise ValueError(f"sequence {first} has no token IDs")
+    if n != width:
+        raise ValueError(f"sequence {first} has {n} token IDs, but sequence 0 has {width}")
+    low, high = ids.min(axis=1), ids.max(axis=1)
+    heads = np.array([-1 if x is None else x if (type(x) is int or isinstance(x, np.integer)) and 0 <= x < 2**31
+                      else -2 for x in labels], dtype=np.int64)  # -1: no label, -2: a label read_corpus refuses
+    bad = np.flatnonzero((low < 0) | (high >= table.size) | (high == PAD_ID) & (low == PAD_ID) | (heads == -2))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"sequence {first + i} " + (
+            f"holds token id {low[i] if low[i] < 0 else high[i]}, outside [0, {table.size})"
+            if low[i] < 0 or high[i] >= table.size else "has only [PAD] token IDs" if high[i] == PAD_ID
+            else f"has label {labels[i]!r}, not an integer in [0, 2**31)"))
+    text = np.take(table, ids).view(np.uint8).reshape(rows, n * 8)
+    text[:, -1] = ord("\n")  # the space after the last id
+    if (heads >= 0).any():  # `label:<digits><TAB>`, NUL-padded, in front of each labelled row
+        head = np.where(heads >= 0, np.strings.add(np.strings.add(b"label:", heads.astype("S10")), b"\t"), b"")
+        text = np.hstack([head.astype("S17").view(np.uint8).reshape(rows, 17), text])
+    return text.tobytes().translate(None, b"\0")
+
+
+def _id_chunks(items: Iterable) -> Iterator[tuple[np.ndarray, Sequence]]:
+    """``(ids, labels)`` chunks: each chunk in ``items``, and its runs of same-width sequences stacked."""
+    run: list[TokenSequence] = []
+    for item in itertools.chain(items, [None]):
+        seq = isinstance(item, TokenSequence)
+        if run and not (seq and item.ids.size == run[0].ids.size and len(run) < chunk_rows(item.ids.size)):
+            yield np.stack([s.ids.ravel() for s in run]), [s.label for s in run]
+            run = []
+        if seq:
+            run.append(item)
+        elif item is not None:
+            yield item
+
+
+def write_corpus(sequences: Iterable[TokenSequence | tuple[np.ndarray, Sequence]], path: str | Path) -> int:
+    """Write one line per sequence, streamed as ``sequences`` yields them, chunk by chunk through
+    :func:`_corpus_text`; return the line count. Items may also be ``(ids, labels)`` chunks: a
+    :func:`token_matrix` and its rows' labels. An empty sequence, a token id outside [0, 65,541), an
+    id count unlike the first sequence's, a sequence of only [PAD] ids or a label that is not an int
+    in [0, 2**31) (a bool is not) raises ValueError naming the sequence; any previous file stays."""
+    count = 0
+
+    def texts():
         nonlocal count
-        width = 0  # the first sequence's id count
-        for i, seq in enumerate(sequences):
-            ids, width = seq.ids, width or seq.ids.size
-            if not ids.size:
-                raise ValueError(f"sequence {i} has no token IDs")
-            if ids.size != width:
-                raise ValueError(f"sequence {i} has {ids.size} token IDs, but sequence 0 has {width}")
-            low, high = ids.min(), ids.max()
-            if low < 0 or high >= table.size:
-                raise ValueError(f"sequence {i} holds token id {low if low < 0 else high}, outside [0, {table.size})")
-            if high == PAD_ID == low:
-                raise ValueError(f"sequence {i} has only [PAD] token IDs")
-            head = f"label:{seq.label}\t" if seq.label is not None else ""
-            yield head + table[ids].tobytes().translate(None, b"\0")[:-1].decode() + "\n"
-            count += 1
+        width = None
+        for ids, labels in _id_chunks(sequences):
+            width = ids.shape[1] if width is None else width
+            yield _corpus_text(ids, labels, count, width)
+            count += len(ids)
 
-    write_atomic(path, lines())
+    write_atomic(path, texts())
     return count
 
 

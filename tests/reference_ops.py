@@ -2,9 +2,10 @@
 
 The engine references build the same graph node (or chain of nodes) the engine used to build, from
 the engine's own primitives, so a test can check a fused op's output and gradients against it in
-float64. The tokenizer references serialize one packet and parse one vocabulary line at a time. The
-flow references decode, group, store and read one ``PacketRecord`` at a time, and the corpus
-reference parses one line at a time with a regular expression and ``int``.
+float64. The tokenizer references serialize one packet, parse one vocabulary line, map one flow to
+ids and write one corpus line at a time. The flow references decode, group, store and read one
+``PacketRecord`` at a time, and the corpus reader reference parses one line at a time with a
+regular expression and ``int``.
 """
 
 import math
@@ -475,6 +476,51 @@ def serialize_flows_ref(flows: Sequence[SessionFlow], cfg: SerializerConfig) -> 
     codes = rows[keep]
     ends = np.cumsum(np.add.reduceat(keep.sum(axis=1), firsts)).tolist()
     return [codes[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def tokenize_ref(codes: np.ndarray, vocab, max_tokens: int, label: Optional[int] = None) -> TokenSequence:
+    """Map one flow's code sequence to a fixed-length ID sequence: bigrams outside the vocabulary
+    become [UNK], an overlong sequence is cut to ``max_tokens`` with the final kept slot rewritten
+    to [END], and a short one is padded with [PAD]."""
+    n_valid = min(len(codes), max_tokens)
+    ids = np.full(max_tokens, PAD_ID, dtype=np.int32)
+    ids[:n_valid] = vocab.table[codes[:n_valid]]
+    if len(codes) > max_tokens:
+        ids[-1] = END_ID
+    return TokenSequence(ids=ids, valid_mask=np.arange(max_tokens) < n_valid, label=label)
+
+
+def write_corpus_ref(sequences: Iterable[TokenSequence], path: str | Path) -> int:
+    """Write one line per sequence, checked and formatted one sequence at a time; return the line
+    count. An empty sequence, an id count unlike the first sequence's, a token id outside
+    [0, 65,541), a sequence of only [PAD] ids or a label that is not an int in [0, 2**31) (a bool
+    is not) raises ValueError naming the sequence, and any previous file at ``path`` stays."""
+    count = 0
+
+    def lines():
+        nonlocal count
+        width = 0  # the first sequence's id count
+        for i, seq in enumerate(sequences):
+            ids, width, label = seq.ids, width or seq.ids.size, seq.label
+            if not ids.size:
+                raise ValueError(f"sequence {i} has no token IDs")
+            if ids.size != width:
+                raise ValueError(f"sequence {i} has {ids.size} token IDs, but sequence 0 has {width}")
+            low, high = ids.min(), ids.max()
+            if low < 0 or high >= FULL_BIGRAM_VOCAB_SIZE:
+                raise ValueError(f"sequence {i} holds token id {low if low < 0 else high}, "
+                                 f"outside [0, {FULL_BIGRAM_VOCAB_SIZE})")
+            if high == PAD_ID == low:
+                raise ValueError(f"sequence {i} has only [PAD] token IDs")
+            if label is not None and (isinstance(label, bool) or not isinstance(label, (int, np.integer))
+                                      or not 0 <= label < 2**31):
+                raise ValueError(f"sequence {i} has label {label!r}, not an integer in [0, 2**31)")
+            head = f"label:{label}\t" if label is not None else ""
+            yield head + " ".join(map(str, ids.tolist())) + "\n"
+            count += 1
+
+    write_atomic(path, lines())
+    return count
 
 
 def read_corpus_ref(path: str | Path) -> list[TokenSequence]:

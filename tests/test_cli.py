@@ -13,7 +13,7 @@ import pytest
 
 import pcap_craft as craft
 from conftest import tiny_config
-from trafficmoe import cli
+from trafficmoe import cli, tokenization
 from trafficmoe import tensor as T
 from trafficmoe.cli import main
 from trafficmoe.flows import FiveTuple, PacketRecord, SessionFlow, write_flows
@@ -247,6 +247,76 @@ def test_full_bigram_corpus_bytes_are_pinned(tmp_path, capsys, extra, sequences,
     assert f"sequences={sequences}\n" in capsys.readouterr().out
     assert sha256_of(vocab, corpus) == {
         str(vocab): "fc6064d9f7e93d42541195b30da3e0acd28e1999c4053493d1e233b8e682fc72", str(corpus): corpus_sha}
+
+
+def ingest_synth(tmp_path: Path, name: str, n_flows: int, seed: int, *flags: str) -> Path:
+    """``ingest`` a capture of ``synth_flows(n_flows, 3, seed)`` into ``tmp_path / name``."""
+    pcap, out = tmp_path / f"{name}.pcap", tmp_path / name
+    flows_to_pcap(synth_flows(n_flows, n_classes=3, seed=seed), pcap)
+    assert run("ingest", "--pcap", str(pcap), "--out", str(out), *flags) == 0
+    return out
+
+
+# SHA-256 of corpora as tokenize wrote them one flow and one line at a time, so a change to the id
+# matrix or the chunk text that moves one byte fails here.
+CUT_CORPUS_SHA = "eaddd81f195e50e6ca089035a4921dde3183b571eedf920f48a780342fa027e3"
+TWO_DIR_CORPUS_SHA = "5b2e4e6d1f1ce3dcc1f5c2ef8be91c64baa0327b86c09b8b4a0fe7e7d01ffdce"
+
+
+def test_tokenize_with_every_flow_cut_is_pinned(tmp_path, capsys):
+    flows, vocab, corpus = ingest_synth(tmp_path, "flows", 24, 5, "--label", "2"), tmp_path / "v", tmp_path / "c.txt"
+    assert run("build-vocab", "--out", str(vocab)) == 0
+    assert run("tokenize", "--flows", str(flows), "--vocab", str(vocab), "--out", str(corpus),
+               "--max-tokens", "40") == 0
+    lines = corpus.read_text().splitlines()
+    assert len(lines) == 24 and all(line.split()[-1] == "3" and " 2 " not in line + " " for line in lines)
+    assert sha256_of(corpus) == {str(corpus): CUT_CORPUS_SHA}
+
+
+def test_tokenize_of_two_directories_wider_than_a_chunk_is_pinned(tmp_path, capsys):
+    labelled = ingest_synth(tmp_path, "labelled", 300, 6, "--label", "4")
+    unlabelled = ingest_synth(tmp_path, "unlabelled", 280, 7)
+    vocab, corpus = tmp_path / "v.tsv", tmp_path / "c.txt"
+    assert run("build-vocab", "--out", str(vocab)) == 0
+    assert run("tokenize", "--flows", str(labelled), str(unlabelled), "--vocab", str(vocab),
+               "--out", str(corpus)) == 0
+    assert "sequences=580\n" in capsys.readouterr().out
+    lines = corpus.read_text().splitlines()
+    assert all(line.startswith("label:4\t") for line in lines[:300])
+    assert not any(line.startswith("label:") for line in lines[300:])
+    assert sha256_of(corpus) == {str(corpus): TWO_DIR_CORPUS_SHA}
+
+
+def test_tokenize_builds_no_token_sequence(tmp_path, monkeypatch, capsys):
+    flows, vocab = ingest_synth(tmp_path, "flows", 12, 5, "--label", "1"), tmp_path / "v.tsv"
+    build_vocabulary().save(vocab)
+    built = []
+    init = TokenSequence.__init__
+    monkeypatch.setattr(TokenSequence, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    for extra in ((), ("--slice-window", "0.01")):
+        assert run("tokenize", "--flows", str(flows), "--vocab", str(vocab), "--out", str(tmp_path / "c.txt"),
+                   *extra) == 0
+    assert "sequences=12" in capsys.readouterr().out
+    assert not built
+    TokenSequence(np.zeros(1), np.zeros(1, bool))  # the counter counts
+    assert built == [1]
+
+
+@pytest.mark.parametrize("max_tokens", ["512", "5000"])
+def test_tokenize_one_row_per_chunk_writes_the_same_corpus(tmp_path, monkeypatch, capsys, max_tokens):
+    labelled = ingest_synth(tmp_path, "labelled", 9, 8, "--label", "3")
+    unlabelled = ingest_synth(tmp_path, "unlabelled", 7, 9)
+    vocab = tmp_path / "v.tsv"
+    build_vocabulary().save(vocab)
+    corpora = []
+    for chunk_ids in (tokenization.CHUNK_IDS, 1):
+        monkeypatch.setattr(tokenization, "CHUNK_IDS", chunk_ids)
+        corpora.append(tmp_path / f"c{chunk_ids}.txt")
+        assert run("tokenize", "--flows", str(labelled), str(unlabelled), "--vocab", str(vocab),
+                   "--out", str(corpora[-1]), "--max-tokens", max_tokens) == 0
+    assert tokenization.chunk_rows(int(max_tokens)) == 1
+    assert corpora[0].read_bytes() == corpora[1].read_bytes()
+    assert len(corpora[0].read_text().splitlines()) == 16
 
 
 def test_slicing_with_a_window_wider_than_any_flow_keeps_every_flow(tmp_path, capsys):

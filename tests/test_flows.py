@@ -25,7 +25,7 @@ from trafficmoe.flows import (
     reassemble_sessions,
     write_flows,
 )
-from trafficmoe.tokenization import SerializerConfig, serialize_flows
+from trafficmoe.tokenization import SerializerConfig, serialize_codes
 
 
 def make_packet(
@@ -525,7 +525,8 @@ def test_serializing_a_read_table_matches_the_object_reference(tmp_path_factory,
     cfg = SerializerConfig(packets_per_flow=k, payload_bytes=j, max_tokens=1024, bigram_stride=stride)
     out = tmp_path_factory.mktemp("flows")
     write_flows(reassemble_sessions(packets), out)
-    got = serialize_flows(read_flows(out), cfg)
+    codes, lengths = serialize_codes(read_flows(out), cfg)
+    got = np.split(codes, np.cumsum(lengths)[:-1])
     assert [c.tolist() for c in got] == [c.tolist() for c in ref.serialize_flows_ref(ref.read_flows_ref(out), cfg)]
 
 

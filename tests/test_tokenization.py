@@ -1,13 +1,16 @@
 import hashlib
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_ops import load_vocabulary_ref, read_corpus_ref, serialize_flow_ref, serialize_packet_ref
+from reference_ops import (load_vocabulary_ref, read_corpus_ref, serialize_flow_ref, serialize_packet_ref, tokenize_ref,
+                           write_corpus_ref)
 
+from trafficmoe import tokenization
 from trafficmoe.flows import BACKWARD, FORWARD, FiveTuple, PacketRecord, SessionFlow
 from trafficmoe.synth import synth_flow, synth_flows, write_pcap
 from trafficmoe.tokenization import (
@@ -25,9 +28,10 @@ from trafficmoe.tokenization import (
     Vocabulary,
     build_vocabulary,
     read_corpus,
+    serialize_codes,
     serialize_flow,
-    serialize_flows,
     temporal_slice,
+    token_matrix,
     tokenize,
     write_corpus,
 )
@@ -216,10 +220,9 @@ def packets(draw):
 def test_serialize_flows_matches_per_packet_reference(flows, stride, j, k):
     cfg = SerializerConfig(packets_per_flow=k, payload_bytes=j, max_tokens=1024, bigram_stride=stride)
     flows = [SessionFlow(key=None, packets=pairs) for pairs in flows]
-    got = serialize_flows(flows, cfg)
-    assert len(got) == len(flows)
-    for codes_got, flow in zip(got, flows):
-        assert codes_got.dtype == np.int32
+    codes, lengths = serialize_codes(flows, cfg)
+    assert codes.dtype == np.int32 and len(lengths) == len(flows)
+    for codes_got, flow in zip(np.split(codes, np.cumsum(lengths)[:-1]), flows):
         assert codes_got.tolist() == serialize_flow_ref(flow, cfg).tolist()
         assert serialize_flow(flow, cfg).tolist() == codes_got.tolist()
 
@@ -227,8 +230,9 @@ def test_serialize_flows_matches_per_packet_reference(flows, stride, j, k):
 def test_serialize_flows_rejects_an_empty_flow_and_takes_no_flows():
     flow = flow_from_packets([(make_packet(), FORWARD)])
     with pytest.raises(ValueError, match="empty flow"):
-        serialize_flows([flow, SessionFlow(key=None, packets=[])], SerializerConfig())
-    assert serialize_flows([], SerializerConfig()) == []
+        serialize_codes([flow, SessionFlow(key=None, packets=[])], SerializerConfig())
+    codes, lengths = serialize_codes([], SerializerConfig())
+    assert codes.size == lengths.size == 0
 
 
 # -- vocabulary -----------------------------------------------------------------------
@@ -372,6 +376,38 @@ def test_full_bigram_mode_never_emits_unk(rng):
         assert UNK_ID not in seq.ids
 
 
+@st.composite
+def _id_rule_cases(draw):
+    """A full-bigram or wordpiece vocabulary (the latter maps most bigrams to [UNK]), a width, and
+    code sequences shorter than, as long as and longer than it; maybe none."""
+    if draw(st.booleans()):
+        vocab = build_vocabulary(mode="full_bigram")
+    else:
+        kept = draw(st.lists(st.integers(BIGRAM_BASE, FULL_BIGRAM_VOCAB_SIZE - 1), min_size=1, max_size=20))
+        vocab = build_vocabulary([np.array(kept, dtype=np.int32)], mode="wordpiece")
+    max_tokens = draw(st.integers(1, 12))
+    lengths = draw(st.lists(st.integers(0, 3 * max_tokens) | st.sampled_from([max_tokens - 1, max_tokens,
+                                                                               max_tokens + 1]), max_size=6))
+    flows = [np.array(draw(st.lists(st.integers(0, FULL_BIGRAM_VOCAB_SIZE - 1) | st.sampled_from(range(BIGRAM_BASE)),
+                                    min_size=n, max_size=n)), dtype=np.int32) for n in lengths]
+    return vocab, max_tokens, flows
+
+
+@given(_id_rule_cases())
+@settings(max_examples=80, deadline=None)
+def test_token_matrix_and_tokenize_match_the_per_flow_reference(case):
+    vocab, max_tokens, flows = case
+    want = [tokenize_ref(codes, vocab, max_tokens, label=i) for i, codes in enumerate(flows)]
+    packed = np.concatenate(flows) if flows else np.zeros(0, np.int32)
+    ids = token_matrix(packed, [len(codes) for codes in flows], vocab, max_tokens)
+    assert ids.dtype == np.int32 and ids.shape == (len(flows), max_tokens)
+    assert ids.tolist() == [seq.ids.tolist() for seq in want]
+    for i, (codes, ref) in enumerate(zip(flows, want)):
+        seq = tokenize(codes, vocab, max_tokens, label=i)
+        assert (seq.ids.dtype, seq.ids.tolist(), seq.valid_mask.tolist(), seq.label) == (
+            ref.ids.dtype, ref.ids.tolist(), ref.valid_mask.tolist(), ref.label)
+
+
 def check_marker_structure(seq: TokenSequence):
     ids = seq.ids[seq.valid_mask].tolist()
     assert ids[-1] == END_ID
@@ -510,7 +546,11 @@ def test_read_corpus_rejects_a_line_write_corpus_never_writes(tmp_path, text, me
 
 
 _VALID_ID = st.integers(0, 65_540) | st.sampled_from([0, 65_540])
-_LABEL = st.none() | st.integers(0, 2**31 - 1)
+_LABEL = st.none() | st.integers(0, 2**31 - 1) | st.sampled_from([-1, 2**31, 7.5, True, np.int64(4), np.uint8(9)])
+
+
+def _good_label(label) -> bool:
+    return label is None or type(label) is not bool and isinstance(label, (int, np.integer)) and 0 <= label < 2**31
 
 
 @st.composite
@@ -532,13 +572,13 @@ def _corpus_rows(draw):
 @settings(max_examples=60, deadline=None)
 def test_write_corpus_matches_str_join(tmp_path_factory, rows):
     """Valid rows are written as their str-join; the first empty row, row of another width than
-    the first, id outside [0, 65,541) or row of only [PAD] ids raises ValueError naming it and
-    leaves the old file."""
+    the first, id outside [0, 65,541), row of only [PAD] ids or label outside [0, 2**31) raises
+    ValueError naming it and leaves the old file."""
     path = tmp_path_factory.getbasetemp() / "c.txt"
     sequences = [TokenSequence(np.array(ids, dtype=np.int32), np.ones(len(ids), bool), label) for ids, label in rows]
-    bad = [i for i, (ids, _) in enumerate(rows)
+    bad = [i for i, (ids, label) in enumerate(rows)
            if not ids or len(ids) != len(rows[0][0]) or not all(0 <= t < 65_541 for t in ids)
-           or set(ids) == {PAD_ID}]
+           or set(ids) == {PAD_ID} or not _good_label(label)]
     if bad:
         before = path.read_bytes() if path.exists() else None
         with pytest.raises(ValueError, match=rf"^sequence {bad[0]} "):
@@ -551,6 +591,65 @@ def test_write_corpus_matches_str_join(tmp_path_factory, rows):
         for s in sequences
     )
     assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("label", [-1, 2**31, 7.5, True, "3"])
+def test_write_corpus_refuses_a_label_read_corpus_would_reject(tmp_path, label):
+    path = tmp_path / "c.txt"
+    path.write_text("label:1\t5 17\n")
+    ids = np.array([5, 17], dtype=np.int32)
+    sequences = [TokenSequence(ids, ids != 2, label=0), TokenSequence(ids, ids != 2, label=label)]
+    with pytest.raises(ValueError, match=rf"^sequence 1 has label {re.escape(repr(label))}, not an integer"):
+        write_corpus(sequences, path)
+    assert path.read_text() == "label:1\t5 17\n"
+    assert write_corpus([TokenSequence(ids, ids != 2, label=np.int64(2**31 - 1))], path) == 1
+    assert read_corpus(path)[0].label == 2**31 - 1
+
+
+_PAD_OR_ID = st.sampled_from([PAD_ID, PAD_ID, 0, 5, 17, 65_540]) | _VALID_ID
+
+
+@st.composite
+def _chunked_rows(draw):
+    """Rows of one width with interior, trailing or no [PAD], mixed labels, then maybe any one of
+    the defects write_corpus refuses at any row; and 1-3 rows per chunk."""
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(st.lists(_PAD_OR_ID, min_size=width, max_size=width).filter(
+        lambda ids: set(ids) != {PAD_ID}), st.none() | st.integers(0, 2**31 - 1)), min_size=1, max_size=9))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(rows) - 1))
+        ids, label = rows[at]
+        rows[at] = draw(st.sampled_from([
+            ([], label), (ids + [5], label), (ids[:-1] + [65_541], label), (ids[:-1] + [-7], label),
+            ([PAD_ID] * width, label), (ids, draw(st.sampled_from([-1, 2**31, 7.5, True]))),
+        ]))
+    return rows, draw(st.integers(1, 3))
+
+
+@given(_chunked_rows())
+@settings(max_examples=120, deadline=None)
+def test_write_corpus_matches_the_per_line_reference_across_chunk_edges(tmp_path_factory, case):
+    """Sequences and ``(ids, labels)`` chunks, written 1-3 rows per chunk, give the reference's
+    bytes and count, or its error naming the sequence's index in the whole stream."""
+    rows, per_chunk = case
+    base = tmp_path_factory.getbasetemp()
+    sequences = [TokenSequence(np.array(ids, dtype=np.int32), np.ones(len(ids), bool), label) for ids, label in rows]
+
+    def outcome(writer, items, path):
+        path.write_bytes(b"old\n")
+        try:
+            return writer(items, path), path.read_bytes()
+        except ValueError as exc:
+            return str(exc), path.read_bytes()
+
+    want = outcome(write_corpus_ref, iter(sequences), base / "ref.txt")
+    width = len(rows[0][0])
+    with mock.patch.object(tokenization, "CHUNK_IDS", per_chunk * width):
+        assert outcome(write_corpus, iter(sequences), base / "seqs.txt") == want
+        if all(len(ids) == width for ids, _ in rows):
+            chunks = [(np.array([ids for ids, _ in rows[lo : lo + per_chunk]], dtype=np.int32),
+                       [label for _, label in rows[lo : lo + per_chunk]]) for lo in range(0, len(rows), per_chunk)]
+            assert outcome(write_corpus, iter(chunks), base / "chunks.txt") == want
 
 
 def test_synth_labels_0_to_6_are_byte_identical_and_7_up_work():
