@@ -73,6 +73,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, inputs
         f"version={__version__}",
         f"seed={seed}",
         f"wall_seconds={time.time() - t0:.3f}",
+        f"blas_threads={T.blas_thread_count() or 'unknown'}",
     ]
     lines += [f"config.{k}={v}" for k, v in sorted(config.items())]
     lines += [f"input.{p}={_sha256(Path(p))}" for p in inputs if p and Path(p).exists()]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -177,6 +178,26 @@ def packed_rows(shape: tuple[int, int], valid_mask=None) -> tuple[np.ndarray, np
     return np.flatnonzero(np.arange(seq_len) < lengths[:, None]), lengths
 
 
+def shard_bounds(lengths: np.ndarray, n_shards: int) -> np.ndarray:
+    """Sequence indices ``[0, ..., len(lengths)]`` that cut packed sequences of ``lengths`` rows into
+    ``n_shards`` (<= len(lengths)) contiguous, non-empty runs of about equal rows, each cut the one
+    nearest its share of the total. A function of ``lengths`` alone, so trailing [PAD] moves no cut."""
+    rows = np.concatenate([[0], np.cumsum(lengths)])
+    cuts = [0]
+    for i in range(1, n_shards):
+        target = rows[-1] * i / n_shards
+        k = int(np.searchsorted(rows, target))
+        k -= target - rows[k - 1] < rows[k] - target  # the nearer of the two cuts around the target
+        cuts.append(min(max(k, cuts[-1] + 1), len(lengths) - (n_shards - i)))
+    return np.array(cuts + [len(lengths)])
+
+
+def inference_shards(n_sequences: int) -> int:
+    """Threads a forward of ``n_sequences`` packed sequences runs on: inside ``no_grad``, OpenBLAS's
+    thread count (1 when it cannot be read), at most one per sequence; 1 for a forward that builds a graph."""
+    return 1 if T.grad_enabled() else min(T.blas_thread_count() or 1, n_sequences)
+
+
 INIT_BLOCK = 1 << 16  # values per block of a random ``normal`` init: 512 KiB of float64 draws at a time
 
 
@@ -300,6 +321,21 @@ class TrafficModel:
                 h = self._dense_block(h, layer)
         return rmsnorm(h, self.params["final_norm_gain"]), routing
 
+    def _sharded_backbone(self, ids: np.ndarray, lengths: np.ndarray, n_shards: int
+                          ) -> tuple[Tensor, list[LayerRouting]]:
+        """``_backbone`` over ``shard_bounds``' runs of sequences at once: the caller's thread runs
+        the first, one worker thread each of the others, with OpenBLAS at 1 thread per call until
+        every run is done. Rows and routing records are joined in batch order. Builds no graph."""
+        cuts = shard_bounds(lengths, n_shards)[1:-1]
+        runs = list(zip(np.split(ids, np.cumsum(lengths)[cuts - 1]), np.split(lengths, cuts)))
+        with T.blas_threads(1), ThreadPoolExecutor(n_shards - 1) as pool:
+            futures = [pool.submit(self._backbone, *run) for run in runs[1:]]
+            parts = [self._backbone(*runs[0])] + [future.result() for future in futures]
+        h = Tensor(np.concatenate([part_h.data for part_h, _ in parts]))
+        return h, [LayerRouting(probs=Tensor(np.concatenate([rec.probs.data for rec in recs])),
+                                selected=np.concatenate([rec.selected for rec in recs]))
+                   for recs in zip(*(part_routing for _, part_routing in parts))]
+
     def forward(
         self,
         ids: np.ndarray,
@@ -315,6 +351,17 @@ class TrafficModel:
         ``tensor.lm_head_loss`` for next-token logits); ``classify`` mean-pools
         valid positions and returns class logits [batch, num_classes]. ``routing``
         holds one ``LayerRouting`` per layer, in layer order; it is empty for the dense variant.
+
+        Inside ``no_grad``, a batch of two or more sequences is cut by ``shard_bounds`` into
+        ``inference_shards`` runs, as many as OpenBLAS has threads, and the runs' backbones go on
+        that many threads at once (``_sharded_backbone``); the class head runs once on the joined
+        rows. A forward that builds a graph, or runs one sequence, stays on one thread.
+        Exactness: pad invariance, prefix causality and run-to-run repeats stay bitwise, since
+        the cuts depend on the packed lengths alone. A sequence's output in a batch equals its
+        output alone, and a sharded forward equals a serial one, to float32 GEMM rounding only
+        (about 1e-8), not bitwise: the ``[d, 1]`` shared-gate product is a GEMV whose last
+        (rows mod 4) rows round differently, so a row's value depends on its place in its run;
+        and an expert's GEMM over another set of rows rounds a few rows differently.
         """
         cfg = self.config
         ids = np.atleast_2d(np.asarray(ids))
@@ -333,7 +380,12 @@ class TrafficModel:
         rows, lengths = packed_rows(ids.shape, valid_mask)
         if not lengths.all() and (mode == "classify" or not lengths.any()):
             raise ValueError(f"sequence {int(np.argmin(lengths))} has no valid tokens")
-        h, routing = self._backbone(ids.reshape(-1)[rows], lengths[lengths > 0])
+        packed, lengths = ids.reshape(-1)[rows], lengths[lengths > 0]
+        n_shards = inference_shards(len(lengths))
+        if n_shards > 1:
+            h, routing = self._sharded_backbone(packed, lengths, n_shards)
+        else:
+            h, routing = self._backbone(packed, lengths)
 
         if mode == "hidden":
             return h, routing

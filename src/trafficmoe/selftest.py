@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .evaluation import ConfusionMatrix, compute_metrics
-from .model import LayerRouting, ModelConfig, TrafficModel, load_balance_loss, route_tokens
+from .model import LayerRouting, ModelConfig, TrafficModel, inference_shards, load_balance_loss, route_tokens
 from .synth import synth_flow, synth_flows, write_pcap
 from .tensor import AdamW, Tensor
 from .tokenization import (
@@ -154,6 +154,28 @@ def _check_pad_invariance() -> str:
     return "class logits, LM loss and gradients bit-identical under 4x trailing [PAD]"
 
 
+def _check_sharded_forward() -> str:
+    cfg = ModelConfig(n_layers=2, d_model=16, n_heads=2, n_experts=4, top_k=2, ffn_hidden=16, vocab_size=32,
+                      max_tokens=8, num_classes=3)
+    model = TrafficModel(cfg, seed=12)
+    valid = np.arange(8) < np.array([8, 3, 6, 5])[:, None]
+    ids = np.where(valid, np.random.default_rng(12).integers(3, 32, size=valid.shape), 2)
+    runs = []
+    for threads in (1, 2):  # one BLAS thread: one shard; two: two shards of one BLAS thread each
+        with T.no_grad(), T.blas_threads(threads):
+            shards = inference_shards(len(ids))
+            before = T.matmul_flops()
+            logits, routing = model.forward(ids, valid, mode="classify")
+            runs.append((logits.data, [rec.selected for rec in routing], T.matmul_flops() - before))
+    (serial, serial_sel, serial_flops), (sharded, sharded_sel, sharded_flops) = runs
+    diff = float(np.max(np.abs(sharded - serial)))
+    assert diff <= 1e-5, f"logits differ by {diff:.2e}"
+    assert np.array_equal(np.argmax(sharded, axis=1), np.argmax(serial, axis=1)), "classes"
+    assert all(np.array_equal(a, b) for a, b in zip(sharded_sel, serial_sel)), "routing"
+    assert sharded_flops == serial_flops, f"FLOPs {sharded_flops} != {serial_flops}"
+    return f"{shards} shards against 1: logits within {diff:.1e}; classes, routing and FLOPs equal"
+
+
 def _check_tokenizer() -> str:
     vocab = build_vocabulary(mode="full_bigram")
     assert len(vocab) == FULL_BIGRAM_VOCAB_SIZE
@@ -257,6 +279,7 @@ CHECKS = [
     ("gradient_ownership", _check_gradient_ownership),
     ("causality", _check_causality),
     ("pad_invariance", _check_pad_invariance),
+    ("sharded_forward", _check_sharded_forward),
     ("tokenizer", _check_tokenizer),
     ("flow_assembly", _check_flows),
     ("metrics", _check_metrics),

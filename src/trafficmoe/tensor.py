@@ -2,14 +2,24 @@
 
 Values live in numpy arrays (float32 by default, float64 switchable for
 tight gradient checks); the graph is built eagerly by op functions that
-attach backward closures. Single-threaded per graph; independent graphs
-are independent.
+attach backward closures. A graph is built on one thread. A forward that
+builds no graph may run its independent parts on several threads at once:
+they read the dtype and grad mode their caller set, and the FLOP and
+allocation tallies are kept under one lock, so they stay exact.
+``blas_threads`` sets how many threads the bundled OpenBLAS gives each call
+meanwhile. A row's result is then exact only to float32 GEMM rounding: a
+GEMM or GEMV rounds a row by where it sits in its operand (a GEMV's last
+rows mod 4 take another path), so the same rows split another way can
+differ by about 1e-8.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import struct
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,10 +38,22 @@ _default_dtype = np.float32
 _grad_enabled = True
 _flop_count = 0
 _alloc_bytes = 0
+_tally_lock = threading.Lock()  # the two tallies take adds from every thread that runs ops
+
+
+def _count_flops(n: int) -> None:
+    global _flop_count
+    with _tally_lock:
+        _flop_count += n
 
 
 def default_dtype():
     return _default_dtype
+
+
+def grad_enabled() -> bool:
+    """False inside ``no_grad``: ops build no graph."""
+    return _grad_enabled
 
 
 @contextmanager
@@ -68,6 +90,49 @@ def alloc_bytes() -> int:
     """Bytes of the arrays ``_build`` has wrapped since import (a fused op's internal arrays are not
     counted); callers take differences. Only perfbench's ``tensor.alloc_mb`` reads it."""
     return _alloc_bytes
+
+
+# The thread-count calls of the OpenBLAS that numpy's Linux wheels bundle in ``numpy.libs`` (numpy has
+# no API for them; threadpoolctl reaches the same symbols the same way).
+_OPENBLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_calls(get_name: str, set_name: str):
+    """(get, set) of the bundled OpenBLAS's thread count; None when the library or a symbol is missing."""
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy already loaded: the loader hands back that one
+            get, put = getattr(lib, get_name), getattr(lib, set_name)
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        return get, put
+    return None
+
+
+def blas_thread_count() -> Optional[int]:
+    """Threads the bundled OpenBLAS runs each call on, process-wide; None when it cannot be reached."""
+    calls = _openblas_calls(*_OPENBLAS_SYMBOLS)
+    return calls[0]() if calls else None
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the block with the bundled OpenBLAS at ``n`` threads per call, then restore the count it
+    had, error or not. The count is process-wide. Without the library the block runs as it is."""
+    calls = _openblas_calls(*_OPENBLAS_SYMBOLS)
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    prev = get()
+    put(n)
+    try:
+        yield
+    finally:
+        put(prev)
 
 
 class Tensor:
@@ -190,7 +255,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _build(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     global _alloc_bytes
-    _alloc_bytes += data.nbytes
+    with _tally_lock:
+        _alloc_bytes += data.nbytes
     out = Tensor.__new__(Tensor)
     out.data = data if data.dtype == _default_dtype else data.astype(_default_dtype)
     out.grad = None
@@ -318,8 +384,7 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    global _flop_count
-    _flop_count += 2 * a.shape[0] * a.shape[1] * b.shape[1]
+    _count_flops(2 * a.shape[0] * a.shape[1] * b.shape[1])
     data = a.data @ b.data
 
     def backward(g):
@@ -366,8 +431,7 @@ def segment_sum(x, weights: np.ndarray, lengths: Sequence[int]) -> Tensor:
     if lengths.sum() != x.shape[0] or len(weights) != x.shape[0] or lengths.min() < 1:
         raise ShapeError(f"segment_sum: {x.shape[0]} rows, {len(weights)} weights, lengths {lengths.tolist()}")
     scale = np.asarray(weights, x.data.dtype).reshape((-1,) + (1,) * (x.ndim - 1))
-    global _flop_count
-    _flop_count += 2 * x.data.size
+    _count_flops(2 * x.data.size)
 
     def backward(g):
         if x.requires_grad:
@@ -433,8 +497,7 @@ def causal_attention(qkv, lengths: Sequence[int], n_heads: int) -> Tensor:
     keep = _grad_enabled and qkv.requires_grad
     out, saved = np.empty((n, d), dtype=data.dtype), []
     (out_heads,) = by_head(out)
-    global _flop_count
-    _flop_count += sum(4 * length * length * d for length in lengths)
+    _count_flops(sum(4 * length * length * d for length in lengths))
     for lo, hi in spans:
         probs = q[:, lo:hi] @ k[:, lo:hi].swapaxes(1, 2)
         probs += future[: hi - lo, : hi - lo]  # exp(-inf) is exactly 0: no weight on later rows
@@ -491,8 +554,7 @@ def swiglu(x, w_gate, w_up, w_down) -> Tensor:
     parents = x, w_gate, w_up, w_down = tuple(as_tensor(t) for t in (x, w_gate, w_up, w_down))
     if x.ndim != 2 or w_gate.shape != w_up.shape or w_down.shape != w_gate.shape[::-1] or x.shape[1] != w_gate.shape[0]:
         raise ShapeError(f"swiglu: x {x.shape}, w_gate {w_gate.shape}, w_up {w_up.shape}, w_down {w_down.shape}")
-    global _flop_count
-    _flop_count += 2 * x.shape[0] * (w_gate.data.size + w_up.data.size + w_down.data.size)
+    _count_flops(2 * x.shape[0] * (w_gate.data.size + w_up.data.size + w_down.data.size))
     y, saved = _swiglu_forward(*(t.data for t in parents), _grad_enabled and any(t.requires_grad for t in parents))
 
     def backward(g):
@@ -521,12 +583,11 @@ def moe_experts(z, scores, selected: np.ndarray, experts: Sequence[tuple[Tensor,
         raise ShapeError(f"moe_experts: selected holds an expert outside [0, {len(experts)})")
     parents = (z, scores) + tuple(w for weights in experts for w in weights)
     out, saved = np.zeros_like(z.data), []
-    global _flop_count
     for e, weights in enumerate(experts):
         rows = np.nonzero(selected == e)[0]  # each row at most once: its experts are distinct
         if not len(rows):
             continue
-        _flop_count += 2 * len(rows) * sum(w.data.size for w in weights)
+        _count_flops(2 * len(rows) * sum(w.data.size for w in weights))
         x, scale = z.data[rows], scores.data[rows, e][:, None]
         y, acts = _swiglu_forward(x, *(w.data for w in weights), _grad_enabled)
         out[rows] += y * scale
@@ -597,8 +658,7 @@ def lm_head_loss(h, w_vocab, targets, weights) -> Tensor:
     total_w = float(w.sum())
     if total_w <= 0:
         raise ValueError("lm_head_loss needs at least one weighted row")
-    global _flop_count
-    _flop_count += 2 * h.data.size * w_vocab.shape[1]
+    _count_flops(2 * h.data.size * w_vocab.shape[1])
     want_h, want_w = (_grad_enabled and t.requires_grad for t in (h, w_vocab))
     dh = np.empty_like(h.data) if want_h else None
     dw, total = None, 0.0

@@ -718,8 +718,9 @@ input.flows1/packets.bin=40a3b8a7c0a726bed694ce10ea96121e21dd0b8da806f845ce2057c
 
 def test_every_command_echoes_and_records_a_pinned_run(tmp_path, monkeypatch, capsys):
     """Each command's stdout and manifest.log record on a fixed fixture. The record's config lines must be the
-    echoed config; they, wall_seconds, bench's timings and the hashes of trained checkpoints (their last bits
-    move with the BLAS thread count) are left out of the pinned text."""
+    echoed config, and its blas_threads line the process's BLAS thread count; they, wall_seconds, bench's timings
+    and the hashes of trained checkpoints (their last bits move with the BLAS thread count) are left out of the
+    pinned text."""
     monkeypatch.chdir(tmp_path)  # relative paths keep the temporary directory's name out of the text
     monkeypatch.setenv("TRAFFICMOE_SEED", "4")
     for label in (0, 1):
@@ -731,9 +732,10 @@ def test_every_command_echoes_and_records_a_pinned_run(tmp_path, monkeypatch, ca
         record = (tmp_path / run_dir / "manifest.log").read_text().split("---\n")[-2].splitlines()
         config = [line[len("config."):] for line in record if line.startswith("config.")]
         assert stdout.startswith("".join(line + "\n" for line in config)), argv
+        assert f"blas_threads={T.blas_thread_count() or 'unknown'}" in record, argv
         transcript += ["$ " + " ".join(argv), stdout.rstrip("\n")]
         transcript += [re.sub(r"\.ckpt=\w+$", ".ckpt=*", line) for line in record
-                       if not line.startswith(("config.", "wall_seconds="))]
+                       if not line.startswith(("config.", "wall_seconds=", "blas_threads="))]
     assert "\n".join(transcript) + "\n" == RECORDED_TRANSCRIPT
 
 
@@ -751,7 +753,7 @@ def test_selftest_command(capsys):
     out = capsys.readouterr().out
     for name in ("routing_invariants", "balance_loss_anchors", "rotary_embedding", "gradient_spot_check",
                  "gradient_ownership", "causality", "pad_invariance", "tokenizer", "flow_assembly", "metrics",
-                 "llrd_schedule", "checkpoint_roundtrip", "optimizer_isolation"):
+                 "llrd_schedule", "checkpoint_roundtrip", "optimizer_isolation", "sharded_forward"):
         assert f"[  ok] {name}: " in out
 
 

@@ -1,4 +1,5 @@
 import math
+import threading
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from trafficmoe.model import (
     parameter_specs,
     rmsnorm,
     route_tokens,
+    shard_bounds,
     swiglu,
 )
 from trafficmoe.tensor import Tensor
@@ -692,6 +694,104 @@ def test_packed_forward_gradients_match_finite_differences(mode):
             assert fd == pytest.approx(grad_array(model.params[name]).reshape(-1)[idx], rel=1e-4, abs=1e-9), name
             checked += 1
         assert checked >= len(probes) - 2
+
+
+# -- sharded inference: a no-grad batch's sequences over the BLAS threads ------------------------
+
+needs_blas_calls = pytest.mark.skipif(T.blas_thread_count() is None,
+                                      reason="the bundled OpenBLAS's thread-count calls are not reachable")
+
+
+def no_grad_forward(model, ids, valid, mode, blas_threads):
+    """A no-grad forward with OpenBLAS at ``blas_threads``, which is also its shard count:
+    (output, each layer's selections, matmul FLOPs)."""
+    with T.no_grad(), T.blas_threads(blas_threads):
+        assert model_module.inference_shards(len(ids)) == blas_threads
+        before = T.matmul_flops()
+        out, routing = model.forward(ids, valid, mode=mode)
+        return out.data, [rec.selected for rec in routing], T.matmul_flops() - before
+
+
+@needs_blas_calls
+@pytest.mark.parametrize("mode", ["classify", "hidden"])
+def test_sharded_forward_matches_serial_at_one_blas_thread(tiny_model, rng, monkeypatch, mode):
+    ids, valid = ragged_batch(rng, lengths=(12, 5, 9, 3, 11))
+    serial, serial_sel, serial_flops = no_grad_forward(tiny_model, ids, valid, mode, 1)
+    backbone, calls = TrafficModel._backbone, []
+
+    def spy(self, packed, lengths):
+        calls.append((threading.get_ident(), len(lengths)))
+        return backbone(self, packed, lengths)
+
+    monkeypatch.setattr(TrafficModel, "_backbone", spy)
+    sharded, sharded_sel, sharded_flops = no_grad_forward(tiny_model, ids, valid, mode, 2)
+    assert len({thread for thread, _ in calls}) == 2 and sum(n for _, n in calls) == 5
+    assert np.max(np.abs(sharded - serial)) <= 1e-5
+    if mode == "classify":
+        assert np.array_equal(np.argmax(sharded, axis=1), np.argmax(serial, axis=1))
+    assert len(sharded_sel) == tiny_model.config.n_layers
+    assert all(np.array_equal(a, b) for a, b in zip(sharded_sel, serial_sel))
+    assert sharded_flops == serial_flops
+
+
+@needs_blas_calls
+def test_two_sharded_runs_are_bitwise_equal(tiny_model, rng):
+    ids, valid = ragged_batch(rng, lengths=(12, 5, 9, 3, 11))
+    first, again = (no_grad_forward(tiny_model, ids, valid, "classify", 2) for _ in range(2))
+    assert np.array_equal(first[0], again[0])
+    assert all(np.array_equal(a, b) for a, b in zip(first[1], again[1]))
+
+
+@needs_blas_calls
+def test_a_failing_shard_raises_in_the_caller_and_leaves_no_thread(tiny_model, rng, monkeypatch):
+    caller, backbone = threading.current_thread(), TrafficModel._backbone
+
+    def fail_off_the_caller(self, packed, lengths):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("shard failed")
+        return backbone(self, packed, lengths)
+
+    monkeypatch.setattr(TrafficModel, "_backbone", fail_off_the_caller)
+    ids, valid = ragged_batch(rng)
+    threads = threading.active_count()
+    with T.blas_threads(2):
+        with T.no_grad(), pytest.raises(RuntimeError, match="shard failed"):
+            tiny_model.forward(ids, valid, mode="classify")
+        assert T.blas_thread_count() == 2
+    assert threading.active_count() == threads
+
+
+@needs_blas_calls
+def test_blas_threads_restores_the_count_on_error():
+    before = T.blas_thread_count()
+    with pytest.raises(KeyError):
+        with T.blas_threads(1):
+            assert T.blas_thread_count() == 1
+            raise KeyError
+    assert T.blas_thread_count() == before
+
+
+def test_without_the_blas_symbols_a_no_grad_forward_stays_serial(tiny_model, rng, monkeypatch):
+    ids, valid = ragged_batch(rng, lengths=(12, 5, 9, 3, 11))
+    graph_logits, _ = tiny_model.forward(ids, valid, mode="classify")  # builds a graph, so runs serially
+    monkeypatch.setattr(T, "_OPENBLAS_SYMBOLS", ("missing_get_num_threads", "missing_set_num_threads"))
+    monkeypatch.setattr(model_module, "ThreadPoolExecutor", None)  # a worker pool would now raise TypeError
+    assert T.blas_thread_count() is None
+    with T.blas_threads(2), T.no_grad():
+        assert model_module.inference_shards(len(ids)) == 1
+        logits, _ = tiny_model.forward(ids, valid, mode="classify")
+    assert np.array_equal(logits.data, graph_logits.data)
+
+
+def test_shard_bounds_cut_contiguous_nonempty_runs_nearest_equal_rows():
+    assert shard_bounds([5, 5, 5, 5], 2).tolist() == [0, 2, 4]
+    assert shard_bounds([100, 1, 1, 1], 2).tolist() == [0, 1, 4]
+    assert shard_bounds([1, 1, 1, 100], 2).tolist() == [0, 3, 4]
+    assert shard_bounds([3, 3, 1, 1], 2).tolist() == [0, 1, 4]  # 3 | 5 rows beats 6 | 2
+    assert shard_bounds([7, 3], 2).tolist() == [0, 1, 2]
+    assert shard_bounds([1, 1, 100], 3).tolist() == shard_bounds([100, 1, 1], 3).tolist() == [0, 1, 2, 3]
+    assert shard_bounds([4, 4, 4], 3).tolist() == [0, 1, 2, 3]
+    assert shard_bounds([1] * 6, 3).tolist() == [0, 2, 4, 6]
 
 
 # -- parameter layout and persistence ---------------------------------------------------------

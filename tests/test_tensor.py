@@ -1,4 +1,6 @@
 import contextlib
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -745,3 +747,24 @@ def test_sigmoid_and_silu_saturate_without_overflow_warning(dtype):
     assert sig.data.tolist() == [0.0, 0.5, 1.0]
     assert act.data.tolist() == [0.0, 0.0, 1000.0]
     assert x.grad.tolist() == [0.0, 0.75, 1.0]
+
+
+def test_flop_and_allocation_tallies_lose_no_add_across_threads():
+    """More threads than cores run ops at once, switching as often as the interpreter allows:
+    every matmul's FLOPs and every output's bytes must reach the tallies."""
+    a, b = Tensor(np.ones((1, 3))), Tensor(np.ones((3, 2)))
+    n_threads, calls = 4, 5000
+    flops, alloc = T.matmul_flops(), T.alloc_bytes()
+    workers = [threading.Thread(target=lambda: [T.matmul(a, b) for _ in range(calls)]) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert T.matmul_flops() - flops == n_threads * calls * 2 * 1 * 3 * 2
+    assert T.alloc_bytes() - alloc == n_threads * calls * 2 * np.dtype(T.default_dtype()).itemsize
