@@ -27,12 +27,12 @@ from . import tensor as T
 from .artifacts import format_kv, parse_kv
 from .evaluation import (RoutingAccumulator, bench_to_tsv, build_dense_variant, compose_shift_split, efficiency_bench,
                          evaluate_classifier, metrics_to_tsv, proportion_shift_split, time_shift_split, trace_dump_tsv)
-from .flows import (CaptureError, FlowTable, check_labels, filter_micro_flows, parse_capture, read_flows, relabel,
-                    reassemble_sessions, write_flows)
+from .flows import (CaptureError, FlowTable, check_labels, filter_micro_flows, parse_capture, read_flows,
+                    reassemble_sessions, temporal_slice, write_flows)
 from .model import ModelConfig, TrafficModel, field_types
 from .selftest import run_selftest
 from .tokenization import (SerializerConfig, TokenSequence, Vocabulary, batch_arrays, build_vocabulary, chunk_rows,
-                           read_corpus, serialize_codes, temporal_slice, token_matrix, write_corpus)
+                           read_corpus, serialize_codes, token_matrix, write_corpus)
 from .training import TASK_LOSS, DivergenceError, TrainConfig, split_dataset, train
 
 
@@ -158,7 +158,7 @@ def _flow_chunks(flow_dirs, rows: int, slice_window: float = 0.0):
     for flow_dir in flow_dirs:
         flows = read_flows(flow_dir)
         if slice_window > 0:
-            flows = FlowTable.of(part for flow in flows.sessions() for part in temporal_slice(flow, slice_window))
+            flows = temporal_slice(flows, slice_window)
         for lo in range(0, len(flows), rows):
             yield flows[lo : lo + rows]
 
@@ -312,13 +312,12 @@ def _cmd_bench(args) -> tuple:
 def _cmd_ood(args) -> tuple:
     if args.mode != "time" and args.coarse_map is None:
         raise UsageExit(f"--mode {args.mode} needs --coarse-map")
-    flows = [f for d in args.flows for f in read_flows(d).sessions()]
-    if any(f.label is None for f in flows):
+    flows = FlowTable.join([read_flows(d) for d in args.flows])
+    if None in flows.labels:
         raise ValueError("ood splits need labeled flows")
-    labels = np.array([f.label for f in flows])
+    labels, index = np.array(flows.labels), range(len(flows))
     if args.mode == "time":
-        times = np.array([f.start_time for f in flows])
-        train_split, test_split = time_shift_split(flows, times, labels)
+        train_split, test_split = time_shift_split(index, flows.packets.rows["ts"][flows.firsts], labels)
     else:
         coarse_map = {}
         for lineno, line in enumerate(Path(args.coarse_map).read_text().splitlines(), 1):
@@ -329,18 +328,15 @@ def _cmd_ood(args) -> tuple:
                     raise ValueError(f"{args.coarse_map}:{lineno}: expected `fine coarse` integer labels, "
                                      f"got {line!r}") from None
                 coarse_map[fine] = coarse_label
-        missing = sorted({f.label for f in flows} - coarse_map.keys())
+        missing = sorted(set(flows.labels) - coarse_map.keys())
         if missing:
             raise ValueError(f"{args.coarse_map}: no coarse class for flow label {missing[0]}")
-        coarse = np.array([coarse_map[f.label] for f in flows])
+        flows = replace(flows, labels=[coarse_map[label] for label in flows.labels])  # a coarse-level task
         if args.mode == "proportion":
-            train_split, test_split = proportion_shift_split(flows, coarse, labels)
+            train_split, test_split = proportion_shift_split(index, np.array(flows.labels), labels)
         else:
-            train_split, test_split = compose_shift_split(flows, coarse, labels, seed=args.seed)
-        # coarse-level task: relabel both sides with the coarse class
-        train_split = [relabel(f, coarse_map[f.label]) for f in train_split]
-        test_split = [relabel(f, coarse_map[f.label]) for f in test_split]
-    test_split = FlowTable.of(test_split)
+            train_split, test_split = compose_shift_split(index, np.array(flows.labels), labels, seed=args.seed)
+    train_split, test_split = (flows[np.array(split, dtype=np.int64)] for split in (train_split, test_split))
     check_labels(test_split)  # before train_split is written; write_flows checks the split it writes
     out = Path(args.out)
     write_flows(train_split, out / "train")

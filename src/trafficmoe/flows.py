@@ -9,11 +9,9 @@ is one ``PACKET_COLUMNS`` row per packet beside the byte buffer it was
 decoded from (a capture, or a flow store's sidecar): each address and
 payload is an offset and a length into that buffer. A :class:`FlowTable` is
 a packet table in flow order, whose ``dir`` column holds each packet's
-direction, plus each flow's packet count and label. Every stage takes a
-table or the objects and converts once, on entry: ``PacketTable.of`` and
-``FlowTable.of`` build tables from :class:`PacketRecord` and
-:class:`SessionFlow` lists, and ``PacketTable.records()`` and
-``FlowTable.sessions()`` build those objects back.
+direction, plus each flow's packet count and label. Every stage takes and
+returns tables. Objects enter through two doors only, ``PacketTable.of``
+and ``FlowTable.of``, and nothing turns a table back into objects.
 """
 
 from __future__ import annotations
@@ -22,9 +20,9 @@ import math
 import struct
 import warnings
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,6 +50,17 @@ class CaptureError(ValueError):
     """Raised for unusable capture input (bad header, unknown link type)."""
 
 
+def packet_error(timestamp: float, total_length: int, plen: int, tcp_flags: int, ip_proto: int) -> Optional[str]:
+    """Why no packet can hold these fields, or None: the first of PacketRecord's rules they break."""
+    if not (math.isfinite(timestamp) and timestamp >= 0.0):
+        return f"timestamp must be finite and non-negative, got {timestamp}"
+    if total_length < plen:
+        return "total_length smaller than payload length"
+    if tcp_flags and ip_proto != PROTO_TCP:
+        return "tcp_flags set on a non-TCP packet"
+    return None
+
+
 @dataclass(frozen=True)
 class PacketRecord:
     """One captured IP packet.
@@ -73,12 +82,8 @@ class PacketRecord:
     payload: bytes
 
     def __post_init__(self):
-        if not (math.isfinite(self.timestamp) and self.timestamp >= 0.0):
-            raise ValueError(f"timestamp must be finite and non-negative, got {self.timestamp}")
-        if self.total_length < len(self.payload):
-            raise ValueError("total_length smaller than payload length")
-        if self.tcp_flags and self.ip_proto != PROTO_TCP:
-            raise ValueError("tcp_flags set on a non-TCP packet")
+        if error := packet_error(self.timestamp, self.total_length, len(self.payload), self.tcp_flags, self.ip_proto):
+            raise ValueError(error)
 
 
 @dataclass(frozen=True, order=True)
@@ -111,13 +116,6 @@ class SessionFlow:
     key: FiveTuple
     packets: list[tuple[PacketRecord, int]]
     label: Optional[int] = None
-
-    def __len__(self) -> int:
-        return len(self.packets)
-
-    @property
-    def start_time(self) -> float:
-        return self.packets[0][0].timestamp
 
 
 # One row per packet: src, dst and payload are byte offsets into the table's buffer and src_len, dst_len
@@ -160,9 +158,9 @@ class PacketTable:
         return len(self.rows)
 
     @classmethod
-    def of(cls, packets: Union["PacketTable", Iterable[PacketRecord]]) -> "PacketTable":
-        """A table as it is; packet records as a table over their joined bytes."""
-        return packets if isinstance(packets, PacketTable) else cls._of_pairs([(p, FORWARD) for p in packets])
+    def of(cls, packets: Iterable[PacketRecord]) -> "PacketTable":
+        """Packet records as a table over their joined bytes."""
+        return cls._of_pairs([(p, FORWARD) for p in packets])
 
     @classmethod
     def _of_pairs(cls, pairs: list[tuple[PacketRecord, int]]) -> "PacketTable":
@@ -177,13 +175,6 @@ class PacketTable:
         for i, (offset, length) in enumerate((("src", "src_len"), ("dst", "dst_len"), ("payload", "plen"))):
             rows[offset], rows[length] = at[:, i], sizes[:, i]
         return cls(b"".join(parts), rows)
-
-    def records(self) -> list[PacketRecord]:
-        """Each packet as a PacketRecord."""
-        d = self.data
-        return [PacketRecord(ts, d[src : src + n_src], d[dst : dst + n_dst], sport, dport, proto, flags, length,
-                             d[pay : pay + n_pay])
-                for ts, src, n_src, dst, n_dst, sport, dport, proto, flags, length, pay, n_pay, _ in self.rows.tolist()]
 
     def payload_heads(self, width: int) -> np.ndarray:
         """``[len(self), width]`` uint8: each payload's first ``width`` bytes, zero-padded."""
@@ -204,10 +195,6 @@ class FlowTable:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def __iter__(self) -> Iterator[SessionFlow]:
-        """The flows as SessionFlow objects."""
-        return iter(self.sessions())
-
     @property
     def firsts(self) -> np.ndarray:
         """Each flow's first row."""
@@ -222,13 +209,11 @@ class FlowTable:
                          None if self.keys is None else [self.keys[i] for i in pick])
 
     @classmethod
-    def of(cls, flows: Union["FlowTable", Iterable[SessionFlow]]) -> "FlowTable":
-        """A table as it is; session flows as a table that keeps their keys and labels."""
-        if isinstance(flows, FlowTable):
-            return flows
+    def of(cls, flows: Iterable[SessionFlow]) -> "FlowTable":
+        """Session flows as a table that keeps their keys and labels."""
         flows = list(flows)
         return cls(PacketTable._of_pairs([pair for f in flows for pair in f.packets]),
-                   np.array([len(f) for f in flows], dtype=np.int64), [f.label for f in flows], [f.key for f in flows])
+                   np.array([len(f.packets) for f in flows], "i8"), [f.label for f in flows], [f.key for f in flows])
 
     def key_fields(self) -> list[tuple]:
         """``(ip_a, port_a, ip_b, port_b, proto)`` of each flow."""
@@ -244,13 +229,20 @@ class FlowTable:
             side("src", "dst"), side("src_len", "dst_len"), side("sport", "dport"),
             side("dst", "src"), side("dst_len", "src_len"), side("dport", "sport"), first["proto"].tolist())]
 
-    def sessions(self) -> list[SessionFlow]:
-        """Each flow as a SessionFlow."""
-        pairs = list(zip(self.packets.records(), self.packets.rows["dir"].tolist()))
-        keys = self.keys if self.keys is not None else [FiveTuple(*k) for k in self.key_fields()]
-        ends = np.cumsum(self.counts).tolist()
-        return [SessionFlow(key, pairs[end - n : end], label)
-                for key, n, end, label in zip(keys, self.counts.tolist(), ends, self.labels)]
+    @classmethod
+    def join(cls, tables: list["FlowTable"]) -> "FlowTable":
+        """The flows of ``tables``, in order, as one table over their buffers joined; keys are not kept."""
+        rows = np.concatenate([t.packets.rows for t in tables])
+        shift = np.repeat(np.cumsum([0] + [len(t.packets.data) for t in tables[:-1]]), [len(t.packets) for t in tables])
+        for column in ("src", "dst", "payload"):
+            rows[column] += shift
+        return cls(PacketTable(b"".join(t.packets.data for t in tables), rows),
+                   np.concatenate([t.counts for t in tables]), [label for t in tables for label in t.labels])
+
+    def name(self, i: int) -> str:
+        """How errors name flow ``i``: its index and endpoints."""
+        ip_a, port_a, ip_b, port_b, _ = self[i : i + 1].key_fields()[0]
+        return f"flow {i} ({ip_a.hex()}:{port_a} <-> {ip_b.hex()}:{port_b})"
 
 
 def _be(buf: np.ndarray, at: np.ndarray, width: int = 1) -> np.ndarray:
@@ -363,7 +355,7 @@ def _swapped(rows: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.where(differ.any(axis=1), by_byte, by_length)
 
 
-def reassemble_sessions(packets: Union[PacketTable, Iterable[PacketRecord]]) -> FlowTable:
+def reassemble_sessions(table: PacketTable) -> FlowTable:
     """Group packets into bidirectional flows keyed by canonical five-tuple.
 
     Every input packet lands in exactly one flow. Within a flow, packets
@@ -371,7 +363,6 @@ def reassemble_sessions(packets: Union[PacketTable, Iterable[PacketRecord]]) -> 
     are assigned relative to the first packet's sender. Flows are
     returned in order of first appearance in the capture.
     """
-    table = PacketTable.of(packets)
     rows = table.rows
     if not len(rows):
         return FlowTable(table, np.zeros(0, np.int64), [])
@@ -396,22 +387,40 @@ def reassemble_sessions(packets: Union[PacketTable, Iterable[PacketRecord]]) -> 
     return FlowTable(PacketTable(table.data, rows), counts, [None] * len(counts))
 
 
-def directed(pkts: list[PacketRecord]) -> list[tuple[PacketRecord, int]]:
-    """Pair each packet with its direction: FORWARD when sent by the first packet's sender."""
-    origin_ip, origin_port = pkts[0].src_ip, pkts[0].src_port
-    return [(p, FORWARD if p.src_port == origin_port and p.src_ip == origin_ip else BACKWARD) for p in pkts]
-
-
-def filter_micro_flows(flows: Union[FlowTable, Iterable[SessionFlow]], min_packets: int = 3) -> FlowTable:
+def filter_micro_flows(flows: FlowTable, min_packets: int = 3) -> FlowTable:
     """Drop flows with fewer than ``min_packets`` packets, preserving order.
 
     ``min_packets=1`` keeps every flow (for classes where every sample counts).
     """
     if min_packets < 1:
         raise ValueError(f"min_packets must be >= 1, got {min_packets}")
-    flows = FlowTable.of(flows)
     keep = flows.counts >= min_packets
     return flows if keep.all() else flows[np.flatnonzero(keep)]
+
+
+def temporal_slice(flows: FlowTable, window_seconds: float) -> FlowTable:
+    """Cut each flow into one sub-flow per non-empty window [t0 + i*w, t0 + (i+1)*w), t0 its first row's time, in
+    window order, each in stored order with the flow's label and key and FORWARD for its first packet's sender."""
+    if window_seconds <= 0:
+        raise ValueError("window_seconds must be positive")
+    rows = flows.packets.rows
+    flow = np.repeat(np.arange(len(flows)), flows.counts)
+    with np.errstate(over="ignore", invalid="ignore"):  # Python's //; an index past the float range is refused below
+        window = np.floor_divide(rows["ts"] - rows["ts"][flows.firsts][flow], window_seconds)
+    if not np.isfinite(window).all():
+        raise ValueError(f"{flows.name(flow[np.isfinite(window).argmin()])}: window {window_seconds} s is too small")
+    order = np.lexsort((window, flow))  # stable, so stored order holds within a window
+    rows, flow, window = rows[order], flow[order], window[order]
+    new = np.ones(len(rows), bool)  # where a sub-flow starts
+    new[1:] = (flow[1:] != flow[:-1]) | (window[1:] != window[:-1])
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(rows)))
+    first = np.repeat(starts, counts)
+    sender = np.column_stack([_endpoints(flows.packets.data, rows)[0], rows["src_len"], rows["sport"]])
+    rows["dir"] = np.where((sender == sender[first]).all(axis=1), FORWARD, BACKWARD)
+    parent = flow[starts].tolist()
+    return FlowTable(PacketTable(flows.packets.data, rows), counts, [flows.labels[i] for i in parent],
+                     None if flows.keys is None else [flows.keys[i] for i in parent])
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +453,11 @@ _WIDTHS = (("src_len", "address length", 1 << 8), ("sport", "src_port", 1 << 16)
            ("plen", "payload length", 1 << 32), ("dir", "direction", 1 << 8))
 
 
-def check_labels(flows: Union[FlowTable, Iterable[SessionFlow]]) -> None:
+def check_labels(flows: FlowTable) -> None:
     """Raise ValueError naming the first flow whose label is outside [0, 2**31), the sidecar's range."""
-    flows = FlowTable.of(flows)
     for i, label in enumerate(flows.labels):
         if label is not None and not 0 <= label < 2**31:
-            ip_a, port_a, ip_b, port_b, _ = flows[i : i + 1].key_fields()[0]
-            raise ValueError(f"flow {i} ({ip_a.hex()}:{port_a} <-> {ip_b.hex()}:{port_b}): "
-                             f"label {label} is outside [0, 2**31)")
+            raise ValueError(f"{flows.name(i)}: label {label} is outside [0, 2**31)")
 
 
 def _check_fields(flows: FlowTable) -> None:
@@ -488,10 +494,9 @@ def _get(buf: np.ndarray, at: np.ndarray, record: np.dtype) -> np.ndarray:
     return sliding_window_view(buf, record.itemsize)[at].view(record)[:, 0]
 
 
-def write_flows(flows: Union[FlowTable, Iterable[SessionFlow]], out_dir: str | Path) -> None:
-    """Write the manifest/sidecar pair for a flow table or list. ``check_labels``, then a check of every
-    packet field against its width in the sidecar, run before anything is written."""
-    flows = FlowTable.of(flows)
+def write_flows(flows: FlowTable, out_dir: str | Path) -> None:
+    """Write the manifest/sidecar pair for a flow table. ``check_labels``, then a check of every packet
+    field against its width in the sidecar, run before anything is written."""
     check_labels(flows)
     _check_fields(flows)
     rows, counts, labels = flows.packets.rows, flows.counts, flows.labels
@@ -569,17 +574,12 @@ def read_flows(in_dir: str | Path) -> FlowTable:
         ts = rows["ts"]
         refused = ~(np.isfinite(ts) & (ts >= 0)) | (rows["length"] < rows["plen"]) | (
             (rows["flags"] != 0) & (rows["proto"] != PROTO_TCP))
-        if refused.any():  # building the first refused packet's record raises PacketRecord's error
+        if refused.any():  # the first refused packet's error, as PacketRecord states it
             i = int(refused.argmax())
             r.start = int(at[i])
-            PacketTable(data, rows[i : i + 1]).records()
+            raise ValueError(packet_error(*rows[["ts", "length", "plen", "flags", "proto"]][i].item()))
         if broken:
             r.start = broken[0]
             raise broken[1]
         r.end()
     return FlowTable(PacketTable(data, rows), np.frombuffer(counts, np.int64), labels)
-
-
-def relabel(flow: SessionFlow, label: Optional[int]) -> SessionFlow:
-    """Copy of a flow with a different label."""
-    return replace(flow, label=label)

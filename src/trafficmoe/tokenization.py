@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .artifacts import write_atomic
-from .flows import FORWARD, FlowTable, PacketRecord, PacketTable, SessionFlow, directed, run_indices
+from .flows import FORWARD, FlowTable, PacketTable, SessionFlow, run_indices
 
 MARKERS = ("[PD]", "[PY]", "[PAD]", "[END]", "[UNK]")
 
@@ -91,11 +91,10 @@ def _window_codes(regions: np.ndarray, stride: int) -> np.ndarray:
     return BIGRAM_BASE + (padded[:, :-1:stride] << 8 | padded[:, 1::stride])
 
 
-def serialize_codes(flows: FlowTable | Sequence[SessionFlow], cfg: SerializerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Serialize flows (a table or a list) into their ``int32`` code sequences, back to back, and their
-    lengths. The first ``packets_per_flow`` packets of a flow each contribute ``[PD] <meta bigrams> [PY]
-    <payload bigrams>`` (the payload's first ``payload_bytes`` bytes), and ``[END]`` ends the flow."""
-    flows = FlowTable.of(flows)
+def serialize_codes(flows: FlowTable, cfg: SerializerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Serialize a flow table into its flows' ``int32`` code sequences, back to back, and their lengths.
+    The first ``packets_per_flow`` packets of a flow each contribute ``[PD] <meta bigrams> [PY] <payload
+    bigrams>`` (the payload's first ``payload_bytes`` bytes), and ``[END]`` ends the flow."""
     k, j, stride = cfg.packets_per_flow, cfg.payload_bytes, cfg.bigram_stride
     counts = np.minimum(flows.counts, k)
     if not counts.all():
@@ -128,7 +127,7 @@ def serialize_codes(flows: FlowTable | Sequence[SessionFlow], cfg: SerializerCon
 
 def serialize_flow(flow: SessionFlow, cfg: SerializerConfig) -> np.ndarray:
     """Serialize one flow into its ``int32`` code sequence (see :func:`serialize_codes`)."""
-    return serialize_codes([flow], cfg)[0]
+    return serialize_codes(FlowTable.of([flow]), cfg)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,24 +272,6 @@ def tokenize(codes: np.ndarray, vocab: Vocabulary, max_tokens: int, label: Optio
     """Map one flow's code sequence to a fixed-length ID sequence: a one-row :func:`token_matrix`."""
     ids = token_matrix(np.asarray(codes, dtype=np.int64), [len(codes)], vocab, max_tokens)[0]
     return TokenSequence(ids=ids, valid_mask=np.arange(max_tokens) < len(codes), label=label)
-
-
-def temporal_slice(flow: SessionFlow, window_seconds: float) -> list[SessionFlow]:
-    """Cut one flow into fixed-duration sub-flows inheriting its label.
-
-    Packets are binned into half-open windows [t0 + i*w, t0 + (i+1)*w), and
-    each non-empty window becomes one sub-flow, however few its packets: the
-    sub-flows partition the flow. Directions are re-derived relative to each
-    sub-flow's first packet.
-    """
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
-    t0 = flow.packets[0][0].timestamp
-    bins: dict[int, list[PacketRecord]] = {}
-    for pkt, _ in flow.packets:
-        bins.setdefault(int((pkt.timestamp - t0) // window_seconds), []).append(pkt)
-    return [SessionFlow(key=flow.key, packets=directed(pkts), label=flow.label)
-            for _, pkts in sorted(bins.items())]
 
 
 # --- corpus files: one sequence per line, space-separated IDs, optional

@@ -3,9 +3,10 @@
 The engine references build the same graph node (or chain of nodes) the engine used to build, from
 the engine's own primitives, so a test can check a fused op's output and gradients against it in
 float64. The tokenizer references serialize one packet, parse one vocabulary line, map one flow to
-ids and write one corpus line at a time. The flow references decode, group, store and read one
+ids and write one corpus line at a time. The flow references decode, group, slice, store and read one
 ``PacketRecord`` at a time, and the corpus reader reference parses one line at a time with a
-regular expression and ``int``.
+regular expression and ``int``. ``records`` and ``sessions`` turn the package's tables back into
+objects, so its table results can be compared with the references' object results.
 """
 
 import math
@@ -20,9 +21,9 @@ import numpy as np
 from trafficmoe import tensor as T
 from trafficmoe.artifacts import HEADER, BinaryReader, write_atomic
 from trafficmoe.flows import (_LINKTYPE_ETHERNET, _LINKTYPE_RAW_IP, _MAGIC_NS_BE, _MAGIC_NS_LE, _MAGIC_US_BE,
-                              _MAGIC_US_LE, _SIDECAR_MAGIC, _SIDECAR_VERSION, FORWARD, MANIFEST_NAME, PROTO_TCP,
-                              PROTO_UDP, SIDECAR_NAME, CaptureError, FiveTuple, PacketRecord, SessionFlow,
-                              check_labels, directed)
+                              _MAGIC_US_LE, _SIDECAR_MAGIC, _SIDECAR_VERSION, BACKWARD, FORWARD, MANIFEST_NAME,
+                              PROTO_TCP, PROTO_UDP, SIDECAR_NAME, CaptureError, FiveTuple, FlowTable, PacketRecord,
+                              PacketTable, SessionFlow, check_labels)
 from trafficmoe.tokenization import (_CORPUS_LINE, _META, BIGRAM_BASE, END_ID, FULL_BIGRAM_VOCAB_SIZE, MARKERS,
                                      META_BYTES, PAD_ID, PD_ID, PY_ID, UNK_ID, SerializerConfig, TokenSequence,
                                      _ceil_div, _window_codes)
@@ -373,6 +374,48 @@ def _parse_ip_ref(dgram: bytes, version: int, timestamp: float, orig_len: int) -
     )
 
 
+def records(table: PacketTable) -> list[PacketRecord]:
+    """Each packet of a table as a PacketRecord."""
+    d = table.data
+    return [PacketRecord(ts, d[src : src + n_src], d[dst : dst + n_dst], sport, dport, proto, flags, length,
+                         d[pay : pay + n_pay])
+            for ts, src, n_src, dst, n_dst, sport, dport, proto, flags, length, pay, n_pay, _ in table.rows.tolist()]
+
+
+def sessions(flows: FlowTable) -> list[SessionFlow]:
+    """Each flow of a table as a SessionFlow: its key as the table holds it, or else the canonical
+    five-tuple of its first packet."""
+    pairs = list(zip(records(flows.packets), flows.packets.rows["dir"].tolist()))
+    keys = flows.keys if flows.keys is not None else [FiveTuple(*k) for k in flows.key_fields()]
+    ends = np.cumsum(flows.counts).tolist()
+    return [SessionFlow(key, pairs[end - n : end], label)
+            for key, n, end, label in zip(keys, flows.counts.tolist(), ends, flows.labels)]
+
+
+def directed(pkts: list[PacketRecord]) -> list[tuple[PacketRecord, int]]:
+    """Pair each packet with its direction: FORWARD when sent by the first packet's sender."""
+    origin_ip, origin_port = pkts[0].src_ip, pkts[0].src_port
+    return [(p, FORWARD if p.src_port == origin_port and p.src_ip == origin_ip else BACKWARD) for p in pkts]
+
+
+def temporal_slice_ref(flow: SessionFlow, window_seconds: float) -> list[SessionFlow]:
+    """Cut one flow into fixed-duration sub-flows inheriting its label.
+
+    Packets are binned into half-open windows [t0 + i*w, t0 + (i+1)*w), and
+    each non-empty window becomes one sub-flow, however few its packets: the
+    sub-flows partition the flow. Directions are re-derived relative to each
+    sub-flow's first packet.
+    """
+    if window_seconds <= 0:
+        raise ValueError("window_seconds must be positive")
+    t0 = flow.packets[0][0].timestamp
+    bins: dict[int, list[PacketRecord]] = {}
+    for pkt, _ in flow.packets:
+        bins.setdefault(int((pkt.timestamp - t0) // window_seconds), []).append(pkt)
+    return [SessionFlow(key=flow.key, packets=directed(pkts), label=flow.label)
+            for _, pkts in sorted(bins.items())]
+
+
 def reassemble_sessions_ref(packets: Iterable[PacketRecord]) -> list[SessionFlow]:
     """Group packets into bidirectional flows keyed by canonical five-tuple.
 
@@ -395,14 +438,14 @@ def reassemble_sessions_ref(packets: Iterable[PacketRecord]) -> list[SessionFlow
 
 def write_flows_ref(flows: list[SessionFlow], out_dir: str | Path) -> None:
     """Write the manifest/sidecar pair for a flow list; ``check_labels`` runs before anything is written."""
-    check_labels(flows)
+    check_labels(FlowTable.of(flows))
     lines = []
     blob = bytearray(_SIDECAR_MAGIC + HEADER.pack(_SIDECAR_VERSION, len(flows)))
     for flow in flows:
-        k = flow.key
+        k, n = flow.key, len(flow.packets)
         label_txt = "-" if flow.label is None else str(flow.label)
-        lines.append(f"{k.ip_a.hex()}\t{k.port_a}\t{k.ip_b.hex()}\t{k.port_b}\t{k.proto}\t{len(flow)}\t{label_txt}\n")
-        blob += _FLOW.pack(len(flow), -1 if flow.label is None else flow.label)
+        lines.append(f"{k.ip_a.hex()}\t{k.port_a}\t{k.ip_b.hex()}\t{k.port_b}\t{k.proto}\t{n}\t{label_txt}\n")
+        blob += _FLOW.pack(n, -1 if flow.label is None else flow.label)
         for pkt, direction in flow.packets:
             blob += _PACKET_HEAD.pack(pkt.timestamp, direction, len(pkt.src_ip))
             blob += pkt.src_ip + pkt.dst_ip

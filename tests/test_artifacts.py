@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import tiny_config
 from trafficmoe import tensor as T
 from trafficmoe.artifacts import parse_kv, write_atomic
-from trafficmoe.flows import read_flows, write_flows
+from trafficmoe.flows import FlowTable, read_flows, write_flows
 from trafficmoe.model import ModelConfig, TrafficModel
 from trafficmoe.synth import synth_flows
 from trafficmoe.tokenization import TokenSequence, Vocabulary, build_vocabulary, read_corpus, write_corpus
@@ -75,7 +75,7 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
     if writer == "model":
         write = lambda seed: TrafficModel(tiny_config(), seed=seed).save(tmp_path / "m.ckpt")
     elif writer == "flows":
-        write = lambda seed: write_flows(synth_flows(3, 2, seed=seed), tmp_path)
+        write = lambda seed: write_flows(FlowTable.of(synth_flows(3, 2, seed=seed)), tmp_path)
     else:
         ids = np.arange(1, 13)
         write = lambda seed: write_corpus([TokenSequence(ids + seed, ids > 0, label=seed)], tmp_path / "c.txt")
@@ -116,7 +116,7 @@ def valid(fuzz_dir):
     """One small valid file per format, as bytes."""
     rng = np.random.default_rng(0)
     T.save_checkpoint({"w": rng.normal(size=(3, 2)), "b": rng.normal(size=4), "s": np.float32(1.5)}, fuzz_dir / "ckpt")
-    write_flows(synth_flows(2, 2, seed=1), fuzz_dir)
+    write_flows(FlowTable.of(synth_flows(2, 2, seed=1)), fuzz_dir)
     ids = np.array([0, 5, 17, 300, 2, 2])
     write_corpus([TokenSequence(ids, ids != 2, label=1), TokenSequence(ids, ids != 2)], fuzz_dir / "corpus")
     build_vocabulary([np.array([5 + 0x0A0B, 5 + 0x0C0D, 5 + 0x0A0B])], mode="wordpiece").save(fuzz_dir / "vocab")
@@ -149,7 +149,7 @@ def test_fuzz_read_flows(fuzz_dir, valid, data):
         flows = read_flows(damaged(fuzz_dir, "packets.bin", valid["flows"], data).parent)
     except ValueError:  # CaptureError is one
         return
-    assert all(len(flow) > 0 for flow in flows)
+    assert flows.counts.all()
 
 
 @FUZZ

@@ -16,7 +16,7 @@ from conftest import tiny_config
 from trafficmoe import cli, tokenization
 from trafficmoe import tensor as T
 from trafficmoe.cli import main
-from trafficmoe.flows import FiveTuple, PacketRecord, SessionFlow, write_flows
+from trafficmoe.flows import FiveTuple, FlowTable, PacketRecord, SessionFlow, read_flows, write_flows
 from trafficmoe.model import ModelConfig, TrafficModel
 from trafficmoe.synth import flows_to_pcap, synth_flows
 from trafficmoe.tokenization import SerializerConfig, TokenSequence, build_vocabulary, write_corpus
@@ -182,18 +182,31 @@ def test_ingest_writes_the_pinned_store(tmp_path, capsys, capture):
 
 
 def test_ingest_and_tokenize_build_no_packet_record(tmp_path, monkeypatch, capsys):
-    flows_to_pcap(synth_flows(12, n_classes=3, seed=5), tmp_path / "f.pcap")
+    """No command on the flow path builds a PacketRecord or a SessionFlow: they pass tables only."""
+    for label in range(4):
+        flows_to_pcap(synth_flows(12, n_classes=3, seed=5 + label), tmp_path / f"{label}.pcap")
     build_vocabulary().save(tmp_path / "vocab.tsv")
+    (tmp_path / "coarse.txt").write_text("0 0\n1 0\n2 1\n3 1\n")
     built = []
-    init = PacketRecord.__init__
-    monkeypatch.setattr(PacketRecord, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
-    assert run("ingest", "--pcap", str(tmp_path / "f.pcap"), "--out", str(tmp_path / "flows"), "--label", "1") == 0
-    assert run("tokenize", "--flows", str(tmp_path / "flows"), "--vocab", str(tmp_path / "vocab.tsv"),
-               "--out", str(tmp_path / "c.txt")) == 0
-    assert "sequences=12" in capsys.readouterr().out
+    for cls in (PacketRecord, SessionFlow):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=cls.__init__, **kw: built.append(
+            type(self).__name__) or init(self, *a, **kw))
+    flow_dirs = [str(tmp_path / f"flows{label}") for label in range(4)]
+    for label, flows in enumerate(flow_dirs):
+        assert run("ingest", "--pcap", str(tmp_path / f"{label}.pcap"), "--out", flows, "--label", str(label)) == 0
+    for extra in ((), ("--slice-window", "0.01")):
+        assert run("tokenize", "--flows", *flow_dirs, "--vocab", str(tmp_path / "vocab.tsv"),
+                   "--out", str(tmp_path / "c.txt"), *extra) == 0
+    assert "sequences=48" in capsys.readouterr().out
+    assert run("build-vocab", "--flows", *flow_dirs, "--out", str(tmp_path / "wp.tsv"),
+               "--vocab-mode", "wordpiece") == 0
+    for mode in ("time", "proportion", "compose"):
+        assert run("ood", "--mode", mode, "--flows", *flow_dirs, "--out", str(tmp_path / mode),
+                   "--coarse-map", str(tmp_path / "coarse.txt")) == 0
     assert not built
-    PacketRecord(0.0, b"", b"", 0, 0, 17, 0, 0, b"")  # the counter counts
-    assert built == [1]
+    PacketRecord(0.0, b"", b"", 0, 0, 17, 0, 0, b"")  # the counters count
+    SessionFlow(None, [])
+    assert built == ["PacketRecord", "SessionFlow"]
 
 
 # -- the full pipeline ------------------------------------------------------------------
@@ -332,6 +345,15 @@ def test_slicing_with_a_window_wider_than_any_flow_keeps_every_flow(tmp_path, ca
     assert counts == ["4", "4"]
 
 
+def test_a_slice_window_too_small_to_number_is_data_error(tmp_path, capsys):
+    flows, vocab = ingest_synth(tmp_path, "flows", 3, 5, "--label", "1"), tmp_path / "v.tsv"
+    build_vocabulary().save(vocab)
+    assert run("tokenize", "--flows", str(flows), "--vocab", str(vocab), "--out", str(tmp_path / "c.txt"),
+               "--slice-window", "5e-324") == 2
+    assert re.search(r"^error: flow 0 \(\w+:\d+ <-> \w+:\d+\): window 5e-324 s is too small$", capsys.readouterr().err,
+                     re.M)
+
+
 TINY_FLAGS = [
     "--d-model", "16", "--n-layers", "1", "--n-heads", "2", "--n-experts", "4",
     "--top-k", "2", "--ffn-hidden", "32", "--batch-size", "8",
@@ -449,12 +471,43 @@ def test_ood_cli_compose_mode_with_coarse_map(tmp_path):
     flow_dirs = [str(tmp_path / f"flows{l}") for l in range(4)]
     assert run("ood", "--mode", "compose", "--flows", *flow_dirs, "--out", str(out),
                "--coarse-map", str(coarse_map), "--seed", "2") == 0
-    from trafficmoe.flows import read_flows
+    assert set(read_flows(out / "train").labels) <= {0, 1}  # relabeled to coarse ids
+    assert set(read_flows(out / "test").labels) == {0, 1}
 
-    train_flows = read_flows(out / "train")
-    test_flows = read_flows(out / "test")
-    assert {f.label for f in train_flows} <= {0, 1}   # relabeled to coarse ids
-    assert {f.label for f in test_flows} == {0, 1}
+
+# SHA-256 of each split's flows.tsv and packets.bin as ood wrote them from SessionFlow objects, so a change
+# to joining, splitting or relabelling the flow tables that moves one byte fails here.
+OOD_PINS = {
+    "time": {"train": ("8d720db4e0769d0a5b8a1adb5565eaa2894324c75556d330ae46b2d95ad93a33",
+                       "07f71ef5e7e9908668fcb81d9bacd9e3002377be2d013b6990057a79d7e43c42"),
+             "test": ("5850de7921524804f4f02468c3fab3c9918667a03c5d885d2dae1adea7195ea1",
+                      "0a3363e81950f525cec447adac4845da853e3310f07f7f6606c49c78963f1c4a")},
+    "proportion": {"train": ("dbdc6407e724bd879131a4a6664d5f0e896a8e69977fb9062445d629ab18f462",
+                             "63bc986c18ae5565a499542829278184557d8374313c8ca09c6e03b3401dae4a"),
+                   "test": ("13f00f54f2aaf7c4d5ec9f6a387833d4d4a66abba115080cedab2100f7d31796",
+                            "a6a5d8d8c0a9113e43b36bb99a3fc87337e45edb4dbccd63eb5f95e6fd0ca08a")},
+    "compose": {"train": ("70d04cf9bbddfb936e88760baf9850fb66d254d28cf1a357c1e12ec2650d84d6",
+                          "e4be8b4dea082e475ee97a879d15323a1618cf1a4857c5629ea69ad382eb1493"),
+                "test": ("077f1c8ad36db09ce3b6fab5eac0627543adb47de098659aa0532cbfa1bd280f",
+                         "cc98ab4d05051e18058b91f8ce05e30079b9cae0b658ad6b0a1b09af113bd09d")},
+}
+
+
+def test_ood_splits_of_two_flow_directories_are_pinned(tmp_path, capsys):
+    flows_to_pcap(synth_flows(24, n_classes=3, seed=5), tmp_path / "synth.pcap")
+    mixed_link_capture(tmp_path / "mixed.pcap")
+    flow_dirs = [str(tmp_path / "flows0"), str(tmp_path / "flows1")]
+    assert run("ingest", "--pcap", str(tmp_path / "synth.pcap"), "--out", flow_dirs[0], "--label", "0") == 0
+    assert run("ingest", "--pcap", str(tmp_path / "mixed.pcap"), "--out", flow_dirs[1], "--label", "1",
+               "--min-packets", "1") == 0
+    (tmp_path / "coarse.txt").write_text("0 0\n1 0\n")
+    for mode, pins in OOD_PINS.items():
+        coarse = [] if mode == "time" else ["--coarse-map", str(tmp_path / "coarse.txt")]
+        assert run("ood", "--mode", mode, "--flows", *flow_dirs, "--out", str(tmp_path / mode), "--seed", "3",
+                   *coarse) == 0
+        for split, digests in pins.items():
+            assert tuple(hashlib.sha256((tmp_path / mode / split / name).read_bytes()).hexdigest()
+                         for name in ("flows.tsv", "packets.bin")) == digests, (mode, split)
 
 
 @pytest.mark.parametrize("mode", ["proportion", "compose"])
@@ -775,7 +828,7 @@ def test_truncated_flow_sidecar_is_data_error(tmp_path, capsys):
 
 def test_zero_packet_flow_record_is_data_error(tmp_path, capsys):
     key = FiveTuple(bytes(4), 1, bytes(4), 2, 6)
-    write_flows([SessionFlow(key=key, packets=[], label=0)], tmp_path / "flows")
+    write_flows(FlowTable.of([SessionFlow(key=key, packets=[], label=0)]), tmp_path / "flows")
     build_vocabulary().save(tmp_path / "vocab.tsv")
     assert run("tokenize", "--flows", str(tmp_path / "flows"), "--vocab", str(tmp_path / "vocab.tsv"),
                "--out", str(tmp_path / "c.txt")) == 2
@@ -930,7 +983,7 @@ def test_ragged_corpus_is_data_error(tiny_eval, tmp_path, capsys, command, text,
 
 
 def test_vocab_line_without_tab_is_data_error(tmp_path, capsys):
-    write_flows([], tmp_path / "flows")
+    write_flows(FlowTable.of([]), tmp_path / "flows")
     (tmp_path / "vocab.tsv").write_text("[PD]\t0\n[PY] 1\n")
     assert run("tokenize", "--flows", str(tmp_path / "flows"), "--vocab", str(tmp_path / "vocab.tsv"),
                "--out", str(tmp_path / "c.txt")) == 2
@@ -948,7 +1001,7 @@ def test_vocab_line_without_tab_is_data_error(tmp_path, capsys):
 ], ids=["uppercase", "0x-prefix", "three-digits", "unknown-marker", "repeated-bigram", "repeated-marker",
         "non-ascii-id"])
 def test_vocab_bad_token_is_data_error(tmp_path, capsys, lines, message):
-    write_flows([], tmp_path / "flows")
+    write_flows(FlowTable.of([]), tmp_path / "flows")
     markers = "".join(f"{m}\t{i}\n" for i, m in enumerate(("[PD]", "[PY]", "[PAD]", "[END]", "[UNK]")))
     (tmp_path / "vocab.tsv").write_text(markers + lines)
     assert run("tokenize", "--flows", str(tmp_path / "flows"), "--vocab", str(tmp_path / "vocab.tsv"),
@@ -1074,7 +1127,7 @@ def test_config_file_key_the_command_does_not_read_is_data_error(tmp_path, capsy
 
 
 def test_config_file_line_without_equals_is_data_error(tmp_path, capsys):
-    write_flows([], tmp_path / "flows")
+    write_flows(FlowTable.of([]), tmp_path / "flows")
     build_vocabulary().save(tmp_path / "vocab.tsv")
     (tmp_path / "s.cfg").write_text("# serializer\nk=3\nmax_tokens 48\n")
     assert run("tokenize", "--flows", str(tmp_path / "flows"), "--vocab", str(tmp_path / "vocab.tsv"),
@@ -1145,11 +1198,17 @@ def test_every_config_field_is_a_cli_key_or_set_by_code():
 # -- the benchmark tracer's wrapped boundaries still exist ------------------------------------
 
 
+def load_perfbench(name: str):
+    """Module ``perfbench/<name>.py``, loaded from its file as the benchmark runs it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", Path(__file__).parents[1] / "perfbench" /
+                                                  f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_boundaries_resolve_and_restore():
-    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer")
 
     def lookup(owner, attr):
         mod_name, _, cls_name = owner.partition(":")
@@ -1166,3 +1225,12 @@ def test_tracer_boundaries_resolve_and_restore():
         t.uninstall()
     for name, owner, attr in tracer.BOUNDARIES:
         assert lookup(owner, attr) is originals[name], name
+
+
+def test_every_benchmark_workload_runs_and_checks_at_tiny_size(tmp_path):
+    workloads = load_perfbench("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        w = workload(workloads.PARAMS["tiny"][name], 0, tmp_path / name)
+        w.build()
+        w.prepare(0)
+        assert w.check(0, w.run(0)) == [], name

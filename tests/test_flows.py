@@ -28,6 +28,11 @@ from trafficmoe.flows import (
 from trafficmoe.tokenization import SerializerConfig, serialize_codes
 
 
+def grouped(packets):
+    """The flows of packet records, as ``reassemble_sessions`` groups them."""
+    return reassemble_sessions(PacketTable.of(packets))
+
+
 def make_packet(
     ts=0.0,
     src=b"\x0a\x00\x00\x01",
@@ -56,7 +61,7 @@ def make_packet(
 
 def test_parse_single_syn_frame():
     blob = craft.pcap([(1.5, craft.syn_frame_60())])
-    records = parse_capture(blob).records()
+    records = ref.records(parse_capture(blob))
     assert len(records) == 1
     rec = records[0]
     assert rec.tcp_flags == 0x02
@@ -68,7 +73,7 @@ def test_parse_single_syn_frame():
 
 
 def test_parse_header_only_capture():
-    assert parse_capture(craft.pcap([])).records() == []
+    assert ref.records(parse_capture(craft.pcap([]))) == []
 
 
 def test_parse_skips_non_ip_frames():
@@ -118,7 +123,7 @@ def test_parse_truncated_trailing_record_warns_and_drops():
 )
 def test_parse_endianness_and_resolution_variants(magic, little, nanos):
     blob = craft.pcap([(2.000001, craft.syn_frame_60())], magic=magic, little_endian=little, nanos=nanos)
-    records = parse_capture(blob).records()
+    records = ref.records(parse_capture(blob))
     assert len(records) == 1
     assert records[0].timestamp == pytest.approx(2.000001, abs=1e-9)
 
@@ -126,7 +131,7 @@ def test_parse_endianness_and_resolution_variants(magic, little, nanos):
 def test_parse_ipv6_and_udp():
     src6, dst6 = b"\x20\x01" + b"\x00" * 14, b"\x20\x02" + b"\x00" * 14
     frame = craft.ethernet(craft.ipv6(src6, dst6, 17, craft.udp(53, 5353, b"abc")), craft.ETH_IPV6)
-    records = parse_capture(craft.pcap([(0.0, frame)])).records()
+    records = ref.records(parse_capture(craft.pcap([(0.0, frame)])))
     assert len(records) == 1
     rec = records[0]
     assert rec.src_ip == src6 and rec.dst_ip == dst6
@@ -137,7 +142,7 @@ def test_parse_ipv6_and_udp():
 def test_parse_portless_protocol_uses_port_zero():
     icmp_body = b"\x08\x00\x00\x00rest"
     frame = craft.ethernet(craft.ipv4(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02", 1, icmp_body))
-    records = parse_capture(craft.pcap([(0.0, frame)])).records()
+    records = ref.records(parse_capture(craft.pcap([(0.0, frame)])))
     assert records[0].src_port == 0 and records[0].dst_port == 0
     assert records[0].payload == icmp_body
 
@@ -145,14 +150,14 @@ def test_parse_portless_protocol_uses_port_zero():
 def test_parse_tcp_payload_respects_data_offset():
     seg = craft.tcp(10, 20, 0x18, b"hello", data_offset=8)
     frame = craft.ethernet(craft.ipv4(b"\x01\x01\x01\x01", b"\x02\x02\x02\x02", 6, seg))
-    records = parse_capture(craft.pcap([(0.0, frame)])).records()
+    records = ref.records(parse_capture(craft.pcap([(0.0, frame)])))
     assert records[0].payload == b"hello"
 
 
 def test_parse_determinism_bit_for_bit():
     frames = [(i * 0.25, craft.syn_frame_60(sport=i + 1, dport=80)) for i in range(7)]
     blob = craft.pcap(frames)
-    assert parse_capture(blob).records() == parse_capture(blob).records()
+    assert ref.records(parse_capture(blob)) == ref.records(parse_capture(blob))
 
 
 # -- five-tuple canonicalization ---------------------------------------------------
@@ -202,14 +207,14 @@ def test_reassemble_alternating_directions():
         make_packet(ts=2.0, **a2b),
         make_packet(ts=3.0, **b2a),
     ]
-    flows = reassemble_sessions(packets).sessions()
+    flows = ref.sessions(grouped(packets))
     assert len(flows) == 1
     assert [d for _, d in flows[0].packets] == [FORWARD, BACKWARD, FORWARD, BACKWARD]
 
 
 def test_reassemble_two_tuples_two_flows():
     packets = [make_packet(sport=1, dport=2), make_packet(sport=3, dport=4)]
-    assert len(reassemble_sessions(packets)) == 2
+    assert len(grouped(packets)) == 2
 
 
 def brute_force_grouping(packets):
@@ -237,7 +242,7 @@ def test_reassemble_shuffled_timestamps_matches_oracle(rng):
                 dport=int(rng.integers(0, 3)),
             )
         )
-    flows = reassemble_sessions(packets)
+    flows = ref.sessions(grouped(packets))
     oracle = brute_force_grouping(packets)
     assert len(flows) == len(oracle)
     for flow in flows:
@@ -248,8 +253,8 @@ def test_reassemble_shuffled_timestamps_matches_oracle(rng):
 @given(st.lists(packet_strategy(), min_size=1, max_size=40))
 @settings(max_examples=50)
 def test_reassemble_partition_property(packets):
-    flows = reassemble_sessions(packets)
-    assert sum(len(f) for f in flows) == len(packets)
+    flows = ref.sessions(grouped(packets))
+    assert sum(len(f.packets) for f in flows) == len(packets)
     first_directions = [f.packets[0][1] for f in flows]
     assert all(d == FORWARD for d in first_directions)
     for flow in flows:
@@ -272,8 +277,8 @@ def test_reassemble_endpoint_swap_same_keys(packets):
         )
         for p in packets
     ]
-    keys = {f.key for f in reassemble_sessions(packets)}
-    keys_swapped = {f.key for f in reassemble_sessions(swapped)}
+    keys = {f.key for f in ref.sessions(grouped(packets))}
+    keys_swapped = {f.key for f in ref.sessions(grouped(swapped))}
     assert keys == keys_swapped
 
 
@@ -287,18 +292,18 @@ def _flow_of_size(n, port):
 
 def test_filter_micro_flows_threshold_three():
     flows = [_flow_of_size(n, port=10 * n) for n in (1, 2, 3, 5)]
-    kept = filter_micro_flows(flows, min_packets=3)
-    assert [len(f) for f in kept] == [3, 5]
+    kept = filter_micro_flows(FlowTable.of(flows), min_packets=3)
+    assert kept.counts.tolist() == [3, 5]
 
 
 def test_filter_min_one_is_identity():
     flows = [_flow_of_size(n, port=10 * n) for n in (1, 2, 3)]
-    assert filter_micro_flows(flows, min_packets=1).sessions() == flows
+    assert ref.sessions(filter_micro_flows(FlowTable.of(flows), min_packets=1)) == flows
 
 
 def test_filter_rejects_bad_min():
     with pytest.raises(ValueError):
-        filter_micro_flows([], min_packets=0)
+        filter_micro_flows(FlowTable.of([]), min_packets=0)
 
 
 # -- flow store -------------------------------------------------------------------------
@@ -311,10 +316,10 @@ def test_flow_store_round_trip(tmp_path):
                     sport=2222, dport=1111, proto=6, flags=0x10, payload=b"\x01\x02"),
         make_packet(ts=2.5, proto=6, flags=0x18, payload=b"abc"),
     ]
-    flows = reassemble_sessions(packets).sessions()
+    flows = ref.sessions(grouped(packets))
     flows[0].label = 3
-    write_flows(flows, tmp_path)
-    loaded = read_flows(tmp_path).sessions()
+    write_flows(FlowTable.of(flows), tmp_path)
+    loaded = ref.sessions(read_flows(tmp_path))
     assert loaded == flows
     manifest = (tmp_path / "flows.tsv").read_text().strip().split("\t")
     assert manifest[5] == "3" and manifest[6] == "3"  # packet count, label
@@ -330,9 +335,9 @@ def outcome(fn, *args):
         try:
             result = fn(*args)
             if isinstance(result, FlowTable):
-                result = result.sessions()
+                result = ref.sessions(result)
             elif isinstance(result, PacketTable):
-                result = result.records()
+                result = ref.records(result)
         except ValueError as exc:
             result = (type(exc).__name__, str(exc))
     return result, [str(w.message) for w in caught]
@@ -411,7 +416,7 @@ def test_column_decoder_and_grouping_match_the_per_packet_reference(blob):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table, records = parse_capture(blob), ref.parse_capture_ref(blob)
-    assert reassemble_sessions(table).sessions() == ref.reassemble_sessions_ref(records)
+    assert ref.sessions(reassemble_sessions(table)) == ref.reassemble_sessions_ref(records)
 
 
 def test_decoder_errors_match_the_reference():
@@ -437,9 +442,9 @@ def loose_packets(draw):
 @given(st.lists(loose_packets(), max_size=40))
 @settings(max_examples=150, deadline=None)
 def test_grouping_matches_the_reference_on_tied_times_and_mixed_addresses(packets):
-    assert reassemble_sessions(packets).sessions() == ref.reassemble_sessions_ref(packets)
-    assert filter_micro_flows(packets and reassemble_sessions(packets), 2).sessions() == [
-        f for f in ref.reassemble_sessions_ref(packets) if len(f) >= 2]
+    assert ref.sessions(grouped(packets)) == ref.reassemble_sessions_ref(packets)
+    assert ref.sessions(filter_micro_flows(grouped(packets), 2)) == [
+        f for f in ref.reassemble_sessions_ref(packets) if len(f.packets) >= 2]
 
 
 def store_flows(packets, labels):
@@ -455,23 +460,23 @@ def store_flows(packets, labels):
 @settings(max_examples=60, deadline=None)
 def test_flow_store_matches_the_reference_writer_and_reader(tmp_path_factory, packets, labels):
     flows, (ours, theirs) = store_flows(packets, labels), (tmp_path_factory.mktemp(n) for n in ("a", "b"))
-    write_flows(flows, ours)
+    write_flows(FlowTable.of(flows), ours)
     ref.write_flows_ref(flows, theirs)
     for name in ("flows.tsv", "packets.bin"):
         assert (ours / name).read_bytes() == (theirs / name).read_bytes()
-    write_flows(reassemble_sessions(packets), ours)  # the table path writes the same bytes
+    write_flows(grouped(packets), ours)  # the grouped table writes the same bytes
     ref.write_flows_ref([replace(f, label=None) for f in flows], theirs)
     for name in ("flows.tsv", "packets.bin"):
         assert (ours / name).read_bytes() == (theirs / name).read_bytes()
-    assert read_flows(ours).sessions() == ref.read_flows_ref(ours) == [replace(f, label=None) for f in flows]
+    assert ref.sessions(read_flows(ours)) == ref.read_flows_ref(ours) == [replace(f, label=None) for f in flows]
 
 
 def test_three_byte_addresses_round_trip(tmp_path):
     packets = [make_packet(src=b"\x01\x02\x03", dst=b"\x04\x05\x06", payload=b"x"),
                make_packet(ts=1.0, src=b"\x04\x05\x06", dst=b"\x01\x02\x03", sport=2222, dport=1111)]
-    flows = reassemble_sessions(packets).sessions()
-    write_flows(flows, tmp_path)
-    assert read_flows(tmp_path).sessions() == flows
+    flows = ref.sessions(grouped(packets))
+    write_flows(FlowTable.of(flows), tmp_path)
+    assert ref.sessions(read_flows(tmp_path)) == flows
 
 
 def damaged_sidecars(blob: bytes) -> dict[str, bytes]:
@@ -510,7 +515,7 @@ def test_damaged_sidecars_give_the_reference_error_and_offset(tmp_path):
 def test_a_zero_packet_flow_is_written_and_refused_on_read_like_the_reference(tmp_path_factory):
     flows = [SessionFlow(FiveTuple(bytes(4), 1, bytes(4), 2, 6), [], 0)] + store_flows([make_packet()], [None])
     ours, theirs = tmp_path_factory.mktemp("a"), tmp_path_factory.mktemp("b")
-    write_flows(flows, ours)
+    write_flows(FlowTable.of(flows), ours)
     ref.write_flows_ref(flows, theirs)
     for name in ("flows.tsv", "packets.bin"):
         assert (ours / name).read_bytes() == (theirs / name).read_bytes()
@@ -524,7 +529,7 @@ def test_a_zero_packet_flow_is_written_and_refused_on_read_like_the_reference(tm
 def test_serializing_a_read_table_matches_the_object_reference(tmp_path_factory, packets, stride, j, k):
     cfg = SerializerConfig(packets_per_flow=k, payload_bytes=j, max_tokens=1024, bigram_stride=stride)
     out = tmp_path_factory.mktemp("flows")
-    write_flows(reassemble_sessions(packets), out)
+    write_flows(grouped(packets), out)
     codes, lengths = serialize_codes(read_flows(out), cfg)
     got = np.split(codes, np.cumsum(lengths)[:-1])
     assert [c.tolist() for c in got] == [c.tolist() for c in ref.serialize_flows_ref(ref.read_flows_ref(out), cfg)]
@@ -553,14 +558,14 @@ def test_write_flows_refuses_a_packet_it_cannot_store(tmp_path, change, message)
     good = make_packet()
     flows = [SessionFlow(FiveTuple.from_packet(good), [(good, FORWARD), (odd, BACKWARD)], 1)]
     with pytest.raises(ValueError, match=re.escape(message)):
-        write_flows(flows, tmp_path / "out")
+        write_flows(FlowTable.of(flows), tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
 def test_write_flows_refuses_a_payload_size_and_direction_past_their_widths(tmp_path):
     for column, value, message in (("plen", 2**32, "payload length 4294967296 is outside [0, 4294967296)"),
                                    ("dir", 256, "direction 256 is outside [0, 256)")):
-        table = reassemble_sessions([make_packet(), make_packet(ts=1.0, payload=b"ab")])
+        table = grouped([make_packet(), make_packet(ts=1.0, payload=b"ab")])
         table.packets.rows[column][1] = value
         with pytest.raises(ValueError, match=re.escape(f"flow 0 packet 1: {message}")):
             write_flows(table, tmp_path / "out")

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_ops import (load_vocabulary_ref, read_corpus_ref, serialize_flow_ref, serialize_packet_ref, tokenize_ref,
-                           write_corpus_ref)
+from reference_ops import (load_vocabulary_ref, read_corpus_ref, serialize_flow_ref, serialize_packet_ref, sessions,
+                           temporal_slice_ref, tokenize_ref, write_corpus_ref)
 
 from trafficmoe import tokenization
-from trafficmoe.flows import BACKWARD, FORWARD, FiveTuple, PacketRecord, SessionFlow
+from trafficmoe.flows import BACKWARD, FORWARD, FiveTuple, FlowTable, PacketRecord, SessionFlow, temporal_slice
 from trafficmoe.synth import synth_flow, synth_flows, write_pcap
 from trafficmoe.tokenization import (
     BIGRAM_BASE,
@@ -30,7 +30,6 @@ from trafficmoe.tokenization import (
     read_corpus,
     serialize_codes,
     serialize_flow,
-    temporal_slice,
     token_matrix,
     tokenize,
     write_corpus,
@@ -220,7 +219,7 @@ def packets(draw):
 def test_serialize_flows_matches_per_packet_reference(flows, stride, j, k):
     cfg = SerializerConfig(packets_per_flow=k, payload_bytes=j, max_tokens=1024, bigram_stride=stride)
     flows = [SessionFlow(key=None, packets=pairs) for pairs in flows]
-    codes, lengths = serialize_codes(flows, cfg)
+    codes, lengths = serialize_codes(FlowTable.of(flows), cfg)
     assert codes.dtype == np.int32 and len(lengths) == len(flows)
     for codes_got, flow in zip(np.split(codes, np.cumsum(lengths)[:-1]), flows):
         assert codes_got.tolist() == serialize_flow_ref(flow, cfg).tolist()
@@ -230,8 +229,8 @@ def test_serialize_flows_matches_per_packet_reference(flows, stride, j, k):
 def test_serialize_flows_rejects_an_empty_flow_and_takes_no_flows():
     flow = flow_from_packets([(make_packet(), FORWARD)])
     with pytest.raises(ValueError, match="empty flow"):
-        serialize_codes([flow, SessionFlow(key=None, packets=[])], SerializerConfig())
-    codes, lengths = serialize_codes([], SerializerConfig())
+        serialize_codes(FlowTable.of([flow, SessionFlow(key=None, packets=[])]), SerializerConfig())
+    codes, lengths = serialize_codes(FlowTable.of([]), SerializerConfig())
     assert codes.size == lengths.size == 0
 
 
@@ -455,17 +454,22 @@ def _timed_flow(times, label=7):
     return flow_from_packets(pairs, label=label)
 
 
+def sliced(flow, window_seconds):
+    """``temporal_slice`` of one flow, as SessionFlow objects."""
+    return sessions(temporal_slice(FlowTable.of([flow]), window_seconds))
+
+
 def test_temporal_slice_clean_split():
     flow = _timed_flow([0, 1, 2, 10, 11, 12])
-    parts = temporal_slice(flow, window_seconds=5.0)
+    parts = sliced(flow, window_seconds=5.0)
     assert len(parts) == 2
-    assert [len(p) for p in parts] == [3, 3]
+    assert [len(p.packets) for p in parts] == [3, 3]
     assert all(p.label == 7 and p.key == flow.key for p in parts)
 
 
 def test_temporal_slice_single_window_identity():
     flow = _timed_flow([0.0, 0.5, 1.0, 1.5])
-    parts = temporal_slice(flow, window_seconds=10.0)
+    parts = sliced(flow, window_seconds=10.0)
     assert len(parts) == 1
     assert [p for p, _ in parts[0].packets] == [p for p, _ in flow.packets]
 
@@ -473,16 +477,21 @@ def test_temporal_slice_single_window_identity():
 def test_temporal_slice_discards_small_windows_unless_bypass():
     """Slicing discards no window however small, and has no bypass: ingest alone decides flow size."""
     flow = _timed_flow([0, 1, 2, 30])
-    assert [len(p) for p in temporal_slice(flow, window_seconds=5.0)] == [3, 1]
+    assert [len(p.packets) for p in sliced(flow, window_seconds=5.0)] == [3, 1]
+
+
+def test_temporal_slice_bins_with_floor_division_not_floor_of_the_quotient():
+    # 1.0 // 0.1 is 9.0 but floor(1.0 / 0.1) is 10.0, so the packets at 0.95 and 1.0 share window 9
+    assert [len(p.packets) for p in sliced(_timed_flow([0.0, 0.95, 1.0]), window_seconds=0.1)] == [1, 2]
 
 
 @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=30), st.floats(0.5, 20))
 @settings(max_examples=60)
 def test_temporal_slice_conservation(times, window):
     flow = _timed_flow(sorted(times))
-    parts = temporal_slice(flow, window_seconds=window)
-    sliced = sorted(p.timestamp for part in parts for p, _ in part.packets)
-    assert sliced == sorted(times)
+    parts = sliced(flow, window_seconds=window)
+    sliced_times = sorted(p.timestamp for part in parts for p, _ in part.packets)
+    assert sliced_times == sorted(times)
     # brute-force binning oracle
     t0 = min(times)
     for part in parts:
@@ -490,9 +499,36 @@ def test_temporal_slice_conservation(times, window):
         assert len(bins) == 1
 
 
+# Senders: two endpoints of a conversation, one whose address is the other's with a byte more, and one
+# that shares an address but not a port, so a direction turns on address bytes, length and port.
+_SENDERS = [(b"\x0a\x00\x00\x01", 1111), (b"\x0a\x00\x00\x02", 2222), (b"\x0a\x00\x00\x01\x00", 1111),
+            (b"\x0a\x00\x00\x01", 2222)]
+# From t0 = 0, the sampled times whose window differs between ``//`` and floor(a / w): 0.5, 0.9, 1.0, 1.8 and
+# 2.0 under 0.1, 1.0, 1.8 and 2.0 under 0.2, and 2.0 under 0.4.
+_TIMES = st.sampled_from([0.0, 0.3, 0.5, 0.9, 0.95, 1.0, 1.8, 2.0]) | st.floats(0, 50)
+_WINDOWS = st.sampled_from([0.1, 0.2, 0.4, 1.0]) | st.floats(1e-3, 100)
+
+
+@st.composite
+def unsorted_flows(draw):
+    packets = []
+    for ts, (src, sport), (dst, dport), stored in draw(st.lists(st.tuples(
+            _TIMES, st.sampled_from(_SENDERS), st.sampled_from(_SENDERS), st.sampled_from([FORWARD, BACKWARD])),
+            min_size=1, max_size=8)):
+        packets.append((PacketRecord(ts, src, dst, sport, dport, 6, 0x18, 60, b""), stored))
+    return flow_from_packets(packets, label=draw(st.none() | st.integers(0, 9)))
+
+
+@given(st.lists(unsorted_flows(), max_size=5), _WINDOWS)
+@settings(max_examples=150, deadline=None)
+def test_table_temporal_slice_matches_the_per_flow_reference(flows, window):
+    got = sessions(temporal_slice(FlowTable.of(flows), window))
+    assert got == [part for flow in flows for part in temporal_slice_ref(flow, window)]
+
+
 def test_temporal_slice_rejects_bad_window():
     with pytest.raises(ValueError):
-        temporal_slice(_timed_flow([0.0]), window_seconds=0.0)
+        temporal_slice(FlowTable.of([_timed_flow([0.0])]), window_seconds=0.0)
 
 
 # -- corpus files ------------------------------------------------------------------------------
