@@ -164,6 +164,8 @@ def _flow_chunks(flow_dirs, rows: int, slice_window: float = 0.0):
 
 
 def _cmd_build_vocab(args) -> tuple:
+    if args.vocab_mode == "full_bigram" and args.flows:
+        raise UsageExit("--vocab-mode full_bigram reads no --flows")
     _at_least_one("--min-freq", args.min_freq)
     serializer, config = _serializer_from_args(args)
     config.update({"vocab_mode": args.vocab_mode, "min_freq": args.min_freq})
@@ -310,14 +312,16 @@ def _cmd_bench(args) -> tuple:
 
 
 def _cmd_ood(args) -> tuple:
+    if args.mode == "time" and args.coarse_map is not None:
+        raise UsageExit("--mode time reads no --coarse-map")
     if args.mode != "time" and args.coarse_map is None:
         raise UsageExit(f"--mode {args.mode} needs --coarse-map")
     flows = FlowTable.join([read_flows(d) for d in args.flows])
     if None in flows.labels:
         raise ValueError("ood splits need labeled flows")
-    labels, index = np.array(flows.labels), range(len(flows))
+    labels = np.array(flows.labels)
     if args.mode == "time":
-        train_split, test_split = time_shift_split(index, flows.packets.rows["ts"][flows.firsts], labels)
+        train_idx, test_idx = time_shift_split(flows.packets.rows["ts"][flows.firsts], labels)
     else:
         coarse_map = {}
         for lineno, line in enumerate(Path(args.coarse_map).read_text().splitlines(), 1):
@@ -333,10 +337,10 @@ def _cmd_ood(args) -> tuple:
             raise ValueError(f"{args.coarse_map}: no coarse class for flow label {missing[0]}")
         flows = replace(flows, labels=[coarse_map[label] for label in flows.labels])  # a coarse-level task
         if args.mode == "proportion":
-            train_split, test_split = proportion_shift_split(index, np.array(flows.labels), labels)
+            train_idx, test_idx = proportion_shift_split(np.array(flows.labels), labels)
         else:
-            train_split, test_split = compose_shift_split(index, np.array(flows.labels), labels, seed=args.seed)
-    train_split, test_split = (flows[np.array(split, dtype=np.int64)] for split in (train_split, test_split))
+            train_idx, test_idx = compose_shift_split(np.array(flows.labels), labels, seed=args.seed)
+    train_split, test_split = flows[train_idx], flows[test_idx]
     check_labels(test_split)  # before train_split is written; write_flows checks the split it writes
     out = Path(args.out)
     write_flows(train_split, out / "train")

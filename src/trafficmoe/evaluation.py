@@ -124,8 +124,13 @@ def evaluate_classifier(
 # -- distribution-shift split constructors --------------------------------------
 
 
-def time_shift_split(items: Sequence, times: Sequence[float], labels: Sequence[int]) -> tuple[list, list]:
-    """Past-predicts-future split on each class's time span.
+def _joined(parts: list) -> np.ndarray:
+    """The index arrays of ``parts`` end to end, as one int64 array, empty when there are none."""
+    return np.concatenate([np.zeros(0, np.int64), *parts])
+
+
+def time_shift_split(times: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Past-predicts-future split on each class's time span: the train and test sample indices.
 
     Per class, samples in the earliest 40% of the span go to train and
     those in the latest 40% to test; the 20% buffer between them is
@@ -134,25 +139,25 @@ def time_shift_split(items: Sequence, times: Sequence[float], labels: Sequence[i
     """
     times = np.asarray(times, dtype=float)
     labels = np.asarray(labels)
-    train_items: list = []
-    test_items: list = []
+    train: list = []
+    test: list = []
     for cls in np.unique(labels):
         members = np.nonzero(labels == cls)[0]
         t = times[members]
         span = float(t.max() - t.min())
         if span == 0.0:
             warnings.warn(f"class {cls} spans zero time; all samples assigned to train")
-            train_items += [items[i] for i in members]
+            train.append(members)
             continue
         lo = t.min() + 0.4 * span
         hi = t.max() - 0.4 * span
-        train_items += [items[i] for i in members[t < lo]]
-        test_items += [items[i] for i in members[t > hi]]
-    return train_items, test_items
+        train.append(members[t < lo])
+        test.append(members[t > hi])
+    return _joined(train), _joined(test)
 
 
-def proportion_shift_split(items: Sequence, coarse: Sequence[int], fine: Sequence[int]) -> tuple[list, list]:
-    """Invert dominant/minor composition between train and test.
+def proportion_shift_split(coarse: Sequence[int], fine: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Invert dominant/minor composition between train and test: the train and test sample indices.
 
     Within each coarse class the dominant sub-class (the most frequent
     one, the lowest label among ties) outnumbers the aggregated minor pool
@@ -162,8 +167,8 @@ def proportion_shift_split(items: Sequence, coarse: Sequence[int], fine: Sequenc
     """
     coarse = np.asarray(coarse)
     fine = np.asarray(fine)
-    train_items: list = []
-    test_items: list = []
+    train: list = []
+    test: list = []
     for cls in np.unique(coarse):
         members = np.nonzero(coarse == cls)[0]
         sub = fine[members]
@@ -179,16 +184,13 @@ def proportion_shift_split(items: Sequence, coarse: Sequence[int], fine: Sequenc
                 f"coarse class {cls} has too few samples to realize the 4:1 ratios "
                 f"(dominant {len(dom_pool)}, minor {len(min_pool)})"
             )
-        train_items += [items[i] for i in dom_pool[: 4 * unit]]
-        test_items += [items[i] for i in dom_pool[4 * unit : 5 * unit]]
-        train_items += [items[i] for i in min_pool[:unit]]
-        test_items += [items[i] for i in min_pool[unit : 5 * unit]]
-    return train_items, test_items
+        train += [dom_pool[: 4 * unit], min_pool[:unit]]
+        test += [dom_pool[4 * unit : 5 * unit], min_pool[unit : 5 * unit]]
+    return _joined(train), _joined(test)
 
 
-def compose_shift_split(items: Sequence, coarse: Sequence[int], fine: Sequence[int],
-                        seed: int = 0) -> tuple[list, list]:
-    """Hide half of each coarse class's sub-classes from training.
+def compose_shift_split(coarse: Sequence[int], fine: Sequence[int], seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Hide half of each coarse class's sub-classes from training: the train and test sample indices.
 
     Per coarse class, a seeded random ceil(s/2) of its s sub-classes go
     only to test; each remaining sub-class holds out a seeded random 20%
@@ -197,8 +199,8 @@ def compose_shift_split(items: Sequence, coarse: Sequence[int], fine: Sequence[i
     coarse = np.asarray(coarse)
     fine = np.asarray(fine)
     rng = np.random.default_rng(seed)
-    train_items: list = []
-    test_items: list = []
+    train: list = []
+    test: list = []
     for cls in np.unique(coarse):
         members = np.nonzero(coarse == cls)[0]
         sub_ids = np.unique(fine[members])
@@ -209,13 +211,13 @@ def compose_shift_split(items: Sequence, coarse: Sequence[int], fine: Sequence[i
         for sub in sub_ids:
             pool = members[fine[members] == sub]
             if sub in masked:
-                test_items += [items[i] for i in pool]
+                test.append(pool)
             else:
                 n_test = max(1, int(len(pool) * 0.2))
-                picked = set(rng.choice(pool, size=n_test, replace=False).tolist())
-                test_items += [items[i] for i in pool if i in picked]
-                train_items += [items[i] for i in pool if i not in picked]
-    return train_items, test_items
+                picked = np.isin(pool, rng.choice(pool, size=n_test, replace=False))
+                test.append(pool[picked])
+                train.append(pool[~picked])
+    return _joined(train), _joined(test)
 
 
 # -- routing statistics -----------------------------------------------------------

@@ -1,17 +1,18 @@
-"""Classic-PCAP parsing and bidirectional session-flow reassembly, one column at a time.
+"""Classic-PCAP parsing and writing, and bidirectional session-flow reassembly, one column at a time.
 
 A session flow is the set of packets sharing a canonical five-tuple
 (both directions), time-ordered. Flows are the unit every later stage
 consumes.
 
-The stages pass tables, not one object per packet. A :class:`PacketTable`
-is one ``PACKET_COLUMNS`` row per packet beside the byte buffer it was
-decoded from (a capture, or a flow store's sidecar): each address and
-payload is an offset and a length into that buffer. A :class:`FlowTable` is
-a packet table in flow order, whose ``dir`` column holds each packet's
-direction, plus each flow's packet count and label. Every stage takes and
-returns tables. Objects enter through two doors only, ``PacketTable.of``
-and ``FlowTable.of``, and nothing turns a table back into objects.
+Packets exist in one form only, a table. A :class:`PacketTable` is one
+``PACKET_COLUMNS`` row per packet beside the byte buffer it was decoded
+from (a capture, a flow store's sidecar or a synthetic flow): each address
+and payload is an offset and a length into that buffer. A
+:class:`FlowTable` is a packet table in flow order, whose ``dir`` column
+holds each packet's direction, plus each flow's packet count and label; a
+:class:`SessionFlow` is one flow's packet table and label. Every stage
+takes and returns tables, and a flow's key is always read off its first
+packet.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class CaptureError(ValueError):
 
 
 def packet_error(timestamp: float, total_length: int, plen: int, tcp_flags: int, ip_proto: int) -> Optional[str]:
-    """Why no packet can hold these fields, or None: the first of PacketRecord's rules they break."""
+    """Why no packet can hold these fields, or None: the first rule they break."""
     if not (math.isfinite(timestamp) and timestamp >= 0.0):
         return f"timestamp must be finite and non-negative, got {timestamp}"
     if total_length < plen:
@@ -59,63 +60,6 @@ def packet_error(timestamp: float, total_length: int, plen: int, tcp_flags: int,
     if tcp_flags and ip_proto != PROTO_TCP:
         return "tcp_flags set on a non-TCP packet"
     return None
-
-
-@dataclass(frozen=True)
-class PacketRecord:
-    """One captured IP packet.
-
-    ``total_length`` is the original frame size on the wire; ``payload``
-    is the captured transport payload (after the TCP/UDP header, or the
-    remainder of the datagram for portless protocols). ``tcp_flags`` is
-    zero unless ``ip_proto`` is TCP.
-    """
-
-    timestamp: float
-    src_ip: bytes
-    dst_ip: bytes
-    src_port: int
-    dst_port: int
-    ip_proto: int
-    tcp_flags: int
-    total_length: int
-    payload: bytes
-
-    def __post_init__(self):
-        if error := packet_error(self.timestamp, self.total_length, len(self.payload), self.tcp_flags, self.ip_proto):
-            raise ValueError(error)
-
-
-@dataclass(frozen=True, order=True)
-class FiveTuple:
-    """Canonical bidirectional flow key: (ip_a, port_a) <= (ip_b, port_b)."""
-
-    ip_a: bytes
-    port_a: int
-    ip_b: bytes
-    port_b: int
-    proto: int
-
-    @classmethod
-    def from_packet(cls, pkt: PacketRecord) -> "FiveTuple":
-        a = (pkt.src_ip, pkt.src_port)
-        b = (pkt.dst_ip, pkt.dst_port)
-        if b < a:
-            a, b = b, a
-        return cls(a[0], a[1], b[0], b[1], pkt.ip_proto)
-
-
-@dataclass
-class SessionFlow:
-    """Time-ordered packets of one five-tuple conversation.
-
-    ``packets`` holds (record, direction) pairs; direction is FORWARD for
-    packets sent by the same endpoint as the flow's first packet.
-    """
-
-    key: FiveTuple
-    packets: list[tuple[PacketRecord, int]]
-    label: Optional[int] = None
 
 
 # One row per packet: src, dst and payload are byte offsets into the table's buffer and src_len, dst_len
@@ -157,40 +101,27 @@ class PacketTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def of(cls, packets: Iterable[PacketRecord]) -> "PacketTable":
-        """Packet records as a table over their joined bytes."""
-        return cls._of_pairs([(p, FORWARD) for p in packets])
-
-    @classmethod
-    def _of_pairs(cls, pairs: list[tuple[PacketRecord, int]]) -> "PacketTable":
-        parts = [part for p, _ in pairs for part in (p.src_ip, p.dst_ip, p.payload)]
-        sizes = np.fromiter(map(len, parts), np.int64, len(parts))
-        at, sizes = (np.cumsum(sizes) - sizes).reshape(-1, 3), sizes.reshape(-1, 3)
-        try:
-            rows = np.fromiter(((p.timestamp, 0, 0, 0, 0, p.src_port, p.dst_port, p.ip_proto, p.tcp_flags,
-                                 p.total_length, 0, 0, direction) for p, direction in pairs), PACKET_COLUMNS, len(pairs))
-        except OverflowError:
-            raise ValueError("a packet field or direction does not fit in 64 bits") from None
-        for i, (offset, length) in enumerate((("src", "src_len"), ("dst", "dst_len"), ("payload", "plen"))):
-            rows[offset], rows[length] = at[:, i], sizes[:, i]
-        return cls(b"".join(parts), rows)
-
     def payload_heads(self, width: int) -> np.ndarray:
         """``[len(self), width]`` uint8: each payload's first ``width`` bytes, zero-padded."""
         return _spans(self.data, self.rows["payload"], np.minimum(self.rows["plen"], width), width)
 
 
 @dataclass(eq=False)
+class SessionFlow:
+    """One flow: its packets in time order, with their ``dir`` column, and its label."""
+
+    packets: PacketTable
+    label: Optional[int] = None
+
+
+@dataclass(eq=False)
 class FlowTable:
     """Flows as one packet table in flow order, each flow's packet ``counts`` and ``labels`` (None when
-    absent). ``keys`` holds the flows' keys when the table was built from SessionFlow objects; otherwise
-    a flow's key is the canonical five-tuple of its first packet."""
+    absent). A flow's key is the canonical five-tuple of its first packet (see ``key_fields``)."""
 
     packets: PacketTable
     counts: np.ndarray
     labels: list
-    keys: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -204,21 +135,16 @@ class FlowTable:
         """The flows at ``which``, a slice or an array of flow indices, in that order."""
         idx = np.arange(len(self))[which]
         rows = self.packets.rows[run_indices(self.firsts[idx], self.counts[idx])]
-        pick = idx.tolist()
-        return FlowTable(PacketTable(self.packets.data, rows), self.counts[idx], [self.labels[i] for i in pick],
-                         None if self.keys is None else [self.keys[i] for i in pick])
+        return FlowTable(PacketTable(self.packets.data, rows), self.counts[idx], [self.labels[i] for i in idx.tolist()])
 
     @classmethod
     def of(cls, flows: Iterable[SessionFlow]) -> "FlowTable":
-        """Session flows as a table that keeps their keys and labels."""
-        flows = list(flows)
-        return cls(PacketTable._of_pairs([pair for f in flows for pair in f.packets]),
-                   np.array([len(f.packets) for f in flows], "i8"), [f.label for f in flows], [f.key for f in flows])
+        """Session flows as one table (see :meth:`join`)."""
+        return cls.join([cls(f.packets, np.array([len(f.packets)]), [f.label]) for f in flows])
 
     def key_fields(self) -> list[tuple]:
-        """``(ip_a, port_a, ip_b, port_b, proto)`` of each flow."""
-        if self.keys is not None:
-            return [(k.ip_a, k.port_a, k.ip_b, k.port_b, k.proto) for k in self.keys]
+        """``(ip_a, port_a, ip_b, port_b, proto)`` of each flow: its first packet's endpoints, the lower
+        ``(address, port)`` first."""
         first, d = self.packets.rows[self.firsts], self.packets.data
         swap = _swapped(first, *_endpoints(d, first))
 
@@ -231,8 +157,9 @@ class FlowTable:
 
     @classmethod
     def join(cls, tables: list["FlowTable"]) -> "FlowTable":
-        """The flows of ``tables``, in order, as one table over their buffers joined; keys are not kept."""
-        rows = np.concatenate([t.packets.rows for t in tables])
+        """The flows of ``tables``, in order, as one table over their buffers joined."""
+        tables = [cls(PacketTable(b"", np.zeros(0, PACKET_COLUMNS)), np.zeros(0, np.int64), []), *tables]  # or none
+        rows = np.concatenate([t.packets.rows for t in tables], dtype=PACKET_COLUMNS)  # no field-by-field promotion
         shift = np.repeat(np.cumsum([0] + [len(t.packets.data) for t in tables[:-1]]), [len(t.packets) for t in tables])
         for column in ("src", "dst", "payload"):
             rows[column] += shift
@@ -336,6 +263,47 @@ def parse_capture(capture_bytes: bytes) -> PacketTable:
     return PacketTable(capture_bytes, rows)
 
 
+# A written record's 16-byte header, then its frame's Ethernet, IPv4 and TCP headers; the payload follows.
+_FRAME_HEAD = np.dtype([("sec", "<u4"), ("usec", "<u4"), ("caplen", "<u4"), ("orig", "<u4"), ("macs", "u1", 12),
+                        ("ethertype", ">u2"), ("version_tos", ">u2"), ("ip_len", ">u2"), ("id_frag", ">u4"),
+                        ("ttl_proto", ">u2"), ("ip_sum", ">u2"), ("src", "u1", 4), ("dst", "u1", 4), ("sport", ">u2"),
+                        ("dport", ">u2"), ("seq_ack", ">u8"), ("offset", "u1"), ("flags", "u1"), ("window", ">u2"),
+                        ("sum_urgent", ">u4")])
+_MACS = np.frombuffer(bytes.fromhex("020000000002020000000001"), np.uint8)  # destination, then source
+
+
+def write_pcap(packets: PacketTable, path: Optional[str | Path] = None) -> Optional[bytes]:
+    """Write the packets, in table order, as a classic little-endian microsecond capture of Ethernet
+    frames, each holding TCP over IPv4 with no options; return the bytes when ``path`` is None. A packet
+    that no such frame holds as it is raises ValueError naming it, before anything is written."""
+    rows = packets.rows
+    ts, plen, frame = rows["ts"], rows["plen"], 54 + rows["plen"]
+    low, high = np.minimum(rows["sport"], rows["dport"]), np.maximum(rows["sport"], rows["dport"])
+    for rule, ok in (("TCP over IPv4", (rows["proto"] == PROTO_TCP) & (rows["src_len"] == 4) & (rows["dst_len"] == 4)),
+                     ("ts in [0, 2**32 - 1)", (ts >= 0) & (ts < 2**32 - 1)),
+                     ("ports in [0, 2**16)", (low >= 0) & (high < 1 << 16)),
+                     ("flags in [0, 2**8)", (rows["flags"] >= 0) & (rows["flags"] < 1 << 8)),
+                     ("plen at most 65,495, the most an IPv4 datagram holds", plen <= 0xFFFF - 40),
+                     ("length in [54 + plen, 2**32)", (rows["length"] >= frame) & (rows["length"] < 1 << 32))):
+        if not ok.all():
+            raise ValueError(f"packet {int(ok.argmin())}: the capture writer needs {rule}")
+    sec = np.trunc(ts)
+    usec = np.rint((ts - sec) * 1e6)  # half to even, as Python's round
+    carry = usec >= 1e6
+    at = 24 + np.cumsum(_FRAME_HEAD.itemsize + plen) - (_FRAME_HEAD.itemsize + plen)
+    out = np.zeros(24 + len(rows) * _FRAME_HEAD.itemsize + int(plen.sum()), np.uint8)
+    out[:24] = np.frombuffer(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, _LINKTYPE_ETHERNET), np.uint8)
+    _put(out, at, _FRAME_HEAD, sec + carry, usec - 1e6 * carry, frame, rows["length"], _MACS, 0x0800, 0x4500,
+         40 + plen, 0, 64 << 8 | PROTO_TCP, 0, _spans(packets.data, rows["src"], rows["src_len"], 4),
+         _spans(packets.data, rows["dst"], rows["dst_len"], 4), rows["sport"], rows["dport"], 0, 5 << 4, rows["flags"],
+         0xFFFF, 0)
+    _copy_spans(out, at + _FRAME_HEAD.itemsize, np.frombuffer(packets.data, np.uint8), rows["payload"], plen)
+    if path is None:
+        return out.tobytes()
+    Path(path).write_bytes(out)
+    return None
+
+
 def _endpoints(data: bytes, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's source and destination address, zero-padded to the longest rounded up to 8 bytes:
     ``[n, width]`` uint8 each."""
@@ -400,7 +368,7 @@ def filter_micro_flows(flows: FlowTable, min_packets: int = 3) -> FlowTable:
 
 def temporal_slice(flows: FlowTable, window_seconds: float) -> FlowTable:
     """Cut each flow into one sub-flow per non-empty window [t0 + i*w, t0 + (i+1)*w), t0 its first row's time, in
-    window order, each in stored order with the flow's label and key and FORWARD for its first packet's sender."""
+    window order, each in stored order with the flow's label and FORWARD for its first packet's sender."""
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive")
     rows = flows.packets.rows
@@ -418,9 +386,7 @@ def temporal_slice(flows: FlowTable, window_seconds: float) -> FlowTable:
     first = np.repeat(starts, counts)
     sender = np.column_stack([_endpoints(flows.packets.data, rows)[0], rows["src_len"], rows["sport"]])
     rows["dir"] = np.where((sender == sender[first]).all(axis=1), FORWARD, BACKWARD)
-    parent = flow[starts].tolist()
-    return FlowTable(PacketTable(flows.packets.data, rows), counts, [flows.labels[i] for i in parent],
-                     None if flows.keys is None else [flows.keys[i] for i in parent])
+    return FlowTable(PacketTable(flows.packets.data, rows), counts, [flows.labels[i] for i in flow[starts].tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +540,7 @@ def read_flows(in_dir: str | Path) -> FlowTable:
         ts = rows["ts"]
         refused = ~(np.isfinite(ts) & (ts >= 0)) | (rows["length"] < rows["plen"]) | (
             (rows["flags"] != 0) & (rows["proto"] != PROTO_TCP))
-        if refused.any():  # the first refused packet's error, as PacketRecord states it
+        if refused.any():  # the first refused packet's error, as packet_error states it
             i = int(refused.argmax())
             r.start = int(at[i])
             raise ValueError(packet_error(*rows[["ts", "length", "plen", "flags", "proto"]][i].item()))

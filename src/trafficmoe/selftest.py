@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .evaluation import ConfusionMatrix, compute_metrics
 from .model import LayerRouting, ModelConfig, TrafficModel, inference_shards, load_balance_loss, route_tokens
-from .synth import synth_flow, synth_flows, write_pcap
+from .synth import synth_flow, synth_flows
 from .tensor import AdamW, Tensor
 from .tokenization import (
     END_ID,
@@ -29,7 +29,7 @@ from .tokenization import (
     tokenize,
 )
 from .training import llrd_schedule, ntp_loss
-from .flows import parse_capture, reassemble_sessions
+from .flows import FlowTable, parse_capture, reassemble_sessions, write_pcap
 
 
 def _check_routing() -> str:
@@ -190,10 +190,8 @@ def _check_tokenizer() -> str:
 
 
 def _check_flows() -> str:
-    flows = synth_flows(6, n_classes=2, seed=4)
-    packets = [pkt for f in flows for pkt, _ in f.packets]
-    blob = write_pcap(sorted(packets, key=lambda p: p.timestamp))
-    parsed = parse_capture(blob)
+    packets = FlowTable.of(synth_flows(6, n_classes=2, seed=4)).packets
+    parsed = parse_capture(write_pcap(packets))
     assert len(parsed) == len(packets)
     reassembled = reassemble_sessions(parsed)
     assert reassembled.counts.sum() == len(parsed)

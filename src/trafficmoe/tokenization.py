@@ -127,7 +127,7 @@ def serialize_codes(flows: FlowTable, cfg: SerializerConfig) -> tuple[np.ndarray
 
 def serialize_flow(flow: SessionFlow, cfg: SerializerConfig) -> np.ndarray:
     """Serialize one flow into its ``int32`` code sequence (see :func:`serialize_codes`)."""
-    return serialize_codes(FlowTable.of([flow]), cfg)[0]
+    return serialize_codes(FlowTable(flow.packets, np.array([len(flow.packets)]), [flow.label]), cfg)[0]
 
 
 @dataclass(frozen=True, eq=False)

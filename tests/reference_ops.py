@@ -5,13 +5,19 @@ the engine's own primitives, so a test can check a fused op's output and gradien
 float64. The tokenizer references serialize one packet, parse one vocabulary line, map one flow to
 ids and write one corpus line at a time. The flow references decode, group, slice, store and read one
 ``PacketRecord`` at a time, and the corpus reader reference parses one line at a time with a
-regular expression and ``int``. ``records`` and ``sessions`` turn the package's tables back into
-objects, so its table results can be compared with the references' object results.
+regular expression and ``int``.
+
+The package holds packets only as tables, so the object forms live here: ``PacketRecord`` (one
+packet), ``FiveTuple`` (a canonical flow key) and ``RecordFlow`` (a keyed list of (record,
+direction) pairs). ``packets_of`` and ``table_of`` turn objects into the package's tables, and
+``records`` and ``sessions`` turn tables back into objects, so table results can be compared with
+the references' object results.
 """
 
 import math
 import struct
 import warnings
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -22,8 +28,8 @@ from trafficmoe import tensor as T
 from trafficmoe.artifacts import HEADER, BinaryReader, write_atomic
 from trafficmoe.flows import (_LINKTYPE_ETHERNET, _LINKTYPE_RAW_IP, _MAGIC_NS_BE, _MAGIC_NS_LE, _MAGIC_US_BE,
                               _MAGIC_US_LE, _SIDECAR_MAGIC, _SIDECAR_VERSION, BACKWARD, FORWARD, MANIFEST_NAME,
-                              PROTO_TCP, PROTO_UDP, SIDECAR_NAME, CaptureError, FiveTuple, FlowTable, PacketRecord,
-                              PacketTable, SessionFlow, check_labels)
+                              PACKET_COLUMNS, PROTO_TCP, PROTO_UDP, SIDECAR_NAME, CaptureError, FlowTable, PacketTable,
+                              check_labels, packet_error)
 from trafficmoe.tokenization import (_CORPUS_LINE, _META, BIGRAM_BASE, END_ID, FULL_BIGRAM_VOCAB_SIZE, MARKERS,
                                      META_BYTES, PAD_ID, PD_ID, PY_ID, UNK_ID, SerializerConfig, TokenSequence,
                                      _ceil_div, _window_codes)
@@ -34,6 +40,84 @@ _PACKET_TAIL = struct.Struct("<HHBBII")
 # The packet attributes the metadata block is built from, as read off each PacketRecord.
 _PACKET_FIELDS = np.dtype([("ts", "f8"), ("length", "i8"), ("dir", "i8"), ("flags", "i8"), ("proto", "i8"),
                            ("plen", "i8")])
+
+
+@dataclass(frozen=True)
+class PacketRecord:
+    """One captured IP packet.
+
+    ``total_length`` is the original frame size on the wire; ``payload``
+    is the captured transport payload (after the TCP/UDP header, or the
+    remainder of the datagram for portless protocols). ``tcp_flags`` is
+    zero unless ``ip_proto`` is TCP.
+    """
+
+    timestamp: float
+    src_ip: bytes
+    dst_ip: bytes
+    src_port: int
+    dst_port: int
+    ip_proto: int
+    tcp_flags: int
+    total_length: int
+    payload: bytes
+
+    def __post_init__(self):
+        if error := packet_error(self.timestamp, self.total_length, len(self.payload), self.tcp_flags, self.ip_proto):
+            raise ValueError(error)
+
+
+@dataclass(frozen=True, order=True)
+class FiveTuple:
+    """Canonical bidirectional flow key: (ip_a, port_a) <= (ip_b, port_b)."""
+
+    ip_a: bytes
+    port_a: int
+    ip_b: bytes
+    port_b: int
+    proto: int
+
+    @classmethod
+    def from_packet(cls, pkt: PacketRecord) -> "FiveTuple":
+        a = (pkt.src_ip, pkt.src_port)
+        b = (pkt.dst_ip, pkt.dst_port)
+        if b < a:
+            a, b = b, a
+        return cls(a[0], a[1], b[0], b[1], pkt.ip_proto)
+
+
+@dataclass
+class RecordFlow:
+    """A flow as objects: ``packets`` holds (record, direction) pairs; direction is FORWARD for
+    packets sent by the same endpoint as the flow's first packet."""
+
+    key: Optional[FiveTuple]
+    packets: list[tuple[PacketRecord, int]]
+    label: Optional[int] = None
+
+
+def flow_of(pairs: list[tuple[PacketRecord, int]], label: Optional[int] = None) -> RecordFlow:
+    """The (record, direction) pairs as a flow keyed by its first packet."""
+    return RecordFlow(FiveTuple.from_packet(pairs[0][0]), pairs, label)
+
+
+def packets_of(pairs: Iterable[tuple[PacketRecord, int]]) -> PacketTable:
+    """(record, direction) pairs as a packet table over their joined bytes."""
+    pairs = list(pairs)
+    parts = [part for p, _ in pairs for part in (p.src_ip, p.dst_ip, p.payload)]
+    sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+    at, sizes = (np.cumsum(sizes) - sizes).reshape(-1, 3), sizes.reshape(-1, 3)
+    rows = np.fromiter(((p.timestamp, 0, 0, 0, 0, p.src_port, p.dst_port, p.ip_proto, p.tcp_flags, p.total_length,
+                         0, 0, direction) for p, direction in pairs), PACKET_COLUMNS, len(pairs))
+    for i, (offset, length) in enumerate((("src", "src_len"), ("dst", "dst_len"), ("payload", "plen"))):
+        rows[offset], rows[length] = at[:, i], sizes[:, i]
+    return PacketTable(b"".join(parts), rows)
+
+
+def table_of(flows: Sequence[RecordFlow]) -> FlowTable:
+    """Object flows as a flow table with their labels; a flow's key is read off its first packet there."""
+    return FlowTable(packets_of(pair for f in flows for pair in f.packets),
+                     np.array([len(f.packets) for f in flows], np.int64), [f.label for f in flows])
 
 
 def rope_tables_ref(seq_len: int, head_dim: int, base: float = 10000.0):
@@ -374,6 +458,23 @@ def _parse_ip_ref(dgram: bytes, version: int, timestamp: float, orig_len: int) -
     )
 
 
+def write_pcap_ref(packets: Sequence[PacketRecord]) -> bytes:
+    """A classic little-endian microsecond capture of Ethernet frames holding TCP over IPv4, packed one
+    packet at a time with ``struct``."""
+    blob = bytearray(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, _LINKTYPE_ETHERNET))
+    for pkt in packets:
+        tcp = struct.pack(">HHIIBBHHH", pkt.src_port, pkt.dst_port, 0, 0, 5 << 4, pkt.tcp_flags, 65535, 0, 0)
+        ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, 40 + len(pkt.payload), 0, 0, 64, pkt.ip_proto, 0, pkt.src_ip,
+                         pkt.dst_ip)
+        frame = bytes.fromhex("020000000002020000000001") + struct.pack(">H", 0x0800) + ip + tcp + pkt.payload
+        sec = int(pkt.timestamp)
+        usec = int(round((pkt.timestamp - sec) * 1e6))
+        if usec >= 1_000_000:
+            sec, usec = sec + 1, usec - 1_000_000
+        blob += struct.pack("<IIII", sec, usec, len(frame), max(pkt.total_length, len(frame))) + frame
+    return bytes(blob)
+
+
 def records(table: PacketTable) -> list[PacketRecord]:
     """Each packet of a table as a PacketRecord."""
     d = table.data
@@ -382,14 +483,12 @@ def records(table: PacketTable) -> list[PacketRecord]:
             for ts, src, n_src, dst, n_dst, sport, dport, proto, flags, length, pay, n_pay, _ in table.rows.tolist()]
 
 
-def sessions(flows: FlowTable) -> list[SessionFlow]:
-    """Each flow of a table as a SessionFlow: its key as the table holds it, or else the canonical
-    five-tuple of its first packet."""
+def sessions(flows: FlowTable) -> list[RecordFlow]:
+    """Each flow of a table as a RecordFlow, keyed as the table keys it."""
     pairs = list(zip(records(flows.packets), flows.packets.rows["dir"].tolist()))
-    keys = flows.keys if flows.keys is not None else [FiveTuple(*k) for k in flows.key_fields()]
     ends = np.cumsum(flows.counts).tolist()
-    return [SessionFlow(key, pairs[end - n : end], label)
-            for key, n, end, label in zip(keys, flows.counts.tolist(), ends, flows.labels)]
+    return [RecordFlow(FiveTuple(*key), pairs[end - n : end], label)
+            for key, n, end, label in zip(flows.key_fields(), flows.counts.tolist(), ends, flows.labels)]
 
 
 def directed(pkts: list[PacketRecord]) -> list[tuple[PacketRecord, int]]:
@@ -398,13 +497,13 @@ def directed(pkts: list[PacketRecord]) -> list[tuple[PacketRecord, int]]:
     return [(p, FORWARD if p.src_port == origin_port and p.src_ip == origin_ip else BACKWARD) for p in pkts]
 
 
-def temporal_slice_ref(flow: SessionFlow, window_seconds: float) -> list[SessionFlow]:
+def temporal_slice_ref(flow: RecordFlow, window_seconds: float) -> list[RecordFlow]:
     """Cut one flow into fixed-duration sub-flows inheriting its label.
 
     Packets are binned into half-open windows [t0 + i*w, t0 + (i+1)*w), and
     each non-empty window becomes one sub-flow, however few its packets: the
-    sub-flows partition the flow. Directions are re-derived relative to each
-    sub-flow's first packet.
+    sub-flows partition the flow. Directions and keys are re-derived from
+    each sub-flow's first packet.
     """
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive")
@@ -412,11 +511,10 @@ def temporal_slice_ref(flow: SessionFlow, window_seconds: float) -> list[Session
     bins: dict[int, list[PacketRecord]] = {}
     for pkt, _ in flow.packets:
         bins.setdefault(int((pkt.timestamp - t0) // window_seconds), []).append(pkt)
-    return [SessionFlow(key=flow.key, packets=directed(pkts), label=flow.label)
-            for _, pkts in sorted(bins.items())]
+    return [flow_of(directed(pkts), flow.label) for _, pkts in sorted(bins.items())]
 
 
-def reassemble_sessions_ref(packets: Iterable[PacketRecord]) -> list[SessionFlow]:
+def reassemble_sessions_ref(packets: Iterable[PacketRecord]) -> list[RecordFlow]:
     """Group packets into bidirectional flows keyed by canonical five-tuple.
 
     Every input packet lands in exactly one flow. Within a flow, packets
@@ -432,13 +530,14 @@ def reassemble_sessions_ref(packets: Iterable[PacketRecord]) -> list[SessionFlow
     flows = []
     for ((ip_a, port_a), (ip_b, port_b), proto), pkts in groups.items():
         pkts.sort(key=attrgetter("timestamp"))  # stable, so capture order breaks ties
-        flows.append(SessionFlow(key=FiveTuple(ip_a, port_a, ip_b, port_b, proto), packets=directed(pkts)))
+        flows.append(RecordFlow(FiveTuple(ip_a, port_a, ip_b, port_b, proto), directed(pkts)))
     return flows
 
 
-def write_flows_ref(flows: list[SessionFlow], out_dir: str | Path) -> None:
-    """Write the manifest/sidecar pair for a flow list; ``check_labels`` runs before anything is written."""
-    check_labels(FlowTable.of(flows))
+def write_flows_ref(flows: list[RecordFlow], out_dir: str | Path) -> None:
+    """Write the manifest/sidecar pair for a flow list, each flow under its own key, a flow of no
+    packets too; ``check_labels`` runs before anything is written."""
+    check_labels(table_of(flows))
     lines = []
     blob = bytearray(_SIDECAR_MAGIC + HEADER.pack(_SIDECAR_VERSION, len(flows)))
     for flow in flows:
@@ -458,7 +557,7 @@ def write_flows_ref(flows: list[SessionFlow], out_dir: str | Path) -> None:
     write_atomic(out / SIDECAR_NAME, blob)
 
 
-def read_flows_ref(in_dir: str | Path) -> list[SessionFlow]:
+def read_flows_ref(in_dir: str | Path) -> list[RecordFlow]:
     """Read back a flow list written by :func:`write_flows`.
 
     A malformed or truncated sidecar raises :class:`CaptureError` naming
@@ -477,13 +576,12 @@ def read_flows_ref(in_dir: str | Path) -> list[SessionFlow]:
                 sport, dport, proto, flags, total_len, payload_len = r.unpack(_PACKET_TAIL)
                 pkt = PacketRecord(ts, src_ip, dst_ip, sport, dport, proto, flags, total_len, r.take(payload_len))
                 packets.append((pkt, direction))
-            key = FiveTuple.from_packet(packets[0][0])
-            flows.append(SessionFlow(key=key, packets=packets, label=None if label < 0 else label))
+            flows.append(flow_of(packets, None if label < 0 else label))
         r.end()
     return flows
 
 
-def serialize_flows_ref(flows: Sequence[SessionFlow], cfg: SerializerConfig) -> list[np.ndarray]:
+def serialize_flows_ref(flows: Sequence[RecordFlow], cfg: SerializerConfig) -> list[np.ndarray]:
     """Serialize flows into their ``int32`` code sequences, one array per flow. The first
     ``packets_per_flow`` packets of a flow each contribute ``[PD] <meta bigrams> [PY] <payload
     bigrams>`` (the payload's first ``payload_bytes`` bytes), and ``[END]`` ends the flow."""

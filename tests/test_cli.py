@@ -13,10 +13,11 @@ import pytest
 
 import pcap_craft as craft
 from conftest import tiny_config
+from reference_ops import FiveTuple, RecordFlow, write_flows_ref
 from trafficmoe import cli, tokenization
 from trafficmoe import tensor as T
 from trafficmoe.cli import main
-from trafficmoe.flows import FiveTuple, FlowTable, PacketRecord, SessionFlow, read_flows, write_flows
+from trafficmoe.flows import PACKET_COLUMNS, FlowTable, PacketTable, SessionFlow, read_flows, write_flows
 from trafficmoe.model import ModelConfig, TrafficModel
 from trafficmoe.synth import flows_to_pcap, synth_flows
 from trafficmoe.tokenization import SerializerConfig, TokenSequence, build_vocabulary, write_corpus
@@ -182,15 +183,15 @@ def test_ingest_writes_the_pinned_store(tmp_path, capsys, capture):
 
 
 def test_ingest_and_tokenize_build_no_packet_record(tmp_path, monkeypatch, capsys):
-    """No command on the flow path builds a PacketRecord or a SessionFlow: they pass tables only."""
+    """No command on the flow path builds a SessionFlow, the one per-flow object: they pass tables only.
+    (The package has no per-packet class to count.)"""
     for label in range(4):
         flows_to_pcap(synth_flows(12, n_classes=3, seed=5 + label), tmp_path / f"{label}.pcap")
     build_vocabulary().save(tmp_path / "vocab.tsv")
     (tmp_path / "coarse.txt").write_text("0 0\n1 0\n2 1\n3 1\n")
     built = []
-    for cls in (PacketRecord, SessionFlow):
-        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=cls.__init__, **kw: built.append(
-            type(self).__name__) or init(self, *a, **kw))
+    monkeypatch.setattr(SessionFlow, "__init__", lambda self, *a, init=SessionFlow.__init__, **kw: built.append(
+        type(self).__name__) or init(self, *a, **kw))
     flow_dirs = [str(tmp_path / f"flows{label}") for label in range(4)]
     for label, flows in enumerate(flow_dirs):
         assert run("ingest", "--pcap", str(tmp_path / f"{label}.pcap"), "--out", flows, "--label", str(label)) == 0
@@ -201,12 +202,11 @@ def test_ingest_and_tokenize_build_no_packet_record(tmp_path, monkeypatch, capsy
     assert run("build-vocab", "--flows", *flow_dirs, "--out", str(tmp_path / "wp.tsv"),
                "--vocab-mode", "wordpiece") == 0
     for mode in ("time", "proportion", "compose"):
-        assert run("ood", "--mode", mode, "--flows", *flow_dirs, "--out", str(tmp_path / mode),
-                   "--coarse-map", str(tmp_path / "coarse.txt")) == 0
+        coarse = [] if mode == "time" else ["--coarse-map", str(tmp_path / "coarse.txt")]
+        assert run("ood", "--mode", mode, "--flows", *flow_dirs, "--out", str(tmp_path / mode), *coarse) == 0
     assert not built
-    PacketRecord(0.0, b"", b"", 0, 0, 17, 0, 0, b"")  # the counters count
-    SessionFlow(None, [])
-    assert built == ["PacketRecord", "SessionFlow"]
+    SessionFlow(PacketTable(b"", np.zeros(0, PACKET_COLUMNS)))  # the counter counts
+    assert built == ["SessionFlow"]
 
 
 # -- the full pipeline ------------------------------------------------------------------
@@ -508,6 +508,24 @@ def test_ood_splits_of_two_flow_directories_are_pinned(tmp_path, capsys):
         for split, digests in pins.items():
             assert tuple(hashlib.sha256((tmp_path / mode / split / name).read_bytes()).hexdigest()
                          for name in ("flows.tsv", "packets.bin")) == digests, (mode, split)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ood", "--mode", "time", "--flows", "{flows}", "--out", "{out}", "--coarse-map", "{coarse}"],
+     "error: --mode time reads no --coarse-map"),
+    (["build-vocab", "--vocab-mode", "full_bigram", "--flows", "{flows}", "--out", "{out}/vocab.tsv"],
+     "error: --vocab-mode full_bigram reads no --flows"),
+], ids=["ood-time-coarse-map", "full-bigram-flows"])
+def test_a_flag_the_chosen_mode_never_reads_is_usage_error(tmp_path, capsys, argv, message):
+    """Such a flag would be echoed and its file hashed into the manifest as an input, though unread."""
+    flows = ingest_synth(tmp_path, "flows", 12, 5, "--label", "0")
+    (tmp_path / "coarse.txt").write_text("garbage line\n")
+    paths = {"flows": flows, "out": tmp_path / "out", "coarse": tmp_path / "coarse.txt"}
+    capsys.readouterr()
+    assert run(*(arg.format(**paths) for arg in argv)) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["proportion", "compose"])
@@ -827,8 +845,7 @@ def test_truncated_flow_sidecar_is_data_error(tmp_path, capsys):
 
 
 def test_zero_packet_flow_record_is_data_error(tmp_path, capsys):
-    key = FiveTuple(bytes(4), 1, bytes(4), 2, 6)
-    write_flows(FlowTable.of([SessionFlow(key=key, packets=[], label=0)]), tmp_path / "flows")
+    write_flows_ref([RecordFlow(FiveTuple(bytes(4), 1, bytes(4), 2, 6), [], 0)], tmp_path / "flows")
     build_vocabulary().save(tmp_path / "vocab.tsv")
     assert run("tokenize", "--flows", str(tmp_path / "flows"), "--vocab", str(tmp_path / "vocab.tsv"),
                "--out", str(tmp_path / "c.txt")) == 2
@@ -1227,6 +1244,18 @@ def test_tracer_boundaries_resolve_and_restore():
         assert lookup(owner, attr) is originals[name], name
 
 
+# SHA-256 of each workload's inputs at the tiny scale and seed 0 (ingest's corpus is hashed by its check),
+# so a change to synth, the capture writer or tokenization that moves one benchmark input byte fails here.
+_MODEL_CORPUS = "08aae7309248e3f1730c4b08e272c336aaa3c4c45fcb713462e9c8a5b6be8d16"
+WORKLOAD_PINS = {
+    "ingest": {"capture_sha256": "e3e04c3db75edf25da81a1356520bce45201029bb7e245f950d570c020bef463",
+               "corpus_sha256": "a121fe9a9b0063053563d4538a9fa600bb4531d757ba4868bdd1da3f44817f17"},
+    "finetune": {"corpus_sha256": _MODEL_CORPUS},
+    "pretrain": {"corpus_sha256": _MODEL_CORPUS},
+    "classify": {"corpus_sha256": "84abba8392d4aab093b0549158351a09e11595ba6df3474344fd076a0aa64109"},
+}
+
+
 def test_every_benchmark_workload_runs_and_checks_at_tiny_size(tmp_path):
     workloads = load_perfbench("workloads")
     for name, workload in workloads.WORKLOADS.items():
@@ -1234,3 +1263,4 @@ def test_every_benchmark_workload_runs_and_checks_at_tiny_size(tmp_path):
         w.build()
         w.prepare(0)
         assert w.check(0, w.run(0)) == [], name
+        assert {key: w.record.get(key) for key in WORKLOAD_PINS[name]} == WORKLOAD_PINS[name], name

@@ -114,30 +114,28 @@ def test_metrics_tsv_deterministic(tmp_path):
 
 
 def test_time_shift_span_percentages():
-    items = list(range(10))
     times = np.arange(1.0, 11.0)
     labels = np.zeros(10, dtype=int)
-    train_items, test_items = time_shift_split(items, times, labels)
-    assert train_items == [0, 1, 2, 3]      # t in [1, 4.6)
-    assert test_items == [6, 7, 8, 9]       # t in (6.4, 10]
+    train_items, test_items = time_shift_split(times, labels)
+    assert train_items.tolist() == [0, 1, 2, 3]      # t in [1, 4.6)
+    assert test_items.tolist() == [6, 7, 8, 9]       # t in (6.4, 10]
 
 
 def test_time_shift_zero_span_warns_all_train():
-    items = ["a", "b", "c"]
     with pytest.warns(UserWarning, match="zero time"):
-        train_items, test_items = time_shift_split(items, [5.0, 5.0, 5.0], [0, 0, 0])
-    assert train_items == items and test_items == []
+        train_items, test_items = time_shift_split([5.0, 5.0, 5.0], [0, 0, 0])
+    assert train_items.tolist() == [0, 1, 2] and test_items.tolist() == []
+    assert train_items.dtype == test_items.dtype == np.int64  # an empty split too
 
 
 def test_time_shift_matches_brute_force_oracle(rng):
     n = 200
     times = rng.uniform(0, 100, size=n)
     labels = rng.integers(0, 3, size=n)
-    items = list(range(n))
-    train_items, test_items = time_shift_split(items, times, labels)
-    train_set, test_set = set(train_items), set(test_items)
+    train_items, test_items = time_shift_split(times, labels)
+    train_set, test_set = set(train_items.tolist()), set(test_items.tolist())
     assert not train_set & test_set
-    for i in items:
+    for i in range(n):
         cls_times = times[labels == labels[i]]
         span = cls_times.max() - cls_times.min()
         in_train = times[i] < cls_times.min() + 0.4 * span
@@ -151,20 +149,18 @@ def test_time_shift_matches_brute_force_oracle(rng):
 
 
 def _labeled_items(spec):
-    """spec: list of (coarse, fine, count) -> (items, coarse[], fine[])."""
-    items, coarse, fine = [], [], []
+    """spec: list of (coarse, fine, count) -> (coarse[], fine[]), one entry per sample."""
+    coarse, fine = [], []
     for c, f, count in spec:
-        for _ in range(count):
-            items.append(len(items))
-            coarse.append(c)
-            fine.append(f)
-    return items, np.array(coarse), np.array(fine)
+        coarse += [c] * count
+        fine += [f] * count
+    return np.array(coarse), np.array(fine)
 
 
 def test_proportion_shift_documented_budget_case():
     # sub-class 0 dominates; the minor pool of 50 sets each side's size to 5 * (50 // 5)
-    items, coarse, fine = _labeled_items([(0, 0, 100), (0, 1, 50)])
-    train_items, test_items = proportion_shift_split(items, coarse, fine)
+    coarse, fine = _labeled_items([(0, 0, 100), (0, 1, 50)])
+    train_items, test_items = proportion_shift_split(coarse, fine)
     train_fine = [fine[i] for i in train_items]
     test_fine = [fine[i] for i in test_items]
     assert (train_fine.count(0), train_fine.count(1)) == (40, 10)
@@ -174,10 +170,10 @@ def test_proportion_shift_documented_budget_case():
 
 def test_proportion_shift_swap_symmetry():
     # the same counts with the sub-class labels swapped, so the other sub-class dominates
-    a_items, a_coarse, a_fine = _labeled_items([(0, 0, 100), (0, 1, 50)])
-    b_items, b_coarse, b_fine = _labeled_items([(0, 0, 50), (0, 1, 100)])
-    a_train, a_test = proportion_shift_split(a_items, a_coarse, a_fine)
-    b_train, b_test = proportion_shift_split(b_items, b_coarse, b_fine)
+    a_coarse, a_fine = _labeled_items([(0, 0, 100), (0, 1, 50)])
+    b_coarse, b_fine = _labeled_items([(0, 0, 50), (0, 1, 100)])
+    a_train, a_test = proportion_shift_split(a_coarse, a_fine)
+    b_train, b_test = proportion_shift_split(b_coarse, b_fine)
     a_of = lambda split: sorted(a_fine[i] for i in split)
     b_of = lambda split: sorted(b_fine[i] for i in split)
     assert a_of(a_train) == [1 - f for f in reversed(b_of(b_train))]
@@ -188,8 +184,8 @@ def test_proportion_shift_counting_oracle(rng):
     for _ in range(10):
         dom = int(rng.integers(20, 60))
         minor = int(rng.integers(20, 60))
-        items, coarse, fine = _labeled_items([(0, 0, dom), (0, 1, minor), (1, 5, 30), (1, 6, 45)])
-        train_items, test_items = proportion_shift_split(items, coarse, fine)
+        coarse, fine = _labeled_items([(0, 0, dom), (0, 1, minor), (1, 5, 30), (1, 6, 45)])
+        train_items, test_items = proportion_shift_split(coarse, fine)
         for cls in (0, 1):
             tr = [i for i in train_items if coarse[i] == cls]
             te = [i for i in test_items if coarse[i] == cls]
@@ -203,17 +199,17 @@ def test_proportion_shift_counting_oracle(rng):
 
 
 def test_proportion_shift_insufficient_samples_names_class():
-    items, coarse, fine = _labeled_items([(7, 0, 3), (7, 1, 1)])
+    coarse, fine = _labeled_items([(7, 0, 3), (7, 1, 1)])
     with pytest.raises(ValueError, match="7"):
-        proportion_shift_split(items, coarse, fine)
+        proportion_shift_split(coarse, fine)
 
 
 # -- compose shift ------------------------------------------------------------------
 
 
 def test_compose_shift_two_subclasses():
-    items, coarse, fine = _labeled_items([(0, 0, 20), (0, 1, 20)])
-    train_items, test_items = compose_shift_split(items, coarse, fine, seed=5)
+    coarse, fine = _labeled_items([(0, 0, 20), (0, 1, 20)])
+    train_items, test_items = compose_shift_split(coarse, fine, seed=5)
     train_fine = {fine[i] for i in train_items}
     test_fine = {fine[i] for i in test_items}
     assert len(train_fine) == 1          # ceil(2/2) = 1 sub-class masked
@@ -222,30 +218,30 @@ def test_compose_shift_two_subclasses():
 
 
 def test_compose_shift_seed_determinism():
-    items, coarse, fine = _labeled_items([(0, 0, 10), (0, 1, 10), (1, 2, 10), (1, 3, 10), (1, 4, 10)])
-    a = compose_shift_split(items, coarse, fine, seed=3)
-    b = compose_shift_split(items, coarse, fine, seed=3)
-    assert a == b
+    coarse, fine = _labeled_items([(0, 0, 10), (0, 1, 10), (1, 2, 10), (1, 3, 10), (1, 4, 10)])
+    a = compose_shift_split(coarse, fine, seed=3)
+    b = compose_shift_split(coarse, fine, seed=3)
+    assert [split.tolist() for split in a] == [split.tolist() for split in b]
 
 
 def test_compose_shift_masks_ceil_half_per_class():
-    items, coarse, fine = _labeled_items(
+    coarse, fine = _labeled_items(
         [(0, f, 8) for f in range(5)] + [(1, 10 + f, 8) for f in range(4)]
     )
-    train_items, test_items = compose_shift_split(items, coarse, fine, seed=1)
+    train_items, test_items = compose_shift_split(coarse, fine, seed=1)
     for cls, n_sub in ((0, 5), (1, 4)):
-        sub_all = {fine[i] for i in items if coarse[i] == cls}
+        sub_all = set(fine[coarse == cls].tolist())
         sub_train = {fine[i] for i in train_items if coarse[i] == cls}
         assert len(sub_all - sub_train) == -(-n_sub // 2)
         assert {fine[i] for i in test_items if coarse[i] == cls} == sub_all
 
 
 def test_compose_shift_masking_rate_over_seeds():
-    items, coarse, fine = _labeled_items([(0, 0, 4), (0, 1, 4), (0, 2, 4), (0, 3, 4)])
+    coarse, fine = _labeled_items([(0, 0, 4), (0, 1, 4), (0, 2, 4), (0, 3, 4)])
     masked_counts = {f: 0 for f in range(4)}
     n_seeds = 1000
     for seed in range(n_seeds):
-        train_items, _ = compose_shift_split(items, coarse, fine, seed=seed)
+        train_items, _ = compose_shift_split(coarse, fine, seed=seed)
         present = {fine[i] for i in train_items}
         for f in range(4):
             if f not in present:

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_ops import (load_vocabulary_ref, read_corpus_ref, serialize_flow_ref, serialize_packet_ref, sessions,
-                           temporal_slice_ref, tokenize_ref, write_corpus_ref)
+from reference_ops import (PacketRecord, RecordFlow, flow_of, load_vocabulary_ref, packets_of, read_corpus_ref,
+                           records, serialize_flow_ref, serialize_packet_ref, sessions, table_of, temporal_slice_ref,
+                           tokenize_ref, write_corpus_ref)
 
 from trafficmoe import tokenization
-from trafficmoe.flows import BACKWARD, FORWARD, FiveTuple, FlowTable, PacketRecord, SessionFlow, temporal_slice
-from trafficmoe.synth import synth_flow, synth_flows, write_pcap
+from trafficmoe.flows import BACKWARD, FORWARD, FlowTable, SessionFlow, temporal_slice
+from trafficmoe.synth import flows_to_pcap, synth_flow, synth_flows
 from trafficmoe.tokenization import (
     BIGRAM_BASE,
     END_ID,
@@ -51,7 +52,8 @@ def make_packet(ts=0.0, length=60, flags=0x02, proto=6, payload=b"", sport=1, dp
 
 
 def flow_from_packets(pairs, label=None):
-    return SessionFlow(key=FiveTuple.from_packet(pairs[0][0]), packets=pairs, label=label)
+    """The (record, direction) pairs as a flow ``serialize_flow`` takes."""
+    return SessionFlow(packets_of(pairs), label)
 
 
 def codes(text):
@@ -169,7 +171,7 @@ def test_serialize_caps_at_k_packets():
 
 def test_serialize_empty_flow_rejected():
     with pytest.raises(ValueError):
-        serialize_flow(SessionFlow(key=None, packets=[], label=None), SerializerConfig())
+        serialize_flow(flow_from_packets([]), SerializerConfig())
 
 
 def test_stride2_round_trip_recovers_bytes(rng):
@@ -178,7 +180,7 @@ def test_stride2_round_trip_recovers_bytes(rng):
     recovered = recover_regions(serialize_flow(flow, cfg).tolist())
     assert len(recovered) == 6
     prev_ts = None
-    for (meta, payload), (pkt, direction) in zip(recovered, flow.packets):
+    for (meta, payload), (pkt, direction) in zip(recovered, sessions(FlowTable.of([flow]))[0].packets):
         expected_meta, sample = serialize_packet_ref(pkt, direction, prev_ts, cfg.payload_bytes)
         prev_ts = pkt.timestamp
         assert meta[:11] == expected_meta
@@ -218,18 +220,18 @@ def packets(draw):
 @settings(max_examples=60, deadline=None)
 def test_serialize_flows_matches_per_packet_reference(flows, stride, j, k):
     cfg = SerializerConfig(packets_per_flow=k, payload_bytes=j, max_tokens=1024, bigram_stride=stride)
-    flows = [SessionFlow(key=None, packets=pairs) for pairs in flows]
-    codes, lengths = serialize_codes(FlowTable.of(flows), cfg)
+    flows = [RecordFlow(None, pairs) for pairs in flows]
+    codes, lengths = serialize_codes(table_of(flows), cfg)
     assert codes.dtype == np.int32 and len(lengths) == len(flows)
     for codes_got, flow in zip(np.split(codes, np.cumsum(lengths)[:-1]), flows):
         assert codes_got.tolist() == serialize_flow_ref(flow, cfg).tolist()
-        assert serialize_flow(flow, cfg).tolist() == codes_got.tolist()
+        assert serialize_flow(flow_from_packets(flow.packets), cfg).tolist() == codes_got.tolist()
 
 
 def test_serialize_flows_rejects_an_empty_flow_and_takes_no_flows():
-    flow = flow_from_packets([(make_packet(), FORWARD)])
+    flow = flow_of([(make_packet(), FORWARD)])
     with pytest.raises(ValueError, match="empty flow"):
-        serialize_codes(FlowTable.of([flow, SessionFlow(key=None, packets=[])]), SerializerConfig())
+        serialize_codes(table_of([flow, RecordFlow(None, [])]), SerializerConfig())
     codes, lengths = serialize_codes(FlowTable.of([]), SerializerConfig())
     assert codes.size == lengths.size == 0
 
@@ -450,13 +452,12 @@ def test_serializer_config_validation():
 
 
 def _timed_flow(times, label=7):
-    pairs = [(make_packet(ts=t), FORWARD) for t in times]
-    return flow_from_packets(pairs, label=label)
+    return flow_of([(make_packet(ts=t), FORWARD) for t in times], label)
 
 
 def sliced(flow, window_seconds):
-    """``temporal_slice`` of one flow, as SessionFlow objects."""
-    return sessions(temporal_slice(FlowTable.of([flow]), window_seconds))
+    """``temporal_slice`` of one object flow, as object flows."""
+    return sessions(temporal_slice(table_of([flow]), window_seconds))
 
 
 def test_temporal_slice_clean_split():
@@ -516,19 +517,19 @@ def unsorted_flows(draw):
             _TIMES, st.sampled_from(_SENDERS), st.sampled_from(_SENDERS), st.sampled_from([FORWARD, BACKWARD])),
             min_size=1, max_size=8)):
         packets.append((PacketRecord(ts, src, dst, sport, dport, 6, 0x18, 60, b""), stored))
-    return flow_from_packets(packets, label=draw(st.none() | st.integers(0, 9)))
+    return flow_of(packets, draw(st.none() | st.integers(0, 9)))
 
 
 @given(st.lists(unsorted_flows(), max_size=5), _WINDOWS)
 @settings(max_examples=150, deadline=None)
 def test_table_temporal_slice_matches_the_per_flow_reference(flows, window):
-    got = sessions(temporal_slice(FlowTable.of(flows), window))
+    got = sessions(temporal_slice(table_of(flows), window))
     assert got == [part for flow in flows for part in temporal_slice_ref(flow, window)]
 
 
 def test_temporal_slice_rejects_bad_window():
     with pytest.raises(ValueError):
-        temporal_slice(FlowTable.of([_timed_flow([0.0])]), window_seconds=0.0)
+        temporal_slice(table_of([_timed_flow([0.0])]), window_seconds=0.0)
 
 
 # -- corpus files ------------------------------------------------------------------------------
@@ -688,16 +689,15 @@ def test_write_corpus_matches_the_per_line_reference_across_chunk_edges(tmp_path
             assert outcome(write_corpus, iter(chunks), base / "chunks.txt") == want
 
 
-def test_synth_labels_0_to_6_are_byte_identical_and_7_up_work():
-    flows = synth_flows(21, n_classes=7, seed=11)
-    packets = sorted((p for f in flows for p, _ in f.packets), key=lambda p: p.timestamp)
-    digest = hashlib.sha256(write_pcap(packets)).hexdigest()
+def test_synth_labels_0_to_6_are_byte_identical_and_7_up_work(tmp_path):
+    flows_to_pcap(synth_flows(21, n_classes=7, seed=11), tmp_path / "synth.pcap")
+    digest = hashlib.sha256((tmp_path / "synth.pcap").read_bytes()).hexdigest()
     assert digest == "90a2b968c4ccb5b966fd9a17c8293b150157366b0fc874ba068c49a7c542e574"
     rng = np.random.default_rng(0)
     for label in (7, 12, 40):
         flow = synth_flow(rng, label=label, n_packets=5)
         alphabet = {(i * 13 + 37 * label) % 256 for i in range(16)}
-        assert set(b"".join(p.payload for p, _ in flow.packets)) <= alphabet
+        assert set(b"".join(p.payload for p in records(flow.packets))) <= alphabet
 
 
 # Pieces of corpus text: ids a valid corpus holds, leading zeros, ids at and past 2**31 and past int64,
