@@ -6,7 +6,8 @@ flags > config file > built-in defaults, and the effective configuration
 is echoed on every run. The seed is --seed, else TRAFFICMOE_SEED, else 0.
 Every flag and input, a corpus row by row, is checked before any output is
 written; only tokenize (flows streamed into the corpus) can leave an empty
-directory. A config-file key the command does not read is an error.
+directory. A flag or config-file key the run does not read is an error: a
+usage error for a flag, a data error for a key.
 """
 
 from __future__ import annotations
@@ -112,12 +113,22 @@ def _add_option_flags(p, options: dict) -> None:
                        help=f"{name} (default {default})")
 
 
-def _resolve(options: dict, args) -> dict:
-    """flags > config file > dataclass defaults; file values take the field's type; other file keys are errors."""
+def _refuse(args, unread: dict) -> None:
+    """``unread`` maps the keys this run does not read to why; the flag of any of them is a usage error."""
+    for key, why in unread.items():
+        if getattr(args, key) is not None:
+            raise UsageExit(f"flag --{key.replace('_', '-')} is not read by this run ({why})")
+
+
+def _resolve(options: dict, args, unread: dict) -> dict:
+    """flags > config file > dataclass defaults, file values typed by field; unread or unknown keys are errors."""
+    _refuse(args, unread)
+    options = {key: option for key, option in options.items() if key not in unread}
     file_values = parse_kv(Path(args.config).read_text(), args.config) if args.config else {}
-    unknown = [key for key in file_values if key not in options]
-    if unknown:
-        raise ValueError(f"{args.config}: unknown key {unknown[0]!r}")
+    for key in file_values:
+        if key not in options:
+            why = f"key {key!r} is not read by this run ({unread[key]})" if key in unread else f"unknown key {key!r}"
+            raise ValueError(f"{args.config}: {why}")
     merged = {}
     for key, (_, kind, default) in options.items():
         if getattr(args, key) is not None:
@@ -148,7 +159,7 @@ def _cmd_ingest(args) -> tuple:
 
 
 def _serializer_from_args(args) -> tuple[SerializerConfig, dict]:
-    merged = _resolve(_options(SerializerConfig(), _SERIALIZER_KEYS), args)
+    merged = _resolve(_options(SerializerConfig(), _SERIALIZER_KEYS), args, {})
     return SerializerConfig(**{name: merged[key] for key, name in _SERIALIZER_KEYS.items()}), merged
 
 
@@ -164,17 +175,17 @@ def _flow_chunks(flow_dirs, rows: int, slice_window: float = 0.0):
 
 
 def _cmd_build_vocab(args) -> tuple:
-    if args.vocab_mode == "full_bigram" and args.flows:
-        raise UsageExit("--vocab-mode full_bigram reads no --flows")
-    _at_least_one("--min-freq", args.min_freq)
-    serializer, config = _serializer_from_args(args)
-    config.update({"vocab_mode": args.vocab_mode, "min_freq": args.min_freq})
-    if args.vocab_mode == "full_bigram":
-        vocab = build_vocabulary(mode="full_bigram")
+    if not args.flows:  # the full bigram set: no flows to serialize or count
+        _refuse(args, dict.fromkeys(("min_freq", *_SERIALIZER_KEYS, "config"), "no --flows: full bigram"))
+        vocab, config = build_vocabulary(mode="full_bigram"), {"vocab_mode": "full_bigram"}
     else:
+        min_freq = 1 if args.min_freq is None else args.min_freq
+        _at_least_one("--min-freq", min_freq)
+        serializer, config = _serializer_from_args(args)
+        config.update({"vocab_mode": "wordpiece", "min_freq": min_freq})
         width = serializer.packets_per_flow * serializer.tokens_per_packet + 1  # codes per flow at most
         corpus = (serialize_codes(chunk, serializer)[0] for chunk in _flow_chunks(args.flows, chunk_rows(width)))
-        vocab = build_vocabulary(corpus, mode="wordpiece", min_freq=args.min_freq)
+        vocab = build_vocabulary(corpus, mode="wordpiece", min_freq=min_freq)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     vocab.save(out)
@@ -230,7 +241,8 @@ def _checked_inputs(ckpt: str, corpus: str, labeled: bool = False) -> tuple[Traf
 
 
 def _run_training(args, mode: str) -> tuple:
-    merged = _resolve(_training_options(mode), args)
+    unread = dict.fromkeys(_MODEL_KEYS, "the model comes from --init") if args.init else {}
+    merged = _resolve(_training_options(mode), args, unread)
     train_config = TrainConfig(mode=mode, seed=args.seed,
                                **{name: merged[key] for key, name in _TRAIN_KEYS.items() if key in merged})
     vocab = Vocabulary.load(args.vocab)
@@ -248,9 +260,8 @@ def _run_training(args, mode: str) -> tuple:
     sequences = _checked_corpus(args.corpus, len(vocab), f"vocab {args.vocab}", args.init,
                                 init.config.max_tokens if init else 0, min_valid=min_valid, n_classes=n_classes)
     labels = {s.label for s in sequences if s.label is not None}
-    if not merged["num_classes"]:
-        merged["num_classes"] = max(labels) + 1 if labels else None
-    model = init or TrafficModel(replace(model_config, max_tokens=len(sequences[0]), num_classes=merged["num_classes"]),
+    model = init or TrafficModel(replace(model_config, max_tokens=len(sequences[0]),
+                                         num_classes=merged["num_classes"] or (max(labels) + 1 if labels else None)),
                                  seed=args.seed)
 
     out = Path(args.out)
@@ -265,8 +276,8 @@ def _run_training(args, mode: str) -> tuple:
             _, metrics = evaluate_classifier(model, test_seqs, train_config.batch_size)
             metrics_to_tsv(metrics, out / "test_metrics.tsv")
 
-    effective = dict(merged)
-    effective.update({"seed": args.seed, "mode": mode, "corpus": args.corpus, "vocab": args.vocab})
+    effective = {**merged, **{key: getattr(model.config, name) for key, name in _MODEL_KEYS.items()},
+                 "seed": args.seed, "mode": mode, "corpus": args.corpus, "vocab": args.vocab}
     losses = history.series("train", TASK_LOSS[mode])  # one row per epoch run
     summary = f"epochs_run={len(losses)} last_{TASK_LOSS[mode]}={losses[-1]:.6g}"
     return out, effective, summary, [args.config, args.corpus, args.vocab, *_checkpoint_files(args.init)]
@@ -312,17 +323,19 @@ def _cmd_bench(args) -> tuple:
 
 
 def _cmd_ood(args) -> tuple:
-    if args.mode == "time" and args.coarse_map is not None:
-        raise UsageExit("--mode time reads no --coarse-map")
-    if args.mode != "time" and args.coarse_map is None:
+    if args.mode == "time":
+        _refuse(args, {"coarse_map": "--mode time"})
+    elif args.coarse_map is None:
         raise UsageExit(f"--mode {args.mode} needs --coarse-map")
     flows = FlowTable.join([read_flows(d) for d in args.flows])
     if None in flows.labels:
         raise ValueError("ood splits need labeled flows")
     labels = np.array(flows.labels)
+    config = {"mode": args.mode, "seed": args.seed}
     if args.mode == "time":
         train_idx, test_idx = time_shift_split(flows.packets.rows["ts"][flows.firsts], labels)
     else:
+        config["coarse_map"] = args.coarse_map
         coarse_map = {}
         for lineno, line in enumerate(Path(args.coarse_map).read_text().splitlines(), 1):
             if line.strip():
@@ -345,7 +358,6 @@ def _cmd_ood(args) -> tuple:
     out = Path(args.out)
     write_flows(train_split, out / "train")
     write_flows(test_split, out / "test")
-    config = {"mode": args.mode, "seed": args.seed, "coarse_map": args.coarse_map}
     summary = f"train_flows={len(train_split)} test_flows={len(test_split)}"
     return out, config, summary, [Path(d) / "packets.bin" for d in args.flows] + [args.coarse_map]
 
@@ -355,17 +367,16 @@ def _cmd_route_trace(args) -> tuple:
     model, sequences = _checked_inputs(args.ckpt, args.data)
     sequences = sequences[: args.limit]
     acc = RoutingAccumulator()
-    mode = "classify" if model.config.num_classes and sequences[0].label is not None else "hidden"
-    with T.no_grad():
+    with T.no_grad():  # routing comes from the backbone, so no head runs
         ids, valid, _ = batch_arrays(sequences)
-        _, routing = model.forward(ids, valid, mode=mode)
+        _, routing = model.forward(ids, valid)
     acc.add(routing)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     trace_dump_tsv(routing, out)
     stats_out = Path(args.stats_out) if args.stats_out else Path(str(out) + ".stats.tsv")
     acc.to_tsv(stats_out)
-    config = {"ckpt": args.ckpt, "data": args.data, "limit": args.limit, "mode": mode}
+    config = {"ckpt": args.ckpt, "data": args.data, "limit": args.limit}
     summary = f"traced_sequences={len(sequences)} layers={len(routing)}"
     return out.parent, config, summary, _checkpoint_files(args.ckpt) + [args.data]
 
@@ -387,11 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("build-vocab", help="build a bigram vocabulary file")
-    p.add_argument("--flows", nargs="*", default=[], help="flow directories (wordpiece mode)")
+    p.add_argument("--flows", nargs="+", default=[], help="flow dirs for a wordpiece vocab (default: all bigrams)")
     p.add_argument("--out", required=True)
-    p.add_argument("--vocab-mode", choices=("full_bigram", "wordpiece"), default="full_bigram",
-                   dest="vocab_mode")
-    p.add_argument("--min-freq", type=int, default=1, dest="min_freq")
+    p.add_argument("--min-freq", type=int, default=None, dest="min_freq", help="wordpiece count floor (default 1)")
     _add_serializer_flags(p)
     p.set_defaults(func=_cmd_build_vocab)
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import tensor as T
 from .artifacts import format_kv, parse_kv, write_atomic
 from .tensor import Tensor
+from .tokenization import FULL_BIGRAM_VOCAB_SIZE
 
 
 @dataclass
@@ -36,7 +37,7 @@ class ModelConfig:
     n_experts: int = 8
     top_k: int = 2
     ffn_hidden: int = 1024
-    vocab_size: int = 65541
+    vocab_size: int = FULL_BIGRAM_VOCAB_SIZE
     max_tokens: int = 512
     num_classes: Optional[int] = None
     ffn_kind: str = "moe"  # "moe" or "dense"

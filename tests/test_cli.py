@@ -199,8 +199,7 @@ def test_ingest_and_tokenize_build_no_packet_record(tmp_path, monkeypatch, capsy
         assert run("tokenize", "--flows", *flow_dirs, "--vocab", str(tmp_path / "vocab.tsv"),
                    "--out", str(tmp_path / "c.txt"), *extra) == 0
     assert "sequences=48" in capsys.readouterr().out
-    assert run("build-vocab", "--flows", *flow_dirs, "--out", str(tmp_path / "wp.tsv"),
-               "--vocab-mode", "wordpiece") == 0
+    assert run("build-vocab", "--flows", *flow_dirs, "--out", str(tmp_path / "wp.tsv")) == 0
     for mode in ("time", "proportion", "compose"):
         coarse = [] if mode == "time" else ["--coarse-map", str(tmp_path / "coarse.txt")]
         assert run("ood", "--mode", mode, "--flows", *flow_dirs, "--out", str(tmp_path / mode), *coarse) == 0
@@ -222,8 +221,7 @@ def pipeline(tmp_path):
                    "--label", str(label)) == 0
     flow_dirs = [str(tmp_path / "flows0"), str(tmp_path / "flows1")]
     vocab = tmp_path / "vocab.tsv"
-    assert run("build-vocab", "--flows", *flow_dirs, "--out", str(vocab),
-               "--vocab-mode", "wordpiece", "--min-freq", "1") == 0
+    assert run("build-vocab", "--flows", *flow_dirs, "--out", str(vocab), "--min-freq", "1") == 0
     corpus = tmp_path / "corpus.txt"
     assert run("tokenize", "--flows", *flow_dirs, "--vocab", str(vocab),
                "--out", str(corpus), "--k", "4", "--j", "12", "--max-tokens", "64") == 0
@@ -241,8 +239,7 @@ def test_wordpiece_vocab_and_corpus_bytes_are_pinned(tmp_path, capsys, stride, v
     flows, vocab, corpus = tmp_path / "flows", tmp_path / "vocab.tsv", tmp_path / "corpus.txt"
     assert run("ingest", "--pcap", str(tmp_path / "c.pcap"), "--out", str(flows), "--label", "2") == 0
     serializer = ["--stride", stride, "--k", "5", "--j", "24", "--max-tokens", "96"]
-    assert run("build-vocab", "--flows", str(flows), "--out", str(vocab), "--vocab-mode", "wordpiece",
-               "--min-freq", "3", *serializer) == 0
+    assert run("build-vocab", "--flows", str(flows), "--out", str(vocab), "--min-freq", "3", *serializer) == 0
     assert run("tokenize", "--flows", str(flows), "--vocab", str(vocab), "--out", str(corpus), *serializer) == 0
     assert sha256_of(vocab, corpus) == {str(vocab): vocab_sha, str(corpus): corpus_sha}
 
@@ -354,6 +351,7 @@ def test_a_slice_window_too_small_to_number_is_data_error(tmp_path, capsys):
                      re.M)
 
 
+# model flags, then a batch size; a run with --init takes the batch size only, as its checkpoint fixes the model
 TINY_FLAGS = [
     "--d-model", "16", "--n-layers", "1", "--n-heads", "2", "--n-experts", "4",
     "--top-k", "2", "--ffn-hidden", "32", "--batch-size", "8",
@@ -384,7 +382,7 @@ def test_pipeline_pretrain_then_finetune_init(pipeline):
     fine_dir = tmp_path / "fine"
     assert run("finetune", "--corpus", str(corpus), "--vocab", str(vocab),
                "--out", str(fine_dir), "--seed", "1", "--epochs", "1",
-               "--init", str(pre_dir / "last.ckpt"), *TINY_FLAGS) == 0
+               "--init", str(pre_dir / "last.ckpt"), "--batch-size", "8") == 0
     assert (fine_dir / "history.tsv").exists()
 
 
@@ -442,7 +440,7 @@ def test_counts_below_one_are_data_errors(tiny_eval, capsys, command, flag, valu
                                                 ("tokenize", "--slice-window", "nan")])
 def test_out_of_range_flow_flags_are_data_errors_before_any_input_is_read(tmp_path, capsys, command, flag, value):
     out = tmp_path / "out" / "v.tsv"
-    extra = ("--vocab-mode", "wordpiece") if command == "build-vocab" else ("--vocab", str(tmp_path / "none.tsv"))
+    extra = () if command == "build-vocab" else ("--vocab", str(tmp_path / "none.tsv"))
     assert run(command, "--flows", str(tmp_path / "missing"), "--out", str(out), *extra, flag, value) == 2
     assert f"{flag} {value} is not " in capsys.readouterr().err
     assert not out.parent.exists()
@@ -510,22 +508,73 @@ def test_ood_splits_of_two_flow_directories_are_pinned(tmp_path, capsys):
                          for name in ("flows.tsv", "packets.bin")) == digests, (mode, split)
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["ood", "--mode", "time", "--flows", "{flows}", "--out", "{out}", "--coarse-map", "{coarse}"],
-     "error: --mode time reads no --coarse-map"),
-    (["build-vocab", "--vocab-mode", "full_bigram", "--flows", "{flows}", "--out", "{out}/vocab.tsv"],
-     "error: --vocab-mode full_bigram reads no --flows"),
-], ids=["ood-time-coarse-map", "full-bigram-flows"])
-def test_a_flag_the_chosen_mode_never_reads_is_usage_error(tmp_path, capsys, argv, message):
-    """Such a flag would be echoed and its file hashed into the manifest as an input, though unread."""
+_FROM_INIT = ["--corpus", "{corpus}", "--vocab", "{vocab}", "--out", "{out}", "--init", "{ckpt}"]
+# (id, argv, exit code, message): each flag or config-file key a run does not read, given its checkpoint's value
+# where it has one
+UNREAD = [
+    ("ood-time-coarse-map", ["ood", "--mode", "time", "--flows", "{flows}", "--out", "{out}", "--coarse-map",
+                             "{coarse}"], 1, "error: flag --coarse-map is not read by this run (--mode time)"),
+    *((f"full-bigram-{flag[2:]}", ["build-vocab", "--out", "{out}/vocab.tsv", flag, value], 1,
+       f"error: flag {flag} is not read by this run (no --flows: full bigram)")
+      for flag, value in (("--min-freq", "5"), ("--k", "2"), ("--j", "8"), ("--stride", "1"), ("--max-tokens", "64"),
+                          ("--config", "{cfg}"))),
+    *((f"{mode}-init-{flag[2:]}", [mode, *_FROM_INIT, flag, value], 1,
+       f"error: flag {flag} is not read by this run (the model comes from --init)")
+      for mode in ("finetune", "pretrain")
+      for flag, value in (("--n-layers", "2"), ("--d-model", "16"), ("--n-heads", "2"), ("--n-experts", "4"),
+                          ("--top-k", "2"), ("--ffn-hidden", "32"), ("--num-classes", "2"))),
+    *((f"{mode}-init-config-key", [mode, *_FROM_INIT, "--config", "{cfg}"], 2,
+       "error: {cfg}: key 'd_model' is not read by this run (the model comes from --init)")
+      for mode in ("finetune", "pretrain")),
+]
+
+
+@pytest.mark.parametrize("argv,code,message", [case[1:] for case in UNREAD], ids=[case[0] for case in UNREAD])
+def test_a_flag_the_chosen_mode_never_reads_is_usage_error(tmp_path, capsys, argv, code, message):
+    """Such a flag or key would be echoed, and its file hashed into the manifest as an input, though unread.
+    A flag is a usage error and a config-file key a data error; either way nothing is written."""
     flows = ingest_synth(tmp_path, "flows", 12, 5, "--label", "0")
     (tmp_path / "coarse.txt").write_text("garbage line\n")
-    paths = {"flows": flows, "out": tmp_path / "out", "coarse": tmp_path / "coarse.txt"}
+    (tmp_path / "model.cfg").write_text("epochs=1\nd_model=16\n")
+    TrafficModel(tiny_config(vocab_size=6), seed=0).save(tmp_path / "m.ckpt")
+    save_six_entry_vocab(tmp_path / "vocab.tsv")
+    (tmp_path / "c.txt").write_text(f"label:0\t{SIX_ID_ROW}\nlabel:1\t{SIX_ID_ROW}\n")
+    paths = {"flows": flows, "out": tmp_path / "out", "coarse": tmp_path / "coarse.txt", "cfg": tmp_path / "model.cfg",
+             "ckpt": tmp_path / "m.ckpt", "vocab": tmp_path / "vocab.tsv", "corpus": tmp_path / "c.txt"}
     capsys.readouterr()
-    assert run(*(arg.format(**paths) for arg in argv)) == 1
+    assert run(*(arg.format(**paths) for arg in argv)) == code
     captured = capsys.readouterr()
-    assert message in captured.err and captured.out == ""
+    assert message.format(**paths) in captured.err and captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_finetune_init_records_the_checkpoint_model(tmp_path, capsys):
+    """The model keys a run echoes and records are those of the model that trained: with --init, its checkpoint's."""
+    ckpt, vocab, corpus = tmp_path / "m.ckpt", tmp_path / "vocab.tsv", tmp_path / "c.txt"
+    TrafficModel(tiny_config(vocab_size=6, n_layers=1, n_experts=2), seed=0).save(ckpt)
+    save_six_entry_vocab(vocab)
+    corpus.write_text("".join(f"label:{i % 2}\t{SIX_ID_ROW}\n" for i in range(4)))
+    assert run("finetune", "--corpus", str(corpus), "--vocab", str(vocab), "--out", str(tmp_path / "run"),
+               "--init", str(ckpt), "--epochs", "1") == 0
+    echoed = capsys.readouterr().out.splitlines()
+    record = (tmp_path / "run" / "manifest.log").read_text().splitlines()
+    model = {"n_layers": 1, "d_model": 16, "n_heads": 2, "n_experts": 2, "top_k": 2, "ffn_hidden": 32, "num_classes": 2}
+    for key, value in model.items():
+        assert f"{key}={value}" in echoed and f"config.{key}={value}" in record, key
+
+
+def test_build_vocab_offers_no_vocab_mode_and_full_bigram_echoes_what_it_read(tmp_path, capsys):
+    """--flows picks the vocabulary: with them, wordpiece; without, the full bigram set, which reads no flag."""
+    assert run("build-vocab", "--help") == 0
+    text = capsys.readouterr().out
+    assert "--flows" in text and "--vocab-mode" not in text
+    assert run("build-vocab", "--out", str(tmp_path / "v.tsv"), "--vocab-mode", "wordpiece") == 1
+    assert not (tmp_path / "v.tsv").exists()
+    capsys.readouterr()
+    assert run("build-vocab", "--out", str(tmp_path / "v.tsv")) == 0
+    assert capsys.readouterr().out == "vocab_mode=full_bigram\nvocab_size=65541\n"
+    record = (tmp_path / "manifest.log").read_text().splitlines()
+    assert [line for line in record if line.startswith(("config.", "input."))] == ["config.vocab_mode=full_bigram"]
 
 
 @pytest.mark.parametrize("mode", ["proportion", "compose"])
@@ -629,13 +678,13 @@ def test_seed_env_override(tmp_path, monkeypatch, capsys):
 RECORDED_RUNS = [
     ("flows0", ["ingest", "--pcap", "c0.pcap", "--out", "flows0", "--label", "0"]),
     ("flows1", ["ingest", "--pcap", "c1.pcap", "--out", "flows1", "--label", "1"]),
-    ("vocab", ["build-vocab", "--flows", "flows0", "flows1", "--out", "vocab/v.tsv", "--vocab-mode", "wordpiece"]),
+    ("vocab", ["build-vocab", "--flows", "flows0", "flows1", "--out", "vocab/v.tsv"]),
     ("corpus", ["tokenize", "--flows", "flows0", "flows1", "--vocab", "vocab/v.tsv", "--out", "corpus/c.txt",
                 "--k", "4", "--j", "12", "--max-tokens", "64"]),
     ("pre", ["pretrain", "--corpus", "corpus/c.txt", "--vocab", "vocab/v.tsv", "--out", "pre", "--seed", "1",
              "--epochs", "1", "--num-classes", "2", *TINY_FLAGS]),
     ("fine", ["finetune", "--corpus", "corpus/c.txt", "--vocab", "vocab/v.tsv", "--out", "fine", "--epochs", "2",
-              "--init", "pre/last.ckpt", *TINY_FLAGS]),
+              "--init", "pre/last.ckpt", "--batch-size", "8"]),
     ("eval", ["eval", "--ckpt", "fine/best.ckpt", "--data", "corpus/c.txt", "--metrics-out", "eval/m.tsv"]),
     ("bench", ["bench", "--ckpt", "fine/best.ckpt", "--data", "corpus/c.txt", "--batch-sizes", "4",
                "--report", "bench/b.tsv"]),
@@ -663,7 +712,7 @@ command=ingest
 version=0.1.0
 seed=4
 input.c1.pcap=31aac7efa5b5d3b7484124e2f872d0e6b10cd1ed4aafcbc1c48fd3f3d043d8fb
-$ build-vocab --flows flows0 flows1 --out vocab/v.tsv --vocab-mode wordpiece
+$ build-vocab --flows flows0 flows1 --out vocab/v.tsv
 j=40
 k=10
 max_tokens=512
@@ -712,7 +761,7 @@ version=0.1.0
 seed=1
 input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
 input.vocab/v.tsv=a1dbdf9b47084eb4740fc8cf106a62dcb02e03bb529568e198729e5d00750626
-$ finetune --corpus corpus/c.txt --vocab vocab/v.tsv --out fine --epochs 2 --init pre/last.ckpt --d-model 16 --n-layers 1 --n-heads 2 --n-experts 4 --top-k 2 --ffn-hidden 32 --batch-size 8
+$ finetune --corpus corpus/c.txt --vocab vocab/v.tsv --out fine --epochs 2 --init pre/last.ckpt --batch-size 8
 aux_weight=0.02
 base_lr=5e-05
 batch_size=8
@@ -766,7 +815,6 @@ $ route-trace --ckpt fine/best.ckpt --data corpus/c.txt --out trace/t.tsv --limi
 ckpt=fine/best.ckpt
 data=corpus/c.txt
 limit=3
-mode=classify
 traced_sequences=3 layers=1
 command=route-trace
 version=0.1.0
@@ -775,7 +823,6 @@ input.fine/best.ckpt=*
 input.fine/best.ckpt.config=c87240ad85c7a26c12494de75c5969991fba08383b0b4d2cd8200ae40b1db780
 input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
 $ ood --mode time --flows flows0 flows1 --out ood
-coarse_map=None
 mode=time
 seed=4
 train_flows=8 test_flows=8
@@ -1035,9 +1082,8 @@ def test_training_vocab_mismatch_is_data_error_before_any_write(tiny_eval, tmp_p
     ckpt, corpus = tiny_eval  # token ids 1..12; checkpoint vocab_size=64
     vocab = tmp_path / "vocab.tsv"
     save_six_entry_vocab(vocab)
-    init = ("--init", str(ckpt)) if command == "finetune" else ()
-    assert run(command, "--corpus", str(corpus), "--vocab", str(vocab), "--out", str(tmp_path / "run"),
-               *init, *TINY_FLAGS) == 2
+    flags = ("--init", str(ckpt)) if command == "finetune" else TINY_FLAGS
+    assert run(command, "--corpus", str(corpus), "--vocab", str(vocab), "--out", str(tmp_path / "run"), *flags) == 2
     assert message.format(corpus=corpus, vocab=vocab, ckpt=ckpt) in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
