@@ -242,8 +242,8 @@ def _checked_inputs(ckpt: str, corpus: str, labeled: bool = False) -> tuple[Traf
 
 def _run_training(args, mode: str) -> tuple:
     unread = dict.fromkeys(_MODEL_KEYS, "the model comes from --init") if args.init else {}
-    merged = _resolve(_training_options(mode), args, unread)
-    train_config = TrainConfig(mode=mode, seed=args.seed,
+    merged, seed = _resolve(_training_options(mode), args, unread), _seed(args)
+    train_config = TrainConfig(mode=mode, seed=seed,
                                **{name: merged[key] for key, name in _TRAIN_KEYS.items() if key in merged})
     vocab = Vocabulary.load(args.vocab)
     init = TrafficModel.load(args.init) if args.init else None
@@ -262,13 +262,13 @@ def _run_training(args, mode: str) -> tuple:
     labels = {s.label for s in sequences if s.label is not None}
     model = init or TrafficModel(replace(model_config, max_tokens=len(sequences[0]),
                                          num_classes=merged["num_classes"] or (max(labels) + 1 if labels else None)),
-                                 seed=args.seed)
+                                 seed=seed)
 
     out = Path(args.out)
     if mode == "pretrain":
         history, _ = train(model, sequences, train_config, run_dir=out)
     else:
-        train_seqs, val_seqs, test_seqs = split_dataset(sequences, seed=args.seed)
+        train_seqs, val_seqs, test_seqs = split_dataset(sequences, seed=seed)
         if not val_seqs:
             val_seqs = train_seqs
         history, _ = train(model, train_seqs, train_config, val_seqs=val_seqs, run_dir=out)
@@ -277,7 +277,7 @@ def _run_training(args, mode: str) -> tuple:
             metrics_to_tsv(metrics, out / "test_metrics.tsv")
 
     effective = {**merged, **{key: getattr(model.config, name) for key, name in _MODEL_KEYS.items()},
-                 "seed": args.seed, "mode": mode, "corpus": args.corpus, "vocab": args.vocab}
+                 "seed": seed, "mode": mode, "corpus": args.corpus, "vocab": args.vocab}
     losses = history.series("train", TASK_LOSS[mode])  # one row per epoch run
     summary = f"epochs_run={len(losses)} last_{TASK_LOSS[mode]}={losses[-1]:.6g}"
     return out, effective, summary, [args.config, args.corpus, args.vocab, *_checkpoint_files(args.init)]
@@ -312,7 +312,7 @@ def _at_least_one(flag: str, value: int) -> None:
 def _cmd_bench(args) -> tuple:
     batch_sizes = _batch_sizes(args.batch_sizes)
     model, sequences = _checked_inputs(args.ckpt, args.data)
-    rows = efficiency_bench(model, build_dense_variant(model, seed=args.seed), sequences, batch_sizes)
+    rows = efficiency_bench(model, build_dense_variant(model, seed=_seed(args)), sequences, batch_sizes)
     out = Path(args.report)
     out.parent.mkdir(parents=True, exist_ok=True)
     bench_to_tsv(rows, out)
@@ -323,15 +323,15 @@ def _cmd_bench(args) -> tuple:
 
 
 def _cmd_ood(args) -> tuple:
-    if args.mode == "time":
-        _refuse(args, {"coarse_map": "--mode time"})
-    elif args.coarse_map is None:
+    unread = {"time": ("coarse_map", "seed"), "proportion": ("seed",), "compose": ()}[args.mode]
+    _refuse(args, dict.fromkeys(unread, f"--mode {args.mode}"))
+    if args.mode != "time" and args.coarse_map is None:
         raise UsageExit(f"--mode {args.mode} needs --coarse-map")
     flows = FlowTable.join([read_flows(d) for d in args.flows])
     if None in flows.labels:
         raise ValueError("ood splits need labeled flows")
     labels = np.array(flows.labels)
-    config = {"mode": args.mode, "seed": args.seed}
+    config = {"mode": args.mode}
     if args.mode == "time":
         train_idx, test_idx = time_shift_split(flows.packets.rows["ts"][flows.firsts], labels)
     else:
@@ -352,7 +352,8 @@ def _cmd_ood(args) -> tuple:
         if args.mode == "proportion":
             train_idx, test_idx = proportion_shift_split(np.array(flows.labels), labels)
         else:
-            train_idx, test_idx = compose_shift_split(np.array(flows.labels), labels, seed=args.seed)
+            config["seed"] = _seed(args)
+            train_idx, test_idx = compose_shift_split(np.array(flows.labels), labels, seed=config["seed"])
     train_split, test_split = flows[train_idx], flows[test_idx]
     check_labels(test_split)  # before train_split is written; write_flows checks the split it writes
     out = Path(args.out)
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--coarse-map", default=None, dest="coarse_map",
                    help="file of `fine coarse` label pairs (proportion/compose)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="split seed (compose)")
     p.set_defaults(func=_cmd_ood)
 
     p = sub.add_parser("route-trace", help="export expert routing for a data sample")
@@ -455,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=8)
     p.set_defaults(func=_cmd_route_trace)
 
-    sub.add_parser("selftest", help="run the built-in invariant battery")
+    sub.add_parser("selftest", help="check what this machine's numpy, OpenBLAS and file system can break "
+                   "(the test suite checks each rule on its own)")
 
     return parser
 
@@ -475,10 +477,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 1
         if args.command == "selftest":
             return 0 if run_selftest(verbose=True) else 2
-        t0, args.seed = time.time(), _seed(args)
+        t0, seed = time.time(), _seed(args)  # a bad TRAFFICMOE_SEED fails before any work
         out_dir, config, summary, inputs = args.func(args)  # summary: the lines printed after the config
         print(format_kv(config) + summary)
-        _write_manifest(out_dir, args.command, config, args.seed, inputs, t0)
+        _write_manifest(out_dir, args.command, config, seed, inputs, t0)
         return 0
     except UsageExit as exc:  # from the parser, or a flag combination a command rejects
         print(f"error: {exc}", file=sys.stderr)

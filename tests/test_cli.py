@@ -14,7 +14,7 @@ import pytest
 import pcap_craft as craft
 from conftest import tiny_config
 from reference_ops import FiveTuple, RecordFlow, write_flows_ref
-from trafficmoe import cli, tokenization
+from trafficmoe import cli, selftest, tokenization
 from trafficmoe import tensor as T
 from trafficmoe.cli import main
 from trafficmoe.flows import PACKET_COLUMNS, FlowTable, PacketTable, SessionFlow, read_flows, write_flows
@@ -501,8 +501,8 @@ def test_ood_splits_of_two_flow_directories_are_pinned(tmp_path, capsys):
     (tmp_path / "coarse.txt").write_text("0 0\n1 0\n")
     for mode, pins in OOD_PINS.items():
         coarse = [] if mode == "time" else ["--coarse-map", str(tmp_path / "coarse.txt")]
-        assert run("ood", "--mode", mode, "--flows", *flow_dirs, "--out", str(tmp_path / mode), "--seed", "3",
-                   *coarse) == 0
+        seed = ["--seed", "3"] if mode == "compose" else []  # the only split that reads a seed
+        assert run("ood", "--mode", mode, "--flows", *flow_dirs, "--out", str(tmp_path / mode), *coarse, *seed) == 0
         for split, digests in pins.items():
             assert tuple(hashlib.sha256((tmp_path / mode / split / name).read_bytes()).hexdigest()
                          for name in ("flows.tsv", "packets.bin")) == digests, (mode, split)
@@ -514,6 +514,11 @@ _FROM_INIT = ["--corpus", "{corpus}", "--vocab", "{vocab}", "--out", "{out}", "-
 UNREAD = [
     ("ood-time-coarse-map", ["ood", "--mode", "time", "--flows", "{flows}", "--out", "{out}", "--coarse-map",
                              "{coarse}"], 1, "error: flag --coarse-map is not read by this run (--mode time)"),
+    ("ood-time-seed", ["ood", "--mode", "time", "--flows", "{flows}", "--out", "{out}", "--seed", "3"], 1,
+     "error: flag --seed is not read by this run (--mode time)"),
+    ("ood-proportion-seed", ["ood", "--mode", "proportion", "--flows", "{flows}", "--out", "{out}", "--coarse-map",
+                             "{coarse}", "--seed", "3"], 1,
+     "error: flag --seed is not read by this run (--mode proportion)"),
     *((f"full-bigram-{flag[2:]}", ["build-vocab", "--out", "{out}/vocab.tsv", flag, value], 1,
        f"error: flag {flag} is not read by this run (no --flows: full bigram)")
       for flag, value in (("--min-freq", "5"), ("--k", "2"), ("--j", "8"), ("--stride", "1"), ("--max-tokens", "64"),
@@ -824,7 +829,6 @@ input.fine/best.ckpt.config=c87240ad85c7a26c12494de75c5969991fba08383b0b4d2cd820
 input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
 $ ood --mode time --flows flows0 flows1 --out ood
 mode=time
-seed=4
 train_flows=8 test_flows=8
 command=ood
 version=0.1.0
@@ -869,10 +873,31 @@ def test_seed_env_that_is_not_an_integer_is_data_error_before_any_work(tmp_path,
 def test_selftest_command(capsys):
     assert run("selftest") == 0
     out = capsys.readouterr().out
-    for name in ("routing_invariants", "balance_loss_anchors", "rotary_embedding", "gradient_spot_check",
-                 "gradient_ownership", "causality", "pad_invariance", "tokenizer", "flow_assembly", "metrics",
-                 "llrd_schedule", "checkpoint_roundtrip", "optimizer_isolation", "sharded_forward"):
+    for name in ("artifact_formats", "model_contracts", "sharded_forward"):
         assert f"[  ok] {name}: " in out
+
+
+def test_a_failing_selftest_check_exits_2_and_the_later_checks_still_run(monkeypatch, capsys):
+    def lost_labels(path):
+        return [dataclasses.replace(seq, label=None) for seq in tokenization.read_corpus(path)]
+
+    monkeypatch.setattr(selftest, "read_corpus", lost_labels)
+    assert run("selftest") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[FAIL] artifact_formats: AssertionError: corpus: labels"
+    assert [line.split(":")[0] for line in lines[1:]] == ["[  ok] model_contracts", "[  ok] sharded_forward"]
+
+
+def test_selftest_as_an_installed_machine_runs_it(tmp_path):
+    """From an empty directory, with only the package on the path and OpenBLAS at one thread: its temporary
+    files (TMPDIR points there too) are gone when it exits."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "TMPDIR": str(tmp_path)}
+    proc = subprocess.run([sys.executable, "-m", "trafficmoe", "selftest"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("[  ok] ") == 3 and proc.stderr == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- malformed artifacts fail closed with exit 2 ------------------------------------------

@@ -673,7 +673,10 @@ def test_packed_forward_gradients_match_finite_differences(mode):
         loss.backward()
         d = model.config.d_model
         probes = [("embed.tok", ids[1, 2] * d + k) for k in range(3)]
-        for name in ("layers.0.attn.wqkv", "layers.0.moe.router", "layers.0.moe.shared.w_up", "final_norm_gain"):
+        routed = next(name for name, p in model.params.items() if ".expert" in name and p.grad is not None)
+        head = "head.vocab" if mode == "lm" else "head.cls.w2"
+        for name in ("layers.0.attn.wqkv", "layers.0.moe.router", "layers.0.moe.shared.w_up", "final_norm_gain",
+                     routed, head):
             probes += [(name, i) for i in rng.choice(model.params[name].data.size, size=4, replace=False)]
         rows, _ = packed_rows(ids.shape, valid)
         grad = model.params["embed.tok"].grad  # trailing [PAD] slots are never gathered, so id 2 is absent
