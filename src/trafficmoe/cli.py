@@ -3,7 +3,9 @@ finetune, eval, bench, ood, route-trace, selftest.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Config precedence is
 flags > config file > built-in defaults, and the effective configuration
-is echoed on every run. The seed is --seed, else TRAFFICMOE_SEED, else 0.
+is echoed on every run. Only pretrain, finetune, bench (the dense twin)
+and ood --mode compose read a seed: --seed where given, else
+TRAFFICMOE_SEED, else 0; they echo and record it as config.seed.
 Every flag and input, a corpus row by row, is checked before any output is
 written; only tokenize (flows streamed into the corpus) can leave an empty
 directory. A flag or config-file key the run does not read is an error: a
@@ -66,13 +68,12 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, inputs: list, t0: float) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list, t0: float) -> None:
     """Append one run record; each input path (None skipped) is keyed as given on the command line."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"command={command}",
         f"version={__version__}",
-        f"seed={seed}",
         f"wall_seconds={time.time() - t0:.3f}",
         f"blas_threads={T.blas_thread_count() or 'unknown'}",
     ]
@@ -310,13 +311,13 @@ def _at_least_one(flag: str, value: int) -> None:
 
 
 def _cmd_bench(args) -> tuple:
-    batch_sizes = _batch_sizes(args.batch_sizes)
+    batch_sizes, seed = _batch_sizes(args.batch_sizes), _seed(args)
     model, sequences = _checked_inputs(args.ckpt, args.data)
-    rows = efficiency_bench(model, build_dense_variant(model, seed=_seed(args)), sequences, batch_sizes)
+    rows = efficiency_bench(model, build_dense_variant(model, seed=seed), sequences, batch_sizes)
     out = Path(args.report)
     out.parent.mkdir(parents=True, exist_ok=True)
     bench_to_tsv(rows, out)
-    config = {"ckpt": args.ckpt, "data": args.data, "batch_sizes": args.batch_sizes}
+    config = {"ckpt": args.ckpt, "data": args.data, "batch_sizes": args.batch_sizes, "seed": seed}
     summary = "\n".join(f"{row.model} batch={row.batch_size} throughput={row.throughput_seq_per_s:.1f}/s"
                         f" latency={row.mean_latency_ms:.1f}ms" for row in rows)
     return out.parent, config, summary, _checkpoint_files(args.ckpt) + [args.data]
@@ -477,10 +478,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 1
         if args.command == "selftest":
             return 0 if run_selftest(verbose=True) else 2
-        t0, seed = time.time(), _seed(args)  # a bad TRAFFICMOE_SEED fails before any work
+        t0 = time.time()
         out_dir, config, summary, inputs = args.func(args)  # summary: the lines printed after the config
         print(format_kv(config) + summary)
-        _write_manifest(out_dir, args.command, config, seed, inputs, t0)
+        _write_manifest(out_dir, args.command, config, inputs, t0)
         return 0
     except UsageExit as exc:  # from the parser, or a flag combination a command rejects
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .artifacts import format_kv, parse_kv, write_atomic
-from .tensor import Tensor
+from .tensor import Tensor, rmsnorm, swiglu
 from .tokenization import FULL_BIGRAM_VOCAB_SIZE
 
 
@@ -117,11 +117,6 @@ class LayerRouting:
         return np.bincount(self.selected.ravel(), minlength=self.probs.shape[1]) / self.selected.size
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """Scale each row to unit root-mean-square, then apply the gain."""
-    return T.rmsnorm(x, gain, eps)
-
-
 def route_tokens(z: Tensor, router_weight: Tensor, top_k: int) -> tuple[Tensor, np.ndarray]:
     """Softmax routing scores and the top-k experts of each row.
 
@@ -135,11 +130,6 @@ def route_tokens(z: Tensor, router_weight: Tensor, top_k: int) -> tuple[Tensor, 
     scores = T.softmax_lastdim(T.matmul(z, router_weight))
     # stable argsort of -p keeps the lowest index first among ties
     return scores, np.argsort(-scores.data, axis=-1, kind="stable")[:, :top_k]
-
-
-def swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
-    """Gated feed-forward: (SiLU(x W_gate) * (x W_up)) W_down."""
-    return T.swiglu(x, w_gate, w_up, w_down)
 
 
 def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:

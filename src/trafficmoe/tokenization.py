@@ -6,7 +6,9 @@ codes 0-4, and each 2-byte window of a region is one bigram code. A
 vocabulary maps codes to dense IDs; hex text appears only in its file.
 ``token_matrix`` owns the id rule (codes to a fixed-width id matrix) and
 ``_corpus_text`` the text rule (checks and corpus lines of one id matrix);
-``tokenize`` and ``write_corpus`` are thin entries over them.
+``tokenize`` and ``write_corpus`` are thin entries over them. A slot is
+valid unless it holds [PAD]: no vocabulary gives a code other than [PAD]
+the [PAD] id, so no validity mask is stored beside the ids.
 
 Wire contract for the 11 metadata bytes (big-endian):
 
@@ -22,12 +24,11 @@ Wire contract for the 11 metadata bytes (big-endian):
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -224,30 +225,30 @@ def build_vocabulary(
 
 @dataclass
 class TokenSequence:
-    """Fixed-length ID sequence with a validity mask over non-[PAD] slots."""
+    """Fixed-length ID sequence and its label; a slot is valid unless it holds [PAD]."""
 
     ids: np.ndarray
-    valid_mask: np.ndarray
     label: Optional[int] = None
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int32)
-        self.valid_mask = np.asarray(self.valid_mask, dtype=bool)
-        if self.ids.shape != self.valid_mask.shape:
-            raise ValueError("ids and valid_mask must have matching shape")
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
 
     @property
+    def valid_mask(self) -> np.ndarray:
+        return self.ids != PAD_ID
+
+    @property
     def n_valid(self) -> int:
-        return int(self.valid_mask.sum())
+        return int(np.count_nonzero(self.valid_mask))
 
 
 def batch_arrays(sequences: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Stack a list of token sequences into (ids, valid_mask, labels)."""
+    """Stack a list of token sequences into (ids, valid_mask, labels); a slot is valid unless it holds [PAD]."""
     ids = np.stack([s.ids for s in sequences])
-    valid = np.stack([s.valid_mask for s in sequences])
+    valid = ids != PAD_ID
     if all(s.label is not None for s in sequences):
         labels = np.array([s.label for s in sequences], dtype=np.int64)
     else:
@@ -271,7 +272,7 @@ def token_matrix(codes: np.ndarray, lengths: np.ndarray, vocab: Vocabulary, max_
 def tokenize(codes: np.ndarray, vocab: Vocabulary, max_tokens: int, label: Optional[int] = None) -> TokenSequence:
     """Map one flow's code sequence to a fixed-length ID sequence: a one-row :func:`token_matrix`."""
     ids = token_matrix(np.asarray(codes, dtype=np.int64), [len(codes)], vocab, max_tokens)[0]
-    return TokenSequence(ids=ids, valid_mask=np.arange(max_tokens) < len(codes), label=label)
+    return TokenSequence(ids=ids, label=label)
 
 
 # --- corpus files: one sequence per line, space-separated IDs, optional
@@ -323,32 +324,20 @@ def _corpus_text(ids: np.ndarray, labels: Sequence, first: int, width: int) -> b
     return text.tobytes().translate(None, b"\0")
 
 
-def _id_chunks(items: Iterable) -> Iterator[tuple[np.ndarray, Sequence]]:
-    """``(ids, labels)`` chunks: each chunk in ``items``, and its runs of same-width sequences stacked."""
-    run: list[TokenSequence] = []
-    for item in itertools.chain(items, [None]):
-        seq = isinstance(item, TokenSequence)
-        if run and not (seq and item.ids.size == run[0].ids.size and len(run) < chunk_rows(item.ids.size)):
-            yield np.stack([s.ids.ravel() for s in run]), [s.label for s in run]
-            run = []
-        if seq:
-            run.append(item)
-        elif item is not None:
-            yield item
-
-
 def write_corpus(sequences: Iterable[TokenSequence | tuple[np.ndarray, Sequence]], path: str | Path) -> int:
-    """Write one line per sequence, streamed as ``sequences`` yields them, chunk by chunk through
-    :func:`_corpus_text`; return the line count. Items may also be ``(ids, labels)`` chunks: a
-    :func:`token_matrix` and its rows' labels. An empty sequence, a token id outside [0, 65,541), an
-    id count unlike the first sequence's, a sequence of only [PAD] ids or a label that is not an int
-    in [0, 2**31) (a bool is not) raises ValueError naming the sequence; any previous file stays."""
+    """Write one line per sequence, streamed as ``sequences`` yields them; return the line count. Items
+    are ``(ids, labels)`` chunks, a :func:`token_matrix` and its rows' labels, or ``TokenSequence``s,
+    each a one-row chunk; every chunk is formatted by :func:`_corpus_text`. An empty sequence, a token
+    id outside [0, 65,541), an id count unlike the first sequence's, a sequence of only [PAD] ids or a
+    label that is not an int in [0, 2**31) (a bool is not) raises ValueError naming the sequence; any
+    previous file stays."""
     count = 0
 
     def texts():
         nonlocal count
         width = None
-        for ids, labels in _id_chunks(sequences):
+        for item in sequences:
+            ids, labels = (item.ids[None], [item.label]) if isinstance(item, TokenSequence) else item
             width = ids.shape[1] if width is None else width
             yield _corpus_text(ids, labels, count, width)
             count += len(ids)
@@ -381,10 +370,9 @@ def read_corpus(path: str | Path) -> list[TokenSequence]:
                     raise ValueError("no token IDs")
                 if sequences and ids.size != len(sequences[0]):
                     raise ValueError(f"{ids.size} token IDs, but line 1 has {len(sequences[0])}")
-                valid = ids != PAD_ID
-                if not valid.any():
+                if (ids == PAD_ID).all():
                     raise ValueError("every token ID is [PAD]")
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            sequences.append(TokenSequence(ids=ids, valid_mask=valid, label=label))
+            sequences.append(TokenSequence(ids=ids, label=label))
     return sequences

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -31,6 +32,15 @@ def lm_logits(model: TrafficModel, ids, valid_mask=None):
     """Next-token logits [packed rows, vocab]: the ``hidden`` states times the vocab head, plus the routing list."""
     h, routing = model.forward(ids, valid_mask, mode="hidden")
     return T.matmul(h, model.params["head.vocab"]), routing
+
+
+def load_perfbench(name: str):
+    """Module ``perfbench/<name>.py``, loaded from its file as the benchmark runs it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", Path(__file__).parents[1] / "perfbench" /
+                                                  f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def grad_array(t):

@@ -628,7 +628,7 @@ def tokenize_ref(codes: np.ndarray, vocab, max_tokens: int, label: Optional[int]
     ids[:n_valid] = vocab.table[codes[:n_valid]]
     if len(codes) > max_tokens:
         ids[-1] = END_ID
-    return TokenSequence(ids=ids, valid_mask=np.arange(max_tokens) < n_valid, label=label)
+    return TokenSequence(ids=ids, label=label)
 
 
 def write_corpus_ref(sequences: Iterable[TokenSequence], path: str | Path) -> int:
@@ -687,5 +687,5 @@ def read_corpus_ref(path: str | Path) -> list[TokenSequence]:
                     raise ValueError("every token ID is [PAD]")
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            sequences.append(TokenSequence(ids=ids, valid_mask=valid, label=label))
+            sequences.append(TokenSequence(ids=ids, label=label))
     return sequences

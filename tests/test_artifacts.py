@@ -78,7 +78,7 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
         write = lambda seed: write_flows(FlowTable.of(synth_flows(3, 2, seed=seed)), tmp_path)
     else:
         ids = np.arange(1, 13)
-        write = lambda seed: write_corpus([TokenSequence(ids + seed, ids > 0, label=seed)], tmp_path / "c.txt")
+        write = lambda seed: write_corpus([TokenSequence(ids + seed, label=seed)], tmp_path / "c.txt")
     write(0)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     monkeypatch.setattr(os, "replace", _failing_replace)
@@ -118,7 +118,7 @@ def valid(fuzz_dir):
     T.save_checkpoint({"w": rng.normal(size=(3, 2)), "b": rng.normal(size=4), "s": np.float32(1.5)}, fuzz_dir / "ckpt")
     write_flows(FlowTable.of(synth_flows(2, 2, seed=1)), fuzz_dir)
     ids = np.array([0, 5, 17, 300, 2, 2])
-    write_corpus([TokenSequence(ids, ids != 2, label=1), TokenSequence(ids, ids != 2)], fuzz_dir / "corpus")
+    write_corpus([TokenSequence(ids, label=1), TokenSequence(ids)], fuzz_dir / "corpus")
     build_vocabulary([np.array([5 + 0x0A0B, 5 + 0x0C0D, 5 + 0x0A0B])], mode="wordpiece").save(fuzz_dir / "vocab")
     TrafficModel(tiny_config(), seed=0).save(fuzz_dir / "m.ckpt")
     names = {"ckpt": "ckpt", "flows": "packets.bin", "corpus": "corpus", "vocab": "vocab", "config": "m.ckpt.config"}

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import importlib
-import importlib.util
 import os
 import re
 import subprocess
@@ -12,16 +11,17 @@ import numpy as np
 import pytest
 
 import pcap_craft as craft
-from conftest import tiny_config
+from conftest import load_perfbench, tiny_config
 from reference_ops import FiveTuple, RecordFlow, write_flows_ref
 from trafficmoe import cli, selftest, tokenization
 from trafficmoe import tensor as T
 from trafficmoe.cli import main
+from trafficmoe.evaluation import build_dense_variant
 from trafficmoe.flows import PACKET_COLUMNS, FlowTable, PacketTable, SessionFlow, read_flows, write_flows
 from trafficmoe.model import ModelConfig, TrafficModel
 from trafficmoe.synth import flows_to_pcap, synth_flows
 from trafficmoe.tokenization import SerializerConfig, TokenSequence, build_vocabulary, write_corpus
-from trafficmoe.training import TrainConfig
+from trafficmoe.training import TrainConfig, train
 
 
 def fixture_pcap(path: Path, n_flows: int = 6, packets_per_flow: int = 4, seed: int = 0) -> None:
@@ -308,7 +308,7 @@ def test_tokenize_builds_no_token_sequence(tmp_path, monkeypatch, capsys):
                    *extra) == 0
     assert "sequences=12" in capsys.readouterr().out
     assert not built
-    TokenSequence(np.zeros(1), np.zeros(1, bool))  # the counter counts
+    TokenSequence(np.zeros(1))  # the counter counts
     assert built == [1]
 
 
@@ -668,13 +668,57 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert "max_tokens=48" in echoed
 
 
+# Every command that reads a seed, as argv templates over the paths of seed_run_paths
+SEED_RUNS = {
+    "pretrain": ["pretrain", "--corpus", "{corpus}", "--vocab", "{vocab}", "--out", "{out}", "--epochs", "1",
+                 *TINY_FLAGS],
+    "finetune": ["finetune", *_FROM_INIT, "--epochs", "1"],
+    "bench": ["bench", "--ckpt", "{ckpt}", "--data", "{corpus}", "--batch-sizes", "2", "--report", "{out}/b.tsv"],
+    "ood": ["ood", "--mode", "compose", "--flows", "{flows0}", "{flows1}", "--coarse-map", "{coarse}", "--out",
+            "{out}"],
+}
+
+
+def seed_run_paths(tmp_path: Path) -> dict:
+    """Inputs every SEED_RUNS command accepts: a six-id vocabulary, a checkpoint over it, a labelled corpus, two
+    labelled flow directories and a coarse map of their labels; ``out`` does not exist yet."""
+    TrafficModel(tiny_config(vocab_size=6), seed=0).save(tmp_path / "m.ckpt")
+    save_six_entry_vocab(tmp_path / "vocab.tsv")
+    (tmp_path / "c.txt").write_text("".join(f"label:{i % 2}\t{SIX_ID_ROW}\n" for i in range(4)))
+    (tmp_path / "coarse.txt").write_text("0 0\n1 0\n")
+    return {"ckpt": tmp_path / "m.ckpt", "vocab": tmp_path / "vocab.tsv", "corpus": tmp_path / "c.txt",
+            "coarse": tmp_path / "coarse.txt", "out": tmp_path / "out",
+            "flows0": ingest_synth(tmp_path, "flows0", 12, 5, "--label", "0"),
+            "flows1": ingest_synth(tmp_path, "flows1", 12, 6, "--label", "1")}
+
+
+def seed_lines(lines: list[str]) -> list[str]:
+    return [line for line in lines if re.match(r"(config\.)?seed=", line)]
+
+
 def test_seed_env_override(tmp_path, monkeypatch, capsys):
-    pcap = tmp_path / "f.pcap"
-    fixture_pcap(pcap, n_flows=4, packets_per_flow=4)
+    """A command that reads a seed takes TRAFFICMOE_SEED when no --seed is given, echoes it and records it once,
+    as config.seed; --seed, where the command has it, wins."""
+    paths = seed_run_paths(tmp_path)
     monkeypatch.setenv("TRAFFICMOE_SEED", "777")
-    run("ingest", "--pcap", str(pcap), "--out", str(tmp_path / "flows"))
-    manifest = (tmp_path / "flows" / "manifest.log").read_text()
-    assert "seed=777" in manifest
+    for command, argv in SEED_RUNS.items():
+        for flag, seed in [([], "777")] + ([(["--seed", "3"], "3")] if command != "bench" else []):
+            paths["out"] = tmp_path / f"{command}{seed}"
+            capsys.readouterr()
+            assert run(*(arg.format(**paths) for arg in argv), *flag) == 0, command
+            assert seed_lines(capsys.readouterr().out.splitlines()) == [f"seed={seed}"], command
+            record = (paths["out"] / "manifest.log").read_text().splitlines()
+            assert seed_lines(record) == [f"config.seed={seed}"], command
+
+
+def test_a_command_that_reads_no_seed_ignores_trafficmoe_seed(tmp_path, monkeypatch, capsys):
+    """ingest reads no seed: a TRAFFICMOE_SEED that is not an integer does not stop it, and no seed is echoed or
+    recorded."""
+    monkeypatch.setenv("TRAFFICMOE_SEED", "abc")
+    fixture_pcap(tmp_path / "f.pcap", n_flows=4, packets_per_flow=4)
+    assert run("ingest", "--pcap", str(tmp_path / "f.pcap"), "--out", str(tmp_path / "flows")) == 0
+    assert seed_lines(capsys.readouterr().out.splitlines()) == []
+    assert seed_lines((tmp_path / "flows" / "manifest.log").read_text().splitlines()) == []
 
 
 # -- the run record of every command ------------------------------------------------------------
@@ -706,7 +750,6 @@ pcap=c0.pcap
 packets=40 flows=10
 command=ingest
 version=0.1.0
-seed=4
 input.c0.pcap=f5998180528df56f817083e32a3e333fd4b96ec1e59d6c0b71b4584693da492a
 $ ingest --pcap c1.pcap --out flows1 --label 1
 label=1
@@ -715,7 +758,6 @@ pcap=c1.pcap
 packets=40 flows=10
 command=ingest
 version=0.1.0
-seed=4
 input.c1.pcap=31aac7efa5b5d3b7484124e2f872d0e6b10cd1ed4aafcbc1c48fd3f3d043d8fb
 $ build-vocab --flows flows0 flows1 --out vocab/v.tsv
 j=40
@@ -727,7 +769,6 @@ vocab_mode=wordpiece
 vocab_size=490
 command=build-vocab
 version=0.1.0
-seed=4
 input.flows0/packets.bin=82300b7f1262e25171ed30a9e7a42aa0384d2d1f75f688f7bd253fa766864079
 input.flows1/packets.bin=40a3b8a7c0a726bed694ce10ea96121e21dd0b8da806f845ce2057ceabc41799
 $ tokenize --flows flows0 flows1 --vocab vocab/v.tsv --out corpus/c.txt --k 4 --j 12 --max-tokens 64
@@ -739,7 +780,6 @@ stride=2
 sequences=20
 command=tokenize
 version=0.1.0
-seed=4
 input.vocab/v.tsv=a1dbdf9b47084eb4740fc8cf106a62dcb02e03bb529568e198729e5d00750626
 input.flows0/packets.bin=82300b7f1262e25171ed30a9e7a42aa0384d2d1f75f688f7bd253fa766864079
 input.flows1/packets.bin=40a3b8a7c0a726bed694ce10ea96121e21dd0b8da806f845ce2057ceabc41799
@@ -763,7 +803,6 @@ weight_decay=0.01
 epochs_run=1 last_ntp_loss=6.20229
 command=pretrain
 version=0.1.0
-seed=1
 input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
 input.vocab/v.tsv=a1dbdf9b47084eb4740fc8cf106a62dcb02e03bb529568e198729e5d00750626
 $ finetune --corpus corpus/c.txt --vocab vocab/v.tsv --out fine --epochs 2 --init pre/last.ckpt --batch-size 8
@@ -788,7 +827,6 @@ weight_decay=0.01
 epochs_run=2 last_cls_loss=0.693135
 command=finetune
 version=0.1.0
-seed=4
 input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
 input.vocab/v.tsv=a1dbdf9b47084eb4740fc8cf106a62dcb02e03bb529568e198729e5d00750626
 input.pre/last.ckpt=*
@@ -800,7 +838,6 @@ data=corpus/c.txt
 accuracy=0.5 macro_f1=0.333333
 command=eval
 version=0.1.0
-seed=4
 input.fine/best.ckpt=*
 input.fine/best.ckpt.config=c87240ad85c7a26c12494de75c5969991fba08383b0b4d2cd8200ae40b1db780
 input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
@@ -808,11 +845,11 @@ $ bench --ckpt fine/best.ckpt --data corpus/c.txt --batch-sizes 4 --report bench
 batch_sizes=4
 ckpt=fine/best.ckpt
 data=corpus/c.txt
+seed=4
 moe batch=4 throughput=*/s latency=*ms
 dense batch=4 throughput=*/s latency=*ms
 command=bench
 version=0.1.0
-seed=4
 input.fine/best.ckpt=*
 input.fine/best.ckpt.config=c87240ad85c7a26c12494de75c5969991fba08383b0b4d2cd8200ae40b1db780
 input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
@@ -823,7 +860,6 @@ limit=3
 traced_sequences=3 layers=1
 command=route-trace
 version=0.1.0
-seed=4
 input.fine/best.ckpt=*
 input.fine/best.ckpt.config=c87240ad85c7a26c12494de75c5969991fba08383b0b4d2cd8200ae40b1db780
 input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
@@ -832,7 +868,6 @@ mode=time
 train_flows=8 test_flows=8
 command=ood
 version=0.1.0
-seed=4
 input.flows0/packets.bin=82300b7f1262e25171ed30a9e7a42aa0384d2d1f75f688f7bd253fa766864079
 input.flows1/packets.bin=40a3b8a7c0a726bed694ce10ea96121e21dd0b8da806f845ce2057ceabc41799
 """
@@ -862,12 +897,14 @@ def test_every_command_echoes_and_records_a_pinned_run(tmp_path, monkeypatch, ca
 
 
 def test_seed_env_that_is_not_an_integer_is_data_error_before_any_work(tmp_path, monkeypatch, capsys):
-    fixture_pcap(tmp_path / "f.pcap", n_flows=4, packets_per_flow=4)
+    paths = seed_run_paths(tmp_path)
     monkeypatch.setenv("TRAFFICMOE_SEED", "abc")
-    assert run("ingest", "--pcap", str(tmp_path / "f.pcap"), "--out", str(tmp_path / "flows")) == 2
-    captured = capsys.readouterr()
-    assert "TRAFFICMOE_SEED='abc' is not an integer" in captured.err and captured.out == ""
-    assert not (tmp_path / "flows").exists()
+    for command, argv in SEED_RUNS.items():
+        capsys.readouterr()
+        assert run(*(arg.format(**paths) for arg in argv)) == 2, command
+        captured = capsys.readouterr()
+        assert "TRAFFICMOE_SEED='abc' is not an integer" in captured.err and captured.out == "", command
+        assert not paths["out"].exists(), command
 
 
 def test_selftest_command(capsys):
@@ -932,7 +969,7 @@ def tiny_eval(tmp_path):
     TrafficModel(tiny_config(), seed=0).save(ckpt)
     ids = np.arange(1, 13) % 64
     corpus = tmp_path / "c.txt"
-    write_corpus([TokenSequence(ids, ids != 2, label=i % 2) for i in range(4)], corpus)
+    write_corpus([TokenSequence(ids, label=i % 2) for i in range(4)], corpus)
     return ckpt, corpus
 
 
@@ -962,7 +999,7 @@ def test_unknown_sidecar_key_is_data_error(tiny_eval, capsys):
 def test_eval_label_beyond_num_classes_is_data_error(tiny_eval, capsys):
     ckpt, corpus = tiny_eval
     ids = np.arange(1, 13)
-    write_corpus([TokenSequence(ids, ids > 0, label=5)], corpus)
+    write_corpus([TokenSequence(ids, label=5)], corpus)
     assert run_eval(ckpt, corpus) == 2
     err = capsys.readouterr().err
     assert "c.txt" in err and "label 5" in err
@@ -1117,7 +1154,7 @@ def test_training_vocab_mismatch_is_data_error_before_any_write(tiny_eval, tmp_p
 def test_corpus_ids_beyond_checkpoint_vocab_are_data_error_before_any_write(tiny_eval, tmp_path, capsys, command):
     ckpt, corpus = tiny_eval  # checkpoint vocab_size=64
     ids = np.arange(59, 71)
-    write_corpus([TokenSequence(ids, ids > 0, label=i % 2) for i in range(2)], corpus)
+    write_corpus([TokenSequence(ids, label=i % 2) for i in range(2)], corpus)
     out = tmp_path / "out" / "o.tsv"
     assert run(command, "--ckpt", str(ckpt), "--data", str(corpus), OUT_FLAG[command], str(out)) == 2
     assert f"corpus {corpus} holds token id 70, but checkpoint {ckpt} has 64 ids" in capsys.readouterr().err
@@ -1129,7 +1166,7 @@ def test_corpus_wider_than_checkpoint_max_tokens_is_data_error(tiny_eval, tmp_pa
     ckpt, corpus = tiny_eval
     TrafficModel(tiny_config(vocab_size=6), seed=0).save(ckpt)  # max_tokens=12
     ids = np.arange(40) % 6
-    write_corpus([TokenSequence(ids, ids != 2, label=i % 2) for i in range(4)], corpus)
+    write_corpus([TokenSequence(ids, label=i % 2) for i in range(4)], corpus)
     out = tmp_path / "out" / "o.tsv"
     if command in ("finetune", "pretrain"):
         save_six_entry_vocab(tmp_path / "vocab.tsv")
@@ -1286,15 +1323,6 @@ def test_every_config_field_is_a_cli_key_or_set_by_code():
 # -- the benchmark tracer's wrapped boundaries still exist ------------------------------------
 
 
-def load_perfbench(name: str):
-    """Module ``perfbench/<name>.py``, loaded from its file as the benchmark runs it."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", Path(__file__).parents[1] / "perfbench" /
-                                                  f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_tracer_boundaries_resolve_and_restore():
     tracer = load_perfbench("tracer")
 
@@ -1313,6 +1341,33 @@ def test_tracer_boundaries_resolve_and_restore():
         t.uninstall()
     for name, owner, attr in tracer.BOUNDARIES:
         assert lookup(owner, attr) is originals[name], name
+
+
+@pytest.mark.parametrize("ffn", ["moe", "dense"])
+def test_tracer_books_each_boundary_of_a_finetune_step(tmp_path, ffn):
+    """perfbench's per-layer calls on one finetune ``train()`` call (B=2 over 4 sequences, so 2 steps), per step,
+    for L layers; a graph-building forward runs on the calling thread, where the tracer's one span stack is right."""
+    corpus = tmp_path / "c.txt"
+    rows = [" ".join(str(5 + (i * 7 + t) % 50) for t in range(n)) + " 2" * (12 - n) for i, n in enumerate((12, 7, 9, 4))]
+    corpus.write_text("".join(f"label:{i % 2}\t{row}\n" for i, row in enumerate(rows)))
+    model = TrafficModel(tiny_config(), seed=0)
+    model = build_dense_variant(model, seed=0) if ffn == "dense" else model
+    L, t = model.config.n_layers, load_perfbench("tracer").Tracer()
+    try:
+        t.install()
+        t.op = 0
+        train(model, tokenization.read_corpus(corpus), TrainConfig(mode="finetune", batch_size=2, epochs=1, seed=0))
+    finally:
+        t.op = None
+        t.uninstall()
+    calls = {name[: -len(".calls")]: n for name, n in t.layer_metrics(n_ops=2).items() if name.endswith(".calls")}
+    want = {"model.forward": 1, "model.attention": L, "model.rmsnorm": 2 * L + 1, "training.batch_arrays": 1,
+            "tensor.backward": 1, "tensor.adamw_step": 1}
+    if ffn == "moe":
+        want.update({"model.moe": L, "model.router": L, "model.shared_expert": L, "model.routed_experts": 0})
+    else:
+        want.update({"model.routed_experts": L, "model.moe": 0})
+    assert {name: calls[name] for name in want} == want
 
 
 # SHA-256 of each workload's inputs at the tiny scale and seed 0 (ingest's corpus is hashed by its check),

@@ -313,7 +313,7 @@ def forward_flops(model, ids, mode="hidden"):
 def valid_corpus(n, seq_len, vocab_size, seed=0):
     """``n`` sequences of ``seq_len`` random ids in [PAD_ID + 1, vocab_size), every slot valid."""
     ids = np.random.default_rng(seed).integers(PAD_ID + 1, vocab_size, size=(n, seq_len))
-    return [TokenSequence(row, np.ones(seq_len, dtype=bool)) for row in ids]
+    return [TokenSequence(row) for row in ids]
 
 
 def test_analytic_flops_match_instrumented_counter(rng):
@@ -416,7 +416,7 @@ def test_efficiency_bench_flops_are_the_corpus_forward_flops():
     for n_valid in (16, 3, 9, 1, 12, 5, 16):
         ids = np.full(16, PAD_ID)
         ids[:n_valid] = rng.integers(PAD_ID + 1, model.config.vocab_size, size=n_valid)
-        corpus.append(TokenSequence(ids, ids != PAD_ID))
+        corpus.append(TokenSequence(ids))
     for row in efficiency_bench(model, dense, corpus, batch_sizes=(1, 3, 7)):
         bench_model = model if row.model == "moe" else dense
         total = 0

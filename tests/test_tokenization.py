@@ -409,6 +409,44 @@ def test_token_matrix_and_tokenize_match_the_per_flow_reference(case):
             ref.ids.dtype, ref.ids.tolist(), ref.valid_mask.tolist(), ref.label)
 
 
+# Codes a serializer emits (every marker but [PAD], and bigrams), with a few bigrams common enough to pass min_freq.
+_FLOW_CODE = st.sampled_from([PD_ID, PY_ID, END_ID, UNK_ID]) | st.integers(BIGRAM_BASE, BIGRAM_BASE + 30) | st.integers(
+    BIGRAM_BASE, FULL_BIGRAM_VOCAB_SIZE - 1)
+
+
+@pytest.fixture(scope="module")
+def full_bigram_vocabs(tmp_path_factory):
+    """The full-bigram vocabulary, as built and as loaded from its saved file."""
+    vocab, path = build_vocabulary(mode="full_bigram"), tmp_path_factory.mktemp("vocab") / "full.tsv"
+    vocab.save(path)
+    return [vocab, Vocabulary.load(path)]
+
+
+@given(st.lists(st.lists(_FLOW_CODE, max_size=30), min_size=1, max_size=5), st.integers(0, 4), st.integers(1, 24),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_only_the_pad_code_maps_to_pad_id_so_valid_slots_are_the_non_pad_ids(tmp_path_factory, full_bigram_vocabs,
+                                                                               flows, min_freq, max_tokens, rnd):
+    """Every vocabulary build_vocabulary (either mode, any min_freq) or Vocabulary.load returns maps the [PAD]
+    code and no other to PAD_ID, so each tokenize row's valid slots are exactly its non-[PAD] ids."""
+    flows = [np.array(f, dtype=np.int32) for f in flows]
+    wordpiece = build_vocabulary(flows, mode="wordpiece", min_freq=min_freq)
+    kept = np.flatnonzero(wordpiece.table >= BIGRAM_BASE)
+    ids = BIGRAM_BASE + np.array(rnd.sample(range(kept.size), kept.size), dtype=np.int64)
+    lines = [f"{m}\t{i}\n" for i, m in enumerate(MARKERS)] + [f"{c - BIGRAM_BASE:04x}\t{i}\n" for c, i in zip(kept, ids)]
+    rnd.shuffle(lines)  # any line order and any dense ids load
+    shuffled = tmp_path_factory.getbasetemp() / "pad-rule-shuffled.tsv"
+    shuffled.write_text("".join(lines))
+    saved = tmp_path_factory.getbasetemp() / "pad-rule-saved.tsv"
+    wordpiece.save(saved)
+    for vocab in [wordpiece, Vocabulary.load(saved), Vocabulary.load(shuffled), *full_bigram_vocabs]:
+        assert np.flatnonzero(vocab.table == PAD_ID).tolist() == [MARKERS.index("[PAD]")]
+        for row in flows:
+            seq = tokenize(row, vocab, max_tokens)
+            want = (np.arange(max_tokens) < len(row)).tolist()
+            assert (seq.ids != PAD_ID).tolist() == seq.valid_mask.tolist() == want
+
+
 def check_marker_structure(seq: TokenSequence):
     ids = seq.ids[seq.valid_mask].tolist()
     assert ids[-1] == END_ID
@@ -556,7 +594,7 @@ def test_corpus_round_trip(tmp_path):
 def test_corpus_bytes_are_pinned(tmp_path):
     ids = np.array([5, 0, 65540, 17, 2, 2], dtype=np.int32)
     path = tmp_path / "c.txt"
-    write_corpus([TokenSequence(ids, ids != 2, label=3), TokenSequence(ids[::-1], ids[::-1] != 2)], path)
+    write_corpus([TokenSequence(ids, label=3), TokenSequence(ids[::-1])], path)
     assert path.read_bytes() == b"label:3\t5 0 65540 17 2 2\n2 2 17 65540 0 5\n"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "9a992a49042b37106ce8bbe9225922fa1f0fc717b234524e19b5e98ca273702a"
@@ -566,7 +604,7 @@ def test_corpus_bytes_are_pinned(tmp_path):
 def test_write_corpus_refuses_a_row_of_only_pad(tmp_path):
     ids = np.array([5, 17, 2], dtype=np.int32)
     with pytest.raises(ValueError, match=r"^sequence 1 has only \[PAD\] token IDs$"):
-        write_corpus([TokenSequence(ids, ids != 2), TokenSequence(np.full(3, 2), np.zeros(3, bool))], tmp_path / "c.txt")
+        write_corpus([TokenSequence(ids), TokenSequence(np.full(3, 2))], tmp_path / "c.txt")
     assert not (tmp_path / "c.txt").exists()
 
 
@@ -612,7 +650,7 @@ def test_write_corpus_matches_str_join(tmp_path_factory, rows):
     the first, id outside [0, 65,541), row of only [PAD] ids or label outside [0, 2**31) raises
     ValueError naming it and leaves the old file."""
     path = tmp_path_factory.getbasetemp() / "c.txt"
-    sequences = [TokenSequence(np.array(ids, dtype=np.int32), np.ones(len(ids), bool), label) for ids, label in rows]
+    sequences = [TokenSequence(np.array(ids, dtype=np.int32), label) for ids, label in rows]
     bad = [i for i, (ids, label) in enumerate(rows)
            if not ids or len(ids) != len(rows[0][0]) or not all(0 <= t < 65_541 for t in ids)
            or set(ids) == {PAD_ID} or not _good_label(label)]
@@ -635,11 +673,11 @@ def test_write_corpus_refuses_a_label_read_corpus_would_reject(tmp_path, label):
     path = tmp_path / "c.txt"
     path.write_text("label:1\t5 17\n")
     ids = np.array([5, 17], dtype=np.int32)
-    sequences = [TokenSequence(ids, ids != 2, label=0), TokenSequence(ids, ids != 2, label=label)]
+    sequences = [TokenSequence(ids, label=0), TokenSequence(ids, label=label)]
     with pytest.raises(ValueError, match=rf"^sequence 1 has label {re.escape(repr(label))}, not an integer"):
         write_corpus(sequences, path)
     assert path.read_text() == "label:1\t5 17\n"
-    assert write_corpus([TokenSequence(ids, ids != 2, label=np.int64(2**31 - 1))], path) == 1
+    assert write_corpus([TokenSequence(ids, label=np.int64(2**31 - 1))], path) == 1
     assert read_corpus(path)[0].label == 2**31 - 1
 
 
@@ -670,7 +708,7 @@ def test_write_corpus_matches_the_per_line_reference_across_chunk_edges(tmp_path
     bytes and count, or its error naming the sequence's index in the whole stream."""
     rows, per_chunk = case
     base = tmp_path_factory.getbasetemp()
-    sequences = [TokenSequence(np.array(ids, dtype=np.int32), np.ones(len(ids), bool), label) for ids, label in rows]
+    sequences = [TokenSequence(np.array(ids, dtype=np.int32), label) for ids, label in rows]
 
     def outcome(writer, items, path):
         path.write_bytes(b"old\n")
