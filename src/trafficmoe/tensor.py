@@ -10,7 +10,8 @@ allocation tallies are kept under one lock, so they stay exact.
 meanwhile. A row's result is then exact only to float32 GEMM rounding: a
 GEMM or GEMV rounds a row by where it sits in its operand (a GEMV's last
 rows mod 4 take another path), so the same rows split another way can
-differ by about 1e-8.
+differ by about 1e-8. ``AdamW.step`` parks OpenBLAS's workers and runs on
+as many threads as they were; no other thread may call BLAS meanwhile.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import functools
 import math
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,24 +94,48 @@ def alloc_bytes() -> int:
     return _alloc_bytes
 
 
-# The thread-count calls of the OpenBLAS that numpy's Linux wheels bundle in ``numpy.libs`` (numpy has
-# no API for them; threadpoolctl reaches the same symbols the same way).
+# Functions of the OpenBLAS that numpy's Linux wheels bundle in ``numpy.libs`` (numpy has no API for
+# them; threadpoolctl reaches the same symbols the same way): the thread count's get and set, the
+# ILP64 cblas GEMMs, and the call that parks the worker threads until the next threaded call.
 _OPENBLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+_GEMM_SYMBOLS = ("scipy_cblas_sgemm64_", "scipy_cblas_dgemm64_")
+_PARK_SYMBOLS = ("blas_thread_shutdown_",)
+_I, _N, _P = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p  # a cblas enum, an ILP64 dimension, a buffer
+_SIGNATURES = {  # name -> (restype, argtypes)
+    "scipy_openblas_get_num_threads64_": (_I, []), "scipy_openblas_set_num_threads64_": (None, [_I]),
+    "blas_thread_shutdown_": (_I, []),
+    **{name: (None, [_I, _I, _I, _N, _N, _N, real, _P, _N, _P, _N, real, _P, _N])  # order, trans a, trans b, m, n, k,
+       for name, real in zip(_GEMM_SYMBOLS, (ctypes.c_float, ctypes.c_double))},  # alpha, a, lda, b, ldb, beta, c, ldc
+}
 
 
 @functools.lru_cache(maxsize=None)
-def _openblas_calls(get_name: str, set_name: str):
-    """(get, set) of the bundled OpenBLAS's thread count; None when the library or a symbol is missing."""
+def _openblas_calls(*names: str):
+    """The bundled OpenBLAS's functions of these names, typed by ``_SIGNATURES``; None when the
+    library or a symbol is missing."""
     for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*.so*")):
         try:
             lib = ctypes.CDLL(str(path))  # the copy numpy already loaded: the loader hands back that one
-            get, put = getattr(lib, get_name), getattr(lib, set_name)
+            calls = tuple(getattr(lib, name) for name in names)
         except (OSError, AttributeError):
             continue
-        get.restype, get.argtypes = ctypes.c_int, []
-        put.restype, put.argtypes = None, [ctypes.c_int]
-        return get, put
+        for call, name in zip(calls, names):
+            call.restype, call.argtypes = _SIGNATURES[name]
+        return calls
     return None
+
+
+def _gemm_tn_add(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``c += a.T @ b`` in place. For C-contiguous operands of one float dtype the bundled OpenBLAS's
+    GEMM adds into ``c`` at beta=1, so no temporary the size of ``c`` is made; otherwise numpy does."""
+    calls = _openblas_calls(*_GEMM_SYMBOLS)
+    (k, m), n = a.shape, b.shape[1]
+    if calls is None or c.shape != (m, n) or b.shape[0] != k or c.dtype not in (np.float32, np.float64) or not all(
+            x.dtype == c.dtype and x.flags.c_contiguous for x in (a, b, c)):
+        c += a.T @ b
+    else:  # RowMajor (101), a transposed (112), b not (111)
+        gemm = calls[c.dtype == np.float64]
+        gemm(101, 112, 111, m, n, k, 1.0, a.ctypes.data, m, b.ctypes.data, n, 1.0, c.ctypes.data, n)
 
 
 def blas_thread_count() -> Optional[int]:
@@ -635,9 +661,8 @@ def cross_entropy_logits(logits, targets) -> Tensor:
 
 
 # Rows of h per ``lm_head_loss`` chunk: at the default 65,541-token vocab a chunk's float32 logits
-# are 67 MB. Forward plus backward of an 854 x 256 head (2 vCPU, numpy 2.4, OpenBLAS 0.3.31, median
-# of 5) took 1,526 ms at 64 rows, 1,237 at 128, 1,007 at 256, 964 at 512 and 906 at 1,024; the
-# unfused matmul plus cross_entropy_logits took 1,488. 512 rows would save 4% for twice the memory.
+# are 67 MB. Forward plus backward of an 854 x 256 head (2 vCPU, numpy 2.4, OpenBLAS 0.3.31,
+# interleaved, median of 10) took 493 ms at 128 rows, 447 at 256, 471 at 512 and 465 at 1,024.
 LM_HEAD_CHUNK = 256
 
 
@@ -646,7 +671,11 @@ def lm_head_loss(h, w_vocab, targets, weights) -> Tensor:
 
     Walks ``LM_HEAD_CHUNK`` rows of ``h`` at a time: each chunk's logits give that chunk's loss
     and, when a gradient is wanted, its rows of ``dh`` and its share of ``dW``, so no array the
-    size of all logits exists. Backward scales ``dh`` and ``dW`` in place and hands them over.
+    size of all logits exists. A chunk's logits gradient stays unscaled in its buffer; the row
+    scale goes onto the chunk's rows of ``h`` and ``dh``, and ``dW`` adds each chunk in place, so
+    no second array of a chunk's logits or of ``dW``'s size is made (as in Cut Cross-Entropy,
+    arXiv:2411.09009). Backward scales ``dh`` and ``dW`` in place by an upstream gradient other
+    than 1 and hands them over.
     Counts the 2*n*d*V FLOPs of the logits product only, as ``matmul`` counts its forward only.
     """
     h, w_vocab = as_tensor(h), as_tensor(w_vocab)
@@ -661,7 +690,8 @@ def lm_head_loss(h, w_vocab, targets, weights) -> Tensor:
     _count_flops(2 * h.data.size * w_vocab.shape[1])
     want_h, want_w = (_grad_enabled and t.requires_grad for t in (h, w_vocab))
     dh = np.empty_like(h.data) if want_h else None
-    dw, total = None, 0.0
+    dw = np.zeros(w_vocab.shape, h.data.dtype) if want_w else None
+    total = 0.0
     buf = np.empty((min(n, LM_HEAD_CHUNK), w_vocab.shape[1]), h.data.dtype)  # one chunk's logits, reused
     for lo in range(0, n, LM_HEAD_CHUNK):
         h_c, t_c, w_c = h.data[lo : lo + LM_HEAD_CHUNK], tgt[lo : lo + LM_HEAD_CHUNK], w[lo : lo + LM_HEAD_CHUNK]
@@ -674,21 +704,18 @@ def lm_head_loss(h, w_vocab, targets, weights) -> Tensor:
         total -= float(np.dot(w_c, picked - np.log(norm)))
         if not (want_h or want_w):
             continue
-        share = w_c / total_w
-        z *= (share / norm)[:, None]  # softmax rows, each scaled by its share of the mean
-        z[rows, t_c] -= share
+        scale = (w_c / total_w / norm)[:, None]  # the logits' gradient is scale * (exps - norm at the target)
+        z[rows, t_c] -= norm
         if want_h:
-            dh[lo : lo + LM_HEAD_CHUNK] = z @ w_vocab.data.T
+            np.multiply(z @ w_vocab.data.T, scale, out=dh[lo : lo + LM_HEAD_CHUNK])
         if want_w:
-            if dw is None:
-                dw = h_c.T @ z
-            else:
-                dw += h_c.T @ z
+            _gemm_tn_add(dw, h_c * scale, z)
 
     def backward(g):
         for t, grad in ((h, dh), (w_vocab, dw)):
             if grad is not None:
-                grad *= g
+                if g != 1:
+                    grad *= g
                 _accumulate(t, grad)
 
     return _build(np.asarray(total / total_w, h.data.dtype), (h, w_vocab), backward)
@@ -697,36 +724,44 @@ def lm_head_loss(h, w_vocab, targets, weights) -> Tensor:
 # -- optimizer -----------------------------------------------------------------
 
 
-# Elements per AdamW block. A block of p, grad, m and v plus the scratch block is 640 KiB at
-# float32 (1.25 MiB at float64), inside a core's 2 MiB L2 cache (4 MiB over 2 instances). On one
-# 65,541 x 256 float32 update (2 vCPU, numpy 2.4), 32K and 64K tied at ~70 ms; 4K took 135 ms and
-# 1M 105 ms.
-ADAMW_BLOCK = 1 << 15
+# Elements per AdamW block. On the 33.8M float32 elements of a default-model pretrain step (2 vCPU,
+# numpy 2.4, interleaved, median of 11), 32K and 128K tied at 130 ms on one thread; on two threads
+# 32K took 87 ms, 64K 74, 128K 72 and 256K 81.
+ADAMW_BLOCK = 1 << 17
+# Elements below which ``AdamW.step`` stays on one thread (OpenBLAS restarts its parked workers in
+# ~2.6 ms). A step plus the next 2-thread GEMM took 9.8 ms serial against 12.5 threaded at 1M
+# float32 elements, 14.3 against 13.5 at 2M and 21.3 against 16.2 at 4M.
+ADAMW_THREADED_MIN = 1 << 21
 
 
-def _adamw_update(p, g, m, v, scratch, lr, wd, b1, b2, bc1, bc2, eps) -> None:
-    """Update the flat, equal-sized p, m and v in place from g, ``ADAMW_BLOCK`` elements at a time
-    through one block-sized ``scratch``, so each of them is read from memory once."""
-    for lo in range(0, p.size, ADAMW_BLOCK):
-        hi = lo + ADAMW_BLOCK
-        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-        s = scratch[: pb.size]
-        mb *= b1
-        np.multiply(gb, 1.0 - b1, out=s)
-        mb += s
-        vb *= b2
-        np.multiply(gb, gb, out=s)
-        s *= 1.0 - b2
-        vb += s
-        if wd:  # p -= lr wd p: a float32 factor 1 - lr wd would round lr wd ~ 1e-7 by up to 20%
-            np.multiply(pb, lr * wd, out=s)
+def _adamw_update(jobs) -> None:
+    """Update each job's flat, equal-sized p, m and v in place from its g, ``ADAMW_BLOCK`` elements at
+    a time through one block-sized scratch, so each of them is read from memory once. A job is
+    (p, g, m, v, (lr, wd, b1, b2, bc1, bc2, eps))."""
+    scratch = None
+    for p, g, m, v, (lr, wd, b1, b2, bc1, bc2, eps) in jobs:
+        if scratch is None or scratch.dtype != p.dtype:
+            scratch = np.empty(ADAMW_BLOCK, p.dtype)
+        for lo in range(0, p.size, ADAMW_BLOCK):
+            hi = lo + ADAMW_BLOCK
+            pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            s = scratch[: pb.size]
+            mb *= b1
+            np.multiply(gb, 1.0 - b1, out=s)
+            mb += s
+            vb *= b2
+            np.multiply(gb, gb, out=s)
+            s *= 1.0 - b2
+            vb += s
+            if wd:  # p -= lr wd p: a float32 factor 1 - lr wd would round lr wd ~ 1e-7 by up to 20%
+                np.multiply(pb, lr * wd, out=s)
+                pb -= s
+            np.divide(vb, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += eps
+            np.divide(mb, s, out=s)
+            s *= lr / bc1
             pb -= s
-        np.divide(vb, bc2, out=s)
-        np.sqrt(s, out=s)
-        s += eps
-        np.divide(mb, s, out=s)
-        s *= lr / bc1
-        pb -= s
 
 
 class AdamW:
@@ -748,6 +783,11 @@ class AdamW:
 
     with bias corrections bc1 = 1 - b1^t and bc2 = 1 - b2^t at step t, the optimizer's
     step count.
+
+    With OpenBLAS on n >= 2 threads and at least ``ADAMW_THREADED_MIN`` elements to update, the
+    step parks OpenBLAS's workers (an idle one spins on a core after a threaded GEMM) and thread i
+    updates the i-th of n slices of every parameter. Each element takes the same operations either
+    way, so the result is bitwise that of one thread. No other thread may call BLAS meanwhile.
     """
 
     def __init__(
@@ -774,7 +814,7 @@ class AdamW:
         b1, b2, eps = self.beta1, self.beta2, self.eps
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
-        scratch = None
+        jobs, row_copies = [], []  # flat (p, g, m, v, hyper) to update; (array, rows, copy) to write back
         for group in self.groups:
             lr = group.get("lr", self.lr)
             wd = group.get("weight_decay", self.weight_decay)
@@ -785,18 +825,26 @@ class AdamW:
                 if id(p) not in self._moments:
                     self._moments[id(p)] = np.zeros((2, p.data.size), p.data.dtype)
                 m, v = self._moments[id(p)]
-                if scratch is None or scratch.dtype != p.data.dtype:
-                    scratch = np.empty(ADAMW_BLOCK, p.data.dtype)
                 if isinstance(p.grad, RowGrad):  # update compact copies of the listed rows, then write them back
                     rows, m, v = p.grad.rows, m.reshape(p.shape), v.reshape(p.shape)
                     pr, mr, vr = p.data[rows], m[rows], v[rows]
-                    _adamw_update(pr.reshape(-1), p.grad.values.reshape(-1), mr.reshape(-1), vr.reshape(-1),
-                                  scratch, *hyper)
-                    p.data[rows], m[rows], v[rows] = pr, mr, vr
+                    row_copies += [(p.data, rows, pr), (m, rows, mr), (v, rows, vr)]
+                    jobs.append((pr.reshape(-1), p.grad.values.reshape(-1), mr.reshape(-1), vr.reshape(-1), hyper))
                 else:
                     if not p.data.flags.c_contiguous:  # reshape(-1) must give a view, or the update is lost
                         p.data = np.ascontiguousarray(p.data)
-                    _adamw_update(p.data.reshape(-1), p.grad.reshape(-1), m, v, scratch, *hyper)
+                    jobs.append((p.data.reshape(-1), p.grad.reshape(-1), m, v, hyper))
+        threads, park = blas_thread_count() or 1, _openblas_calls(*_PARK_SYMBOLS)
+        if threads < 2 or park is None or sum(job[0].size for job in jobs) < ADAMW_THREADED_MIN:
+            _adamw_update(jobs)
+        else:
+            park[0]()
+            shares = [[(*(a[a.size * i // threads : a.size * (i + 1) // threads] for a in arrays), hyper)
+                       for *arrays, hyper in jobs] for i in range(threads)]
+            with ThreadPoolExecutor(threads) as pool:
+                list(pool.map(_adamw_update, shares))  # reading each result raises a worker's error
+        for array, rows, copy in row_copies:
+            array[rows] = copy
 
 
 # -- checkpoints ---------------------------------------------------------------

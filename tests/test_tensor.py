@@ -7,11 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import grad_array
+from conftest import grad_array, tiny_config
 from reference_ops import (moe_experts_ref, rmsnorm_chain_ref, rotary_attention_ref, swiglu_chain_ref,
                            weighted_cross_entropy_ref)
 from trafficmoe import tensor as T
+from trafficmoe.model import TrafficModel
 from trafficmoe.tensor import AdamW, RowGrad, ShapeError, Tensor
+from trafficmoe.training import ntp_loss
 
 
 def finite_diff_grad(make_scalar, param: np.ndarray, h: float) -> np.ndarray:
@@ -553,6 +555,42 @@ def test_lm_head_loss_holds_one_chunk_of_logits(rng):
     assert peak < 1.5 * chunk_bytes < 0.5 * n * vocab * 4
 
 
+@pytest.mark.skipif(T._openblas_calls(*T._GEMM_SYMBOLS) is None, reason="needs the bundled OpenBLAS's GEMM")
+def test_lm_head_loss_adds_each_chunk_into_dw_in_place(rng):
+    n, d, vocab = 4 * T.LM_HEAD_CHUNK, T.LM_HEAD_CHUNK, 2048  # dW [d, V] is as large as one chunk of logits
+    h = Tensor(rng.normal(size=(n, d)).astype(np.float32))  # no dh: only the logits buffer and dW are large
+    w_vocab = Tensor(rng.normal(size=(d, vocab)).astype(np.float32), requires_grad=True)
+    targets = rng.integers(0, vocab, size=n)
+    chunk_bytes = T.LM_HEAD_CHUNK * vocab * 4
+    tracemalloc.start()
+    try:
+        T.lm_head_loss(h, w_vocab, targets, np.ones(n)).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * chunk_bytes  # a [d, V] temporary per chunk would make it at least 3
+
+
+@pytest.mark.skipif(T._openblas_calls(*T._GEMM_SYMBOLS) is None, reason="needs the bundled OpenBLAS's GEMM")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gemm_tn_add_matches_numpy_to_rounding(dtype, rng):
+    a, b, c = (rng.normal(size=shape).astype(dtype) for shape in ((37, 5), (37, 11), (5, 11)))
+    want = c + a.T @ b
+    T._gemm_tn_add(c, a, b)
+    assert np.allclose(c, want, rtol=0, atol=64 * np.finfo(dtype).eps * np.abs(want).max())
+
+
+def test_without_the_gemm_symbols_the_head_adds_dw_through_numpy(rng, monkeypatch):
+    monkeypatch.setattr(T, "_GEMM_SYMBOLS", ("missing_sgemm", "missing_dgemm"))
+    assert T._openblas_calls(*T._GEMM_SYMBOLS) is None
+    a, b, c = (rng.normal(size=shape).astype(np.float32) for shape in ((37, 5), (37, 11), (5, 11)))
+    want = c + a.T @ b
+    T._gemm_tn_add(c, a, b)
+    assert np.array_equal(c, want)
+    test_lm_head_loss_matches_unfused_head_float64(rng)
+    test_lm_head_loss_grad_float64_across_chunks(rng, monkeypatch)
+
+
 def test_lm_head_loss_rejects_mismatched_shapes(rng):
     h, w_vocab, targets, weights = head_inputs(rng, 5, 3, 4)
     with pytest.raises(ShapeError, match="lm_head_loss"):
@@ -637,8 +675,8 @@ def test_adamw_float64_matches_formula_over_blocks_and_groups(rng):
 @pytest.mark.parametrize("wd", [0.0, 0.05])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adamw_row_grad_step_matches_dense_step_on_its_rows(dtype, wd, rng):
-    n, d = 3000, 64
-    rows = np.sort(rng.choice(n, size=1100, replace=False))  # 70,400 elements: two full blocks and a partial one
+    n, d = 8000, 64
+    rows = np.sort(rng.choice(n, size=4400, replace=False))  # 281,600 elements: two full blocks and a partial one
     assert len(rows) * d > 2 * T.ADAMW_BLOCK
     with T.use_dtype(dtype):
         start = rng.normal(size=(n, d))
@@ -663,6 +701,56 @@ def test_adamw_row_grad_step_matches_dense_step_on_its_rows(dtype, wd, rng):
         assert np.array_equal(row_side[rows], dense_side[rows])
         assert np.array_equal(row_side[others], old[others])
         assert not np.array_equal(row_side[rows], old[rows])
+
+
+def lm_step_grads(model, ids):
+    """One next-token forward and backward of ``model`` over ``ids``: ``embed.tok`` gets a ``RowGrad``."""
+    model.zero_grad()
+    h, _ = model.forward(ids, mode="hidden")
+    ntp_loss(h, model.params["head.vocab"], ids, np.ones(ids.shape, bool)).backward()
+    assert isinstance(model.params["embed.tok"].grad, RowGrad)
+
+
+@pytest.mark.skipif(T.blas_thread_count() is None, reason="needs the bundled OpenBLAS's thread count")
+def test_threaded_adamw_is_bitwise_the_serial_step(monkeypatch):
+    ids = np.random.default_rng(1).integers(4, 64, size=(3, 12))
+    models = [TrafficModel(tiny_config(), seed=0) for _ in range(2)]
+    opts = [AdamW(list(model.params.values()), lr=0.01, weight_decay=0.05) for model in models]
+    update, callers, main = T._adamw_update, [], threading.get_ident()
+    monkeypatch.setattr(T, "_adamw_update", lambda jobs: (callers.append(threading.get_ident()), update(jobs)))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the update threads trade the interpreter lock as often as they can
+    try:
+        for _ in range(3):
+            for model, opt, floor in zip(models, opts, (1 << 62, 0)):  # serial, then threaded
+                lm_step_grads(model, ids)
+                monkeypatch.setattr(T, "ADAMW_THREADED_MIN", floor)
+                callers.clear()
+                with T.blas_threads(3):  # more threads than this machine's 2 cores
+                    opt.step()
+                assert callers == [main] if floor else len(callers) == 3 and main not in callers
+            for (name, p_serial), p_threaded in zip(models[0].params.items(), models[1].params.values()):
+                assert np.array_equal(p_serial.data, p_threaded.data), name
+                moments = [opt._moments.get(id(p)) for opt, p in zip(opts, (p_serial, p_threaded))]  # None: no grad
+                assert np.array_equal(*moments) if moments[0] is not None else moments[1] is None, name
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_without_the_park_symbol_adamw_steps_serially(monkeypatch):
+    ids = np.random.default_rng(1).integers(4, 64, size=(3, 12))
+    models = [TrafficModel(tiny_config(), seed=0) for _ in range(2)]
+    opts = [AdamW(list(model.params.values()), lr=0.01) for model in models]
+    lm_step_grads(models[0], ids)
+    opts[0].step()  # below the floor: serial
+    monkeypatch.setattr(T, "_PARK_SYMBOLS", ("missing_blas_thread_shutdown",))
+    monkeypatch.setattr(T, "ThreadPoolExecutor", None)  # a worker pool would now raise TypeError
+    monkeypatch.setattr(T, "ADAMW_THREADED_MIN", 0)
+    lm_step_grads(models[1], ids)
+    with T.blas_threads(2):
+        opts[1].step()
+    for name, p in models[0].params.items():
+        assert np.array_equal(p.data, models[1].params[name].data), name
 
 
 # -- infrastructure ---------------------------------------------------------------------
