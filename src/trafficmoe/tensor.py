@@ -95,7 +95,7 @@ def alloc_bytes() -> int:
 
 
 # Functions of the OpenBLAS that numpy's Linux wheels bundle in ``numpy.libs`` (numpy has no API for
-# them; threadpoolctl reaches the same symbols the same way): the thread count's get and set, the
+# them; threadpoolctl reaches the thread-count ones the same way): the thread count's get and set, the
 # ILP64 cblas GEMMs, and the call that parks the worker threads until the next threaded call.
 _OPENBLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 _GEMM_SYMBOLS = ("scipy_cblas_sgemm64_", "scipy_cblas_dgemm64_")

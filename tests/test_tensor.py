@@ -732,7 +732,7 @@ def test_threaded_adamw_is_bitwise_the_serial_step(monkeypatch):
             for (name, p_serial), p_threaded in zip(models[0].params.items(), models[1].params.values()):
                 assert np.array_equal(p_serial.data, p_threaded.data), name
                 moments = [opt._moments.get(id(p)) for opt, p in zip(opts, (p_serial, p_threaded))]  # None: no grad
-                assert np.array_equal(*moments) if moments[0] is not None else moments[1] is None, name
+                assert np.array_equal(*moments), name
     finally:
         sys.setswitchinterval(switch)
 
