@@ -159,9 +159,12 @@ def _cmd_ingest(args) -> tuple:
     return Path(args.out), config, f"packets={len(records)} flows={len(flows)}", [pcap]
 
 
-def _serializer_from_args(args) -> tuple[SerializerConfig, dict]:
-    merged = _resolve(_options(SerializerConfig(), _SERIALIZER_KEYS), args, {})
-    return SerializerConfig(**{name: merged[key] for key, name in _SERIALIZER_KEYS.items()}), merged
+def _serializer_from_args(args, unread: dict) -> tuple[SerializerConfig, dict]:
+    """The serializer the flags and config file set; an unread max_tokens holds the widest flow and its [END]."""
+    merged = _resolve(_options(SerializerConfig(), _SERIALIZER_KEYS), args, unread)
+    serializer = SerializerConfig(**{name: merged.get(key, sys.maxsize) for key, name in _SERIALIZER_KEYS.items()})
+    width = serializer.packets_per_flow * serializer.tokens_per_packet + 1
+    return replace(serializer, max_tokens=merged.get("max_tokens", width)), merged
 
 
 def _flow_chunks(flow_dirs, rows: int, slice_window: float = 0.0):
@@ -182,10 +185,10 @@ def _cmd_build_vocab(args) -> tuple:
     else:
         min_freq = 1 if args.min_freq is None else args.min_freq
         _at_least_one("--min-freq", min_freq)
-        serializer, config = _serializer_from_args(args)
+        serializer, config = _serializer_from_args(args, {"max_tokens": "a vocabulary counts every code of a flow"})
         config.update({"vocab_mode": "wordpiece", "min_freq": min_freq})
-        width = serializer.packets_per_flow * serializer.tokens_per_packet + 1  # codes per flow at most
-        corpus = (serialize_codes(chunk, serializer)[0] for chunk in _flow_chunks(args.flows, chunk_rows(width)))
+        chunks = _flow_chunks(args.flows, chunk_rows(serializer.max_tokens))
+        corpus = (serialize_codes(chunk, serializer)[0] for chunk in chunks)
         vocab = build_vocabulary(corpus, mode="wordpiece", min_freq=min_freq)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -196,7 +199,7 @@ def _cmd_build_vocab(args) -> tuple:
 def _cmd_tokenize(args) -> tuple:
     if not args.slice_window >= 0:  # also false for nan
         raise ValueError(f"--slice-window {args.slice_window:g} is not a number >= 0")
-    serializer, config = _serializer_from_args(args)
+    serializer, config = _serializer_from_args(args, {})
     config["slice_window"] = args.slice_window
     vocab = Vocabulary.load(args.vocab)
     out = Path(args.out)
@@ -377,6 +380,7 @@ def _cmd_route_trace(args) -> tuple:
     out.parent.mkdir(parents=True, exist_ok=True)
     trace_dump_tsv(routing, out)
     stats_out = Path(args.stats_out) if args.stats_out else Path(str(out) + ".stats.tsv")
+    stats_out.parent.mkdir(parents=True, exist_ok=True)
     acc.to_tsv(stats_out)
     config = {"ckpt": args.ckpt, "data": args.data, "limit": args.limit}
     summary = f"traced_sequences={len(sequences)} layers={len(routing)}"

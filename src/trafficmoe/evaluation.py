@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .artifacts import write_atomic
-from .model import LayerRouting, TrafficModel, parameter_specs
+from .model import LayerRouting, TrafficModel, forward_in_shards, parameter_specs
 from .tokenization import TokenSequence, batch_arrays
 
 # -- confusion matrix and derived metrics -------------------------------------
@@ -100,15 +100,13 @@ def metrics_to_tsv(metrics: dict, path: str | Path) -> None:
 def predict_classes(
     model: TrafficModel, sequences: Sequence[TokenSequence], batch_size: int = 32
 ) -> np.ndarray:
-    """Argmax class predictions, computed without building graphs."""
+    """Argmax class predictions, ``batch_size`` sequences at a time through ``forward_in_shards``."""
     if batch_size < 1:
         raise ValueError(f"batch_size={batch_size} must be >= 1")
     preds = []
-    with T.no_grad():
-        for start in range(0, len(sequences), batch_size):
-            ids, valid, _ = batch_arrays(sequences[start : start + batch_size])
-            logits, _ = model.forward(ids, valid, mode="classify")
-            preds.append(np.argmax(logits.data, axis=-1))
+    for start in range(0, len(sequences), batch_size):
+        ids, valid, _ = batch_arrays(sequences[start : start + batch_size])
+        preds.append(np.argmax(forward_in_shards(model, ids, valid, "classify"), axis=-1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
@@ -333,20 +331,19 @@ def efficiency_bench(
         active, total = model.ffn_parameter_counts()
         for batch_size in batch_sizes:
             batches = [batch_arrays(sequences[lo : lo + batch_size])[:2] for lo in range(0, len(sequences), batch_size)]
-            with T.no_grad():
-                before = T.matmul_flops()
-                tracemalloc.start()
-                try:
-                    for ids, valid in batches:
-                        model.forward(ids, valid, mode=mode)
-                    flops, peak = T.matmul_flops() - before, tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                times = []
+            before = T.matmul_flops()
+            tracemalloc.start()
+            try:
                 for ids, valid in batches:
-                    t0 = time.perf_counter()
-                    model.forward(ids, valid, mode=mode)
-                    times.append(time.perf_counter() - t0)
+                    forward_in_shards(model, ids, valid, mode)
+                flops, peak = T.matmul_flops() - before, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            times = []
+            for ids, valid in batches:
+                t0 = time.perf_counter()
+                forward_in_shards(model, ids, valid, mode)
+                times.append(time.perf_counter() - t0)
             rows.append(
                 BenchRow(
                     model=kind,

@@ -44,11 +44,15 @@ class ModelConfig:
     dense_hidden: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("n_layers", "d_model", "n_heads", "n_experts", "ffn_hidden", "vocab_size", "max_tokens"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
+        for name in ("n_layers", "d_model", "n_heads", "n_experts", "ffn_hidden", "vocab_size", "max_tokens",
+                     "num_classes"):
+            value = getattr(self, name)
+            if value is not None and value < 1:  # num_classes None: no class head
+                raise ValueError(f"{name}={value} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
+        if self.head_dim % 2:
+            raise ValueError(f"d_model={self.d_model} / n_heads={self.n_heads} is odd: rotary embedding needs it even")
         if self.ffn_kind == "moe":
             if not (1 <= self.top_k <= self.n_experts):
                 raise ValueError(f"top_k={self.top_k} outside [1, {self.n_experts}]")
@@ -184,9 +188,36 @@ def shard_bounds(lengths: np.ndarray, n_shards: int) -> np.ndarray:
 
 
 def inference_shards(n_sequences: int) -> int:
-    """Threads a forward of ``n_sequences`` packed sequences runs on: inside ``no_grad``, OpenBLAS's
-    thread count (1 when it cannot be read), at most one per sequence; 1 for a forward that builds a graph."""
-    return 1 if T.grad_enabled() else min(T.blas_thread_count() or 1, n_sequences)
+    """Runs ``forward_in_shards`` cuts a batch of ``n_sequences`` into: OpenBLAS's thread count (1 when it
+    cannot be read), at most one per sequence."""
+    return min(T.blas_thread_count() or 1, n_sequences)
+
+
+def forward_in_shards(model: TrafficModel, ids: np.ndarray, valid_mask: Optional[np.ndarray] = None,
+                      mode: str = "hidden") -> np.ndarray:
+    """``model.forward(ids, valid_mask, mode)``'s output array under ``no_grad``, without routing. The
+    batch is cut by ``shard_bounds`` of its packed lengths into ``inference_shards`` runs of sequences,
+    and ``model.forward`` runs on all at once: the first on the caller's thread, each other on a worker,
+    with OpenBLAS at 1 thread per call until all are done; outputs are joined in batch order. One run,
+    or a batch with a sequence without a valid slot, is a plain forward at the process's BLAS count.
+    Exactness: the cuts depend on the packed lengths alone, so pad invariance and run-to-run repeats
+    stay bitwise. The result equals a serial forward's, as a sequence's output in a batch equals its
+    output alone, to float32 GEMM rounding only (about 1e-8): the ``[d, 1]`` shared-gate GEMV rounds its
+    last (rows mod 4) rows differently, so a row's value depends on its place in its run, and an
+    expert's GEMM over another set of rows rounds a few rows differently."""
+    ids = np.atleast_2d(np.asarray(ids))
+    lengths = packed_rows(ids.shape, valid_mask)[1]
+    n_shards = inference_shards(len(ids)) if lengths.all() else 1
+    with T.no_grad():
+        if n_shards < 2:
+            return model.forward(ids, valid_mask, mode)[0].data
+        cuts = shard_bounds(lengths, n_shards)[1:-1]
+        masks = [None] * n_shards if valid_mask is None else np.split(np.reshape(valid_mask, ids.shape), cuts)
+        runs = list(zip(np.split(ids, cuts), masks))
+        with T.blas_threads(1), ThreadPoolExecutor(n_shards - 1) as pool:
+            futures = [pool.submit(model.forward, *run, mode) for run in runs[1:]]
+            parts = [model.forward(*runs[0], mode)] + [future.result() for future in futures]
+    return np.concatenate([out.data for out, _ in parts])
 
 
 INIT_BLOCK = 1 << 16  # values per block of a random ``normal`` init: 512 KiB of float64 draws at a time
@@ -312,21 +343,6 @@ class TrafficModel:
                 h = self._dense_block(h, layer)
         return rmsnorm(h, self.params["final_norm_gain"]), routing
 
-    def _sharded_backbone(self, ids: np.ndarray, lengths: np.ndarray, n_shards: int
-                          ) -> tuple[Tensor, list[LayerRouting]]:
-        """``_backbone`` over ``shard_bounds``' runs of sequences at once: the caller's thread runs
-        the first, one worker thread each of the others, with OpenBLAS at 1 thread per call until
-        every run is done. Rows and routing records are joined in batch order. Builds no graph."""
-        cuts = shard_bounds(lengths, n_shards)[1:-1]
-        runs = list(zip(np.split(ids, np.cumsum(lengths)[cuts - 1]), np.split(lengths, cuts)))
-        with T.blas_threads(1), ThreadPoolExecutor(n_shards - 1) as pool:
-            futures = [pool.submit(self._backbone, *run) for run in runs[1:]]
-            parts = [self._backbone(*runs[0])] + [future.result() for future in futures]
-        h = Tensor(np.concatenate([part_h.data for part_h, _ in parts]))
-        return h, [LayerRouting(probs=Tensor(np.concatenate([rec.probs.data for rec in recs])),
-                                selected=np.concatenate([rec.selected for rec in recs]))
-                   for recs in zip(*(part_routing for _, part_routing in parts))]
-
     def forward(
         self,
         ids: np.ndarray,
@@ -342,17 +358,7 @@ class TrafficModel:
         ``tensor.lm_head_loss`` for next-token logits); ``classify`` mean-pools
         valid positions and returns class logits [batch, num_classes]. ``routing``
         holds one ``LayerRouting`` per layer, in layer order; it is empty for the dense variant.
-
-        Inside ``no_grad``, a batch of two or more sequences is cut by ``shard_bounds`` into
-        ``inference_shards`` runs, as many as OpenBLAS has threads, and the runs' backbones go on
-        that many threads at once (``_sharded_backbone``); the class head runs once on the joined
-        rows. A forward that builds a graph, or runs one sequence, stays on one thread.
-        Exactness: pad invariance, prefix causality and run-to-run repeats stay bitwise, since
-        the cuts depend on the packed lengths alone. A sequence's output in a batch equals its
-        output alone, and a sharded forward equals a serial one, to float32 GEMM rounding only
-        (about 1e-8), not bitwise: the ``[d, 1]`` shared-gate product is a GEMV whose last
-        (rows mod 4) rows round differently, so a row's value depends on its place in its run;
-        and an expert's GEMM over another set of rows rounds a few rows differently.
+        It runs on the caller's thread; ``forward_in_shards`` runs a no-grad batch on several.
         """
         cfg = self.config
         ids = np.atleast_2d(np.asarray(ids))
@@ -372,11 +378,7 @@ class TrafficModel:
         if not lengths.all() and (mode == "classify" or not lengths.any()):
             raise ValueError(f"sequence {int(np.argmin(lengths))} has no valid tokens")
         packed, lengths = ids.reshape(-1)[rows], lengths[lengths > 0]
-        n_shards = inference_shards(len(lengths))
-        if n_shards > 1:
-            h, routing = self._sharded_backbone(packed, lengths, n_shards)
-        else:
-            h, routing = self._backbone(packed, lengths)
+        h, routing = self._backbone(packed, lengths)
 
         if mode == "hidden":
             return h, routing

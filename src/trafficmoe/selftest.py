@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .flows import FlowTable, parse_capture, read_flows, reassemble_sessions, write_flows, write_pcap
-from .model import ModelConfig, TrafficModel, inference_shards, load_balance_loss
+from .model import ModelConfig, TrafficModel, forward_in_shards, inference_shards, load_balance_loss
 from .synth import synth_flows
 from .tokenization import (FULL_BIGRAM_VOCAB_SIZE, PAD_ID, SerializerConfig, Vocabulary, build_vocabulary,
                            read_corpus, serialize_codes, token_matrix, write_corpus)
@@ -112,18 +112,16 @@ def _check_sharded_forward() -> str:
     ids = np.where(valid, np.random.default_rng(12).integers(3, 32, size=valid.shape), 2)
     runs = []
     for threads in (1, 2):  # one BLAS thread: one shard; two: two shards of one BLAS thread each
-        with T.no_grad(), T.blas_threads(threads):
+        with T.blas_threads(threads):
             shards = inference_shards(len(ids))
             before = T.matmul_flops()
-            logits, routing = model.forward(ids, valid, mode="classify")
-            runs.append((logits.data, [rec.selected for rec in routing], T.matmul_flops() - before))
-    (serial, serial_sel, serial_flops), (sharded, sharded_sel, sharded_flops) = runs
+            runs.append((forward_in_shards(model, ids, valid, "classify"), T.matmul_flops() - before))
+    (serial, serial_flops), (sharded, sharded_flops) = runs
     diff = float(np.max(np.abs(sharded - serial)))
     assert diff <= 1e-5, f"logits differ by {diff:.2e}"
     assert np.array_equal(np.argmax(sharded, axis=1), np.argmax(serial, axis=1)), "classes"
-    assert all(np.array_equal(a, b) for a, b in zip(sharded_sel, serial_sel)), "routing"
     assert sharded_flops == serial_flops, f"FLOPs {sharded_flops} != {serial_flops}"
-    return f"{shards} shards against 1: logits within {diff:.1e}; classes, routing and FLOPs equal"
+    return f"{shards} shards against 1: logits within {diff:.1e}; classes and FLOPs equal"
 
 
 CHECKS = [

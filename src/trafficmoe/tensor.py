@@ -2,16 +2,17 @@
 
 Values live in numpy arrays (float32 by default, float64 switchable for
 tight gradient checks); the graph is built eagerly by op functions that
-attach backward closures. A graph is built on one thread. A forward that
-builds no graph may run its independent parts on several threads at once:
-they read the dtype and grad mode their caller set, and the FLOP and
-allocation tallies are kept under one lock, so they stay exact.
-``blas_threads`` sets how many threads the bundled OpenBLAS gives each call
-meanwhile. A row's result is then exact only to float32 GEMM rounding: a
-GEMM or GEMV rounds a row by where it sits in its operand (a GEMV's last
-rows mod 4 take another path), so the same rows split another way can
-differ by about 1e-8. ``AdamW.step`` parks OpenBLAS's workers and runs on
-as many threads as they were; no other thread may call BLAS meanwhile.
+attach backward closures. A graph is built on one thread. Forwards that
+build no graph may run on several threads at once (``model.forward_in_shards``
+runs one per run of a batch's sequences): they read the dtype and grad mode
+their caller set, and the FLOP and allocation tallies are kept under one
+lock, so they stay exact. ``blas_threads`` sets how many threads the bundled
+OpenBLAS gives each call meanwhile. A row's result is then exact only to
+float32 GEMM rounding: a GEMM or GEMV rounds a row by where it sits in its
+operand (a GEMV's last rows mod 4 take another path), so the same rows split
+another way can differ by about 1e-8. ``AdamW.step`` parks OpenBLAS's workers
+and runs on as many threads as they were; no other thread may call BLAS
+meanwhile.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ def _count_flops(n: int) -> None:
 
 def default_dtype():
     return _default_dtype
-
-
-def grad_enabled() -> bool:
-    """False inside ``no_grad``: ops build no graph."""
-    return _grad_enabled
 
 
 @contextmanager

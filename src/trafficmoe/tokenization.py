@@ -201,10 +201,10 @@ def build_vocabulary(
 
     ``full_bigram`` keeps all 65,536 byte pairs (size 65,541 with markers):
     every code is its own ID, and it needs no corpus. ``wordpiece`` counts
-    the bigram codes of a corpus of ``serialize_flow`` outputs and keeps
-    those seen at least ``min_freq`` times (a bigram never seen is never
-    kept), by descending count, then ascending code; everything else falls
-    back to [UNK] at tokenize time.
+    the bigram codes of a corpus of code arrays (``serialize_codes`` outputs)
+    and keeps those seen at least ``min_freq`` times (a bigram never seen is
+    never kept), by descending count, then ascending code; everything else
+    falls back to [UNK] at tokenize time.
     """
     if mode == "full_bigram":
         return Vocabulary(np.arange(FULL_BIGRAM_VOCAB_SIZE, dtype=np.int32))

@@ -238,9 +238,10 @@ def test_wordpiece_vocab_and_corpus_bytes_are_pinned(tmp_path, capsys, stride, v
     flows_to_pcap(synth_flows(24, n_classes=3, seed=5), tmp_path / "c.pcap")
     flows, vocab, corpus = tmp_path / "flows", tmp_path / "vocab.tsv", tmp_path / "corpus.txt"
     assert run("ingest", "--pcap", str(tmp_path / "c.pcap"), "--out", str(flows), "--label", "2") == 0
-    serializer = ["--stride", stride, "--k", "5", "--j", "24", "--max-tokens", "96"]
+    serializer = ["--stride", stride, "--k", "5", "--j", "24"]
     assert run("build-vocab", "--flows", str(flows), "--out", str(vocab), "--min-freq", "3", *serializer) == 0
-    assert run("tokenize", "--flows", str(flows), "--vocab", str(vocab), "--out", str(corpus), *serializer) == 0
+    assert run("tokenize", "--flows", str(flows), "--vocab", str(vocab), "--out", str(corpus), *serializer,
+               "--max-tokens", "96") == 0
     assert sha256_of(vocab, corpus) == {str(vocab): vocab_sha, str(corpus): corpus_sha}
 
 
@@ -265,6 +266,15 @@ def ingest_synth(tmp_path: Path, name: str, n_flows: int, seed: int, *flags: str
     flows_to_pcap(synth_flows(n_flows, n_classes=3, seed=seed), pcap)
     assert run("ingest", "--pcap", str(pcap), "--out", str(out), *flags) == 0
     return out
+
+
+def test_wordpiece_vocab_sizes_its_serializer_from_the_widest_flow(tmp_path, capsys):
+    """--j 1200 makes a 608-token packet, wider than tokenize's default max_tokens=512."""
+    flows, vocab = ingest_synth(tmp_path, "flows", 12, 5), tmp_path / "v.tsv"
+    capsys.readouterr()
+    assert run("build-vocab", "--flows", str(flows), "--out", str(vocab), "--j", "1200") == 0
+    assert "j=1200\n" in capsys.readouterr().out
+    assert vocab.exists()
 
 
 # SHA-256 of corpora as tokenize wrote them one flow and one line at a time, so a change to the id
@@ -398,6 +408,15 @@ def test_route_trace_exports(pipeline):
     assert Path(str(trace) + ".stats.tsv").exists()
 
 
+def test_route_trace_creates_the_stats_files_directory(tiny_eval, capsys):
+    ckpt, corpus = tiny_eval
+    trace, stats = ckpt.parent / "trace" / "t.tsv", ckpt.parent / "nodir" / "s.tsv"
+    assert run("route-trace", "--ckpt", str(ckpt), "--data", str(corpus), "--out", str(trace),
+               "--stats-out", str(stats)) == 0
+    assert trace.read_text().startswith("layer\ttoken\texpert\tprob\n")
+    assert stats.read_text().startswith("layer\texpert\tload\tprob\n")
+
+
 def test_bench_cli_writes_report(pipeline):
     tmp_path, vocab, corpus = pipeline
     run_dir = tmp_path / "run"
@@ -523,6 +542,11 @@ UNREAD = [
        f"error: flag {flag} is not read by this run (no --flows: full bigram)")
       for flag, value in (("--min-freq", "5"), ("--k", "2"), ("--j", "8"), ("--stride", "1"), ("--max-tokens", "64"),
                           ("--config", "{cfg}"))),
+    ("wordpiece-max-tokens", ["build-vocab", "--flows", "{flows}", "--out", "{out}/vocab.tsv", "--max-tokens", "64"],
+     1, "error: flag --max-tokens is not read by this run (a vocabulary counts every code of a flow)"),
+    ("wordpiece-max-tokens-key", ["build-vocab", "--flows", "{flows}", "--out", "{out}/vocab.tsv", "--config",
+                                  "{serializer_cfg}"], 2,
+     "error: {serializer_cfg}: key 'max_tokens' is not read by this run (a vocabulary counts every code of a flow)"),
     *((f"{mode}-init-{flag[2:]}", [mode, *_FROM_INIT, flag, value], 1,
        f"error: flag {flag} is not read by this run (the model comes from --init)")
       for mode in ("finetune", "pretrain")
@@ -541,11 +565,13 @@ def test_a_flag_the_chosen_mode_never_reads_is_usage_error(tmp_path, capsys, arg
     flows = ingest_synth(tmp_path, "flows", 12, 5, "--label", "0")
     (tmp_path / "coarse.txt").write_text("garbage line\n")
     (tmp_path / "model.cfg").write_text("epochs=1\nd_model=16\n")
+    (tmp_path / "serializer.cfg").write_text("k=3\nmax_tokens=64\n")
     TrafficModel(tiny_config(vocab_size=6), seed=0).save(tmp_path / "m.ckpt")
     save_six_entry_vocab(tmp_path / "vocab.tsv")
     (tmp_path / "c.txt").write_text(f"label:0\t{SIX_ID_ROW}\nlabel:1\t{SIX_ID_ROW}\n")
     paths = {"flows": flows, "out": tmp_path / "out", "coarse": tmp_path / "coarse.txt", "cfg": tmp_path / "model.cfg",
-             "ckpt": tmp_path / "m.ckpt", "vocab": tmp_path / "vocab.tsv", "corpus": tmp_path / "c.txt"}
+             "ckpt": tmp_path / "m.ckpt", "vocab": tmp_path / "vocab.tsv", "corpus": tmp_path / "c.txt",
+             "serializer_cfg": tmp_path / "serializer.cfg"}
     capsys.readouterr()
     assert run(*(arg.format(**paths) for arg in argv)) == code
     captured = capsys.readouterr()
@@ -762,7 +788,6 @@ input.c1.pcap=31aac7efa5b5d3b7484124e2f872d0e6b10cd1ed4aafcbc1c48fd3f3d043d8fb
 $ build-vocab --flows flows0 flows1 --out vocab/v.tsv
 j=40
 k=10
-max_tokens=512
 min_freq=1
 stride=2
 vocab_mode=wordpiece
@@ -1267,6 +1292,21 @@ def test_non_positive_model_size_is_data_error(tiny_eval, tmp_path, capsys, flag
     assert run("pretrain", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
                str(tmp_path / "run"), "--d-model", "16", "--n-layers", "1", flag, value) == 2
     assert f"{flag[2:].replace('-', '_')}={value} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--d-model", "15", "--n-heads", "5"), "d_model=15 / n_heads=5 is odd: rotary embedding needs it even"),
+    (("--num-classes", "0"), "num_classes=0 must be >= 1"),
+    (("--num-classes", "-1"), "num_classes=-1 must be >= 1"),
+])
+def test_a_model_the_backbone_cannot_run_is_data_error_before_any_output(tiny_eval, tmp_path, capsys, flags,
+                                                                          message):
+    _, corpus = tiny_eval
+    save_six_entry_vocab(tmp_path / "vocab.tsv")
+    assert run("pretrain", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
+               str(tmp_path / "run"), "--n-layers", "1", *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -13,6 +13,7 @@ from trafficmoe.model import (
     LayerRouting,
     ModelConfig,
     TrafficModel,
+    forward_in_shards,
     load_balance_loss,
     packed_rows,
     parameter_specs,
@@ -705,30 +706,37 @@ needs_blas_calls = pytest.mark.skipif(T.blas_thread_count() is None,
                                       reason="the bundled OpenBLAS's thread-count calls are not reachable")
 
 
-def no_grad_forward(model, ids, valid, mode, blas_threads):
-    """A no-grad forward with OpenBLAS at ``blas_threads``, which is also its shard count:
-    (output, each layer's selections, matmul FLOPs)."""
-    with T.no_grad(), T.blas_threads(blas_threads):
+def sharded_forward(model, ids, valid, mode, blas_threads, monkeypatch):
+    """``forward_in_shards`` with OpenBLAS at ``blas_threads``, which is also ``inference_shards``:
+    (output, each layer's selections over its runs' forwards joined in batch order, matmul FLOPs, each
+    run's thread and sequence count)."""
+    forward, runs = TrafficModel.forward, []
+
+    def spy(self, ids, valid_mask=None, mode="hidden"):
+        out, routing = forward(self, ids, valid_mask, mode)
+        runs.append((ids.ctypes.data, threading.get_ident(), len(ids), routing))  # a run is a view of the batch
+        return out, routing
+
+    with monkeypatch.context() as patch, T.blas_threads(blas_threads):
+        patch.setattr(TrafficModel, "forward", spy)
         assert model_module.inference_shards(len(ids)) == blas_threads
         before = T.matmul_flops()
-        out, routing = model.forward(ids, valid, mode=mode)
-        return out.data, [rec.selected for rec in routing], T.matmul_flops() - before
+        out = forward_in_shards(model, ids, valid, mode)
+        flops = T.matmul_flops() - before
+    runs.sort(key=lambda run: run[0])
+    selected = [np.concatenate([rec.selected for rec in layer]) for layer in zip(*(run[3] for run in runs))]
+    return out, selected, flops, [run[1:3] for run in runs]
 
 
 @needs_blas_calls
 @pytest.mark.parametrize("mode", ["classify", "hidden"])
 def test_sharded_forward_matches_serial_at_one_blas_thread(tiny_model, rng, monkeypatch, mode):
     ids, valid = ragged_batch(rng, lengths=(12, 5, 9, 3, 11))
-    serial, serial_sel, serial_flops = no_grad_forward(tiny_model, ids, valid, mode, 1)
-    backbone, calls = TrafficModel._backbone, []
-
-    def spy(self, packed, lengths):
-        calls.append((threading.get_ident(), len(lengths)))
-        return backbone(self, packed, lengths)
-
-    monkeypatch.setattr(TrafficModel, "_backbone", spy)
-    sharded, sharded_sel, sharded_flops = no_grad_forward(tiny_model, ids, valid, mode, 2)
-    assert len({thread for thread, _ in calls}) == 2 and sum(n for _, n in calls) == 5
+    serial, serial_sel, serial_flops, serial_runs = sharded_forward(tiny_model, ids, valid, mode, 1, monkeypatch)
+    assert len(serial_runs) == 1
+    sharded, sharded_sel, sharded_flops, runs = sharded_forward(tiny_model, ids, valid, mode, 2, monkeypatch)
+    assert len({thread for thread, _ in runs}) == 2 and sum(n for _, n in runs) == 5
+    assert runs[0][0] == threading.get_ident()  # the first run goes on the caller's thread
     assert np.max(np.abs(sharded - serial)) <= 1e-5
     if mode == "classify":
         assert np.array_equal(np.argmax(sharded, axis=1), np.argmax(serial, axis=1))
@@ -738,11 +746,38 @@ def test_sharded_forward_matches_serial_at_one_blas_thread(tiny_model, rng, monk
 
 
 @needs_blas_calls
-def test_two_sharded_runs_are_bitwise_equal(tiny_model, rng):
+def test_two_sharded_runs_are_bitwise_equal(tiny_model, rng, monkeypatch):
     ids, valid = ragged_batch(rng, lengths=(12, 5, 9, 3, 11))
-    first, again = (no_grad_forward(tiny_model, ids, valid, "classify", 2) for _ in range(2))
+    first, again = (sharded_forward(tiny_model, ids, valid, "classify", 2, monkeypatch) for _ in range(2))
     assert np.array_equal(first[0], again[0])
     assert all(np.array_equal(a, b) for a, b in zip(first[1], again[1]))
+
+
+@needs_blas_calls
+def test_a_hidden_batch_with_an_empty_row_matches_a_serial_forward(tiny_model, rng, monkeypatch):
+    """A sequence without a valid slot adds no packed row; such a batch runs as one forward on the caller's
+    thread, so no run can be empty."""
+    ids, valid = ragged_batch(rng, lengths=(0, 12, 0, 9, 3, 0))
+    with T.no_grad():
+        serial, _ = tiny_model.forward(ids, valid, mode="hidden")
+    sharded, _, _, runs = sharded_forward(tiny_model, ids, valid, "hidden", 2, monkeypatch)
+    assert runs == [(threading.get_ident(), 6)] and sharded.shape == (24, tiny_model.config.d_model)
+    assert np.array_equal(sharded, serial.data)
+
+
+@needs_blas_calls
+def test_forward_runs_one_backbone_on_the_callers_thread(tiny_model, rng, monkeypatch):
+    backbone, calls = TrafficModel._backbone, []
+
+    def spy(self, packed, lengths):
+        calls.append(threading.get_ident())
+        return backbone(self, packed, lengths)
+
+    monkeypatch.setattr(TrafficModel, "_backbone", spy)
+    ids, valid = ragged_batch(rng, lengths=(12, 5, 9, 3, 11))
+    with T.blas_threads(2), T.no_grad():
+        tiny_model.forward(ids, valid, mode="classify")
+    assert calls == [threading.get_ident()]
 
 
 @needs_blas_calls
@@ -758,8 +793,8 @@ def test_a_failing_shard_raises_in_the_caller_and_leaves_no_thread(tiny_model, r
     ids, valid = ragged_batch(rng)
     threads = threading.active_count()
     with T.blas_threads(2):
-        with T.no_grad(), pytest.raises(RuntimeError, match="shard failed"):
-            tiny_model.forward(ids, valid, mode="classify")
+        with pytest.raises(RuntimeError, match="shard failed"):
+            forward_in_shards(tiny_model, ids, valid, "classify")
         assert T.blas_thread_count() == 2
     assert threading.active_count() == threads
 
@@ -776,14 +811,14 @@ def test_blas_threads_restores_the_count_on_error():
 
 def test_without_the_blas_symbols_a_no_grad_forward_stays_serial(tiny_model, rng, monkeypatch):
     ids, valid = ragged_batch(rng, lengths=(12, 5, 9, 3, 11))
-    graph_logits, _ = tiny_model.forward(ids, valid, mode="classify")  # builds a graph, so runs serially
+    graph_logits, _ = tiny_model.forward(ids, valid, mode="classify")  # builds a graph
     monkeypatch.setattr(T, "_OPENBLAS_SYMBOLS", ("missing_get_num_threads", "missing_set_num_threads"))
     monkeypatch.setattr(model_module, "ThreadPoolExecutor", None)  # a worker pool would now raise TypeError
     assert T.blas_thread_count() is None
-    with T.blas_threads(2), T.no_grad():
+    with T.blas_threads(2):
         assert model_module.inference_shards(len(ids)) == 1
-        logits, _ = tiny_model.forward(ids, valid, mode="classify")
-    assert np.array_equal(logits.data, graph_logits.data)
+        logits = forward_in_shards(tiny_model, ids, valid, "classify")
+    assert np.array_equal(logits, graph_logits.data)
 
 
 def test_shard_bounds_cut_contiguous_nonempty_runs_nearest_equal_rows():
@@ -859,10 +894,13 @@ def test_config_validation():
         ModelConfig(top_k=9, n_experts=8, vocab_size=10, max_tokens=4)
     with pytest.raises(ValueError):
         ModelConfig(ffn_kind="dense", vocab_size=10, max_tokens=4)  # needs dense_hidden
+    with pytest.raises(ValueError, match="d_model=15 / n_heads=5 is odd: rotary embedding needs it even"):
+        ModelConfig(d_model=15, n_heads=5, vocab_size=10, max_tokens=4)
 
 
 @pytest.mark.parametrize("field,value", [("n_heads", 0), ("n_heads", -8), ("n_layers", -2), ("d_model", 0),
-                                         ("n_experts", 0), ("ffn_hidden", -4), ("vocab_size", 0), ("max_tokens", 0)])
+                                         ("n_experts", 0), ("ffn_hidden", -4), ("vocab_size", 0), ("max_tokens", 0),
+                                         ("num_classes", 0), ("num_classes", -1)])
 def test_config_rejects_non_positive_sizes(field, value):
     with pytest.raises(ValueError, match=f"{field}={value} must be >= 1"):
         ModelConfig(**{field: value})
