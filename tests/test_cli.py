@@ -273,7 +273,8 @@ def test_wordpiece_vocab_sizes_its_serializer_from_the_widest_flow(tmp_path, cap
     flows, vocab = ingest_synth(tmp_path, "flows", 12, 5), tmp_path / "v.tsv"
     capsys.readouterr()
     assert run("build-vocab", "--flows", str(flows), "--out", str(vocab), "--j", "1200") == 0
-    assert "j=1200\n" in capsys.readouterr().out
+    echoed = capsys.readouterr().out
+    assert "j=1200\n" in echoed and "max_tokens=" not in echoed
     assert vocab.exists()
 
 
