@@ -50,14 +50,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(args) -> int:
-    """--seed if the command has it and it is given, else TRAFFICMOE_SEED, else 0."""
+    """--seed if the command has it and it is given, else TRAFFICMOE_SEED, else 0; it must be >= 0."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    text = os.environ.get("TRAFFICMOE_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"TRAFFICMOE_SEED={text!r} is not an integer") from None
+        seed, source = args.seed, f"--seed {args.seed}"
+    else:
+        text = os.environ.get("TRAFFICMOE_SEED", "0")
+        source = f"TRAFFICMOE_SEED={text!r}"
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"{source} is not an integer") from None
+    if seed < 0:
+        raise ValueError(f"{source} is not an integer >= 0")
+    return seed
 
 
 def _sha256(path: Path) -> str:
@@ -277,7 +282,7 @@ def _run_training(args, mode: str) -> tuple:
             val_seqs = train_seqs
         history, _ = train(model, train_seqs, train_config, val_seqs=val_seqs, run_dir=out)
         if test_seqs:
-            _, metrics = evaluate_classifier(model, test_seqs, train_config.batch_size)
+            metrics = evaluate_classifier(model, test_seqs, train_config.batch_size)
             metrics_to_tsv(metrics, out / "test_metrics.tsv")
 
     effective = {**merged, **{key: getattr(model.config, name) for key, name in _MODEL_KEYS.items()},
@@ -290,7 +295,7 @@ def _run_training(args, mode: str) -> tuple:
 def _cmd_eval(args) -> tuple:
     _at_least_one("--batch-size", args.batch_size)
     model, sequences = _checked_inputs(args.ckpt, args.data, labeled=True)
-    _, metrics = evaluate_classifier(model, sequences, args.batch_size)
+    metrics = evaluate_classifier(model, sequences, args.batch_size)
     out = Path(args.metrics_out)
     out.parent.mkdir(parents=True, exist_ok=True)
     metrics_to_tsv(metrics, out)
@@ -331,6 +336,7 @@ def _cmd_ood(args) -> tuple:
     _refuse(args, dict.fromkeys(unread, f"--mode {args.mode}"))
     if args.mode != "time" and args.coarse_map is None:
         raise UsageExit(f"--mode {args.mode} needs --coarse-map")
+    seed = _seed(args) if args.mode == "compose" else None  # a bad seed fails before any input is read
     flows = FlowTable.join([read_flows(d) for d in args.flows])
     if None in flows.labels:
         raise ValueError("ood splits need labeled flows")
@@ -340,7 +346,7 @@ def _cmd_ood(args) -> tuple:
         train_idx, test_idx = time_shift_split(flows.packets.rows["ts"][flows.firsts], labels)
     else:
         config["coarse_map"] = args.coarse_map
-        coarse_map = {}
+        coarse_map, line_of = {}, {}  # fine label -> its coarse label, and the line that maps it
         for lineno, line in enumerate(Path(args.coarse_map).read_text().splitlines(), 1):
             if line.strip():
                 try:
@@ -348,7 +354,9 @@ def _cmd_ood(args) -> tuple:
                 except ValueError:
                     raise ValueError(f"{args.coarse_map}:{lineno}: expected `fine coarse` integer labels, "
                                      f"got {line!r}") from None
-                coarse_map[fine] = coarse_label
+                if fine in line_of:
+                    raise ValueError(f"{args.coarse_map}:{lineno}: fine label {fine} repeats line {line_of[fine]}")
+                coarse_map[fine], line_of[fine] = coarse_label, lineno
         missing = sorted(set(flows.labels) - coarse_map.keys())
         if missing:
             raise ValueError(f"{args.coarse_map}: no coarse class for flow label {missing[0]}")
@@ -356,7 +364,7 @@ def _cmd_ood(args) -> tuple:
         if args.mode == "proportion":
             train_idx, test_idx = proportion_shift_split(np.array(flows.labels), labels)
         else:
-            config["seed"] = _seed(args)
+            config["seed"] = seed
             train_idx, test_idx = compose_shift_split(np.array(flows.labels), labels, seed=config["seed"])
     train_split, test_split = flows[train_idx], flows[test_idx]
     check_labels(test_split)  # before train_split is written; write_flows checks the split it writes

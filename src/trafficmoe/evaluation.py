@@ -22,52 +22,37 @@ from .tokenization import TokenSequence, batch_arrays
 # -- confusion matrix and derived metrics -------------------------------------
 
 
-@dataclass
-class ConfusionMatrix:
-    """Counts[true, predicted] over a fixed class set."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
-            raise ValueError("confusion matrix must be square")
-        if (self.counts < 0).any():
-            raise ValueError("confusion matrix entries must be non-negative")
-
-    @classmethod
-    def from_labels(cls, y_true, y_pred, n_classes: int) -> "ConfusionMatrix":
-        y_true = np.asarray(y_true, dtype=np.int64)
-        y_pred = np.asarray(y_pred, dtype=np.int64)
-        if np.any((y_true < 0) | (y_true >= n_classes) | (y_pred < 0) | (y_pred >= n_classes)):
-            raise ValueError(f"y_true and y_pred must lie in [0, {n_classes})")
-        counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-        np.add.at(counts, (y_true, y_pred), 1)
-        return cls(counts)
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+def confusion_counts(y_true, y_pred, n_classes: int) -> np.ndarray:
+    """The ``[n_classes, n_classes]`` int64 counts[true, predicted] of the label pairs."""
+    y_true = np.asarray(y_true, dtype=np.int64)
+    y_pred = np.asarray(y_pred, dtype=np.int64)
+    if np.any((y_true < 0) | (y_true >= n_classes) | (y_pred < 0) | (y_pred >= n_classes)):
+        raise ValueError(f"y_true and y_pred must lie in [0, {n_classes})")
+    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(counts, (y_true, y_pred), 1)
+    return counts
 
 
-def compute_metrics(cm: ConfusionMatrix) -> dict:
-    """Per-class precision/recall/F1/FNR/FPR plus macro averages and accuracy.
+def compute_metrics(counts) -> dict:
+    """Per-class precision/recall/F1/FNR/FPR plus macro averages and accuracy of a square,
+    non-negative, non-empty confusion matrix ``counts[true, predicted]``.
 
     Zero-denominator conventions: precision and recall fall back to 0,
     F1 is 0 when precision + recall is 0, and FNR is defined as
     1 - recall so the identity holds exactly.
     """
-    counts = cm.counts
-    if cm.total == 0:
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
+        raise ValueError("confusion matrix must be square")
+    if (counts < 0).any():
+        raise ValueError("confusion matrix entries must be non-negative")
+    total = int(counts.sum())
+    if total == 0:
         raise ValueError("empty confusion matrix")
     tp = np.diag(counts).astype(float)
     fp = counts.sum(axis=0) - tp
     fn = counts.sum(axis=1) - tp
-    tn = cm.total - tp - fp - fn
+    tn = total - tp - fp - fn
 
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
@@ -85,7 +70,7 @@ def compute_metrics(cm: ConfusionMatrix) -> dict:
         "macro_precision": float(precision.mean()),
         "macro_recall": float(recall.mean()),
         "macro_f1": float(f1.mean()),
-        "accuracy": float(tp.sum() / cm.total),
+        "accuracy": float(tp.sum() / total),
     }
 
 
@@ -110,13 +95,11 @@ def predict_classes(
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
-def evaluate_classifier(
-    model: TrafficModel, sequences: Sequence[TokenSequence], batch_size: int = 32
-) -> tuple[ConfusionMatrix, dict]:
+def evaluate_classifier(model: TrafficModel, sequences: Sequence[TokenSequence], batch_size: int = 32) -> dict:
+    """``compute_metrics`` of the model's predictions for the labelled ``sequences``."""
     labels = np.array([s.label for s in sequences], dtype=np.int64)
     preds = predict_classes(model, sequences, batch_size)
-    cm = ConfusionMatrix.from_labels(labels, preds, model.config.num_classes)
-    return cm, compute_metrics(cm)
+    return compute_metrics(confusion_counts(labels, preds, model.config.num_classes))
 
 
 # -- distribution-shift split constructors --------------------------------------

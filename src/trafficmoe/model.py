@@ -255,20 +255,14 @@ class TrafficModel:
         return sum(p.data.size for p in self.params.values())
 
     def ffn_parameter_counts(self) -> tuple[int, int]:
-        """(per-token active, total) FFN expert parameter counts.
+        """(per-token active, total) sizes of the SwiGLU matrices (``.w_gate``, ``.w_up``, ``.w_down``).
 
-        Covers expert matrices only (router and gates excluded): the
-        shared expert is always active, plus top_k specialized experts.
+        Router and gates are excluded. A token runs every shared or dense FFN but only top_k of the
+        n_experts routed ``.moe.expert*`` ones.
         """
-        cfg = self.config
-        if cfg.ffn_kind == "dense":
-            per_layer = 3 * cfg.d_model * cfg.dense_hidden
-            return per_layer * cfg.n_layers, per_layer * cfg.n_layers
-        shared = 3 * cfg.d_model * cfg.ffn_hidden
-        one_expert = 3 * cfg.d_model * cfg.expert_hidden
-        active = (shared + cfg.top_k * one_expert) * cfg.n_layers
-        total = (shared + cfg.n_experts * one_expert) * cfg.n_layers
-        return active, total
+        sizes = {name: p.data.size for name, p in self.params.items() if name.endswith((".w_gate", ".w_up", ".w_down"))}
+        total, routed = sum(sizes.values()), sum(size for name, size in sizes.items() if ".moe.expert" in name)
+        return total - routed + routed * self.config.top_k // self.config.n_experts, total
 
     # -- persistence ----------------------------------------------------------
 

@@ -728,14 +728,17 @@ ADAMW_BLOCK = 1 << 17
 # ~2.6 ms). A step plus the next 2-thread GEMM took 9.8 ms serial against 12.5 threaded at 1M
 # float32 elements, 14.3 against 13.5 at 2M and 21.3 against 16.2 at 4M.
 ADAMW_THREADED_MIN = 1 << 21
+ADAMW_BETAS = (0.9, 0.999)  # the decays of the first and second moments
+ADAMW_EPS = 1e-8
 
 
 def _adamw_update(jobs) -> None:
     """Update each job's flat, equal-sized p, m and v in place from its g, ``ADAMW_BLOCK`` elements at
     a time through one block-sized scratch, so each of them is read from memory once. A job is
-    (p, g, m, v, (lr, wd, b1, b2, bc1, bc2, eps))."""
+    (p, g, m, v, (lr, wd, bc1, bc2))."""
+    (b1, b2), eps = ADAMW_BETAS, ADAMW_EPS
     scratch = None
-    for p, g, m, v, (lr, wd, b1, b2, bc1, bc2, eps) in jobs:
+    for p, g, m, v, (lr, wd, bc1, bc2) in jobs:
         if scratch is None or scratch.dtype != p.dtype:
             scratch = np.empty(ADAMW_BLOCK, p.dtype)
         for lo in range(0, p.size, ADAMW_BLOCK):
@@ -763,9 +766,9 @@ def _adamw_update(jobs) -> None:
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay (Loshchilov & Hutter, arXiv:1711.05101).
 
-    Accepts a flat parameter list or param groups (dicts with ``params``
-    and optional ``lr`` / ``weight_decay`` overrides) so layer-wise
-    learning rates are just groups.
+    Takes one ``(parameter, lr, weight_decay)`` entry per parameter, so a layer-wise learning
+    rate is just each entry's own lr; the moment decays are ``ADAMW_BETAS`` and the denominator's
+    floor is ``ADAMW_EPS``.
 
     A parameter whose ``.grad`` is None is skipped and gets no state. A dense ``.grad``
     moves every element of the parameter under momentum and decay. A ``RowGrad`` moves
@@ -786,50 +789,31 @@ class AdamW:
     way, so the result is bitwise that of one thread. No other thread may call BLAS meanwhile.
     """
 
-    def __init__(
-        self,
-        params,
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        if params and isinstance(params[0], Tensor):
-            params = [{"params": list(params)}]
-        self.groups = [dict(g) for g in params]
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+    def __init__(self, entries: list[tuple[Tensor, float, float]]):
+        self.entries = list(entries)
         self.step_count = 0
         self._moments: dict[int, np.ndarray] = {}  # id(p) -> [2, p.size]: the flat m and v
 
     def step(self) -> None:
         self.step_count += 1
-        t = self.step_count
-        b1, b2, eps = self.beta1, self.beta2, self.eps
-        bc1 = 1.0 - b1**t
-        bc2 = 1.0 - b2**t
+        bc1, bc2 = (1.0 - b**self.step_count for b in ADAMW_BETAS)
         jobs, row_copies = [], []  # flat (p, g, m, v, hyper) to update; (array, rows, copy) to write back
-        for group in self.groups:
-            lr = group.get("lr", self.lr)
-            wd = group.get("weight_decay", self.weight_decay)
-            hyper = (lr, wd, b1, b2, bc1, bc2, eps)
-            for p in group["params"]:
-                if p.grad is None:
-                    continue
-                if id(p) not in self._moments:
-                    self._moments[id(p)] = np.zeros((2, p.data.size), p.data.dtype)
-                m, v = self._moments[id(p)]
-                if isinstance(p.grad, RowGrad):  # update compact copies of the listed rows, then write them back
-                    rows, m, v = p.grad.rows, m.reshape(p.shape), v.reshape(p.shape)
-                    pr, mr, vr = p.data[rows], m[rows], v[rows]
-                    row_copies += [(p.data, rows, pr), (m, rows, mr), (v, rows, vr)]
-                    jobs.append((pr.reshape(-1), p.grad.values.reshape(-1), mr.reshape(-1), vr.reshape(-1), hyper))
-                else:
-                    if not p.data.flags.c_contiguous:  # reshape(-1) must give a view, or the update is lost
-                        p.data = np.ascontiguousarray(p.data)
-                    jobs.append((p.data.reshape(-1), p.grad.reshape(-1), m, v, hyper))
+        for p, lr, wd in self.entries:
+            if p.grad is None:
+                continue
+            hyper = (lr, wd, bc1, bc2)
+            if id(p) not in self._moments:
+                self._moments[id(p)] = np.zeros((2, p.data.size), p.data.dtype)
+            m, v = self._moments[id(p)]
+            if isinstance(p.grad, RowGrad):  # update compact copies of the listed rows, then write them back
+                rows, m, v = p.grad.rows, m.reshape(p.shape), v.reshape(p.shape)
+                pr, mr, vr = p.data[rows], m[rows], v[rows]
+                row_copies += [(p.data, rows, pr), (m, rows, mr), (v, rows, vr)]
+                jobs.append((pr.reshape(-1), p.grad.values.reshape(-1), mr.reshape(-1), vr.reshape(-1), hyper))
+            else:
+                if not p.data.flags.c_contiguous:  # reshape(-1) must give a view, or the update is lost
+                    p.data = np.ascontiguousarray(p.data)
+                jobs.append((p.data.reshape(-1), p.grad.reshape(-1), m, v, hyper))
         threads, park = blas_thread_count() or 1, _openblas_calls(*_PARK_SYMBOLS)
         if threads < 2 or park is None or sum(job[0].size for job in jobs) < ADAMW_THREADED_MIN:
             _adamw_update(jobs)

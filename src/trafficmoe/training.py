@@ -1,8 +1,10 @@
 """Training loops: autoregressive pretraining and classification fine-tuning.
 
 Both modes minimize a task loss plus a weighted expert load-balance
-term. Fine-tuning adds layer-wise learning-rate decay and early stopping
-on validation macro-F1.
+term, stepping ``AdamW`` over one (parameter, lr, weight decay) entry per
+parameter from ``optimizer_entries``. Fine-tuning adds layer-wise
+learning-rate decay to those rates and early stopping on validation
+macro-F1.
 """
 
 from __future__ import annotations
@@ -101,12 +103,7 @@ def composite_loss(task_loss: Tensor, aux_loss, aux_weight: float) -> Tensor:
     return T.add(task_loss, T.mul(aux_loss, aux_weight))
 
 
-# -- schedules and parameter grouping -------------------------------------------
-
-
-def llrd_schedule(n_layers: int, base_lr: float, decay: float) -> np.ndarray:
-    """Per-layer learning rates decay ** (L - l) * base_lr for l = 1..L."""
-    return np.array([decay ** (n_layers - l) * base_lr for l in range(1, n_layers + 1)])
+# -- optimizer entries ----------------------------------------------------------
 
 
 def _no_decay(name: str) -> bool:
@@ -124,29 +121,21 @@ def _layer_rank(name: str, n_layers: int) -> int:
     return n_layers  # heads and the final norm adapt fastest
 
 
-def build_param_groups(
-    model: TrafficModel,
-    base_lr: float,
-    llrd_decay: float = 1.0,
-    weight_decay: float = 0.0,
-) -> list[dict]:
-    """Optimizer groups keyed by (LLRD depth, decay eligibility)."""
+def optimizer_entries(
+    model: TrafficModel, base_lr: float, llrd_decay: float, weight_decay: float
+) -> list[tuple[Tensor, float, float]]:
+    """One ``AdamW`` entry (parameter, lr, weight decay) per parameter, in ``model.params`` order.
+
+    A parameter at LLRD depth l of L learns at ``llrd_decay ** (L - l) * base_lr`` (ULMFiT's
+    discriminative fine-tuning; a decay of 1.0 gives every parameter ``base_lr``), and norms,
+    gates and biases take no weight decay.
+    """
     n_layers = model.config.n_layers
-    rates = llrd_schedule(n_layers, base_lr, llrd_decay)
-    buckets: dict[tuple[int, bool], list[Tensor]] = {}
-    for name, param in model.params.items():
-        key = (_layer_rank(name, n_layers), not _no_decay(name))
-        buckets.setdefault(key, []).append(param)
-    groups = []
-    for (rank, decayed), params in sorted(buckets.items(), key=lambda kv: kv[0]):
-        groups.append(
-            {
-                "params": params,
-                "lr": float(rates[rank - 1]),
-                "weight_decay": weight_decay if decayed else 0.0,
-            }
-        )
-    return groups
+    return [
+        (param, llrd_decay ** (n_layers - _layer_rank(name, n_layers)) * base_lr,
+         0.0 if _no_decay(name) else weight_decay)
+        for name, param in model.params.items()
+    ]
 
 
 # -- dataset handling ------------------------------------------------------------
@@ -239,11 +228,8 @@ def train(
             raise ValueError("finetune requires labeled sequences")
 
     rng = np.random.default_rng(config.seed)
-    if config.mode == "pretrain":
-        groups = build_param_groups(model, config.base_lr, 1.0, config.weight_decay)
-    else:
-        groups = build_param_groups(model, config.base_lr, config.llrd_decay, config.weight_decay)
-    optimizer = AdamW(groups, lr=config.base_lr, weight_decay=config.weight_decay)
+    llrd_decay = config.llrd_decay if config.mode == "finetune" else 1.0
+    optimizer = AdamW(optimizer_entries(model, config.base_lr, llrd_decay, config.weight_decay))
 
     out = Path(run_dir) if run_dir is not None else None
     if out is not None:
@@ -292,7 +278,7 @@ def train(
             routing_stats.to_tsv(out / "routing" / f"epoch{epoch}.tsv")
 
         if config.mode == "finetune" and val_seqs:
-            _, metrics = evaluate_classifier(model, val_seqs, config.batch_size)
+            metrics = evaluate_classifier(model, val_seqs, config.batch_size)
             history.add(epoch, "val", "macro_f1", metrics["macro_f1"])
             history.add(epoch, "val", "accuracy", metrics["accuracy"])
             if metrics["macro_f1"] > best_metric:  # ties keep the earlier epoch

@@ -923,14 +923,21 @@ def test_every_command_echoes_and_records_a_pinned_run(tmp_path, monkeypatch, ca
 
 
 def test_seed_env_that_is_not_an_integer_is_data_error_before_any_work(tmp_path, monkeypatch, capsys):
+    """A seed that is not an integer >= 0, from TRAFFICMOE_SEED or --seed, is a data error naming its source."""
     paths = seed_run_paths(tmp_path)
-    monkeypatch.setenv("TRAFFICMOE_SEED", "abc")
-    for command, argv in SEED_RUNS.items():
-        capsys.readouterr()
-        assert run(*(arg.format(**paths) for arg in argv)) == 2, command
-        captured = capsys.readouterr()
-        assert "TRAFFICMOE_SEED='abc' is not an integer" in captured.err and captured.out == "", command
-        assert not paths["out"].exists(), command
+    cases = [("abc", [], "TRAFFICMOE_SEED='abc' is not an integer"),
+             ("-3", [], "TRAFFICMOE_SEED='-3' is not an integer >= 0"),
+             ("0", ["--seed", "-1"], "--seed -1 is not an integer >= 0")]
+    for env, flag, message in cases:
+        monkeypatch.setenv("TRAFFICMOE_SEED", env)
+        for command, argv in SEED_RUNS.items():
+            if flag and command == "bench":  # bench has no --seed
+                continue
+            capsys.readouterr()
+            assert run(*(arg.format(**paths) for arg in argv), *flag) == 2, (command, message)
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == "", (command, captured.err)
+            assert not paths["out"].exists(), (command, message)
 
 
 def test_selftest_command(capsys):
@@ -1106,6 +1113,18 @@ def test_ood_malformed_coarse_map_line_is_data_error(tmp_path, capsys, bad_line)
     assert run("ood", "--mode", "proportion", "--flows", str(tmp_path / "flows"), "--out", str(tmp_path / "ood"),
                "--coarse-map", str(tmp_path / "coarse.txt")) == 2
     assert f"coarse.txt:2: expected `fine coarse` integer labels, got {bad_line!r}" in capsys.readouterr().err
+
+
+def test_ood_coarse_map_that_repeats_a_fine_label_is_data_error(tmp_path, capsys):
+    """The repeat is refused, not silently overridden by its later line."""
+    flow_dirs = [str(ingest_synth(tmp_path, f"flows{label}", 6, label, "--label", str(label))) for label in range(4)]
+    (tmp_path / "map.txt").write_text("0 0\n1 0\n2 1\n3 1\n0 1\n")
+    for mode in ("proportion", "compose"):
+        capsys.readouterr()
+        assert run("ood", "--mode", mode, "--flows", *flow_dirs, "--out", str(tmp_path / "ood"),
+                   "--coarse-map", str(tmp_path / "map.txt")) == 2, mode
+        assert "map.txt:5: fine label 0 repeats line 1" in capsys.readouterr().err, mode
+    assert not (tmp_path / "ood").exists()
 
 
 @pytest.mark.parametrize("bad_line", [

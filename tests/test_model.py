@@ -9,6 +9,7 @@ from conftest import grad_array, lm_logits, tiny_config
 from reference_ops import weighted_cross_entropy_ref
 from trafficmoe import model as model_module
 from trafficmoe import tensor as T
+from trafficmoe.evaluation import build_dense_variant
 from trafficmoe.model import (
     LayerRouting,
     ModelConfig,
@@ -871,6 +872,15 @@ def test_active_ffn_parameter_ratio_defaults():
     active, total = TrafficModel(cfg, seed=0).ffn_parameter_counts()
     assert active / total == pytest.approx(0.4)
     assert active == 2 * 6 * 32 * 64  # 6*d*d' per layer
+    for cfg in (tiny_config(), tiny_config(n_experts=5, top_k=3, ffn_hidden=36)):  # 3 d h per SwiGLU of width h
+        layers, d = cfg.n_layers, cfg.d_model
+        shared, expert = 3 * d * cfg.ffn_hidden, 3 * d * cfg.expert_hidden
+        model = TrafficModel(cfg, seed=0)
+        assert model.ffn_parameter_counts() == ((shared + cfg.top_k * expert) * layers,
+                                                (shared + cfg.n_experts * expert) * layers)
+        dense = build_dense_variant(model, seed=0)
+        per_layer = 3 * d * dense.config.dense_hidden
+        assert dense.ffn_parameter_counts() == (per_layer * layers, per_layer * layers)
 
 
 def test_model_save_load_round_trip(tmp_path, tiny_model, rng):

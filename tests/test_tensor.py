@@ -606,7 +606,7 @@ def test_lm_head_loss_rejects_mismatched_shapes(rng):
 
 def test_adamw_zero_grad_zero_decay_is_noop():
     p = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-    opt = AdamW([p], lr=0.1, weight_decay=0.0)
+    opt = AdamW([(p, 0.1, 0.0)])
     p.grad = np.zeros_like(p.data)
     before = p.data.copy()
     opt.step()
@@ -615,15 +615,16 @@ def test_adamw_zero_grad_zero_decay_is_noop():
 
 def test_adamw_none_grad_skipped_entirely():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = AdamW([p], lr=0.1, weight_decay=0.5)
+    opt = AdamW([(p, 0.1, 0.5)])
     opt.step()
     assert p.data[0] == 1.0
 
 
 def test_adamw_single_scalar_step():
     # g=1 with fresh state: m_hat = 1, v_hat = 1 -> update ~ lr
+    assert (T.ADAMW_BETAS, T.ADAMW_EPS) == ((0.9, 0.999), 1e-8)
     p = Tensor(np.array([0.0]), requires_grad=True)
-    opt = AdamW([p], lr=0.1, betas=(0.9, 0.999), eps=1e-8)
+    opt = AdamW([(p, 0.1, 0.0)])
     p.grad = np.array([1.0], dtype=p.data.dtype)
     opt.step()
     assert p.data[0] == pytest.approx(-0.1, rel=1e-5)
@@ -631,7 +632,7 @@ def test_adamw_single_scalar_step():
 
 def test_adamw_decoupled_decay_isolated():
     p = Tensor(np.array([2.0]), requires_grad=True)
-    opt = AdamW([p], lr=1.0, weight_decay=0.01)
+    opt = AdamW([(p, 1.0, 0.01)])
     p.grad = np.array([0.0], dtype=p.data.dtype)
     opt.step()
     assert p.data[0] == pytest.approx(2.0 * 0.99, rel=1e-7)
@@ -640,7 +641,7 @@ def test_adamw_decoupled_decay_isolated():
 def test_adamw_param_groups_use_their_own_lr():
     a = Tensor(np.array([0.0]), requires_grad=True)
     b = Tensor(np.array([0.0]), requires_grad=True)
-    opt = AdamW([{"params": [a], "lr": 0.1}, {"params": [b], "lr": 0.01}], lr=99.0)
+    opt = AdamW([(a, 0.1, 0.0), (b, 0.01, 0.0)])
     for p in (a, b):
         p.grad = np.array([1.0], dtype=p.data.dtype)
     opt.step()
@@ -653,8 +654,7 @@ def test_adamw_float64_matches_formula_over_blocks_and_groups(rng):
     with T.use_dtype(np.float64):
         starts = [rng.normal(size=(2, 3)), rng.normal(size=2 * T.ADAMW_BLOCK + 13)]  # 3 blocks, the last partial
         params = [Tensor(a, requires_grad=True) for a in starts]
-        opt = AdamW([{"params": [params[0]], "lr": lr[0], "weight_decay": wd[0]},
-                     {"params": [params[1]], "lr": lr[1], "weight_decay": wd[1]}])
+        opt = AdamW(list(zip(params, lr, wd)))
         expected = [a.copy() for a in starts]
         moments = [[0.0, 0.0], [0.0, 0.0]]
         for t in range(1, 6):
@@ -681,7 +681,7 @@ def test_adamw_row_grad_step_matches_dense_step_on_its_rows(dtype, wd, rng):
     with T.use_dtype(dtype):
         start = rng.normal(size=(n, d))
         params = [Tensor(start.copy(), requires_grad=True) for _ in range(2)]
-        opts = [AdamW([p], lr=0.01, weight_decay=wd) for p in params]
+        opts = [AdamW([(p, 0.01, wd)]) for p in params]
         for _ in range(3):  # the same dense history on both sides: prior p, m and v
             g = rng.normal(size=(n, d)).astype(dtype)
             for p, opt in zip(params, opts):
@@ -715,7 +715,7 @@ def lm_step_grads(model, ids):
 def test_threaded_adamw_is_bitwise_the_serial_step(monkeypatch):
     ids = np.random.default_rng(1).integers(4, 64, size=(3, 12))
     models = [TrafficModel(tiny_config(), seed=0) for _ in range(2)]
-    opts = [AdamW(list(model.params.values()), lr=0.01, weight_decay=0.05) for model in models]
+    opts = [AdamW([(p, 0.01, 0.05) for p in model.params.values()]) for model in models]
     update, callers, main = T._adamw_update, [], threading.get_ident()
     monkeypatch.setattr(T, "_adamw_update", lambda jobs: (callers.append(threading.get_ident()), update(jobs)))
     switch = sys.getswitchinterval()
@@ -740,7 +740,7 @@ def test_threaded_adamw_is_bitwise_the_serial_step(monkeypatch):
 def test_without_the_park_symbol_adamw_steps_serially(monkeypatch):
     ids = np.random.default_rng(1).integers(4, 64, size=(3, 12))
     models = [TrafficModel(tiny_config(), seed=0) for _ in range(2)]
-    opts = [AdamW(list(model.params.values()), lr=0.01) for model in models]
+    opts = [AdamW([(p, 0.01, 0.0) for p in model.params.values()]) for model in models]
     lm_step_grads(models[0], ids)
     opts[0].step()  # below the floor: serial
     monkeypatch.setattr(T, "_PARK_SYMBOLS", ("missing_blas_thread_shutdown",))

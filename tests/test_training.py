@@ -19,11 +19,10 @@ from trafficmoe.training import (
     DivergenceError,
     TrainConfig,
     batch_arrays,
-    build_param_groups,
     classification_loss,
     composite_loss,
-    llrd_schedule,
     ntp_loss,
+    optimizer_entries,
     split_dataset,
     train,
 )
@@ -175,32 +174,53 @@ def test_composite_gradient_is_sum_of_components(rng):
 # -- schedules ----------------------------------------------------------------
 
 
+def depth_rates(n_layers, base_lr, decay):
+    """The entries' lr at each LLRD depth 1..L: block l-1's attention output sits at depth l."""
+    model = TrafficModel(tiny_config(n_layers=n_layers), seed=0)
+    lr_of = {p.name: lr for p, lr, _ in optimizer_entries(model, base_lr, decay, 0.01)}
+    return np.array([lr_of[f"layers.{l - 1}.attn.wo"] for l in range(1, n_layers + 1)])
+
+
 def test_llrd_examples():
-    rates = llrd_schedule(4, 1e-4, 0.9)
+    rates = depth_rates(4, 1e-4, 0.9)
     assert np.allclose(rates, np.array([7.29, 8.1, 9.0, 10.0]) * 1e-5, rtol=1e-12)
-    assert np.allclose(llrd_schedule(5, 2e-4, 1.0), 2e-4)
-    deep = llrd_schedule(12, 1e-4, 0.9)
+    assert np.allclose(depth_rates(5, 2e-4, 1.0), 2e-4)
+    deep = depth_rates(12, 1e-4, 0.9)
     assert deep[0] == pytest.approx(0.9**11 * 1e-4, rel=1e-12)
     assert deep[-1] == pytest.approx(1e-4, rel=1e-12)
 
 
 def test_param_groups_depth_and_decay(tiny_model):
-    groups = build_param_groups(tiny_model, base_lr=1e-3, llrd_decay=0.9, weight_decay=0.01)
-    lr_of = {}
-    wd_of = {}
-    for group in groups:
-        for p in group["params"]:
-            lr_of[p.name] = group["lr"]
-            wd_of[p.name] = group["weight_decay"]
     n_layers = tiny_model.config.n_layers
-    assert lr_of["embed.tok"] == pytest.approx(0.9 ** (n_layers - 1) * 1e-3)
-    assert lr_of["layers.0.attn.wo"] == pytest.approx(0.9 ** (n_layers - 1) * 1e-3)
-    assert lr_of["layers.1.moe.router"] == pytest.approx(1e-3)
-    assert lr_of["head.vocab"] == pytest.approx(1e-3)
-    assert wd_of["layers.0.attn.norm_gain"] == 0.0
-    assert wd_of["layers.0.moe.shared_gate"] == 0.0
-    assert wd_of["head.cls.b1"] == 0.0
-    assert wd_of["head.cls.w1"] == 0.01
+    for llrd_decay in (0.9, 1.0):  # finetune's decayed rates, then pretrain's all-base_lr ones
+        entries = optimizer_entries(tiny_model, base_lr=1e-3, llrd_decay=llrd_decay, weight_decay=0.01)
+        assert [p for p, _, _ in entries] == list(tiny_model.params.values())
+        lr_of = {p.name: lr for p, lr, _ in entries}
+        wd_of = {p.name: wd for p, _, wd in entries}
+        assert lr_of["embed.tok"] == pytest.approx(llrd_decay ** (n_layers - 1) * 1e-3)
+        assert lr_of["layers.0.attn.wo"] == pytest.approx(llrd_decay ** (n_layers - 1) * 1e-3)
+        assert lr_of["layers.1.moe.router"] == pytest.approx(1e-3)
+        assert lr_of["head.vocab"] == pytest.approx(1e-3)
+        assert wd_of["layers.0.attn.norm_gain"] == 0.0
+        assert wd_of["layers.0.moe.shared_gate"] == 0.0
+        assert wd_of["head.cls.b1"] == 0.0
+        assert wd_of["head.cls.w1"] == 0.01
+    assert set(lr_of.values()) == {1e-3}  # pretrain: every entry learns at exactly base_lr
+
+
+@pytest.mark.parametrize("mode, llrd_decay", [("pretrain", 1.0), ("finetune", 0.8)])
+def test_train_builds_its_entries_once_with_llrd_only_to_finetune(mode, llrd_decay, monkeypatch):
+    seqs, vocab = small_dataset(8, seed=9)
+    model = small_model(len(vocab), 64, seed=5)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args[1:])
+        return optimizer_entries(*args)
+
+    monkeypatch.setattr(training, "optimizer_entries", recorded)
+    train(model, seqs, TrainConfig(mode=mode, batch_size=4, epochs=2, base_lr=1e-3, llrd_decay=0.8, seed=0))
+    assert calls == [(1e-3, llrd_decay, 0.01)]
 
 
 # -- dataset handling ------------------------------------------------------------
@@ -272,7 +292,7 @@ def test_early_stopping_halts_at_best_plus_patience(monkeypatch):
     model = small_model(len(vocab), 64, seed=3)
 
     def frozen_eval(model, seqs, batch_size=32):
-        return None, {"macro_f1": 0.5, "accuracy": 0.5}
+        return {"macro_f1": 0.5, "accuracy": 0.5}
 
     monkeypatch.setattr(training, "evaluate_classifier", frozen_eval)
     config = TrainConfig(mode="finetune", batch_size=8, epochs=40, base_lr=1e-4, patience=5, seed=0)
@@ -290,7 +310,7 @@ def test_early_stopping_returns_best_state(monkeypatch):
     def scripted_eval(m, s, batch_size=32):
         f1 = next(scores)
         snapshots[f1] = m.state_copy()
-        return None, {"macro_f1": f1, "accuracy": f1}
+        return {"macro_f1": f1, "accuracy": f1}
 
     monkeypatch.setattr(training, "evaluate_classifier", scripted_eval)
     config = TrainConfig(mode="finetune", batch_size=8, epochs=40, base_lr=1e-4, patience=5, seed=0)
