@@ -1,15 +1,14 @@
-"""Command-line pipeline: ingest, build-vocab, tokenize, pretrain,
-finetune, eval, bench, ood, route-trace, selftest.
+"""Command-line pipeline: ingest, build-vocab, tokenize, pretrain, finetune, eval, bench, ood, route-trace, selftest.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Config precedence is
-flags > config file > built-in defaults, and the effective configuration
-is echoed on every run. Only pretrain, finetune, bench (the dense twin)
-and ood --mode compose read a seed: --seed where given, else
-TRAFFICMOE_SEED, else 0; they echo and record it as config.seed.
-Every flag and input, a corpus row by row, is checked before any output is
-written; only tokenize (flows streamed into the corpus) can leave an empty
-directory. A flag or config-file key the run does not read is an error: a
-usage error for a flag, a data error for a key.
+Exit codes: 0 success, 1 usage error, 2 data error. Config precedence is flags > config file > built-in
+defaults, and the effective configuration is echoed on every run. Only pretrain, finetune, bench (the dense
+twin) and ood --mode compose read a seed: --seed where given, else TRAFFICMOE_SEED, else 0; they echo and
+record it as config.seed. Every flag and input, a corpus row by row, is checked before any output is written;
+only tokenize (flows streamed into the corpus) can leave an empty directory. A flag or config-file key the run
+does not read is an error: a usage error for a flag, a data error for a key.
+A training run's model has the size flags' shape, or --init's and every tensor of it but the class head.
+Pretrain reads no labels and builds no class head. Finetune draws a fresh one from its seed, one class per
+label from 0 to its corpus's largest, and refuses a corpus in which a class below that has no row.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def _checkpoint_files(path: Optional[str]) -> list[str]:
 
 # Config-dataclass fields the CLI exposes: flag and config-file key -> field name.
 # Each field's type and default come from its dataclass.
-_MODEL_KEYS = {k: k for k in ("n_layers", "d_model", "n_heads", "n_experts", "top_k", "ffn_hidden", "num_classes")}
+_MODEL_KEYS = {k: k for k in ("n_layers", "d_model", "n_heads", "n_experts", "top_k", "ffn_hidden")}
 _TRAIN_KEYS = {
     k: k for k in ("batch_size", "epochs", "base_lr", "aux_weight", "llrd_decay", "patience", "weight_decay")
 }
@@ -245,8 +244,10 @@ def _checked_inputs(ckpt: str, corpus: str, labeled: bool = False) -> tuple[Traf
     """Load a checkpoint and the corpus checked against it; ``labeled`` rows need one of its classes."""
     model = TrafficModel.load(ckpt)
     cfg = model.config
+    if labeled and not cfg.num_classes:
+        raise ValueError(f"checkpoint {ckpt} has no class head; fine-tune it first")
     return model, _checked_corpus(corpus, cfg.vocab_size, f"checkpoint {ckpt}", ckpt, cfg.max_tokens,
-                                  n_classes=(cfg.num_classes or 0) if labeled else None)
+                                  n_classes=cfg.num_classes if labeled else None)
 
 
 def _run_training(args, mode: str) -> tuple:
@@ -256,22 +257,22 @@ def _run_training(args, mode: str) -> tuple:
                                **{name: merged[key] for key, name in _TRAIN_KEYS.items() if key in merged})
     vocab = Vocabulary.load(args.vocab)
     init = TrafficModel.load(args.init) if args.init else None
-    if init is None:  # size flags are checked before the corpus, which sets max_tokens and maybe num_classes
+    if init is None:  # size flags are checked before the corpus, which sets max_tokens
         model_config = ModelConfig(vocab_size=len(vocab), **{name: merged[key] for key, name in _MODEL_KEYS.items()})
-    elif mode == "finetune" and not init.config.num_classes:
-        raise ValueError("checkpoint lacks a classification head; set num_classes at pretrain")
     elif init.config.vocab_size != len(vocab):
         raise ValueError(f"vocab {args.vocab} has {len(vocab)} ids, but checkpoint {args.init} has "
                          f"vocab_size={init.config.vocab_size}")
-    min_valid, n_classes = 2, None  # next-token loss needs 2 valid ids a row
-    if mode == "finetune":  # rows need a label below --init's or --num-classes' count, else any (< 2**31)
-        min_valid, n_classes = 1, init.config.num_classes if init else merged["num_classes"] or 2**31
+    finetune = mode == "finetune"  # a fine-tune's rows need a label (< 2**31), a pretrain's 2 ids for next-token loss
     sequences = _checked_corpus(args.corpus, len(vocab), f"vocab {args.vocab}", args.init,
-                                init.config.max_tokens if init else 0, min_valid=min_valid, n_classes=n_classes)
-    labels = {s.label for s in sequences if s.label is not None}
-    model = init or TrafficModel(replace(model_config, max_tokens=len(sequences[0]),
-                                         num_classes=merged["num_classes"] or (max(labels) + 1 if labels else None)),
-                                 seed=seed)
+                                init.config.max_tokens if init else 0, min_valid=1 if finetune else 2,
+                                n_classes=2**31 if finetune else None)
+    labels = sorted({s.label for s in sequences}) if finetune else []  # one class per label; a pretrain has none
+    missing = next((i for i, label in enumerate(labels) if i != label), None)
+    if missing is not None:
+        raise ValueError(f"{args.corpus}: labels run to {labels[-1]}, but no row has label {missing}")
+    model_config = init.config if init else replace(model_config, max_tokens=len(sequences[0]))
+    backbone = {name: p.data for name, p in init.params.items() if not name.startswith("head.cls.")} if init else None
+    model = TrafficModel(replace(model_config, num_classes=len(labels) or None), seed, backbone)
 
     out = Path(args.out)
     if mode == "pretrain":
@@ -286,6 +287,7 @@ def _run_training(args, mode: str) -> tuple:
             metrics_to_tsv(metrics, out / "test_metrics.tsv")
 
     effective = {**merged, **{key: getattr(model.config, name) for key, name in _MODEL_KEYS.items()},
+                 **({"num_classes": len(labels)} if finetune else {}),
                  "seed": seed, "mode": mode, "corpus": args.corpus, "vocab": args.vocab}
     losses = history.series("train", TASK_LOSS[mode])  # one row per epoch run
     summary = f"epochs_run={len(losses)} last_{TASK_LOSS[mode]}={losses[-1]:.6g}"

@@ -231,7 +231,7 @@ class TrafficModel:
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, weights: Optional[dict[str, np.ndarray]] = None):
-        """Random init from ``seed``, or ``weights`` named and shaped as ``parameter_specs(config)``."""
+        """The ``parameter_specs(config)`` parameters: each array ``weights`` names, the rest drawn from ``seed``."""
         self.config = config
         rng = np.random.default_rng(seed)
 
@@ -243,7 +243,7 @@ class TrafficModel:
 
         init = {"normal": normal, "ones": np.ones, "zeros": np.zeros}
         self.params: dict[str, Tensor] = {
-            name: Tensor(init[kind](shape) if weights is None else weights[name], requires_grad=True, name=name)
+            name: Tensor(weights[name] if name in (weights or ()) else init[kind](shape), requires_grad=True, name=name)
             for name, shape, kind in parameter_specs(config)
         }
 

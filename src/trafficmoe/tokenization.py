@@ -314,7 +314,7 @@ def _corpus_text(ids: np.ndarray, labels: Sequence, first: int, width: int) -> b
         i = bad[0]
         raise ValueError(f"sequence {first + i} " + (
             f"holds token id {low[i] if low[i] < 0 else high[i]}, outside [0, {table.size})"
-            if low[i] < 0 or high[i] >= table.size else "has only [PAD] token IDs" if high[i] == PAD_ID
+            if low[i] < 0 or high[i] >= table.size else "has only [PAD] token IDs" if high[i] == PAD_ID == low[i]
             else f"has label {labels[i]!r}, not an integer in [0, 2**31)"))
     text = np.take(table, ids).view(np.uint8).reshape(rows, n * 8)
     text[:, -1] = ord("\n")  # the space after the last id

@@ -216,8 +216,8 @@ def train(
     stops once ``patience`` epochs pass without improvement; the best
     epoch's parameters are restored into the model and returned. Without a
     validation epoch (all of pretraining, and fine-tuning without
-    ``val_seqs``) the model keeps its last-epoch parameters and the state
-    returned is None.
+    ``val_seqs``) the model keeps its last-epoch parameters, the state
+    returned is None, and ``run_dir`` gets ``last.ckpt`` but no ``best.ckpt``.
     """
     if len(train_seqs) == 0:
         raise ValueError("empty training set")
@@ -290,9 +290,9 @@ def train(
 
     if out is not None:
         model.save(out / "last.ckpt")
+        history.to_tsv(out / "history.tsv")
     if best_state is not None:
         model.load_state(best_state)
-    if out is not None:
-        model.save(out / "best.ckpt")
-        history.to_tsv(out / "history.tsv")
+        if out is not None:
+            model.save(out / "best.ckpt")
     return history, best_state

@@ -388,8 +388,7 @@ def test_pipeline_pretrain_then_finetune_init(pipeline):
     tmp_path, vocab, corpus = pipeline
     pre_dir = tmp_path / "pre"
     assert run("pretrain", "--corpus", str(corpus), "--vocab", str(vocab),
-               "--out", str(pre_dir), "--seed", "1", "--epochs", "1",
-               "--num-classes", "2", *TINY_FLAGS) == 0
+               "--out", str(pre_dir), "--seed", "1", "--epochs", "1", *TINY_FLAGS) == 0
     fine_dir = tmp_path / "fine"
     assert run("finetune", "--corpus", str(corpus), "--vocab", str(vocab),
                "--out", str(fine_dir), "--seed", "1", "--epochs", "1",
@@ -552,7 +551,7 @@ UNREAD = [
        f"error: flag {flag} is not read by this run (the model comes from --init)")
       for mode in ("finetune", "pretrain")
       for flag, value in (("--n-layers", "2"), ("--d-model", "16"), ("--n-heads", "2"), ("--n-experts", "4"),
-                          ("--top-k", "2"), ("--ffn-hidden", "32"), ("--num-classes", "2"))),
+                          ("--top-k", "2"), ("--ffn-hidden", "32"))),
     *((f"{mode}-init-config-key", [mode, *_FROM_INIT, "--config", "{cfg}"], 2,
        "error: {cfg}: key 'd_model' is not read by this run (the model comes from --init)")
       for mode in ("finetune", "pretrain")),
@@ -758,7 +757,7 @@ RECORDED_RUNS = [
     ("corpus", ["tokenize", "--flows", "flows0", "flows1", "--vocab", "vocab/v.tsv", "--out", "corpus/c.txt",
                 "--k", "4", "--j", "12", "--max-tokens", "64"]),
     ("pre", ["pretrain", "--corpus", "corpus/c.txt", "--vocab", "vocab/v.tsv", "--out", "pre", "--seed", "1",
-             "--epochs", "1", "--num-classes", "2", *TINY_FLAGS]),
+             "--epochs", "1", *TINY_FLAGS]),
     ("fine", ["finetune", "--corpus", "corpus/c.txt", "--vocab", "vocab/v.tsv", "--out", "fine", "--epochs", "2",
               "--init", "pre/last.ckpt", "--batch-size", "8"]),
     ("eval", ["eval", "--ckpt", "fine/best.ckpt", "--data", "corpus/c.txt", "--metrics-out", "eval/m.tsv"]),
@@ -809,7 +808,7 @@ version=0.1.0
 input.vocab/v.tsv=a1dbdf9b47084eb4740fc8cf106a62dcb02e03bb529568e198729e5d00750626
 input.flows0/packets.bin=82300b7f1262e25171ed30a9e7a42aa0384d2d1f75f688f7bd253fa766864079
 input.flows1/packets.bin=40a3b8a7c0a726bed694ce10ea96121e21dd0b8da806f845ce2057ceabc41799
-$ pretrain --corpus corpus/c.txt --vocab vocab/v.tsv --out pre --seed 1 --epochs 1 --num-classes 2 --d-model 16 --n-layers 1 --n-heads 2 --n-experts 4 --top-k 2 --ffn-hidden 32 --batch-size 8
+$ pretrain --corpus corpus/c.txt --vocab vocab/v.tsv --out pre --seed 1 --epochs 1 --d-model 16 --n-layers 1 --n-heads 2 --n-experts 4 --top-k 2 --ffn-hidden 32 --batch-size 8
 aux_weight=0.02
 base_lr=0.0003
 batch_size=8
@@ -821,7 +820,6 @@ mode=pretrain
 n_experts=4
 n_heads=2
 n_layers=1
-num_classes=2
 seed=1
 top_k=2
 vocab=vocab/v.tsv
@@ -850,13 +848,13 @@ seed=4
 top_k=2
 vocab=vocab/v.tsv
 weight_decay=0.01
-epochs_run=2 last_cls_loss=0.693135
+epochs_run=2 last_cls_loss=0.693199
 command=finetune
 version=0.1.0
 input.corpus/c.txt=d73b12a39fa7122689811c45130315e8a57ae720ddbd1ab537e7c35ef0dc7190
 input.vocab/v.tsv=a1dbdf9b47084eb4740fc8cf106a62dcb02e03bb529568e198729e5d00750626
 input.pre/last.ckpt=*
-input.pre/last.ckpt.config=c87240ad85c7a26c12494de75c5969991fba08383b0b4d2cd8200ae40b1db780
+input.pre/last.ckpt.config=e0dc76749ccf573a5382d805b8bd20bf1067a0c0c9d9158ee1d2bd923ce93379
 $ eval --ckpt fine/best.ckpt --data corpus/c.txt --metrics-out eval/m.tsv
 batch_size=32
 ckpt=fine/best.ckpt
@@ -1269,21 +1267,122 @@ def test_pretrain_row_with_one_valid_token_is_data_error_naming_its_line(tiny_ev
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command,label,extra,message", [
-    ("finetune", "label:2\t", ("--num-classes", "2", *TINY_FLAGS), "label 2 is not below num_classes=2"),
-    ("finetune", "label:2\t", ("--init", "{ckpt}"), "label 2 is not below num_classes=2"),
-    ("finetune", "", TINY_FLAGS, "no label"),
-    ("eval", "", (), "no label"),
-], ids=["num-classes-flag", "init-checkpoint", "unlabeled-finetune", "unlabeled-eval"])
+@pytest.mark.parametrize("command,extra", [("finetune", TINY_FLAGS), ("eval", ())],
+                         ids=["unlabeled-finetune", "unlabeled-eval"])
 def test_row_without_one_of_the_models_labels_is_data_error_naming_its_line(tiny_eval, tmp_path, capsys, command,
-                                                                             label, extra, message):
+                                                                             extra):
     ckpt, corpus = tiny_eval
     TrafficModel(tiny_config(vocab_size=6), seed=0).save(ckpt)  # num_classes=2
-    corpus.write_text(f"label:0\t{SIX_ID_ROW}\nlabel:1\t{SIX_ID_ROW}\nlabel:0\t{SIX_ID_ROW}\n{label}{SIX_ID_ROW}\n")
-    extra = [arg.format(ckpt=ckpt) for arg in extra]
+    corpus.write_text(f"label:0\t{SIX_ID_ROW}\nlabel:1\t{SIX_ID_ROW}\nlabel:0\t{SIX_ID_ROW}\n{SIX_ID_ROW}\n")
     assert run_on_corpus(command, ckpt, corpus, tmp_path / "out", *extra) == 2
-    assert f"c.txt:4: {message}" in capsys.readouterr().err
+    assert "c.txt:4: no label" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_finetune_init_trains_a_head_of_one_class_per_corpus_label(tiny_eval, tmp_path, capsys):
+    """--init hands over its backbone, not its class head: a 2-class checkpoint fine-tunes on labels 0-2."""
+    ckpt, corpus = tiny_eval
+    TrafficModel(tiny_config(vocab_size=6), seed=0).save(ckpt)  # num_classes=2
+    corpus.write_text(f"label:0\t{SIX_ID_ROW}\nlabel:1\t{SIX_ID_ROW}\nlabel:0\t{SIX_ID_ROW}\nlabel:2\t{SIX_ID_ROW}\n")
+    assert run_on_corpus("finetune", ckpt, corpus, tmp_path / "out", "--init", str(ckpt), "--epochs", "1") == 0
+    assert "num_classes=3" in capsys.readouterr().out.splitlines()
+    assert T.load_checkpoint(tmp_path / "out" / "last.ckpt")["head.cls.b2"].shape == (3,)
+
+
+def test_finetune_labels_that_skip_a_class_are_data_error_before_any_output(tmp_path, capsys):
+    """A class below the largest label with no row would be a head column no flow trains or scores."""
+    save_six_entry_vocab(tmp_path / "vocab.tsv")
+    corpus = tmp_path / "sparse.txt"
+    corpus.write_text(f"label:0\t{SIX_ID_ROW}\nlabel:5\t{SIX_ID_ROW}\nlabel:0\t{SIX_ID_ROW}\n")
+    assert run("finetune", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
+               str(tmp_path / "out"), *TINY_FLAGS) == 2
+    assert f"error: {corpus}: labels run to 5, but no row has label 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# -- one pretrained backbone, a class head per task --------------------------------------
+
+
+def labelled_corpus(path: Path, n_classes: int, per_class: int = 10) -> Path:
+    """``per_class`` rows of each label below ``n_classes``, so that each class has a test row after the split."""
+    path.write_text("".join(f"label:{i % n_classes}\t{SIX_ID_ROW}\n" for i in range(n_classes * per_class)))
+    return path
+
+
+def pretrain_tiny(tmp_path: Path, corpus: Path) -> Path:
+    """Pretrain a tiny model on ``corpus`` for one epoch with a six-entry vocab; return its run directory."""
+    save_six_entry_vocab(tmp_path / "vocab.tsv")
+    assert run("pretrain", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
+               str(tmp_path / "pre"), "--seed", "1", "--epochs", "1", *TINY_FLAGS) == 0
+    return tmp_path / "pre"
+
+
+def finetune_tiny(tmp_path: Path, corpus: Path, out: str, *extra) -> Path:
+    assert run("finetune", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.tsv"), "--out",
+               str(tmp_path / out), "--epochs", "1", "--init", str(tmp_path / "pre" / "last.ckpt"), *extra) == 0
+    return tmp_path / out
+
+
+def test_a_pretrain_reads_no_labels_and_builds_no_class_head(tmp_path, capsys):
+    pre = pretrain_tiny(tmp_path, labelled_corpus(tmp_path / "c.txt", 4))
+    assert not [name for name in T.load_checkpoint(pre / "last.ckpt") if name.startswith("head.cls.")]
+    assert "num_classes=None" in (pre / "last.ckpt.config").read_text().splitlines()
+    assert not [line for line in capsys.readouterr().out.splitlines() if line.startswith("num_classes=")]
+    assert "num_classes" not in (pre / "manifest.log").read_text()
+
+
+def test_one_pretrained_backbone_fine_tunes_for_tasks_of_any_class_count(tmp_path, capsys):
+    """Each fine-tune of one pretrain checkpoint scores exactly its own task's classes."""
+    pretrain_tiny(tmp_path, labelled_corpus(tmp_path / "c4.txt", 4))
+    for n_classes in (2, 4):
+        fine = finetune_tiny(tmp_path, labelled_corpus(tmp_path / f"c{n_classes}.txt", n_classes), f"fine{n_classes}")
+        rows = [line.split("\t") for line in (fine / "test_metrics.tsv").read_text().splitlines()[1:]]
+        assert {cls for metric, cls, _ in rows if metric == "f1"} == {str(c) for c in range(n_classes)}
+        assert f"num_classes={n_classes}" in capsys.readouterr().out.splitlines()
+
+
+def test_finetune_init_starts_from_the_checkpoint_backbone_and_a_head_drawn_from_its_seed(tmp_path, monkeypatch,
+                                                                                          capsys):
+    corpus = labelled_corpus(tmp_path / "c.txt", 4)
+    backbone = T.load_checkpoint(pretrain_tiny(tmp_path, corpus) / "last.ckpt")
+    starts, real_train = [], cli.train
+
+    def spy(model, *args, **kwargs):
+        starts.append(model.state_copy())  # the parameters before the first step
+        return real_train(model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", spy)
+    for run_index, seed in enumerate((1, 1, 2)):
+        finetune_tiny(tmp_path, corpus, f"fine{run_index}", "--seed", str(seed))
+    heads = []
+    for state in starts:
+        assert {name: array.tobytes() for name, array in state.items() if not name.startswith("head.cls.")} == \
+            {name: array.tobytes() for name, array in backbone.items()}
+        assert state["head.cls.w2"].shape == (16, 4) and state["head.cls.b2"].shape == (4,)
+        heads.append(state["head.cls.w1"].tobytes() + state["head.cls.w2"].tobytes())
+    assert heads[0] == heads[1] != heads[2]
+
+
+@pytest.mark.parametrize("mode", ["pretrain", "finetune"])
+def test_num_classes_is_neither_a_training_flag_nor_a_config_key(tmp_path, capsys, mode):
+    """The corpus labels size a fine-tune's class head, and a pretrain has none: no flag or key sets it."""
+    save_six_entry_vocab(tmp_path / "vocab.tsv")
+    (tmp_path / "n.cfg").write_text("num_classes=2\n")
+    argv = (mode, "--corpus", str(labelled_corpus(tmp_path / "c.txt", 2)), "--vocab", str(tmp_path / "vocab.tsv"),
+            "--out", str(tmp_path / "out"), *TINY_FLAGS)
+    assert run(*argv, "--num-classes", "2") == 1
+    assert "--num-classes" in capsys.readouterr().err
+    assert run(*argv, "--config", str(tmp_path / "n.cfg")) == 2
+    assert f"error: {tmp_path / 'n.cfg'}: unknown key 'num_classes'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_of_a_checkpoint_without_a_class_head_names_the_checkpoint(tiny_eval, capsys):
+    ckpt, corpus = tiny_eval
+    TrafficModel(tiny_config(num_classes=None), seed=0).save(ckpt)
+    assert run_eval(ckpt, corpus) == 2
+    assert f"error: checkpoint {ckpt} has no class head; fine-tune it first" in capsys.readouterr().err
+    assert not (corpus.parent / "metrics.tsv").exists()
 
 
 def test_config_file_key_the_command_does_not_read_is_data_error(tmp_path, capsys):
@@ -1316,8 +1415,6 @@ def test_non_positive_model_size_is_data_error(tiny_eval, tmp_path, capsys, flag
 
 @pytest.mark.parametrize("flags,message", [
     (("--d-model", "15", "--n-heads", "5"), "d_model=15 / n_heads=5 is odd: rotary embedding needs it even"),
-    (("--num-classes", "0"), "num_classes=0 must be >= 1"),
-    (("--num-classes", "-1"), "num_classes=-1 must be >= 1"),
 ])
 def test_a_model_the_backbone_cannot_run_is_data_error_before_any_output(tiny_eval, tmp_path, capsys, flags,
                                                                           message):
@@ -1348,7 +1445,7 @@ def test_nonsensical_training_value_is_data_error(tiny_eval, tmp_path, capsys, c
 # -- training flags come from the config dataclasses --------------------------------------
 
 PARENT_TRAINING_FLAGS = [
-    "n-layers", "d-model", "n-heads", "n-experts", "top-k", "ffn-hidden", "num-classes",
+    "n-layers", "d-model", "n-heads", "n-experts", "top-k", "ffn-hidden",
     "batch-size", "epochs", "base-lr", "aux-weight", "llrd-decay", "patience", "weight-decay",
 ]
 FINETUNE_ONLY_FLAGS = ["llrd-decay", "patience"]  # pretraining reads neither, so it does not offer them
@@ -1374,7 +1471,7 @@ def test_training_help_offers_flags_with_dataclass_defaults(mode, monkeypatch, c
 def test_every_config_field_is_a_cli_key_or_set_by_code():
     """A field no flag or config-file key reaches and no code sets only ever holds its default."""
     exposed = {*cli._MODEL_KEYS.values(), *cli._TRAIN_KEYS.values(), *cli._SERIALIZER_KEYS.values()}
-    set_by_code = {"mode", "seed", "vocab_size", "max_tokens", "ffn_kind", "dense_hidden"}
+    set_by_code = {"mode", "seed", "vocab_size", "max_tokens", "num_classes", "ffn_kind", "dense_hidden"}
     for config in (ModelConfig, TrainConfig, SerializerConfig):
         dead = {f.name for f in dataclasses.fields(config)} - exposed - set_by_code
         assert not dead, f"{config.__name__} fields nothing sets: {sorted(dead)}"

@@ -933,3 +933,19 @@ def test_init_is_seed_deterministic():
     b = TrafficModel(tiny_config(), seed=11)
     for name in a.params:
         assert np.array_equal(a.params[name].data, b.params[name].data)
+
+
+def test_init_keeps_the_given_weights_and_draws_the_rest_from_the_seed_in_spec_order():
+    cfg = tiny_config()
+    backbone = {name: p.data for name, p in TrafficModel(cfg, seed=3).params.items() if not name.startswith("head.")}
+    a, b = TrafficModel(cfg, seed=11, weights=backbone), TrafficModel(cfg, seed=11, weights=backbone)
+    rng = np.random.default_rng(11)
+    for name, shape, kind in parameter_specs(cfg):
+        if name in backbone:
+            assert a.params[name].data is backbone[name], name
+        else:
+            drawn = rng.normal(0.0, 0.02, size=shape) if kind == "normal" else getattr(np, kind)(shape)
+            assert a.params[name].data.tobytes() == b.params[name].data.tobytes() == \
+                drawn.astype(T.default_dtype()).tobytes(), name
+    drawn_names = [name for name in a.params if name not in backbone]
+    assert drawn_names == ["head.vocab", "head.cls.w1", "head.cls.b1", "head.cls.w2", "head.cls.b2"]

@@ -681,6 +681,12 @@ def test_write_corpus_refuses_a_label_read_corpus_would_reject(tmp_path, label):
     assert read_corpus(path)[0].label == 2**31 - 1
 
 
+def test_write_corpus_names_the_bad_label_of_a_row_whose_largest_id_is_pad(tmp_path):
+    """[PAD] is id 2, so a row of [PAD] and a lower id is not all [PAD]: its label is the defect named."""
+    with pytest.raises(ValueError, match=r"^sequence 0 has label -1, not an integer in \[0, 2\*\*31\)$"):
+        write_corpus([TokenSequence(np.array([PAD_ID, 0], dtype=np.int32), label=-1)], tmp_path / "c.txt")
+
+
 _PAD_OR_ID = st.sampled_from([PAD_ID, PAD_ID, 0, 5, 17, 65_540]) | _VALID_ID
 
 

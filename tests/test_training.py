@@ -380,6 +380,15 @@ def test_run_directory_layout(tmp_path):
     assert header == "epoch\tsplit\tmetric\tvalue"
 
 
+def test_a_run_without_validation_writes_no_best_checkpoint(tmp_path):
+    """Pretraining chooses no state, so its run directory holds the last epoch's checkpoint and no copy of it."""
+    seqs, vocab = small_dataset(12, seed=11)
+    model = small_model(len(vocab), 64, num_classes=None, seed=7)
+    history, best = train(model, seqs, TrainConfig(mode="pretrain", batch_size=6, epochs=1), run_dir=tmp_path / "run")
+    assert best is None and (tmp_path / "run" / "last.ckpt").exists()
+    assert not (tmp_path / "run" / "best.ckpt").exists()
+
+
 def test_dense_twin_finetunes_with_no_routing(tmp_path):
     seqs, vocab = small_dataset(12, seed=11)
     dense = evaluation.build_dense_variant(small_model(len(vocab), 64, seed=7))
